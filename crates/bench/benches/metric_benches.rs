@@ -101,39 +101,6 @@ fn aos_vs_soa_scoring(c: &mut Criterion) {
             black_box(out.last().copied())
         });
     });
-
-    // The same columnar scoring under each kernel family: the sequential
-    // reference loops vs the canonical 4-lane chunked kernels (see
-    // `fair_core::kernel`), on the row-major matrices directly so the two
-    // timings differ only in the kernel.
-    let nf = dataset.schema().num_features();
-    let na = dataset.schema().num_fairness();
-    let weights = SchoolGenerator::rubric().weights().to_vec();
-    for (label, kernel) in [
-        ("scalar_reference", fair_core::kernel::Kernel::Scalar),
-        ("chunked_f64x4", fair_core::kernel::Kernel::Chunked),
-    ] {
-        group.bench_function(BenchmarkId::new("scalar_vs_chunked", label), |b| {
-            let mut out = Vec::new();
-            b.iter(|| {
-                fair_core::kernel::dot_rows_into_with(
-                    dataset.features_matrix(),
-                    nf,
-                    &weights,
-                    &mut out,
-                    kernel,
-                );
-                fair_core::kernel::add_dot_rows_into_with(
-                    dataset.fairness_matrix(),
-                    na,
-                    &bonus,
-                    &mut out,
-                    kernel,
-                );
-                black_box(out.last().copied())
-            });
-        });
-    }
     group.finish();
 }
 

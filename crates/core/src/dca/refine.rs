@@ -23,7 +23,7 @@ use crate::dca::objective::Objective;
 use crate::dca::scratch::DcaScratch;
 use crate::error::Result;
 use crate::ranking::Ranker;
-use fair_opt::{Adam, RollingWindow, Step};
+use fair_opt::{Adam, RollingWindow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

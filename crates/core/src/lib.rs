@@ -26,7 +26,7 @@
 //! | [`metrics`] | Disparity, log-discounted disparity, disparate impact, FPR difference, exposure/DDP, nDCG |
 //! | [`dca`] | Core DCA, the Adam refinement step, Full DCA, and the [`dca::Dca`] facade |
 //! | [`fault`] | deterministic fault injection (`FAIR_FAULT`) for robustness testing |
-//! | [`kernel`] | chunked f64x4 scoring/centroid kernels + the `FAIR_KERNEL` dispatch |
+//! | [`kernel`] | chunked f64x4 scoring/centroid kernels in one canonical accumulation order |
 //! | [`obs`] | metrics registry (counters/gauges/histograms, Prometheus exposition) + `FAIR_LOG` structured tracing |
 //! | [`error`] | [`error::FairError`] and the crate-wide [`error::Result`] alias |
 //!
@@ -86,7 +86,6 @@ pub use dataset::{Dataset, SampleView};
 pub use dca::{Dca, DcaConfig, DcaReport, DcaResult, DcaScratch, EvalScratch};
 pub use error::{FairError, Result};
 pub use fault::{FaultMode, FaultPlan};
-pub use kernel::Kernel;
 pub use object::{DataObject, ObjectId, ObjectView};
 pub use parallel::{max_workers, parallel_map};
 pub use shard::{

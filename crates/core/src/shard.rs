@@ -369,41 +369,7 @@ pub trait ShardSource: Sync {
     /// Returns [`FairError::EmptyDataset`] on an empty dataset and
     /// [`FairError::InvalidConfig`] when `size == 0`.
     fn sample_indices_into(&self, seed: u64, size: usize, out: &mut Vec<usize>) -> Result<()> {
-        if self.is_empty() {
-            return Err(FairError::EmptyDataset);
-        }
-        if size == 0 {
-            return Err(FairError::InvalidConfig {
-                reason: "sample size must be positive".into(),
-            });
-        }
-        out.clear();
-        if size >= self.len() {
-            out.extend(0..self.len());
-            return Ok(());
-        }
-        let quotas = shard_quotas(self, size);
-        let indices: Vec<usize> = (0..self.num_shards()).collect();
-        let per_shard: Vec<Vec<usize>> = parallel_map(&indices, |&i| {
-            let quota = quotas[i];
-            if quota == 0 {
-                return Vec::new();
-            }
-            let len = self.shard_len(i);
-            let mut rng = StdRng::seed_from_u64(shard_seed(seed, i));
-            let mut buf = rand::seq::index::IndexBuffer::new();
-            if quota >= len {
-                buf.fill_sequential(len);
-            } else {
-                rand::seq::index::sample_into(&mut rng, len, quota, &mut buf);
-            }
-            let offset = self.shard_offset(i);
-            buf.as_slice().iter().map(|&x| offset + x).collect()
-        });
-        for indices in per_shard {
-            out.extend(indices);
-        }
-        Ok(())
+        sample_indices_range_into(self, seed, size, 0..self.num_shards(), out)
     }
 }
 
@@ -512,8 +478,8 @@ pub fn sample_indices_range_into<S: ShardSource + ?Sized>(
     }
     out.clear();
     if size >= data.len() {
-        // The full-cohort branch of `sample_indices_into` emits every global
-        // index in order; this range's slice of that is its own row span.
+        // The full-cohort sample is every global index in order; this
+        // range's slice of that is its own row span.
         for i in shards {
             let offset = data.shard_offset(i);
             out.extend(offset..offset + data.shard_len(i));

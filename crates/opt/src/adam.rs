@@ -10,8 +10,6 @@
 //! Optimization* (2017 revision), including bias correction of the first and
 //! second moment estimates.
 
-use crate::Step;
-
 /// Hyper-parameters for [`Adam`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
@@ -81,21 +79,16 @@ impl Adam {
         Self::new(dims, AdamConfig::default())
     }
 
-    /// The configuration this optimizer was created with.
-    #[must_use]
-    pub fn config(&self) -> AdamConfig {
-        self.config
-    }
-
-    /// Number of steps taken since construction or the last [`Step::reset`].
-    #[must_use]
-    pub fn steps_taken(&self) -> u64 {
-        self.t
-    }
-}
-
-impl Step for Adam {
-    fn step(&mut self, params: &mut [f64], direction: &[f64]) {
+    /// Apply one update of `params` against `direction`.
+    ///
+    /// In classic optimization the direction is the gradient; in DCA it is
+    /// the (sampled) disparity vector, which is not a gradient but plays the
+    /// same role: parameters are moved *against* it.
+    ///
+    /// # Panics
+    /// Panics if `params` or `direction` differ in length from the
+    /// dimensionality this optimizer was constructed with.
+    pub fn step(&mut self, params: &mut [f64], direction: &[f64]) {
         assert_eq!(
             params.len(),
             self.m.len(),
@@ -126,16 +119,6 @@ impl Step for Adam {
             let v_hat = self.v[i] / bc2;
             params[i] -= learning_rate * m_hat / (v_hat.sqrt() + epsilon);
         }
-    }
-
-    fn dims(&self) -> usize {
-        self.m.len()
-    }
-
-    fn reset(&mut self) {
-        self.m.iter_mut().for_each(|x| *x = 0.0);
-        self.v.iter_mut().for_each(|x| *x = 0.0);
-        self.t = 0;
     }
 }
 
@@ -199,28 +182,6 @@ mod tests {
             "small-gradient coordinate converged: {}",
             x[1]
         );
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut adam = Adam::with_defaults(2);
-        let mut x = vec![0.0, 0.0];
-        adam.step(&mut x, &[1.0, 1.0]);
-        assert_eq!(adam.steps_taken(), 1);
-        adam.reset();
-        assert_eq!(adam.steps_taken(), 0);
-        // After reset, behaviour matches a freshly built optimizer.
-        let mut fresh = Adam::with_defaults(2);
-        let mut a = vec![0.0, 0.0];
-        let mut b = vec![0.0, 0.0];
-        adam.step(&mut a, &[3.0, -2.0]);
-        fresh.step(&mut b, &[3.0, -2.0]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn dims_reports_construction_size() {
-        assert_eq!(Adam::with_defaults(4).dims(), 4);
     }
 
     #[test]

@@ -1,30 +1,21 @@
 //! # fair-opt — optimization substrate for the DCA fair-ranking library
 //!
-//! This crate contains the small, self-contained numerical-optimization
-//! building blocks that the Disparity Compensation Algorithm (DCA) of
-//! *Explainable Disparity Compensation for Efficient Fair Ranking* (ICDE 2024)
-//! relies on:
+//! This crate contains the two numerical building blocks that the refinement
+//! step of the Disparity Compensation Algorithm (DCA) of *Explainable
+//! Disparity Compensation for Efficient Fair Ranking* (ICDE 2024) relies on
+//! (Algorithm 2 in the paper):
 //!
-//! * [`Adam`] — the adaptive moment estimation optimizer (Kingma & Ba) used by
-//!   the DCA refinement step (Algorithm 2 in the paper),
-//! * [`LearningRateSchedule`] — the decreasing learning-rate ladders used by
-//!   Core DCA (Algorithm 1),
-//! * [`RollingAverage`] / [`RollingWindow`] — the rolling average of the last
-//!   *n* bonus-vector guesses that the paper takes "to increase stability and
-//!   avoid too many random effects of unusual samples near the end",
-//! * [`Projection`] / [`BoxProjection`] — projections onto box constraints
-//!   (`b_i >= 0`, optional per-dimension maxima) used to keep bonus points
-//!   non-negative and optionally capped,
-//! * [`DescentDriver`] — a generic projected "pseudo-gradient" descent loop
-//!   that accepts any direction oracle (the disparity vector in DCA's case).
+//! * [`Adam`] — the adaptive moment estimation optimizer (Kingma & Ba),
+//! * [`RollingWindow`] — the rolling average of the last *n* bonus-vector
+//!   guesses that the paper takes "to increase stability and avoid too many
+//!   random effects of unusual samples near the end".
 //!
-//! The crate is deliberately dependency-free so it can be reused by any
-//! vector-valued, derivative-free descent procedure.
+//! The crate is deliberately dependency-free.
 //!
 //! ## Example
 //!
 //! ```
-//! use fair_opt::{Adam, AdamConfig, Step};
+//! use fair_opt::{Adam, AdamConfig};
 //!
 //! // Minimize f(x) = (x0 - 3)^2 + (x1 + 1)^2 using its gradient as the
 //! // direction oracle.
@@ -42,40 +33,7 @@
 #![deny(unsafe_code)]
 
 pub mod adam;
-pub mod descent;
-pub mod projection;
 pub mod rolling;
-pub mod schedule;
-pub mod sgd;
-pub mod vector;
 
 pub use adam::{Adam, AdamConfig};
-pub use descent::{DescentConfig, DescentDriver, DescentReport, DirectionOracle, StepRecord};
-pub use projection::{BoxProjection, NonNegativeProjection, Projection};
-pub use rolling::{RollingAverage, RollingWindow};
-pub use schedule::{ConstantSchedule, ExponentialDecay, LadderSchedule, LearningRateSchedule};
-pub use sgd::{Sgd, SgdConfig};
-pub use vector::{l1_norm, l2_norm, linf_norm, VectorOps};
-
-/// Common interface implemented by every first-order stepper in this crate
-/// ([`Adam`], [`Sgd`]).
-///
-/// A stepper mutates the parameter vector in place given a *direction* vector.
-/// In classic optimization the direction is the gradient; in DCA it is the
-/// (sampled) disparity vector, which is not a gradient but plays the same
-/// role: parameters are moved *against* it.
-pub trait Step {
-    /// Apply one update of `params` against `direction`.
-    ///
-    /// # Panics
-    /// Implementations panic if `params.len() != direction.len()` or if the
-    /// dimensionality differs from the one the stepper was constructed with.
-    fn step(&mut self, params: &mut [f64], direction: &[f64]);
-
-    /// Dimensionality this stepper was constructed for.
-    fn dims(&self) -> usize;
-
-    /// Reset all internal state (moment estimates, step counters) so the
-    /// stepper can be reused for a fresh run.
-    fn reset(&mut self);
-}
+pub use rolling::RollingWindow;

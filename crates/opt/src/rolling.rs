@@ -1,82 +1,16 @@
-//! Rolling averages over vector-valued iterates.
+//! Rolling average over vector-valued iterates.
 //!
 //! The paper's refinement step ends with: "Finally, we take the rolling
 //! average of the last 100 points to increase stability and avoid too many
 //! random effects of unusual samples near the end." [`RollingWindow`] keeps a
 //! bounded window of the most recent iterates and produces their element-wise
-//! mean; [`RollingAverage`] is the unbounded (cumulative) variant that matches
-//! Algorithm 2's `A <- A + B; return AVERAGE(A)` literally.
+//! mean.
 
 use std::collections::VecDeque;
 
-/// Cumulative element-wise average of every vector ever pushed.
-///
-/// This is Algorithm 2's accumulator `A`: each refinement iteration adds the
-/// current bonus guess, and the final answer is the average of all of them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RollingAverage {
-    sum: Vec<f64>,
-    count: u64,
-}
-
-impl RollingAverage {
-    /// Create an accumulator for vectors of length `dims`.
-    ///
-    /// # Panics
-    /// Panics if `dims == 0`.
-    #[must_use]
-    pub fn new(dims: usize) -> Self {
-        assert!(dims > 0, "RollingAverage requires at least one dimension");
-        Self {
-            sum: vec![0.0; dims],
-            count: 0,
-        }
-    }
-
-    /// Add one iterate.
-    ///
-    /// # Panics
-    /// Panics if `v.len()` differs from the construction dimensionality.
-    pub fn push(&mut self, v: &[f64]) {
-        assert_eq!(v.len(), self.sum.len(), "dimensionality mismatch");
-        for (s, x) in self.sum.iter_mut().zip(v) {
-            *s += x;
-        }
-        self.count += 1;
-    }
-
-    /// Element-wise mean of everything pushed so far, or `None` if nothing was
-    /// pushed.
-    #[must_use]
-    pub fn mean(&self) -> Option<Vec<f64>> {
-        if self.count == 0 {
-            return None;
-        }
-        Some(self.sum.iter().map(|s| s / self.count as f64).collect())
-    }
-
-    /// Number of iterates accumulated.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Dimensionality of the accumulated vectors.
-    #[must_use]
-    pub fn dims(&self) -> usize {
-        self.sum.len()
-    }
-
-    /// Clear the accumulator.
-    pub fn reset(&mut self) {
-        self.sum.iter_mut().for_each(|x| *x = 0.0);
-        self.count = 0;
-    }
-}
-
 /// Element-wise average over a sliding window of the last `capacity` iterates.
 ///
-/// Used by the experiment harness to reproduce "the rolling average of the
+/// DCA's refinement step uses it to reproduce "the rolling average of the
 /// last 100 points".
 #[derive(Debug, Clone)]
 pub struct RollingWindow {
@@ -145,43 +79,11 @@ impl RollingWindow {
     pub fn is_empty(&self) -> bool {
         self.window.is_empty()
     }
-
-    /// Maximum number of vectors retained.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Clear the window.
-    pub fn reset(&mut self) {
-        self.window.clear();
-        self.running_sum.iter_mut().for_each(|x| *x = 0.0);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cumulative_average_matches_hand_computation() {
-        let mut acc = RollingAverage::new(2);
-        assert_eq!(acc.mean(), None);
-        acc.push(&[1.0, 2.0]);
-        acc.push(&[3.0, 4.0]);
-        acc.push(&[5.0, 6.0]);
-        assert_eq!(acc.mean(), Some(vec![3.0, 4.0]));
-        assert_eq!(acc.count(), 3);
-    }
-
-    #[test]
-    fn cumulative_average_reset() {
-        let mut acc = RollingAverage::new(1);
-        acc.push(&[10.0]);
-        acc.reset();
-        assert_eq!(acc.count(), 0);
-        assert_eq!(acc.mean(), None);
-    }
 
     #[test]
     fn window_evicts_oldest() {
@@ -209,16 +111,6 @@ mod tests {
     }
 
     #[test]
-    fn window_reset_clears_state() {
-        let mut w = RollingWindow::new(1, 3);
-        w.push(vec![5.0]);
-        w.reset();
-        assert!(w.is_empty());
-        w.push(vec![1.0]);
-        assert_eq!(w.mean(), Some(vec![1.0]));
-    }
-
-    #[test]
     fn window_running_sum_stays_exact_over_many_evictions() {
         let mut w = RollingWindow::new(1, 10);
         for i in 0..1000 {
@@ -232,7 +124,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimensionality mismatch")]
     fn mismatched_push_rejected() {
-        let mut acc = RollingAverage::new(2);
-        acc.push(&[1.0]);
+        let mut w = RollingWindow::new(2, 3);
+        w.push(vec![1.0]);
     }
 }

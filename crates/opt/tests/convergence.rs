@@ -1,31 +1,8 @@
-//! Crate-level property tests for the optimizers: convergence on random
-//! convex quadratics, projection correctness, and schedule/rolling-average
-//! algebra.
+//! Crate-level property tests for the optimizer and the rolling window:
+//! convergence on random convex quadratics and rolling-average algebra.
 
-use fair_opt::{
-    Adam, AdamConfig, BoxProjection, DescentConfig, DescentDriver, DirectionOracle, LadderSchedule,
-    LearningRateSchedule, NonNegativeProjection, Projection, RollingAverage, RollingWindow, Sgd,
-    SgdConfig, Step,
-};
+use fair_opt::{Adam, AdamConfig, RollingWindow};
 use proptest::prelude::*;
-
-/// Oracle returning the gradient of `0.5 * ||x - target||^2`.
-struct Quadratic {
-    target: Vec<f64>,
-}
-
-impl DirectionOracle for Quadratic {
-    fn direction(&mut self, params: &[f64]) -> Vec<f64> {
-        params
-            .iter()
-            .zip(&self.target)
-            .map(|(p, t)| p - t)
-            .collect()
-    }
-    fn dims(&self) -> usize {
-        self.target.len()
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -46,82 +23,19 @@ proptest! {
         }
     }
 
-    /// SGD with a decreasing ladder converges too, and the projected variant
-    /// converges to the projection of the target.
-    #[test]
-    fn projected_sgd_converges_to_the_projected_optimum(
-        target in -30.0_f64..30.0,
-    ) {
-        let driver = DescentDriver::new(NonNegativeProjection, DescentConfig::default());
-        let schedule = LadderSchedule::new(vec![0.5, 0.1, 0.01], 300);
-        let mut oracle = Quadratic { target: vec![target] };
-        let report = driver.run_scheduled(&mut oracle, &schedule, vec![0.0]);
-        let expected = target.max(0.0);
-        prop_assert!((report.params[0] - expected).abs() < 0.05,
-            "{} vs projected target {expected}", report.params[0]);
-    }
-
-    /// Box projections clamp every coordinate into its interval and are
-    /// idempotent.
-    #[test]
-    fn box_projection_is_idempotent(
-        values in proptest::collection::vec(-100.0_f64..100.0, 1..6),
-        max in 0.0_f64..50.0,
-    ) {
-        let projection = BoxProjection::zero_to(values.len(), max);
-        let mut once = values.clone();
-        projection.project(&mut once);
-        prop_assert!(once.iter().all(|v| (0.0..=max).contains(v)));
-        let mut twice = once.clone();
-        projection.project(&mut twice);
-        prop_assert_eq!(once, twice);
-    }
-
-    /// The ladder schedule is non-increasing when built from a sorted list,
-    /// and covers exactly rates × steps_per_rate steps.
-    #[test]
-    fn ladder_schedule_is_non_increasing(
-        mut rates in proptest::collection::vec(0.001_f64..10.0, 1..5),
-        steps in 1_usize..50,
-    ) {
-        rates.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        let schedule = LadderSchedule::new(rates.clone(), steps);
-        prop_assert_eq!(schedule.total_steps(), Some(rates.len() * steps));
-        let series: Vec<f64> = schedule.iter().map(|(_, lr)| lr).collect();
-        prop_assert!(series.windows(2).all(|w| w[0] >= w[1]));
-    }
-
     /// The rolling window mean equals the arithmetic mean of the retained
-    /// entries, and the cumulative average equals the mean of everything.
+    /// entries.
     #[test]
-    fn rolling_averages_match_direct_computation(
+    fn rolling_window_matches_direct_computation(
         values in proptest::collection::vec(-50.0_f64..50.0, 1..60),
         capacity in 1_usize..20,
     ) {
         let mut window = RollingWindow::new(1, capacity);
-        let mut cumulative = RollingAverage::new(1);
         for v in &values {
             window.push(vec![*v]);
-            cumulative.push(&[*v]);
         }
         let tail: Vec<f64> = values.iter().rev().take(capacity).copied().collect();
         let expected_window = tail.iter().sum::<f64>() / tail.len() as f64;
-        let expected_total = values.iter().sum::<f64>() / values.len() as f64;
         prop_assert!((window.mean().unwrap()[0] - expected_window).abs() < 1e-6);
-        prop_assert!((cumulative.mean().unwrap()[0] - expected_total).abs() < 1e-6);
-    }
-
-    /// Momentum never changes the fixed point: at the optimum the velocity
-    /// decays and parameters stay put.
-    #[test]
-    fn sgd_momentum_is_stable_at_the_optimum(momentum in 0.0_f64..0.95) {
-        let mut sgd = Sgd::new(1, SgdConfig { learning_rate: 0.1, momentum });
-        let mut x = vec![3.0];
-        for _ in 0..200 {
-            // Gradient of (x - 3)^2 / 2 at the optimum is zero.
-            let grad = vec![x[0] - 3.0];
-            sgd.step(&mut x, &grad);
-        }
-        prop_assert!((x[0] - 3.0).abs() < 1e-6, "{}", x[0]);
     }
 }

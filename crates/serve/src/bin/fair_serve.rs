@@ -10,8 +10,8 @@
 //! and the evaluation engine's per-request parallelism; `FAIR_CACHE_BYTES`
 //! bounds each disk store's resident shard cache.
 
-use fair_core::{obs, Kernel};
-use fair_serve::{serve, AuditService, DRAIN_DEADLINE};
+use fair_core::obs;
+use fair_serve::{drain_deadline, serve, AuditService};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,8 +52,9 @@ fn main() {
                 println!(
                     "fair-serve — concurrent fairness-audit service\n\n\
                      USAGE: fair-serve [--addr HOST:PORT] [--workers N] [--register name=path.fss]...\n\n\
-                     Endpoints: GET /health | GET /stores | POST /stores | GET /stores/{{name}}/schema|stats\n\
-                     | POST /stores/{{name}}/metrics | POST /jobs | GET /jobs/{{id}} | DELETE /jobs/{{id}}\n\n\
+                     Endpoints: GET /health | GET /metrics | GET /stores | POST /stores | DELETE /stores/{{name}}\n\
+                     | GET /stores/{{name}}/schema|stats | POST /stores/{{name}}/metrics|partials\n\
+                     | POST /jobs | GET /jobs | GET /jobs/{{id}} | GET /jobs/{{id}}/profile | DELETE /jobs/{{id}}\n\n\
                      Knobs: FAIR_THREADS (worker + engine pool cap), FAIR_CACHE_BYTES (shard cache budget),\n\
                      FAIR_SHARD_SIZE (layout of generated cohorts), FAIR_LOG=off|text|json (span/event log)."
                 );
@@ -86,22 +87,13 @@ fn main() {
     };
     // One structured line with every resolved knob, so a log collector can
     // reconstruct the process configuration without scraping the CLI.
-    let drain_ms = std::env::var("FAIR_DRAIN_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(DRAIN_DEADLINE.as_millis() as u64);
-    let kernel = match fair_core::kernel::active() {
-        Kernel::Chunked => "chunked",
-        Kernel::Scalar => "scalar",
-    };
     obs::Event::new("serve.start")
         .field("addr", server.addr())
         .field("workers", workers)
         .field("stores", registrations.len())
-        .field("drain_ms", drain_ms)
+        .field("drain_ms", drain_deadline().as_millis() as u64)
         .field("cache_bytes", fair_store::default_cache_bytes())
         .field("prefetch", fair_store::default_prefetch())
-        .field("kernel", kernel)
         .emit();
     // Scripted callers parse this line to find the ephemeral port.
     println!(

@@ -161,9 +161,6 @@ pub struct SampleRows {
     pub fairness: Vec<f64>,
     /// Per-row outcome labels.
     pub labels: Vec<Option<bool>>,
-    /// Whether the worker answered from its `core_sample` LRU (the rows are
-    /// byte-identical either way; this is observability, not semantics).
-    pub cached: bool,
 }
 
 impl SampleRows {
@@ -509,12 +506,10 @@ impl Client {
             ("shards", shards_json(&shards)),
         ]);
         let resp = self.request("POST", &format!("/stores/{store}/partials"), Some(&body))?;
-        let mut rows = parse_sample_rows(
+        parse_sample_rows(
             resp.get("rows")
                 .ok_or_else(|| ServeError::Protocol("missing `rows` object".into()))?,
-        )?;
-        rows.cached = resp.get("cached").and_then(Json::as_bool).unwrap_or(false);
-        Ok(rows)
+        )
     }
 
     /// `GET /metrics`: the server's [`fair_core::obs`] registry in raw
@@ -684,7 +679,6 @@ fn parse_sample_rows(v: &Json) -> Result<SampleRows> {
         features: nums("features")?,
         fairness: nums("fairness")?,
         labels,
-        cached: false,
     })
 }
 

@@ -116,7 +116,6 @@ struct FleetObs {
     re_dispatches: Arc<obs::Counter>,
     ejections: Arc<obs::Counter>,
     readmissions: Arc<obs::Counter>,
-    partials_cache_hits: Arc<obs::Counter>,
 }
 
 impl Default for FleetObs {
@@ -127,7 +126,6 @@ impl Default for FleetObs {
             re_dispatches: obs::counter("fair_fleet_re_dispatches_total", &[]),
             ejections: obs::counter("fair_fleet_ejections_total", &[]),
             readmissions: obs::counter("fair_fleet_readmissions_total", &[]),
-            partials_cache_hits: obs::counter("fair_fleet_partials_cache_hits_total", &[]),
         }
     }
 }
@@ -156,9 +154,6 @@ pub struct FleetReport {
     pub ejections: u64,
     /// Ejected workers re-admitted by a health probe.
     pub readmissions: u64,
-    /// `core_sample` responses the workers answered from their gather LRU
-    /// (repeated `(seed, step)` requests — retries, re-run descents).
-    pub partials_cache_hits: u64,
 }
 
 /// A coordinator for one cohort served by a fleet of audit servers.
@@ -175,7 +170,6 @@ pub struct FleetCoordinator {
     re_dispatches: AtomicU64,
     ejections: AtomicU64,
     readmissions: AtomicU64,
-    partials_cache_hits: AtomicU64,
     obs: FleetObs,
     /// Trace id stamped on every fan-out round and worker request. `None`
     /// (the default) mints a fresh id per round; a coordinator driving a
@@ -258,7 +252,6 @@ impl FleetCoordinator {
             re_dispatches: AtomicU64::new(0),
             ejections: AtomicU64::new(0),
             readmissions: AtomicU64::new(0),
-            partials_cache_hits: AtomicU64::new(0),
             obs: FleetObs::default(),
             trace: None,
         })
@@ -316,7 +309,6 @@ impl FleetCoordinator {
             re_dispatches: self.re_dispatches.load(Ordering::Relaxed),
             ejections: self.ejections.load(Ordering::Relaxed),
             readmissions: self.readmissions.load(Ordering::Relaxed),
-            partials_cache_hits: self.partials_cache_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -453,12 +445,6 @@ impl FleetCoordinator {
                     .map_err(wire_to_engine)?;
                 // Ranges arrive in ascending order, so appending them in
                 // sequence reproduces the local gather exactly.
-                let hits = samples.iter().filter(|rows| rows.cached).count();
-                if hits > 0 {
-                    self.partials_cache_hits
-                        .fetch_add(hits as u64, Ordering::Relaxed);
-                    self.obs.partials_cache_hits.add(hits as u64);
-                }
                 for rows in &samples {
                     if rows.features.len() != rows.len() * nf
                         || rows.fairness.len() != rows.len() * na

@@ -74,63 +74,12 @@ pub const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// The effective drain window: `FAIR_DRAIN_MS` milliseconds when set and
 /// parseable, [`DRAIN_DEADLINE`] otherwise.
-fn drain_deadline() -> Duration {
+#[must_use]
+pub fn drain_deadline() -> Duration {
     std::env::var("FAIR_DRAIN_MS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .map_or(DRAIN_DEADLINE, Duration::from_millis)
-}
-
-/// How many `core_sample` gathers a worker keeps around. A fleet descent
-/// issues one request per `(seed, step)` per shard range, so a re-run of the
-/// same descent (a retried coordinator, a timing loop, a repeated audit)
-/// replays recent keys; a handful of entries is enough to absorb that
-/// without holding more than a few sample-sized row blocks.
-const SAMPLE_CACHE_CAPACITY: usize = 32;
-
-/// Identity of one `core_sample` gather: the addressed store plus the
-/// request parameters that determine the sampled rows. Catalog mutations
-/// (register/deregister) clear the whole cache, so a re-registered name can
-/// never serve the previous cohort's rows; the row count guards the
-/// remaining case of a store growing underneath its name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SampleKey {
-    /// Catalog name the request addressed.
-    store: String,
-    /// Store length at gather time — an appended store misses.
-    rows: usize,
-    lo: usize,
-    hi: usize,
-    seed: u64,
-    sample_size: usize,
-}
-
-/// A tiny worker-side LRU over rendered `core_sample` row blocks. The gather
-/// is a pure function of the key, so a hit returns byte-identical columns —
-/// exactly what a coordinator retry or a repeated descent would recompute.
-#[derive(Debug, Default)]
-struct SampleCache {
-    /// Most-recently-used last.
-    entries: Vec<(SampleKey, Json)>,
-}
-
-impl SampleCache {
-    fn get(&mut self, key: &SampleKey) -> Option<Json> {
-        let pos = self.entries.iter().position(|(k, _)| k == key)?;
-        let hit = self.entries.remove(pos);
-        let value = hit.1.clone();
-        self.entries.push(hit);
-        Some(value)
-    }
-
-    fn put(&mut self, key: SampleKey, value: Json) {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| k == &key) {
-            self.entries.remove(pos);
-        } else if self.entries.len() >= SAMPLE_CACHE_CAPACITY {
-            self.entries.remove(0);
-        }
-        self.entries.push((key, value));
-    }
 }
 
 /// Registry handles the request path touches, resolved once per service so
@@ -201,43 +150,14 @@ impl Drop for InFlightGuard {
 
 /// The service state shared by every request worker: the store catalog and
 /// the background-job manager.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AuditService {
     /// Named stores.
     pub catalog: Catalog,
     /// Background DCA jobs.
     pub jobs: JobManager,
-    /// Recently served `core_sample` gathers (see [`SampleCache`]).
-    sample_cache: Mutex<SampleCache>,
-    /// `core_sample` partial requests answered from the cache. Reported by
-    /// `GET /health` and echoed per response as the `cached` flag.
-    pub partials_cache_hits: AtomicU64,
     /// Request-path registry handles (see [`ServeObs`]).
     obs: ServeObs,
-    /// How long a rendered `/metrics` body stays servable (milliseconds).
-    /// `0` (the default) renders fresh per scrape; `FAIR_SCRAPE_CACHE_MS`
-    /// sets it at construction for deployments where several scrapers (or a
-    /// tight-interval one) would otherwise pay the full render each time.
-    scrape_cache_ms: u64,
-    /// The last rendered exposition body and when it was rendered.
-    scrape_cache: Mutex<Option<(Instant, String)>>,
-}
-
-impl Default for AuditService {
-    fn default() -> Self {
-        Self {
-            catalog: Catalog::default(),
-            jobs: JobManager::default(),
-            sample_cache: Mutex::new(SampleCache::default()),
-            partials_cache_hits: AtomicU64::new(0),
-            obs: ServeObs::default(),
-            scrape_cache_ms: std::env::var("FAIR_SCRAPE_CACHE_MS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .unwrap_or(0),
-            scrape_cache: Mutex::new(None),
-        }
-    }
 }
 
 impl AuditService {
@@ -245,17 +165,6 @@ impl AuditService {
     #[must_use]
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
-    }
-
-    /// An empty service whose `/metrics` body is cached for `ms`
-    /// milliseconds per render, regardless of `FAIR_SCRAPE_CACHE_MS` —
-    /// deterministic for tests and embedders.
-    #[must_use]
-    pub fn with_scrape_cache_ms(ms: u64) -> Arc<Self> {
-        Arc::new(Self {
-            scrape_cache_ms: ms,
-            ..Self::default()
-        })
     }
 
     /// Dispatch one parsed request. Public so tests (and the in-process
@@ -274,32 +183,10 @@ impl AuditService {
     }
 
     /// The process-wide [`fair_core::obs`] registry rendered in Prometheus
-    /// text exposition format, always freshly rendered.
+    /// text exposition format — the body `GET /metrics` serves.
     #[must_use]
     pub fn metrics_text(&self) -> String {
         obs::render_prometheus()
-    }
-
-    /// The body `GET /metrics` serves: a fresh render, unless a previous
-    /// render is younger than the configured snapshot window
-    /// (`FAIR_SCRAPE_CACHE_MS` / [`with_scrape_cache_ms`](Self::with_scrape_cache_ms)),
-    /// in which case the cached body is returned byte-identically. A window
-    /// of `0` (the default) bypasses the cache entirely.
-    #[must_use]
-    pub fn metrics_text_cached(&self) -> String {
-        if self.scrape_cache_ms == 0 {
-            return self.metrics_text();
-        }
-        let window = Duration::from_millis(self.scrape_cache_ms);
-        let mut cache = self.scrape_cache.lock().expect("scrape cache poisoned");
-        if let Some((rendered_at, body)) = cache.as_ref() {
-            if rendered_at.elapsed() < window {
-                return body.clone();
-            }
-        }
-        let body = self.metrics_text();
-        *cache = Some((Instant::now(), body.clone()));
-        body
     }
 
     /// Count and time one dispatched request under its route template.
@@ -342,10 +229,6 @@ impl AuditService {
                     ("stores", Json::num(self.catalog.len() as f64)),
                     ("jobs", Json::num(self.jobs.len() as f64)),
                     (
-                        "partials_cache_hits",
-                        Json::num(self.partials_cache_hits.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
                         "uptime_ms",
                         Json::num(self.obs.started.elapsed().as_millis() as f64),
                     ),
@@ -362,14 +245,9 @@ impl AuditService {
                     Json::Arr(self.catalog.list().iter().map(|e| store_info(e)).collect()),
                 )]),
             )),
-            ("POST", ["stores"]) => {
-                let response = self.register_store(req)?;
-                self.clear_sample_cache();
-                Ok(response)
-            }
+            ("POST", ["stores"]) => self.register_store(req),
             ("DELETE", ["stores", name]) => {
                 self.catalog.remove(name)?;
-                self.clear_sample_cache();
                 Ok((200, Json::obj(vec![("removed", Json::str(*name))])))
             }
             ("GET", ["stores", name, "schema"]) => {
@@ -415,17 +293,6 @@ impl AuditService {
                 message: format!("no route for {} {}", req.method, req.path),
             }),
         }
-    }
-
-    /// Drop every cached `core_sample` gather — called on catalog mutations,
-    /// whose rarity (control-plane registrations) makes a full clear cheaper
-    /// than tracking per-name dependencies.
-    fn clear_sample_cache(&self) {
-        self.sample_cache
-            .lock()
-            .expect("sample cache poisoned")
-            .entries
-            .clear();
     }
 
     fn register_store(&self, req: &Request) -> Result<(u16, Json), ApiError> {
@@ -743,33 +610,6 @@ impl AuditService {
                     .get("sample_size")
                     .and_then(Json::as_usize)
                     .ok_or_else(|| ApiError::bad_request("`sample_size` must be a count"))?;
-                // The gather is a pure function of the key, so an identical
-                // request body (a repeated descent, a coordinator retry)
-                // can be answered from the worker-side LRU without paging
-                // the sampled shards again.
-                let key = SampleKey {
-                    store: name.to_string(),
-                    rows: store.len(),
-                    lo,
-                    hi,
-                    seed,
-                    sample_size,
-                };
-                let cached = {
-                    let mut cache = self.sample_cache.lock().expect("sample cache poisoned");
-                    cache.get(&key)
-                };
-                if let Some(rows) = cached {
-                    self.partials_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((
-                        200,
-                        Json::obj(vec![
-                            ("store", Json::str(name)),
-                            ("cached", Json::Bool(true)),
-                            ("rows", rows),
-                        ]),
-                    ));
-                }
                 let mut indices = Vec::new();
                 sample_indices_range_into(store, seed, sample_size, lo..hi, &mut indices)
                     .map_err(|e| ApiError::unprocessable(e.to_string()))?;
@@ -805,17 +645,9 @@ impl AuditService {
                     ("fairness", Json::num_arr(&fairness)),
                     ("labels", Json::Arr(labels)),
                 ]);
-                self.sample_cache
-                    .lock()
-                    .expect("sample cache poisoned")
-                    .put(key, rows.clone());
                 Ok((
                     200,
-                    Json::obj(vec![
-                        ("store", Json::str(name)),
-                        ("cached", Json::Bool(false)),
-                        ("rows", rows),
-                    ]),
+                    Json::obj(vec![("store", Json::str(name)), ("rows", rows)]),
                 ))
             }
             other => Err(ApiError::bad_request(format!(
@@ -1283,11 +1115,9 @@ fn handle_connection(service: &AuditService, conn: &TcpStream, stop: &AtomicBool
             if req.method == "GET" && req.path == "/metrics" {
                 // Rendered before the route observation lands, so a scrape
                 // reports every *previous* scrape but not itself — the price
-                // of an honest render-cost histogram. (Cache hits land in
-                // the same histogram: the observed latency distribution is
-                // what scrapers actually experienced.)
+                // of an honest render-cost histogram.
                 let start = Instant::now();
-                let text = service.metrics_text_cached();
+                let text = service.metrics_text();
                 service.observe_route("GET /metrics", 200, start);
                 span.field("status", 200_u16).close();
                 let _ = write_text_response(conn, 200, &text);
@@ -1433,28 +1263,6 @@ mod tests {
             text.contains(r#"fair_serve_request_duration_us_count{route="GET /health"}"#),
             "{text}"
         );
-    }
-
-    #[test]
-    fn scrape_cache_serves_one_render_per_window() {
-        // A wide window: the second scrape must be the byte-identical cached
-        // body even though fresh traffic landed in the registry in between.
-        let service = AuditService::with_scrape_cache_ms(600_000);
-        let first = service.metrics_text_cached();
-        let _ = service.route(&request("GET", "/health", ""));
-        let second = service.metrics_text_cached();
-        assert_eq!(first, second, "within the window the cached body serves");
-        // A fresh render does see the new traffic.
-        assert_ne!(
-            service.metrics_text(),
-            second,
-            "an uncached render reflects the /health hit the cache hides"
-        );
-        // Window 0 (the default) bypasses the cache entirely.
-        let live = AuditService::new();
-        let a = live.metrics_text_cached();
-        let _ = live.route(&request("GET", "/health", ""));
-        assert_ne!(a, live.metrics_text_cached(), "0 disables the cache");
     }
 
     #[test]
@@ -1790,59 +1598,16 @@ mod tests {
         let features = rows.get("features").unwrap().as_f64_vec().unwrap();
         assert_eq!(features.len(), indices.len() * nf);
         // Identical request → identical row bytes (purity is what makes
-        // coordinator retries safe); the repeat is answered from the
-        // worker-side LRU and says so.
-        assert_eq!(resp.get("cached"), Some(&Json::Bool(false)));
+        // coordinator retries safe).
         let (_, again) = service.route(&request(
             "POST",
             "/stores/cohort/partials",
             r#"{"kind":"core_sample","shards":[1,4],"seed":77,"sample_size":120}"#,
         ));
-        assert_eq!(again.get("cached"), Some(&Json::Bool(true)));
         assert_eq!(
             resp.get("rows").unwrap().render(),
             again.get("rows").unwrap().render()
         );
-        assert_eq!(service.partials_cache_hits.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn core_sample_cache_keys_on_parameters_and_registration() {
-        let service = service_with_store(300);
-        let body = r#"{"kind":"core_sample","shards":[0,3],"seed":5,"sample_size":60}"#;
-        let (_, first) = service.route(&request("POST", "/stores/cohort/partials", body));
-        assert_eq!(first.get("cached"), Some(&Json::Bool(false)));
-        // A different seed, range, or sample size is a different gather.
-        for other in [
-            r#"{"kind":"core_sample","shards":[0,3],"seed":6,"sample_size":60}"#,
-            r#"{"kind":"core_sample","shards":[0,2],"seed":5,"sample_size":60}"#,
-            r#"{"kind":"core_sample","shards":[0,3],"seed":5,"sample_size":61}"#,
-        ] {
-            let (status, resp) = service.route(&request("POST", "/stores/cohort/partials", other));
-            assert_eq!(status, 200, "{}", resp.render());
-            assert_eq!(resp.get("cached"), Some(&Json::Bool(false)), "{other}");
-        }
-        // The original key is still resident and hits.
-        let (_, hit) = service.route(&request("POST", "/stores/cohort/partials", body));
-        assert_eq!(hit.get("cached"), Some(&Json::Bool(true)));
-        // Deregistering clears the cache: after a re-registration the same
-        // request misses rather than serving the old cohort's rows.
-        let (status, _) = service.route(&request("DELETE", "/stores/cohort", ""));
-        assert_eq!(status, 200);
-        let (status, _) = service.route(&request(
-            "POST",
-            "/stores",
-            r#"{"name":"cohort","generate":{"kind":"school","rows":300,"seed":8,"shard_size":64}}"#,
-        ));
-        assert_eq!(status, 201);
-        let (_, fresh) = service.route(&request("POST", "/stores/cohort/partials", body));
-        assert_eq!(fresh.get("cached"), Some(&Json::Bool(false)));
-        assert_ne!(
-            fresh.get("rows").unwrap().render(),
-            first.get("rows").unwrap().render(),
-            "a different cohort samples different rows"
-        );
-        assert_eq!(service.partials_cache_hits.load(Ordering::Relaxed), 1);
     }
 
     /// The fault plan is process-global: tests that install one must not

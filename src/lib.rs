@@ -6,7 +6,7 @@
 //!
 //! * [`core`] ([`fair_core`]) — data model, fairness metrics, and the
 //!   Disparity Compensation Algorithm (DCA),
-//! * [`opt`] ([`fair_opt`]) — Adam, learning-rate schedules, rolling averages,
+//! * [`opt`] ([`fair_opt`]) — the Adam optimizer and the rolling-window average,
 //! * [`data`] ([`fair_data`]) — synthetic NYC-school and COMPAS-like dataset
 //!   generators, CSV I/O, splits,
 //! * [`baselines`] ([`fair_baselines`]) — quota set-asides, Multinomial
@@ -69,6 +69,6 @@ pub mod prelude {
         deferred_acceptance, is_stable, AdmissionsOutcome, Matching, SchoolChoiceConfig,
         SchoolChoiceSimulator, SchoolRanking, StudentPreferences,
     };
-    pub use fair_opt::{Adam, AdamConfig, LadderSchedule, RollingAverage, RollingWindow, Step};
+    pub use fair_opt::{Adam, AdamConfig, RollingWindow};
     pub use fair_store::{write_source, CacheStats, ShardStore, StoreError, StoreWriter};
 }

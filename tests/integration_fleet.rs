@@ -131,23 +131,13 @@ fn three_worker_fleet_matches_the_local_sharded_runners_bitwise() {
         report.re_dispatches, 0,
         "a healthy fleet never fails over: {report:?}"
     );
-    assert_eq!(
-        report.partials_cache_hits, 0,
-        "a first descent has no repeated sample keys: {report:?}"
-    );
 
     // A re-run of the same descent replays identical `(seed, step)` sample
-    // requests: every worker answers from its gather LRU, the trajectory is
-    // unchanged, and the coordinator surfaces the hits.
+    // requests, and the trajectory is unchanged.
     let rerun = fleet
         .run_core_dca(k, Some(&RUBRIC_WEIGHTS), &config, None, false)
         .unwrap();
     assert_eq!(bits(&rerun.bonus), bits(&lib_core.bonus));
-    let report = fleet.report();
-    assert!(
-        report.partials_cache_hits > 0,
-        "a replayed descent must hit the worker-side sample cache: {report:?}"
-    );
     for h in handles {
         h.shutdown();
     }

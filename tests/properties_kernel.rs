@@ -1,18 +1,18 @@
 //! Property tests for the chunked f64x4 kernel layer (`fair_core::kernel`).
 //!
-//! The central claim: every chunked kernel follows ONE canonical 4-lane
+//! The central claim: every kernel follows ONE canonical 4-lane
 //! accumulation order (lane `j` sums elements `4i + j` over complete
 //! 4-blocks, lanes combine as `(l0 + l1) + (l2 + l3)`, the `n % 4` tail is
 //! added sequentially after the combine), and for `n < 4` degenerates to
-//! the sequential reference loop **bit for bit** — including `-0.0`,
+//! the plain sequential sum **bit for bit** — including `-0.0`,
 //! infinities, and NaN payload propagation through the accumulator.
 //!
-//! Every test drives both families through the `*_with` entry points (no
-//! process-global state), sweeping tail remainders `n % 4 ∈ {0,1,2,3}` and
+//! The oracles are written out longhand below, independent of the code
+//! under test. The tests sweep tail remainders `n % 4 ∈ {0,1,2,3}` and
 //! feature counts `{1,3,4,5,8}` so each const-generic specialization and
 //! the runtime-dims fallback are all exercised.
 
-use fair_ranking::core::kernel::{self, Kernel};
+use fair_ranking::core::kernel;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -37,8 +37,8 @@ fn pick(table: &'static [usize]) -> impl Strategy<Value = usize> {
 }
 
 /// The documented reference order, written out longhand: the oracle the
-/// chunked family is checked against for `n >= 4`, independent of the
-/// implementation under test.
+/// kernels are checked against, independent of the implementation under
+/// test.
 fn canonical_dot(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     let blocks = n / 4;
@@ -85,44 +85,39 @@ fn canonical_col_sums(matrix: &[f64], dims: usize) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// For `n < 4` the chunked dot IS the scalar dot, bit for bit — no
+    /// For `n < 4` the dot IS the plain sequential sum, bit for bit — no
     /// reassociation exists to hide behind.
     #[test]
-    fn short_dots_agree_bitwise_across_families(
+    fn short_dots_are_the_sequential_sum_bitwise(
         a in pvec(special_f64(), 0..4),
     ) {
         let b: Vec<f64> = a.iter().map(|x| x * 0.5 - 1.0).collect();
-        let chunked = kernel::dot_with(&a, &b, Kernel::Chunked);
-        let scalar = kernel::dot_with(&a, &b, Kernel::Scalar);
-        prop_assert_eq!(chunked.to_bits(), scalar.to_bits());
+        let sequential: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
+        prop_assert_eq!(kernel::dot(&a, &b).to_bits(), sequential.to_bits());
     }
 
-    /// For any length the chunked dot follows the canonical 4-lane order
-    /// exactly (and the scalar one the sequential order), so cross-path
-    /// parity never depends on which call site computed the dot. NaN
-    /// results compare as NaN-to-NaN rather than bitwise: which operand's
-    /// NaN payload a multiply propagates is the one thing IEEE leaves to
-    /// the implementation, and LLVM may commute operands between this
-    /// oracle and the kernel.
+    /// For any length the dot follows the canonical 4-lane order exactly,
+    /// so cross-path parity never depends on which call site computed the
+    /// dot. NaN results compare as NaN-to-NaN rather than bitwise: which
+    /// operand's NaN payload a multiply propagates is the one thing IEEE
+    /// leaves to the implementation, and LLVM may commute operands between
+    /// this oracle and the kernel.
     #[test]
     fn chunked_dot_is_the_canonical_order_bitwise(
         a in pvec(special_f64(), 0..67),
     ) {
         let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
         let b: Vec<f64> = a.iter().rev().cloned().collect();
-        let chunked = kernel::dot_with(&a, &b, Kernel::Chunked);
+        let got = kernel::dot(&a, &b);
         let oracle = canonical_dot(&a, &b);
-        prop_assert!(same(chunked, oracle), "chunked {:x} vs {:x}", chunked.to_bits(), oracle.to_bits());
-        let scalar = kernel::dot_with(&a, &b, Kernel::Scalar);
-        let reference: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        prop_assert!(same(scalar, reference), "scalar {:x} vs {:x}", scalar.to_bits(), reference.to_bits());
+        prop_assert!(same(got, oracle), "dot {:x} vs {:x}", got.to_bits(), oracle.to_bits());
     }
 
     /// Row-batch scoring: for every feature count (each const-generic
     /// specialization plus the runtime fallback) and every row-count tail
-    /// remainder, each output row equals the single-row dot of its family —
-    /// batching must never change a row's bits. NaN-bearing rows poison
-    /// only their own output.
+    /// remainder, each output row equals the single-row dot — batching must
+    /// never change a row's bits. NaN-bearing rows poison only their own
+    /// output.
     #[test]
     fn batched_rows_equal_single_row_dots_bitwise(
         dims in pick(&[1, 3, 4, 5, 8]),
@@ -141,35 +136,31 @@ proptest! {
             matrix[at] = f64::NAN;
         }
         let weights: Vec<f64> = (0..dims).map(|_| next()).collect();
-        for family in [Kernel::Chunked, Kernel::Scalar] {
-            let mut out = Vec::new();
-            kernel::dot_rows_into_with(&matrix, dims, &weights, &mut out, family);
-            prop_assert_eq!(out.len(), rows);
-            for (r, &got) in out.iter().enumerate() {
-                let row = &matrix[r * dims..(r + 1) * dims];
-                let want = kernel::dot_with(row, &weights, family);
-                prop_assert_eq!(got.to_bits(), want.to_bits(), "row {} dims {}", r, dims);
-            }
-            // The additive twin seeds with the base scores and adds the
-            // same per-row dot on top.
-            let base: Vec<f64> = (0..rows).map(|_| next()).collect();
-            let mut acc = base.clone();
-            kernel::add_dot_rows_into_with(&matrix, dims, &weights, &mut acc, family);
-            for (r, (&got, &b)) in acc.iter().zip(&base).enumerate() {
-                let row = &matrix[r * dims..(r + 1) * dims];
-                let want = b + kernel::dot_with(row, &weights, family);
-                prop_assert_eq!(got.to_bits(), want.to_bits(), "add row {} dims {}", r, dims);
-            }
+        let mut out = Vec::new();
+        kernel::dot_rows_into(&matrix, dims, &weights, &mut out);
+        prop_assert_eq!(out.len(), rows);
+        for (r, &got) in out.iter().enumerate() {
+            let row = &matrix[r * dims..(r + 1) * dims];
+            let want = kernel::dot(row, &weights);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "row {} dims {}", r, dims);
+        }
+        // The additive pass seeds with the base scores and adds the same
+        // per-row dot on top.
+        let base: Vec<f64> = (0..rows).map(|_| next()).collect();
+        let mut acc = base.clone();
+        kernel::add_dot_rows_into(&matrix, dims, &weights, &mut acc);
+        for (r, (&got, &b)) in acc.iter().zip(&base).enumerate() {
+            let row = &matrix[r * dims..(r + 1) * dims];
+            let want = b + kernel::dot(row, &weights);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "add row {} dims {}", r, dims);
         }
     }
 
-    /// Column sums: each family follows its documented order exactly — the
-    /// scalar family the sequential row fold, the chunked family the
-    /// canonical 4-row lanes with the `rows % 4` tail added after the lane
-    /// combine — and under four rows the two are the same fold, so they
-    /// agree bitwise there. The row-iterator variant (sample views, the
-    /// gathered disparity combine) must match the dense sum bit for bit in
-    /// both families.
+    /// Column sums follow the documented order exactly — the canonical 4-row
+    /// lanes with the `rows % 4` tail added after the lane combine — and
+    /// under four rows that is the plain sequential row fold. The
+    /// row-iterator variant (sample views, the gathered disparity combine)
+    /// must match the dense sum bit for bit.
     #[test]
     fn column_sums_follow_their_documented_orders_bitwise(
         dims in pick(&[1, 3, 4, 5, 8]),
@@ -184,34 +175,23 @@ proptest! {
         let matrix: Vec<f64> = (0..rows * dims).map(|_| next()).collect();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
-        let mut chunked = Vec::new();
-        kernel::col_sums_into_with(&matrix, dims, &mut chunked, Kernel::Chunked);
-        prop_assert_eq!(bits(&chunked), bits(&canonical_col_sums(&matrix, dims)));
-
-        let mut scalar = Vec::new();
-        kernel::col_sums_into_with(&matrix, dims, &mut scalar, Kernel::Scalar);
-        let mut sequential = vec![0.0_f64; dims];
-        for row in matrix.chunks_exact(dims) {
-            for (a, v) in sequential.iter_mut().zip(row) {
-                *a += v;
-            }
-        }
-        prop_assert_eq!(bits(&scalar), bits(&sequential));
+        let mut dense = Vec::new();
+        kernel::col_sums_into(&matrix, dims, &mut dense);
+        prop_assert_eq!(bits(&dense), bits(&canonical_col_sums(&matrix, dims)));
         if rows < 4 {
-            prop_assert_eq!(bits(&chunked), bits(&scalar), "under four rows the fold is shared");
+            let mut sequential = vec![0.0_f64; dims];
+            for row in matrix.chunks_exact(dims) {
+                for (a, v) in sequential.iter_mut().zip(row) {
+                    *a += v;
+                }
+            }
+            prop_assert_eq!(bits(&dense), bits(&sequential), "under four rows the fold is sequential");
         }
 
-        for (family, dense) in [(Kernel::Chunked, &chunked), (Kernel::Scalar, &scalar)] {
-            let mut via_rows = Vec::new();
-            let n = kernel::col_sums_rows_into_with(
-                dims,
-                matrix.chunks_exact(dims),
-                &mut via_rows,
-                family,
-            );
-            prop_assert_eq!(n, rows);
-            prop_assert_eq!(bits(&via_rows), bits(dense));
-        }
+        let mut via_rows = Vec::new();
+        let n = kernel::col_sums_rows_into(dims, matrix.chunks_exact(dims), &mut via_rows);
+        prop_assert_eq!(n, rows);
+        prop_assert_eq!(bits(&via_rows), bits(&dense));
     }
 
     /// The gathered Core-DCA scoring kernel (indices into feature/fairness
@@ -235,63 +215,22 @@ proptest! {
         let weights: Vec<f64> = (0..nf).map(|_| next()).collect();
         let bonus: Vec<f64> = (0..na).map(|_| next()).collect();
         let indices: Vec<usize> = picks.iter().map(|p| p % rows).collect();
-        for family in [Kernel::Chunked, Kernel::Scalar] {
-            let mut out = Vec::new();
-            kernel::gathered_linear_scores_into_with(
-                &features, nf, &weights, &fairness, na, &bonus, &indices, &mut out, family,
+        let mut out = Vec::new();
+        kernel::gathered_linear_scores_into(
+            &features, nf, &weights, &fairness, na, &bonus, &indices, &mut out,
+        );
+        prop_assert_eq!(out.len(), indices.len());
+        for (slot, (&got, &i)) in out.iter().zip(&indices).enumerate() {
+            let f = canonical_dot(&features[i * nf..(i + 1) * nf], &weights);
+            let a = canonical_dot(&fairness[i * na..(i + 1) * na], &bonus);
+            prop_assert_eq!(
+                got.to_bits(),
+                (f + a).to_bits(),
+                "slot {} nf {} na {}",
+                slot,
+                nf,
+                na
             );
-            prop_assert_eq!(out.len(), indices.len());
-            for (slot, (&got, &i)) in out.iter().zip(&indices).enumerate() {
-                let f = kernel::dot_with(&features[i * nf..(i + 1) * nf], &weights, family);
-                let a = kernel::dot_with(&fairness[i * na..(i + 1) * na], &bonus, family);
-                prop_assert_eq!(
-                    got.to_bits(),
-                    (f + a).to_bits(),
-                    "slot {} nf {} na {}",
-                    slot,
-                    nf,
-                    na
-                );
-            }
         }
-    }
-}
-
-/// The `FAIR_KERNEL` dispatch itself: `from_env` maps `scalar` to the
-/// reference family and everything else to chunked, and a `force`d mode is
-/// what the dispatching entry points use. Process-global, so one test owns
-/// the whole story and restores the environment's selection when done.
-#[test]
-fn env_dispatch_selects_and_forces_both_families() {
-    // LCG-drawn operands (seed picked so the two association orders round
-    // differently — verified, not assumed, by the assert_ne below).
-    let mut state = 5_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1);
-        ((state >> 33) as f64) / ((1_u64 << 30) as f64) - 2.0
-    };
-    let a: Vec<f64> = (0..11).map(|_| next()).collect();
-    let b: Vec<f64> = (0..11).map(|_| next()).collect();
-    let chunked = kernel::dot_with(&a, &b, Kernel::Chunked);
-    let scalar = kernel::dot_with(&a, &b, Kernel::Scalar);
-    assert_ne!(
-        chunked.to_bits(),
-        scalar.to_bits(),
-        "pick operands where the association is visible, or the test is vacuous"
-    );
-    kernel::force(Kernel::Scalar);
-    assert_eq!(kernel::active(), Kernel::Scalar);
-    assert_eq!(kernel::dot(&a, &b).to_bits(), scalar.to_bits());
-    kernel::force(Kernel::Chunked);
-    assert_eq!(kernel::active(), Kernel::Chunked);
-    assert_eq!(kernel::dot(&a, &b).to_bits(), chunked.to_bits());
-    // Hand the process back to whatever FAIR_KERNEL says (the CI matrix
-    // runs this suite under both settings).
-    kernel::force(kernel::from_env());
-    match std::env::var("FAIR_KERNEL").ok().as_deref() {
-        Some("scalar") => assert_eq!(kernel::from_env(), Kernel::Scalar),
-        _ => assert_eq!(kernel::from_env(), Kernel::Chunked),
     }
 }
