@@ -219,20 +219,9 @@ fn measure_cohort(n: usize, reps: usize) -> CohortReport {
     // caches, then median-of-`reps` timed runs (each a complete 500-step
     // descent) — the median filters scheduler noise and bimodal flips, which
     // otherwise dominate a few-ms measurement.
-    let mut scratch = DcaScratch::new();
     let config = core_config(sample_size);
-    let mut run_core = || {
-        run_core_dca_with(
-            &dataset,
-            &rubric,
-            &objective,
-            &config,
-            None,
-            false,
-            &mut scratch,
-        )
-        .expect("core DCA run")
-    };
+    let mut run_core =
+        || run_core_dca(&dataset, &rubric, &objective, &config, None, false).expect("core DCA run");
     let outcome = run_core();
     let core_total_ms = time_median(reps, &mut run_core);
     let core_steps = outcome.steps;
@@ -241,18 +230,8 @@ fn measure_cohort(n: usize, reps: usize) -> CohortReport {
     // Full DCA: 3 steps over the whole cohort (linear per step — kept short
     // so the 1M cohort stays affordable).
     let fcfg = full_config();
-    let mut run_full = || {
-        run_full_dca_with(
-            &dataset,
-            &rubric,
-            &objective,
-            &fcfg,
-            None,
-            false,
-            &mut scratch,
-        )
-        .expect("full DCA run")
-    };
+    let mut run_full =
+        || run_full_dca(&dataset, &rubric, &objective, &fcfg, None, false).expect("full DCA run");
     let full_outcome = run_full();
     let full_total_ms = time_median(reps, &mut run_full);
     let full_steps = full_outcome.steps;

@@ -6,10 +6,8 @@
 //! computation, centroids, selection metrics — therefore streams over dense
 //! `f64` slices instead of chasing one heap allocation per object, which is
 //! what makes the per-step cost truly sample-bounded in practice
-//! (Section IV-D). Rows are exposed through the zero-copy
-//! [`ObjectView`](crate::object::ObjectView); the owned
-//! [`DataObject`](crate::object::DataObject) remains the construction-time
-//! input type.
+//! (Section IV-D). Rows are exposed through the zero-copy [`ObjectView`];
+//! the owned [`DataObject`] remains the construction-time input type.
 
 use crate::attributes::SchemaRef;
 use crate::error::{FairError, Result};
@@ -554,30 +552,21 @@ impl<'a> SampleView<'a> {
     /// Returns [`FairError::EmptyDataset`] when `positions` is empty.
     pub fn fairness_centroid_of(&self, positions: &[usize]) -> Result<Vec<f64>> {
         let mut out = Vec::new();
-        self.fairness_centroid_of_into(positions, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`SampleView::fairness_centroid_of`] writing into a caller-provided
-    /// buffer.
-    ///
-    /// # Errors
-    /// Returns [`FairError::EmptyDataset`] when `positions` is empty.
-    pub fn fairness_centroid_of_into(&self, positions: &[usize], out: &mut Vec<f64>) -> Result<()> {
         centroid_rows_into(
             self.dataset.schema().num_fairness(),
             positions
                 .iter()
                 .map(|&p| self.dataset.fairness_row(self.indices[p])),
-            out,
-        )
+            &mut out,
+        )?;
+        Ok(out)
     }
 }
 
 /// Mean of an iterator of equally sized fairness rows, written into `out` —
 /// accumulated by [`crate::kernel::col_sums_rows_into`], so gathered
 /// centroids share the canonical kernel order with the dense path.
-fn centroid_rows_into<'a>(
+pub(crate) fn centroid_rows_into<'a>(
     dims: usize,
     rows: impl Iterator<Item = &'a [f64]>,
     out: &mut Vec<f64>,

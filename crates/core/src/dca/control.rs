@@ -7,9 +7,8 @@
 //!
 //! * **cancellation** — any thread may call [`RunControl::cancel`]; the
 //!   descent checks the flag between steps and returns
-//!   [`FairError::Cancelled`](crate::error::FairError::Cancelled) at the next
-//!   step boundary, leaving no partial state behind (the outcome is simply an
-//!   error);
+//!   [`FairError::Cancelled`] at the next step boundary, leaving no partial
+//!   state behind (the outcome is simply an error);
 //! * **progress** — an optional callback invoked once per completed step with
 //!   a [`DcaProgress`] snapshot (step counter and total), from the thread
 //!   running the descent.

@@ -16,15 +16,17 @@
 
 use crate::bonus::{BonusCaps, BonusPolarity};
 use crate::dataset::Dataset;
-use crate::dca::config::DcaConfig;
+use crate::dca::config::{DcaConfig, CLT_MINIMUM};
+use crate::dca::control::RunControl;
 use crate::dca::objective::Objective;
-use crate::dca::scratch::DcaScratch;
-use crate::error::Result;
+use crate::dca::scratch::EvalScratch;
+use crate::error::{FairError, Result};
 use crate::ranking::Ranker;
 use rand::rngs::StdRng;
+use rand::seq::index::IndexBuffer;
 use rand::SeedableRng;
 
-/// Per-step trace entry recorded by Core DCA when tracing is enabled.
+/// Per-step trace entry recorded by a DCA run when tracing is enabled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreTraceEntry {
     /// Global step index (across all learning rates).
@@ -37,15 +39,15 @@ pub struct CoreTraceEntry {
     pub bonus: Vec<f64>,
 }
 
-/// Output of a Core DCA run.
+/// Output of a Core or Full DCA run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreDcaOutcome {
     /// Final (unrounded) bonus values.
     pub bonus: Vec<f64>,
     /// Number of descent steps executed.
     pub steps: usize,
-    /// Number of objects scored across all samples (work proxy for the
-    /// sub-linearity claim).
+    /// Number of objects scored across all steps (work proxy for the
+    /// sub-linearity claim; steps × cohort size for Full DCA).
     pub objects_scored: usize,
     /// Optional per-step trace.
     pub trace: Vec<CoreTraceEntry>,
@@ -63,6 +65,79 @@ pub(crate) fn clamp_bonus(bonus: &mut [f64], polarity: BonusPolarity, caps: Opti
     }
 }
 
+/// The one descent loop of Algorithm 1, run by every Core and Full DCA
+/// runner — serial, sharded, paged and fleet: validation, the initial-bonus
+/// clamp, the learning-rate ladder, the `control` checkpoint before and
+/// report after each step, the update and clamp, and the
+/// step/trace/objects accounting. `step` fills the direction at the current
+/// bonus and returns how many objects it scored; it is the only thing the
+/// runners vary, so their trajectories can differ only through it.
+///
+/// `sampled` runs get the configuration's CLT sample-size check; Full DCA
+/// ignores the sample size, so it validates a copy with a size that always
+/// passes.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn descend(
+    dims: usize,
+    cohort_len: usize,
+    sampled: bool,
+    config: &DcaConfig,
+    initial: Option<Vec<f64>>,
+    trace: bool,
+    control: &RunControl,
+    mut step: impl FnMut(&[f64], &mut Vec<f64>) -> Result<usize>,
+) -> Result<CoreDcaOutcome> {
+    if sampled {
+        config.validate(dims)?;
+    } else {
+        let mut check = config.clone();
+        check.sample_size = check.sample_size.max(CLT_MINIMUM);
+        check.validate(dims)?;
+    }
+    if cohort_len == 0 {
+        return Err(FairError::EmptyDataset);
+    }
+
+    let mut bonus = initial.unwrap_or_else(|| vec![0.0; dims]);
+    assert_eq!(bonus.len(), dims, "initial bonus dimensionality mismatch");
+    clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
+
+    let mut direction = Vec::new();
+    let mut trace_entries = Vec::new();
+    let mut steps = 0_usize;
+    let mut objects_scored = 0_usize;
+
+    let total_steps = config.core_steps();
+    for &lr in &config.learning_rates {
+        for _ in 0..config.iterations_per_rate {
+            control.checkpoint()?;
+            objects_scored += step(&bonus, &mut direction)?;
+            debug_assert_eq!(direction.len(), dims);
+            for (b, d) in bonus.iter_mut().zip(&direction) {
+                *b -= lr * d;
+            }
+            clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
+            steps += 1;
+            if trace {
+                trace_entries.push(CoreTraceEntry {
+                    step: steps - 1,
+                    learning_rate: lr,
+                    objective_norm: crate::metrics::norm(&direction),
+                    bonus: bonus.clone(),
+                });
+            }
+            control.report(steps, total_steps);
+        }
+    }
+
+    Ok(CoreDcaOutcome {
+        bonus,
+        steps,
+        objects_scored,
+        trace: trace_entries,
+    })
+}
+
 /// Run Core DCA (Algorithm 1).
 ///
 /// * `dataset` — the population `O` (or a training cohort drawn from the
@@ -72,6 +147,10 @@ pub(crate) fn clamp_bonus(bonus: &mut [f64], polarity: BonusPolarity, caps: Opti
 /// * `config` — sample size, learning-rate ladder, polarity, caps, seed,
 /// * `initial` — starting bonus values (`None` starts from zero),
 /// * `trace` — record the per-step trajectory.
+///
+/// Each step draws its sample through [`Dataset::sample_indices_into`] on
+/// one seeded RNG; the sample indices, ranking buffers and direction are
+/// allocated once per run.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, or objective
@@ -88,88 +167,24 @@ where
     R: Ranker + ?Sized,
     O: Objective + ?Sized,
 {
-    let mut scratch = DcaScratch::new();
-    run_core_dca_with(
-        dataset,
-        ranker,
-        objective,
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut indices = IndexBuffer::new();
+    let mut eval = EvalScratch::new();
+    descend(
+        dataset.schema().num_fairness(),
+        dataset.len(),
+        true,
         config,
         initial,
         trace,
-        &mut scratch,
+        &RunControl::new(),
+        |bonus, direction| {
+            dataset.sample_indices_into(&mut rng, config.sample_size, &mut indices)?;
+            let sample = dataset.view_of(indices.as_slice());
+            objective.evaluate_into(&sample, ranker, bonus, &mut eval, direction)?;
+            Ok(sample.len())
+        },
     )
-}
-
-/// [`run_core_dca`] reusing a caller-provided [`DcaScratch`], so repeated
-/// runs (sweeps, benchmarks) and every step within a run are allocation-free.
-///
-/// # Errors
-/// Returns an error for invalid configurations, empty datasets, or objective
-/// failures.
-pub fn run_core_dca_with<R, O>(
-    dataset: &Dataset,
-    ranker: &R,
-    objective: &O,
-    config: &DcaConfig,
-    initial: Option<Vec<f64>>,
-    trace: bool,
-    scratch: &mut DcaScratch,
-) -> Result<CoreDcaOutcome>
-where
-    R: Ranker + ?Sized,
-    O: Objective + ?Sized,
-{
-    let dims = dataset.schema().num_fairness();
-    config.validate(dims)?;
-    if dataset.is_empty() {
-        return Err(crate::error::FairError::EmptyDataset);
-    }
-
-    let mut bonus = initial.unwrap_or_else(|| vec![0.0; dims]);
-    assert_eq!(bonus.len(), dims, "initial bonus dimensionality mismatch");
-    clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
-
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut trace_entries = Vec::new();
-    let mut steps = 0_usize;
-    let mut objects_scored = 0_usize;
-
-    for &lr in &config.learning_rates {
-        for _ in 0..config.iterations_per_rate {
-            dataset.sample_indices_into(&mut rng, config.sample_size, &mut scratch.indices)?;
-            let sample = dataset.view_of(scratch.indices.as_slice());
-            objective.evaluate_into(
-                &sample,
-                ranker,
-                &bonus,
-                &mut scratch.eval,
-                &mut scratch.direction,
-            )?;
-            let direction = &scratch.direction;
-            debug_assert_eq!(direction.len(), dims);
-            for (b, d) in bonus.iter_mut().zip(direction) {
-                *b -= lr * d;
-            }
-            clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
-            objects_scored += sample.len();
-            steps += 1;
-            if trace {
-                trace_entries.push(CoreTraceEntry {
-                    step: steps - 1,
-                    learning_rate: lr,
-                    objective_norm: crate::metrics::norm(direction),
-                    bonus: bonus.clone(),
-                });
-            }
-        }
-    }
-
-    Ok(CoreDcaOutcome {
-        bonus,
-        steps,
-        objects_scored,
-        trace: trace_entries,
-    })
 }
 
 #[cfg(test)]

@@ -11,24 +11,11 @@
 use crate::dataset::Dataset;
 use crate::dca::config::DcaConfig;
 use crate::dca::control::RunControl;
-use crate::dca::core::{clamp_bonus, CoreTraceEntry};
+use crate::dca::core::{descend, CoreDcaOutcome};
 use crate::dca::objective::Objective;
-use crate::dca::scratch::DcaScratch;
-use crate::error::{FairError, Result};
+use crate::dca::scratch::EvalScratch;
+use crate::error::Result;
 use crate::ranking::Ranker;
-
-/// Output of a Full DCA run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FullDcaOutcome {
-    /// Final (unrounded) bonus values.
-    pub bonus: Vec<f64>,
-    /// Number of descent steps executed.
-    pub steps: usize,
-    /// Number of objects scored across all steps (= steps × dataset size).
-    pub objects_scored: usize,
-    /// Optional per-step trace.
-    pub trace: Vec<CoreTraceEntry>,
-}
 
 /// Run Full DCA: Algorithm 1 with the sample replaced by the whole dataset.
 /// The `sample_size` field of the configuration is ignored.
@@ -43,44 +30,13 @@ pub fn run_full_dca<R, O>(
     config: &DcaConfig,
     initial: Option<Vec<f64>>,
     trace: bool,
-) -> Result<FullDcaOutcome>
-where
-    R: Ranker + ?Sized,
-    O: Objective + ?Sized,
-{
-    let mut scratch = DcaScratch::new();
-    run_full_dca_with(
-        dataset,
-        ranker,
-        objective,
-        config,
-        initial,
-        trace,
-        &mut scratch,
-    )
-}
-
-/// [`run_full_dca`] reusing a caller-provided [`DcaScratch`], so every step
-/// is allocation-free.
-///
-/// # Errors
-/// Returns an error for invalid configurations, empty datasets, or objective
-/// failures.
-pub fn run_full_dca_with<R, O>(
-    dataset: &Dataset,
-    ranker: &R,
-    objective: &O,
-    config: &DcaConfig,
-    initial: Option<Vec<f64>>,
-    trace: bool,
-    scratch: &mut DcaScratch,
-) -> Result<FullDcaOutcome>
+) -> Result<CoreDcaOutcome>
 where
     R: Ranker + ?Sized,
     O: Objective + ?Sized,
 {
     let view = dataset.full_view();
-    let eval = &mut scratch.eval;
+    let mut eval = EvalScratch::new();
     run_full_descent(
         dataset.schema().num_fairness(),
         dataset.len(),
@@ -88,19 +44,20 @@ where
         initial,
         trace,
         &RunControl::new(),
-        |bonus, out| objective.evaluate_into(&view, ranker, bonus, eval, out),
+        |bonus, out| objective.evaluate_into(&view, ranker, bonus, &mut eval, out),
     )
 }
 
-/// The one Full-DCA descent loop: CLT-bypassing validation, initial-bonus
-/// clamp, the learning-rate schedule, and step/trace accounting. The serial
-/// runner, [`crate::dca::run_full_dca_sharded`], and distributed coordinators
-/// (via [`crate::dca::partial`]) all execute exactly this driver, so their
-/// bonus trajectories can only differ through the `evaluate` callback itself
-/// — which is what the serial==sharded==distributed bit-for-bit guarantee
-/// rests on. `control` is consulted at every step boundary (cancellation) and
-/// notified after every completed step (progress); the default control adds
-/// one relaxed atomic load per step and nothing else.
+/// Full DCA over a caller-supplied whole-cohort evaluation: the shared
+/// descent loop of [`crate::dca::core`] with every step scoring all
+/// `cohort_len` objects. The serial runner,
+/// [`crate::dca::run_full_dca_sharded`] and distributed coordinators (via
+/// [`crate::dca::partial`]) all run it, so their bonus trajectories can only
+/// differ through the `evaluate` callback itself — which is what the
+/// serial==sharded==distributed bit-for-bit guarantee rests on. `control` is
+/// consulted at every step boundary (cancellation) and notified after every
+/// completed step (progress); the default control adds one relaxed atomic
+/// load per step and nothing else.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty cohorts, evaluation
@@ -113,55 +70,20 @@ pub fn run_full_descent(
     trace: bool,
     control: &RunControl,
     mut evaluate: impl FnMut(&[f64], &mut Vec<f64>) -> Result<()>,
-) -> Result<FullDcaOutcome> {
-    // Full DCA ignores the sample size, so validate a copy with a size that
-    // always passes the CLT check.
-    let mut check = config.clone();
-    check.sample_size = check.sample_size.max(crate::dca::config::CLT_MINIMUM);
-    check.validate(dims)?;
-    if cohort_len == 0 {
-        return Err(FairError::EmptyDataset);
-    }
-
-    let mut bonus = initial.unwrap_or_else(|| vec![0.0; dims]);
-    assert_eq!(bonus.len(), dims, "initial bonus dimensionality mismatch");
-    clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
-
-    let mut direction = Vec::new();
-    let mut trace_entries = Vec::new();
-    let mut steps = 0_usize;
-    let mut objects_scored = 0_usize;
-
-    let total_steps = config.core_steps();
-    for &lr in &config.learning_rates {
-        for _ in 0..config.iterations_per_rate {
-            control.checkpoint()?;
-            evaluate(&bonus, &mut direction)?;
-            debug_assert_eq!(direction.len(), dims);
-            for (b, d) in bonus.iter_mut().zip(&direction) {
-                *b -= lr * d;
-            }
-            clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
-            steps += 1;
-            objects_scored += cohort_len;
-            if trace {
-                trace_entries.push(CoreTraceEntry {
-                    step: steps - 1,
-                    learning_rate: lr,
-                    objective_norm: crate::metrics::norm(&direction),
-                    bonus: bonus.clone(),
-                });
-            }
-            control.report(steps, total_steps);
-        }
-    }
-
-    Ok(FullDcaOutcome {
-        bonus,
-        steps,
-        objects_scored,
-        trace: trace_entries,
-    })
+) -> Result<CoreDcaOutcome> {
+    descend(
+        dims,
+        cohort_len,
+        false,
+        config,
+        initial,
+        trace,
+        control,
+        |bonus, direction| {
+            evaluate(bonus, direction)?;
+            Ok(cohort_len)
+        },
+    )
 }
 
 #[cfg(test)]

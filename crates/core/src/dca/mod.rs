@@ -6,9 +6,20 @@
 //! * [`run_refinement`] — Algorithm 2: Adam-driven refinement, iterate
 //!   averaging and granularity rounding.
 //! * [`run_full_dca`] — the non-sampled variant used in the accuracy analysis.
+//! * [`run_core_dca_sharded`] / [`run_full_dca_sharded`] (and their
+//!   `_controlled` forms) — the same descents over a [`crate::ShardSource`],
+//!   in memory or paged from disk; [`run_full_descent`] and
+//!   [`run_core_dca_gathered`] are the hooks a distributed coordinator drives
+//!   with its own evaluation or sample gather.
 //! * [`Dca`] — the user-facing facade that chains Core DCA and the refinement
 //!   step and returns a ready-to-publish [`crate::bonus::BonusVector`] plus a
 //!   [`DcaReport`] with evaluation and timing details.
+//!
+//! Every Core and Full runner executes one private descent loop
+//! ([`self::core`]'s driver): the runners differ only in how a step samples
+//! and evaluates, so serial, sharded, paged and fleet trajectories agree bit
+//! for bit because they run the same code. Algorithm 2's Adam loop stays
+//! separate — a different update rule with no learning-rate ladder.
 //!
 //! ```
 //! use fair_core::prelude::*;
@@ -44,19 +55,19 @@ pub mod refine;
 pub mod scratch;
 pub mod sharded;
 
-pub use self::core::{run_core_dca, run_core_dca_with, CoreDcaOutcome, CoreTraceEntry};
+pub use self::core::{run_core_dca, CoreDcaOutcome, CoreTraceEntry};
 pub use config::{DcaConfig, CLT_MINIMUM};
 pub use control::{step_duration_hook, DcaProgress, RunControl};
-pub use full::{run_full_dca, run_full_dca_with, run_full_descent, FullDcaOutcome};
+pub use full::{run_full_dca, run_full_descent};
 pub use objective::{
     FprDifferenceObjective, LogDiscountedObjective, Objective, ScaledDisparateImpact, TopKDisparity,
 };
 pub use partial::{combine_disparity_partials, disparity_partials, DisparityPartial};
-pub use refine::{run_refinement, run_refinement_with, RefinementOutcome};
-pub use scratch::{DcaScratch, EvalScratch};
+pub use refine::{run_refinement, RefinementOutcome};
+pub use scratch::EvalScratch;
 pub use sharded::{
     run_core_dca_gathered, run_core_dca_sharded, run_core_dca_sharded_controlled,
-    run_full_dca_sharded, run_full_dca_sharded_controlled, ShardedObjective,
+    run_full_dca_sharded, run_full_dca_sharded_controlled,
 };
 
 use crate::bonus::BonusVector;
@@ -146,20 +157,9 @@ impl Dca {
         let zero = vec![0.0; schema.num_fairness()];
         let before = objective.evaluate(&full, ranker, &zero)?;
 
-        // One scratch serves both phases: all per-step buffers are reused.
-        let mut scratch = DcaScratch::new();
-
         // Phase 1: Core DCA.
         let core_start = Instant::now();
-        let core = self::core::run_core_dca_with(
-            dataset,
-            ranker,
-            objective,
-            &self.config,
-            None,
-            false,
-            &mut scratch,
-        )?;
+        let core = run_core_dca(dataset, ranker, objective, &self.config, None, false)?;
         let core_time = core_start.elapsed();
         let core_eval = objective.evaluate(&full, ranker, &core.bonus)?;
         let core_bonus_rounded = match self.config.granularity {
@@ -170,14 +170,7 @@ impl Dca {
         // Phase 2: refinement (optional).
         let refine_start = Instant::now();
         let (final_values, refinement_objects) = if self.config.refinement_iterations > 0 {
-            let refined = refine::run_refinement_with(
-                dataset,
-                ranker,
-                objective,
-                &self.config,
-                core.bonus,
-                &mut scratch,
-            )?;
+            let refined = run_refinement(dataset, ranker, objective, &self.config, core.bonus)?;
             (refined.bonus, refined.objects_scored)
         } else {
             (core_bonus_rounded.clone(), 0)

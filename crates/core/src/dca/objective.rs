@@ -20,6 +20,7 @@
 use crate::dataset::SampleView;
 use crate::dca::scratch::EvalScratch;
 use crate::error::Result;
+use crate::metrics::sharded::{MetricKind, MetricPlan};
 use crate::metrics::{
     disparity_at_k_into, fpr_difference_at_k_into, log_discounted_disparity_into,
     scaled_disparate_impact_at_k_into, LogDiscountConfig,
@@ -63,6 +64,11 @@ pub trait Objective: Send + Sync {
         self.evaluate_into(view, ranker, bonus, &mut scratch, &mut out)?;
         Ok(out)
     }
+
+    /// The same measure over a whole cohort, as a single-metric
+    /// [`MetricPlan`] — what [`crate::dca::run_full_dca_sharded`] evaluates
+    /// at every step, in memory or paged from disk.
+    fn plan(&self) -> MetricPlan;
 
     /// Short name used in reports.
     fn name(&self) -> &'static str;
@@ -116,6 +122,10 @@ impl Objective for TopKDisparity {
         disparity_at_k_into(view, &scratch.ranking, self.k, out)
     }
 
+    fn plan(&self) -> MetricPlan {
+        MetricPlan::new(&[MetricKind::Disparity], self.k)
+    }
+
     fn name(&self) -> &'static str {
         "disparity@k"
     }
@@ -151,6 +161,11 @@ impl Objective for LogDiscountedObjective {
         log_discounted_disparity_into(view, &scratch.ranking, &self.config, out)
     }
 
+    fn plan(&self) -> MetricPlan {
+        // The selection fraction is unused by the log-discounted metric.
+        MetricPlan::new(&[MetricKind::LogDiscounted], 1.0).with_log_config(self.config)
+    }
+
     fn name(&self) -> &'static str {
         "log-discounted disparity"
     }
@@ -182,8 +197,11 @@ impl Objective for ScaledDisparateImpact {
         out: &mut Vec<f64>,
     ) -> Result<()> {
         rank_view_into(view, ranker, bonus, Some(self.k), scratch)?;
-        let EvalScratch { ranking, mask } = scratch;
-        scaled_disparate_impact_at_k_into(view, ranking, self.k, mask, out)
+        scaled_disparate_impact_at_k_into(view, &scratch.ranking, self.k, out)
+    }
+
+    fn plan(&self) -> MetricPlan {
+        MetricPlan::new(&[MetricKind::DisparateImpact], self.k)
     }
 
     fn name(&self) -> &'static str {
@@ -217,8 +235,11 @@ impl Objective for FprDifferenceObjective {
         out: &mut Vec<f64>,
     ) -> Result<()> {
         rank_view_into(view, ranker, bonus, Some(self.k), scratch)?;
-        let EvalScratch { ranking, mask } = scratch;
-        fpr_difference_at_k_into(view, ranking, self.k, mask, out)
+        fpr_difference_at_k_into(view, &scratch.ranking, self.k, out)
+    }
+
+    fn plan(&self) -> MetricPlan {
+        MetricPlan::new(&[MetricKind::FprDifference], self.k)
     }
 
     fn name(&self) -> &'static str {

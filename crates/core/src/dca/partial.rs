@@ -19,7 +19,7 @@
 //! sequence the local sharded evaluator executes, so the distributed
 //! disparity (and therefore the Full-DCA trajectory driven by it through
 //! [`crate::dca::full::run_full_descent`]) is **bit-identical** to
-//! [`crate::metrics::sharded::disparity_at_k_into`] on one node.
+//! [`crate::metrics::sharded::disparity_at_k`] on one node.
 //!
 //! Partials are pure functions of `(cohort, bonus, count, shard range)` —
 //! no hidden state, no RNG — which is what makes coordinator retries
@@ -27,10 +27,11 @@
 //! and the combine rejects a shard supplied twice outright.
 
 use crate::error::{FairError, Result};
+use crate::metrics::disparity::disparity_of_rows;
 use crate::parallel::parallel_map;
-use crate::ranking::sharded::descending_key;
+use crate::ranking::sharded::{descending_key, keep_best, score_shard_into};
 use crate::ranking::Ranker;
-use crate::shard::ShardSource;
+use crate::shard::{fold_centroid, shard_fair_sums, ShardSource};
 use std::ops::Range;
 
 /// One shard's contribution to a distributed disparity evaluation.
@@ -70,10 +71,10 @@ struct ShardPass {
 /// with selection candidates pruned range-wide to the global selection size
 /// `count`.
 ///
-/// The per-row score kernel (`base + Σ fairness·bonus`), the per-shard sum
-/// accumulation, and the candidate partition all mirror the one-sweep metric
-/// plan and [`crate::ranking::sharded::top_m`] exactly — see the module docs
-/// for why that makes the combined result bit-identical to local evaluation.
+/// Scoring, the per-shard sums and the candidate partitions are the metric
+/// planner's and [`crate::ranking::sharded::top_m`]'s own kernels — see the
+/// module docs for why that makes the combined result bit-identical to local
+/// evaluation.
 ///
 /// # Errors
 /// Returns [`FairError::EmptyDataset`] on an empty cohort and
@@ -117,50 +118,22 @@ where
     }
     let dims = data.schema().num_fairness();
     assert_eq!(bonus.len(), dims, "bonus vector dimensionality mismatch");
-    let nf = data.schema().num_features();
-    let linear = ranker
-        .linear_weights()
-        .filter(|w| !w.is_empty() && w.len() == nf);
 
     let indices: Vec<usize> = shards.collect();
     let mut passes: Vec<ShardPass> = parallel_map(&indices, |&i| {
         data.with_shard(i, |shard| {
             let d = shard.data();
             let offset = shard.offset();
-            let n = d.len();
-            // The fused score pass of `MetricPlan::evaluate_with`, verbatim:
-            // the same blocked kernel passes for linear rankers, the same
-            // per-row `base + increment` fallback otherwise.
-            let mut scores = Vec::with_capacity(n);
-            if let Some(w) = linear {
-                crate::kernel::dot_rows_into(d.features_matrix(), nf, w, &mut scores);
-                crate::kernel::add_dot_rows_into(d.fairness_matrix(), dims, bonus, &mut scores);
-            } else {
-                scores.extend((0..n).map(|i| {
-                    let b = match ranker.feature_score(d.feature_row(i)) {
-                        Some(score) => score,
-                        None => ranker.base_score(d.row(i)),
-                    };
-                    let increment = crate::kernel::dot(d.fairness_row(i), bonus);
-                    b + increment
-                }));
-            }
-            let mut fair_sums = vec![0.0_f64; dims];
-            if dims > 0 {
-                crate::kernel::col_sums_into(d.fairness_matrix(), dims, &mut fair_sums);
-            }
-            // Per-shard candidate selection, as `top_m`'s pruning path: keep
-            // the shard's own top min(count, n) under the strict total order.
+            let mut scores = Vec::new();
+            score_shard_into(d, ranker, bonus, None, &mut scores);
+            // Per-shard candidates, as `top_m`'s pruning path: the shard's
+            // own top min(count, n) under the strict total order.
             let mut keys: Vec<(u64, u64)> = scores
                 .iter()
                 .enumerate()
                 .map(|(i, &s)| (descending_key(s), (offset + i) as u64))
                 .collect();
-            let keep = count.min(n);
-            if keep < keys.len() {
-                keys.select_nth_unstable(keep);
-                keys.truncate(keep);
-            }
+            keep_best(&mut keys, count);
             keys.sort_unstable();
             let mut cand_scores = Vec::with_capacity(keys.len());
             let mut fairness = Vec::with_capacity(keys.len() * dims);
@@ -171,8 +144,8 @@ where
             }
             ShardPass {
                 shard: i,
-                rows: n,
-                fair_sums,
+                rows: d.len(),
+                fair_sums: shard_fair_sums(d),
                 keys,
                 scores: cand_scores,
                 fairness,
@@ -191,8 +164,7 @@ where
                 all.push((key, (slot as u32, idx as u32)));
             }
         }
-        all.select_nth_unstable(count);
-        all.truncate(count);
+        keep_best(&mut all, count);
         let mut keep: Vec<Vec<u32>> = vec![Vec::new(); passes.len()];
         for &(_, (slot, idx)) in &all {
             keep[slot as usize].push(idx);
@@ -201,7 +173,6 @@ where
             // Candidate lists are already in (key, position) order, so
             // keeping ascending indices preserves the canonical order.
             kept.sort_unstable();
-            let dims = pass.fair_sums.len();
             let mut keys = Vec::with_capacity(kept.len());
             let mut scores = Vec::with_capacity(kept.len());
             let mut fairness = Vec::with_capacity(kept.len() * dims);
@@ -232,17 +203,19 @@ where
 
 /// Combine partials covering **every** shard of a `total_rows`-row cohort
 /// into the disparity vector at selection size `count`, written into `out` —
-/// bit-identical to [`crate::metrics::sharded::disparity_at_k_into`] at the
+/// bit-identical to [`crate::metrics::sharded::disparity_at_k`] at the
 /// matching `k` (see the module docs).
 ///
 /// Partials may arrive in any order; they are folded in ascending shard
 /// order. A shard that is missing, supplied twice (a double-counted retry),
 /// or internally inconsistent is an [`FairError::InvalidConfig`] — the
-/// combine refuses to produce a silently wrong vector.
+/// combine refuses to produce a silently wrong vector. So is a candidate
+/// row listed twice or outside its shard's rows (each shard's span follows
+/// from the cumulative `rows` in shard order).
 ///
 /// # Errors
-/// Returns [`FairError::InvalidConfig`] on coverage or shape violations and
-/// [`FairError::EmptyDataset`] when `count == 0`.
+/// Returns [`FairError::InvalidConfig`] on coverage, shape or candidate
+/// placement violations and [`FairError::EmptyDataset`] when `count == 0`.
 pub fn combine_disparity_partials(
     total_rows: usize,
     dims: usize,
@@ -285,25 +258,37 @@ pub fn combine_disparity_partials(
         )));
     }
 
-    // Population centroid: per-shard sums folded in ascending shard order,
-    // divided once — exactly the one-sweep plan's combine.
-    let mut pop_sums = vec![0.0_f64; dims];
-    for p in &order {
-        crate::kernel::add_row(&mut pop_sums, &p.fair_sums);
-    }
-    let pop: Vec<f64> = pop_sums.iter().map(|s| s / total_rows as f64).collect();
+    let pop = fold_centroid(
+        dims,
+        total_rows,
+        order.iter().map(|p| p.fair_sums.as_slice()),
+    );
 
     // Global selection: re-key every candidate (scores crossed the wire
     // bit-exactly, so the keys are the keys the worker computed) and
     // partition + sort under the same strict total order as `top_m`.
+    let mut listed = vec![false; total_rows];
+    let mut start = 0;
     let mut candidates: Vec<((u64, u64), (u32, u32))> = Vec::new();
     for (slot, p) in order.iter().enumerate() {
+        let span = start..start + p.rows;
         for (idx, (&score, &pos)) in p.scores.iter().zip(&p.positions).enumerate() {
+            if listed.get(pos) == Some(&true) {
+                return Err(invalid(format!("row {pos} is listed twice")));
+            }
+            if !span.contains(&pos) {
+                return Err(invalid(format!(
+                    "shard {} lists row {pos}, outside its rows {span:?}",
+                    p.shard
+                )));
+            }
+            listed[pos] = true;
             candidates.push((
                 (descending_key(score), pos as u64),
                 (slot as u32, idx as u32),
             ));
         }
+        start = span.end;
     }
     if candidates.len() < count {
         return Err(invalid(format!(
@@ -311,35 +296,20 @@ pub fn combine_disparity_partials(
             candidates.len()
         )));
     }
-    if count < candidates.len() {
-        candidates.select_nth_unstable(count);
-        candidates.truncate(count);
-    }
+    keep_best(&mut candidates, count);
     candidates.sort_unstable();
 
-    // Selection centroid accumulated in rank order, then the subtraction —
-    // the disparity measure phase, verbatim: the same kernel walk over the
-    // same row sequence as the plan's retained-row accumulation.
-    out.clear();
-    out.resize(dims, 0.0);
-    if dims > 0 {
-        crate::kernel::col_sums_rows_into(
-            dims,
-            candidates.iter().map(|&(_, (slot, idx))| {
-                let p = order[slot as usize];
-                let idx = idx as usize;
-                &p.fairness[idx * dims..(idx + 1) * dims]
-            }),
-            out,
-        );
-    }
-    for a in out.iter_mut() {
-        *a /= candidates.len() as f64;
-    }
-    for (s, a) in out.iter_mut().zip(&pop) {
-        *s -= a;
-    }
-    Ok(())
+    // The disparity measurement over the selection's rows in rank order —
+    // the planner's, over the same row sequence.
+    disparity_of_rows(
+        candidates.iter().map(|&(_, (slot, idx))| {
+            let p = order[slot as usize];
+            let idx = idx as usize;
+            &p.fairness[idx * dims..(idx + 1) * dims]
+        }),
+        &pop,
+        out,
+    )
 }
 
 #[cfg(test)]
@@ -353,7 +323,7 @@ mod tests {
     use crate::dca::sharded::run_full_dca_sharded;
     use crate::metrics::sharded as shmetrics;
     use crate::object::DataObject;
-    use crate::ranking::{selection_size, WeightedSumRanker};
+    use crate::ranking::{selection_size, NormalizedWeightedSum, WeightedSumRanker};
     use crate::shard::ShardedDataset;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -383,7 +353,7 @@ mod tests {
 
     fn split_partials(
         data: &ShardedDataset,
-        ranker: &WeightedSumRanker,
+        ranker: &dyn Ranker,
         bonus: &[f64],
         count: usize,
         cuts: &[usize],
@@ -400,22 +370,26 @@ mod tests {
     #[test]
     fn combined_partials_match_local_disparity_bitwise() {
         let data = cohort(500, 7, 48);
-        let ranker = WeightedSumRanker::new(vec![1.0, 0.25]).unwrap();
-        let mut scratch = shmetrics::ShardedEvalScratch::new();
-        for k in [0.02, 0.2, 0.9] {
-            let count = selection_size(data.len(), k).unwrap();
-            for bonus in [vec![0.0, 0.0], vec![3.3, -1.1]] {
-                let mut local = Vec::new();
-                shmetrics::disparity_at_k_into(&data, &ranker, &bonus, k, &mut scratch, &mut local)
-                    .unwrap();
-                for cuts in [vec![], vec![4], vec![2, 7], vec![1, 2, 3]] {
-                    let partials = split_partials(&data, &ranker, &bonus, count, &cuts);
-                    let mut combined = Vec::new();
-                    combine_disparity_partials(data.len(), 2, count, &partials, &mut combined)
-                        .unwrap();
-                    let a: Vec<u64> = local.iter().map(|v| v.to_bits()).collect();
-                    let b: Vec<u64> = combined.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(a, b, "k={k} bonus={bonus:?} cuts={cuts:?}");
+        let linear = WeightedSumRanker::new(vec![1.0, 0.25]).unwrap();
+        // A non-linear ranker takes the kernel's per-row `row_score` branch.
+        let normalized =
+            NormalizedWeightedSum::new(vec![1.0, 0.25], vec![-20.0, 0.0], vec![100.0, 10.0])
+                .unwrap();
+        let rankers: [&dyn Ranker; 2] = [&linear, &normalized];
+        for (r, ranker) in rankers.into_iter().enumerate() {
+            for k in [0.02, 0.2, 0.9] {
+                let count = selection_size(data.len(), k).unwrap();
+                for bonus in [vec![0.0, 0.0], vec![3.3, -1.1]] {
+                    let local = shmetrics::disparity_at_k(&data, ranker, &bonus, k).unwrap();
+                    for cuts in [vec![], vec![4], vec![2, 7], vec![1, 2, 3]] {
+                        let partials = split_partials(&data, ranker, &bonus, count, &cuts);
+                        let mut combined = Vec::new();
+                        combine_disparity_partials(data.len(), 2, count, &partials, &mut combined)
+                            .unwrap();
+                        let a: Vec<u64> = local.iter().map(|v| v.to_bits()).collect();
+                        let b: Vec<u64> = combined.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(a, b, "ranker {r} k={k} bonus={bonus:?} cuts={cuts:?}");
+                    }
                 }
             }
         }
@@ -470,6 +444,36 @@ mod tests {
         torn[0].fairness.pop();
         let err = combine_disparity_partials(data.len(), 2, count, &torn, &mut out).unwrap_err();
         assert!(err.to_string().contains("malformed"), "{err}");
+
+        // Misplaced candidates are refused. Shard 0 alone keeps its own top
+        // `count`, so it has candidates to copy and rows it left out.
+        let partials = split_partials(&data, &ranker, &[0.0; 2], count, &[1]);
+        let append = |partials: &mut Vec<DisparityPartial>, score: f64, pos: usize| {
+            partials[1].scores.push(score);
+            partials[1].positions.push(pos);
+            partials[1]
+                .fairness
+                .extend_from_slice(data.fairness_row(pos));
+        };
+        // Shard 0's best candidate repeated under shard 1: a row counted
+        // twice would silently push a real row out of the selection.
+        let mut repeated = partials.clone();
+        append(
+            &mut repeated,
+            partials[0].scores[0],
+            partials[0].positions[0],
+        );
+        let err =
+            combine_disparity_partials(data.len(), 2, count, &repeated, &mut out).unwrap_err();
+        assert!(err.to_string().contains("twice"), "{err}");
+        // A shard-0 row no partial lists, claimed by shard 1.
+        let unlisted = (0..data.shard_len(0))
+            .find(|p| !partials[0].positions.contains(p))
+            .unwrap();
+        let mut stray = partials.clone();
+        append(&mut stray, 0.0, unlisted);
+        let err = combine_disparity_partials(data.len(), 2, count, &stray, &mut out).unwrap_err();
+        assert!(err.to_string().contains("outside"), "{err}");
     }
 
     #[test]

@@ -20,11 +20,12 @@ use crate::dataset::Dataset;
 use crate::dca::config::DcaConfig;
 use crate::dca::core::clamp_bonus;
 use crate::dca::objective::Objective;
-use crate::dca::scratch::DcaScratch;
+use crate::dca::scratch::EvalScratch;
 use crate::error::Result;
 use crate::ranking::Ranker;
 use fair_opt::{Adam, RollingWindow};
 use rand::rngs::StdRng;
+use rand::seq::index::IndexBuffer;
 use rand::SeedableRng;
 
 /// Output of the refinement step.
@@ -41,7 +42,9 @@ pub struct RefinementOutcome {
 }
 
 /// Run the refinement step starting from `initial` (normally the Core DCA
-/// output).
+/// output). The sample indices, ranking buffers and direction are allocated
+/// once per run, so every Adam step is allocation-free (apart from the
+/// dims-sized rolling-window snapshots).
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, or objective
@@ -52,29 +55,6 @@ pub fn run_refinement<R, O>(
     objective: &O,
     config: &DcaConfig,
     initial: Vec<f64>,
-) -> Result<RefinementOutcome>
-where
-    R: Ranker + ?Sized,
-    O: Objective + ?Sized,
-{
-    let mut scratch = DcaScratch::new();
-    run_refinement_with(dataset, ranker, objective, config, initial, &mut scratch)
-}
-
-/// [`run_refinement`] reusing a caller-provided [`DcaScratch`], so every
-/// Adam step is allocation-free (apart from the dims-sized rolling-window
-/// snapshots).
-///
-/// # Errors
-/// Returns an error for invalid configurations, empty datasets, or objective
-/// failures.
-pub fn run_refinement_with<R, O>(
-    dataset: &Dataset,
-    ranker: &R,
-    objective: &O,
-    config: &DcaConfig,
-    initial: Vec<f64>,
-    scratch: &mut DcaScratch,
 ) -> Result<RefinementOutcome>
 where
     R: Ranker + ?Sized,
@@ -95,20 +75,17 @@ where
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x5EED_0001));
     let mut adam = Adam::new(dims, config.adam);
     let mut window = RollingWindow::new(dims, config.rolling_window);
+    let mut indices = IndexBuffer::new();
+    let mut eval = EvalScratch::new();
+    let mut direction = Vec::new();
     let mut objects_scored = 0_usize;
     let mut steps = 0_usize;
 
     for _ in 0..config.refinement_iterations {
-        dataset.sample_indices_into(&mut rng, config.sample_size, &mut scratch.indices)?;
-        let sample = dataset.view_of(scratch.indices.as_slice());
-        objective.evaluate_into(
-            &sample,
-            ranker,
-            &bonus,
-            &mut scratch.eval,
-            &mut scratch.direction,
-        )?;
-        adam.step(&mut bonus, &scratch.direction);
+        dataset.sample_indices_into(&mut rng, config.sample_size, &mut indices)?;
+        let sample = dataset.view_of(indices.as_slice());
+        objective.evaluate_into(&sample, ranker, &bonus, &mut eval, &mut direction)?;
+        adam.step(&mut bonus, &direction);
         clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
         window.push(bonus.clone());
         objects_scored += sample.len();

@@ -1,28 +1,25 @@
 //! Reusable scratch buffers for the allocation-free DCA inner loop.
 //!
 //! Every DCA step evaluates an objective on a fresh sample. Done naively that
-//! costs four `O(sample_size)` heap allocations per step (sample indices,
-//! effective scores, ranked order, selection mask) plus the direction vector —
-//! hundreds of thousands of allocations over a full run. [`DcaScratch`] owns
-//! all of those buffers once and is threaded through
-//! [`crate::dca::run_core_dca_with`], [`crate::dca::run_full_dca_with`],
-//! [`crate::dca::run_refinement_with`] and
+//! costs `O(sample_size)` heap allocations per step (effective scores and
+//! ranked order) on top of the sample itself — hundreds of thousands of
+//! allocations over a full run. Each runner ([`crate::dca::run_core_dca`],
+//! [`crate::dca::run_full_dca`], [`crate::dca::run_refinement`] and the
+//! sharded runners) allocates one [`EvalScratch`], the sample-index buffer
+//! and the direction vector once per run and threads them through
 //! [`crate::dca::Objective::evaluate_into`], so the steady-state loop
 //! performs no `O(sample_size)`-sized allocation. (The metric layer still
 //! creates a few `num_fairness`-sized vectors per step — typically 4
 //! elements — which are negligible next to the sample-sized buffers.)
 
 use crate::ranking::topk::RankedSelection;
-use rand::seq::index::IndexBuffer;
 
 /// Buffers reused by [`crate::dca::Objective::evaluate_into`]: the ranked
-/// selection (scores + order) and the top-k membership mask.
+/// selection (scores + order).
 #[derive(Debug, Clone)]
 pub struct EvalScratch {
     /// Reused ranking: its score and order vectors are refilled in place.
     pub(crate) ranking: RankedSelection,
-    /// Reused top-k membership mask (FPR / disparate-impact objectives).
-    pub(crate) mask: Vec<bool>,
 }
 
 impl EvalScratch {
@@ -31,7 +28,6 @@ impl EvalScratch {
     pub fn new() -> Self {
         Self {
             ranking: RankedSelection::from_scores(Vec::new()),
-            mask: Vec::new(),
         }
     }
 
@@ -49,37 +45,13 @@ impl Default for EvalScratch {
     }
 }
 
-/// All buffers one DCA run (core, full, or refinement) reuses across steps.
-#[derive(Debug, Clone, Default)]
-pub struct DcaScratch {
-    /// Sampled dataset indices for the current step.
-    pub(crate) indices: IndexBuffer,
-    /// Objective-evaluation buffers.
-    pub(crate) eval: EvalScratch,
-    /// The objective (direction) vector of the current step.
-    pub(crate) direction: Vec<f64>,
-}
-
-impl DcaScratch {
-    /// Empty scratch; buffers grow on first use and are retained, so one
-    /// instance can be shared across many runs (e.g. a per-`k` sweep).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn scratch_constructors_start_empty() {
-        let s = DcaScratch::new();
-        assert!(s.indices.is_empty());
-        assert!(s.direction.is_empty());
-        assert!(s.eval.ranking().is_empty());
-        let e = EvalScratch::default();
-        assert!(e.mask.is_empty());
+        assert!(EvalScratch::new().ranking().is_empty());
+        assert!(EvalScratch::default().ranking().is_empty());
     }
 }

@@ -23,100 +23,21 @@ use crate::attributes::SchemaRef;
 use crate::dataset::Dataset;
 use crate::dca::config::DcaConfig;
 use crate::dca::control::RunControl;
-use crate::dca::core::{clamp_bonus, CoreDcaOutcome, CoreTraceEntry};
-use crate::dca::full::FullDcaOutcome;
+use crate::dca::core::{descend, CoreDcaOutcome};
 use crate::dca::objective::Objective;
-use crate::dca::scratch::DcaScratch;
-use crate::error::{FairError, Result};
+use crate::dca::scratch::EvalScratch;
+use crate::error::Result;
 use crate::metrics::sharded::ShardedEvalScratch;
-use crate::metrics::{sharded, LogDiscountConfig};
 use crate::ranking::Ranker;
 use crate::shard::ShardSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// An [`Objective`] that can also be evaluated over any [`ShardSource`]
-/// through the shard-wise engine — in-memory or paged from disk.
-/// Implementations must compute the same mathematical quantity as their
-/// serial `evaluate_into`; the built-in objectives delegate to
-/// [`crate::metrics::sharded`].
-pub trait ShardedObjective: Objective {
-    /// Evaluate the measure over the whole sharded cohort under `bonus`,
-    /// writing one entry per fairness attribute into `out`.
-    ///
-    /// # Errors
-    /// Returns an error on empty datasets, invalid configurations, or missing
-    /// labels (objective-dependent).
-    fn evaluate_sharded<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
-        &self,
-        data: &S,
-        ranker: &R,
-        bonus: &[f64],
-        scratch: &mut ShardedEvalScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()>;
-}
-
-impl ShardedObjective for crate::dca::objective::TopKDisparity {
-    fn evaluate_sharded<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
-        &self,
-        data: &S,
-        ranker: &R,
-        bonus: &[f64],
-        scratch: &mut ShardedEvalScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        sharded::disparity_at_k_into(data, ranker, bonus, self.k, scratch, out)
-    }
-}
-
-impl ShardedObjective for crate::dca::objective::LogDiscountedObjective {
-    fn evaluate_sharded<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
-        &self,
-        data: &S,
-        ranker: &R,
-        bonus: &[f64],
-        _scratch: &mut ShardedEvalScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        let config: &LogDiscountConfig = &self.config;
-        *out = sharded::log_discounted_disparity(data, ranker, bonus, config)?;
-        Ok(())
-    }
-}
-
-impl ShardedObjective for crate::dca::objective::ScaledDisparateImpact {
-    fn evaluate_sharded<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
-        &self,
-        data: &S,
-        ranker: &R,
-        bonus: &[f64],
-        _scratch: &mut ShardedEvalScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        *out = sharded::scaled_disparate_impact_at_k(data, ranker, bonus, self.k)?;
-        Ok(())
-    }
-}
-
-impl ShardedObjective for crate::dca::objective::FprDifferenceObjective {
-    fn evaluate_sharded<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
-        &self,
-        data: &S,
-        ranker: &R,
-        bonus: &[f64],
-        _scratch: &mut ShardedEvalScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        *out = sharded::fpr_difference_at_k(data, ranker, bonus, self.k)?;
-        Ok(())
-    }
-}
-
 /// Run Full DCA with every step's whole-cohort evaluation on the shard-wise
-/// engine. The descent itself is [`crate::dca::full`]'s shared driver — the
-/// exact loop the serial [`crate::dca::run_full_dca`] executes — so the two
-/// trajectories can only differ through the objective evaluation.
+/// engine: the objective's [`Objective::plan`] evaluated over `data`. The
+/// descent itself is [`crate::dca::run_full_descent`] — the exact loop the
+/// serial [`crate::dca::run_full_dca`] executes — so the two trajectories can
+/// only differ through the objective evaluation.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, or objective
@@ -128,11 +49,11 @@ pub fn run_full_dca_sharded<S, R, O>(
     config: &DcaConfig,
     initial: Option<Vec<f64>>,
     trace: bool,
-) -> Result<FullDcaOutcome>
+) -> Result<CoreDcaOutcome>
 where
     S: ShardSource + ?Sized,
     R: Ranker + ?Sized,
-    O: ShardedObjective + ?Sized,
+    O: Objective + ?Sized,
 {
     run_full_dca_sharded_controlled(
         data,
@@ -154,7 +75,8 @@ where
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, objective
-/// failures, or [`FairError::Cancelled`] when `control` is cancelled mid-run.
+/// failures, or [`crate::error::FairError::Cancelled`] when `control` is
+/// cancelled mid-run.
 #[allow(clippy::too_many_arguments)]
 pub fn run_full_dca_sharded_controlled<S, R, O>(
     data: &S,
@@ -164,12 +86,13 @@ pub fn run_full_dca_sharded_controlled<S, R, O>(
     initial: Option<Vec<f64>>,
     trace: bool,
     control: &RunControl,
-) -> Result<FullDcaOutcome>
+) -> Result<CoreDcaOutcome>
 where
     S: ShardSource + ?Sized,
     R: Ranker + ?Sized,
-    O: ShardedObjective + ?Sized,
+    O: Objective + ?Sized,
 {
+    let plan = objective.plan();
     let mut scratch = ShardedEvalScratch::new();
     crate::dca::full::run_full_descent(
         data.schema().num_fairness(),
@@ -184,7 +107,7 @@ where
             // installed a job profile, and the clock never feeds back into
             // the descent, so trajectories stay bit-identical.
             let _score = crate::obs::profile::scope(crate::obs::Phase::Score);
-            objective.evaluate_sharded(data, ranker, bonus, &mut scratch, out)
+            plan.evaluate_vector_into(data, ranker, bonus, &mut scratch, out)
         },
     )
 }
@@ -228,7 +151,8 @@ where
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, objective
-/// failures, or [`FairError::Cancelled`] when `control` is cancelled mid-run.
+/// failures, or [`crate::error::FairError::Cancelled`] when `control` is
+/// cancelled mid-run.
 #[allow(clippy::too_many_arguments)]
 pub fn run_core_dca_sharded_controlled<S, R, O>(
     data: &S,
@@ -308,71 +232,31 @@ where
     R: Ranker + ?Sized,
     O: Objective + ?Sized,
 {
-    let dims = schema.num_fairness();
-    config.validate(dims)?;
-    if cohort_len == 0 {
-        return Err(FairError::EmptyDataset);
-    }
-
-    let mut bonus = initial.unwrap_or_else(|| vec![0.0; dims]);
-    assert_eq!(bonus.len(), dims, "initial bonus dimensionality mismatch");
-    clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
-
     // The master stream only emits one step seed per step; every shard's
     // sampling RNG is split off that seed (shard_seed), so the sample a shard
     // draws is independent of how many other shards exist on this node — or
     // of which node holds them.
     let mut master = StdRng::seed_from_u64(config.seed);
-    let mut gather = Dataset::with_capacity(schema.clone(), config.sample_size);
-    let mut scratch = DcaScratch::new();
-    let mut trace_entries = Vec::new();
-    let mut steps = 0_usize;
-    let mut objects_scored = 0_usize;
-
-    let total_steps = config.core_steps();
-    for &lr in &config.learning_rates {
-        for _ in 0..config.iterations_per_rate {
-            control.checkpoint()?;
+    let mut gather = Dataset::empty(schema.clone());
+    let mut eval = EvalScratch::new();
+    descend(
+        schema.num_fairness(),
+        cohort_len,
+        true,
+        config,
+        initial,
+        trace,
+        control,
+        |bonus, direction| {
             let step_seed: u64 = master.gen();
             gather.clear();
             gather_step(step_seed, &mut gather)?;
             let sample = gather.full_view();
-            {
-                let _score = crate::obs::profile::scope(crate::obs::Phase::Score);
-                objective.evaluate_into(
-                    &sample,
-                    ranker,
-                    &bonus,
-                    &mut scratch.eval,
-                    &mut scratch.direction,
-                )?;
-            }
-            let direction = &scratch.direction;
-            debug_assert_eq!(direction.len(), dims);
-            for (b, d) in bonus.iter_mut().zip(direction) {
-                *b -= lr * d;
-            }
-            clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
-            objects_scored += sample.len();
-            steps += 1;
-            if trace {
-                trace_entries.push(CoreTraceEntry {
-                    step: steps - 1,
-                    learning_rate: lr,
-                    objective_norm: crate::metrics::norm(direction),
-                    bonus: bonus.clone(),
-                });
-            }
-            control.report(steps, total_steps);
-        }
-    }
-
-    Ok(CoreDcaOutcome {
-        bonus,
-        steps,
-        objects_scored,
-        trace: trace_entries,
-    })
+            let _score = crate::obs::profile::scope(crate::obs::Phase::Score);
+            objective.evaluate_into(&sample, ranker, bonus, &mut eval, direction)?;
+            Ok(sample.len())
+        },
+    )
 }
 
 #[cfg(test)]
@@ -381,7 +265,8 @@ mod tests {
     use crate::attributes::Schema;
     use crate::dca::full::run_full_dca;
     use crate::dca::objective::TopKDisparity;
-    use crate::metrics::norm;
+    use crate::error::FairError;
+    use crate::metrics::{norm, sharded};
     use crate::object::DataObject;
     use crate::ranking::WeightedSumRanker;
     use crate::shard::ShardedDataset;
@@ -505,19 +390,6 @@ mod tests {
         assert_eq!(plain.bonus, controlled.bonus, "identical trajectory");
         assert_eq!(plain.trace.len(), controlled.trace.len());
         assert_eq!(steps_seen.load(Ordering::Relaxed), total);
-
-        let plain = run_core_dca_sharded(&data, &ranker, &objective, &cfg, None, false).unwrap();
-        let controlled = run_core_dca_sharded_controlled(
-            &data,
-            &ranker,
-            &objective,
-            &cfg,
-            None,
-            false,
-            &RunControl::new(),
-        )
-        .unwrap();
-        assert_eq!(plain.bonus, controlled.bonus, "identical sample stream");
     }
 
     #[test]

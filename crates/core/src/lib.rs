@@ -83,7 +83,7 @@ pub use attributes::{FairnessAttribute, FairnessKind, Schema, SchemaRef};
 pub use bonus::{BonusCaps, BonusPolarity, BonusVector};
 pub use calibrate::{calibrate_proportion, CalibrationResult, CalibrationTarget};
 pub use dataset::{Dataset, SampleView};
-pub use dca::{Dca, DcaConfig, DcaReport, DcaResult, DcaScratch, EvalScratch};
+pub use dca::{Dca, DcaConfig, DcaReport, DcaResult, EvalScratch};
 pub use error::{FairError, Result};
 pub use fault::{FaultMode, FaultPlan};
 pub use object::{DataObject, ObjectId, ObjectView};
@@ -100,12 +100,10 @@ pub mod prelude {
     pub use crate::calibrate::{calibrate_proportion, CalibrationResult, CalibrationTarget};
     pub use crate::dataset::{Dataset, SampleView};
     pub use crate::dca::{
-        run_core_dca, run_core_dca_sharded, run_core_dca_sharded_controlled, run_core_dca_with,
-        run_full_dca, run_full_dca_sharded, run_full_dca_sharded_controlled, run_full_dca_with,
-        run_refinement, run_refinement_with, step_duration_hook, Dca, DcaConfig, DcaProgress,
-        DcaReport, DcaResult, DcaScratch, EvalScratch, FprDifferenceObjective,
-        LogDiscountedObjective, Objective, RunControl, ScaledDisparateImpact, ShardedObjective,
-        TopKDisparity,
+        run_core_dca, run_core_dca_sharded, run_core_dca_sharded_controlled, run_full_dca,
+        run_full_dca_sharded, run_full_dca_sharded_controlled, run_refinement, step_duration_hook,
+        Dca, DcaConfig, DcaProgress, DcaReport, DcaResult, EvalScratch, FprDifferenceObjective,
+        LogDiscountedObjective, Objective, RunControl, ScaledDisparateImpact, TopKDisparity,
     };
     pub use crate::error::{FairError, Result};
     pub use crate::explain::{

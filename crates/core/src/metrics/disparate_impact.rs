@@ -16,7 +16,8 @@
 //! the Disparity metric.
 
 use crate::dataset::SampleView;
-use crate::error::{FairError, Result};
+use crate::error::Result;
+use crate::metrics::{tally_selection, GroupTally};
 use crate::ranking::topk::RankedSelection;
 
 /// Raw (unsigned) disparate impact per fairness dimension for the top-`k`
@@ -33,20 +34,10 @@ pub fn disparate_impact_at_k(
     ranking: &RankedSelection,
     k: f64,
 ) -> Result<Vec<f64>> {
-    let rates = selection_rates(view, ranking, k)?;
-    Ok(rates
+    let (population, selected) = tally_selection(view, ranking, k, false)?;
+    Ok(selection_rates(&population, &selected)
         .into_iter()
-        .map(|(p1, p0)| {
-            if p1 <= 0.0 || p0 <= 0.0 {
-                if p1 == p0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                (p1 / p0).min(p0 / p1)
-            }
-        })
+        .map(|(p1, p0)| disparate_impact(p1, p0))
         .collect())
 }
 
@@ -60,14 +51,13 @@ pub fn scaled_disparate_impact_at_k(
     ranking: &RankedSelection,
     k: f64,
 ) -> Result<Vec<f64>> {
-    let mut mask = Vec::new();
     let mut out = Vec::new();
-    scaled_disparate_impact_at_k_into(view, ranking, k, &mut mask, &mut out)?;
+    scaled_disparate_impact_at_k_into(view, ranking, k, &mut out)?;
     Ok(out)
 }
 
-/// [`scaled_disparate_impact_at_k`] writing into caller-provided buffers (the
-/// allocation-light path the DCA inner loop uses).
+/// [`scaled_disparate_impact_at_k`] writing into a caller-provided buffer
+/// (the path the DCA inner loop uses).
 ///
 /// # Errors
 /// Returns an error on an empty view or invalid `k`.
@@ -75,85 +65,60 @@ pub fn scaled_disparate_impact_at_k_into(
     view: &SampleView<'_>,
     ranking: &RankedSelection,
     k: f64,
-    mask: &mut Vec<bool>,
     out: &mut Vec<f64>,
 ) -> Result<()> {
-    let rates = selection_rates_with_mask(view, ranking, k, mask)?;
-    out.clear();
-    out.extend(rates.into_iter().map(|(p1, p0)| {
-        let di = if p1 <= 0.0 || p0 <= 0.0 {
-            if p1 == p0 {
-                1.0
-            } else {
-                0.0
-            }
-        } else {
-            (p1 / p0).min(p0 / p1)
-        };
-        let sign = if p1 >= p0 { 1.0 } else { -1.0 };
-        sign * (1.0 - di)
-    }));
+    let (population, selected) = tally_selection(view, ranking, k, false)?;
+    *out = scaled_disparate_impact(&population, &selected);
     Ok(())
 }
 
-/// For every fairness dimension, the pair `(P(selected | member),
-/// P(selected | non-member))` under the top-`k` selection. Dimensions with an
-/// empty group or complement report equal rates (0, 0) so they read as fair.
-fn selection_rates(
-    view: &SampleView<'_>,
-    ranking: &RankedSelection,
-    k: f64,
-) -> Result<Vec<(f64, f64)>> {
-    let mut mask = Vec::new();
-    selection_rates_with_mask(view, ranking, k, &mut mask)
+/// Signed scaled disparate impact per dimension from the population and
+/// selected-set tallies — the one formula the serial metric and the sharded
+/// planner compute.
+pub(crate) fn scaled_disparate_impact(population: &GroupTally, selected: &GroupTally) -> Vec<f64> {
+    selection_rates(population, selected)
+        .into_iter()
+        .map(|(p1, p0)| {
+            let sign = if p1 >= p0 { 1.0 } else { -1.0 };
+            sign * (1.0 - disparate_impact(p1, p0))
+        })
+        .collect()
 }
 
-/// [`selection_rates`] using a caller-provided selection-mask buffer.
-fn selection_rates_with_mask(
-    view: &SampleView<'_>,
-    ranking: &RankedSelection,
-    k: f64,
-    mask: &mut Vec<bool>,
-) -> Result<Vec<(f64, f64)>> {
-    if view.is_empty() {
-        return Err(FairError::EmptyDataset);
-    }
-    ranking.selection_mask_into(k, mask)?;
-    let dims = view.schema().num_fairness();
-    let mut member_total = vec![0_usize; dims];
-    let mut member_selected = vec![0_usize; dims];
-    let mut other_total = vec![0_usize; dims];
-    let mut other_selected = vec![0_usize; dims];
-
-    for (pos, object) in view.iter().enumerate() {
-        let selected = mask[pos];
-        for dim in 0..dims {
-            if object.in_group(dim) {
-                member_total[dim] += 1;
-                if selected {
-                    member_selected[dim] += 1;
-                }
-            } else {
-                other_total[dim] += 1;
-                if selected {
-                    other_selected[dim] += 1;
-                }
-            }
+/// DI of one dimension's selection rates: `min(p1/p0, p0/p1)`, `1` when
+/// both rates are zero and `0` when only one is.
+fn disparate_impact(p1: f64, p0: f64) -> f64 {
+    if p1 <= 0.0 || p0 <= 0.0 {
+        if p1 == p0 {
+            1.0
+        } else {
+            0.0
         }
+    } else {
+        (p1 / p0).min(p0 / p1)
     }
+}
 
-    Ok((0..dims)
-        .map(|d| {
-            if member_total[d] == 0 || other_total[d] == 0 {
+/// For every fairness dimension, the pair `(P(selected | member),
+/// P(selected | non-member))`. Dimensions with an empty group or complement
+/// report equal rates (0, 0) so they read as fair.
+fn selection_rates(population: &GroupTally, selected: &GroupTally) -> Vec<(f64, f64)> {
+    population
+        .members
+        .iter()
+        .zip(&selected.members)
+        .map(|(&members, &chosen)| {
+            let others = population.rows - members;
+            if members == 0 || others == 0 {
                 (0.0, 0.0)
             } else {
                 (
-                    member_selected[d] as f64 / member_total[d] as f64,
-                    other_selected[d] as f64 / other_total[d] as f64,
+                    chosen as f64 / members as f64,
+                    (selected.rows - chosen) as f64 / others as f64,
                 )
             }
         })
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]

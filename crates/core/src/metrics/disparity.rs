@@ -90,8 +90,29 @@ pub fn disparity_of_selection_into(
     out: &mut Vec<f64>,
 ) -> Result<()> {
     let all = view.fairness_centroid()?;
-    view.fairness_centroid_of_into(selected, out)?;
-    for (s, a) in out.iter_mut().zip(&all) {
+    let (data, indices) = (view.dataset(), view.indices());
+    disparity_of_rows(
+        selected.iter().map(|&p| data.fairness_row(indices[p])),
+        &all,
+        out,
+    )
+}
+
+/// Disparity of a selection given as its fairness rows in rank order: their
+/// centroid minus the population centroid `pop`, written into `out` — the
+/// one measurement the serial metric, the sharded planner and the fleet
+/// combine run.
+///
+/// # Errors
+/// Returns [`crate::error::FairError::EmptyDataset`] when `selected` yields
+/// no row.
+pub(crate) fn disparity_of_rows<'a>(
+    selected: impl Iterator<Item = &'a [f64]>,
+    pop: &[f64],
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    crate::dataset::centroid_rows_into(pop.len(), selected, out)?;
+    for (s, a) in out.iter_mut().zip(pop) {
         *s -= a;
     }
     Ok(())

@@ -13,7 +13,8 @@
 //! therefore a selected object whose label is `false`.
 
 use crate::dataset::SampleView;
-use crate::error::{FairError, Result};
+use crate::error::Result;
+use crate::metrics::{tally_selection, GroupTally};
 use crate::ranking::topk::RankedSelection;
 
 /// FPR of each fairness group (membership thresholded at 0.5) and the overall
@@ -28,66 +29,34 @@ pub fn group_fpr_at_k(
     ranking: &RankedSelection,
     k: f64,
 ) -> Result<(Vec<f64>, f64)> {
-    let mut mask = Vec::new();
-    group_fpr_at_k_with_mask(view, ranking, k, &mut mask)
+    let (population, selected) = tally_selection(view, ranking, k, true)?;
+    Ok(fpr_rates(&population, &selected))
 }
 
-/// [`group_fpr_at_k`] using a caller-provided selection-mask buffer (the
-/// allocation-free path).
-///
-/// # Errors
-/// Returns an error on empty views, invalid `k`, or missing labels.
-pub fn group_fpr_at_k_with_mask(
-    view: &SampleView<'_>,
-    ranking: &RankedSelection,
-    k: f64,
-    mask: &mut Vec<bool>,
-) -> Result<(Vec<f64>, f64)> {
-    if view.is_empty() {
-        return Err(FairError::EmptyDataset);
-    }
-    ranking.selection_mask_into(k, mask)?;
-    let dims = view.schema().num_fairness();
-    let mut group_neg = vec![0_usize; dims];
-    let mut group_fp = vec![0_usize; dims];
-    let mut total_neg = 0_usize;
-    let mut total_fp = 0_usize;
-
-    for (pos, object) in view.iter().enumerate() {
-        let label = object.label().ok_or(FairError::MissingLabels)?;
-        if label {
-            continue; // only true negatives contribute to the FPR
+/// Per-group and overall false-positive rates from the population and
+/// selected-set tallies: false positives are the selected true negatives.
+fn fpr_rates(population: &GroupTally, selected: &GroupTally) -> (Vec<f64>, f64) {
+    let rate = |fp: usize, neg: usize| {
+        if neg == 0 {
+            0.0
+        } else {
+            fp as f64 / neg as f64
         }
-        let selected = mask[pos];
-        total_neg += 1;
-        if selected {
-            total_fp += 1;
-        }
-        for dim in 0..dims {
-            if object.in_group(dim) {
-                group_neg[dim] += 1;
-                if selected {
-                    group_fp[dim] += 1;
-                }
-            }
-        }
-    }
-
-    let overall = if total_neg == 0 {
-        0.0
-    } else {
-        total_fp as f64 / total_neg as f64
     };
-    let per_group = (0..dims)
-        .map(|d| {
-            if group_neg[d] == 0 {
-                0.0
-            } else {
-                group_fp[d] as f64 / group_neg[d] as f64
-            }
-        })
+    let per_group = selected
+        .member_negatives
+        .iter()
+        .zip(&population.member_negatives)
+        .map(|(&fp, &neg)| rate(fp, neg))
         .collect();
-    Ok((per_group, overall))
+    (per_group, rate(selected.negatives, population.negatives))
+}
+
+/// `FPR_group − FPR_overall` per dimension from the tallies — the one FPR
+/// difference the serial metric and the sharded planner compute.
+pub(crate) fn fpr_difference(population: &GroupTally, selected: &GroupTally) -> Vec<f64> {
+    let (per_group, overall) = fpr_rates(population, selected);
+    per_group.into_iter().map(|f| f - overall).collect()
 }
 
 /// The DCA-compatible FPR-difference vector: `FPR_group − FPR_overall` per
@@ -105,12 +74,13 @@ pub fn fpr_difference_at_k(
     ranking: &RankedSelection,
     k: f64,
 ) -> Result<Vec<f64>> {
-    let (per_group, overall) = group_fpr_at_k(view, ranking, k)?;
-    Ok(per_group.into_iter().map(|f| f - overall).collect())
+    let mut out = Vec::new();
+    fpr_difference_at_k_into(view, ranking, k, &mut out)?;
+    Ok(out)
 }
 
-/// [`fpr_difference_at_k`] writing into caller-provided buffers (the
-/// allocation-light path the DCA inner loop uses).
+/// [`fpr_difference_at_k`] writing into a caller-provided buffer (the path
+/// the DCA inner loop uses).
 ///
 /// # Errors
 /// Returns an error on empty views, invalid `k`, or missing labels.
@@ -118,12 +88,10 @@ pub fn fpr_difference_at_k_into(
     view: &SampleView<'_>,
     ranking: &RankedSelection,
     k: f64,
-    mask: &mut Vec<bool>,
     out: &mut Vec<f64>,
 ) -> Result<()> {
-    let (per_group, overall) = group_fpr_at_k_with_mask(view, ranking, k, mask)?;
-    out.clear();
-    out.extend(per_group.into_iter().map(|f| f - overall));
+    let (population, selected) = tally_selection(view, ranking, k, true)?;
+    *out = fpr_difference(&population, &selected);
     Ok(())
 }
 
@@ -132,6 +100,7 @@ mod tests {
     use super::*;
     use crate::attributes::Schema;
     use crate::dataset::Dataset;
+    use crate::error::FairError;
     use crate::object::DataObject;
     use crate::ranking::{effective_scores, SingleFeatureRanker};
 

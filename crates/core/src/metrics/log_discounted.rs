@@ -93,13 +93,6 @@ pub fn log_discounted_disparity(
 
 /// [`log_discounted_disparity`] writing into a caller-provided buffer.
 ///
-/// The checkpoints are strictly increasing prefixes of one ranked order, so
-/// the per-checkpoint selection centroids are computed with a single running
-/// prefix sum over the ranking — `O(n · dims)` total instead of the
-/// `O(n²/step · dims)` of re-summing every prefix from scratch. The running
-/// sum performs the exact same additions in the exact same order as the
-/// from-scratch sums, so the result is bit-for-bit identical.
-///
 /// # Errors
 /// Returns an error on an empty view or invalid configuration.
 pub fn log_discounted_disparity_into(
@@ -113,27 +106,47 @@ pub fn log_discounted_disparity_into(
         return Err(FairError::EmptyDataset);
     }
     let checkpoints = config.checkpoints(ranking.len());
-    let dims = view.schema().num_fairness();
-    out.clear();
-    out.resize(dims, 0.0);
     let all = view.fairness_centroid()?;
-    let mut running = vec![0.0; dims];
+    let last = checkpoints.last().copied().unwrap_or(0);
+    let ranked = ranking.top(last).iter().map(|&p| view.object(p).fairness());
+    log_discounted_of_rows(&checkpoints, &all, ranked, out)
+}
+
+/// The log-discounted disparity of a ranking given as its fairness rows in
+/// rank order, against the population centroid `pop`, written into `out` —
+/// the one accumulation the serial metric and the sharded planner run.
+///
+/// The checkpoints are strictly increasing prefixes of one ranked order, so
+/// the per-checkpoint selection centroids are computed with a single running
+/// prefix sum — `O(n · dims)` total instead of the `O(n²/step · dims)` of
+/// re-summing every prefix from scratch. The running sum performs the exact
+/// same additions in the exact same order as the from-scratch sums, so the
+/// result is bit-for-bit identical.
+///
+/// # Errors
+/// Returns [`FairError::EmptyDataset`] on a zero-size checkpoint.
+pub(crate) fn log_discounted_of_rows<'a>(
+    checkpoints: &[usize],
+    pop: &[f64],
+    mut ranked: impl Iterator<Item = &'a [f64]>,
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    out.clear();
+    out.resize(pop.len(), 0.0);
+    let mut running = vec![0.0; pop.len()];
     let mut consumed = 0_usize;
     let mut z = 0.0;
-    for &count in &checkpoints {
+    for &count in checkpoints {
         debug_assert!(count >= consumed, "checkpoints must be increasing");
         let weight = 1.0 / ((count as f64) + 1.0).log2();
-        for &p in &ranking.top(count)[consumed..] {
-            let row = view.object(p).fairness();
-            for (a, v) in running.iter_mut().zip(row) {
-                *a += v;
-            }
+        for row in ranked.by_ref().take(count - consumed) {
+            crate::kernel::add_row(&mut running, row);
         }
         consumed = count;
         if count == 0 {
             return Err(FairError::EmptyDataset);
         }
-        for ((o, r), a) in out.iter_mut().zip(&running).zip(&all) {
+        for ((o, r), a) in out.iter_mut().zip(&running).zip(pop) {
             *o += weight * (r / count as f64 - a);
         }
         z += weight;

@@ -45,29 +45,31 @@ pub fn ndcg_at_k<R: Ranker + ?Sized>(
     }
     let count = selection_size(view.len(), k)?;
     let base = base_scores(view, ranker);
+    let original = RankedSelection::from_scores(base.clone());
+    Ok(ndcg_of_orders(
+        &base,
+        original.top(count),
+        adjusted.top(count),
+    ))
+}
+
+/// nDCG of the `measured` rank order against the `ideal` one, both given as
+/// positions into `base` — the original scores, which are the relevance
+/// weights. The one computation the serial metric and the sharded planner
+/// run.
+pub(crate) fn ndcg_of_orders(base: &[f64], ideal: &[usize], measured: &[usize]) -> f64 {
     // Relevance weights must be non-negative for nDCG to be meaningful; the
     // school rubric and decile scores already are. Shift if necessary.
     let min = base.iter().copied().fold(f64::INFINITY, f64::min);
     let shift = if min < 0.0 { -min } else { 0.0 };
-
-    let original = RankedSelection::from_scores(base.clone());
-    let ideal_weights: Vec<f64> = original
-        .top(count)
-        .iter()
-        .map(|&p| base[p] + shift)
-        .collect();
-    let measured_weights: Vec<f64> = adjusted
-        .top(count)
-        .iter()
-        .map(|&p| base[p] + shift)
-        .collect();
-
-    let ideal = dcg(&ideal_weights);
+    let weights =
+        |order: &[usize]| -> Vec<f64> { order.iter().map(|&p| base[p] + shift).collect() };
+    let ideal = dcg(&weights(ideal));
     if ideal == 0.0 {
         // All relevance weights are zero: any ordering is as good as any other.
-        return Ok(1.0);
+        return 1.0;
     }
-    Ok((dcg(&measured_weights) / ideal).clamp(0.0, 1.0))
+    (dcg(&weights(measured)) / ideal).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]

@@ -1,21 +1,22 @@
 //! Whole-cohort metric evaluation on the shard-wise parallel engine.
 //!
-//! Every function here is the sharded counterpart of a serial metric in this
-//! module's siblings, decomposed into **per-shard kernels plus an ordered
-//! combine** on the [`ShardSource`] engine — so the same code path serves
-//! the in-memory [`crate::shard::ShardedDataset`] and the out-of-core
+//! Every metric here is the whole-cohort counterpart of a serial metric in
+//! this module's siblings, evaluated by one [`MetricPlan`] on the
+//! [`ShardSource`] engine — so the same code path serves the in-memory
+//! [`crate::shard::ShardedDataset`] and the out-of-core
 //! `fair_store::ShardStore`:
 //!
-//! 1. *score* — per-shard scoring kernels (embarrassingly parallel,
-//!    bit-for-bit the serial scores),
+//! 1. *score* — the per-shard scoring kernel
+//!    (`ranking::sharded::score_shard_into`), bit-for-bit the serial scores,
 //! 2. *select* — per-shard partial top-`m` merged under the serial strict
 //!    total order ([`crate::ranking::sharded::top_m`]), so the selected set
 //!    and order are exactly the full sort's,
-//! 3. *measure* — integer count reductions (exact for every shard size) or
-//!    per-shard partial sums combined in shard order (bit-for-bit for
-//!    binary/dyadic fairness values, reassociation-ulp-deterministic
-//!    otherwise); selection centroids are accumulated serially in rank order,
-//!    exactly as the serial metrics do.
+//! 3. *measure* — the serial metrics' own measurement functions (disparity,
+//!    log-discounted accumulation, nDCG, the group tally behind FPR and
+//!    disparate impact), fed the rank-ordered fairness rows of the
+//!    selection and the population centroid folded from per-shard sums in
+//!    shard order (bit-for-bit for binary/dyadic fairness values,
+//!    reassociation-ulp-deterministic otherwise).
 //!
 //! Unlike the serial metrics, which take a pre-built
 //! [`RankedSelection`](crate::ranking::RankedSelection), these functions are
@@ -23,18 +24,22 @@
 //! selection and measurement through the engine, because on large cohorts the
 //! full sort the serial callers pre-pay is precisely the cost being removed.
 
-use crate::dca::scratch::EvalScratch;
 use crate::error::{FairError, Result};
-use crate::metrics::LogDiscountConfig;
-use crate::ranking::sharded::{selected_at_k, top_m};
+use crate::metrics::disparate_impact::scaled_disparate_impact;
+use crate::metrics::disparity::disparity_of_rows;
+use crate::metrics::fpr::fpr_difference;
+use crate::metrics::log_discounted::log_discounted_of_rows;
+use crate::metrics::ndcg::ndcg_of_orders;
+use crate::metrics::{GroupTally, LogDiscountConfig};
+use crate::ranking::sharded::{score_shard_into, top_m};
 use crate::ranking::topk::selection_size;
 use crate::ranking::Ranker;
-use crate::shard::ShardSource;
+use crate::shard::{fold_centroid, shard_fair_sums, ShardSource};
 
-/// Scratch buffers reused across sharded metric evaluations (scores,
-/// selection, mask, and the paged-source column retention of
-/// [`MetricPlan`]), so repeated evaluation — the sharded full-DCA loop —
-/// avoids re-allocating cohort-sized vectors.
+/// Scratch buffers reused across plan evaluations (scores, the gathered
+/// ranked rows, and the paged-source column retention of [`MetricPlan`]),
+/// so repeated evaluation — the sharded full-DCA loop — avoids
+/// re-allocating cohort-sized vectors.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedEvalScratch {
     /// Effective scores, global row order.
@@ -42,20 +47,19 @@ pub struct ShardedEvalScratch {
     /// Base (zero-bonus) scores, global row order — filled only when the
     /// plan includes nDCG.
     pub(crate) base: Vec<f64>,
-    /// Global top-k selection mask.
-    pub(crate) mask: Vec<bool>,
-    /// `(shard, rank)` pairs of the selection, sorted by shard — the
+    /// `(shard, rank)` pairs of the ranked prefix, sorted by shard — the
     /// shard-sequential gather plan.
     pub(crate) order: Vec<(usize, usize)>,
-    /// Gathered fairness rows of the selection, in rank order.
+    /// Gathered fairness rows of the ranked prefix, in rank order.
     pub(crate) gathered: Vec<f64>,
+    /// Gathered labels of the ranked prefix, in rank order.
+    pub(crate) gathered_labels: Vec<Option<bool>>,
     /// Fairness rows of the whole cohort, retained **per shard** during a
     /// paged-source sweep so measurement never re-pages a shard. The
     /// per-shard buffers are moved out of the sweep results as-is — never
     /// concatenated — and indexed through [`Retained`].
     pub(crate) fairness: Vec<Vec<f64>>,
-    /// Labels retained per shard during a paged-source sweep (FPR metrics
-    /// only).
+    /// Labels retained per shard alongside `fairness`.
     pub(crate) labels: Vec<Vec<Option<bool>>>,
 }
 
@@ -75,6 +79,10 @@ impl Retained<'_> {
         let off = (p % self.shard_size) * self.dims;
         &self.fairness[p / self.shard_size][off..off + self.dims]
     }
+
+    fn label(&self, p: usize) -> Option<bool> {
+        self.labels[p / self.shard_size][p % self.shard_size]
+    }
 }
 
 impl ShardedEvalScratch {
@@ -85,24 +93,27 @@ impl ShardedEvalScratch {
     }
 }
 
-/// Copy the fairness rows at `positions` (global indices) into the dense
-/// `positions.len() × num_fairness` buffer `gathered`, **visiting each shard
-/// exactly once** ([`crate::shard::for_each_shard_run`]) — positions land in
-/// rank order, which hops shards arbitrarily, so a caching out-of-core
-/// source would otherwise re-page a shard per row. Only the copy is
-/// regrouped; `gathered` is laid out in the given position order, so callers
-/// accumulate in exactly the serial order (bit-for-bit) while the storage
-/// layer sees a shard-sequential access pattern. `order` and `gathered` are
-/// caller-owned so the DCA hot loop reuses them across steps.
-fn gather_fairness_rows_into<S: ShardSource + ?Sized>(
+/// Copy the fairness rows and labels at `positions` (global indices) into
+/// the dense rank-ordered buffers `rows` (`positions.len() × num_fairness`)
+/// and `labels`, **visiting each shard exactly once**
+/// ([`crate::shard::for_each_shard_run`]) — positions land in rank order,
+/// which hops shards arbitrarily, so a caching out-of-core source would
+/// otherwise re-page a shard per row. Only the copy is regrouped; the
+/// buffers are laid out in the given position order, so callers accumulate
+/// in exactly the serial order (bit-for-bit) while the storage layer sees a
+/// shard-sequential access pattern.
+fn gather_rows_into<S: ShardSource + ?Sized>(
     data: &S,
     positions: &[usize],
     order: &mut Vec<(usize, usize)>,
-    gathered: &mut Vec<f64>,
+    rows: &mut Vec<f64>,
+    labels: &mut Vec<Option<bool>>,
 ) {
     let dims = data.schema().num_fairness();
-    gathered.clear();
-    gathered.resize(positions.len() * dims, 0.0);
+    rows.clear();
+    rows.resize(positions.len() * dims, 0.0);
+    labels.clear();
+    labels.resize(positions.len(), None);
     // (shard, rank) pairs sorted by shard: one with_shard per distinct shard.
     order.clear();
     order.extend(
@@ -120,7 +131,8 @@ fn gather_fairness_rows_into<S: ShardSource + ?Sized>(
             let d = view.data();
             for &(_, rank) in run {
                 let local = positions[rank] - view.offset();
-                gathered[rank * dims..(rank + 1) * dims].copy_from_slice(d.fairness_row(local));
+                rows[rank * dims..(rank + 1) * dims].copy_from_slice(d.fairness_row(local));
+                labels[rank] = d.labels()[local];
             }
         },
     );
@@ -230,12 +242,6 @@ impl MetricReport {
     pub fn into_values(self) -> Vec<(MetricKind, MetricValue)> {
         self.values
     }
-
-    /// Remove and return the value for `kind`.
-    fn take(&mut self, kind: MetricKind) -> Option<MetricValue> {
-        let at = self.values.iter().position(|(k, _)| *k == kind)?;
-        Some(self.values.remove(at).1)
-    }
 }
 
 /// An audit plan: the set of metrics to evaluate together at one `k`.
@@ -243,14 +249,14 @@ impl MetricReport {
 /// Evaluation runs **one** [`ShardSource::map_shards`] sweep for the whole
 /// request: the per-shard kernel computes every column-derived quantity any
 /// requested metric needs (base and effective scores, population fairness
-/// sums) and — on paged sources ([`ShardSource::paged`]) — retains the
-/// fairness/label columns, so the storage layer pages each shard exactly
-/// once no matter how many metrics are requested. Selection then runs on the
-/// score vectors alone (pure layout arithmetic, nothing paged), and each
-/// metric's measurement phase reuses the shared selection and retained
-/// columns. Every value is bit-for-bit identical to the corresponding
-/// standalone sharded metric function — which are themselves thin
-/// single-metric plans.
+/// sums, population group tallies) and — on paged sources
+/// ([`ShardSource::paged`]) — retains the fairness/label columns, so the
+/// storage layer pages each shard exactly once no matter how many metrics
+/// are requested; in-memory sources instead gather the ranked rows they
+/// measure, shard by shard, after selection. Selection runs on the score
+/// vectors alone (pure layout arithmetic, nothing paged), and each metric's
+/// measurement reuses the shared selection and rows. Both storage strategies
+/// are bit-identical.
 #[derive(Debug, Clone)]
 pub struct MetricPlan {
     kinds: Vec<MetricKind>,
@@ -263,6 +269,7 @@ struct ShardSweep {
     scores: Vec<f64>,
     base: Vec<f64>,
     fair_sums: Vec<f64>,
+    tally: Option<GroupTally>,
     fairness: Vec<f64>,
     labels: Vec<Option<bool>>,
 }
@@ -317,6 +324,33 @@ impl MetricPlan {
         self.evaluate_with(data, ranker, bonus, &mut ShardedEvalScratch::new())
     }
 
+    /// Evaluate a plan of one vector metric into `out` — the per-step
+    /// evaluation of [`crate::dca::run_full_dca_sharded`], which plans each
+    /// objective's metric with [`crate::dca::Objective::plan`].
+    ///
+    /// # Errors
+    /// As [`Self::evaluate`], plus [`FairError::InvalidConfig`] when the plan
+    /// does not hold exactly one vector metric.
+    pub fn evaluate_vector_into<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
+        &self,
+        data: &S,
+        ranker: &R,
+        bonus: &[f64],
+        scratch: &mut ShardedEvalScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        let report = self.evaluate_with(data, ranker, bonus, scratch)?;
+        match <[_; 1]>::try_from(report.values) {
+            Ok([(_, MetricValue::Vector(v))]) => {
+                *out = v;
+                Ok(())
+            }
+            _ => Err(FairError::InvalidConfig {
+                reason: "the plan must hold exactly one vector metric".into(),
+            }),
+        }
+    }
+
     /// [`Self::evaluate`] reusing caller-provided scratch buffers.
     ///
     /// # Errors
@@ -333,11 +367,11 @@ impl MetricPlan {
         scratch: &mut ShardedEvalScratch,
     ) -> Result<MetricReport> {
         let has = |kind| self.kinds.contains(&kind);
-        let want_disparity = has(MetricKind::Disparity);
         let want_ndcg = has(MetricKind::Ndcg);
         let want_log = has(MetricKind::LogDiscounted);
         let want_fpr = has(MetricKind::FprDifference);
-        let want_di = has(MetricKind::DisparateImpact);
+        let need_pop = has(MetricKind::Disparity) || want_log;
+        let need_counts = want_fpr || has(MetricKind::DisparateImpact);
         // Validation, in the standalone metrics' order: the log config
         // before the empty check, `k` only when a selection metric needs it.
         if want_log {
@@ -349,9 +383,7 @@ impl MetricPlan {
         if data.is_empty() {
             return Err(FairError::EmptyDataset);
         }
-        let need_counts = want_fpr || want_di;
-        let need_selected = want_disparity || want_ndcg || need_counts;
-        let count = if need_selected {
+        let count = if has(MetricKind::Disparity) || want_ndcg || need_counts {
             selection_size(data.len(), self.k)?
         } else {
             0
@@ -364,272 +396,179 @@ impl MetricPlan {
         let log_last = checkpoints.last().copied().unwrap_or(0);
 
         let dims = data.schema().num_fairness();
-        let need_pop = want_disparity || want_log;
-        let need_fairness = want_disparity || want_log || need_counts;
-        // Paged sources retain the measurement columns during the sweep so
+        // Measurement reads the fairness rows (and labels) of the ranked
+        // prefix. Paged sources retain those columns during the sweep so
         // nothing below re-pages a shard; in-memory sources re-walk shards
-        // for free and skip the copies. Both paths are bit-identical.
-        let retain = data.paged() && need_fairness;
-        let retain_labels = data.paged() && want_fpr;
+        // for free and skip the copies.
+        let need_rows = need_pop || need_counts;
+        let retain = data.paged() && need_rows;
 
         assert_eq!(bonus.len(), dims, "bonus vector dimensionality mismatch");
 
-        // --- Phase 1: the one combined sweep. Each per-row kernel below is
-        // exactly its standalone counterpart (`base_scores`,
-        // `adjust_base_scores`, `effective_scores`, `fairness_centroid`), so
-        // every derived quantity is bit-for-bit the standalone one.
-        let nf = data.schema().num_features();
-        let linear = ranker
-            .linear_weights()
-            .filter(|w| !w.is_empty() && w.len() == nf);
-        let per_shard = data.map_shards(|shard| {
+        // --- Phase 1: the one combined sweep.
+        let per_shard = data.map_shards(|shard| -> Result<ShardSweep> {
             let d = shard.data();
-            let n = d.len();
-            // One fused pass: the base score and the bonus increment are
-            // computed per row exactly as the standalone kernels do
-            // (`base + increment` in the same order), with the base column
-            // kept only when the plan includes nDCG. Linear rankers run the
-            // shard as blocked kernel passes; per-row arithmetic is the same
-            // kernel::dot pair as the fallback, so both are bit-identical.
+            let mut scores = Vec::new();
             let mut base = Vec::new();
-            let mut scores = Vec::with_capacity(n);
-            if let Some(w) = linear {
-                if want_ndcg {
-                    crate::kernel::dot_rows_into(d.features_matrix(), nf, w, &mut base);
-                    scores.extend_from_slice(&base);
-                } else {
-                    crate::kernel::dot_rows_into(d.features_matrix(), nf, w, &mut scores);
-                }
-                crate::kernel::add_dot_rows_into(d.fairness_matrix(), dims, bonus, &mut scores);
-            } else {
-                if want_ndcg {
-                    base.reserve(n);
-                }
-                scores.extend((0..n).map(|i| {
-                    let b = match ranker.feature_score(d.feature_row(i)) {
-                        Some(score) => score,
-                        None => ranker.base_score(d.row(i)),
-                    };
-                    if want_ndcg {
-                        base.push(b);
-                    }
-                    let increment = crate::kernel::dot(d.fairness_row(i), bonus);
-                    b + increment
-                }));
-            }
-            let mut fair_sums = Vec::new();
-            if need_pop && dims > 0 {
-                crate::kernel::col_sums_into(d.fairness_matrix(), dims, &mut fair_sums);
-            }
-            let mut fairness = Vec::new();
-            if retain {
-                // The SoA fairness matrix is contiguous and row-major: one
-                // memcpy retains the whole shard.
-                fairness.extend_from_slice(d.fairness_matrix());
-            }
-            let mut labels = Vec::new();
-            if retain_labels {
-                labels.extend_from_slice(d.labels());
-            }
-            ShardSweep {
+            score_shard_into(
+                d,
+                ranker,
+                bonus,
+                want_ndcg.then_some(&mut base),
+                &mut scores,
+            );
+            let rows = (0..d.len()).map(|i| (d.fairness_row(i), d.labels()[i]));
+            Ok(ShardSweep {
                 scores,
                 base,
-                fair_sums,
-                fairness,
-                labels,
-            }
+                fair_sums: if need_pop {
+                    shard_fair_sums(d)
+                } else {
+                    Vec::new()
+                },
+                tally: if need_counts {
+                    Some(GroupTally::of_rows(dims, rows, want_fpr)?)
+                } else {
+                    None
+                },
+                // The SoA columns are contiguous: one memcpy each retains
+                // the whole shard.
+                fairness: if retain {
+                    d.fairness_matrix().to_vec()
+                } else {
+                    Vec::new()
+                },
+                labels: if retain {
+                    d.labels().to_vec()
+                } else {
+                    Vec::new()
+                },
+            })
         });
 
-        // Deterministic in-order combine.
+        // Deterministic in-order combine; the first (lowest-shard) error
+        // wins.
         scratch.scores.clear();
         scratch.scores.reserve(data.len());
         scratch.base.clear();
-        if want_ndcg {
-            scratch.base.reserve(data.len());
-        }
         scratch.fairness.clear();
         scratch.labels.clear();
-        let mut pop_sums = vec![0.0_f64; dims];
+        let mut fair_sums = Vec::with_capacity(data.num_shards());
+        let mut population: Option<GroupTally> = None;
         for shard in per_shard {
+            let shard = shard?;
             scratch.scores.extend_from_slice(&shard.scores);
-            if want_ndcg {
-                scratch.base.extend_from_slice(&shard.base);
-            }
-            if need_pop {
-                crate::kernel::add_row(&mut pop_sums, &shard.fair_sums);
+            scratch.base.extend_from_slice(&shard.base);
+            fair_sums.push(shard.fair_sums);
+            if let Some(tally) = shard.tally {
+                match &mut population {
+                    Some(total) => total.merge(&tally),
+                    None => population = Some(tally),
+                }
             }
             if retain {
                 scratch.fairness.push(shard.fairness);
-            }
-            if retain_labels {
                 scratch.labels.push(shard.labels);
             }
         }
-        // Exactly `fairness_centroid`: ordered sums divided once.
-        let pop: Vec<f64> = pop_sums.iter().map(|s| s / data.len() as f64).collect();
+        let pop = fold_centroid(dims, data.len(), fair_sums.iter().map(Vec::as_slice));
 
         // --- Phase 2: shared selection — score vectors and shard layout
-        // only, nothing paged. One top-`count` serves disparity, the rate
-        // metrics, and nDCG's measured prefix (identical inputs, identical
-        // canonical output).
-        // The log-discounted prefix and the top-`count` selection are both
-        // prefixes of the same canonical ranking (top_m of a larger count
-        // starts with top_m of a smaller one, bit for bit), so one partial
-        // selection at the larger cutoff serves both.
-        let take = count.max(log_last);
-        let ranked = if take > 0 {
-            top_m(data, &scratch.scores, take)
-        } else {
-            Vec::new()
-        };
+        // only, nothing paged. The log-discounted prefix and the top-`count`
+        // selection are both prefixes of the same canonical ranking (top_m
+        // of a larger count starts with top_m of a smaller one, bit for
+        // bit), so one partial selection at the larger cutoff serves both.
+        let ranked = top_m(data, &scratch.scores, count.max(log_last));
         let selected = &ranked[..count];
 
-        // --- Phase 3: per-metric measurement from the shared intermediates.
+        // --- Phase 3: per-metric measurement over the ranked prefix's rows.
+        if need_rows && !retain {
+            gather_rows_into(
+                data,
+                &ranked,
+                &mut scratch.order,
+                &mut scratch.gathered,
+                &mut scratch.gathered_labels,
+            );
+        }
         let retained = Retained {
             fairness: &scratch.fairness,
             labels: &scratch.labels,
             shard_size: data.shard_size(),
             dims,
         };
-        let mut counts: Option<GroupCounts> = None;
-        if need_counts {
-            scratch.mask.clear();
-            scratch.mask.resize(data.len(), false);
-            for &p in selected {
-                scratch.mask[p] = true;
-            }
-            counts = Some(if retain {
-                tally_retained(&retained, &scratch.mask, want_fpr)?
+        let (gathered, gathered_labels) = (&scratch.gathered, &scratch.gathered_labels);
+        let row = |rank: usize| -> &[f64] {
+            if retain {
+                retained.row(ranked[rank])
             } else {
-                tally_counts(data, &scratch.mask, want_fpr)?
-            });
-        }
+                &gathered[rank * dims..(rank + 1) * dims]
+            }
+        };
+        let label = |rank: usize| {
+            if retain {
+                retained.label(ranked[rank])
+            } else {
+                gathered_labels[rank]
+            }
+        };
+        let counts = match population {
+            Some(population) => {
+                let chosen =
+                    GroupTally::of_rows(dims, (0..count).map(|r| (row(r), label(r))), false)?;
+                Some((population, chosen))
+            }
+            None => None,
+        };
 
         let mut values = Vec::with_capacity(self.kinds.len());
         for &kind in &self.kinds {
             let value = match kind {
                 MetricKind::Disparity => {
-                    if selected.is_empty() {
-                        return Err(FairError::EmptyDataset);
-                    }
-                    let mut out = vec![0.0; dims];
-                    if dims > 0 {
-                        if retain {
-                            // Rank-order accumulation straight from the
-                            // retained rows — the same kernel walk, over the
-                            // same row sequence, as the gathered path below.
-                            crate::kernel::col_sums_rows_into(
-                                dims,
-                                selected.iter().map(|&p| retained.row(p)),
-                                &mut out,
-                            );
-                        } else {
-                            gather_fairness_rows_into(
-                                data,
-                                selected,
-                                &mut scratch.order,
-                                &mut scratch.gathered,
-                            );
-                            crate::kernel::col_sums_rows_into(
-                                dims,
-                                scratch.gathered.chunks_exact(dims),
-                                &mut out,
-                            );
-                        }
-                        for a in out.iter_mut() {
-                            *a /= selected.len() as f64;
-                        }
-                    }
-                    for (s, a) in out.iter_mut().zip(&pop) {
-                        *s -= a;
-                    }
+                    let mut out = Vec::new();
+                    disparity_of_rows((0..count).map(row), &pop, &mut out)?;
                     MetricValue::Vector(out)
                 }
                 MetricKind::Ndcg => {
-                    // Same non-negativity shift as the serial metric,
-                    // computed in the same left-to-right order.
-                    let min = scratch.base.iter().copied().fold(f64::INFINITY, f64::min);
-                    let shift = if min < 0.0 { -min } else { 0.0 };
                     let original = top_m(data, &scratch.base, count);
-                    let ideal_weights: Vec<f64> =
-                        original.iter().map(|&p| scratch.base[p] + shift).collect();
-                    let measured_weights: Vec<f64> =
-                        selected.iter().map(|&p| scratch.base[p] + shift).collect();
-                    let ideal = crate::metrics::dcg(&ideal_weights);
-                    MetricValue::Scalar(if ideal == 0.0 {
-                        1.0
-                    } else {
-                        (crate::metrics::dcg(&measured_weights) / ideal).clamp(0.0, 1.0)
-                    })
+                    MetricValue::Scalar(ndcg_of_orders(&scratch.base, &original, selected))
                 }
                 MetricKind::LogDiscounted => {
-                    // The shared canonical ranking already extends to the
-                    // last checkpoint.
-                    let prefix = &ranked[..log_last];
-                    if !retain {
-                        // One shard-sequential gather for the whole ranked
-                        // prefix, exactly like the standalone metric.
-                        gather_fairness_rows_into(
-                            data,
-                            prefix,
-                            &mut scratch.order,
-                            &mut scratch.gathered,
-                        );
-                    }
-                    let row = |rank: usize| -> &[f64] {
-                        if retain {
-                            retained.row(prefix[rank])
-                        } else {
-                            &scratch.gathered[rank * dims..(rank + 1) * dims]
-                        }
-                    };
-                    let mut out = vec![0.0; dims];
-                    let mut running = vec![0.0; dims];
-                    let mut consumed = 0_usize;
-                    let mut z = 0.0;
-                    let mut empty = false;
-                    for &cnt in &checkpoints {
-                        debug_assert!(cnt >= consumed, "checkpoints must be increasing");
-                        let weight = 1.0 / ((cnt as f64) + 1.0).log2();
-                        for rank in consumed..cnt {
-                            // Sequential prefix accumulation (element-wise,
-                            // order-free) — parity with the serial metric.
-                            crate::kernel::add_row(&mut running, row(rank));
-                        }
-                        consumed = cnt;
-                        if cnt == 0 {
-                            empty = true;
-                            break;
-                        }
-                        for ((o, r), a) in out.iter_mut().zip(&running).zip(&pop) {
-                            *o += weight * (r / cnt as f64 - a);
-                        }
-                        z += weight;
-                    }
-                    if empty {
-                        return Err(FairError::EmptyDataset);
-                    }
-                    if z > 0.0 {
-                        for a in out.iter_mut() {
-                            *a /= z;
-                        }
-                    }
+                    let mut out = Vec::new();
+                    log_discounted_of_rows(&checkpoints, &pop, (0..log_last).map(row), &mut out)?;
                     MetricValue::Vector(out)
                 }
                 MetricKind::FprDifference => {
-                    let counts = counts.as_ref().expect("counts tallied");
-                    let (per_group, overall) = fpr_rates(counts, dims);
-                    MetricValue::Vector(per_group.into_iter().map(|f| f - overall).collect())
+                    let (population, chosen) = counts.as_ref().expect("counts tallied");
+                    MetricValue::Vector(fpr_difference(population, chosen))
                 }
                 MetricKind::DisparateImpact => {
-                    let counts = counts.as_ref().expect("counts tallied");
-                    MetricValue::Vector(disparate_impact_from_counts(counts, dims))
+                    let (population, chosen) = counts.as_ref().expect("counts tallied");
+                    MetricValue::Vector(scaled_disparate_impact(population, chosen))
                 }
             };
             values.push((kind, value));
         }
         Ok(MetricReport { values })
     }
+}
+
+/// A single-metric vector plan evaluated with fresh scratch buffers.
+fn evaluate_vector<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
+    plan: &MetricPlan,
+    data: &S,
+    ranker: &R,
+    bonus: &[f64],
+) -> Result<Vec<f64>> {
+    let mut out = Vec::new();
+    plan.evaluate_vector_into(
+        data,
+        ranker,
+        bonus,
+        &mut ShardedEvalScratch::new(),
+        &mut out,
+    )?;
+    Ok(out)
 }
 
 /// Disparity of the top-`k` selection (Definition 3): selection centroid
@@ -644,39 +583,12 @@ pub fn disparity_at_k<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
     bonus: &[f64],
     k: f64,
 ) -> Result<Vec<f64>> {
-    let mut out = Vec::new();
-    disparity_at_k_into(
+    evaluate_vector(
+        &MetricPlan::new(&[MetricKind::Disparity], k),
         data,
         ranker,
         bonus,
-        k,
-        &mut ShardedEvalScratch::new(),
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-/// [`disparity_at_k`] reusing caller-provided scratch buffers.
-///
-/// # Errors
-/// Returns an error on an empty dataset or invalid `k`.
-pub fn disparity_at_k_into<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
-    data: &S,
-    ranker: &R,
-    bonus: &[f64],
-    k: f64,
-    scratch: &mut ShardedEvalScratch,
-    out: &mut Vec<f64>,
-) -> Result<()> {
-    let mut report =
-        MetricPlan::new(&[MetricKind::Disparity], k).evaluate_with(data, ranker, bonus, scratch)?;
-    match report.take(MetricKind::Disparity) {
-        Some(MetricValue::Vector(v)) => {
-            *out = v;
-            Ok(())
-        }
-        _ => unreachable!("planned metric always reported"),
-    }
+    )
 }
 
 /// nDCG@k of the bonus-adjusted ranking against the original (zero-bonus)
@@ -712,267 +624,12 @@ pub fn log_discounted_disparity<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
     bonus: &[f64],
     config: &LogDiscountConfig,
 ) -> Result<Vec<f64>> {
-    let mut report = MetricPlan::new(&[MetricKind::LogDiscounted], 1.0)
-        .with_log_config(*config)
-        .evaluate(data, ranker, bonus)?;
-    match report.take(MetricKind::LogDiscounted) {
-        Some(MetricValue::Vector(v)) => Ok(v),
-        _ => unreachable!("planned metric always reported"),
-    }
-}
-
-/// Per-shard selection/label counts for the rate-based metrics, reduced by
-/// exact integer addition.
-#[derive(Clone, Default)]
-struct GroupCounts {
-    group_neg: Vec<usize>,
-    group_fp: Vec<usize>,
-    total_neg: usize,
-    total_fp: usize,
-    member_total: Vec<usize>,
-    member_selected: Vec<usize>,
-    other_total: Vec<usize>,
-    other_selected: Vec<usize>,
-}
-
-impl GroupCounts {
-    fn new(dims: usize) -> Self {
-        Self {
-            group_neg: vec![0; dims],
-            group_fp: vec![0; dims],
-            member_total: vec![0; dims],
-            member_selected: vec![0; dims],
-            other_total: vec![0; dims],
-            other_selected: vec![0; dims],
-            ..Self::default()
-        }
-    }
-
-    fn merge(mut self, other: &Self) -> Self {
-        for (a, b) in self.group_neg.iter_mut().zip(&other.group_neg) {
-            *a += b;
-        }
-        for (a, b) in self.group_fp.iter_mut().zip(&other.group_fp) {
-            *a += b;
-        }
-        for (a, b) in self.member_total.iter_mut().zip(&other.member_total) {
-            *a += b;
-        }
-        for (a, b) in self.member_selected.iter_mut().zip(&other.member_selected) {
-            *a += b;
-        }
-        for (a, b) in self.other_total.iter_mut().zip(&other.other_total) {
-            *a += b;
-        }
-        for (a, b) in self.other_selected.iter_mut().zip(&other.other_selected) {
-            *a += b;
-        }
-        self.total_neg += other.total_neg;
-        self.total_fp += other.total_fp;
-        self
-    }
-}
-
-/// Tally per-group counts shard by shard against a global selection `mask`.
-/// `need_labels` makes unlabelled rows an error (the FPR metrics).
-fn tally_counts<S: ShardSource + ?Sized>(
-    data: &S,
-    mask: &[bool],
-    need_labels: bool,
-) -> Result<GroupCounts> {
-    let dims = data.schema().num_fairness();
-    let per_shard = data.map_shards(|shard| -> Result<GroupCounts> {
-        let d = shard.data();
-        let mut counts = GroupCounts::new(dims);
-        for i in 0..d.len() {
-            let object = d.row(i);
-            let selected = mask[shard.global_index(i)];
-            for dim in 0..dims {
-                if object.in_group(dim) {
-                    counts.member_total[dim] += 1;
-                    if selected {
-                        counts.member_selected[dim] += 1;
-                    }
-                } else {
-                    counts.other_total[dim] += 1;
-                    if selected {
-                        counts.other_selected[dim] += 1;
-                    }
-                }
-            }
-            if need_labels {
-                let label = object.label().ok_or(FairError::MissingLabels)?;
-                if label {
-                    continue;
-                }
-                counts.total_neg += 1;
-                if selected {
-                    counts.total_fp += 1;
-                }
-                for dim in 0..dims {
-                    if object.in_group(dim) {
-                        counts.group_neg[dim] += 1;
-                        if selected {
-                            counts.group_fp[dim] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(counts)
-    });
-    // Ordered combine: the first (lowest-shard) error wins, deterministically.
-    let mut total = GroupCounts::new(dims);
-    for counts in per_shard {
-        total = total.merge(&counts?);
-    }
-    Ok(total)
-}
-
-/// [`tally_counts`] over columns retained during a paged-source sweep: the
-/// same per-row tallies, walked serially in global (= shard) order — integer
-/// counts, so the result is exactly the shard-wise reduction's, and the
-/// first missing label in shard order raises the same error.
-fn tally_retained(
-    retained: &Retained<'_>,
-    mask: &[bool],
-    need_labels: bool,
-) -> Result<GroupCounts> {
-    let dims = retained.dims;
-    let mut counts = GroupCounts::new(dims);
-    // Walk shard by shard (same global row order as the serial tally) so
-    // the hot loop indexes each shard's buffer directly instead of doing
-    // two divisions per row.
-    let mut start = 0;
-    let mut sidx = 0;
-    while start < mask.len() {
-        let rows = retained.shard_size.min(mask.len() - start);
-        let fair = &retained.fairness[sidx];
-        for r in 0..rows {
-            let selected = mask[start + r];
-            let row = &fair[r * dims..(r + 1) * dims];
-            // `in_group`: fairness value at `dim` is `>= 0.5`.
-            for (dim, value) in row.iter().enumerate() {
-                if *value >= 0.5 {
-                    counts.member_total[dim] += 1;
-                    if selected {
-                        counts.member_selected[dim] += 1;
-                    }
-                } else {
-                    counts.other_total[dim] += 1;
-                    if selected {
-                        counts.other_selected[dim] += 1;
-                    }
-                }
-            }
-            if need_labels {
-                let label = retained.labels[sidx][r].ok_or(FairError::MissingLabels)?;
-                if label {
-                    continue;
-                }
-                counts.total_neg += 1;
-                if selected {
-                    counts.total_fp += 1;
-                }
-                for (dim, value) in row.iter().enumerate() {
-                    if *value >= 0.5 {
-                        counts.group_neg[dim] += 1;
-                        if selected {
-                            counts.group_fp[dim] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        start += rows;
-        sidx += 1;
-    }
-    Ok(counts)
-}
-
-/// Per-group and overall false-positive rates from tallied counts.
-fn fpr_rates(counts: &GroupCounts, dims: usize) -> (Vec<f64>, f64) {
-    let overall = if counts.total_neg == 0 {
-        0.0
-    } else {
-        counts.total_fp as f64 / counts.total_neg as f64
-    };
-    let per_group = (0..dims)
-        .map(|d| {
-            if counts.group_neg[d] == 0 {
-                0.0
-            } else {
-                counts.group_fp[d] as f64 / counts.group_neg[d] as f64
-            }
-        })
-        .collect();
-    (per_group, overall)
-}
-
-/// Signed scaled disparate impact per dimension from tallied counts.
-fn disparate_impact_from_counts(counts: &GroupCounts, dims: usize) -> Vec<f64> {
-    (0..dims)
-        .map(|d| {
-            let (p1, p0) = if counts.member_total[d] == 0 || counts.other_total[d] == 0 {
-                (0.0, 0.0)
-            } else {
-                (
-                    counts.member_selected[d] as f64 / counts.member_total[d] as f64,
-                    counts.other_selected[d] as f64 / counts.other_total[d] as f64,
-                )
-            };
-            let di = if p1 <= 0.0 || p0 <= 0.0 {
-                if p1 == p0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                (p1 / p0).min(p0 / p1)
-            };
-            let sign = if p1 >= p0 { 1.0 } else { -1.0 };
-            sign * (1.0 - di)
-        })
-        .collect()
-}
-
-/// Build the global top-`k` selection mask into `scratch`, then tally
-/// per-group counts shard by shard. `need_labels` makes unlabelled rows an
-/// error (the FPR metrics).
-fn selection_counts<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
-    data: &S,
-    ranker: &R,
-    bonus: &[f64],
-    k: f64,
-    need_labels: bool,
-    scratch: &mut ShardedEvalScratch,
-) -> Result<GroupCounts> {
-    if data.is_empty() {
-        return Err(FairError::EmptyDataset);
-    }
-    crate::ranking::sharded::effective_scores_into(data, ranker, bonus, &mut scratch.scores);
-    let selected = selected_at_k(data, &scratch.scores, k)?;
-    scratch.mask.clear();
-    scratch.mask.resize(data.len(), false);
-    for &p in &selected {
-        scratch.mask[p] = true;
-    }
-    tally_counts(data, &scratch.mask, need_labels)
-}
-
-/// Per-group and overall false-positive rates of the top-`k` selection — the
-/// sharded counterpart of [`crate::metrics::group_fpr_at_k`].
-///
-/// # Errors
-/// Returns an error on empty datasets, invalid `k`, or missing labels.
-pub fn group_fpr_at_k<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
-    data: &S,
-    ranker: &R,
-    bonus: &[f64],
-    k: f64,
-) -> Result<(Vec<f64>, f64)> {
-    let counts = selection_counts(data, ranker, bonus, k, true, &mut ShardedEvalScratch::new())?;
-    Ok(fpr_rates(&counts, data.schema().num_fairness()))
+    evaluate_vector(
+        &MetricPlan::new(&[MetricKind::LogDiscounted], 1.0).with_log_config(*config),
+        data,
+        ranker,
+        bonus,
+    )
 }
 
 /// FPR-difference vector (`FPR_group − FPR_overall`) of the top-`k`
@@ -988,12 +645,12 @@ pub fn fpr_difference_at_k<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
     bonus: &[f64],
     k: f64,
 ) -> Result<Vec<f64>> {
-    let mut report =
-        MetricPlan::new(&[MetricKind::FprDifference], k).evaluate(data, ranker, bonus)?;
-    match report.take(MetricKind::FprDifference) {
-        Some(MetricValue::Vector(v)) => Ok(v),
-        _ => unreachable!("planned metric always reported"),
-    }
+    evaluate_vector(
+        &MetricPlan::new(&[MetricKind::FprDifference], k),
+        data,
+        ranker,
+        bonus,
+    )
 }
 
 /// Signed, scaled disparate impact of the top-`k` selection — the sharded
@@ -1008,32 +665,12 @@ pub fn scaled_disparate_impact_at_k<S: ShardSource + ?Sized, R: Ranker + ?Sized>
     bonus: &[f64],
     k: f64,
 ) -> Result<Vec<f64>> {
-    let mut report =
-        MetricPlan::new(&[MetricKind::DisparateImpact], k).evaluate(data, ranker, bonus)?;
-    match report.take(MetricKind::DisparateImpact) {
-        Some(MetricValue::Vector(v)) => Ok(v),
-        _ => unreachable!("planned metric always reported"),
-    }
-}
-
-/// The serial reference for a sharded evaluation: flatten and evaluate with
-/// the single-`Dataset` metrics. Used by tests and the parity experiment;
-/// exactly the pre-refactor code path.
-///
-/// # Errors
-/// Returns an error on empty datasets or invalid `k`.
-pub fn serial_disparity_at_k<R: Ranker + ?Sized>(
-    dataset: &crate::dataset::Dataset,
-    ranker: &R,
-    bonus: &[f64],
-    k: f64,
-) -> Result<Vec<f64>> {
-    let view = dataset.full_view();
-    let mut scratch = EvalScratch::new();
-    scratch.ranking.refill_with(None, |scores| {
-        crate::ranking::effective_scores_into(&view, ranker, bonus, scores);
-    });
-    crate::metrics::disparity_at_k(&view, &scratch.ranking, k)
+    evaluate_vector(
+        &MetricPlan::new(&[MetricKind::DisparateImpact], k),
+        data,
+        ranker,
+        bonus,
+    )
 }
 
 #[cfg(test)]
@@ -1074,11 +711,17 @@ mod tests {
     #[test]
     fn sharded_disparity_matches_serial_bitwise() {
         let flat = cohort(61);
+        let view = flat.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
+        let ranking = RankedSelection::from_scores(crate::ranking::effective_scores(
+            &view,
+            &ranker,
+            &[2.5, 0.5],
+        ));
         for shard_size in [1, 7, 61, 4096] {
             let data = ShardedDataset::from_dataset(&flat, shard_size).unwrap();
             for k in [0.05, 0.2, 0.5, 1.0] {
-                let serial = serial_disparity_at_k(&flat, &ranker, &[2.5, 0.5], k).unwrap();
+                let serial = crate::metrics::disparity_at_k(&view, &ranking, k).unwrap();
                 let sharded = disparity_at_k(&data, &ranker, &[2.5, 0.5], k).unwrap();
                 assert_eq!(bits(&serial), bits(&sharded), "shard {shard_size} k {k}");
             }
@@ -1147,12 +790,6 @@ mod tests {
                 let serial_fpr = crate::metrics::fpr_difference_at_k(&view, &ranking, k).unwrap();
                 let sharded_fpr = fpr_difference_at_k(&data, &ranker, &[0.0, -1.0], k).unwrap();
                 assert_eq!(bits(&serial_fpr), bits(&sharded_fpr), "fpr {shard_size}");
-                let (serial_groups, serial_overall) =
-                    crate::metrics::group_fpr_at_k(&view, &ranking, k).unwrap();
-                let (sharded_groups, sharded_overall) =
-                    group_fpr_at_k(&data, &ranker, &[0.0, -1.0], k).unwrap();
-                assert_eq!(bits(&serial_groups), bits(&sharded_groups));
-                assert_eq!(serial_overall.to_bits(), sharded_overall.to_bits());
                 let serial_di =
                     crate::metrics::scaled_disparate_impact_at_k(&view, &ranking, k).unwrap();
                 let sharded_di =
@@ -1197,6 +834,6 @@ mod tests {
             log_discounted_disparity(&data, &ranker, &[0.0], &LogDiscountConfig::default())
                 .is_err()
         );
-        assert!(group_fpr_at_k(&data, &ranker, &[0.0], 0.5).is_err());
+        assert!(fpr_difference_at_k(&data, &ranker, &[0.0], 0.5).is_err());
     }
 }

@@ -55,19 +55,32 @@ where
     let profile = crate::obs::profile::current();
     std::thread::scope(|scope| {
         let (next, slots, f) = (&next, &slots, &f);
-        for _ in 0..workers {
-            let profile = profile.clone();
-            scope.spawn(move || {
-                let _profile_guard = profile.map(crate::obs::profile::install);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let profile = profile.clone();
+                scope.spawn(move || {
+                    let _profile_guard = profile.map(crate::obs::profile::install);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let result = f(&items[i]);
+                        *slots[i].lock().expect("result slot poisoned") = Some(result);
                     }
-                    let result = f(&items[i]);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                }
-            });
+                })
+            })
+            .collect();
+        // Join here rather than at the end of the scope: the scope would
+        // replace a worker's panic payload with its own message.
+        let mut first_panic = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
     });
     slots

@@ -13,7 +13,7 @@ pub mod topk;
 pub use score::{NormalizedWeightedSum, SingleFeatureRanker, WeightedSumRanker};
 pub use topk::{selection_size, RankedSelection};
 
-use crate::dataset::SampleView;
+use crate::dataset::{Dataset, SampleView};
 use crate::object::ObjectView;
 
 /// A score-based ranking function `f` over an object's ranking features.
@@ -57,6 +57,17 @@ pub trait Ranker: Send + Sync {
     /// kernel either way, so the fast path is bit-for-bit the slow one.
     fn linear_weights(&self) -> Option<&[f64]> {
         None
+    }
+
+    /// Base score of row `i` of `data`: [`Ranker::feature_score`] on the
+    /// feature row when the ranker answers there, [`Ranker::base_score`] on
+    /// the full row otherwise — the one per-row fallback every scoring path
+    /// (serial, sharded, paged, planner, fleet) takes.
+    fn row_score(&self, data: &Dataset, i: usize) -> f64 {
+        match self.feature_score(data.feature_row(i)) {
+            Some(score) => score,
+            None => self.base_score(data.row(i)),
+        }
     }
 
     /// A short human-readable description of the ranking function, used in
@@ -150,10 +161,7 @@ pub fn effective_scores_into<R: Ranker + ?Sized>(
     out.extend(view.indices().iter().map(|&i| {
         // Feature-only rankers skip the id/label gathers entirely; sampled
         // scoring then touches just two cache lines per row.
-        let base = match ranker.feature_score(dataset.feature_row(i)) {
-            Some(score) => score,
-            None => ranker.base_score(dataset.row(i)),
-        };
+        let base = ranker.row_score(dataset, i);
         let increment = crate::kernel::dot(dataset.fairness_row(i), bonus);
         base + increment
     }));
@@ -172,12 +180,7 @@ pub fn base_scores_into<R: Ranker + ?Sized>(view: &SampleView<'_>, ranker: &R, o
     out.clear();
     out.reserve(view.len());
     let dataset = view.dataset();
-    out.extend(view.indices().iter().map(
-        |&i| match ranker.feature_score(dataset.feature_row(i)) {
-            Some(score) => score,
-            None => ranker.base_score(dataset.row(i)),
-        },
-    ));
+    out.extend(view.indices().iter().map(|&i| ranker.row_score(dataset, i)));
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! `fair_store::ShardStore` unchanged. Scoring is embarrassingly parallel
 //! (one kernel per shard, concatenated in shard order — bit-for-bit the
 //! serial scores). Selection runs a per-shard partial top-`m`
-//! ([`std::slice::select_nth_unstable_by`]) and merges the candidate sets
+//! (`select_nth_unstable`) and merges the candidate sets
 //! under the same strict total order the serial
 //! [`RankedSelection`](crate::ranking::topk::RankedSelection) uses
 //! (descending [`f64::total_cmp`], ties by ascending global position), so the
@@ -15,6 +15,7 @@
 //! [`rank_of`]) consume only the score vector and the shard *layout* — no
 //! shard data is paged in, which matters for cached out-of-core sources.
 
+use crate::dataset::Dataset;
 use crate::parallel::parallel_map;
 use crate::ranking::topk::{rank_cmp, selection_size};
 use crate::ranking::Ranker;
@@ -50,29 +51,9 @@ where
         data.schema().num_fairness(),
         "bonus vector dimensionality mismatch"
     );
-    let nf = data.schema().num_features();
-    // Plain linear rankers run each shard as two blocked matrix passes; the
-    // per-row arithmetic is the same kernel::dot pair as the fallback, so
-    // both paths produce bit-identical scores.
-    let linear = ranker
-        .linear_weights()
-        .filter(|w| !w.is_empty() && w.len() == nf);
     let per_shard = data.map_shards(|shard| {
-        let d = shard.data();
-        let mut scores = Vec::with_capacity(d.len());
-        if let Some(w) = linear {
-            crate::kernel::dot_rows_into(d.features_matrix(), nf, w, &mut scores);
-            crate::kernel::add_dot_rows_into(d.fairness_matrix(), bonus.len(), bonus, &mut scores);
-        } else {
-            scores.extend((0..d.len()).map(|i| {
-                let base = match ranker.feature_score(d.feature_row(i)) {
-                    Some(score) => score,
-                    None => ranker.base_score(d.row(i)),
-                };
-                let increment = crate::kernel::dot(d.fairness_row(i), bonus);
-                base + increment
-            }));
-        }
+        let mut scores = Vec::new();
+        score_shard_into(shard.data(), ranker, bonus, None, &mut scores);
         scores
     });
     out.clear();
@@ -82,77 +63,48 @@ where
     }
 }
 
-/// Effective scores derived from already-computed base scores:
-/// `adjusted[i] = base[i] + fairness_row(i) · bonus`, per shard. Exactly the
-/// arithmetic of [`effective_scores`] (base term first, increment added
-/// once), so the result is bit-for-bit identical — at half the work, since
-/// the ranker is not re-run.
-///
-/// # Panics
-/// Panics if `base.len()` differs from `data.len()` or `bonus.len()` from
-/// the fairness dimensionality.
-#[must_use]
-pub fn adjust_base_scores<S>(data: &S, base: &[f64], bonus: &[f64]) -> Vec<f64>
-where
-    S: ShardSource + ?Sized,
-{
-    assert_eq!(base.len(), data.len(), "one base score per row required");
-    assert_eq!(
-        bonus.len(),
-        data.schema().num_fairness(),
-        "bonus vector dimensionality mismatch"
-    );
-    let per_shard = data.map_shards(|shard| {
-        let d = shard.data();
-        let mut scores = Vec::with_capacity(d.len());
-        if !d.is_empty() {
-            // Shards cover contiguous global ranges: seed with the base
-            // slice, then add the increments in one blocked pass. The add
-            // is the same kernel::dot per row as effective_scores'.
-            let offset = shard.global_index(0);
-            scores.extend_from_slice(&base[offset..offset + d.len()]);
-            crate::kernel::add_dot_rows_into(d.fairness_matrix(), bonus.len(), bonus, &mut scores);
+/// The one per-shard scoring kernel: `scores[i] = f(row i) + fairness_row(i)
+/// · bonus` over a shard's rows, with the base term `f(row i)` also copied
+/// into `base` when asked. Plain linear rankers score the feature matrix as
+/// one blocked [`crate::kernel::dot_rows_into`] pass, other rankers row by
+/// row through [`Ranker::row_score`]; the bonus increment is one blocked
+/// [`crate::kernel::add_dot_rows_into`] pass either way. Every per-row value
+/// is the canonical [`crate::kernel::dot`] arithmetic, so the sharded
+/// evaluator, the metric planner and the fleet partials all score a row
+/// bit-for-bit as the serial [`crate::ranking::effective_scores`] does.
+pub(crate) fn score_shard_into<R: Ranker + ?Sized>(
+    shard: &Dataset,
+    ranker: &R,
+    bonus: &[f64],
+    base: Option<&mut Vec<f64>>,
+    scores: &mut Vec<f64>,
+) {
+    let nf = shard.schema().num_features();
+    match ranker
+        .linear_weights()
+        .filter(|w| !w.is_empty() && w.len() == nf)
+    {
+        Some(w) => crate::kernel::dot_rows_into(shard.features_matrix(), nf, w, scores),
+        None => {
+            scores.clear();
+            scores.extend((0..shard.len()).map(|i| ranker.row_score(shard, i)));
         }
-        scores
-    });
-    let mut out = Vec::with_capacity(data.len());
-    for scores in per_shard {
-        out.extend_from_slice(&scores);
     }
-    out
+    if let Some(base) = base {
+        base.clone_from(scores);
+    }
+    crate::kernel::add_dot_rows_into(shard.fairness_matrix(), bonus.len(), bonus, scores);
 }
 
-/// Base (unadjusted) scores of every row, in global row order.
-#[must_use]
-pub fn base_scores<S, R>(data: &S, ranker: &R) -> Vec<f64>
-where
-    S: ShardSource + ?Sized,
-    R: Ranker + ?Sized,
-{
-    let nf = data.schema().num_features();
-    let linear = ranker
-        .linear_weights()
-        .filter(|w| !w.is_empty() && w.len() == nf);
-    let per_shard = data.map_shards(|shard| {
-        let d = shard.data();
-        let mut scores = Vec::with_capacity(d.len());
-        if let Some(w) = linear {
-            crate::kernel::dot_rows_into(d.features_matrix(), nf, w, &mut scores);
-        } else {
-            scores.extend(
-                (0..d.len()).map(|i| match ranker.feature_score(d.feature_row(i)) {
-                    Some(score) => score,
-                    None => ranker.base_score(d.row(i)),
-                }),
-            );
-        }
-        scores
-    });
-    let mut out = Vec::with_capacity(data.len());
-    for scores in per_shard {
-        out.extend_from_slice(&scores);
+/// Keep the `m` least keys of `keys` — the `m` best rows under the canonical
+/// order when the keys lead with [`descending_key`] — as an unordered
+/// partition. The one top-`m` selection step of every prune and merge:
+/// [`top_m`]'s, the fleet partials' and their combine's.
+pub(crate) fn keep_best<T: Ord>(keys: &mut Vec<T>, m: usize) {
+    if m < keys.len() {
+        keys.select_nth_unstable(m);
+        keys.truncate(m);
     }
-    out
 }
 
 /// A `u64` whose natural ascending order equals **descending**
@@ -211,21 +163,14 @@ where
         let per_shard = parallel_map(&indices, |&i| {
             let offset = data.shard_offset(i);
             let mut local = keyed(offset..offset + data.shard_len(i));
-            let keep = m.min(local.len());
-            if keep < local.len() {
-                local.select_nth_unstable(keep);
-                local.truncate(keep);
-            }
+            keep_best(&mut local, m);
             local
         });
         per_shard.into_iter().flatten().collect()
     } else {
         keyed(0..n)
     };
-    if m < candidates.len() {
-        candidates.select_nth_unstable(m);
-        candidates.truncate(m);
-    }
+    keep_best(&mut candidates, m);
     candidates.sort_unstable();
     candidates
         .into_iter()
@@ -309,21 +254,6 @@ mod tests {
         let serial = crate::ranking::effective_scores(&view, &ranker, &[2.5]);
         let shardwise = effective_scores(&data, &ranker, &[2.5]);
         assert_eq!(serial, shardwise);
-        let serial_base = crate::ranking::base_scores(&view, &ranker);
-        assert_eq!(serial_base, base_scores(&data, &ranker));
-    }
-
-    #[test]
-    fn adjusting_base_scores_matches_scoring_from_scratch_bitwise() {
-        let data = sharded(53, 7);
-        let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let base = base_scores(&data, &ranker);
-        for bonus in [[0.0], [2.5], [-1.75]] {
-            let from_scratch = effective_scores(&data, &ranker, &bonus);
-            let adjusted = adjust_base_scores(&data, &base, &bonus);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&from_scratch), bits(&adjusted), "bonus {bonus:?}");
-        }
     }
 
     #[test]

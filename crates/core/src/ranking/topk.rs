@@ -256,24 +256,11 @@ impl RankedSelection {
     /// # Errors
     /// Returns an error for `k` outside `(0, 1]`.
     pub fn selection_mask(&self, k: f64) -> Result<Vec<bool>> {
-        let mut mask = Vec::new();
-        self.selection_mask_into(k, &mut mask)?;
-        Ok(mask)
-    }
-
-    /// [`RankedSelection::selection_mask`] writing into a caller-provided
-    /// buffer (the allocation-free path).
-    ///
-    /// # Errors
-    /// Returns an error for `k` outside `(0, 1]`.
-    pub fn selection_mask_into(&self, k: f64, mask: &mut Vec<bool>) -> Result<()> {
-        let selected = self.selected(k)?;
-        mask.clear();
-        mask.resize(self.order.len(), false);
-        for &p in selected {
+        let mut mask = vec![false; self.order.len()];
+        for &p in self.selected(k)? {
             mask[p] = true;
         }
-        Ok(())
+        Ok(mask)
     }
 
     /// The score of the last selected object (the admission threshold that the

@@ -36,8 +36,8 @@
 //!
 //! ## Determinism and floating point
 //!
-//! Per-row computations (scoring) and integer reductions (group counts,
-//! selection masks) are bit-for-bit identical to the serial single-`Dataset`
+//! Per-row computations (scoring) and integer reductions (group counts) are
+//! bit-for-bit identical to the serial single-`Dataset`
 //! path for every shard size. Floating-point *sum* reductions (fairness
 //! centroids) accumulate per shard and then combine partial sums in shard
 //! order; for values on a dyadic grid — binary group indicators, and any
@@ -292,23 +292,12 @@ pub trait ShardSource: Sync {
         if self.is_empty() {
             return Err(FairError::EmptyDataset);
         }
-        let dims = self.schema().num_fairness();
-        if dims == 0 {
-            return Ok(Vec::new());
-        }
-        let sums = self.reduce_shards(
-            vec![0.0_f64; dims],
-            |shard| {
-                let mut acc = Vec::new();
-                crate::kernel::col_sums_into(shard.data().fairness_matrix(), dims, &mut acc);
-                acc
-            },
-            |mut acc, partial| {
-                crate::kernel::add_row(&mut acc, &partial);
-                acc
-            },
-        );
-        Ok(sums.into_iter().map(|s| s / self.len() as f64).collect())
+        let sums = self.map_shards(|shard| shard_fair_sums(shard.data()));
+        Ok(fold_centroid(
+            self.schema().num_fairness(),
+            self.len(),
+            sums.iter().map(Vec::as_slice),
+        ))
     }
 
     /// Fraction of rows belonging to the (binary) group at fairness index
@@ -371,6 +360,33 @@ pub trait ShardSource: Sync {
     fn sample_indices_into(&self, seed: u64, size: usize, out: &mut Vec<usize>) -> Result<()> {
         sample_indices_range_into(self, seed, size, 0..self.num_shards(), out)
     }
+}
+
+/// Fairness column sums of one shard (empty for a fairness-free schema) —
+/// the per-shard half of the population centroid.
+pub(crate) fn shard_fair_sums(shard: &Dataset) -> Vec<f64> {
+    let dims = shard.schema().num_fairness();
+    let mut sums = Vec::new();
+    if dims > 0 {
+        crate::kernel::col_sums_into(shard.fairness_matrix(), dims, &mut sums);
+    }
+    sums
+}
+
+/// The population fairness centroid (`D_O` of Definition 3) from per-shard
+/// column sums: folded in ascending shard order, then divided once by the
+/// `rows` they cover. The one fold behind [`ShardSource::fairness_centroid`],
+/// the metric planner and the fleet combine, so the three agree bit for bit.
+pub(crate) fn fold_centroid<'a>(
+    dims: usize,
+    rows: usize,
+    shard_sums: impl Iterator<Item = &'a [f64]>,
+) -> Vec<f64> {
+    let mut acc = vec![0.0_f64; dims];
+    for sums in shard_sums {
+        crate::kernel::add_row(&mut acc, sums);
+    }
+    acc.iter().map(|s| s / rows as f64).collect()
 }
 
 /// Visit each shard that appears in `items` exactly once, handing `f` the

@@ -13,7 +13,7 @@
 //! inside a full admissions pipeline:
 //!
 //! * [`preferences`] — student preference lists and school ranking lists,
-//! * [`deferred_acceptance`] — the student-proposing Gale–Shapley algorithm
+//! * [`deferred_acceptance`](mod@deferred_acceptance) — the student-proposing Gale–Shapley algorithm
 //!   with a stability checker,
 //! * [`school_choice`] — glue that builds school rankings from
 //!   [`fair_core`] rubrics (optionally with per-school bonus vectors),

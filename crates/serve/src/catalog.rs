@@ -83,6 +83,27 @@ impl ShardSource for CohortStore {
             Self::Disk(s) => s.with_shard(index, f),
         }
     }
+
+    // Forward the storage policies as well as the shards: a disk store's
+    // metric plans retain columns instead of re-paging, and its sweeps queue
+    // on the store's lock.
+    fn paged(&self) -> bool {
+        match self {
+            Self::Memory(d) => d.paged(),
+            Self::Disk(s) => s.paged(),
+        }
+    }
+
+    fn map_shards<T, F>(&self, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(ShardView<'_>) -> T + Sync,
+    {
+        match self {
+            Self::Memory(d) => d.map_shards(f),
+            Self::Disk(s) => s.map_shards(f),
+        }
+    }
 }
 
 /// One registered cohort: its name, provenance, and the store itself.
@@ -391,6 +412,16 @@ mod tests {
         assert_eq!(store.schema().num_fairness(), 1);
         let first_id = store.with_shard(1, |view| view.data().row(0).id());
         assert_eq!(first_id.0, 8);
+        assert!(!store.paged());
+        assert_eq!(store.map_shards(|view| view.len()), vec![8, 8, 4]);
+
+        let path =
+            std::env::temp_dir().join(format!("catalog_delegate_{}.fss", std::process::id()));
+        fair_store::write_source(&cohort(20), &path).unwrap();
+        let disk = CohortStore::Disk(ShardStore::open_with_budget(&path, 0).unwrap());
+        assert!(disk.paged(), "a disk store keeps the paged plan policy");
+        assert_eq!(disk.map_shards(|view| view.len()), vec![8, 8, 4]);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -46,8 +46,7 @@ use crate::client::Client;
 use crate::error::{Result, ServeError};
 use fair_core::dca::partial::{combine_disparity_partials, DisparityPartial};
 use fair_core::dca::{
-    run_core_dca_gathered, run_full_descent, CoreDcaOutcome, FullDcaOutcome, RunControl,
-    TopKDisparity,
+    run_core_dca_gathered, run_full_descent, CoreDcaOutcome, RunControl, TopKDisparity,
 };
 use fair_core::obs;
 use fair_core::ranking::{selection_size, WeightedSumRanker};
@@ -348,7 +347,7 @@ impl FleetCoordinator {
         config: &DcaConfig,
         initial: Option<Vec<f64>>,
         trace: bool,
-    ) -> Result<FullDcaOutcome> {
+    ) -> Result<CoreDcaOutcome> {
         self.run_full_dca_controlled(k, weights, config, initial, trace, &RunControl::new())
     }
 
@@ -367,7 +366,7 @@ impl FleetCoordinator {
         initial: Option<Vec<f64>>,
         trace: bool,
         control: &RunControl,
-    ) -> Result<FullDcaOutcome> {
+    ) -> Result<CoreDcaOutcome> {
         let dims = self.schema.num_fairness();
         let count = selection_size(self.rows, k).map_err(engine_error)?;
         run_full_descent(

@@ -20,7 +20,7 @@ use crate::error::ApiError;
 use crate::fleet::{FleetConfig, FleetCoordinator};
 use fair_core::dca::{
     run_core_dca_sharded_controlled, run_full_dca_sharded_controlled, step_duration_hook,
-    RunControl, TopKDisparity,
+    CoreDcaOutcome, RunControl, TopKDisparity,
 };
 use fair_core::obs;
 use fair_core::obs::{JobProfile, Phase};
@@ -129,6 +129,16 @@ pub struct JobOutcome {
     pub steps: usize,
     /// Objects scored across all steps.
     pub objects_scored: usize,
+}
+
+impl From<CoreDcaOutcome> for JobOutcome {
+    fn from(o: CoreDcaOutcome) -> Self {
+        Self {
+            bonus: o.bonus,
+            steps: o.steps,
+            objects_scored: o.objects_scored,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -640,37 +650,21 @@ fn execute(job: &Arc<Job>, entry: &Arc<StoreEntry>) {
         }
         let ranker = WeightedSumRanker::new(weights)?;
         let objective = TopKDisparity::new(job.spec.k);
-        match job.spec.kind {
-            JobKind::Full => run_full_dca_sharded_controlled(
-                &entry.store,
-                &ranker,
-                &objective,
-                &job.spec.config,
-                None,
-                false,
-                &job.control,
-            )
-            .map(|o| JobOutcome {
-                bonus: o.bonus,
-                steps: o.steps,
-                objects_scored: o.objects_scored,
-            }),
-            JobKind::Core => run_core_dca_sharded_controlled(
-                &entry.store,
-                &ranker,
-                &objective,
-                &job.spec.config,
-                None,
-                false,
-                &job.control,
-            )
-            .map(|o| JobOutcome {
-                bonus: o.bonus,
-                steps: o.steps,
-                objects_scored: o.objects_scored,
-            }),
-        }
-    }));
+        let run = match job.spec.kind {
+            JobKind::Full => run_full_dca_sharded_controlled,
+            JobKind::Core => run_core_dca_sharded_controlled,
+        };
+        run(
+            &entry.store,
+            &ranker,
+            &objective,
+            &job.spec.config,
+            None,
+            false,
+            &job.control,
+        )
+    }))
+    .map(|run| run.map(JobOutcome::from));
 
     let phase = {
         let mut st = job.state.lock().expect("job state poisoned");
@@ -702,7 +696,7 @@ fn execute(job: &Arc<Job>, entry: &Arc<StoreEntry>) {
 /// handler span of the whole descent correlates with the submitting
 /// request. Wire failures surface as engine errors; a descent the control
 /// flag stopped stays a cancellation rather than a failure.
-fn execute_fleet(job: &Arc<Job>, addrs: &[SocketAddr]) -> Result<JobOutcome, FairError> {
+fn execute_fleet(job: &Arc<Job>, addrs: &[SocketAddr]) -> Result<CoreDcaOutcome, FairError> {
     let wire = |e: crate::error::ServeError| {
         if job.control.is_cancelled() {
             FairError::Cancelled
@@ -715,39 +709,20 @@ fn execute_fleet(job: &Arc<Job>, addrs: &[SocketAddr]) -> Result<JobOutcome, Fai
     let fleet = FleetCoordinator::connect(&job.store, addrs, FleetConfig::default())
         .map_err(wire)?
         .with_trace(&job.trace);
-    let weights = job.spec.weights.as_deref();
-    match job.spec.kind {
-        JobKind::Full => fleet
-            .run_full_dca_controlled(
-                job.spec.k,
-                weights,
-                &job.spec.config,
-                None,
-                false,
-                &job.control,
-            )
-            .map(|o| JobOutcome {
-                bonus: o.bonus,
-                steps: o.steps,
-                objects_scored: o.objects_scored,
-            })
-            .map_err(wire),
-        JobKind::Core => fleet
-            .run_core_dca_controlled(
-                job.spec.k,
-                weights,
-                &job.spec.config,
-                None,
-                false,
-                &job.control,
-            )
-            .map(|o| JobOutcome {
-                bonus: o.bonus,
-                steps: o.steps,
-                objects_scored: o.objects_scored,
-            })
-            .map_err(wire),
-    }
+    let run = match job.spec.kind {
+        JobKind::Full => FleetCoordinator::run_full_dca_controlled,
+        JobKind::Core => FleetCoordinator::run_core_dca_controlled,
+    };
+    run(
+        &fleet,
+        job.spec.k,
+        job.spec.weights.as_deref(),
+        &job.spec.config,
+        None,
+        false,
+        &job.control,
+    )
+    .map_err(wire)
 }
 
 /// Bump the terminal-state counter, flush the job's phase totals into the

@@ -31,7 +31,7 @@
 //! The request path carries one fault-injection checkpoint (`FAIR_FAULT`
 //! point `"serve"`, context = request path): an activated mode delays,
 //! drops, truncates, garbles, or 500s the response — see
-//! [`fair_core::fault`] and [`crate::fault`].
+//! [`fair_core::fault`] and this crate's `fault` module.
 //!
 //! Every dispatched request is counted and timed into the process-wide
 //! [`fair_core::obs`] registry under its route *template* (`POST

@@ -5,7 +5,7 @@
 //! memory bounded by a cache budget — the out-of-core storage subsystem of
 //! the reproduction.
 //!
-//! * **FSS1 format** ([`format`]): a binary columnar layout — file header
+//! * **FSS1 format** ([`format`](mod@format)): a binary columnar layout — file header
 //!   with a schema hash and a shard directory, then per-shard contiguous
 //!   column blocks (ids, features, fairness, labels), each CRC32-checksummed.
 //!   Std-only; no compression, no external dependencies.

@@ -23,6 +23,10 @@
 //!   prefetch decode instead of decoding the block a second time, and the
 //!   `prefetch_hits` / `prefetch_wasted` counters make the readahead's value
 //!   observable;
+//! * **one sweep at a time** — whole-store sweeps
+//!   ([`fair_core::ShardSource::map_shards`]) queue on a per-store lock
+//!   instead of interleaving, so a sweep decodes the same shards whatever
+//!   the timing of concurrent callers;
 //! * **observability** — hit/miss/eviction counters and a peak-resident-bytes
 //!   high-water mark ([`ShardStore::cache_stats`]) make the out-of-core
 //!   claim testable: evaluating a cohort larger than the budget must leave
@@ -246,6 +250,9 @@ struct StoreInner {
 pub struct ShardStore {
     inner: Arc<StoreInner>,
     prefetcher: Option<std::thread::JoinHandle<()>>,
+    /// Held for the length of a whole-store sweep
+    /// ([`ShardSource::map_shards`]), so sweeps run one at a time.
+    sweep: Mutex<()>,
 }
 
 impl std::fmt::Debug for ShardStore {
@@ -528,7 +535,11 @@ impl ShardStore {
         } else {
             None
         };
-        Ok(Self { inner, prefetcher })
+        Ok(Self {
+            inner,
+            prefetcher,
+            sweep: Mutex::new(()),
+        })
     }
 
     /// The configured cache byte budget.
@@ -1098,6 +1109,30 @@ impl ShardSource for ShardStore {
             &guard.data,
         ))
     }
+
+    /// The engine's sweep, one at a time per store. A sweep already runs on
+    /// every pool worker, so a second concurrent one only oversubscribes the
+    /// cores; and with a cache smaller than the file, two interleaved sweeps
+    /// evict each other's shards, so how many shards each one pages in would
+    /// hinge on when the other started. Queued sweeps page in the same
+    /// shards whatever the timing of their callers.
+    ///
+    /// `f` must not start another sweep of this store: the inner sweep
+    /// would wait for the outer one forever.
+    fn map_shards<T, F>(&self, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(ShardView<'_>) -> T + Sync,
+    {
+        // The lock guards no data, so a sweep that panicked leaves nothing
+        // to repair.
+        let _sweep = self
+            .sweep
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let indices: Vec<usize> = (0..self.num_shards()).collect();
+        fair_core::parallel_map(&indices, |&i| self.with_shard(i, &f))
+    }
 }
 
 #[cfg(test)]
@@ -1203,6 +1238,48 @@ mod tests {
             );
         }
         store.verify().unwrap();
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Sweeps started together from two threads never interleave: no kernel
+    /// call of one runs while a kernel call of the other does.
+    #[test]
+    fn concurrent_sweeps_run_one_at_a_time() {
+        let path = sample_store("sweeps", 64, 8); // 8 shards
+        let store = ShardStore::open_with_options(&path, 0, 0).unwrap();
+        // Kernel calls running now, per sweep.
+        let running = Mutex::new([0_usize; 2]);
+        let changed = Condvar::new();
+        let mut overlapped = [false; 2];
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (sweep, overlapped) in overlapped.iter_mut().enumerate() {
+                let (store, running, changed, start) = (&store, &running, &changed, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let seen = store.map_shards(|view| {
+                        let mut r = running.lock().unwrap();
+                        r[sweep] += 1;
+                        changed.notify_all();
+                        // Hold the kernel open until the other sweep's kernel
+                        // starts too: at once if the sweeps interleave, never
+                        // (so until the timeout) if they queue.
+                        let (mut r, _) = changed
+                            .wait_timeout_while(r, std::time::Duration::from_millis(50), |r| {
+                                r[1 - sweep] == 0
+                            })
+                            .unwrap();
+                        let other = r[1 - sweep];
+                        r[sweep] -= 1;
+                        changed.notify_all();
+                        (view.len(), other)
+                    });
+                    assert!(seen.iter().all(|&(len, _)| len == 8));
+                    *overlapped = seen.iter().any(|&(_, other)| other > 0);
+                });
+            }
+        });
+        assert_eq!(overlapped, [false; 2], "two sweeps interleaved");
         std::fs::remove_file(path).ok();
     }
 

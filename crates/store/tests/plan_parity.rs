@@ -144,7 +144,9 @@ proptest! {
         );
 
         // And against the flat serial reference for the headline metric.
-        let serial = shmetrics::serial_disparity_at_k(&flat, &ranker, &bonus, k).unwrap();
+        let view = flat.full_view();
+        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &bonus));
+        let serial = fair_core::metrics::disparity_at_k(&view, &ranking, k).unwrap();
         prop_assert_eq!(
             bits_of(from_store.get(MetricKind::Disparity).unwrap()),
             vec_bits(&serial)

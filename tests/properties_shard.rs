@@ -55,7 +55,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every whole-cohort metric evaluated through the sharded engine equals
-    /// the serial evaluation bit-for-bit, at every shard size.
+    /// the serial evaluation bit-for-bit, at every shard size — for a plain
+    /// linear ranker (the blocked kernel passes) and a normalized one (the
+    /// per-row `row_score` branch).
     #[test]
     fn sharded_metrics_match_serial_bit_for_bit(
         rows in row_strategy(),
@@ -63,43 +65,48 @@ proptest! {
     ) {
         let flat = dataset_from_rows(&rows);
         let view = flat.full_view();
-        let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
+        let linear = WeightedSumRanker::new(vec![1.0]).unwrap();
+        let normalized = NormalizedWeightedSum::new(vec![1.0], vec![0.0], vec![96.0]).unwrap();
+        let rankers: [&dyn Ranker; 2] = [&linear, &normalized];
         let bonus = [2.5_f64, 0.25];
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &bonus));
+        for ranker in rankers {
+            let ranking = RankedSelection::from_scores(effective_scores(&view, ranker, &bonus));
 
-        let serial_disp = disparity_at_k(&view, &ranking, k).unwrap();
-        let serial_ndcg = ndcg_at_k(&view, &ranker, &ranking, k).unwrap();
-        let log_cfg = LogDiscountConfig { step: 5, max_fraction: 0.5 };
-        let serial_log = log_discounted_disparity(&view, &ranking, &log_cfg).unwrap();
-        let serial_fpr = fpr_difference_at_k(&view, &ranking, k).unwrap();
-        let serial_di =
-            fair_ranking::core::metrics::scaled_disparate_impact_at_k(&view, &ranking, k).unwrap();
+            let serial_disp = disparity_at_k(&view, &ranking, k).unwrap();
+            let serial_ndcg = ndcg_at_k(&view, ranker, &ranking, k).unwrap();
+            let log_cfg = LogDiscountConfig { step: 5, max_fraction: 0.5 };
+            let serial_log = log_discounted_disparity(&view, &ranking, &log_cfg).unwrap();
+            let serial_fpr = fpr_difference_at_k(&view, &ranking, k).unwrap();
+            let serial_di =
+                fair_ranking::core::metrics::scaled_disparate_impact_at_k(&view, &ranking, k)
+                    .unwrap();
 
-        for shard_size in SHARD_SIZES {
-            let data = ShardedDataset::from_dataset(&flat, shard_size).unwrap();
-            prop_assert_eq!(data.len(), flat.len());
+            for shard_size in SHARD_SIZES {
+                let data = ShardedDataset::from_dataset(&flat, shard_size).unwrap();
+                prop_assert_eq!(data.len(), flat.len());
 
-            let sharded_disp = shmetrics::disparity_at_k(&data, &ranker, &bonus, k).unwrap();
-            prop_assert_eq!(bits(&serial_disp), bits(&sharded_disp),
-                "disparity, shard size {}", shard_size);
+                let sharded_disp = shmetrics::disparity_at_k(&data, ranker, &bonus, k).unwrap();
+                prop_assert_eq!(bits(&serial_disp), bits(&sharded_disp),
+                    "disparity, shard size {}, ranker {}", shard_size, ranker.describe());
 
-            let sharded_ndcg = shmetrics::ndcg_at_k(&data, &ranker, &bonus, k).unwrap();
-            prop_assert_eq!(serial_ndcg.to_bits(), sharded_ndcg.to_bits(),
-                "ndcg, shard size {}", shard_size);
+                let sharded_ndcg = shmetrics::ndcg_at_k(&data, ranker, &bonus, k).unwrap();
+                prop_assert_eq!(serial_ndcg.to_bits(), sharded_ndcg.to_bits(),
+                    "ndcg, shard size {}, ranker {}", shard_size, ranker.describe());
 
-            let sharded_log =
-                shmetrics::log_discounted_disparity(&data, &ranker, &bonus, &log_cfg).unwrap();
-            prop_assert_eq!(bits(&serial_log), bits(&sharded_log),
-                "log-discounted, shard size {}", shard_size);
+                let sharded_log =
+                    shmetrics::log_discounted_disparity(&data, ranker, &bonus, &log_cfg).unwrap();
+                prop_assert_eq!(bits(&serial_log), bits(&sharded_log),
+                    "log-discounted, shard size {}, ranker {}", shard_size, ranker.describe());
 
-            let sharded_fpr = shmetrics::fpr_difference_at_k(&data, &ranker, &bonus, k).unwrap();
-            prop_assert_eq!(bits(&serial_fpr), bits(&sharded_fpr),
-                "fpr, shard size {}", shard_size);
+                let sharded_fpr = shmetrics::fpr_difference_at_k(&data, ranker, &bonus, k).unwrap();
+                prop_assert_eq!(bits(&serial_fpr), bits(&sharded_fpr),
+                    "fpr, shard size {}, ranker {}", shard_size, ranker.describe());
 
-            let sharded_di =
-                shmetrics::scaled_disparate_impact_at_k(&data, &ranker, &bonus, k).unwrap();
-            prop_assert_eq!(bits(&serial_di), bits(&sharded_di),
-                "disparate impact, shard size {}", shard_size);
+                let sharded_di =
+                    shmetrics::scaled_disparate_impact_at_k(&data, ranker, &bonus, k).unwrap();
+                prop_assert_eq!(bits(&serial_di), bits(&sharded_di),
+                    "disparate impact, shard size {}, ranker {}", shard_size, ranker.describe());
+            }
         }
     }
 
