@@ -267,7 +267,7 @@ fn measure_cohort(n: usize, reps: usize) -> CohortReport {
             ndcg_at_k(&view, &rubric, &ranking, 0.05).unwrap()
         }),
     };
-    let shard_size = fair_core::default_shard_size();
+    let shard_size = fair_core::DEFAULT_SHARD_SIZE;
     let sharded = ShardedDataset::from_dataset(&dataset, shard_size).expect("positive shard size");
     let sharded_e2e = MetricTriple {
         disparity_ms: time_median(reps, || {
@@ -300,7 +300,7 @@ fn measure_cohort(n: usize, reps: usize) -> CohortReport {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let budget_bytes = (total_column_bytes / 4).max((workers + 1) * shard_bytes);
-    let prefetch = fair_store::default_prefetch();
+    let prefetch = fair_store::DEFAULT_PREFETCH;
     let store = ShardStore::open_with_options(&store_path, budget_bytes, prefetch)
         .expect("open cohort store");
     let oo_disparity_ms = time_median(reps, || {
@@ -426,7 +426,7 @@ struct ServeReport {
 fn measure_serve(reps: usize) -> ServeReport {
     let store_rows = 10_000;
     let data = SchoolGenerator::new(SchoolConfig::small(store_rows, 42))
-        .generate_sharded(fair_core::default_shard_size())
+        .generate_sharded(fair_core::DEFAULT_SHARD_SIZE)
         .expect("positive shard size")
         .into_dataset();
     let service = AuditService::new();
@@ -644,7 +644,7 @@ fn measure_obs(rows: usize, reps: usize) -> ObsBench {
     let objective = TopKDisparity::new(0.05);
     let sample_size = ExperimentScale::default_scale().dca_sample_size;
     let data = SchoolGenerator::new(SchoolConfig::small(rows, 42))
-        .generate_sharded(fair_core::default_shard_size())
+        .generate_sharded(fair_core::DEFAULT_SHARD_SIZE)
         .expect("positive shard size")
         .into_dataset();
     let config = core_config(sample_size);
@@ -696,7 +696,7 @@ fn measure_obs(rows: usize, reps: usize) -> ObsBench {
     // process), not an empty page.
     let service = AuditService::new();
     let small = SchoolGenerator::new(SchoolConfig::small(2_000, 42))
-        .generate_sharded(fair_core::default_shard_size())
+        .generate_sharded(fair_core::DEFAULT_SHARD_SIZE)
         .expect("positive shard size")
         .into_dataset();
     service
@@ -759,7 +759,7 @@ fn measure_profile(rows: usize, reps: usize) -> ProfileBench {
     let shard_size = if rows <= 16 * 1024 {
         1024
     } else {
-        fair_core::default_shard_size()
+        fair_core::DEFAULT_SHARD_SIZE
     };
     school_to_store(&generator, shard_size, &store_path).expect("write profile store");
     let file_bytes = std::fs::metadata(&store_path)
@@ -771,8 +771,7 @@ fn measure_profile(rows: usize, reps: usize) -> ProfileBench {
     let budget_bytes =
         (file_bytes / 4).max((workers + 1) * (file_bytes / rows.div_ceil(shard_size)));
     let store =
-        ShardStore::open_with_options(&store_path, budget_bytes, fair_store::default_prefetch())
-            .expect("open profile store");
+        ShardStore::open_with_budget(&store_path, budget_bytes).expect("open profile store");
 
     let control = RunControl::new();
     let mut run = || {

@@ -148,7 +148,7 @@ pub fn run_out_of_core(scale: &ExperimentScale) -> Result<OutOfCoreResult> {
         .unwrap_or(1);
     let target_shards = (8 * workers).max(16);
     let shard_size =
-        fair_core::default_shard_size().min((scale.school_cohort_size / target_shards).max(1));
+        fair_core::DEFAULT_SHARD_SIZE.min((scale.school_cohort_size / target_shards).max(1));
     let generator = SchoolGenerator::new(SchoolConfig {
         num_students: scale.school_cohort_size,
         seed: scale.seed,

@@ -97,8 +97,7 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 /// Returns an error if any evaluation fails.
 pub fn run_sharded_parity(scale: &ExperimentScale) -> Result<ShardedParityResult> {
     let k = 0.05;
-    let shard_size =
-        fair_core::default_shard_size().min(scale.school_cohort_size.div_ceil(4).max(1));
+    let shard_size = fair_core::DEFAULT_SHARD_SIZE.min(scale.school_cohort_size.div_ceil(4).max(1));
     let generator = SchoolGenerator::new(SchoolConfig {
         num_students: scale.school_cohort_size,
         seed: scale.seed,

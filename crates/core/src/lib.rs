@@ -89,8 +89,8 @@ pub use fault::{FaultMode, FaultPlan};
 pub use object::{DataObject, ObjectId, ObjectView};
 pub use parallel::{max_workers, parallel_map};
 pub use shard::{
-    default_shard_size, for_each_shard_run, sample_indices_range_into, shard_seed, ShardSource,
-    ShardView, ShardedDataset,
+    for_each_shard_run, sample_indices_range_into, shard_seed, ShardSource, ShardView,
+    ShardedDataset, DEFAULT_SHARD_SIZE,
 };
 
 /// Convenient glob import for applications and examples.
@@ -122,6 +122,6 @@ pub mod prelude {
         NormalizedWeightedSum, RankedSelection, Ranker, SingleFeatureRanker, WeightedSumRanker,
     };
     pub use crate::shard::{
-        default_shard_size, shard_seed, ShardSource, ShardView, ShardedDataset,
+        shard_seed, ShardSource, ShardView, ShardedDataset, DEFAULT_SHARD_SIZE,
     };
 }

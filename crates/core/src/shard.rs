@@ -57,23 +57,9 @@ use crate::parallel::parallel_map;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The built-in default shard size (rows per shard) when the
-/// `FAIR_SHARD_SIZE` environment variable is not set.
+/// The production shard size (rows per shard): the layout the service, the
+/// benchmarks and the examples pass when they need no other.
 pub const DEFAULT_SHARD_SIZE: usize = 64 * 1024;
-
-/// The default number of rows per shard: the `FAIR_SHARD_SIZE` environment
-/// variable when set to a positive integer, [`DEFAULT_SHARD_SIZE`] otherwise.
-///
-/// CI exercises the suite with `FAIR_SHARD_SIZE=7` so the non-divisible
-/// final-shard path is covered on every push.
-#[must_use]
-pub fn default_shard_size() -> usize {
-    std::env::var("FAIR_SHARD_SIZE")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(DEFAULT_SHARD_SIZE)
-}
 
 /// A borrowed view of one shard: its index, the global row offset of its
 /// first row, and the underlying contiguous [`Dataset`] block.
@@ -560,14 +546,6 @@ impl ShardedDataset {
         })
     }
 
-    /// Create an empty sharded dataset with the environment-resolved
-    /// [`default_shard_size`].
-    #[must_use]
-    pub fn new(schema: SchemaRef) -> Self {
-        Self::with_shard_size(schema, default_shard_size())
-            .expect("the default shard size is positive")
-    }
-
     /// Build a sharded dataset from owned objects.
     ///
     /// # Errors
@@ -1038,11 +1016,6 @@ mod tests {
         assert_eq!(shard_seed(7, 3), shard_seed(7, 3));
         assert_ne!(shard_seed(7, 3), shard_seed(7, 4));
         assert_ne!(shard_seed(7, 3), shard_seed(8, 3));
-    }
-
-    #[test]
-    fn default_shard_size_is_positive() {
-        assert!(default_shard_size() > 0);
     }
 
     #[test]

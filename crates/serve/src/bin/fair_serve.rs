@@ -7,11 +7,13 @@
 //! Binds the address (port `0` picks an ephemeral port, printed on stdout so
 //! scripts can discover it), registers any `--register`ed stores, and serves
 //! until the process is killed. `FAIR_THREADS` caps both the request workers
-//! and the evaluation engine's per-request parallelism; `FAIR_CACHE_BYTES`
-//! bounds each disk store's resident shard cache.
+//! and the evaluation engine's per-request parallelism. `FAIR_CACHE_BYTES`
+//! bounds each disk store's resident shard cache: it is read once, here, and
+//! a value that is not a byte count exits with status 2.
 
 use fair_core::obs;
-use fair_serve::{drain_deadline, serve, AuditService};
+use fair_serve::{serve, AuditService};
+use fair_store::DEFAULT_CACHE_BYTES;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -55,8 +57,9 @@ fn main() {
                      Endpoints: GET /health | GET /metrics | GET /stores | POST /stores | DELETE /stores/{{name}}\n\
                      | GET /stores/{{name}}/schema|stats | POST /stores/{{name}}/metrics|partials\n\
                      | POST /jobs | GET /jobs | GET /jobs/{{id}} | GET /jobs/{{id}}/profile | DELETE /jobs/{{id}}\n\n\
-                     Knobs: FAIR_THREADS (worker + engine pool cap), FAIR_CACHE_BYTES (shard cache budget),\n\
-                     FAIR_SHARD_SIZE (layout of generated cohorts), FAIR_LOG=off|text|json (span/event log)."
+                     Environment: FAIR_THREADS (worker + engine pool cap),\n\
+                     FAIR_CACHE_BYTES (shard cache budget per disk store in bytes, default {DEFAULT_CACHE_BYTES}),\n\
+                     FAIR_LOG=off|text|json (span/event log)."
                 );
                 return;
             }
@@ -65,7 +68,10 @@ fn main() {
         i += 1;
     }
 
-    let service = AuditService::new();
+    let cache_bytes =
+        std::env::var_os("FAIR_CACHE_BYTES").map(|v| v.to_string_lossy().into_owned());
+    let cache_bytes = parse_cache_bytes(cache_bytes.as_deref()).unwrap_or_else(|e| usage(&e));
+    let service = AuditService::with_cache_bytes(cache_bytes);
     for (name, path) in &registrations {
         match service.catalog.register_disk(name, path) {
             // `catalog.register` already emitted the structured event; this
@@ -85,15 +91,13 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // One structured line with every resolved knob, so a log collector can
-    // reconstruct the process configuration without scraping the CLI.
+    // One structured line with every resolved setting, so a log collector
+    // can reconstruct the process configuration without scraping the CLI.
     obs::Event::new("serve.start")
         .field("addr", server.addr())
         .field("workers", workers)
         .field("stores", registrations.len())
-        .field("drain_ms", drain_deadline().as_millis() as u64)
-        .field("cache_bytes", fair_store::default_cache_bytes())
-        .field("prefetch", fair_store::default_prefetch())
+        .field("cache_bytes", cache_bytes)
         .emit();
     // Scripted callers parse this line to find the ephemeral port.
     println!(
@@ -103,7 +107,35 @@ fn main() {
     server.join();
 }
 
+/// The per-store shard-cache budget from the `FAIR_CACHE_BYTES` value:
+/// unset or blank means [`DEFAULT_CACHE_BYTES`], anything else must be an
+/// unsigned byte count.
+fn parse_cache_bytes(value: Option<&str>) -> Result<usize, String> {
+    match value.map(str::trim) {
+        None | Some("") => Ok(DEFAULT_CACHE_BYTES),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("FAIR_CACHE_BYTES must be a byte count, got `{v}`")),
+    }
+}
+
 fn usage(problem: &str) -> ! {
     eprintln!("error: {problem}\nrun `fair-serve --help` for usage");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cache_bytes_is_a_plain_byte_count_or_the_default() {
+        assert_eq!(parse_cache_bytes(None), Ok(DEFAULT_CACHE_BYTES));
+        assert_eq!(parse_cache_bytes(Some("0")), Ok(0));
+        assert_eq!(parse_cache_bytes(Some(" 65536 ")), Ok(65_536));
+        for bad in ["64M", "-1"] {
+            let message = parse_cache_bytes(Some(bad)).unwrap_err();
+            assert!(message.contains("FAIR_CACHE_BYTES") && message.contains(bad));
+        }
+    }
 }

@@ -120,20 +120,26 @@ pub struct StoreEntry {
 /// The named-store registry. All methods take `&self`: the map sits behind a
 /// read-write lock, so lookups from concurrent request threads never
 /// serialize on registrations.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Catalog {
     entries: RwLock<BTreeMap<String, Arc<StoreEntry>>>,
+    /// The shard-cache byte budget each disk store is opened with.
+    cache_bytes: usize,
 }
 
 impl Catalog {
-    /// An empty catalog.
+    /// An empty catalog that opens disk stores with `cache_bytes` of shard
+    /// cache each (`0` retains nothing: every access re-pages).
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(cache_bytes: usize) -> Self {
+        Self {
+            entries: RwLock::default(),
+            cache_bytes,
+        }
     }
 
     /// Register an on-disk FSS1 file under `name`, opening it with the
-    /// environment-resolved cache budget.
+    /// catalog's cache budget.
     ///
     /// # Errors
     /// `409` when the name is taken, `422` when the file fails to open
@@ -145,7 +151,7 @@ impl Catalog {
     ) -> Result<Arc<StoreEntry>, ApiError> {
         let path = path.into();
         validate_name(name)?;
-        let store = ShardStore::open(&path).map_err(|e| {
+        let store = ShardStore::open_with_budget(&path, self.cache_bytes).map_err(|e| {
             ApiError::unprocessable(format!("cannot open `{}`: {e}", path.display()))
         })?;
         self.insert(StoreEntry {
@@ -355,7 +361,7 @@ mod tests {
 
     #[test]
     fn register_lookup_list_remove() {
-        let catalog = Catalog::new();
+        let catalog = Catalog::new(fair_store::DEFAULT_CACHE_BYTES);
         assert!(catalog.is_empty());
         catalog.register_memory("alpha", cohort(20)).unwrap();
         catalog.register_memory("beta", cohort(10)).unwrap();
@@ -377,7 +383,7 @@ mod tests {
 
     #[test]
     fn duplicate_names_conflict() {
-        let catalog = Catalog::new();
+        let catalog = Catalog::new(fair_store::DEFAULT_CACHE_BYTES);
         catalog.register_memory("x", cohort(4)).unwrap();
         let err = catalog.register_memory("x", cohort(4)).unwrap_err();
         assert_eq!(err.status, 409);
@@ -385,7 +391,7 @@ mod tests {
 
     #[test]
     fn names_are_validated() {
-        let catalog = Catalog::new();
+        let catalog = Catalog::new(fair_store::DEFAULT_CACHE_BYTES);
         for bad in ["", "has space", "semi;colon", "slash/y", &"x".repeat(200)] {
             let err = catalog.register_memory(bad, cohort(4)).unwrap_err();
             assert_eq!(err.status, 400, "{bad:?}");
@@ -395,7 +401,7 @@ mod tests {
 
     #[test]
     fn disk_registration_requires_a_readable_store() {
-        let catalog = Catalog::new();
+        let catalog = Catalog::new(fair_store::DEFAULT_CACHE_BYTES);
         let err = catalog
             .register_disk("gone", "/nonexistent/file.fss")
             .unwrap_err();

@@ -273,7 +273,8 @@ impl Client {
     }
 
     /// Generate and register a synthetic cohort (`POST /stores` with
-    /// `generate`): `kind` is `"school"` or `"compas"`.
+    /// `generate`): `kind` is `"school"` or `"compas"`, laid out in shards of
+    /// `shard_size` rows.
     ///
     /// # Errors
     /// I/O, protocol, or API errors.
@@ -283,6 +284,7 @@ impl Client {
         kind: &str,
         rows: usize,
         seed: u64,
+        shard_size: usize,
     ) -> Result<StoreInfo> {
         let body = Json::obj(vec![
             ("name", Json::str(name)),
@@ -292,6 +294,7 @@ impl Client {
                     ("kind", Json::str(kind)),
                     ("rows", Json::num(rows as f64)),
                     ("seed", seed_json(seed)),
+                    ("shard_size", Json::num(shard_size as f64)),
                 ]),
             ),
         ]);

@@ -798,7 +798,7 @@ mod tests {
 
     #[test]
     fn full_job_completes_with_the_library_trajectory() {
-        let catalog = Catalog::new();
+        let catalog = Catalog::new(fair_store::DEFAULT_CACHE_BYTES);
         let entry = catalog
             .register_memory("cohort", biased_cohort(600))
             .unwrap();
@@ -839,7 +839,7 @@ mod tests {
 
     #[test]
     fn core_job_is_seed_reproducible() {
-        let catalog = Catalog::new();
+        let catalog = Catalog::new(fair_store::DEFAULT_CACHE_BYTES);
         let entry = catalog
             .register_memory("cohort", biased_cohort(900))
             .unwrap();
@@ -861,7 +861,7 @@ mod tests {
 
     #[test]
     fn timings_freeze_once_terminal() {
-        let catalog = Catalog::new();
+        let catalog = Catalog::new(fair_store::DEFAULT_CACHE_BYTES);
         let entry = catalog
             .register_memory("cohort", biased_cohort(300))
             .unwrap();
@@ -892,7 +892,7 @@ mod tests {
 
     #[test]
     fn submissions_are_validated() {
-        let catalog = Catalog::new();
+        let catalog = Catalog::new(fair_store::DEFAULT_CACHE_BYTES);
         let entry = catalog
             .register_memory("cohort", biased_cohort(100))
             .unwrap();
@@ -940,7 +940,7 @@ mod tests {
 
     #[test]
     fn terminal_jobs_are_reaped_beyond_the_history_limit() {
-        let catalog = Catalog::new();
+        let catalog = Catalog::new(fair_store::DEFAULT_CACHE_BYTES);
         let entry = catalog
             .register_memory("cohort", biased_cohort(200))
             .unwrap();
@@ -980,7 +980,7 @@ mod tests {
 
     #[test]
     fn running_job_ceiling_returns_429_until_a_slot_frees() {
-        let catalog = Catalog::new();
+        let catalog = Catalog::new(fair_store::DEFAULT_CACHE_BYTES);
         let entry = catalog
             .register_memory("cohort", biased_cohort(2000))
             .unwrap();
@@ -1015,7 +1015,7 @@ mod tests {
 
     #[test]
     fn jobs_are_cancellable_mid_run_and_shutdown_reaps_everything() {
-        let catalog = Catalog::new();
+        let catalog = Catalog::new(fair_store::DEFAULT_CACHE_BYTES);
         let entry = catalog
             .register_memory("cohort", biased_cohort(2000))
             .unwrap();

@@ -79,4 +79,4 @@ pub use error::{ApiError, Result, ServeError};
 pub use fleet::{FleetConfig, FleetCoordinator, FleetReport, WorkerStatus};
 pub use jobs::{Job, JobKind, JobManager, JobOutcome, JobPhase, JobSpec};
 pub use json::{Json, JsonError};
-pub use server::{drain_deadline, serve, AuditService, ServerHandle, DRAIN_DEADLINE};
+pub use server::{serve, AuditService, ServerHandle, DRAIN_DEADLINE};

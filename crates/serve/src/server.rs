@@ -53,8 +53,8 @@ use fair_core::metrics::LogDiscountConfig;
 use fair_core::obs;
 use fair_core::ranking::WeightedSumRanker;
 use fair_core::{
-    default_shard_size, for_each_shard_run, sample_indices_range_into, DcaConfig, FaultMode,
-    ShardSource,
+    for_each_shard_run, sample_indices_range_into, DcaConfig, FaultMode, ShardSource,
+    DEFAULT_SHARD_SIZE,
 };
 use fair_data::{CompasConfig, CompasGenerator, SchoolConfig, SchoolGenerator};
 use std::collections::HashMap;
@@ -69,18 +69,8 @@ use std::time::{Duration, Instant};
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long [`ServerHandle::shutdown`] waits for in-flight handlers to
-/// finish before severing their sockets (override with `FAIR_DRAIN_MS`).
+/// finish before severing their sockets.
 pub const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
-
-/// The effective drain window: `FAIR_DRAIN_MS` milliseconds when set and
-/// parseable, [`DRAIN_DEADLINE`] otherwise.
-#[must_use]
-pub fn drain_deadline() -> Duration {
-    std::env::var("FAIR_DRAIN_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or(DRAIN_DEADLINE, Duration::from_millis)
-}
 
 /// Registry handles the request path touches, resolved once per service so
 /// dispatch never takes the registry's name-lookup lock for a known route.
@@ -150,7 +140,7 @@ impl Drop for InFlightGuard {
 
 /// The service state shared by every request worker: the store catalog and
 /// the background-job manager.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct AuditService {
     /// Named stores.
     pub catalog: Catalog,
@@ -161,10 +151,22 @@ pub struct AuditService {
 }
 
 impl AuditService {
-    /// An empty service.
+    /// An empty service whose disk stores get [`fair_store::DEFAULT_CACHE_BYTES`]
+    /// of shard cache each.
     #[must_use]
     pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+        Self::with_cache_bytes(fair_store::DEFAULT_CACHE_BYTES)
+    }
+
+    /// An empty service whose disk stores get `cache_bytes` of shard cache
+    /// each (`0` retains nothing: every access re-pages).
+    #[must_use]
+    pub fn with_cache_bytes(cache_bytes: usize) -> Arc<Self> {
+        Arc::new(Self {
+            catalog: Catalog::new(cache_bytes),
+            jobs: JobManager::default(),
+            obs: ServeObs::default(),
+        })
     }
 
     /// Dispatch one parsed request. Public so tests (and the in-process
@@ -324,7 +326,7 @@ impl AuditService {
             let shard_size = generate
                 .get("shard_size")
                 .and_then(Json::as_usize)
-                .unwrap_or_else(default_shard_size);
+                .unwrap_or(DEFAULT_SHARD_SIZE);
             let data = match kind {
                 "school" => SchoolGenerator::new(SchoolConfig::small(rows, seed))
                     .generate_sharded(shard_size)
@@ -921,7 +923,7 @@ impl ServerHandle {
     /// then cancel and join every background job. When this returns, no
     /// server thread is alive.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
+        self.stop_and_join(DRAIN_DEADLINE);
     }
 
     /// Block until the accept thread exits (for the binary's foreground
@@ -937,7 +939,7 @@ impl ServerHandle {
         self.service.jobs.shutdown();
     }
 
-    fn stop_and_join(&mut self) {
+    fn stop_and_join(&mut self, drain: Duration) {
         self.stop.store(true, Ordering::Relaxed);
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
@@ -949,7 +951,7 @@ impl ServerHandle {
         // bounded window before cutting their sockets out from under them —
         // a severed socket fails the handler's next read/write and the
         // worker comes home.
-        let deadline = Instant::now() + drain_deadline();
+        let deadline = Instant::now() + drain;
         while self.live.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -973,7 +975,7 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         if self.accept_thread.is_some() {
-            self.stop_and_join();
+            self.stop_and_join(DRAIN_DEADLINE);
         }
     }
 }
@@ -1227,6 +1229,24 @@ mod tests {
                 .len(),
             fairness.len()
         );
+    }
+
+    #[test]
+    fn disk_stores_open_with_the_service_cache_budget() {
+        let path = std::env::temp_dir().join(format!("serve_budget_{}.fss", std::process::id()));
+        let cohort = SchoolGenerator::new(SchoolConfig::small(300, 7)).generate_sharded(64);
+        fair_store::write_source(&cohort.unwrap().into_dataset(), &path).unwrap();
+        for (service, budget) in [
+            (AuditService::with_cache_bytes(1 << 20), 1 << 20),
+            (AuditService::new(), fair_store::DEFAULT_CACHE_BYTES),
+        ] {
+            service.catalog.register_disk("disk", &path).unwrap();
+            let (status, stats) = service.route(&request("GET", "/stores/disk/stats", ""));
+            assert_eq!(status, 200, "{}", stats.render());
+            let cache = stats.get("cache").unwrap();
+            assert_eq!(cache.get("budget_bytes").unwrap().as_usize(), Some(budget));
+        }
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1640,21 +1660,19 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_severs_a_stuck_connection_after_the_drain_deadline() {
-        std::env::set_var("FAIR_DRAIN_MS", "200");
+    fn shutdown_severs_a_stuck_connection_after_the_drain_window() {
         let service = AuditService::new();
-        let server = serve(service, "127.0.0.1:0", 1).unwrap();
+        let mut server = serve(service, "127.0.0.1:0", 1).unwrap();
         // Open a connection and send nothing: the lone worker blocks in
         // read_request far past the drain window.
         let idle = TcpStream::connect(server.addr()).unwrap();
         std::thread::sleep(Duration::from_millis(100));
         let start = Instant::now();
-        server.shutdown();
+        server.stop_and_join(Duration::from_millis(200));
         let elapsed = start.elapsed();
-        std::env::remove_var("FAIR_DRAIN_MS");
         drop(idle);
         assert!(
-            elapsed < Duration::from_secs(5),
+            elapsed < DRAIN_DEADLINE,
             "shutdown hung on an idle connection: {elapsed:?}"
         );
     }

@@ -16,8 +16,10 @@
 //!   materialized.
 //! * **[`ShardStore`]** ([`reader`]): the paging reader. It validates the
 //!   whole layout at open, then decodes shards on demand through a
-//!   byte-budgeted LRU cache (`FAIR_CACHE_BYTES`, default 256 MiB) with
-//!   pin-while-borrowed semantics and hit/miss/eviction/peak-bytes counters.
+//!   byte-budgeted LRU cache (the budget is an argument of
+//!   [`ShardStore::open_with_budget`], [`DEFAULT_CACHE_BYTES`] for
+//!   [`ShardStore::open`]) with pin-while-borrowed semantics and
+//!   hit/miss/eviction/peak-bytes counters.
 //!
 //! `ShardStore` implements [`fair_core::ShardSource`], so evaluation code is
 //! storage-agnostic:
@@ -31,7 +33,7 @@
 //! # let cohort: ShardedDataset = unimplemented!();
 //! // Persist an in-memory cohort, then evaluate it straight off the disk.
 //! write_source(&cohort, "cohort.fss")?;
-//! let store = ShardStore::open("cohort.fss")?; // FAIR_CACHE_BYTES budget
+//! let store = ShardStore::open("cohort.fss")?; // DEFAULT_CACHE_BYTES budget
 //! let ranker = WeightedSumRanker::new(vec![1.0])?;
 //! let disparity = shmetrics::disparity_at_k(&store, &ranker, &[0.0], 0.05)?;
 //! println!("{disparity:?}  (cache: {:?})", store.cache_stats());
@@ -53,8 +55,5 @@ pub mod reader;
 pub mod writer;
 
 pub use error::{Result, StoreError};
-pub use reader::{
-    column_bytes, default_cache_bytes, default_prefetch, CacheStats, ShardStore,
-    DEFAULT_CACHE_BYTES, DEFAULT_PREFETCH,
-};
+pub use reader::{column_bytes, CacheStats, ShardStore, DEFAULT_CACHE_BYTES, DEFAULT_PREFETCH};
 pub use writer::{write_source, StoreSummary, StoreWriter};

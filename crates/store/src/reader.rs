@@ -7,22 +7,23 @@
 //! is genuine data corruption, which the per-block CRCs catch before any byte
 //! is interpreted. Shards decode on demand through the cache:
 //!
-//! * **byte budget** — `FAIR_CACHE_BYTES` (default 256 MiB) bounds the
-//!   resident column bytes; the least-recently-used unpinned shard is evicted
-//!   *before* a new one is admitted, so the resident set never outgrows the
-//!   budget beyond the currently pinned working set;
+//! * **byte budget** — fixed at open ([`DEFAULT_CACHE_BYTES`] unless the
+//!   caller passes one; `0` retains nothing), it bounds the resident column
+//!   bytes; the least-recently-used unpinned shard is evicted *before* a new
+//!   one is admitted, so the resident set never outgrows the budget beyond
+//!   the currently pinned working set;
 //! * **pin while borrowed** — [`fair_core::ShardSource::with_shard`] pins the
 //!   shard for the duration of the kernel closure; a pinned shard is never
 //!   evicted, so a parallel worker can never have its block freed mid-kernel;
 //! * **readahead** — the metric sweeps walk shards in ascending order, so a
-//!   background decode thread ([`default_prefetch`], `FAIR_PREFETCH`)
-//!   prefetches the next shards' column blocks while kernels consume the
-//!   current one. Prefetched shards are admitted unpinned and strictly
-//!   within the budget (a prefetch never displaces the pinned working set or
-//!   overflows the budget), an on-demand access waits for an in-flight
-//!   prefetch decode instead of decoding the block a second time, and the
-//!   `prefetch_hits` / `prefetch_wasted` counters make the readahead's value
-//!   observable;
+//!   background decode thread ([`DEFAULT_PREFETCH`] shards deep unless the
+//!   caller passes a depth; `0` disables it) prefetches the next shards'
+//!   column blocks while kernels consume the current one. Prefetched shards
+//!   are admitted unpinned and strictly within the budget (a prefetch never
+//!   displaces the pinned working set or overflows the budget), an on-demand
+//!   access waits for an in-flight prefetch decode instead of decoding the
+//!   block a second time, and the `prefetch_hits` / `prefetch_wasted`
+//!   counters make the readahead's value observable;
 //! * **one sweep at a time** — whole-store sweeps
 //!   ([`fair_core::ShardSource::map_shards`]) queue on a per-store lock
 //!   instead of interleaving, so a sweep decodes the same shards whatever
@@ -46,36 +47,12 @@ use std::fs::File;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Default cache budget (bytes) when `FAIR_CACHE_BYTES` is not set.
+/// The cache budget (bytes) [`ShardStore::open`] uses.
 pub const DEFAULT_CACHE_BYTES: usize = 256 * 1024 * 1024;
 
-/// Default readahead depth (shards) when `FAIR_PREFETCH` is not set: one
-/// shard of pipeline headroom beyond the one being decoded.
+/// The readahead depth (shards) of [`ShardStore::open`] and
+/// [`ShardStore::open_with_budget`]: one shard beyond the one being decoded.
 pub const DEFAULT_PREFETCH: usize = 2;
-
-/// The readahead depth: the `FAIR_PREFETCH` environment variable when set to
-/// an unsigned integer (`0` disables the background decode thread entirely),
-/// [`DEFAULT_PREFETCH`] otherwise.
-#[must_use]
-pub fn default_prefetch() -> usize {
-    std::env::var("FAIR_PREFETCH")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_PREFETCH)
-}
-
-/// The shard-cache byte budget: the `FAIR_CACHE_BYTES` environment variable
-/// when set to an unsigned integer (`0` disables retention entirely — every
-/// unpinned shard is evicted immediately, forcing a re-page on each access,
-/// which CI uses to hammer the eviction path), [`DEFAULT_CACHE_BYTES`]
-/// otherwise.
-#[must_use]
-pub fn default_cache_bytes() -> usize {
-    std::env::var("FAIR_CACHE_BYTES")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_CACHE_BYTES)
-}
 
 /// Column bytes of a decoded shard: the ids, feature, fairness, and label
 /// columns (the payload the cache budget accounts; `Vec` headers and the
@@ -294,24 +271,25 @@ impl Drop for ShardStore {
 }
 
 impl ShardStore {
-    /// Open a store with the environment-resolved cache budget
-    /// ([`default_cache_bytes`]) and readahead depth ([`default_prefetch`]).
+    /// Open a store with the default cache budget ([`DEFAULT_CACHE_BYTES`])
+    /// and readahead depth ([`DEFAULT_PREFETCH`]).
     ///
     /// # Errors
     /// Returns a structured error for any I/O failure or any header, schema,
     /// or directory corruption — truncated files included. Never panics.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with_options(path, default_cache_bytes(), default_prefetch())
+        Self::open_with_options(path, DEFAULT_CACHE_BYTES, DEFAULT_PREFETCH)
     }
 
-    /// Open a store with an explicit cache byte budget and the
-    /// environment-resolved readahead depth ([`default_prefetch`]).
+    /// Open a store with an explicit cache byte budget (`0` retains nothing:
+    /// every access re-pages) and the default readahead depth
+    /// ([`DEFAULT_PREFETCH`]).
     ///
     /// # Errors
     /// Returns a structured error for any I/O failure or any header, schema,
     /// or directory corruption — truncated files included. Never panics.
     pub fn open_with_budget(path: impl AsRef<Path>, budget: usize) -> Result<Self> {
-        Self::open_with_options(path, budget, default_prefetch())
+        Self::open_with_options(path, budget, DEFAULT_PREFETCH)
     }
 
     /// Open a store with an explicit cache byte budget and readahead depth
@@ -1409,20 +1387,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_env_parsing() {
-        // default_prefetch reads the environment; with the variable unset it
-        // must fall back to the default. (CI sets FAIR_PREFETCH=0 for the
-        // no-readahead thrash pass.)
-        match std::env::var("FAIR_PREFETCH") {
-            Err(_) => assert_eq!(default_prefetch(), DEFAULT_PREFETCH),
-            Ok(v) => {
-                let parsed: usize = v.trim().parse().unwrap();
-                assert_eq!(default_prefetch(), parsed);
-            }
-        }
-    }
-
-    #[test]
     fn open_rejects_corruption_with_structured_errors() {
         let path = sample_store("corrupt", 23, 7);
         let original = std::fs::read(&path).unwrap();
@@ -1689,18 +1653,5 @@ mod tests {
             Err(StoreError::InvalidConfig { .. })
         ));
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn cache_budget_env_parsing() {
-        // default_cache_bytes reads the environment; with the variable unset
-        // it must fall back to the default. (CI sets it for the thrash pass.)
-        match std::env::var("FAIR_CACHE_BYTES") {
-            Err(_) => assert_eq!(default_cache_bytes(), DEFAULT_CACHE_BYTES),
-            Ok(v) => {
-                let parsed: usize = v.trim().parse().unwrap();
-                assert_eq!(default_cache_bytes(), parsed);
-            }
-        }
     }
 }

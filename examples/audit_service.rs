@@ -23,7 +23,7 @@ fn main() {
     // 1. Stream a synthetic school cohort onto disk (never materialized).
     let path = std::env::temp_dir().join(format!("audit_service_{}.fss", std::process::id()));
     let generator = SchoolGenerator::new(SchoolConfig::small(ROWS, 7));
-    let summary = school_to_store(&generator, default_shard_size(), &path).expect("write store");
+    let summary = school_to_store(&generator, DEFAULT_SHARD_SIZE, &path).expect("write store");
     println!(
         "wrote {} rows in {} shards -> {}",
         summary.rows,

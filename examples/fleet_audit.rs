@@ -20,23 +20,22 @@ const ROWS: usize = 20_000;
 const SEED: u64 = 7;
 const K: f64 = 0.05;
 const RUBRIC_WEIGHTS: [f64; 2] = [0.55, 0.45];
+/// Fine enough that a 20k-row cohort spreads across both workers (the
+/// default 64Ki shard size would leave worker 1 an empty range).
+const SHARD_SIZE: usize = 2048;
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
 fn main() {
-    // Shard finely enough that a 20k-row cohort spreads across both workers
-    // (the default 64Ki shard size would leave worker 1 an empty range).
-    std::env::set_var("FAIR_SHARD_SIZE", "2048");
-
     // 1. Two workers, each holding the same deterministic cohort.
     let mut handles = Vec::new();
     let mut addrs = Vec::new();
     for i in 0..2 {
         let server = serve(AuditService::new(), "127.0.0.1:0", 4).expect("bind worker");
         Client::new(server.addr())
-            .register_synthetic("cohort", "school", ROWS, SEED)
+            .register_synthetic("cohort", "school", ROWS, SEED, SHARD_SIZE)
             .expect("register cohort");
         println!("worker {i} listening on {}", server.addr());
         addrs.push(server.addr());
@@ -68,7 +67,7 @@ fn main() {
     // The same cohort, built locally: the reference for every bit-identity
     // check below.
     let local = SchoolGenerator::new(SchoolConfig::small(ROWS, SEED))
-        .generate_sharded(default_shard_size())
+        .generate_sharded(SHARD_SIZE)
         .expect("local cohort")
         .into_dataset();
     let ranker = WeightedSumRanker::new(RUBRIC_WEIGHTS.to_vec()).expect("ranker");

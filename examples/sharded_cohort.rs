@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! cargo run --release --example sharded_cohort
-//! FAIR_SHARD_SIZE=7 cargo run --release --example sharded_cohort   # tiny shards
 //! ```
 
 use fair_ranking::core::metrics::sharded as shmetrics;
@@ -14,8 +13,8 @@ use fair_ranking::prelude::*;
 fn main() -> Result<()> {
     // 1. Generate a school cohort *shard by shard*: rows go straight into
     //    fixed-size contiguous blocks, so no whole-cohort Vec<DataObject>
-    //    ever exists. The shard size comes from FAIR_SHARD_SIZE when set.
-    let shard_size = default_shard_size().min(4_096);
+    //    ever exists.
+    let shard_size = 4_096;
     let cohort =
         SchoolGenerator::new(SchoolConfig::small(30_000, 42)).generate_sharded(shard_size)?;
     let data = cohort.dataset();

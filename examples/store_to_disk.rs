@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! cargo run --release --example store_to_disk
-//! FAIR_CACHE_BYTES=65536 cargo run --release --example store_to_disk  # tiny cache
 //! ```
 
 use fair_ranking::core::metrics::sharded as shmetrics;
@@ -16,7 +15,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     // 1. Generate a school cohort straight into an FSS1 store file: every
     //    student goes from the RNG to the shard buffer to disk — the cohort
     //    is never materialized in memory.
-    let shard_size = default_shard_size().min(4_096);
+    let shard_size = 4_096;
     let generator = SchoolGenerator::new(SchoolConfig::small(60_000, 42));
     let path = std::env::temp_dir().join("store_to_disk_example.fss");
     let summary = school_to_store(&generator, shard_size, &path)?;
@@ -34,8 +33,7 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     //    under budget. The budget leaves room for the worker pool's pinned
     //    working set (one shard per parallel worker) plus a small LRU tail —
     //    pinned shards cannot be evicted, so a budget below that floor would
-    //    be exceeded while kernels run. (FAIR_CACHE_BYTES overrides the
-    //    default 256 MiB; the explicit budget keeps the demo deterministic.)
+    //    be exceeded while kernels run.
     let probe = ShardStore::open_with_budget(&path, 0)?;
     let shard0 = probe.read_shard(0)?;
     let one_shard = column_bytes(&shard0);

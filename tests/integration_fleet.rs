@@ -35,22 +35,20 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Spawn `n` audit servers, each holding the same deterministic school
-/// cohort under the name `cohort`.
-///
 /// The default 64Ki shard size would put the whole 2,000-row cohort in one
-/// shard and leave every worker but the first with an empty range; pin the
-/// shard size so the placement genuinely spreads work across the fleet.
-/// (Callers hold `FAULT_LOCK`, and [`local_cohort`] reads the same knob, so
-/// both sides of every parity check shard identically.)
-fn spawn_fleet(n: usize) -> (Vec<ServerHandle>, Vec<SocketAddr>) {
-    std::env::set_var("FAIR_SHARD_SIZE", "256");
+/// shard and leave every worker but the first with an empty range; this
+/// layout makes the placement genuinely spread work across the fleet.
+const SHARD_SIZE: usize = 256;
+
+/// Spawn `n` audit servers, each holding the same deterministic school
+/// cohort in `shard_size`-row shards under the name `cohort`.
+fn spawn_fleet(n: usize, shard_size: usize) -> (Vec<ServerHandle>, Vec<SocketAddr>) {
     let mut handles = Vec::with_capacity(n);
     let mut addrs = Vec::with_capacity(n);
     for _ in 0..n {
         let server = serve(AuditService::new(), "127.0.0.1:0", 2).unwrap();
         Client::new(server.addr())
-            .register_synthetic("cohort", "school", ROWS, SEED)
+            .register_synthetic("cohort", "school", ROWS, SEED, shard_size)
             .unwrap();
         addrs.push(server.addr());
         handles.push(server);
@@ -59,9 +57,9 @@ fn spawn_fleet(n: usize) -> (Vec<ServerHandle>, Vec<SocketAddr>) {
 }
 
 /// The same cohort the workers hold, built locally for reference runs.
-fn local_cohort() -> ShardedDataset {
+fn local_cohort(shard_size: usize) -> ShardedDataset {
     SchoolGenerator::new(SchoolConfig::small(ROWS, SEED))
-        .generate_sharded(default_shard_size())
+        .generate_sharded(shard_size)
         .unwrap()
         .into_dataset()
 }
@@ -80,73 +78,78 @@ fn quick_config(seed: u64) -> DcaConfig {
 #[test]
 fn three_worker_fleet_matches_the_local_sharded_runners_bitwise() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (handles, addrs) = spawn_fleet(3);
-    let fleet = FleetCoordinator::connect("cohort", &addrs, FleetConfig::default()).unwrap();
-    assert_eq!(fleet.rows(), ROWS);
-    assert_eq!(fleet.placement().num_workers(), 3);
-    assert_eq!(
-        fleet.placement().num_shards(),
-        8,
-        "2,000 rows / 256-row shards: every worker owns a non-empty range"
-    );
+    // 7-row shards leave a short final shard (2,000 = 285 * 7 + 5).
+    for shard_size in [SHARD_SIZE, 7] {
+        let (handles, addrs) = spawn_fleet(3, shard_size);
+        let fleet = FleetCoordinator::connect("cohort", &addrs, FleetConfig::default()).unwrap();
+        assert_eq!(fleet.rows(), ROWS);
+        assert_eq!(fleet.placement().num_workers(), 3);
+        assert_eq!(
+            fleet.placement().num_shards(),
+            ROWS.div_ceil(shard_size),
+            "every worker owns a non-empty range"
+        );
 
-    let local = local_cohort();
-    let ranker = WeightedSumRanker::new(RUBRIC_WEIGHTS.to_vec()).unwrap();
-    let k = 0.1;
-    let config = quick_config(41);
+        let local = local_cohort(shard_size);
+        let ranker = WeightedSumRanker::new(RUBRIC_WEIGHTS.to_vec()).unwrap();
+        let k = 0.1;
+        let config = quick_config(41);
 
-    // Disparity sweep.
-    let bonus = vec![1.5, 0.0, 4.0, 0.25];
-    let wire = fleet.disparity(k, &bonus, Some(&RUBRIC_WEIGHTS)).unwrap();
-    let lib = shmetrics::disparity_at_k(&local, &ranker, &bonus, k).unwrap();
-    assert_eq!(bits(&wire), bits(&lib), "fleet disparity == library bits");
+        // Disparity sweep.
+        let bonus = vec![1.5, 0.0, 4.0, 0.25];
+        let wire = fleet.disparity(k, &bonus, Some(&RUBRIC_WEIGHTS)).unwrap();
+        let lib = shmetrics::disparity_at_k(&local, &ranker, &bonus, k).unwrap();
+        assert_eq!(bits(&wire), bits(&lib), "fleet disparity == library bits");
 
-    // Full DCA.
-    let fleet_full = fleet
-        .run_full_dca(k, Some(&RUBRIC_WEIGHTS), &config, None, true)
-        .unwrap();
-    let lib_full =
-        run_full_dca_sharded(&local, &ranker, &TopKDisparity::new(k), &config, None, true).unwrap();
-    assert_eq!(bits(&fleet_full.bonus), bits(&lib_full.bonus));
-    assert_eq!(fleet_full.steps, lib_full.steps);
-    for (a, b) in fleet_full.trace.iter().zip(&lib_full.trace) {
-        assert_eq!(a.bonus, b.bonus, "full trace step {}", a.step);
-    }
+        // Full DCA.
+        let fleet_full = fleet
+            .run_full_dca(k, Some(&RUBRIC_WEIGHTS), &config, None, true)
+            .unwrap();
+        let lib_full =
+            run_full_dca_sharded(&local, &ranker, &TopKDisparity::new(k), &config, None, true)
+                .unwrap();
+        assert_eq!(bits(&fleet_full.bonus), bits(&lib_full.bonus));
+        assert_eq!(fleet_full.steps, lib_full.steps);
+        for (a, b) in fleet_full.trace.iter().zip(&lib_full.trace) {
+            assert_eq!(a.bonus, b.bonus, "full trace step {}", a.step);
+        }
 
-    // Core DCA.
-    let fleet_core = fleet
-        .run_core_dca(k, Some(&RUBRIC_WEIGHTS), &config, None, true)
-        .unwrap();
-    let lib_core =
-        run_core_dca_sharded(&local, &ranker, &TopKDisparity::new(k), &config, None, true).unwrap();
-    assert_eq!(bits(&fleet_core.bonus), bits(&lib_core.bonus));
-    assert_eq!(fleet_core.objects_scored, lib_core.objects_scored);
-    for (a, b) in fleet_core.trace.iter().zip(&lib_core.trace) {
-        assert_eq!(a.bonus, b.bonus, "core trace step {}", a.step);
-    }
+        // Core DCA.
+        let fleet_core = fleet
+            .run_core_dca(k, Some(&RUBRIC_WEIGHTS), &config, None, true)
+            .unwrap();
+        let lib_core =
+            run_core_dca_sharded(&local, &ranker, &TopKDisparity::new(k), &config, None, true)
+                .unwrap();
+        assert_eq!(bits(&fleet_core.bonus), bits(&lib_core.bonus));
+        assert_eq!(fleet_core.objects_scored, lib_core.objects_scored);
+        for (a, b) in fleet_core.trace.iter().zip(&lib_core.trace) {
+            assert_eq!(a.bonus, b.bonus, "core trace step {}", a.step);
+        }
 
-    let report = fleet.report();
-    assert!(report.requests > 0);
-    assert_eq!(
-        report.re_dispatches, 0,
-        "a healthy fleet never fails over: {report:?}"
-    );
+        let report = fleet.report();
+        assert!(report.requests > 0);
+        assert_eq!(
+            report.re_dispatches, 0,
+            "a healthy fleet never fails over: {report:?}"
+        );
 
-    // A re-run of the same descent replays identical `(seed, step)` sample
-    // requests, and the trajectory is unchanged.
-    let rerun = fleet
-        .run_core_dca(k, Some(&RUBRIC_WEIGHTS), &config, None, false)
-        .unwrap();
-    assert_eq!(bits(&rerun.bonus), bits(&lib_core.bonus));
-    for h in handles {
-        h.shutdown();
+        // A re-run of the same descent replays identical `(seed, step)` sample
+        // requests, and the trajectory is unchanged.
+        let rerun = fleet
+            .run_core_dca(k, Some(&RUBRIC_WEIGHTS), &config, None, false)
+            .unwrap();
+        assert_eq!(bits(&rerun.bonus), bits(&lib_core.bonus));
+        for h in handles {
+            h.shutdown();
+        }
     }
 }
 
 #[test]
 fn fault_matrix_runs_stay_bit_identical_whenever_the_coordinator_succeeds() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (handles, addrs) = spawn_fleet(3);
+    let (handles, addrs) = spawn_fleet(3, SHARD_SIZE);
     let fleet = FleetCoordinator::connect(
         "cohort",
         &addrs,
@@ -158,7 +161,7 @@ fn fault_matrix_runs_stay_bit_identical_whenever_the_coordinator_succeeds() {
     )
     .unwrap();
 
-    let local = local_cohort();
+    let local = local_cohort(SHARD_SIZE);
     let ranker = WeightedSumRanker::new(RUBRIC_WEIGHTS.to_vec()).unwrap();
     let k = 0.1;
     let config = quick_config(97);
@@ -207,7 +210,7 @@ fn fault_matrix_runs_stay_bit_identical_whenever_the_coordinator_succeeds() {
 #[test]
 fn killing_a_worker_mid_descent_re_dispatches_its_range() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (mut handles, addrs) = spawn_fleet(3);
+    let (mut handles, addrs) = spawn_fleet(3, SHARD_SIZE);
     let fleet = FleetCoordinator::connect(
         "cohort",
         &addrs,
@@ -237,7 +240,7 @@ fn killing_a_worker_mid_descent_re_dispatches_its_range() {
         .run_full_dca(k, Some(&RUBRIC_WEIGHTS), &config, None, false)
         .unwrap();
 
-    let local = local_cohort();
+    let local = local_cohort(SHARD_SIZE);
     let ranker = WeightedSumRanker::new(RUBRIC_WEIGHTS.to_vec()).unwrap();
     let lib_full = run_full_dca_sharded(
         &local,
@@ -276,7 +279,7 @@ fn one_trace_id_spans_coordinator_retries_and_worker_handlers() {
     // binary (serialized by FAULT_LOCK) leave their own fleet traffic in
     // it, so only look at records emitted from here on.
     let base = obs::captured().len();
-    let (handles, addrs) = spawn_fleet(2);
+    let (handles, addrs) = spawn_fleet(2, SHARD_SIZE);
     let fleet = FleetCoordinator::connect(
         "cohort",
         &addrs,
@@ -339,7 +342,7 @@ fn one_trace_id_spans_coordinator_retries_and_worker_handlers() {
 fn a_traced_job_pins_one_id_from_submit_to_worker_spans_under_faults() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _capture = obs::capture();
-    let (handles, addrs) = spawn_fleet(3);
+    let (handles, addrs) = spawn_fleet(3, SHARD_SIZE);
 
     // A fourth node fronts the fleet: a job submitted to it with `workers`
     // fans its descent out to the three workers, and everything the job
@@ -349,7 +352,7 @@ fn a_traced_job_pins_one_id_from_submit_to_worker_spans_under_faults() {
     let trace = obs::next_trace_id();
     let client = Client::new(front.addr()).with_trace(&trace);
     client
-        .register_synthetic("cohort", "school", ROWS, SEED)
+        .register_synthetic("cohort", "school", ROWS, SEED, SHARD_SIZE)
         .unwrap();
 
     // A 500 burst on the partial-reduce path forces coordinator retries
@@ -379,7 +382,7 @@ fn a_traced_job_pins_one_id_from_submit_to_worker_spans_under_faults() {
     assert_eq!(done.state, "completed", "error: {:?}", done.error);
 
     // The faulted fleet run still lands on the exact local trajectory.
-    let local = local_cohort();
+    let local = local_cohort(SHARD_SIZE);
     let ranker = WeightedSumRanker::new(RUBRIC_WEIGHTS.to_vec()).unwrap();
     let reference = run_core_dca_sharded(
         &local,
@@ -444,7 +447,7 @@ fn a_traced_job_pins_one_id_from_submit_to_worker_spans_under_faults() {
 #[test]
 fn a_500_burst_ejects_then_probes_readmit_the_worker() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (handles, addrs) = spawn_fleet(3);
+    let (handles, addrs) = spawn_fleet(3, SHARD_SIZE);
     let fleet = FleetCoordinator::connect(
         "cohort",
         &addrs,
@@ -471,7 +474,7 @@ fn a_500_burst_ejects_then_probes_readmit_the_worker() {
         .unwrap();
     fair_ranking::core::fault::install(fair_ranking::core::fault::FaultPlan::none());
 
-    let local = local_cohort();
+    let local = local_cohort(SHARD_SIZE);
     let ranker = WeightedSumRanker::new(RUBRIC_WEIGHTS.to_vec()).unwrap();
     let reference = run_core_dca_sharded(
         &local,

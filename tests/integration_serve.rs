@@ -21,6 +21,7 @@ use fair_ranking::prelude::*;
 use fair_ranking::serve::{
     serve, AuditService, Client, JobKind, JobRequest, MetricsRequest, ServeError,
 };
+use fair_ranking::store::DEFAULT_CACHE_BYTES;
 use std::time::Duration;
 
 const ROWS: usize = 3_000;
@@ -32,11 +33,11 @@ fn temp_store(name: &str) -> std::path::PathBuf {
     dir.join(format!("{name}_{}.fss", std::process::id()))
 }
 
-/// Stream a school cohort onto disk and return the path.
-fn school_store(name: &str) -> std::path::PathBuf {
+/// Stream a school cohort onto disk in `shard_size`-row shards.
+fn school_store(name: &str, shard_size: usize) -> std::path::PathBuf {
     let path = temp_store(name);
     let generator = SchoolGenerator::new(SchoolConfig::small(ROWS, 4242));
-    fair_ranking::data::store::school_to_store(&generator, default_shard_size(), &path).unwrap();
+    fair_ranking::data::store::school_to_store(&generator, shard_size, &path).unwrap();
     path
 }
 
@@ -46,8 +47,20 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn service_end_to_end_concurrent_audits_jobs_and_shutdown() {
-    let path = school_store("e2e");
-    let server = serve(AuditService::new(), "127.0.0.1:0", 4).unwrap();
+    end_to_end(DEFAULT_SHARD_SIZE, DEFAULT_CACHE_BYTES);
+}
+
+/// The same flow on 7-row shards (a short final shard) behind a cache that
+/// retains nothing, so every shard access re-pages.
+#[test]
+fn service_end_to_end_on_tiny_shards_and_a_starved_cache() {
+    end_to_end(7, 0);
+}
+
+fn end_to_end(shard_size: usize, cache_bytes: usize) {
+    let path = school_store(&format!("e2e_{shard_size}"), shard_size);
+    let service = AuditService::with_cache_bytes(cache_bytes);
+    let server = serve(service, "127.0.0.1:0", 4).unwrap();
     let addr = server.addr();
     let client = Client::new(addr);
 
@@ -66,10 +79,11 @@ fn service_end_to_end_concurrent_audits_jobs_and_shutdown() {
     assert_eq!(fairness.len(), 4, "school schema has 4 fairness attributes");
     let stats = client.stats("school").unwrap();
     assert_eq!(stats.get("rows").unwrap().as_usize(), Some(ROWS));
-    assert!(stats.get("cache").is_some(), "disk stores expose the cache");
+    let budget = stats.get("cache").and_then(|c| c.get("budget_bytes"));
+    assert_eq!(budget.unwrap().as_usize(), Some(cache_bytes));
 
     // --- Library reference values -------------------------------------
-    let reference_store = ShardStore::open(&path).unwrap();
+    let reference_store = ShardStore::open_with_budget(&path, cache_bytes).unwrap();
     let ranker = WeightedSumRanker::new(RUBRIC_WEIGHTS.to_vec()).unwrap();
     let k = 0.1;
     let bonus = vec![1.5, 0.0, 4.0, 0.25];
@@ -218,7 +232,9 @@ fn wire_errors_surface_as_structured_api_failures() {
         other => panic!("expected 422, got {other:?}"),
     }
     // Registering a synthetic cohort over the wire and auditing it.
-    let info = client.register_synthetic("syn", "compas", 500, 9).unwrap();
+    let info = client
+        .register_synthetic("syn", "compas", 500, 9, DEFAULT_SHARD_SIZE)
+        .unwrap();
     assert_eq!(info.kind, "memory");
     assert_eq!(info.rows, 500);
     let result = client
@@ -235,7 +251,7 @@ fn wire_errors_surface_as_structured_api_failures() {
     assert!(result.disparity.is_some());
     assert!(result.fpr_difference.is_some(), "COMPAS rows are labelled");
     // Duplicate registration conflicts.
-    match client.register_synthetic("syn", "compas", 10, 9) {
+    match client.register_synthetic("syn", "compas", 10, 9, DEFAULT_SHARD_SIZE) {
         Err(ServeError::Api { status: 409, .. }) => {}
         other => panic!("expected 409, got {other:?}"),
     }
@@ -262,7 +278,7 @@ fn wire_errors_surface_as_structured_api_failures() {
         .unwrap();
     assert_eq!(done.state, "completed", "error: {:?}", done.error);
     let local = CompasGenerator::new(CompasConfig::small(500, 9))
-        .generate_sharded(default_shard_size())
+        .generate_sharded(DEFAULT_SHARD_SIZE)
         .unwrap();
     let num_features = local.schema().num_features();
     let uniform = WeightedSumRanker::new(vec![1.0; num_features]).unwrap();
@@ -294,7 +310,7 @@ fn wire_errors_surface_as_structured_api_failures() {
     // A disk store whose backing file goes bad *after* registration: the
     // page-in panic must surface as a 500 on that request without killing
     // the worker — the pool keeps serving afterwards.
-    let doomed = school_store("doomed");
+    let doomed = school_store("doomed", DEFAULT_SHARD_SIZE);
     client
         .register_disk_store("doomed", doomed.to_str().unwrap())
         .unwrap();
@@ -370,7 +386,7 @@ fn assert_prometheus_line(line: &str) {
 
 #[test]
 fn metrics_endpoint_exposes_every_layer_as_valid_prometheus_text() {
-    let path = school_store("prom");
+    let path = school_store("prom", DEFAULT_SHARD_SIZE);
     let server = serve(AuditService::new(), "127.0.0.1:0", 2).unwrap();
     let client = Client::new(server.addr());
 
@@ -463,7 +479,7 @@ fn job_profile_accounts_for_the_running_time_and_carries_the_trace() {
     let trace = obs::next_trace_id();
     let client = Client::new(server.addr()).with_trace(&trace);
     client
-        .register_synthetic("profiled", "school", 400_000, 11)
+        .register_synthetic("profiled", "school", 400_000, 11, DEFAULT_SHARD_SIZE)
         .unwrap();
     let job = client
         .submit_job(&JobRequest {

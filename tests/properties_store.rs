@@ -14,16 +14,18 @@
 //!    budget smaller than its column data keeps the cache's peak resident
 //!    bytes under the budget, while still reproducing the in-memory results
 //!    exactly.
+//!
+//! The paging tests run with readahead off (`0`) and at the default depth.
 
 use fair_ranking::core::metrics::sharded as shmetrics;
 use fair_ranking::prelude::*;
-use fair_ranking::store::column_bytes;
+use fair_ranking::store::{column_bytes, DEFAULT_PREFETCH};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
 /// Shard sizes the checklist calls out: degenerate (1), a small prime that
 /// rarely divides the cohort (7), and the production default.
-const SHARD_SIZES: [usize; 3] = [1, 7, 64 * 1024];
+const SHARD_SIZES: [usize; 3] = [1, 7, DEFAULT_SHARD_SIZE];
 
 /// One generated row: score numerator, binary group flag, continuous-need
 /// numerator, outcome label — everything on dyadic grids so every combine is
@@ -112,6 +114,7 @@ proptest! {
     fn store_evaluation_matches_memory_and_serial(
         rows in row_strategy(),
         k in 0.02_f64..1.0,
+        prefetch in any::<bool>().prop_map(|on| if on { DEFAULT_PREFETCH } else { 0 }),
     ) {
         let flat = dataset_from_rows(&rows);
         let view = flat.full_view();
@@ -132,7 +135,7 @@ proptest! {
         write_source(&mem, &path).unwrap();
         // A budget of two shards forces steady paging during evaluation.
         let two_shards = 2 * column_bytes(mem.shard(0).data());
-        let store = ShardStore::open_with_budget(&path, two_shards).unwrap();
+        let store = ShardStore::open_with_options(&path, two_shards, prefetch).unwrap();
 
         let mem_disp = shmetrics::disparity_at_k(&mem, &ranker, &bonus, k).unwrap();
         let store_disp = shmetrics::disparity_at_k(&store, &ranker, &bonus, k).unwrap();
@@ -201,8 +204,7 @@ proptest! {
 /// The acceptance criterion: a cohort whose column data exceeds the cache
 /// budget evaluates every sharded metric and a Full-DCA trajectory
 /// identically to the in-memory path while the cache's peak resident bytes
-/// stay under `FAIR_CACHE_BYTES` (here set programmatically, so the test is
-/// immune to the environment).
+/// stay under the budget, with and without readahead.
 #[test]
 fn paged_evaluation_stays_under_the_cache_budget() {
     let workers = std::thread::available_parallelism()
@@ -235,7 +237,6 @@ fn paged_evaluation_stays_under_the_cache_budget() {
         budget < total_bytes,
         "test setup: budget {budget} must be smaller than the cohort's {total_bytes} column bytes"
     );
-    let store = ShardStore::open_with_budget(&path, budget).unwrap();
 
     let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
     let bonus = [2.5_f64, 0.25];
@@ -244,30 +245,6 @@ fn paged_evaluation_stays_under_the_cache_budget() {
         step: 50,
         max_fraction: 0.5,
     };
-
-    let mem_disp = shmetrics::disparity_at_k(&mem, &ranker, &bonus, k).unwrap();
-    let store_disp = shmetrics::disparity_at_k(&store, &ranker, &bonus, k).unwrap();
-    assert_eq!(bits(&mem_disp), bits(&store_disp), "disparity parity");
-    assert_eq!(
-        shmetrics::ndcg_at_k(&mem, &ranker, &bonus, k)
-            .unwrap()
-            .to_bits(),
-        shmetrics::ndcg_at_k(&store, &ranker, &bonus, k)
-            .unwrap()
-            .to_bits(),
-        "ndcg parity"
-    );
-    assert_eq!(
-        bits(&shmetrics::log_discounted_disparity(&mem, &ranker, &bonus, &log_cfg).unwrap()),
-        bits(&shmetrics::log_discounted_disparity(&store, &ranker, &bonus, &log_cfg).unwrap()),
-        "log-discounted parity"
-    );
-    assert_eq!(
-        bits(&shmetrics::fpr_difference_at_k(&mem, &ranker, &bonus, k).unwrap()),
-        bits(&shmetrics::fpr_difference_at_k(&store, &ranker, &bonus, k).unwrap()),
-        "fpr parity"
-    );
-
     let objective = TopKDisparity::new(k);
     let config = DcaConfig {
         learning_rates: vec![8.0, 0.5],
@@ -275,36 +252,55 @@ fn paged_evaluation_stays_under_the_cache_budget() {
         refinement_iterations: 0,
         ..DcaConfig::default()
     };
+    let mem_disp = shmetrics::disparity_at_k(&mem, &ranker, &bonus, k).unwrap();
+    let mem_ndcg = shmetrics::ndcg_at_k(&mem, &ranker, &bonus, k).unwrap();
+    let mem_log = shmetrics::log_discounted_disparity(&mem, &ranker, &bonus, &log_cfg).unwrap();
+    let mem_fpr = shmetrics::fpr_difference_at_k(&mem, &ranker, &bonus, k).unwrap();
     let mem_dca = run_full_dca_sharded(&mem, &ranker, &objective, &config, None, true).unwrap();
-    let store_dca = run_full_dca_sharded(&store, &ranker, &objective, &config, None, true).unwrap();
-    assert_eq!(bits(&mem_dca.bonus), bits(&store_dca.bonus), "DCA parity");
-    for (m, s) in mem_dca.trace.iter().zip(&store_dca.trace) {
-        assert_eq!(bits(&m.bonus), bits(&s.bonus), "DCA trace step {}", m.step);
-    }
 
-    let stats = store.cache_stats();
-    assert!(
-        stats.peak_bytes <= budget,
-        "peak resident bytes {} must stay under the budget {} \
-         (shard {} B, {} shards, {} workers)",
-        stats.peak_bytes,
-        budget,
-        shard_bytes,
-        num_shards,
-        workers
-    );
-    assert!(
-        stats.misses >= num_shards as u64,
-        "every shard must have been paged in at least once ({} misses)",
-        stats.misses
-    );
-    assert!(
-        stats.evictions > 0,
-        "a budget below the cohort size must evict ({stats:?})"
-    );
-    assert_eq!(stats.budget_bytes, budget);
-    assert_eq!(stats.pinned_shards, 0, "no pins survive the kernels");
-    assert!(stats.resident_bytes <= budget);
+    for prefetch in [0, DEFAULT_PREFETCH] {
+        let store = ShardStore::open_with_options(&path, budget, prefetch).unwrap();
+        let store_disp = shmetrics::disparity_at_k(&store, &ranker, &bonus, k).unwrap();
+        assert_eq!(bits(&mem_disp), bits(&store_disp), "disparity parity");
+        let store_ndcg = shmetrics::ndcg_at_k(&store, &ranker, &bonus, k).unwrap();
+        assert_eq!(mem_ndcg.to_bits(), store_ndcg.to_bits(), "ndcg parity");
+        assert_eq!(
+            bits(&mem_log),
+            bits(&shmetrics::log_discounted_disparity(&store, &ranker, &bonus, &log_cfg).unwrap()),
+            "log-discounted parity"
+        );
+        assert_eq!(
+            bits(&mem_fpr),
+            bits(&shmetrics::fpr_difference_at_k(&store, &ranker, &bonus, k).unwrap()),
+            "fpr parity"
+        );
+        let store_dca =
+            run_full_dca_sharded(&store, &ranker, &objective, &config, None, true).unwrap();
+        assert_eq!(bits(&mem_dca.bonus), bits(&store_dca.bonus), "DCA parity");
+        for (m, s) in mem_dca.trace.iter().zip(&store_dca.trace) {
+            assert_eq!(bits(&m.bonus), bits(&s.bonus), "DCA trace step {}", m.step);
+        }
+
+        let stats = store.cache_stats();
+        assert!(
+            stats.peak_bytes <= budget,
+            "peak resident bytes {} must stay under the budget {budget} (shard {shard_bytes} B, \
+             {num_shards} shards, {workers} workers, prefetch {prefetch})",
+            stats.peak_bytes
+        );
+        assert!(
+            stats.misses >= num_shards as u64,
+            "every shard must have been paged in at least once ({} misses)",
+            stats.misses
+        );
+        assert!(
+            stats.evictions > 0,
+            "a budget below the cohort size must evict ({stats:?})"
+        );
+        assert_eq!(stats.budget_bytes, budget);
+        assert_eq!(stats.pinned_shards, 0, "no pins survive the kernels");
+        assert!(stats.resident_bytes <= budget);
+    }
     std::fs::remove_file(path).ok();
 }
 
@@ -345,7 +341,6 @@ fn concurrent_paged_reads_are_bit_identical_and_stay_under_budget() {
         budget < num_shards * shard_bytes,
         "budget must force paging"
     );
-    let store = std::sync::Arc::new(ShardStore::open_with_budget(&path, budget).unwrap());
 
     // Serial reference: per-shard bit patterns off the in-memory source.
     let reference: Vec<(Vec<u64>, Vec<u64>, u64)> = (0..num_shards)
@@ -359,55 +354,59 @@ fn concurrent_paged_reads_are_bit_identical_and_stay_under_budget() {
         })
         .collect();
 
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let store = store.clone();
-            let reference = &reference;
-            scope.spawn(move || {
-                // Each thread walks the shards with a different coprime
-                // stride, so at any instant the threads are pinning
-                // different shards and evicting each other's.
-                let stride = [1, 3, 7, 9, 11, 13, 17, 19][t];
-                for round in 0..ROUNDS {
-                    for j in 0..num_shards {
-                        let i = (j * stride + round + t) % num_shards;
-                        store.with_shard(i, |view| {
-                            let d = view.data();
-                            let (ref f, ref a, id_sum) = reference[i];
-                            assert_eq!(&bits(d.features_matrix()), f, "shard {i} features");
-                            assert_eq!(&bits(d.fairness_matrix()), a, "shard {i} fairness");
-                            assert_eq!(
-                                d.ids().iter().map(|id| id.0).sum::<u64>(),
-                                id_sum,
-                                "shard {i} ids"
-                            );
-                        });
+    for prefetch in [0, DEFAULT_PREFETCH] {
+        let store = ShardStore::open_with_options(&path, budget, prefetch).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let store = &store;
+                let reference = &reference;
+                scope.spawn(move || {
+                    // Each thread walks the shards with a different coprime
+                    // stride, so at any instant the threads are pinning
+                    // different shards and evicting each other's.
+                    let stride = [1, 3, 7, 9, 11, 13, 17, 19][t];
+                    for round in 0..ROUNDS {
+                        for j in 0..num_shards {
+                            let i = (j * stride + round + t) % num_shards;
+                            store.with_shard(i, |view| {
+                                let d = view.data();
+                                let (ref f, ref a, id_sum) = reference[i];
+                                assert_eq!(&bits(d.features_matrix()), f, "shard {i} features");
+                                assert_eq!(&bits(d.fairness_matrix()), a, "shard {i} fairness");
+                                assert_eq!(
+                                    d.ids().iter().map(|id| id.0).sum::<u64>(),
+                                    id_sum,
+                                    "shard {i} ids"
+                                );
+                            });
+                        }
                     }
-                }
-            });
-        }
-    });
+                });
+            }
+        });
 
-    let stats = store.cache_stats();
-    assert!(
-        stats.peak_bytes <= budget,
-        "concurrent pinning must never push the peak {} over the budget {budget}",
-        stats.peak_bytes
-    );
-    assert!(
-        stats.evictions > 0,
-        "the hammer loop must continuously evict ({stats:?})"
-    );
-    assert!(
-        stats.misses >= num_shards as u64,
-        "every shard pages in at least once"
-    );
-    assert_eq!(stats.pinned_shards, 0, "no pins survive the threads");
-    assert_eq!(
-        stats.hits + stats.misses,
-        (THREADS * ROUNDS * num_shards) as u64,
-        "every access is either a hit or a miss"
-    );
+        let stats = store.cache_stats();
+        assert!(
+            stats.peak_bytes <= budget,
+            "concurrent pinning must never push the peak {} over the budget {budget} \
+             (prefetch {prefetch})",
+            stats.peak_bytes
+        );
+        assert!(
+            stats.evictions > 0,
+            "the hammer loop must continuously evict ({stats:?})"
+        );
+        assert!(
+            stats.misses >= num_shards as u64,
+            "every shard pages in at least once"
+        );
+        assert_eq!(stats.pinned_shards, 0, "no pins survive the threads");
+        assert_eq!(
+            stats.hits + stats.misses,
+            (THREADS * ROUNDS * num_shards) as u64,
+            "every access is either a hit or a miss"
+        );
+    }
     std::fs::remove_file(path).ok();
 }
 
