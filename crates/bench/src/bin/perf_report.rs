@@ -73,8 +73,17 @@
 //! chunked f64x4 kernels; the kernels now have one implementation) and the
 //! v9 cached `/metrics` scrape timing (`metrics_scrape_cached_ms`).
 //!
-//! The summary line checks the headline claim directly: Core DCA's per-step
-//! time at the largest cohort must stay within 2x of the 10k per-step time.
+//! Schema v11 adds **paged scaling** (`paged_core` in the JSON, full mode
+//! only): the paged Core DCA descent of the `profile` measurement run again
+//! on a 100k cohort cut into the same 16 shards under a quarter-cohort
+//! budget. It reports both per-step costs and their 1M/100k ratio, and the
+//! 1M paged/memory per-step ratio (against the in-memory `core_dca` of the
+//! 1M cohort; reported, not gated — a paged step reads and verifies a few
+//! hundred row groups, which costs milliseconds against tens of µs).
+//!
+//! The summary lines check the headline claim directly: Core DCA's per-step
+//! time at the largest cohort must stay within 2x of the 10k per-step time
+//! in memory, and the paged per-step time at 1M within 2x of the 100k one.
 
 use fair_bench::datasets::ExperimentScale;
 use fair_core::metrics::sharded::{self as shmetrics, MetricKind, MetricPlan};
@@ -741,10 +750,11 @@ struct ProfileBench {
     phases: Vec<(&'static str, u64, u64, u64)>,
 }
 
-/// Run the paged Core DCA descent (on-disk store, quarter-cohort cache
-/// budget) once with a profile installed for the phase breakdown, then time
-/// plain vs profiled, asserting the trajectories stay bit-identical.
-fn measure_profile(rows: usize, reps: usize) -> ProfileBench {
+/// Run the paged Core DCA descent (on-disk store of `shard_size`-row shards,
+/// quarter-cohort cache budget) once with a profile installed for the phase
+/// breakdown, then time plain vs profiled, asserting the trajectories stay
+/// bit-identical.
+fn measure_profile(rows: usize, shard_size: usize, reps: usize) -> ProfileBench {
     use fair_core::dca::{run_core_dca_sharded_controlled, RunControl};
     use fair_core::obs::{profile, JobProfile, Phase};
 
@@ -756,11 +766,6 @@ fn measure_profile(rows: usize, reps: usize) -> ProfileBench {
         "fair_perf_profile_{rows}_{}.fss",
         std::process::id()
     ));
-    let shard_size = if rows <= 16 * 1024 {
-        1024
-    } else {
-        fair_core::DEFAULT_SHARD_SIZE
-    };
     school_to_store(&generator, shard_size, &store_path).expect("write profile store");
     let file_bytes = std::fs::metadata(&store_path)
         .expect("store metadata")
@@ -824,6 +829,22 @@ fn measure_profile(rows: usize, reps: usize) -> ProfileBench {
     }
 }
 
+/// The §IV-D claim in paged mode: per-step cost of the paged descent at two
+/// cohort sizes with the same shard count, and against memory.
+struct PagedScaling {
+    shards: usize,
+    small_rows: usize,
+    small_per_step_us: f64,
+    large_rows: usize,
+    large_per_step_us: f64,
+    /// `large / small` — gated ≤ 2x in full mode.
+    ratio: f64,
+    /// The in-memory Core DCA per-step cost of the large cohort.
+    memory_per_step_us: f64,
+    /// `large / memory` — reported only.
+    paged_vs_memory: f64,
+}
+
 fn json_number(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.3}")
@@ -841,6 +862,7 @@ fn render_json(
     fleet: &FleetBench,
     obs: &ObsBench,
     profile: &ProfileBench,
+    paged: Option<&PagedScaling>,
     ratio: Option<f64>,
 ) -> String {
     let threads = std::thread::available_parallelism()
@@ -848,7 +870,7 @@ fn render_json(
         .unwrap_or(1);
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 10,");
+    let _ = writeln!(s, "  \"schema_version\": 11,");
     let _ = writeln!(s, "  \"generated_by\": \"perf_report\",");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
     let _ = writeln!(s, "  \"repeats\": {reps},");
@@ -1015,6 +1037,23 @@ fn render_json(
         );
     }
     s.push_str("  } },\n");
+    match paged {
+        Some(p) => {
+            let _ = writeln!(
+                s,
+                "  \"paged_core\": {{ \"shards\": {}, \"small_rows\": {}, \"small_per_step_us\": {}, \"large_rows\": {}, \"large_per_step_us\": {}, \"ratio_large_vs_small\": {}, \"memory_per_step_us\": {}, \"paged_vs_memory\": {} }},",
+                p.shards,
+                p.small_rows,
+                json_number(p.small_per_step_us),
+                p.large_rows,
+                json_number(p.large_per_step_us),
+                json_number(p.ratio),
+                json_number(p.memory_per_step_us),
+                json_number(p.paged_vs_memory),
+            );
+        }
+        None => s.push_str("  \"paged_core\": null,\n"),
+    }
     match ratio {
         Some(v) => {
             let _ = writeln!(
@@ -1174,8 +1213,12 @@ fn main() {
         obs.scrape_bytes,
     );
 
-    let profile_rows = if quick { 10_000 } else { 1_000_000 };
-    let profile = measure_profile(profile_rows, reps);
+    let (profile_rows, profile_shard_size) = if quick {
+        (10_000, 1024)
+    } else {
+        (1_000_000, fair_core::DEFAULT_SHARD_SIZE)
+    };
+    let profile = measure_profile(profile_rows, profile_shard_size, reps);
     println!(
         "\nphase profiler ({} rows, paged Core DCA, {} steps): {:.2}us/step plain vs {:.2}us \
          profiled ({:.3}x, budget 1.05x); where the profiled run's time went:",
@@ -1193,6 +1236,42 @@ fn main() {
                 *max_us as f64 / 1e3,
             );
         }
+    }
+
+    // The same paged descent on a tenth of the 1M cohort, cut into the same
+    // number of shards, under the same quarter-cohort budget.
+    let paged = (!quick).then(|| {
+        let shards = profile_rows.div_ceil(profile_shard_size);
+        let small_rows = profile_rows / 10;
+        let small = measure_profile(small_rows, small_rows.div_ceil(shards), reps);
+        let memory_per_step_us = reports
+            .iter()
+            .find(|r| r.n == profile_rows)
+            .map_or(f64::NAN, |r| r.core_per_step_us);
+        PagedScaling {
+            shards,
+            small_rows,
+            small_per_step_us: small.plain_per_step_us,
+            large_rows: profile_rows,
+            large_per_step_us: profile.plain_per_step_us,
+            ratio: profile.plain_per_step_us / small.plain_per_step_us,
+            memory_per_step_us,
+            paged_vs_memory: profile.plain_per_step_us / memory_per_step_us,
+        }
+    });
+    if let Some(p) = &paged {
+        println!(
+            "\npaged Core DCA ({} shards, quarter-cohort budget): {:.2}us/step at {} rows vs \
+             {:.2}us at {} ({:.2}x, budget 2x); {:.1}x the in-memory step at {}",
+            p.shards,
+            p.large_per_step_us,
+            p.large_rows,
+            p.small_per_step_us,
+            p.small_rows,
+            p.ratio,
+            p.paged_vs_memory,
+            p.large_rows,
+        );
     }
 
     let ratio = (reports.len() > 1).then(|| {
@@ -1215,6 +1294,7 @@ fn main() {
         &fleet,
         &obs,
         &profile,
+        paged.as_ref(),
         ratio,
     );
     std::fs::write(&out_path, &json).expect("write BENCH_DCA.json");
@@ -1241,6 +1321,14 @@ fn main() {
             eprintln!(
                 "ERROR: profiler per-step overhead {:.3}x exceeds the 1.05x budget",
                 profile.overhead
+            );
+            std::process::exit(1);
+        }
+        if let Some(p) = paged.as_ref().filter(|p| p.ratio > 2.0) {
+            eprintln!(
+                "ERROR: paged per-step ratio {:.2} ({} vs {} rows) exceeds the 2x \
+                 sub-linearity budget",
+                p.ratio, p.large_rows, p.small_rows
             );
             std::process::exit(1);
         }

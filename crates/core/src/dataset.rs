@@ -232,10 +232,14 @@ impl Dataset {
         self.labels.clear();
     }
 
-    /// Copy a row of another (schema-compatible) dataset into this one.
-    pub(crate) fn push_row(&mut self, view: ObjectView<'_>) {
-        debug_assert_eq!(view.features().len(), self.schema.num_features());
-        debug_assert_eq!(view.fairness().len(), self.schema.num_fairness());
+    /// Copy a row view (of another dataset, or assembled by a storage
+    /// backend) into this one — the row gather of a sampled DCA step.
+    ///
+    /// # Panics
+    /// Panics if the view's dimensions differ from this dataset's schema.
+    pub fn push_row(&mut self, view: ObjectView<'_>) {
+        assert_eq!(view.features().len(), self.schema.num_features());
+        assert_eq!(view.fairness().len(), self.schema.num_fairness());
         self.ids.push(view.id());
         self.features.extend_from_slice(view.features());
         self.fairness.extend_from_slice(view.fairness());

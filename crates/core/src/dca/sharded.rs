@@ -180,25 +180,14 @@ where
         control,
         |step_seed, gather| {
             // One sample-phase scope per step covers the draw and the
-            // shard-run gather; page-ins it triggers open nested scopes that
+            // gather; storage reads it triggers open nested scopes that
             // subtract themselves from this one on the same thread.
             let _sample = crate::obs::profile::scope(crate::obs::Phase::Sample);
             data.sample_indices_into(step_seed, config.sample_size, &mut sample_indices)?;
-            // The sample comes back grouped by shard, so each run of indices
-            // pages its shard in exactly once (a cache hit per run for the
-            // in-memory source, one decode per run for a paged store).
-            crate::shard::for_each_shard_run(
-                data,
-                &sample_indices,
-                |&g| g / data.shard_size(),
-                |view, run| {
-                    let d = view.data();
-                    for &g in run {
-                        gather.push_row(d.row(g - view.offset()));
-                    }
-                },
-            );
-            Ok(())
+            // The sample comes back grouped by shard; the source fetches
+            // each shard's run at once (a borrow for the in-memory source,
+            // the rows' checksummed groups for a paged store).
+            data.gather_rows(&sample_indices, gather)
         },
     )
 }
@@ -479,17 +468,7 @@ mod tests {
                         range[0]..range[1],
                         &mut indices,
                     )?;
-                    crate::shard::for_each_shard_run(
-                        &data,
-                        &indices,
-                        |&g| g / data.shard_size(),
-                        |view, run| {
-                            let d = view.data();
-                            for &g in run {
-                                gather.push_row(d.row(g - view.offset()));
-                            }
-                        },
-                    );
+                    data.gather_rows(&indices, gather)?;
                 }
                 Ok(())
             },

@@ -48,6 +48,13 @@ pub enum FairError {
     /// A long-running operation (a DCA descent) was cooperatively cancelled
     /// through its [`crate::dca::RunControl`] before it finished.
     Cancelled,
+    /// A storage backend could not produce the rows asked for: an I/O
+    /// failure, or data that failed its checksum.
+    Storage {
+        /// The backend's message (for a shard file: the shard, column,
+        /// group and file offset that failed).
+        reason: String,
+    },
 }
 
 impl fmt::Display for FairError {
@@ -83,6 +90,7 @@ impl fmt::Display for FairError {
                 )
             }
             Self::Cancelled => write!(f, "operation was cancelled before completion"),
+            Self::Storage { reason } => write!(f, "storage error: {reason}"),
         }
     }
 }
@@ -115,6 +123,10 @@ mod tests {
         assert!(e.to_string().contains("sample size"));
         assert!(FairError::MissingLabels.to_string().contains("labels"));
         assert!(FairError::Cancelled.to_string().contains("cancelled"));
+        let e = FairError::Storage {
+            reason: "shard 3 ids group 0 at byte 112".into(),
+        };
+        assert!(e.to_string().contains("byte 112"), "{e}");
         assert!(FairError::EmptyDataset.to_string().contains("non-empty"));
         let e = FairError::InvalidValue {
             attribute: "low_income".into(),

@@ -170,6 +170,36 @@ pub trait ShardSource: Sync {
         false
     }
 
+    /// Append the rows at the global indices `rows` to `out`, in the order
+    /// given — the gather of every Core DCA step and of the fleet's
+    /// `core_sample` route. `rows` come grouped by shard, as the sampler
+    /// emits them, so this visits each shard run once through
+    /// [`Self::with_shard`]. Out-of-core sources override it to read only the
+    /// rows asked for (see `fair_store::ShardStore::read_rows`); the gathered
+    /// bits are the same either way.
+    ///
+    /// # Errors
+    /// Storage backends return [`FairError::Storage`] when a row cannot be
+    /// read; this default never fails.
+    ///
+    /// # Panics
+    /// Panics if an index is out of bounds, or if `out`'s schema dimensions
+    /// differ from this source's.
+    fn gather_rows(&self, rows: &[usize], out: &mut Dataset) -> Result<()> {
+        for_each_shard_run(
+            self,
+            rows,
+            |&g| g / self.shard_size(),
+            |view, run| {
+                let d = view.data();
+                for &g in run {
+                    out.push_row(d.row(g - view.offset()));
+                }
+            },
+        );
+        Ok(())
+    }
+
     // ------------------------------------------------------------------
     // Shard layout arithmetic.
     // ------------------------------------------------------------------
@@ -488,26 +518,24 @@ pub fn sample_indices_range_into<S: ShardSource + ?Sized>(
         }
         return Ok(());
     }
+    // Drawn inline: a step's few hundred rows cost microseconds, less than
+    // handing the shards to worker threads would.
     let quotas = shard_quotas(data, size);
-    let indices: Vec<usize> = shards.collect();
-    let per_shard: Vec<Vec<usize>> = parallel_map(&indices, |&i| {
+    let mut buf = rand::seq::index::IndexBuffer::new();
+    for i in shards {
         let quota = quotas[i];
         if quota == 0 {
-            return Vec::new();
+            continue;
         }
         let len = data.shard_len(i);
-        let mut rng = StdRng::seed_from_u64(shard_seed(seed, i));
-        let mut buf = rand::seq::index::IndexBuffer::new();
         if quota >= len {
             buf.fill_sequential(len);
         } else {
+            let mut rng = StdRng::seed_from_u64(shard_seed(seed, i));
             rand::seq::index::sample_into(&mut rng, len, quota, &mut buf);
         }
         let offset = data.shard_offset(i);
-        buf.as_slice().iter().map(|&x| offset + x).collect()
-    });
-    for indices in per_shard {
-        out.extend(indices);
+        out.extend(buf.as_slice().iter().map(|&x| offset + x));
     }
     Ok(())
 }

@@ -13,7 +13,7 @@
 //! pulls a cohort out from under an in-flight request or job.
 
 use crate::error::ApiError;
-use fair_core::{obs, SchemaRef, ShardSource, ShardView, ShardedDataset};
+use fair_core::{obs, Dataset, SchemaRef, ShardSource, ShardView, ShardedDataset};
 use fair_store::{CacheStats, ShardStore};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -85,12 +85,19 @@ impl ShardSource for CohortStore {
     }
 
     // Forward the storage policies as well as the shards: a disk store's
-    // metric plans retain columns instead of re-paging, and its sweeps queue
-    // on the store's lock.
+    // metric plans retain columns instead of re-paging, its sweeps queue on
+    // the store's lock, and its gathers read only the rows' groups.
     fn paged(&self) -> bool {
         match self {
             Self::Memory(d) => d.paged(),
             Self::Disk(s) => s.paged(),
+        }
+    }
+
+    fn gather_rows(&self, rows: &[usize], out: &mut Dataset) -> fair_core::Result<()> {
+        match self {
+            Self::Memory(d) => d.gather_rows(rows, out),
+            Self::Disk(s) => s.gather_rows(rows, out),
         }
     }
 
@@ -426,6 +433,19 @@ mod tests {
         fair_store::write_source(&cohort(20), &path).unwrap();
         let disk = CohortStore::Disk(ShardStore::open_with_budget(&path, 0).unwrap());
         assert!(disk.paged(), "a disk store keeps the paged plan policy");
+        // A gather reads the rows' groups without paging any shard in: a
+        // dropped override would page through `with_shard` and miss.
+        let rows = [3, 1, 9, 17, 16];
+        let mut gathered = Dataset::empty(disk.schema().clone());
+        disk.gather_rows(&rows, &mut gathered).unwrap();
+        let ids: Vec<u64> = gathered.ids().iter().map(|id| id.0).collect();
+        assert_eq!(ids, vec![3, 1, 9, 17, 16]);
+        let stats = disk.cache_stats().unwrap();
+        assert_eq!(
+            stats.misses, 0,
+            "the gather went through the store's override"
+        );
+        assert!(stats.sparse_groups > 0);
         assert_eq!(disk.map_shards(|view| view.len()), vec![8, 8, 4]);
         std::fs::remove_file(path).ok();
     }

@@ -53,8 +53,7 @@ use fair_core::metrics::LogDiscountConfig;
 use fair_core::obs;
 use fair_core::ranking::WeightedSumRanker;
 use fair_core::{
-    for_each_shard_run, sample_indices_range_into, DcaConfig, FaultMode, ShardSource,
-    DEFAULT_SHARD_SIZE,
+    sample_indices_range_into, Dataset, DcaConfig, FaultMode, ShardSource, DEFAULT_SHARD_SIZE,
 };
 use fair_data::{CompasConfig, CompasGenerator, SchoolConfig, SchoolGenerator};
 use std::collections::HashMap;
@@ -415,6 +414,7 @@ impl AuditService {
                     ("budget_bytes", Json::num(cache.budget_bytes as f64)),
                     ("prefetch_hits", Json::num(cache.prefetch_hits as f64)),
                     ("prefetch_wasted", Json::num(cache.prefetch_wasted as f64)),
+                    ("sparse_groups", Json::num(cache.sparse_groups as f64)),
                 ]),
             ));
         }
@@ -615,36 +615,30 @@ impl AuditService {
                 let mut indices = Vec::new();
                 sample_indices_range_into(store, seed, sample_size, lo..hi, &mut indices)
                     .map_err(|e| ApiError::unprocessable(e.to_string()))?;
-                let shard_size = store.shard_size();
-                let mut ids = Vec::with_capacity(indices.len());
-                let mut features = Vec::with_capacity(indices.len() * num_features);
-                let mut fairness = Vec::with_capacity(indices.len() * dims);
-                let mut labels = Vec::with_capacity(indices.len());
-                for_each_shard_run(
-                    store,
-                    &indices,
-                    |&g| g / shard_size,
-                    |view, run| {
-                        let d = view.data();
-                        for &g in run {
-                            let i = g - view.offset();
-                            ids.push(Json::u64(d.ids()[i].0));
-                            features.extend_from_slice(d.feature_row(i));
-                            fairness.extend_from_slice(d.fairness_row(i));
-                            // Labels ride as a tiny enum: 0 = unlabelled,
-                            // 1 = false, 2 = true.
-                            labels.push(Json::num(match d.labels()[i] {
-                                None => 0.0,
-                                Some(false) => 1.0,
-                                Some(true) => 2.0,
-                            }));
-                        }
-                    },
-                );
+                let mut gathered = Dataset::with_capacity(store.schema().clone(), indices.len());
+                store
+                    .gather_rows(&indices, &mut gathered)
+                    .map_err(|e| ApiError::unprocessable(e.to_string()))?;
+                // Labels ride as a tiny enum: 0 = unlabelled, 1 = false,
+                // 2 = true.
+                let labels = gathered
+                    .labels()
+                    .iter()
+                    .map(|label| {
+                        Json::num(match label {
+                            None => 0.0,
+                            Some(false) => 1.0,
+                            Some(true) => 2.0,
+                        })
+                    })
+                    .collect();
                 let rows = Json::obj(vec![
-                    ("ids", Json::Arr(ids)),
-                    ("features", Json::num_arr(&features)),
-                    ("fairness", Json::num_arr(&fairness)),
+                    (
+                        "ids",
+                        Json::Arr(gathered.ids().iter().map(|id| Json::u64(id.0)).collect()),
+                    ),
+                    ("features", Json::num_arr(gathered.features_matrix())),
+                    ("fairness", Json::num_arr(gathered.fairness_matrix())),
                     ("labels", Json::Arr(labels)),
                 ]);
                 Ok((

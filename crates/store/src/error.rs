@@ -6,11 +6,13 @@ use std::io;
 
 /// Errors produced by writing, opening, and paging an FSS1 shard file.
 ///
-/// Throughout the crate's fallible API (`open`, `read_shard`, `verify`, the
-/// writer), every failure mode of a corrupted or truncated file surfaces as
-/// a structured [`StoreError::Corrupt`] value — never a panic, and never a
-/// silently mis-decoded shard (all column blocks are CRC-checked before a
-/// single byte is interpreted). The one infallible surface is the
+/// Throughout the crate's fallible API (`open`, `read_shard`, `read_rows`,
+/// `verify`, the writer), every failure mode of a corrupted or truncated
+/// file surfaces as a structured [`StoreError::Corrupt`] value — never a
+/// panic, and never a silently mis-decoded shard (every row group is
+/// CRC-checked before a single byte of it is interpreted). Row gathers
+/// through `ShardSource::gather_rows` carry the same message as a
+/// `FairError::Storage`. The one infallible surface is the
 /// `ShardSource::with_shard` engine hook, which has no error channel and
 /// panics if a block first fails its checksum there; `verify` pre-screens
 /// untrusted files.

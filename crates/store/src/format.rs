@@ -4,12 +4,15 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────────┐
-//! │ header (52 B): magic "FSS1" · version · schema hash · shard size │
-//! │                total rows · shard count · directory offset · CRC │
+//! │ header (60 B): magic "FSS1" · version · schema hash · shard size │
+//! │         total rows · shard count · directory offset · G · CRC    │
 //! ├──────────────────────────────────────────────────────────────────┤
 //! │ schema block: length-prefixed serialization + CRC                │
 //! ├──────────────────────────────────────────────────────────────────┤
-//! │ shard 0: rows ┆ ids+CRC ┆ features+CRC ┆ fairness+CRC ┆ labels+CRC
+//! │ shard 0: rows ┆ ids      g0+CRC g1+CRC …  (G rows a group)       │
+//! │               ┆ features g0+CRC g1+CRC …                         │
+//! │               ┆ fairness g0+CRC g1+CRC …                         │
+//! │               ┆ labels   g0+CRC g1+CRC …  (the last may be short)│
 //! │ shard 1: …                                                       │
 //! │ ⋮   (appended as they are built — streaming writes)              │
 //! ├──────────────────────────────────────────────────────────────────┤
@@ -17,20 +20,36 @@
 //! └──────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Every multi-byte integer is little-endian. Each column block carries its
-//! own CRC32 so a flipped byte anywhere is caught before any value is
-//! interpreted; the header additionally pins the schema by an FNV-1a hash so
-//! a file can never be decoded under the wrong column layout.
+//! Every multi-byte integer is little-endian. Each column block is cut into
+//! groups of `G` rows ([`GROUP_ROWS`] in the files the writer produces), and
+//! every group carries its own CRC32, so a flipped byte anywhere is caught
+//! before any value of its group is interpreted — and a reader that wants a
+//! few rows reads and verifies only the groups holding them. Columns are
+//! fixed-width, so a group's position is arithmetic on the directory entry
+//! ([`BlockLayout`]). The header additionally pins the schema by an FNV-1a
+//! hash so a file can never be decoded under the wrong column layout.
+//!
+//! Version 1 files (52-byte header, no `G`) checksum each column block
+//! whole. That is the case `G` = shard size — one group per column — so the
+//! same decoder reads both versions.
 
 use crate::error::{Result, StoreError};
 use fair_core::{FairnessAttribute, FairnessKind, Schema, SchemaRef};
 
 /// The four magic bytes opening every shard file.
 pub const MAGIC: [u8; 4] = *b"FSS1";
-/// Current format revision.
-pub const VERSION: u16 = 1;
-/// Fixed byte length of the file header.
-pub const HEADER_LEN: usize = 52;
+/// Current format revision: column blocks in checksummed row groups.
+pub const VERSION: u16 = 2;
+/// The first revision: one checksum per column block.
+pub const VERSION_1: u16 = 1;
+/// Byte length of the current file header.
+pub const HEADER_LEN: usize = 60;
+/// Byte length of a version-1 file header, which has no group size.
+pub const HEADER_LEN_V1: usize = 52;
+/// Rows per checksummed group in the files [`crate::StoreWriter`] writes.
+/// At the benchmark's 65 bytes per row a group's four CRCs add half a byte
+/// per row, and a sampled row costs reading about 2 KB.
+pub const GROUP_ROWS: u64 = 32;
 /// Byte length of one shard-directory entry (`offset u64`, `rows u64`).
 pub const DIR_ENTRY_LEN: usize = 16;
 
@@ -205,6 +224,8 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// The decoded fixed-size file header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Header {
+    /// Format revision ([`VERSION`] or [`VERSION_1`]).
+    pub version: u16,
     /// FNV-1a hash of the schema block's serialization.
     pub schema_hash: u64,
     /// Rows per shard (every shard but the last).
@@ -215,28 +236,46 @@ pub struct Header {
     pub num_shards: u64,
     /// File offset of the shard directory.
     pub directory_offset: u64,
+    /// Rows per checksummed group of every column block. Version 1 files
+    /// decode with `group_rows = shard_size`: one group per column.
+    pub group_rows: u64,
 }
 
 impl Header {
-    /// Serialize to the fixed [`HEADER_LEN`] bytes (including the CRC).
+    /// Byte length of this header on disk ([`HEADER_LEN`], or
+    /// [`HEADER_LEN_V1`] for a version-1 header).
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        if self.version == VERSION_1 {
+            HEADER_LEN_V1
+        } else {
+            HEADER_LEN
+        }
+    }
+
+    /// Serialize to [`Header::encoded_len`] bytes (including the CRC).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN);
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&self.version.to_le_bytes());
         out.extend_from_slice(&0_u16.to_le_bytes()); // reserved flags
         put_u64(&mut out, self.schema_hash);
         put_u64(&mut out, self.shard_size);
         put_u64(&mut out, self.total_rows);
         put_u64(&mut out, self.num_shards);
         put_u64(&mut out, self.directory_offset);
+        if self.version != VERSION_1 {
+            put_u64(&mut out, self.group_rows);
+        }
         let crc = crc32(&out);
         put_u32(&mut out, crc);
-        debug_assert_eq!(out.len(), HEADER_LEN);
+        debug_assert_eq!(out.len(), self.encoded_len());
         out
     }
 
-    /// Decode and validate a [`HEADER_LEN`]-byte header.
+    /// Decode and validate a header from the first bytes of a file (at
+    /// least [`Header::encoded_len`] of them; any bytes beyond are ignored).
     ///
     /// # Errors
     /// Returns a structured error on bad magic, an unsupported version, or a
@@ -252,22 +291,31 @@ impl Header {
             });
         }
         let version = c.u16()?;
-        if version != VERSION {
+        if version != VERSION && version != VERSION_1 {
             return Err(StoreError::UnsupportedVersion { found: version });
         }
         let _flags = c.u16()?;
+        let schema_hash = c.u64()?;
+        let shard_size = c.u64()?;
         let header = Self {
-            schema_hash: c.u64()?,
-            shard_size: c.u64()?,
+            version,
+            schema_hash,
+            shard_size,
             total_rows: c.u64()?,
             num_shards: c.u64()?,
             directory_offset: c.u64()?,
+            group_rows: if version == VERSION_1 {
+                shard_size
+            } else {
+                c.u64()?
+            },
         };
         let stored_crc = c.u32()?;
-        let actual = crc32(&bytes[..HEADER_LEN - 4]);
+        let body_len = header.encoded_len() - 4;
+        let actual = crc32(&bytes[..body_len]);
         if stored_crc != actual {
             return Err(StoreError::Corrupt {
-                offset: (HEADER_LEN - 4) as u64,
+                offset: body_len as u64,
                 what: "file header".into(),
                 reason: format!(
                     "checksum mismatch: stored {stored_crc:#010x}, computed {actual:#010x}"
@@ -433,27 +481,84 @@ pub fn decode_directory(bytes: &[u8], num_shards: usize, base: u64) -> Result<Ve
     Ok(entries)
 }
 
-/// Byte length of one shard block holding `rows` rows under a schema with
-/// `num_features`/`num_fairness` columns: the row count, then the four
-/// CRC-suffixed column blocks (ids, features, fairness, labels). Saturating
-/// arithmetic: implausible (crafted-header) inputs yield `u64::MAX`, which
-/// every bounds check downstream rejects — never an overflow panic.
-#[must_use]
-pub fn shard_block_len(rows: u64, num_features: usize, num_fairness: usize) -> u64 {
-    let column = |width: u64| {
-        rows.saturating_mul(8)
-            .saturating_mul(width)
-            .saturating_add(4)
-    };
-    let ids = column(1);
-    let features = column(num_features as u64);
-    let fairness = column(num_fairness as u64);
-    let labels = rows.saturating_add(4);
-    8_u64
-        .saturating_add(ids)
-        .saturating_add(features)
-        .saturating_add(fairness)
-        .saturating_add(labels)
+/// The four column blocks of a shard block, in file order.
+pub const COLUMNS: [&str; 4] = ["ids", "features", "fairness", "labels"];
+
+/// Where everything sits inside one shard block: the row count (`u64`),
+/// then the four column blocks (ids, features, fairness, labels), each cut
+/// into `group_rows`-row groups that are each followed by their CRC32. Every
+/// group but a column's last holds `group_rows` rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockLayout {
+    rows: u64,
+    group_rows: u64,
+    /// Bytes per row of each column, in [`COLUMNS`] order.
+    widths: [u64; 4],
+    /// Offset of each column block from the start of the shard block, then
+    /// the length of the whole shard block.
+    offsets: [u64; 5],
+}
+
+impl BlockLayout {
+    /// The layout of a block of `rows` rows under a schema with
+    /// `num_features`/`num_fairness` columns. Checked arithmetic: `None` on
+    /// a zero group size or when any offset overflows (a crafted header), so
+    /// every offset of a layout that exists fits a `u64`.
+    #[must_use]
+    pub fn new(
+        rows: u64,
+        group_rows: u64,
+        num_features: usize,
+        num_fairness: usize,
+    ) -> Option<Self> {
+        if group_rows == 0 {
+            return None;
+        }
+        let f64s = |n: usize| (n as u64).checked_mul(8);
+        let widths = [8, f64s(num_features)?, f64s(num_fairness)?, 1];
+        let crcs = rows.div_ceil(group_rows).checked_mul(4)?;
+        let mut offsets = [8_u64; 5];
+        for c in 0..COLUMNS.len() {
+            offsets[c + 1] = offsets[c]
+                .checked_add(rows.checked_mul(widths[c])?)?
+                .checked_add(crcs)?;
+        }
+        Some(Self {
+            rows,
+            group_rows,
+            widths,
+            offsets,
+        })
+    }
+
+    /// Rows per group (every group but the last).
+    #[must_use]
+    pub fn group_rows(&self) -> u64 {
+        self.group_rows
+    }
+
+    /// Groups per column.
+    #[must_use]
+    pub fn groups(&self) -> u64 {
+        self.rows.div_ceil(self.group_rows)
+    }
+
+    /// Byte length of the whole shard block.
+    #[must_use]
+    pub fn block_len(&self) -> u64 {
+        self.offsets[COLUMNS.len()]
+    }
+
+    /// Group `g` (`< groups()`) of column `c`: its offset from the start of
+    /// the shard block and the byte length of its values. Its CRC32 follows
+    /// the values.
+    #[must_use]
+    pub fn group_span(&self, c: usize, g: u64) -> (u64, u64) {
+        let first_row = g * self.group_rows;
+        let rows = self.group_rows.min(self.rows - first_row);
+        let start = self.offsets[c] + first_row * self.widths[c] + g * 4;
+        (start, rows * self.widths[c])
+    }
 }
 
 #[cfg(test)]
@@ -497,11 +602,13 @@ mod tests {
     #[test]
     fn header_round_trips() {
         let h = Header {
+            version: VERSION,
             schema_hash: 0xDEAD_BEEF_CAFE_F00D,
             shard_size: 64 * 1024,
             total_rows: 1_000_003,
             num_shards: 16,
             directory_offset: 123_456_789,
+            group_rows: GROUP_ROWS,
         };
         let bytes = h.encode();
         assert_eq!(bytes.len(), HEADER_LEN);
@@ -509,13 +616,34 @@ mod tests {
     }
 
     #[test]
+    fn version_1_headers_decode_with_one_group_per_shard() {
+        let v1 = Header {
+            version: VERSION_1,
+            schema_hash: 7,
+            shard_size: 8,
+            total_rows: 40,
+            num_shards: 5,
+            directory_offset: 1_000,
+            group_rows: 8,
+        };
+        let mut bytes = v1.encode();
+        assert_eq!(bytes.len(), HEADER_LEN_V1);
+        // The bytes that follow a version-1 header belong to the schema
+        // block; they must not be read as a group size.
+        bytes.extend_from_slice(&[0xAB; 8]);
+        assert_eq!(Header::decode(&bytes).unwrap(), v1);
+    }
+
+    #[test]
     fn header_rejects_bad_magic_version_and_crc() {
         let h = Header {
+            version: VERSION,
             schema_hash: 1,
             shard_size: 2,
             total_rows: 3,
             num_shards: 2,
             directory_offset: 99,
+            group_rows: 1,
         };
         let mut bytes = h.encode();
         bytes[0] = b'X';
@@ -593,11 +721,27 @@ mod tests {
     }
 
     #[test]
-    fn shard_block_len_counts_every_section() {
-        // 8 (rows) + ids (2*8+4) + features (2*8*1+4) + fairness (2*8*2+4)
-        // + labels (2+4)
-        assert_eq!(shard_block_len(2, 1, 2), 8 + 20 + 20 + 36 + 6);
-        // Crafted-header scale saturates instead of overflowing.
-        assert_eq!(shard_block_len(u64::MAX / 2, 1 << 30, 1 << 30), u64::MAX);
+    fn block_layout_counts_every_group_and_checksum() {
+        // 5 rows in groups of 2 (2 + 2 + 1): three CRCs per column.
+        // 8 (rows) + ids (5*8+12) + features (5*8*1+12) + fairness
+        // (5*8*2+12) + labels (5+12)
+        let layout = BlockLayout::new(5, 2, 1, 2).unwrap();
+        assert_eq!(layout.groups(), 3);
+        assert_eq!(layout.block_len(), 8 + 52 + 52 + 92 + 17);
+        // Groups sit back to back, each followed by its CRC; the last is
+        // short.
+        assert_eq!(layout.group_span(0, 0), (8, 16));
+        assert_eq!(layout.group_span(0, 1), (8 + 20, 16));
+        assert_eq!(layout.group_span(0, 2), (8 + 40, 8));
+        assert_eq!(layout.group_span(2, 1), (8 + 52 + 52 + 36, 32));
+        assert_eq!(layout.group_span(3, 2), (8 + 52 + 52 + 92 + 12, 1));
+        // One group per column is the version-1 layout: a single CRC each.
+        let v1 = BlockLayout::new(2, 2, 1, 2).unwrap();
+        assert_eq!(v1.block_len(), 8 + 20 + 20 + 36 + 6);
+        // Crafted-header scale and a zero group size are rejected instead
+        // of overflowing or dividing by zero.
+        assert_eq!(BlockLayout::new(u64::MAX / 2, 32, 1 << 30, 1 << 30), None);
+        assert_eq!(BlockLayout::new(u64::MAX / 8, 1, 1, 1), None);
+        assert_eq!(BlockLayout::new(4, 0, 1, 1), None);
     }
 }

@@ -7,8 +7,10 @@
 //!
 //! * **FSS1 format** ([`format`](mod@format)): a binary columnar layout — file header
 //!   with a schema hash and a shard directory, then per-shard contiguous
-//!   column blocks (ids, features, fairness, labels), each CRC32-checksummed.
-//!   Std-only; no compression, no external dependencies.
+//!   column blocks (ids, features, fairness, labels), each cut into
+//!   [`format::GROUP_ROWS`]-row groups with their own CRC32 (version 2;
+//!   version-1 files, one CRC per column block, stay readable). Std-only;
+//!   no compression, no external dependencies.
 //! * **[`StoreWriter`]** ([`writer`]): streaming writes — shards are encoded
 //!   and appended as they are built ([`StoreWriter::push`] buffers single
 //!   rows, [`StoreWriter::append_shard`] takes whole blocks), and
@@ -19,7 +21,10 @@
 //!   byte-budgeted LRU cache (the budget is an argument of
 //!   [`ShardStore::open_with_budget`], [`DEFAULT_CACHE_BYTES`] for
 //!   [`ShardStore::open`]) with pin-while-borrowed semantics and
-//!   hit/miss/eviction/peak-bytes counters.
+//!   hit/miss/eviction/peak-bytes counters. Row gathers
+//!   ([`ShardStore::read_rows`]) copy from resident shards and otherwise
+//!   read, verify and decode only the row groups they need, leaving the
+//!   cache untouched.
 //!
 //! `ShardStore` implements [`fair_core::ShardSource`], so evaluation code is
 //! storage-agnostic:

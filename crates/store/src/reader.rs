@@ -2,10 +2,12 @@
 //! LRU shard cache.
 //!
 //! Opening a store validates the header, the embedded schema (checksum *and*
-//! schema hash), and the shard directory (checksum, offsets, block bounds,
-//! row counts) — so after a successful open, the only way a page-in can fail
-//! is genuine data corruption, which the per-block CRCs catch before any byte
-//! is interpreted. Shards decode on demand through the cache:
+//! schema hash), and the shard directory (checksum, offsets, block bounds
+//! with checked arithmetic, row counts) — so after a successful open, the
+//! only way a page-in can fail is genuine data corruption, which the
+//! per-group CRCs catch before any byte of the group is interpreted. Both
+//! format versions read through the same decoder (a version-1 file is one
+//! row group per column block). Shards decode on demand through the cache:
 //!
 //! * **byte budget** — fixed at open ([`DEFAULT_CACHE_BYTES`] unless the
 //!   caller passes one; `0` retains nothing), it bounds the resident column
@@ -35,13 +37,24 @@
 //!   [`fair_core::obs`] registry (`fair_store_*` series, summed across every
 //!   open store, scraped at `GET /metrics`); [`CacheStats`] stays as the
 //!   exact per-store view.
+//!
+//! Row gathers ([`ShardStore::read_rows`], behind
+//! [`fair_core::ShardSource::gather_rows`]) take a second route. Per shard
+//! run, a **resident** shard is pinned and its rows copied (a cache hit);
+//! a shard that is **not resident** is never paged in: only the row groups
+//! holding the requested rows are read, verified and decoded, and nothing
+//! is admitted or read ahead. A Core DCA step thus costs its sample, not
+//! its shards. This assumes the file's pages sit in the OS page cache —
+//! from a cold disk each group is a random read — and it means a Core DCA
+//! job on a cold store no longer warms the shard cache (audits, stats and
+//! Full DCA sweeps still do).
 
 use crate::error::{Result, StoreError};
 use crate::format::{
-    crc32, decode_directory, decode_schema, fnv1a64, shard_block_len, Header, ShardEntry,
+    crc32, decode_directory, decode_schema, fnv1a64, BlockLayout, Header, ShardEntry, COLUMNS,
     DIR_ENTRY_LEN, HEADER_LEN,
 };
-use fair_core::{obs, Dataset, ObjectId, SchemaRef, ShardSource, ShardView};
+use fair_core::{obs, Dataset, FairError, ObjectId, ObjectView, SchemaRef, ShardSource, ShardView};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
 use std::path::Path;
@@ -93,6 +106,9 @@ pub struct CacheStats {
     /// readahead thread and surfaced to the next reader of that shard as a
     /// structured error instead of a hang.
     pub decode_poisoned: u64,
+    /// Row groups read, verified and decoded by row gathers
+    /// ([`ShardStore::read_rows`]) from shards that were not resident.
+    pub sparse_groups: u64,
 }
 
 struct CacheEntry {
@@ -115,6 +131,7 @@ struct CacheObs {
     prefetch_hits: Arc<obs::Counter>,
     prefetch_wasted: Arc<obs::Counter>,
     decode_poisoned: Arc<obs::Counter>,
+    sparse_groups: Arc<obs::Counter>,
     resident_bytes: Arc<obs::Gauge>,
 }
 
@@ -127,6 +144,7 @@ impl Default for CacheObs {
             prefetch_hits: obs::counter("fair_store_prefetch_hits_total", &[]),
             prefetch_wasted: obs::counter("fair_store_prefetch_wasted_total", &[]),
             decode_poisoned: obs::counter("fair_store_decode_poisoned_total", &[]),
+            sparse_groups: obs::counter("fair_store_sparse_groups_total", &[]),
             resident_bytes: obs::gauge("fair_store_resident_bytes", &[]),
         }
     }
@@ -156,6 +174,8 @@ struct CacheState {
     poisoned: HashMap<usize, String>,
     /// Running count of contained background-decode panics.
     decode_poisoned: u64,
+    /// Row groups the sparse gather path has read.
+    sparse_groups: u64,
     /// Set on drop to shut the readahead thread down.
     stop: bool,
     /// The most recently pinned shard index. The readahead thread drops
@@ -207,6 +227,8 @@ struct StoreInner {
     schema: SchemaRef,
     shard_size: usize,
     total_rows: usize,
+    /// Rows per checksummed group (the shard size for version-1 files).
+    group_rows: u64,
     directory: Vec<ShardEntry>,
     budget: usize,
     /// Readahead depth in shards; `0` means no background thread exists.
@@ -331,8 +353,14 @@ impl ShardStore {
         let file = StoreFile::new(File::open(path)?);
         let file_len = file.file.metadata()?.len();
 
-        let header_bytes = read_block(&file, 0, HEADER_LEN, "file header")?;
+        let header_bytes = read_block(
+            &file,
+            0,
+            usize::try_from(file_len).map_or(HEADER_LEN, |len| len.min(HEADER_LEN)),
+            "file header",
+        )?;
         let header = Header::decode(&header_bytes)?;
+        let header_len = header.encoded_len();
         if header.directory_offset == 0 {
             return Err(StoreError::Corrupt {
                 offset: 40,
@@ -345,6 +373,13 @@ impl ShardStore {
                 offset: 16,
                 what: "file header".into(),
                 reason: "zero shard size".into(),
+            });
+        }
+        if header.group_rows == 0 {
+            return Err(StoreError::Corrupt {
+                offset: 48,
+                what: "file header".into(),
+                reason: "zero rows per checksummed group".into(),
             });
         }
         let shard_size = usize::try_from(header.shard_size).map_err(|_| StoreError::Corrupt {
@@ -393,26 +428,26 @@ impl ShardStore {
         }
 
         // Schema block.
-        let len_bytes = read_block(&file, HEADER_LEN as u64, 4, "schema block")?;
+        let len_bytes = read_block(&file, header_len as u64, 4, "schema block")?;
         let schema_len = u32::from_le_bytes(len_bytes[..4].try_into().expect("4")) as usize;
-        if (HEADER_LEN + 8 + schema_len) as u64 > file_len {
+        if (header_len + 8 + schema_len) as u64 > file_len {
             return Err(StoreError::Corrupt {
-                offset: HEADER_LEN as u64,
+                offset: header_len as u64,
                 what: "schema block".into(),
                 reason: format!("length {schema_len} runs past the file end"),
             });
         }
-        let schema_bytes = read_block(&file, (HEADER_LEN + 4) as u64, schema_len, "schema block")?;
+        let schema_bytes = read_block(&file, (header_len + 4) as u64, schema_len, "schema block")?;
         let crc_bytes = read_block(
             &file,
-            (HEADER_LEN + 4 + schema_len) as u64,
+            (header_len + 4 + schema_len) as u64,
             4,
             "schema block",
         )?;
         let stored_crc = u32::from_le_bytes(crc_bytes[..4].try_into().expect("4"));
         if stored_crc != crc32(&schema_bytes) {
             return Err(StoreError::Corrupt {
-                offset: (HEADER_LEN + 4 + schema_len) as u64,
+                offset: (header_len + 4 + schema_len) as u64,
                 what: "schema block".into(),
                 reason: "checksum mismatch".into(),
             });
@@ -424,7 +459,7 @@ impl ShardStore {
                 reason: "schema hash does not match the schema block".into(),
             });
         }
-        let schema = decode_schema(&schema_bytes, (HEADER_LEN + 4) as u64)?;
+        let schema = decode_schema(&schema_bytes, (header_len + 4) as u64)?;
 
         // Shard directory. All arithmetic is checked and bounded by the file
         // length *before* any allocation, so a crafted header with a huge
@@ -455,7 +490,7 @@ impl ShardStore {
 
         // Entry-by-entry layout validation: offsets in range, blocks inside
         // the data region, row counts matching the fixed-size layout.
-        let data_start = (HEADER_LEN + 8 + schema_len) as u64;
+        let data_start = (header_len + 8 + schema_len) as u64;
         for (i, entry) in directory.iter().enumerate() {
             let expected_rows = if i + 1 == num_shards {
                 (total_rows - i * shard_size) as u64
@@ -472,16 +507,25 @@ impl ShardStore {
                     ),
                 });
             }
-            let block_len =
-                shard_block_len(entry.rows, schema.num_features(), schema.num_fairness());
-            if entry.offset < data_start || entry.offset + block_len > header.directory_offset {
+            // Checked: a crafted header can make the block length (or the
+            // block's end) overflow, which must be a structured error.
+            let block_end = BlockLayout::new(
+                entry.rows,
+                header.group_rows,
+                schema.num_features(),
+                schema.num_fairness(),
+            )
+            .and_then(|layout| entry.offset.checked_add(layout.block_len()));
+            if entry.offset < data_start
+                || block_end.is_none_or(|end| end > header.directory_offset)
+            {
                 return Err(StoreError::Corrupt {
                     offset: header.directory_offset + (i * DIR_ENTRY_LEN) as u64,
                     what: format!("shard {i} directory entry"),
                     reason: format!(
-                        "block [{}, {}) outside the data region [{}, {})",
+                        "block at {} ending at {} outside the data region [{}, {})",
                         entry.offset,
-                        entry.offset + block_len,
+                        block_end.map_or_else(|| "an overflowing offset".into(), |e| e.to_string()),
                         data_start,
                         header.directory_offset
                     ),
@@ -495,6 +539,7 @@ impl ShardStore {
             schema,
             shard_size,
             total_rows,
+            group_rows: header.group_rows,
             directory,
             budget,
             prefetch,
@@ -550,6 +595,7 @@ impl ShardStore {
             prefetch_hits: st.prefetch_hits,
             prefetch_wasted: st.prefetch_wasted,
             decode_poisoned: st.decode_poisoned,
+            sparse_groups: st.sparse_groups,
         }
     }
 
@@ -585,9 +631,83 @@ impl ShardStore {
         }
         Ok(())
     }
+
+    /// Append the rows at the global indices `rows` to `out`, in the order
+    /// given — the fallible form of [`ShardSource::gather_rows`]. Each run
+    /// of indices that falls in one shard (the sampler emits them grouped
+    /// by shard) is served on its own:
+    ///
+    /// * a **resident** shard is pinned and the rows are copied out of the
+    ///   cached block, counting a cache hit;
+    /// * a shard that is **not resident** is not paged in. Only the row
+    ///   groups holding the requested rows are read (one positional read per
+    ///   column for each run of adjacent groups), verified and decoded;
+    ///   nothing is admitted to the cache and nothing is read ahead, so a
+    ///   gather never evicts a sweep's shards and `peak_bytes <= budget`
+    ///   holds untouched. [`CacheStats::sparse_groups`] counts the groups.
+    ///
+    /// 500 rows spread over sixteen 64k-row shards thus read about 500
+    /// groups of [`crate::format::GROUP_ROWS`] rows instead of decoding
+    /// sixteen shards (see the module docs for the page-cache assumption).
+    ///
+    /// # Errors
+    /// [`StoreError::InvalidConfig`] for an index past the end, and a
+    /// structured corruption or I/O error when a group fails its checksum or
+    /// cannot be read. Rows gathered before the failure stay in `out`.
+    pub fn read_rows(&self, rows: &[usize], out: &mut Dataset) -> Result<()> {
+        if let Some(bad) = rows.iter().find(|&&g| g >= self.inner.total_rows) {
+            return Err(StoreError::InvalidConfig {
+                reason: format!("row {bad} out of range ({} rows)", self.inner.total_rows),
+            });
+        }
+        let shard_size = self.inner.shard_size;
+        for run in rows.chunk_by(|a, b| a / shard_size == b / shard_size) {
+            let index = run[0] / shard_size;
+            if let Some(data) = self.inner.pin_resident(index) {
+                let guard = PinGuard {
+                    store: &self.inner,
+                    index,
+                    data,
+                };
+                for &g in run {
+                    out.push_row(guard.data.row(g - index * shard_size));
+                }
+            } else {
+                let groups = self.inner.read_groups(index, run, out)?;
+                let mut st = self.inner.cache.lock().expect("shard cache poisoned");
+                st.sparse_groups += groups;
+                st.obs.sparse_groups.add(groups);
+            }
+        }
+        Ok(())
+    }
 }
 
 impl StoreInner {
+    /// The byte layout of shard `index`'s block (validated at open).
+    fn layout(&self, index: usize) -> BlockLayout {
+        BlockLayout::new(
+            self.directory[index].rows,
+            self.group_rows,
+            self.schema.num_features(),
+            self.schema.num_fairness(),
+        )
+        .expect("layout validated at open")
+    }
+
+    /// Fault point "decode", context "<path>#shardN": `panic` aborts the
+    /// decode mid-flight, `delay` stalls it; the connection-shaped modes have
+    /// no meaning here and are ignored.
+    fn decode_fault(&self, index: usize) {
+        match fair_core::fault::check("decode", &format!("{}#shard{}", self.path, index)) {
+            Some(fair_core::FaultMode::Panic) => {
+                panic!("injected decode fault: shard {index} of {}", self.path)
+            }
+            Some(fair_core::FaultMode::Delay(d)) => std::thread::sleep(d),
+            _ => {}
+        }
+    }
+
     /// Decode shard `index` straight from disk (no cache interaction).
     fn load_shard(&self, index: usize) -> Result<Dataset> {
         // Attribute this page-in to the requesting job, when one is profiled
@@ -598,40 +718,20 @@ impl StoreInner {
         // so background decodes attribute to nobody — only time a job
         // genuinely waited for is charged to it.
         let _decode = fair_core::obs::profile::scope(fair_core::obs::Phase::Decode);
-        // Fault point "decode", context "<path>#shardN": `panic` aborts the
-        // decode mid-flight (exercising the containment below), `delay`
-        // stalls it; the connection-shaped modes have no meaning here and are
-        // ignored.
-        match fair_core::fault::check("decode", &format!("{}#shard{}", self.path, index)) {
-            Some(fair_core::FaultMode::Panic) => {
-                panic!("injected decode fault: shard {index} of {}", self.path)
-            }
-            Some(fair_core::FaultMode::Delay(d)) => std::thread::sleep(d),
-            _ => {}
-        }
+        self.decode_fault(index);
         let entry = self.directory[index];
-        let rows = usize::try_from(entry.rows).expect("rows fit usize (validated at open)");
-        let nf = self.schema.num_features();
-        let na = self.schema.num_fairness();
-        let block_len = shard_block_len(entry.rows, nf, na);
+        let layout = self.layout(index);
         let bytes = {
             let _io = fair_core::obs::profile::scope(fair_core::obs::Phase::PageIn);
             read_block(
                 &self.file,
                 entry.offset,
-                usize::try_from(block_len).expect("block fits usize"),
+                usize::try_from(layout.block_len()).expect("block fits usize"),
                 "shard block",
             )
             .map_err(|e| relabel(e, &format!("shard {index} block")))?
         };
-
-        let mut pos = 0_usize;
-        let take = |pos: &mut usize, n: usize| -> &[u8] {
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            s
-        };
-        let stored_rows = u64::from_le_bytes(take(&mut pos, 8).try_into().expect("8"));
+        let stored_rows = u64::from_le_bytes(bytes[..8].try_into().expect("8"));
         if stored_rows != entry.rows {
             return Err(StoreError::Corrupt {
                 offset: entry.offset,
@@ -643,50 +743,43 @@ impl StoreInner {
             });
         }
 
-        let checked = |pos: &mut usize, n: usize, what: &str| -> Result<&[u8]> {
-            let start = entry.offset + *pos as u64;
-            let body = take(pos, n);
-            let stored = u32::from_le_bytes(take(pos, 4).try_into().expect("4"));
-            let actual = crc32(body);
-            if stored != actual {
-                return Err(StoreError::Corrupt {
-                    offset: start,
-                    what: format!("shard {index} {what}"),
-                    reason: format!(
-                        "checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-                    ),
-                });
-            }
-            Ok(body)
-        };
-
-        let ids: Vec<ObjectId> = checked(&mut pos, rows * 8, "ids block")?
-            .chunks_exact(8)
-            .map(|c| ObjectId(u64::from_le_bytes(c.try_into().expect("8"))))
-            .collect();
-        let features: Vec<f64> = checked(&mut pos, rows * 8 * nf, "features block")?
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8"))))
-            .collect();
-        let fairness: Vec<f64> = checked(&mut pos, rows * 8 * na, "fairness block")?
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8"))))
-            .collect();
-        let label_bytes = checked(&mut pos, rows, "labels block")?;
+        let rows = usize::try_from(entry.rows).expect("rows fit usize (validated at open)");
+        let nf = self.schema.num_features();
+        let na = self.schema.num_fairness();
+        let mut ids = Vec::with_capacity(rows);
+        let mut features = Vec::with_capacity(rows * nf);
+        let mut fairness = Vec::with_capacity(rows * na);
         let mut labels = Vec::with_capacity(rows);
-        for (row, &b) in label_bytes.iter().enumerate() {
-            labels.push(match b {
-                0 => None,
-                1 => Some(false),
-                2 => Some(true),
-                other => {
-                    return Err(StoreError::Corrupt {
-                        offset: entry.offset,
-                        what: format!("shard {index} labels block"),
-                        reason: format!("invalid label byte {other} at row {row}"),
-                    })
-                }
-            });
+        // Every group of every column is verified before its values are.
+        let group = |c: usize, g: u64| {
+            let (at, len) = layout.group_span(c, g);
+            checked_group(
+                &bytes,
+                at as usize,
+                len as usize,
+                entry.offset + at,
+                index,
+                c,
+                g,
+            )
+        };
+        for g in 0..layout.groups() {
+            ids.extend(group(0, g)?.chunks_exact(8).map(|b| ObjectId(le_u64(b))));
+        }
+        for g in 0..layout.groups() {
+            features.extend(group(1, g)?.chunks_exact(8).map(le_f64));
+        }
+        for g in 0..layout.groups() {
+            fairness.extend(group(2, g)?.chunks_exact(8).map(le_f64));
+        }
+        for g in 0..layout.groups() {
+            for &b in group(3, g)? {
+                labels.push(decode_label(b).ok_or_else(|| StoreError::Corrupt {
+                    offset: entry.offset + layout.group_span(3, g).0,
+                    what: format!("shard {index} labels group {g}"),
+                    reason: format!("invalid label byte {b}"),
+                })?);
+            }
         }
         Ok(Dataset::from_columns(
             self.schema.clone(),
@@ -697,6 +790,94 @@ impl StoreInner {
         )?)
     }
 
+    /// Append the rows `run` (global indices, all in shard `index`) to
+    /// `out` in order, reading only the row groups that hold them: one
+    /// positional read per column for each run of adjacent groups, every
+    /// group's CRC verified before any of its values is decoded, and only
+    /// the requested rows decoded. Nothing is admitted to the cache and
+    /// nothing is read ahead. Returns the number of groups read.
+    fn read_groups(&self, index: usize, run: &[usize], out: &mut Dataset) -> Result<u64> {
+        // The reads are `page_in`; the checksums and the decode `decode`.
+        let _decode = fair_core::obs::profile::scope(fair_core::obs::Phase::Decode);
+        self.decode_fault(index);
+        let entry = self.directory[index];
+        let layout = self.layout(index);
+        let first_row = index * self.shard_size;
+        let group_rows = layout.group_rows();
+        let mut groups: Vec<u64> = run
+            .iter()
+            .map(|&g| (g - first_row) as u64 / group_rows)
+            .collect();
+        groups.sort_unstable();
+        groups.dedup();
+        // Per column: the bytes read, and where each of `groups` starts in
+        // them.
+        let mut columns: [(Vec<u8>, Vec<usize>); 4] = Default::default();
+        {
+            let _io = fair_core::obs::profile::scope(fair_core::obs::Phase::PageIn);
+            for (c, (bytes, starts)) in columns.iter_mut().enumerate() {
+                for adjacent in groups.chunk_by(|a, b| a + 1 == *b) {
+                    let first = layout.group_span(c, adjacent[0]).0;
+                    let (last, len) = layout.group_span(c, adjacent[adjacent.len() - 1]);
+                    let at = bytes.len();
+                    bytes.resize(at + (last + len + 4 - first) as usize, 0);
+                    read_at(&self.file, &mut bytes[at..], entry.offset + first, || {
+                        format!("shard {index} {} groups", COLUMNS[c])
+                    })?;
+                    starts.extend(
+                        adjacent
+                            .iter()
+                            .map(|&g| at + (layout.group_span(c, g).0 - first) as usize),
+                    );
+                }
+            }
+        }
+        for (c, (bytes, starts)) in columns.iter().enumerate() {
+            for (&g, &at) in groups.iter().zip(starts) {
+                let (offset, len) = layout.group_span(c, g);
+                checked_group(bytes, at, len as usize, entry.offset + offset, index, c, g)?;
+            }
+        }
+        let nf = self.schema.num_features();
+        let na = self.schema.num_fairness();
+        let (mut features, mut fairness) = (Vec::with_capacity(nf), Vec::with_capacity(na));
+        for &global in run {
+            let local = (global - first_row) as u64;
+            let k = groups
+                .binary_search(&(local / group_rows))
+                .expect("the row's group was read");
+            let row = (local % group_rows) as usize;
+            let value = |c: usize, width: usize| {
+                let (bytes, starts) = &columns[c];
+                let at = starts[k] + row * width;
+                &bytes[at..at + width]
+            };
+            let id = ObjectId(le_u64(value(0, 8)));
+            features.clear();
+            features.extend(value(1, 8 * nf).chunks_exact(8).map(le_f64));
+            fairness.clear();
+            fairness.extend(value(2, 8 * na).chunks_exact(8).map(le_f64));
+            let byte = value(3, 1)[0];
+            let label = decode_label(byte).ok_or_else(|| StoreError::Corrupt {
+                offset: entry.offset + layout.group_span(3, local / group_rows).0,
+                what: format!("shard {index} labels group {}", local / group_rows),
+                reason: format!("invalid label byte {byte}"),
+            })?;
+            out.push_row(ObjectView::new(id, &features, &fairness, label));
+        }
+        Ok(groups.len() as u64)
+    }
+
+    /// Pin shard `index` if it is resident and count a hit; `None` when it
+    /// is not. Never pages in and schedules no readahead.
+    fn pin_resident(&self, index: usize) -> Option<Arc<Dataset>> {
+        let mut st = self.cache.lock().expect("shard cache poisoned");
+        let data = pin_entry(&mut st, index)?;
+        st.hits += 1;
+        st.obs.hits.inc();
+        Some(data)
+    }
+
     /// Look the shard up in the cache (pinning it) or page it in on a miss,
     /// scheduling readahead of the following shards either way.
     fn pin(&self, index: usize) -> Result<Arc<Dataset>> {
@@ -704,17 +885,7 @@ impl StoreInner {
             let mut st = self.cache.lock().expect("shard cache poisoned");
             st.last_access = index;
             loop {
-                st.tick += 1;
-                let tick = st.tick;
-                if let Some(e) = st.entries.get_mut(&index) {
-                    e.pins += 1;
-                    e.last_used = tick;
-                    let was_prefetched = std::mem::take(&mut e.prefetched);
-                    let data = e.data.clone();
-                    if was_prefetched {
-                        st.prefetch_hits += 1;
-                        st.obs.prefetch_hits.inc();
-                    }
+                if let Some(data) = pin_entry(&mut st, index) {
                     st.hits += 1;
                     st.obs.hits.inc();
                     self.schedule_readahead(&mut st, index);
@@ -765,22 +936,14 @@ impl StoreInner {
                 std::panic::resume_unwind(panic);
             }
         };
+        if let Some(data) = pin_entry(&mut st, index) {
+            // The readahead thread admitted the shard while we were
+            // decoding; adopt its copy.
+            return Ok(data);
+        }
         let bytes = column_bytes(&data);
         st.tick += 1;
         let tick = st.tick;
-        if let Some(e) = st.entries.get_mut(&index) {
-            // The readahead thread admitted the shard while we were
-            // decoding; adopt its copy.
-            e.pins += 1;
-            e.last_used = tick;
-            let was_prefetched = std::mem::take(&mut e.prefetched);
-            let data = e.data.clone();
-            if was_prefetched {
-                st.prefetch_hits += 1;
-                st.obs.prefetch_hits.inc();
-            }
-            return Ok(data);
-        }
         // Make room *before* admitting, so the resident set only ever
         // exceeds the budget by what is genuinely pinned.
         evict_until(&mut st, self.budget.saturating_sub(bytes));
@@ -961,6 +1124,24 @@ fn admit_prefetched(st: &mut CacheState, budget: usize, index: usize, data: Arc<
     );
 }
 
+/// Pin the resident entry for `index`, if any: bump its pin count and
+/// recency, and count a prefetch hit the first time a prefetched shard is
+/// used. The caller counts the access itself.
+fn pin_entry(st: &mut CacheState, index: usize) -> Option<Arc<Dataset>> {
+    st.tick += 1;
+    let tick = st.tick;
+    let e = st.entries.get_mut(&index)?;
+    e.pins += 1;
+    e.last_used = tick;
+    let was_prefetched = std::mem::take(&mut e.prefetched);
+    let data = e.data.clone();
+    if was_prefetched {
+        st.prefetch_hits += 1;
+        st.obs.prefetch_hits.inc();
+    }
+    Some(data)
+}
+
 /// Evict least-recently-used unpinned shards until at most `target` column
 /// bytes stay resident (or nothing evictable remains).
 fn evict_until(st: &mut CacheState, target: usize) {
@@ -990,22 +1171,76 @@ fn evict_until(st: &mut CacheState, target: usize) {
     }
 }
 
-/// Read `len` bytes at `offset`, mapping short reads to structured
-/// truncation errors.
-fn read_block(file: &StoreFile, offset: u64, len: usize, what: &str) -> Result<Vec<u8>> {
-    let mut buf = vec![0_u8; len];
-    file.read_exact_at(&mut buf, offset).map_err(|e| {
+/// Fill `buf` from `offset`, mapping short reads to structured truncation
+/// errors about `what` (named only on failure).
+fn read_at(
+    file: &StoreFile,
+    buf: &mut [u8],
+    offset: u64,
+    what: impl FnOnce() -> String,
+) -> Result<()> {
+    file.read_exact_at(buf, offset).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             StoreError::Corrupt {
                 offset,
-                what: what.to_string(),
-                reason: format!("truncated: {len} bytes expected"),
+                what: what(),
+                reason: format!("truncated: {} bytes expected", buf.len()),
             }
         } else {
             StoreError::Io(e)
         }
-    })?;
+    })
+}
+
+/// Read `len` bytes at `offset`, mapping short reads to structured
+/// truncation errors.
+fn read_block(file: &StoreFile, offset: u64, len: usize, what: &str) -> Result<Vec<u8>> {
+    let mut buf = vec![0_u8; len];
+    read_at(file, &mut buf, offset, || what.to_string())?;
     Ok(buf)
+}
+
+/// Group `g` of column `c` of shard `index`: its `len` value bytes at `at`
+/// in `bytes`, verified against the CRC32 that follows them. Errors name the
+/// group and its file offset `offset`.
+fn checked_group(
+    bytes: &[u8],
+    at: usize,
+    len: usize,
+    offset: u64,
+    index: usize,
+    c: usize,
+    g: u64,
+) -> Result<&[u8]> {
+    let body = &bytes[at..at + len];
+    let stored = u32::from_le_bytes(bytes[at + len..at + len + 4].try_into().expect("4"));
+    let actual = crc32(body);
+    if stored != actual {
+        return Err(StoreError::Corrupt {
+            offset,
+            what: format!("shard {index} {} group {g}", COLUMNS[c]),
+            reason: format!("checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"),
+        });
+    }
+    Ok(body)
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("8"))
+}
+
+fn le_f64(b: &[u8]) -> f64 {
+    f64::from_bits(le_u64(b))
+}
+
+/// A label byte: 0 = unlabelled, 1 = false, 2 = true; `None` otherwise.
+fn decode_label(b: u8) -> Option<Option<bool>> {
+    match b {
+        0 => Some(None),
+        1 => Some(Some(false)),
+        2 => Some(Some(true)),
+        _ => None,
+    }
 }
 
 /// Re-label a corruption error with a more specific structure name.
@@ -1088,6 +1323,16 @@ impl ShardSource for ShardStore {
         ))
     }
 
+    /// [`ShardStore::read_rows`]: resident shards are copied from the cache,
+    /// the others read only the row groups that hold the rows. Its errors
+    /// come back as [`FairError::Storage`], whose message keeps the shard,
+    /// column, group and file offset.
+    fn gather_rows(&self, rows: &[usize], out: &mut Dataset) -> fair_core::Result<()> {
+        self.read_rows(rows, out).map_err(|e| FairError::Storage {
+            reason: e.to_string(),
+        })
+    }
+
     /// The engine's sweep, one at a time per store. A sweep already runs on
     /// every pool worker, so a second concurrent one only oversubscribes the
     /// cores; and with a cache smaller than the file, two interleaved sweeps
@@ -1153,12 +1398,142 @@ mod tests {
         path
     }
 
+    /// Fault plans are process-wide: tests that install one take turns.
+    static FAULTS: Mutex<()> = Mutex::new(());
+
+    fn assert_same_rows(actual: &Dataset, expected: &Dataset) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(actual.ids(), expected.ids());
+        assert_eq!(actual.labels(), expected.labels());
+        assert_eq!(
+            bits(actual.features_matrix()),
+            bits(expected.features_matrix())
+        );
+        assert_eq!(
+            bits(actual.fairness_matrix()),
+            bits(expected.fairness_matrix())
+        );
+    }
+
+    /// The in-memory gather of `rows`: the reference every store gather must
+    /// reproduce bit for bit.
+    fn memory_rows(data: &ShardedDataset, rows: &[usize]) -> Dataset {
+        let mut out = Dataset::empty(schema());
+        data.gather_rows(rows, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn gathers_copy_resident_shards_and_read_only_the_groups_of_the_rest() {
+        // Two 100-row shards: groups of 32, 32, 32 and a short one of 4.
+        let data = ShardedDataset::from_objects(schema(), objects(200), 100).unwrap();
+        let path = temp_path("gather_groups");
+        write_source(&data, &path).unwrap();
+        let store = ShardStore::open_with_options(&path, usize::MAX, 0).unwrap();
+        // Shard 0 needs groups 0, 2 and 3; shard 1 groups 1 and 0.
+        let rows = [5, 70, 99, 3, 150, 131, 101];
+        let mut out = Dataset::empty(schema());
+        store.read_rows(&rows, &mut out).unwrap();
+        assert_same_rows(&out, &memory_rows(&data, &rows));
+        let stats = store.cache_stats();
+        assert_eq!(stats.sparse_groups, 5);
+        assert_eq!((stats.hits, stats.misses), (0, 0), "no shard paged in");
+        assert_eq!(stats.peak_bytes, 0, "nothing admitted");
+
+        // Once shard 1 is resident its run is a cache hit and reads nothing.
+        store.read_shard(1).unwrap();
+        out.clear();
+        store.read_rows(&rows, &mut out).unwrap();
+        assert_same_rows(&out, &memory_rows(&data, &rows));
+        let stats = store.cache_stats();
+        assert_eq!(stats.sparse_groups, 8);
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(stats.pinned_shards, 0);
+
+        assert!(matches!(
+            store.read_rows(&[200], &mut out),
+            Err(StoreError::InvalidConfig { .. })
+        ));
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Gathers that run while sweeps page shards in and out return the
+    /// in-memory rows bit for bit, whether the cache or the file serves a
+    /// shard, and leave the budget intact.
+    #[test]
+    fn gathers_during_sweeps_return_the_in_memory_rows() {
+        let data = ShardedDataset::from_objects(schema(), objects(640), 40).unwrap(); // 16 shards
+        let path = temp_path("gather_sweeps");
+        write_source(&data, &path).unwrap();
+        let budget = 3 * column_bytes(data.shard(0).data());
+        let store = ShardStore::open_with_options(&path, budget, DEFAULT_PREFETCH).unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..20 {
+                    assert_eq!(store.map_shards(|view| view.len()), vec![40; 16]);
+                }
+            });
+            for thread in 0..2_u64 {
+                let (store, data) = (&store, &data);
+                scope.spawn(move || {
+                    let mut rows = Vec::new();
+                    let mut out = Dataset::empty(schema());
+                    for seed in 0..40 {
+                        data.sample_indices_into(thread * 1000 + seed, 60, &mut rows)
+                            .unwrap();
+                        out.clear();
+                        store.gather_rows(&rows, &mut out).unwrap();
+                        assert_same_rows(&out, &memory_rows(data, &rows));
+                    }
+                });
+            }
+        });
+        let stats = store.cache_stats();
+        assert!(stats.sparse_groups > 0);
+        assert!(stats.peak_bytes <= budget, "{stats:?}");
+        assert_eq!(stats.pinned_shards, 0);
+        std::fs::remove_file(path).ok();
+    }
+
+    /// The sparse read checks the `decode` fault point: an injected panic
+    /// unwinds in the caller (holding no lock and no in-flight claim), and
+    /// the next gather reads the same rows.
+    #[test]
+    fn a_decode_fault_in_a_gather_panics_in_the_caller_and_the_next_gather_succeeds() {
+        let _faults = FAULTS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let data = ShardedDataset::from_objects(schema(), objects(48), 8).unwrap();
+        let path = temp_path("gatherfault");
+        write_source(&data, &path).unwrap();
+        let ctx = format!("{}#shard1", path.display());
+        fair_core::fault::install(
+            fair_core::FaultPlan::parse(&format!("decode@{ctx}:panic:1")).unwrap(),
+        );
+        let store = ShardStore::open_with_options(&path, 0, 0).unwrap();
+        let rows = [2, 9, 12, 30];
+        let mut out = Dataset::empty(schema());
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.read_rows(&rows, &mut out)
+        }));
+        assert!(caught.is_err(), "the injected fault panics in the caller");
+        out.clear();
+        store.read_rows(&rows, &mut out).unwrap();
+        assert_same_rows(&out, &memory_rows(&data, &rows));
+        assert_eq!(store.cache_stats().pinned_shards, 0);
+        fair_core::fault::install(fair_core::FaultPlan::none());
+        std::fs::remove_file(path).ok();
+    }
+
     /// A panic inside the background decode thread must not hang readers
     /// waiting on the in-flight condvar: the shard is poisoned, the next
     /// reader gets a structured error once, a retry recovers, and the
     /// readahead thread keeps serving the rest of the queue.
     #[test]
     fn prefetch_decode_panic_is_contained_and_surfaced() {
+        let _faults = FAULTS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let path = sample_store("poisonfault", 48, 8); // 6 shards
         let ctx = format!("{}#shard1", path.display());
         fair_core::fault::install(
@@ -1627,6 +2002,19 @@ mod tests {
             ShardStore::open_with_budget(&path, 0),
             Err(StoreError::Corrupt { .. })
         ));
+        // A zero group size would divide by zero in the block layout.
+        let crafted = Header {
+            group_rows: 0,
+            ..original
+        };
+        bytes[..HEADER_LEN].copy_from_slice(&crafted.encode());
+        std::fs::write(&path, &bytes).unwrap();
+        match ShardStore::open_with_budget(&path, 0) {
+            Err(StoreError::Corrupt { reason, .. }) => {
+                assert!(reason.contains("group"), "{reason}")
+            }
+            other => panic!("a zero group size must be structured, got {other:?}"),
+        }
         // A huge *shard size* (one giant claimed shard) must not overflow
         // the per-shard block arithmetic either.
         let crafted = Header {

@@ -1,14 +1,16 @@
 //! Streaming FSS1 writer: shards are appended to disk as they are built, so
-//! the cohort is never materialized — peak memory is one shard.
+//! the cohort is never materialized — peak memory is one shard. It writes
+//! the current format version, with [`GROUP_ROWS`]-row checksummed groups.
 
 use crate::error::{Result, StoreError};
 use crate::format::{
     crc32, encode_directory, encode_schema, fnv1a64, put_u32, put_u64, Header, ShardEntry,
-    HEADER_LEN,
+    GROUP_ROWS, VERSION,
 };
 use fair_core::{DataObject, Dataset, SchemaRef};
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// Summary of a finished store file, returned by [`StoreWriter::finalize`].
@@ -75,13 +77,16 @@ impl StoreWriter {
         let schema_bytes = encode_schema(&schema);
         // Provisional header: directory offset 0 marks the file unfinalized.
         let header = Header {
+            version: VERSION,
             schema_hash: fnv1a64(&schema_bytes),
             shard_size: shard_size as u64,
             total_rows: 0,
             num_shards: 0,
             directory_offset: 0,
+            group_rows: GROUP_ROWS,
         };
-        file.write_all(&header.encode())?;
+        let header = header.encode();
+        file.write_all(&header)?;
         let mut block = Vec::with_capacity(schema_bytes.len() + 8);
         put_u32(
             &mut block,
@@ -90,7 +95,7 @@ impl StoreWriter {
         block.extend_from_slice(&schema_bytes);
         put_u32(&mut block, crc32(&schema_bytes));
         file.write_all(&block)?;
-        let offset = (HEADER_LEN + block.len()) as u64;
+        let offset = (header.len() + block.len()) as u64;
         let buffer = Dataset::with_capacity(schema.clone(), shard_size.min(1 << 20));
         Ok(Self {
             file,
@@ -182,44 +187,37 @@ impl StoreWriter {
     }
 
     /// Encode `shard` into the scratch buffer and write it at the current
-    /// offset, recording the directory entry.
+    /// offset, recording the directory entry: the row count, then each
+    /// column cut into checksummed groups.
     fn write_block(&mut self, shard: &Dataset) -> Result<()> {
         let rows = shard.len();
+        let nf = self.schema.num_features();
+        let na = self.schema.num_fairness();
         let out = &mut self.scratch;
         out.clear();
         put_u64(out, rows as u64);
-        // ids
-        let start = out.len();
-        for id in shard.ids() {
-            put_u64(out, id.0);
-        }
-        let crc = crc32(&out[start..]);
-        put_u32(out, crc);
-        // features
-        let start = out.len();
-        for v in shard.features_matrix() {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let crc = crc32(&out[start..]);
-        put_u32(out, crc);
-        // fairness
-        let start = out.len();
-        for v in shard.fairness_matrix() {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let crc = crc32(&out[start..]);
-        put_u32(out, crc);
-        // labels
-        let start = out.len();
-        for label in shard.labels() {
-            out.push(match label {
+        put_groups(out, rows, |out, r| {
+            for id in &shard.ids()[r] {
+                put_u64(out, id.0);
+            }
+        });
+        put_groups(out, rows, |out, r| {
+            for v in &shard.features_matrix()[r.start * nf..r.end * nf] {
+                put_u64(out, v.to_bits());
+            }
+        });
+        put_groups(out, rows, |out, r| {
+            for v in &shard.fairness_matrix()[r.start * na..r.end * na] {
+                put_u64(out, v.to_bits());
+            }
+        });
+        put_groups(out, rows, |out, r| {
+            out.extend(shard.labels()[r].iter().map(|label| match label {
                 None => 0,
                 Some(false) => 1,
                 Some(true) => 2,
-            });
-        }
-        let crc = crc32(&out[start..]);
-        put_u32(out, crc);
+            }));
+        });
 
         self.file.write_all(out)?;
         self.entries.push(ShardEntry {
@@ -248,11 +246,13 @@ impl StoreWriter {
 
         let total_rows: u64 = self.entries.iter().map(|e| e.rows).sum();
         let header = Header {
+            version: VERSION,
             schema_hash: fnv1a64(&encode_schema(&self.schema)),
             shard_size: self.shard_size as u64,
             total_rows,
             num_shards: self.entries.len() as u64,
             directory_offset,
+            group_rows: GROUP_ROWS,
         };
         self.file.seek(SeekFrom::Start(0))?;
         self.file.write_all(&header.encode())?;
@@ -263,6 +263,18 @@ impl StoreWriter {
             shards: self.entries.len() as u64,
             file_bytes,
         })
+    }
+}
+
+/// Append one column of a `rows`-row shard to `out` as [`GROUP_ROWS`]-row
+/// groups, each followed by its CRC32; `put` encodes the rows of one group.
+fn put_groups(out: &mut Vec<u8>, rows: usize, mut put: impl FnMut(&mut Vec<u8>, Range<usize>)) {
+    let group = GROUP_ROWS as usize;
+    for lo in (0..rows).step_by(group) {
+        let start = out.len();
+        put(out, lo..(lo + group).min(rows));
+        let crc = crc32(&out[start..]);
+        put_u32(out, crc);
     }
 }
 

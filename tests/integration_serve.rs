@@ -19,7 +19,7 @@ use fair_ranking::core::metrics::sharded as shmetrics;
 use fair_ranking::core::obs;
 use fair_ranking::prelude::*;
 use fair_ranking::serve::{
-    serve, AuditService, Client, JobKind, JobRequest, MetricsRequest, ServeError,
+    serve, AuditService, Client, JobKind, JobRequest, Json, MetricsRequest, ServeError,
 };
 use fair_ranking::store::DEFAULT_CACHE_BYTES;
 use std::time::Duration;
@@ -545,6 +545,74 @@ fn job_profile_accounts_for_the_running_time_and_carries_the_trace() {
         "terminal jobs flush phase totals into fair_profile_phase_ms:\n{text}"
     );
     server.shutdown();
+}
+
+/// The same attribution for a Core DCA job paging from disk through a cache
+/// smaller than the file: each step's row gather reads its checksummed row
+/// groups on the job thread, as `page_in` (the reads) nested in `decode`
+/// (checksums and decoding) nested in `sample`, so the phases still add up
+/// to the running time.
+#[test]
+fn paged_core_job_profile_accounts_for_the_running_time() {
+    let path = temp_store("paged_profile");
+    let generator = SchoolGenerator::new(SchoolConfig::small(60_000, 17));
+    let summary = fair_ranking::data::store::school_to_store(&generator, 4096, &path).unwrap();
+    let budget = usize::try_from(summary.file_bytes / 4).unwrap();
+    let server = serve(AuditService::with_cache_bytes(budget), "127.0.0.1:0", 2).unwrap();
+    let client = Client::new(server.addr());
+    client
+        .register_disk_store("paged", path.to_str().unwrap())
+        .unwrap();
+    let job = client
+        .submit_job(&JobRequest {
+            store: "paged".into(),
+            kind: JobKind::Core,
+            k: 0.05,
+            weights: Some(RUBRIC_WEIGHTS.to_vec()),
+            seed: 5,
+            sample_size: Some(500),
+            learning_rates: Some(vec![8.0, 1.0]),
+            iterations_per_rate: Some(20),
+            workers: None,
+        })
+        .unwrap();
+    let done = client
+        .wait_for_job(&job.id, Duration::from_secs(120))
+        .unwrap();
+    assert_eq!(done.state, "completed", "error: {:?}", done.error);
+
+    let profile = client.job_profile(&job.id).unwrap();
+    let phases = profile.get("phases").unwrap();
+    let field = |name: &str, field: &str| {
+        phases
+            .get(name)
+            .and_then(|p| p.get(field))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("phase `{name}` lacks `{field}`: {}", profile.render()))
+    };
+    for name in ["page_in", "decode"] {
+        assert!(
+            field(name, "count") > 0.0,
+            "a paged gather reads and decodes: {}",
+            profile.render()
+        );
+    }
+    let total_ms = ["page_in", "decode", "score", "sample", "combine", "wire"]
+        .iter()
+        .map(|name| field(name, "total_us"))
+        .sum::<f64>()
+        / 1_000.0;
+    let running_ms = profile.get("running_ms").unwrap().as_f64().unwrap();
+    assert!(
+        (total_ms - running_ms).abs() <= 0.05 * running_ms + 4.0,
+        "attributed {total_ms:.1} ms vs wall-clock {running_ms:.1} ms"
+    );
+    // The store's stats report the row groups the job's gathers read.
+    let cache = client.stats("paged").unwrap();
+    let cache = cache.get("cache").unwrap();
+    assert!(cache.get("sparse_groups").unwrap().as_f64().unwrap() > 0.0);
+    server.shutdown();
+    std::fs::remove_file(path).ok();
 }
 
 #[test]
