@@ -81,6 +81,15 @@
 //! 1M cohort; reported, not gated — a paged step reads and verifies a few
 //! hundred row groups, which costs milliseconds against tens of µs).
 //!
+//! Schema v12 drops what measured the shard readahead thread, which the
+//! store no longer has: `out_of_core.prefetch`, the readahead-off contrast
+//! `disparity_at_k_no_prefetch_ms`, and `prefetch_hits`/`prefetch_wasted`
+//! in both `cache` objects. The obs and profiler overhead gates now time
+//! their two arms alternately, switching which arm goes first on every
+//! repetition, and gate the ratio of the two medians at the same 1.05x;
+//! timing all of one arm and then all of the other let drift in the host's
+//! speed decide the gate.
+//!
 //! The summary lines check the headline claim directly: Core DCA's per-step
 //! time at the largest cohort must stay within 2x of the 10k per-step time
 //! in memory, and the paged per-step time at 1M within 2x of the 100k one.
@@ -135,15 +144,11 @@ struct OutOfCoreReport {
     /// Shard size of the on-disk layout (small cohorts deliberately page
     /// through small shards so even `--quick` exercises eviction).
     shard_size: usize,
-    /// Readahead depth the prefetch-on timings ran with.
-    prefetch: usize,
-    /// disparity@k end-to-end over the store with readahead on, ms (median).
+    /// disparity@k end-to-end over the store, ms (median).
     disparity_ms: f64,
-    /// disparity@k with the readahead thread disabled, ms (median).
-    disparity_no_prefetch_ms: f64,
     /// nDCG@k end-to-end over the store, ms (median).
     ndcg_ms: f64,
-    /// Cumulative cache counters after the readahead-on timed runs.
+    /// Cumulative cache counters after the timed runs.
     cache: CacheStats,
     /// One-sweep multi-metric plan vs sequential per-metric paged sweeps.
     multi_metric: MultiMetricReport,
@@ -202,13 +207,43 @@ fn time_median<T>(reps: usize, mut routine: impl FnMut() -> T) -> f64 {
     // allocations, page faults on freshly mapped buffers) that the
     // steady-state median should not include.
     std::hint::black_box(routine());
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(routine());
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+    median((0..reps).map(|_| time_ms(&mut routine)).collect())
+}
+
+/// Medians of `reps` timings of each of two arms, in milliseconds, after
+/// one untimed warm-up pass of each. The arms alternate and swap which goes
+/// first on every repetition, so drift in the host's speed during the
+/// measurement falls on both arms alike.
+fn time_interleaved<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (f64, f64) {
+    assert!(reps > 0, "at least one repetition required");
+    std::hint::black_box(a());
+    std::hint::black_box(b());
+    let (mut a_ms, mut b_ms) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            a_ms.push(time_ms(&mut a));
+            b_ms.push(time_ms(&mut b));
+        } else {
+            b_ms.push(time_ms(&mut b));
+            a_ms.push(time_ms(&mut a));
+        }
+    }
+    (median(a_ms), median(b_ms))
+}
+
+/// Wall-clock time of one call of `routine`, in milliseconds.
+fn time_ms<T>(routine: &mut impl FnMut() -> T) -> f64 {
+    let start = Instant::now();
+    std::hint::black_box(routine());
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// The median of `times` (the upper one for an even count).
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
 }
@@ -309,9 +344,7 @@ fn measure_cohort(n: usize, reps: usize) -> CohortReport {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let budget_bytes = (total_column_bytes / 4).max((workers + 1) * shard_bytes);
-    let prefetch = fair_store::DEFAULT_PREFETCH;
-    let store = ShardStore::open_with_options(&store_path, budget_bytes, prefetch)
-        .expect("open cohort store");
+    let store = ShardStore::open_with_budget(&store_path, budget_bytes).expect("open cohort store");
     let oo_disparity_ms = time_median(reps, || {
         shmetrics::disparity_at_k(&store, &rubric, &bonus, 0.05).unwrap()
     });
@@ -320,22 +353,13 @@ fn measure_cohort(n: usize, reps: usize) -> CohortReport {
     });
     let cache = store.cache_stats();
     drop(store);
-    // Same store, readahead thread off: what the prefetcher is worth.
-    let store = ShardStore::open_with_options(&store_path, budget_bytes, 0)
-        .expect("open cohort store without readahead");
-    let disparity_no_prefetch_ms = time_median(reps, || {
-        shmetrics::disparity_at_k(&store, &rubric, &bonus, 0.05).unwrap()
-    });
-    drop(store);
     std::fs::remove_file(&store_path).ok();
-    let multi_metric = measure_multi_metric(n, oo_shard_size, budget_bytes, prefetch, reps);
+    let multi_metric = measure_multi_metric(n, oo_shard_size, budget_bytes, reps);
     let out_of_core = OutOfCoreReport {
         store_write_ms,
         budget_bytes,
         shard_size: oo_shard_size,
-        prefetch,
         disparity_ms: oo_disparity_ms,
-        disparity_no_prefetch_ms,
         ndcg_ms: oo_ndcg_ms,
         cache,
         multi_metric,
@@ -373,7 +397,6 @@ fn measure_multi_metric(
     n: usize,
     shard_size: usize,
     budget_bytes: usize,
-    prefetch: usize,
     reps: usize,
 ) -> MultiMetricReport {
     let generator = CompasGenerator::new(CompasConfig::small(n, 42));
@@ -388,8 +411,7 @@ fn measure_multi_metric(
     let k = 0.05;
     let log_cfg = LogDiscountConfig::default();
 
-    let store = ShardStore::open_with_options(&store_path, budget_bytes, prefetch)
-        .expect("open compas store");
+    let store = ShardStore::open_with_budget(&store_path, budget_bytes).expect("open compas store");
     let plan = MetricPlan::new(&MetricKind::ALL, k);
     let one_sweep_ms = time_median(reps, || plan.evaluate(&store, &ranker, &bonus).unwrap());
     // The pre-planner serving path: one full paged sweep per metric.
@@ -659,7 +681,7 @@ fn measure_obs(rows: usize, reps: usize) -> ObsBench {
     let config = core_config(sample_size);
 
     let plain_control = RunControl::new();
-    let mut run_plain = || {
+    let run_plain = || {
         run_core_dca_sharded_controlled(
             &data,
             &rubric,
@@ -676,7 +698,7 @@ fn measure_obs(rows: usize, reps: usize) -> ObsBench {
         std::hint::black_box(&p);
         hook(p);
     });
-    let mut run_hooked = || {
+    let run_hooked = || {
         run_core_dca_sharded_controlled(
             &data,
             &rubric,
@@ -697,8 +719,7 @@ fn measure_obs(rows: usize, reps: usize) -> ObsBench {
         "the instrumented descent must stay bit-identical"
     );
     let steps = plain.steps as f64;
-    let plain_ms = time_median(reps, &mut run_plain);
-    let instrumented_ms = time_median(reps, &mut run_hooked);
+    let (plain_ms, instrumented_ms) = time_interleaved(reps, run_plain, run_hooked);
 
     // A live server that has seen traffic, so the scrape renders a populated
     // registry (route series, job counters, store counters from this very
@@ -779,7 +800,7 @@ fn measure_profile(rows: usize, shard_size: usize, reps: usize) -> ProfileBench 
         ShardStore::open_with_budget(&store_path, budget_bytes).expect("open profile store");
 
     let control = RunControl::new();
-    let mut run = || {
+    let run = || {
         run_core_dca_sharded_controlled(&store, &rubric, &objective, &config, None, false, &control)
             .expect("profiled core DCA run")
     };
@@ -806,12 +827,11 @@ fn measure_profile(rows: usize, shard_size: usize, reps: usize) -> ProfileBench 
     );
 
     let steps = plain_outcome.steps;
-    let plain_ms = time_median(reps, &mut run);
     let timing_profile = JobProfile::new();
-    let profiled_ms = {
-        let _guard = profile::install(timing_profile);
-        time_median(reps, &mut run)
-    };
+    let (plain_ms, profiled_ms) = time_interleaved(reps, run, || {
+        let _guard = profile::install(timing_profile.clone());
+        run()
+    });
     drop(store);
     std::fs::remove_file(&store_path).ok();
 
@@ -870,7 +890,7 @@ fn render_json(
         .unwrap_or(1);
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 11,");
+    let _ = writeln!(s, "  \"schema_version\": 12,");
     let _ = writeln!(s, "  \"generated_by\": \"perf_report\",");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
     let _ = writeln!(s, "  \"repeats\": {reps},");
@@ -934,29 +954,25 @@ fn render_json(
         let o = &r.out_of_core;
         let _ = writeln!(
             s,
-            "      \"out_of_core\": {{ \"store_write_ms\": {}, \"budget_bytes\": {}, \"shard_size\": {}, \"prefetch\": {}, \"disparity_at_k_ms\": {}, \"disparity_at_k_no_prefetch_ms\": {}, \"ndcg_at_k_ms\": {},",
+            "      \"out_of_core\": {{ \"store_write_ms\": {}, \"budget_bytes\": {}, \"shard_size\": {}, \"disparity_at_k_ms\": {}, \"ndcg_at_k_ms\": {},",
             json_number(o.store_write_ms),
             o.budget_bytes,
             o.shard_size,
-            o.prefetch,
             json_number(o.disparity_ms),
-            json_number(o.disparity_no_prefetch_ms),
             json_number(o.ndcg_ms),
         );
         let _ = writeln!(
             s,
-            "        \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"peak_bytes\": {}, \"prefetch_hits\": {}, \"prefetch_wasted\": {} }},",
+            "        \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"peak_bytes\": {} }},",
             o.cache.hits,
             o.cache.misses,
             o.cache.evictions,
             o.cache.peak_bytes,
-            o.cache.prefetch_hits,
-            o.cache.prefetch_wasted,
         );
         let m = &o.multi_metric;
         let _ = writeln!(
             s,
-            "        \"multi_metric\": {{ \"store\": \"compas\", \"rows\": {}, \"metrics\": 5, \"one_sweep_ms\": {}, \"sequential_ms\": {}, \"speedup\": {}, \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"peak_bytes\": {}, \"prefetch_hits\": {}, \"prefetch_wasted\": {} }} }} }}",
+            "        \"multi_metric\": {{ \"store\": \"compas\", \"rows\": {}, \"metrics\": 5, \"one_sweep_ms\": {}, \"sequential_ms\": {}, \"speedup\": {}, \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"peak_bytes\": {} }} }} }}",
             m.rows,
             json_number(m.one_sweep_ms),
             json_number(m.sequential_ms),
@@ -965,8 +981,6 @@ fn render_json(
             m.cache.misses,
             m.cache.evictions,
             m.cache.peak_bytes,
-            m.cache.prefetch_hits,
-            m.cache.prefetch_wasted,
         );
         s.push_str(if i + 1 == reports.len() {
             "    }\n"
@@ -1144,21 +1158,17 @@ fn main() {
             r.serial_e2e.ndcg_ms / r.sharded_e2e.ndcg_ms,
         );
         println!(
-            "{:>9}  out-of-core (budget {} KiB, {} x {} shards, prefetch {}): write {:.1}ms, disparity {:.3}ms (no-prefetch {:.3}ms), nDCG {:.3}ms; cache {}h/{}m/{}e, {}ph/{}pw, peak {} KiB",
+            "{:>9}  out-of-core (budget {} KiB, {} x {} shards): write {:.1}ms, disparity {:.3}ms, nDCG {:.3}ms; cache {}h/{}m/{}e, peak {} KiB",
             "",
             r.out_of_core.budget_bytes / 1024,
             r.n.div_ceil(r.out_of_core.shard_size),
             r.out_of_core.shard_size,
-            r.out_of_core.prefetch,
             r.out_of_core.store_write_ms,
             r.out_of_core.disparity_ms,
-            r.out_of_core.disparity_no_prefetch_ms,
             r.out_of_core.ndcg_ms,
             r.out_of_core.cache.hits,
             r.out_of_core.cache.misses,
             r.out_of_core.cache.evictions,
-            r.out_of_core.cache.prefetch_hits,
-            r.out_of_core.cache.prefetch_wasted,
             r.out_of_core.cache.peak_bytes / 1024,
         );
         let m = &r.out_of_core.multi_metric;

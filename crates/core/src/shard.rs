@@ -8,7 +8,7 @@
 //!   self-contained [`Dataset`] (the same contiguous structure-of-arrays
 //!   block the single-dataset path uses);
 //! * `fair_store::ShardStore` (the `fair-store` crate) pages shards in from
-//!   an on-disk columnar file through a byte-budgeted LRU cache.
+//!   an on-disk columnar file through a byte-budgeted shard cache.
 //!
 //! Both implement the [`ShardSource`] trait, which carries the shard-wise
 //! **evaluation engine**: every metric, ranking kernel and DCA driver written

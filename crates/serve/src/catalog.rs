@@ -1,7 +1,7 @@
 //! The store catalog: named cohorts the service audits.
 //!
 //! A catalog entry wraps either an on-disk [`ShardStore`] (paged through its
-//! LRU cache, shareable across request threads — the cache's interior
+//! shard cache, shareable across request threads — the cache's interior
 //! mutability sits behind its own lock with pin/evict semantics intact) or
 //! an in-memory [`ShardedDataset`] (synthetic cohorts, fixtures). Both sides
 //! are one [`CohortStore`], which implements [`ShardSource`] — so every
@@ -24,8 +24,10 @@ use std::sync::{Arc, RwLock};
 pub enum CohortStore {
     /// An in-memory sharded cohort (synthetic or loaded fixtures).
     Memory(ShardedDataset),
-    /// An on-disk FSS1 file, decoded on demand through the shard cache.
-    Disk(ShardStore),
+    /// An on-disk FSS1 file, decoded on demand through the shard cache
+    /// (boxed: the store's handle is several times the size of a resident
+    /// cohort's).
+    Disk(Box<ShardStore>),
 }
 
 impl CohortStore {
@@ -52,28 +54,28 @@ impl ShardSource for CohortStore {
     fn schema(&self) -> &SchemaRef {
         match self {
             Self::Memory(d) => d.schema(),
-            Self::Disk(s) => ShardSource::schema(s),
+            Self::Disk(s) => ShardSource::schema(&**s),
         }
     }
 
     fn len(&self) -> usize {
         match self {
             Self::Memory(d) => d.len(),
-            Self::Disk(s) => ShardSource::len(s),
+            Self::Disk(s) => ShardSource::len(&**s),
         }
     }
 
     fn shard_size(&self) -> usize {
         match self {
             Self::Memory(d) => d.shard_size(),
-            Self::Disk(s) => ShardSource::shard_size(s),
+            Self::Disk(s) => ShardSource::shard_size(&**s),
         }
     }
 
     fn num_shards(&self) -> usize {
         match self {
             Self::Memory(d) => d.num_shards(),
-            Self::Disk(s) => ShardSource::num_shards(s),
+            Self::Disk(s) => ShardSource::num_shards(&**s),
         }
     }
 
@@ -164,7 +166,7 @@ impl Catalog {
         self.insert(StoreEntry {
             name: name.to_string(),
             path: Some(path),
-            store: CohortStore::Disk(store),
+            store: CohortStore::Disk(Box::new(store)),
         })
     }
 
@@ -431,7 +433,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("catalog_delegate_{}.fss", std::process::id()));
         fair_store::write_source(&cohort(20), &path).unwrap();
-        let disk = CohortStore::Disk(ShardStore::open_with_budget(&path, 0).unwrap());
+        let disk = CohortStore::Disk(Box::new(ShardStore::open_with_budget(&path, 0).unwrap()));
         assert!(disk.paged(), "a disk store keeps the paged plan policy");
         // A gather reads the rows' groups without paging any shard in: a
         // dropped override would page through `with_shard` and miss.

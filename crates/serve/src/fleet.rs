@@ -36,9 +36,10 @@
 //! `fair_fleet_*` registry series, times each worker's requests into
 //! `fair_fleet_request_duration_us{worker}`, and emits `fleet.retry` /
 //! `fleet.redispatch` / `fleet.eject` / `fleet.readmit` events. When a
-//! per-job profile is installed on the dispatching thread, every worker
-//! round trip is attributed to the [`Wire`](obs::Phase::Wire) phase and
-//! partial combining to [`Combine`](obs::Phase::Combine).
+//! per-job profile is installed on the dispatching thread, every fan-out
+//! round (its concurrent worker round trips and retry backoff) is
+//! attributed to the [`Wire`](obs::Phase::Wire) phase and partial combining
+//! to [`Combine`](obs::Phase::Combine).
 
 use crate::backoff::Backoff;
 use crate::catalog::PlacementMap;
@@ -382,7 +383,7 @@ impl FleetCoordinator {
                     .map_err(wire_to_engine)?;
                 // Combining is the coordinator's own CPU slice of a fleet
                 // step; the round trips themselves accrue as Wire inside
-                // `run_range`.
+                // `fan_out`.
                 let _combine = fair_core::obs::profile::scope(obs::Phase::Combine);
                 combine_disparity_partials(self.rows, dims, count, &partials, out)
             },
@@ -488,8 +489,9 @@ impl FleetCoordinator {
     /// ([`with_trace`](Self::with_trace)) or a fresh mint — carried to
     /// every worker in the `x-fair-trace` header, so a retried range's
     /// handler spans line up with this round's `fleet.fan_out` span under
-    /// one id. The dispatching thread's job profile (if any) is carried
-    /// into the per-range threads so worker round trips accrue as Wire.
+    /// one id. The dispatching thread's job profile (if any) records the
+    /// round as one Wire interval — the ranges run concurrently, so timing
+    /// each of them would count the same wall time once per range.
     fn fan_out<T: Send>(
         &self,
         op: impl Fn(&Client, Range<usize>) -> Result<T> + Sync,
@@ -501,7 +503,8 @@ impl FleetCoordinator {
             .trace(&trace)
             .field("store", &self.store)
             .field("ranges", assignments.len());
-        let profile = fair_core::obs::profile::current();
+        // The whole round, retry backoff included, is what the job waits on.
+        let wire = fair_core::obs::profile::scope(obs::Phase::Wire);
         let results: Vec<Result<T>> = std::thread::scope(|scope| {
             let op = &op;
             let trace = &trace;
@@ -510,9 +513,7 @@ impl FleetCoordinator {
                 .map(|(owner, range)| {
                     let owner = *owner;
                     let range = range.clone();
-                    let profile = profile.clone();
                     scope.spawn(move || {
-                        let _profile_guard = profile.map(fair_core::obs::profile::install);
                         self.run_range(owner, range.clone(), trace, |client| {
                             op(client, range.clone())
                         })
@@ -530,6 +531,7 @@ impl FleetCoordinator {
                 })
                 .collect()
         });
+        drop(wire);
         span.close();
         results.into_iter().collect()
     }
@@ -559,13 +561,7 @@ impl FleetCoordinator {
                 self.requests.fetch_add(1, Ordering::Relaxed);
                 self.obs.requests.inc();
                 let start = Instant::now();
-                let outcome = {
-                    // Wire time for the requesting job: the full round trip
-                    // including the worker's server-side compute, which is
-                    // exactly what the coordinator waits on.
-                    let _wire = fair_core::obs::profile::scope(obs::Phase::Wire);
-                    op(&client)
-                };
+                let outcome = op(&client);
                 duration.record(
                     u64::try_from(start.elapsed().as_micros().min(u128::from(u64::MAX)))
                         .unwrap_or(u64::MAX),

@@ -412,8 +412,6 @@ impl AuditService {
                     ("resident_bytes", Json::num(cache.resident_bytes as f64)),
                     ("peak_bytes", Json::num(cache.peak_bytes as f64)),
                     ("budget_bytes", Json::num(cache.budget_bytes as f64)),
-                    ("prefetch_hits", Json::num(cache.prefetch_hits as f64)),
-                    ("prefetch_wasted", Json::num(cache.prefetch_wasted as f64)),
                     ("sparse_groups", Json::num(cache.sparse_groups as f64)),
                 ]),
             ));

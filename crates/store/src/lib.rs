@@ -17,11 +17,13 @@
 //!   [`StoreWriter::finalize`] writes the directory; the cohort is never
 //!   materialized.
 //! * **[`ShardStore`]** ([`reader`]): the paging reader. It validates the
-//!   whole layout at open, then decodes shards on demand through a
-//!   byte-budgeted LRU cache (the budget is an argument of
+//!   whole layout at open, then decodes shards on demand, on the asking
+//!   thread, through a byte-budgeted cache (the budget is an argument of
 //!   [`ShardStore::open_with_budget`], [`DEFAULT_CACHE_BYTES`] for
-//!   [`ShardStore::open`]) with pin-while-borrowed semantics and
-//!   hit/miss/eviction/peak-bytes counters. Row gathers
+//!   [`ShardStore::open`]) that evicts the highest-index unpinned shard
+//!   first, so ascending sweeps keep the lowest shards resident from one
+//!   sweep to the next. It pins shards while they are borrowed and counts
+//!   hits, misses, evictions and peak bytes. Row gathers
 //!   ([`ShardStore::read_rows`]) copy from resident shards and otherwise
 //!   read, verify and decode only the row groups they need, leaving the
 //!   cache untouched.
@@ -60,5 +62,7 @@ pub mod reader;
 pub mod writer;
 
 pub use error::{Result, StoreError};
-pub use reader::{column_bytes, CacheStats, ShardStore, DEFAULT_CACHE_BYTES, DEFAULT_PREFETCH};
+#[allow(deprecated)]
+pub use reader::DEFAULT_PREFETCH;
+pub use reader::{column_bytes, CacheStats, ShardStore, DEFAULT_CACHE_BYTES};
 pub use writer::{write_source, StoreSummary, StoreWriter};

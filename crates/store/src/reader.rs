@@ -1,5 +1,5 @@
 //! [`ShardStore`]: the paging reader over an FSS1 file, with a byte-budgeted
-//! LRU shard cache.
+//! shard cache.
 //!
 //! Opening a store validates the header, the embedded schema (checksum *and*
 //! schema hash), and the shard directory (checksum, offsets, block bounds
@@ -7,25 +7,28 @@
 //! only way a page-in can fail is genuine data corruption, which the
 //! per-group CRCs catch before any byte of the group is interpreted. Both
 //! format versions read through the same decoder (a version-1 file is one
-//! row group per column block). Shards decode on demand through the cache:
+//! row group per column block). Shards decode on demand, on the thread that
+//! asks for them, through the cache:
 //!
 //! * **byte budget** — fixed at open ([`DEFAULT_CACHE_BYTES`] unless the
 //!   caller passes one; `0` retains nothing), it bounds the resident column
-//!   bytes; the least-recently-used unpinned shard is evicted *before* a new
-//!   one is admitted, so the resident set never outgrows the budget beyond
-//!   the currently pinned working set;
+//!   bytes. A miss first evicts, then reserves the shard's bytes, then
+//!   decodes outside the lock, so a victim's buffers are freed before the
+//!   new shard's are allocated, and the resident set (shards being decoded
+//!   included) outgrows the budget only by the pinned and in-flight working
+//!   set;
+//! * **evict by shard index** — the victim is the highest-index unpinned
+//!   shard. Every whole-store sweep visits shards in ascending order, a
+//!   cyclic scan under which LRU never hits once the file outgrows the
+//!   cache; evicting from the top instead keeps the lowest-index shards that
+//!   fit beside the in-flight working set resident from one sweep to the
+//!   next;
 //! * **pin while borrowed** — [`fair_core::ShardSource::with_shard`] pins the
 //!   shard for the duration of the kernel closure; a pinned shard is never
 //!   evicted, so a parallel worker can never have its block freed mid-kernel;
-//! * **readahead** — the metric sweeps walk shards in ascending order, so a
-//!   background decode thread ([`DEFAULT_PREFETCH`] shards deep unless the
-//!   caller passes a depth; `0` disables it) prefetches the next shards'
-//!   column blocks while kernels consume the current one. Prefetched shards
-//!   are admitted unpinned and strictly within the budget (a prefetch never
-//!   displaces the pinned working set or overflows the budget), an on-demand
-//!   access waits for an in-flight prefetch decode instead of decoding the
-//!   block a second time, and the `prefetch_hits` / `prefetch_wasted`
-//!   counters make the readahead's value observable;
+//! * **one decode per shard** — racing pins of the same shard wait for the
+//!   one decode in flight. A decode that fails or panics returns its
+//!   reservation and wakes its waiters, which then decode it themselves;
 //! * **one sweep at a time** — whole-store sweeps
 //!   ([`fair_core::ShardSource::map_shards`]) queue on a per-store lock
 //!   instead of interleaving, so a sweep decodes the same shards whatever
@@ -43,19 +46,21 @@
 //! run, a **resident** shard is pinned and its rows copied (a cache hit);
 //! a shard that is **not resident** is never paged in: only the row groups
 //! holding the requested rows are read, verified and decoded, and nothing
-//! is admitted or read ahead. A Core DCA step thus costs its sample, not
-//! its shards. This assumes the file's pages sit in the OS page cache —
-//! from a cold disk each group is a random read — and it means a Core DCA
-//! job on a cold store no longer warms the shard cache (audits, stats and
-//! Full DCA sweeps still do).
+//! is admitted. A Core DCA step thus costs its sample, not its shards. This
+//! assumes the file's pages sit in the OS page cache — from a cold disk
+//! each group is a random read — and it means a Core DCA job on a cold
+//! store does not warm the shard cache (audits, stats and Full DCA sweeps
+//! do).
 
 use crate::error::{Result, StoreError};
 use crate::format::{
     crc32, decode_directory, decode_schema, fnv1a64, BlockLayout, Header, ShardEntry, COLUMNS,
     DIR_ENTRY_LEN, HEADER_LEN,
 };
-use fair_core::{obs, Dataset, FairError, ObjectId, ObjectView, SchemaRef, ShardSource, ShardView};
-use std::collections::{HashMap, HashSet, VecDeque};
+use fair_core::{
+    obs, Dataset, FairError, ObjectId, ObjectView, Schema, SchemaRef, ShardSource, ShardView,
+};
+use std::collections::{BTreeMap, HashSet};
 use std::fs::File;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
@@ -63,17 +68,24 @@ use std::sync::{Arc, Condvar, Mutex};
 /// The cache budget (bytes) [`ShardStore::open`] uses.
 pub const DEFAULT_CACHE_BYTES: usize = 256 * 1024 * 1024;
 
-/// The readahead depth (shards) of [`ShardStore::open`] and
-/// [`ShardStore::open_with_budget`]: one shard beyond the one being decoded.
-pub const DEFAULT_PREFETCH: usize = 2;
+/// The readahead depth the store once took. The store no longer reads
+/// ahead, so the value is `0`, and [`ShardStore::open_with_options`]
+/// ignores it.
+#[deprecated(note = "the store no longer reads ahead; use `ShardStore::open_with_budget`")]
+pub const DEFAULT_PREFETCH: usize = 0;
+
+/// Column bytes per row under `schema`: the id, feature, fairness and label
+/// columns, all fixed-width.
+fn row_bytes(schema: &Schema) -> usize {
+    8 * (schema.num_features() + schema.num_fairness()) + 8 + 1
+}
 
 /// Column bytes of a decoded shard: the ids, feature, fairness, and label
 /// columns (the payload the cache budget accounts; `Vec` headers and the
 /// `Arc` are excluded).
 #[must_use]
 pub fn column_bytes(data: &Dataset) -> usize {
-    let per_row = 8 * (data.schema().num_features() + data.schema().num_fairness()) + 8 + 1;
-    data.len() * per_row
+    data.len() * row_bytes(data.schema())
 }
 
 /// A point-in-time snapshot of the shard cache counters.
@@ -85,7 +97,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Shards evicted to stay within the byte budget.
     pub evictions: u64,
-    /// Column bytes currently resident.
+    /// Column bytes currently resident, shards being decoded included.
     pub resident_bytes: usize,
     /// High-water mark of [`CacheStats::resident_bytes`] over the store's
     /// lifetime — the number the out-of-core acceptance test pins under the
@@ -95,17 +107,6 @@ pub struct CacheStats {
     pub pinned_shards: usize,
     /// The configured byte budget.
     pub budget_bytes: usize,
-    /// Cache hits that were served from a shard the readahead thread decoded
-    /// before any kernel asked for it.
-    pub prefetch_hits: u64,
-    /// Prefetched shards that were decoded but never used: either evicted
-    /// untouched, or dropped at admission because the budget was consumed by
-    /// the pinned working set.
-    pub prefetch_wasted: u64,
-    /// Background decodes that panicked. The panic is contained in the
-    /// readahead thread and surfaced to the next reader of that shard as a
-    /// structured error instead of a hang.
-    pub decode_poisoned: u64,
     /// Row groups read, verified and decoded by row gathers
     /// ([`ShardStore::read_rows`]) from shards that were not resident.
     pub sparse_groups: u64,
@@ -115,9 +116,6 @@ struct CacheEntry {
     data: Arc<Dataset>,
     bytes: usize,
     pins: usize,
-    last_used: u64,
-    /// Admitted by the readahead thread and not yet touched by a kernel.
-    prefetched: bool,
 }
 
 /// Handles into the process-wide [`fair_core::obs`] registry, resolved once
@@ -128,9 +126,6 @@ struct CacheObs {
     hits: Arc<obs::Counter>,
     misses: Arc<obs::Counter>,
     evictions: Arc<obs::Counter>,
-    prefetch_hits: Arc<obs::Counter>,
-    prefetch_wasted: Arc<obs::Counter>,
-    decode_poisoned: Arc<obs::Counter>,
     sparse_groups: Arc<obs::Counter>,
     resident_bytes: Arc<obs::Gauge>,
 }
@@ -141,9 +136,6 @@ impl Default for CacheObs {
             hits: obs::counter("fair_store_cache_hits_total", &[]),
             misses: obs::counter("fair_store_cache_misses_total", &[]),
             evictions: obs::counter("fair_store_cache_evictions_total", &[]),
-            prefetch_hits: obs::counter("fair_store_prefetch_hits_total", &[]),
-            prefetch_wasted: obs::counter("fair_store_prefetch_wasted_total", &[]),
-            decode_poisoned: obs::counter("fair_store_decode_poisoned_total", &[]),
             sparse_groups: obs::counter("fair_store_sparse_groups_total", &[]),
             resident_bytes: obs::gauge("fair_store_resident_bytes", &[]),
         }
@@ -153,36 +145,40 @@ impl Default for CacheObs {
 #[derive(Default)]
 struct CacheState {
     obs: CacheObs,
-    entries: HashMap<usize, CacheEntry>,
-    tick: u64,
+    /// Resident shards by index; eviction takes the highest unpinned one.
+    entries: BTreeMap<usize, CacheEntry>,
+    /// Column bytes of the resident shards plus the reservations of the
+    /// shards being decoded.
     resident: usize,
     peak: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
-    prefetch_hits: u64,
-    prefetch_wasted: u64,
-    /// Shard indices queued for the readahead thread, in request order.
-    queue: VecDeque<usize>,
-    /// Shards currently being decoded (by the readahead thread or an
-    /// on-demand pin). An access to an in-flight shard waits on the condvar
-    /// instead of decoding the same block a second time.
+    /// Shards currently being decoded. An access to an in-flight shard
+    /// waits on the condvar instead of decoding the same block a second
+    /// time.
     inflight: HashSet<usize>,
-    /// Panic messages of background decodes that blew up, keyed by shard.
-    /// The next reader of the shard consumes the entry as a structured
-    /// error; a retry after that decodes on demand as usual.
-    poisoned: HashMap<usize, String>,
-    /// Running count of contained background-decode panics.
-    decode_poisoned: u64,
     /// Row groups the sparse gather path has read.
     sparse_groups: u64,
-    /// Set on drop to shut the readahead thread down.
-    stop: bool,
-    /// The most recently pinned shard index. The readahead thread drops
-    /// queued work that is no longer within the prefetch window of this
-    /// position — decoding a shard the sweep has already passed (or that a
-    /// restarted sweep left behind) would only evict useful residents.
-    last_access: usize,
+}
+
+impl CacheState {
+    /// Count `bytes` more column bytes resident.
+    fn reserve(&mut self, bytes: usize) {
+        self.resident += bytes;
+        self.peak = self.peak.max(self.resident);
+        self.obs
+            .resident_bytes
+            .add(i64::try_from(bytes).unwrap_or(i64::MAX));
+    }
+
+    /// Count `bytes` fewer column bytes resident.
+    fn release(&mut self, bytes: usize) {
+        self.resident -= bytes;
+        self.obs
+            .resident_bytes
+            .sub(i64::try_from(bytes).unwrap_or(i64::MAX));
+    }
 }
 
 /// Positional reads shared by concurrent page-ins.
@@ -217,9 +213,11 @@ impl StoreFile {
     }
 }
 
-/// Everything the paging and readahead machinery needs, shared between the
-/// store handle and the background prefetch thread.
-struct StoreInner {
+/// An open FSS1 shard file: validated layout, on-demand shard paging and the
+/// shard cache. Implements [`ShardSource`], so every sharded metric, ranking
+/// kernel, and DCA driver evaluates straight off the disk file with memory
+/// bounded by the cache budget.
+pub struct ShardStore {
     file: StoreFile,
     /// The opened path, used as the fault-injection context so a `FAIR_FAULT`
     /// spec can target one store (and one shard, via `#shardN`) by substring.
@@ -231,24 +229,9 @@ struct StoreInner {
     group_rows: u64,
     directory: Vec<ShardEntry>,
     budget: usize,
-    /// Readahead depth in shards; `0` means no background thread exists.
-    prefetch: usize,
     cache: Mutex<CacheState>,
     /// Wakes pins waiting for an in-flight decode of the shard they need.
     cond: Condvar,
-    /// Wakes the readahead thread when new work lands on the queue. A
-    /// separate condvar keeps on-demand misses from waking the (usually
-    /// idle) prefetcher — a pointless context switch per page-in otherwise.
-    work: Condvar,
-}
-
-/// An open FSS1 shard file: validated layout, on-demand shard paging, the
-/// LRU cache, and optional background readahead. Implements [`ShardSource`],
-/// so every sharded metric, ranking kernel, and DCA driver evaluates
-/// straight off the disk file with memory bounded by the cache budget.
-pub struct ShardStore {
-    inner: Arc<StoreInner>,
-    prefetcher: Option<std::thread::JoinHandle<()>>,
     /// Held for the length of a whole-store sweep
     /// ([`ShardSource::map_shards`]), so sweeps run one at a time.
     sweep: Mutex<()>,
@@ -257,32 +240,19 @@ pub struct ShardStore {
 impl std::fmt::Debug for ShardStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardStore")
-            .field("rows", &self.inner.total_rows)
-            .field("shards", &self.inner.directory.len())
-            .field("shard_size", &self.inner.shard_size)
-            .field("budget_bytes", &self.inner.budget)
-            .field("prefetch", &self.inner.prefetch)
+            .field("rows", &self.total_rows)
+            .field("shards", &self.directory.len())
+            .field("shard_size", &self.shard_size)
+            .field("budget_bytes", &self.budget)
             .finish()
     }
 }
 
 impl Drop for ShardStore {
     fn drop(&mut self) {
-        if let Some(handle) = self.prefetcher.take() {
-            {
-                let mut st = match self.inner.cache.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                st.stop = true;
-            }
-            self.inner.cond.notify_all();
-            self.inner.work.notify_all();
-            let _ = handle.join();
-        }
         // The registry outlives the store: return this store's resident
         // bytes so the process-wide gauge keeps summing only open stores.
-        let st = match self.inner.cache.lock() {
+        let st = match self.cache.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
@@ -293,39 +263,36 @@ impl Drop for ShardStore {
 }
 
 impl ShardStore {
-    /// Open a store with the default cache budget ([`DEFAULT_CACHE_BYTES`])
-    /// and readahead depth ([`DEFAULT_PREFETCH`]).
+    /// Open a store with the default cache budget ([`DEFAULT_CACHE_BYTES`]).
     ///
     /// # Errors
     /// Returns a structured error for any I/O failure or any header, schema,
     /// or directory corruption — truncated files included. Never panics.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with_options(path, DEFAULT_CACHE_BYTES, DEFAULT_PREFETCH)
+        Self::open_with_budget(path, DEFAULT_CACHE_BYTES)
+    }
+
+    /// Open a store with an explicit cache budget and ignore `prefetch`,
+    /// the readahead depth the store once took.
+    ///
+    /// # Errors
+    /// As [`ShardStore::open_with_budget`].
+    #[deprecated(note = "the store no longer reads ahead; use `ShardStore::open_with_budget`")]
+    pub fn open_with_options(
+        path: impl AsRef<Path>,
+        budget: usize,
+        _prefetch: usize,
+    ) -> Result<Self> {
+        Self::open_with_budget(path, budget)
     }
 
     /// Open a store with an explicit cache byte budget (`0` retains nothing:
-    /// every access re-pages) and the default readahead depth
-    /// ([`DEFAULT_PREFETCH`]).
+    /// every access re-pages).
     ///
     /// # Errors
     /// Returns a structured error for any I/O failure or any header, schema,
     /// or directory corruption — truncated files included. Never panics.
     pub fn open_with_budget(path: impl AsRef<Path>, budget: usize) -> Result<Self> {
-        Self::open_with_options(path, budget, DEFAULT_PREFETCH)
-    }
-
-    /// Open a store with an explicit cache byte budget and readahead depth
-    /// (`prefetch` shards decoded ahead of each access; `0` disables the
-    /// background thread).
-    ///
-    /// # Errors
-    /// Returns a structured error for any I/O failure or any header, schema,
-    /// or directory corruption — truncated files included. Never panics.
-    pub fn open_with_options(
-        path: impl AsRef<Path>,
-        budget: usize,
-        prefetch: usize,
-    ) -> Result<Self> {
         let path = path.as_ref();
         // Pre-screen the two classic mis-uses *before* any header read, so
         // they surface as clear structured errors instead of an
@@ -533,7 +500,7 @@ impl ShardStore {
             }
         }
 
-        let inner = Arc::new(StoreInner {
+        Ok(Self {
             file,
             path: path.display().to_string(),
             schema,
@@ -542,25 +509,8 @@ impl ShardStore {
             group_rows: header.group_rows,
             directory,
             budget,
-            prefetch,
             cache: Mutex::new(CacheState::default()),
             cond: Condvar::new(),
-            work: Condvar::new(),
-        });
-        // A single-shard (or empty) store has nothing to read ahead of.
-        let prefetcher = if prefetch > 0 && inner.directory.len() > 1 {
-            let worker = Arc::clone(&inner);
-            Some(
-                std::thread::Builder::new()
-                    .name("fair-store-prefetch".into())
-                    .spawn(move || worker.prefetch_loop())?,
-            )
-        } else {
-            None
-        };
-        Ok(Self {
-            inner,
-            prefetcher,
             sweep: Mutex::new(()),
         })
     }
@@ -568,13 +518,7 @@ impl ShardStore {
     /// The configured cache byte budget.
     #[must_use]
     pub fn cache_budget(&self) -> usize {
-        self.inner.budget
-    }
-
-    /// The configured readahead depth in shards (`0` = disabled).
-    #[must_use]
-    pub fn prefetch_depth(&self) -> usize {
-        self.inner.prefetch
+        self.budget
     }
 
     /// Snapshot of the cache counters.
@@ -583,7 +527,7 @@ impl ShardStore {
     /// Panics if the cache lock is poisoned (a kernel panicked mid-access).
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        let st = self.inner.cache.lock().expect("shard cache poisoned");
+        let st = self.cache.lock().expect("shard cache poisoned");
         CacheStats {
             hits: st.hits,
             misses: st.misses,
@@ -591,10 +535,7 @@ impl ShardStore {
             resident_bytes: st.resident,
             peak_bytes: st.peak,
             pinned_shards: st.entries.values().filter(|e| e.pins > 0).count(),
-            budget_bytes: self.inner.budget,
-            prefetch_hits: st.prefetch_hits,
-            prefetch_wasted: st.prefetch_wasted,
-            decode_poisoned: st.decode_poisoned,
+            budget_bytes: self.budget,
             sparse_groups: st.sparse_groups,
         }
     }
@@ -607,16 +548,16 @@ impl ShardStore {
     /// Returns [`StoreError::InvalidConfig`] for an out-of-range index, and a
     /// structured corruption or I/O error when the block fails its checksums.
     pub fn read_shard(&self, index: usize) -> Result<Arc<Dataset>> {
-        if index >= self.inner.directory.len() {
+        if index >= self.directory.len() {
             return Err(StoreError::InvalidConfig {
                 reason: format!(
                     "shard {index} out of range ({} shards)",
-                    self.inner.directory.len()
+                    self.directory.len()
                 ),
             });
         }
-        let data = self.inner.pin(index)?;
-        self.inner.unpin(index);
+        let data = self.pin(index)?;
+        self.unpin(index);
         Ok(data)
     }
 
@@ -626,8 +567,8 @@ impl ShardStore {
     /// # Errors
     /// Returns the first corruption or I/O error encountered.
     pub fn verify(&self) -> Result<()> {
-        for i in 0..self.inner.directory.len() {
-            self.inner.load_shard(i)?;
+        for i in 0..self.directory.len() {
+            self.load_shard(i)?;
         }
         Ok(())
     }
@@ -642,9 +583,9 @@ impl ShardStore {
     /// * a shard that is **not resident** is not paged in. Only the row
     ///   groups holding the requested rows are read (one positional read per
     ///   column for each run of adjacent groups), verified and decoded;
-    ///   nothing is admitted to the cache and nothing is read ahead, so a
-    ///   gather never evicts a sweep's shards and `peak_bytes <= budget`
-    ///   holds untouched. [`CacheStats::sparse_groups`] counts the groups.
+    ///   nothing is admitted to the cache, so a gather never evicts a
+    ///   sweep's shards and `peak_bytes <= budget` holds untouched.
+    ///   [`CacheStats::sparse_groups`] counts the groups.
     ///
     /// 500 rows spread over sixteen 64k-row shards thus read about 500
     /// groups of [`crate::format::GROUP_ROWS`] rows instead of decoding
@@ -655,17 +596,17 @@ impl ShardStore {
     /// structured corruption or I/O error when a group fails its checksum or
     /// cannot be read. Rows gathered before the failure stay in `out`.
     pub fn read_rows(&self, rows: &[usize], out: &mut Dataset) -> Result<()> {
-        if let Some(bad) = rows.iter().find(|&&g| g >= self.inner.total_rows) {
+        if let Some(bad) = rows.iter().find(|&&g| g >= self.total_rows) {
             return Err(StoreError::InvalidConfig {
-                reason: format!("row {bad} out of range ({} rows)", self.inner.total_rows),
+                reason: format!("row {bad} out of range ({} rows)", self.total_rows),
             });
         }
-        let shard_size = self.inner.shard_size;
+        let shard_size = self.shard_size;
         for run in rows.chunk_by(|a, b| a / shard_size == b / shard_size) {
             let index = run[0] / shard_size;
-            if let Some(data) = self.inner.pin_resident(index) {
+            if let Some(data) = self.pin_resident(index) {
                 let guard = PinGuard {
-                    store: &self.inner,
+                    store: self,
                     index,
                     data,
                 };
@@ -673,8 +614,8 @@ impl ShardStore {
                     out.push_row(guard.data.row(g - index * shard_size));
                 }
             } else {
-                let groups = self.inner.read_groups(index, run, out)?;
-                let mut st = self.inner.cache.lock().expect("shard cache poisoned");
+                let groups = self.read_groups(index, run, out)?;
+                let mut st = self.cache.lock().expect("shard cache poisoned");
                 st.sparse_groups += groups;
                 st.obs.sparse_groups.add(groups);
             }
@@ -683,7 +624,7 @@ impl ShardStore {
     }
 }
 
-impl StoreInner {
+impl ShardStore {
     /// The byte layout of shard `index`'s block (validated at open).
     fn layout(&self, index: usize) -> BlockLayout {
         BlockLayout::new(
@@ -714,9 +655,7 @@ impl StoreInner {
         // on this thread (the job thread inline, or a pool worker that
         // `parallel_map` re-installed the handle on): the whole load is
         // `decode` self-time, with the raw disk read carved out below as a
-        // nested `page_in` scope. The readahead thread carries no profile,
-        // so background decodes attribute to nobody — only time a job
-        // genuinely waited for is charged to it.
+        // nested `page_in` scope.
         let _decode = fair_core::obs::profile::scope(fair_core::obs::Phase::Decode);
         self.decode_fault(index);
         let entry = self.directory[index];
@@ -794,8 +733,8 @@ impl StoreInner {
     /// `out` in order, reading only the row groups that hold them: one
     /// positional read per column for each run of adjacent groups, every
     /// group's CRC verified before any of its values is decoded, and only
-    /// the requested rows decoded. Nothing is admitted to the cache and
-    /// nothing is read ahead. Returns the number of groups read.
+    /// the requested rows decoded. Nothing is admitted to the cache.
+    /// Returns the number of groups read.
     fn read_groups(&self, index: usize, run: &[usize], out: &mut Dataset) -> Result<u64> {
         // The reads are `page_in`; the checksums and the decode `decode`.
         let _decode = fair_core::obs::profile::scope(fair_core::obs::Phase::Decode);
@@ -869,53 +808,38 @@ impl StoreInner {
     }
 
     /// Pin shard `index` if it is resident and count a hit; `None` when it
-    /// is not. Never pages in and schedules no readahead.
+    /// is not. Never pages in.
     fn pin_resident(&self, index: usize) -> Option<Arc<Dataset>> {
-        let mut st = self.cache.lock().expect("shard cache poisoned");
-        let data = pin_entry(&mut st, index)?;
-        st.hits += 1;
-        st.obs.hits.inc();
-        Some(data)
+        pin_hit(&mut self.cache.lock().expect("shard cache poisoned"), index)
     }
 
-    /// Look the shard up in the cache (pinning it) or page it in on a miss,
-    /// scheduling readahead of the following shards either way.
+    /// Look the shard up in the cache (pinning it) or page it in on a miss.
     fn pin(&self, index: usize) -> Result<Arc<Dataset>> {
+        let bytes = self.shard_bytes(index);
         {
             let mut st = self.cache.lock().expect("shard cache poisoned");
-            st.last_access = index;
             loop {
-                if let Some(data) = pin_entry(&mut st, index) {
-                    st.hits += 1;
-                    st.obs.hits.inc();
-                    self.schedule_readahead(&mut st, index);
+                if let Some(data) = pin_hit(&mut st, index) {
                     return Ok(data);
                 }
-                if let Some(msg) = st.poisoned.remove(&index) {
-                    // A background decode of this shard panicked. Surface it
-                    // once as a structured error; the entry is consumed, so a
-                    // retry decodes on demand as usual.
-                    return Err(StoreError::Corrupt {
-                        offset: self.directory[index].offset,
-                        what: format!("shard {index} block"),
-                        reason: format!("background decode panicked: {msg}"),
-                    });
+                if !st.inflight.contains(&index) {
+                    break;
                 }
-                if st.inflight.contains(&index) {
-                    // Someone (usually the readahead thread) is decoding this
-                    // very shard: wait for it instead of decoding the block a
-                    // second time. The wait is page-in time from the
-                    // requesting job's point of view.
-                    let _wait = fair_core::obs::profile::scope(fair_core::obs::Phase::PageIn);
-                    st = self.cond.wait(st).expect("shard cache poisoned");
-                    continue;
-                }
-                break;
+                // Another worker is decoding this very shard: wait for it
+                // instead of decoding the block a second time. The wait is
+                // page-in time from the requesting job's point of view.
+                let _wait = fair_core::obs::profile::scope(fair_core::obs::Phase::PageIn);
+                st = self.cond.wait(st).expect("shard cache poisoned");
             }
             st.misses += 1;
             st.obs.misses.inc();
             st.inflight.insert(index);
-            self.schedule_readahead(&mut st, index);
+            // Make room and reserve the shard's bytes *before* decoding, so
+            // the victims' buffers are freed before the new ones are
+            // allocated and the resident set only ever exceeds the budget
+            // by what is pinned or being decoded.
+            evict_until(&mut st, self.budget.saturating_sub(bytes));
+            st.reserve(bytes);
         }
         // Decode outside the lock so concurrent workers page different
         // shards in parallel; `inflight` makes racers on the *same* shard
@@ -928,41 +852,30 @@ impl StoreInner {
         let mut st = self.cache.lock().expect("shard cache poisoned");
         st.inflight.remove(&index);
         self.cond.notify_all();
-        let data = match decoded {
-            Ok(Ok(d)) => Arc::new(d),
-            Ok(Err(e)) => return Err(e),
+        match decoded {
+            Ok(Ok(data)) => {
+                debug_assert_eq!(column_bytes(&data), bytes, "shard_bytes is exact");
+                let data = Arc::new(data);
+                st.entries.insert(
+                    index,
+                    CacheEntry {
+                        data: Arc::clone(&data),
+                        bytes,
+                        pins: 1,
+                    },
+                );
+                Ok(data)
+            }
+            Ok(Err(e)) => {
+                st.release(bytes);
+                Err(e)
+            }
             Err(panic) => {
+                st.release(bytes);
                 drop(st);
                 std::panic::resume_unwind(panic);
             }
-        };
-        if let Some(data) = pin_entry(&mut st, index) {
-            // The readahead thread admitted the shard while we were
-            // decoding; adopt its copy.
-            return Ok(data);
         }
-        let bytes = column_bytes(&data);
-        st.tick += 1;
-        let tick = st.tick;
-        // Make room *before* admitting, so the resident set only ever
-        // exceeds the budget by what is genuinely pinned.
-        evict_until(&mut st, self.budget.saturating_sub(bytes));
-        st.resident += bytes;
-        st.peak = st.peak.max(st.resident);
-        st.obs
-            .resident_bytes
-            .add(i64::try_from(bytes).unwrap_or(i64::MAX));
-        st.entries.insert(
-            index,
-            CacheEntry {
-                data: data.clone(),
-                bytes,
-                pins: 1,
-                last_used: tick,
-                prefetched: false,
-            },
-        );
-        Ok(data)
     }
 
     /// Release one pin; shed any over-budget residue that eviction had to
@@ -976,198 +889,44 @@ impl StoreInner {
         evict_until(&mut st, self.budget);
     }
 
-    /// Estimated column bytes of shard `index` from its directory entry —
-    /// exact for this fixed-width layout, no decode needed.
+    /// Column bytes of shard `index` from its directory entry — exact for
+    /// this fixed-width layout, so a miss can reserve them before decoding.
     fn shard_bytes(&self, index: usize) -> usize {
-        let per_row = 8 * (self.schema.num_features() + self.schema.num_fairness()) + 8 + 1;
         usize::try_from(self.directory[index].rows)
             .unwrap_or(usize::MAX)
-            .saturating_mul(per_row)
-    }
-
-    /// Queue the shards following `index` for the readahead thread. Skips
-    /// shards that are already resident, being decoded, queued, or too big
-    /// to ever be admitted under the budget.
-    ///
-    /// The effective depth is capped by the budget headroom: one slot stays
-    /// reserved for the pinned shard and one for the next on-demand page-in,
-    /// and only what fits beyond that is read ahead. With no headroom the
-    /// readahead stands down entirely — prefetching into a cache that must
-    /// evict the prefetched shard before it is used only burns decode time.
-    fn schedule_readahead(&self, st: &mut CacheState, index: usize) {
-        if self.prefetch == 0 {
-            return;
-        }
-        let Some(last) = self.directory.len().checked_sub(1) else {
-            return;
-        };
-        let slots = (self.budget / self.shard_bytes(index).max(1)).saturating_sub(2);
-        let depth = self.prefetch.min(slots);
-        if depth == 0 {
-            return;
-        }
-        let mut scheduled = false;
-        for next in index + 1..=(index + depth).min(last) {
-            if st.entries.contains_key(&next)
-                || st.inflight.contains(&next)
-                || st.queue.contains(&next)
-            {
-                continue;
-            }
-            if self.shard_bytes(next) > self.budget {
-                continue;
-            }
-            // Bound the queue so a scattered access pattern cannot pile up
-            // stale work faster than the thread drains it.
-            if st.queue.len() >= self.prefetch * 4 {
-                break;
-            }
-            st.queue.push_back(next);
-            scheduled = true;
-        }
-        if scheduled {
-            self.work.notify_all();
-        }
-    }
-
-    /// The readahead thread: pop a queued shard, decode it outside the lock,
-    /// and admit it unpinned — strictly within the budget. Decode errors are
-    /// deliberately swallowed: the on-demand path decodes the same block and
-    /// surfaces the error where the caller can see it. Decode *panics* are
-    /// contained: the shard is marked poisoned (the next reader gets a
-    /// structured error instead of hanging on the in-flight condvar) and the
-    /// thread keeps serving the rest of the queue.
-    fn prefetch_loop(&self) {
-        let mut st = self.cache.lock().expect("shard cache poisoned");
-        loop {
-            if st.stop {
-                return;
-            }
-            let Some(index) = st.queue.pop_front() else {
-                st = self.work.wait(st).expect("shard cache poisoned");
-                continue;
-            };
-            if st.entries.contains_key(&index) || st.inflight.contains(&index) {
-                continue;
-            }
-            // Drop stale work: if the reader has moved on (or a new sweep
-            // restarted behind us), decoding this shard would evict shards
-            // that are still useful just to admit one that is not.
-            if index <= st.last_access || index > st.last_access + self.prefetch {
-                continue;
-            }
-            st.inflight.insert(index);
-            drop(st);
-            let decoded =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.load_shard(index)));
-            st = self.cache.lock().expect("shard cache poisoned");
-            st.inflight.remove(&index);
-            match decoded {
-                Ok(Ok(data)) => admit_prefetched(&mut st, self.budget, index, Arc::new(data)),
-                // Decode errors fall through to the on-demand path, which
-                // surfaces them where the caller can see them.
-                Ok(Err(_)) => {}
-                Err(panic) => {
-                    st.decode_poisoned += 1;
-                    st.obs.decode_poisoned.inc();
-                    obs::Event::new("store.decode_poisoned")
-                        .field("path", &self.path)
-                        .field("shard", index)
-                        .field("panic", panic_text(&*panic))
-                        .emit();
-                    st.poisoned.insert(index, panic_text(&*panic));
-                }
-            }
-            self.cond.notify_all();
-        }
+            .saturating_mul(row_bytes(&self.schema))
     }
 }
 
-/// Best-effort text of a caught panic payload.
-fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Admit a prefetched shard unpinned, evicting LRU unpinned shards to make
-/// room first. If the budget is consumed by the pinned working set the
-/// decode is dropped (counted as wasted) rather than overflowing the budget.
-fn admit_prefetched(st: &mut CacheState, budget: usize, index: usize, data: Arc<Dataset>) {
-    let bytes = column_bytes(&data);
-    evict_until(st, budget.saturating_sub(bytes));
-    if st.resident.saturating_add(bytes) > budget {
-        st.prefetch_wasted += 1;
-        st.obs.prefetch_wasted.inc();
-        return;
-    }
-    st.tick += 1;
-    let tick = st.tick;
-    st.resident += bytes;
-    st.peak = st.peak.max(st.resident);
-    st.obs
-        .resident_bytes
-        .add(i64::try_from(bytes).unwrap_or(i64::MAX));
-    st.entries.insert(
-        index,
-        CacheEntry {
-            data,
-            bytes,
-            pins: 0,
-            last_used: tick,
-            prefetched: true,
-        },
-    );
-}
-
-/// Pin the resident entry for `index`, if any: bump its pin count and
-/// recency, and count a prefetch hit the first time a prefetched shard is
-/// used. The caller counts the access itself.
-fn pin_entry(st: &mut CacheState, index: usize) -> Option<Arc<Dataset>> {
-    st.tick += 1;
-    let tick = st.tick;
+/// Pin the resident entry for `index`, if any, and count a cache hit.
+fn pin_hit(st: &mut CacheState, index: usize) -> Option<Arc<Dataset>> {
     let e = st.entries.get_mut(&index)?;
     e.pins += 1;
-    e.last_used = tick;
-    let was_prefetched = std::mem::take(&mut e.prefetched);
-    let data = e.data.clone();
-    if was_prefetched {
-        st.prefetch_hits += 1;
-        st.obs.prefetch_hits.inc();
-    }
+    let data = Arc::clone(&e.data);
+    st.hits += 1;
+    st.obs.hits.inc();
     Some(data)
 }
 
-/// Evict least-recently-used unpinned shards until at most `target` column
-/// bytes stay resident (or nothing evictable remains).
+/// Evict unpinned shards, highest index first, until at most `target`
+/// column bytes stay resident (or nothing evictable remains). Sweeps visit
+/// shards in ascending order, so the low shards this spares are the next
+/// sweep's first hits, where LRU would evict each shard before its next use.
 fn evict_until(st: &mut CacheState, target: usize) {
     while st.resident > target {
-        let victim = st
+        let Some(victim) = st
             .entries
             .iter()
-            .filter(|(_, e)| e.pins == 0)
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(&k, _)| k);
-        match victim {
-            Some(k) => {
-                let e = st.entries.remove(&k).expect("victim exists");
-                st.resident -= e.bytes;
-                st.obs
-                    .resident_bytes
-                    .sub(i64::try_from(e.bytes).unwrap_or(i64::MAX));
-                st.evictions += 1;
-                st.obs.evictions.inc();
-                if e.prefetched {
-                    st.prefetch_wasted += 1;
-                    st.obs.prefetch_wasted.inc();
-                }
-            }
-            None => break,
-        }
+            .rev()
+            .find(|(_, e)| e.pins == 0)
+            .map(|(&k, _)| k)
+        else {
+            break;
+        };
+        let e = st.entries.remove(&victim).expect("victim exists");
+        st.release(e.bytes);
+        st.evictions += 1;
+        st.obs.evictions.inc();
     }
 }
 
@@ -1256,7 +1015,7 @@ fn relabel(e: StoreError, what: &str) -> StoreError {
 }
 
 struct PinGuard<'a> {
-    store: &'a StoreInner,
+    store: &'a ShardStore,
     index: usize,
     data: Arc<Dataset>,
 }
@@ -1269,19 +1028,19 @@ impl Drop for PinGuard<'_> {
 
 impl ShardSource for ShardStore {
     fn schema(&self) -> &SchemaRef {
-        &self.inner.schema
+        &self.schema
     }
 
     fn len(&self) -> usize {
-        self.inner.total_rows
+        self.total_rows
     }
 
     fn shard_size(&self) -> usize {
-        self.inner.shard_size
+        self.shard_size
     }
 
     fn num_shards(&self) -> usize {
-        self.inner.directory.len()
+        self.directory.len()
     }
 
     /// Shards live on disk behind the cache: metric plans retain their
@@ -1304,23 +1063,19 @@ impl ShardSource for ShardStore {
     /// [`ShardStore::read_shard`] for fallible access.
     fn with_shard<T>(&self, index: usize, f: impl FnOnce(ShardView<'_>) -> T) -> T {
         assert!(
-            index < self.inner.directory.len(),
+            index < self.directory.len(),
             "shard {index} out of bounds ({})",
-            self.inner.directory.len()
+            self.directory.len()
         );
         let guard = PinGuard {
-            store: &self.inner,
+            store: self,
             index,
-            data: match self.inner.pin(index) {
+            data: match self.pin(index) {
                 Ok(data) => data,
                 Err(e) => panic!("fair-store: cannot page in shard {index}: {e}"),
             },
         };
-        f(ShardView::new(
-            index,
-            index * self.inner.shard_size,
-            &guard.data,
-        ))
+        f(ShardView::new(index, index * self.shard_size, &guard.data))
     }
 
     /// [`ShardStore::read_rows`]: resident shards are copied from the cache,
@@ -1429,7 +1184,7 @@ mod tests {
         let data = ShardedDataset::from_objects(schema(), objects(200), 100).unwrap();
         let path = temp_path("gather_groups");
         write_source(&data, &path).unwrap();
-        let store = ShardStore::open_with_options(&path, usize::MAX, 0).unwrap();
+        let store = ShardStore::open_with_budget(&path, usize::MAX).unwrap();
         // Shard 0 needs groups 0, 2 and 3; shard 1 groups 1 and 0.
         let rows = [5, 70, 99, 3, 150, 131, 101];
         let mut out = Dataset::empty(schema());
@@ -1466,7 +1221,7 @@ mod tests {
         let path = temp_path("gather_sweeps");
         write_source(&data, &path).unwrap();
         let budget = 3 * column_bytes(data.shard(0).data());
-        let store = ShardStore::open_with_options(&path, budget, DEFAULT_PREFETCH).unwrap();
+        let store = ShardStore::open_with_budget(&path, budget).unwrap();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 for _ in 0..20 {
@@ -1510,7 +1265,7 @@ mod tests {
         fair_core::fault::install(
             fair_core::FaultPlan::parse(&format!("decode@{ctx}:panic:1")).unwrap(),
         );
-        let store = ShardStore::open_with_options(&path, 0, 0).unwrap();
+        let store = ShardStore::open_with_budget(&path, 0).unwrap();
         let rows = [2, 9, 12, 30];
         let mut out = Dataset::empty(schema());
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1525,38 +1280,69 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    /// A panic inside the background decode thread must not hang readers
-    /// waiting on the in-flight condvar: the shard is poisoned, the next
-    /// reader gets a structured error once, a retry recovers, and the
-    /// readahead thread keeps serving the rest of the queue.
+    /// Racing reads of one shard decode it once: the second waits for the
+    /// first's decode and shares its block.
     #[test]
-    fn prefetch_decode_panic_is_contained_and_surfaced() {
+    fn racing_reads_of_one_shard_share_one_decode() {
         let _faults = FAULTS
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let path = sample_store("poisonfault", 48, 8); // 6 shards
+        let path = sample_store("coalesce", 48, 8); // 6 shards
+        let ctx = format!("{}#shard1", path.display());
+        fair_core::fault::install(
+            fair_core::FaultPlan::parse(&format!("decode@{ctx}:delay:50:1")).unwrap(),
+        );
+        let store = ShardStore::open_with_budget(&path, usize::MAX).unwrap();
+        let (first, second) = std::thread::scope(|scope| {
+            let first = scope.spawn(|| store.read_shard(1).unwrap());
+            // The miss is counted under the lock that claims the decode, so
+            // from here on the second read finds the claim (or the shard).
+            while store.cache_stats().misses == 0 {
+                std::thread::yield_now();
+            }
+            let second = scope.spawn(|| store.read_shard(1).unwrap());
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        fair_core::fault::install(fair_core::FaultPlan::none());
+        let stats = store.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1), "{stats:?}");
+        assert!(Arc::ptr_eq(&first, &second), "both reads share one block");
+        std::fs::remove_file(path).ok();
+    }
+
+    /// A decode that panics unwinds in the caller, returns its byte
+    /// reservation and its in-flight claim, and the next read decodes the
+    /// shard.
+    #[test]
+    fn a_panicking_decode_returns_its_reservation_and_the_next_read_succeeds() {
+        let _faults = FAULTS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let path = sample_store("decodepanic", 48, 8); // 6 shards
         let ctx = format!("{}#shard1", path.display());
         fair_core::fault::install(
             fair_core::FaultPlan::parse(&format!("decode@{ctx}:panic:1")).unwrap(),
         );
-        let store = ShardStore::open_with_options(&path, usize::MAX, 2).unwrap();
-        store.read_shard(0).unwrap(); // queues readahead of shards 1 and 2
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while store.cache_stats().decode_poisoned == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background decode panic never surfaced"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let err = store.read_shard(1).unwrap_err();
-        assert!(err.to_string().contains("panicked"), "{err}");
-        // The poison is consumed: a retry decodes on demand and succeeds
-        // (the fault's burst budget of one activation is spent).
-        assert_eq!(store.read_shard(1).unwrap().len(), 8);
-        // The readahead thread survived the panic and still serves shards.
-        assert_eq!(store.read_shard(2).unwrap().len(), 8);
-        assert_eq!(store.cache_stats().decode_poisoned, 1);
+        let store = Arc::new(ShardStore::open_with_budget(&path, usize::MAX).unwrap());
+        store.read_shard(0).unwrap();
+        let before = store.cache_stats().resident_bytes;
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.read_shard(1)));
+        assert!(caught.is_err(), "the injected fault panics in the caller");
+        let stats = store.cache_stats();
+        assert_eq!(stats.pinned_shards, 0);
+        assert_eq!(stats.resident_bytes, before, "the reservation is returned");
+        // A leaked in-flight claim would make the retry wait forever, so it
+        // runs on a helper thread and the test waits with a deadline.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let retry = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || tx.send(store.read_shard(1).map(|d| d.len())))
+        };
+        let len = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the retry hangs on a leaked in-flight claim");
+        retry.join().unwrap().unwrap();
+        assert_eq!(len.unwrap(), 8);
         fair_core::fault::install(fair_core::FaultPlan::none());
         std::fs::remove_file(path).ok();
     }
@@ -1599,7 +1385,7 @@ mod tests {
     #[test]
     fn concurrent_sweeps_run_one_at_a_time() {
         let path = sample_store("sweeps", 64, 8); // 8 shards
-        let store = ShardStore::open_with_options(&path, 0, 0).unwrap();
+        let store = ShardStore::open_with_budget(&path, 0).unwrap();
         // Kernel calls running now, per sweep.
         let running = Mutex::new([0_usize; 2]);
         let changed = Condvar::new();
@@ -1663,25 +1449,25 @@ mod tests {
     }
 
     #[test]
-    fn eviction_respects_the_byte_budget_and_lru_order() {
-        let path = sample_store("lru", 40, 8); // 5 shards of 8 rows
+    fn eviction_respects_the_byte_budget_and_index_order() {
+        let path = sample_store("evict_order", 40, 8); // 5 shards of 8 rows
         let store = ShardStore::open_with_budget(&path, usize::MAX).unwrap();
         let shard_bytes = column_bytes(&store.read_shard(0).unwrap());
         drop(store);
 
-        // Room for exactly two shards. Readahead off: this test asserts
-        // exact counter values, which a background decode would perturb.
-        let store = ShardStore::open_with_options(&path, 2 * shard_bytes, 0).unwrap();
-        store.with_shard(0, |_| ());
+        // Room for exactly two shards.
+        let store = ShardStore::open_with_budget(&path, 2 * shard_bytes).unwrap();
         store.with_shard(1, |_| ());
+        store.with_shard(0, |_| ());
+        store.with_shard(1, |_| ()); // 0 is now the least recently used
         assert_eq!(store.cache_stats().resident_bytes, 2 * shard_bytes);
-        store.with_shard(0, |_| ()); // refresh 0 → 1 becomes the LRU victim
         store.with_shard(2, |_| ());
         let stats = store.cache_stats();
         assert_eq!(stats.resident_bytes, 2 * shard_bytes);
         assert_eq!(stats.evictions, 1);
         assert!(stats.peak_bytes <= 2 * shard_bytes, "make-room-then-admit");
-        // 0 must still be cached (hit), 1 must have been evicted (miss).
+        // The highest index went, not the least recently used: 0 must still
+        // be cached (hit), 1 must have been evicted (miss).
         let before = store.cache_stats().hits;
         store.with_shard(0, |_| ());
         assert_eq!(store.cache_stats().hits, before + 1);
@@ -1691,73 +1477,34 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Sweeps in ascending order over a store larger than the cache keep
+    /// the lowest shards that fit: every sweep after the first hits on
+    /// shards 0 and 1, where LRU would evict each shard before its next use.
     #[test]
-    fn readahead_decodes_the_next_shards_before_they_are_asked_for() {
-        let path = sample_store("prefetch_hits", 40, 8); // 5 shards
-        let store = ShardStore::open_with_options(&path, usize::MAX, 2).unwrap();
-        let shard_bytes = column_bytes(&store.read_shard(0).unwrap());
-        // That first access was a miss and queued shards 1 and 2; wait for
-        // the background thread to admit both.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while store.cache_stats().resident_bytes < 3 * shard_bytes
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::yield_now();
-        }
-        assert_eq!(
-            store.cache_stats().resident_bytes,
-            3 * shard_bytes,
-            "readahead admits shards 1 and 2 behind the access to shard 0"
-        );
-        store.read_shard(1).unwrap();
-        store.read_shard(2).unwrap();
-        let stats = store.cache_stats();
-        assert_eq!(stats.misses, 1, "only shard 0 ever touched the disk path");
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.prefetch_hits, 2);
-        assert_eq!(stats.prefetch_wasted, 0);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn readahead_never_overflows_the_byte_budget() {
-        let path = sample_store("prefetch_budget", 40, 8); // 5 shards
-        let probe = ShardStore::open_with_options(&path, usize::MAX, 0).unwrap();
-        let shard_bytes = column_bytes(&probe.read_shard(0).unwrap());
+    fn repeated_sweeps_keep_the_lowest_shards_resident() {
+        let path = sample_store("resident_set", 64, 8); // 8 shards
+        let probe = ShardStore::open_with_budget(&path, 0).unwrap();
+        let budget = 3 * column_bytes(&probe.read_shard(0).unwrap());
         drop(probe);
 
-        // Room for three shards (pinned + next + one readahead slot), depth
-        // 2 requested: sweep the whole store several times. Whatever the
-        // background thread manages to slip in, the peak must stay within
-        // the budget and every access must resolve.
-        let store = ShardStore::open_with_options(&path, 3 * shard_bytes, 2).unwrap();
-        for _ in 0..3 {
-            for i in 0..store.num_shards() {
+        let store = ShardStore::open_with_budget(&path, budget).unwrap();
+        for sweep in 0..4 {
+            let mut hit = Vec::new();
+            let before = store.cache_stats();
+            for i in 0..8 {
+                let hits = store.cache_stats().hits;
                 store.with_shard(i, |view| assert_eq!(view.len(), 8));
+                if store.cache_stats().hits > hits {
+                    hit.push(i);
+                }
             }
+            let expected: &[usize] = if sweep == 0 { &[] } else { &[0, 1] };
+            assert_eq!(hit, expected, "hits of sweep {sweep}");
+            let misses = store.cache_stats().misses - before.misses;
+            assert_eq!(misses, 8 - expected.len() as u64, "sweep {sweep}");
         }
         let stats = store.cache_stats();
-        assert_eq!(stats.hits + stats.misses, 15, "every access is counted");
-        assert!(
-            stats.peak_bytes <= 3 * shard_bytes,
-            "peak {} exceeds budget {}",
-            stats.peak_bytes,
-            3 * shard_bytes
-        );
-        assert!(stats.prefetch_hits <= stats.hits);
-
-        // A budget with no readahead headroom (two shards) stands the
-        // prefetcher down instead of thrashing: no wasted decodes at all.
-        drop(store);
-        let tight = ShardStore::open_with_options(&path, 2 * shard_bytes, 2).unwrap();
-        for i in 0..tight.num_shards() {
-            tight.with_shard(i, |view| assert_eq!(view.len(), 8));
-        }
-        let stats = tight.cache_stats();
-        assert_eq!(stats.misses, 5, "no headroom means no readahead at all");
-        assert_eq!(stats.prefetch_hits, 0);
-        assert_eq!(stats.prefetch_wasted, 0);
-        assert!(stats.peak_bytes <= 2 * shard_bytes);
+        assert!(stats.peak_bytes <= budget, "{stats:?}");
         std::fs::remove_file(path).ok();
     }
 
@@ -1851,19 +1598,12 @@ mod tests {
             }
         }
         assert!(failures > 0, "a flipped byte must fail at least one shard");
+        assert_eq!(
+            store.cache_stats().resident_bytes,
+            0,
+            "a failed decode returns its reservation"
+        );
         assert!(store.verify().is_err());
-        // With readahead on, the corruption error must still surface on the
-        // on-demand path even though the background thread swallows its own
-        // decode failure for the same shard.
-        let store = ShardStore::open_with_options(&path, usize::MAX, 2).unwrap();
-        let mut failures = 0;
-        for i in 0..store.num_shards() {
-            if let Err(e) = store.read_shard(i) {
-                assert!(matches!(e, StoreError::Corrupt { .. }), "{e}");
-                failures += 1;
-            }
-        }
-        assert!(failures > 0, "corruption must surface with readahead on");
         std::fs::remove_file(path).ok();
     }
 

@@ -1,9 +1,8 @@
 //! Cross-crate property tests: the one-sweep [`MetricPlan`] evaluated over a
 //! paged [`ShardStore`] is bit-for-bit identical to the same plan over the
 //! in-memory [`ShardedDataset`], to the individual sharded kernels, and to
-//! the serial reference — across shard sizes (1, 7, 64k), cache budgets
-//! (zero, forced-eviction quarter, unbounded), and readahead depths (off,
-//! 1, 2).
+//! the serial reference — across shard sizes (1, 7, 64k) and cache budgets
+//! (zero, forced-eviction quarter, unbounded).
 //!
 //! This is the contract the audit service relies on: a multi-metric request
 //! answered by one paged sweep must return exactly the numbers five separate
@@ -73,7 +72,6 @@ proptest! {
         k in 0.05_f64..0.6,
         seed in 0_u64..1000,
         budget_mode in 0_usize..3,
-        prefetch in 0_usize..3,
     ) {
         let shard_size = [1, 7, 64 * 1024][shard_size_idx];
         let objects = cohort(n, seed);
@@ -81,7 +79,7 @@ proptest! {
         let sharded =
             ShardedDataset::from_objects(schema(), objects, shard_size).unwrap();
 
-        let path = temp_store_path(&format!("parity_{shard_size}_{budget_mode}_{prefetch}"));
+        let path = temp_store_path(&format!("parity_{shard_size}_{budget_mode}"));
         write_source(&sharded, &path).unwrap();
         let total_bytes = n * (8 * (2 + 2) + 8 + 1);
         let budget = match budget_mode {
@@ -89,7 +87,7 @@ proptest! {
             1 => (total_bytes / 4).max(1), // forced eviction mid-sweep
             _ => usize::MAX,
         };
-        let store = ShardStore::open_with_options(&path, budget, prefetch).unwrap();
+        let store = ShardStore::open_with_budget(&path, budget).unwrap();
 
         let ranker = WeightedSumRanker::new(vec![1.0, 0.7]).unwrap();
         let bonus = [0.3, 0.1];

@@ -29,11 +29,12 @@ fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
 
     // 2. Open the store with a cache budget far below the cohort's column
     //    bytes, so evaluation genuinely pages: shards are decoded on demand,
-    //    pinned while a kernel reads them, and evicted LRU-first to stay
-    //    under budget. The budget leaves room for the worker pool's pinned
-    //    working set (one shard per parallel worker) plus a small LRU tail —
-    //    pinned shards cannot be evicted, so a budget below that floor would
-    //    be exceeded while kernels run.
+    //    pinned while a kernel reads them, and evicted highest index first
+    //    to stay under budget. The budget leaves room for the worker pool's
+    //    pinned working set (one shard per parallel worker) plus two shards
+    //    that stay resident from one sweep to the next — pinned shards
+    //    cannot be evicted, so a budget below that floor would be exceeded
+    //    while kernels run.
     let probe = ShardStore::open_with_budget(&path, 0)?;
     let shard0 = probe.read_shard(0)?;
     let one_shard = column_bytes(&shard0);

@@ -13,7 +13,7 @@
 //!   FA\*IR, and the (Δ+2)-approximation re-ranker,
 //! * [`matching`] ([`fair_matching`]) — deferred-acceptance school choice,
 //! * [`store`] ([`fair_store`]) — the persistent on-disk columnar shard store
-//!   with LRU-cached out-of-core evaluation,
+//!   with a byte-budgeted shard cache for out-of-core evaluation,
 //! * [`serve`] ([`fair_serve`]) — the concurrent audit service: store
 //!   catalog, synchronous metric endpoints, background DCA jobs, and the
 //!   wire protocol + typed client.

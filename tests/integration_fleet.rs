@@ -11,13 +11,16 @@
 //! 3. a worker killed mid-descent has its range re-dispatched to the
 //!    survivors and the descent still completes bit-identically;
 //! 4. a 500-burst ejects a worker, and health probes re-admit it once the
-//!    burst passes.
+//!    burst passes;
+//! 5. a fleet job's phase profile counts each fan-out round's wire time
+//!    once, however many ranges run in it.
 
 use fair_ranking::core::metrics::sharded as shmetrics;
 use fair_ranking::core::obs;
 use fair_ranking::prelude::*;
 use fair_ranking::serve::{
-    serve, AuditService, Client, FleetConfig, FleetCoordinator, JobKind, JobRequest, ServerHandle,
+    serve, AuditService, Client, FleetConfig, FleetCoordinator, JobKind, JobRequest, Json,
+    ServerHandle,
 };
 use std::net::SocketAddr;
 use std::sync::Mutex;
@@ -438,6 +441,65 @@ fn a_traced_job_pins_one_id_from_submit_to_worker_spans_under_faults() {
         "the front node's own request spans (submit, polls) share the id too"
     );
 
+    front.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// The ranges of a fan-out round run concurrently, so the job records the
+/// round's wire time once: its phases add up to no more than its running
+/// time, within the bound `integration_serve` pins for local jobs.
+#[test]
+fn a_fleet_job_profile_counts_each_round_once() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (handles, addrs) = spawn_fleet(3, SHARD_SIZE);
+    let front = serve(AuditService::new(), "127.0.0.1:0", 2).unwrap();
+    let client = Client::new(front.addr());
+    client
+        .register_synthetic("cohort", "school", ROWS, SEED, SHARD_SIZE)
+        .unwrap();
+    let config = quick_config(31);
+    let job = client
+        .submit_job(&JobRequest {
+            store: "cohort".into(),
+            kind: JobKind::Core,
+            k: 0.1,
+            weights: Some(RUBRIC_WEIGHTS.to_vec()),
+            seed: config.seed,
+            sample_size: Some(config.sample_size),
+            learning_rates: Some(config.learning_rates.clone()),
+            iterations_per_rate: Some(config.iterations_per_rate),
+            workers: Some(addrs.iter().map(SocketAddr::to_string).collect()),
+        })
+        .unwrap();
+    let done = client
+        .wait_for_job(&job.id, Duration::from_secs(60))
+        .unwrap();
+    assert_eq!(done.state, "completed", "error: {:?}", done.error);
+
+    let profile = client.job_profile(&job.id).unwrap();
+    let phases = profile.get("phases").unwrap();
+    let total_ms = ["page_in", "decode", "score", "sample", "combine", "wire"]
+        .iter()
+        .map(|name| {
+            phases
+                .get(name)
+                .and_then(|p| p.get("total_us"))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("phase `{name}` missing: {}", profile.render()))
+        })
+        .sum::<f64>()
+        / 1_000.0;
+    let running_ms = profile.get("running_ms").unwrap().as_f64().unwrap();
+    assert!(
+        total_ms <= running_ms * 1.05 + 4.0,
+        "attributed {total_ms:.1} ms vs wall-clock {running_ms:.1} ms"
+    );
+    println!(
+        "fleet Core job: {total_ms:.1} of {running_ms:.1} ms attributed ({:.1}%)",
+        100.0 * total_ms / running_ms
+    );
     front.shutdown();
     for h in handles {
         h.shutdown();

@@ -20,13 +20,11 @@
 //!    any group is reported at that group, never decoded.
 //! 6. **Version 1** — a file from the first format revision (one checksum
 //!    per column block) still opens, verifies and gathers.
-//!
-//! The paging tests run with readahead off (`0`) and at the default depth.
 
 use fair_ranking::core::metrics::sharded as shmetrics;
 use fair_ranking::prelude::*;
+use fair_ranking::store::column_bytes;
 use fair_ranking::store::format::{GROUP_ROWS, HEADER_LEN};
-use fair_ranking::store::{column_bytes, DEFAULT_PREFETCH};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::ops::Range;
@@ -137,7 +135,6 @@ proptest! {
     fn store_evaluation_matches_memory_and_serial(
         rows in row_strategy(),
         k in 0.02_f64..1.0,
-        prefetch in any::<bool>().prop_map(|on| if on { DEFAULT_PREFETCH } else { 0 }),
     ) {
         let flat = dataset_from_rows(&rows);
         let view = flat.full_view();
@@ -158,7 +155,7 @@ proptest! {
         write_source(&mem, &path).unwrap();
         // A budget of two shards forces steady paging during evaluation.
         let two_shards = 2 * column_bytes(mem.shard(0).data());
-        let store = ShardStore::open_with_options(&path, two_shards, prefetch).unwrap();
+        let store = ShardStore::open_with_budget(&path, two_shards).unwrap();
 
         let mem_disp = shmetrics::disparity_at_k(&mem, &ranker, &bonus, k).unwrap();
         let store_disp = shmetrics::disparity_at_k(&store, &ranker, &bonus, k).unwrap();
@@ -236,7 +233,7 @@ proptest! {
                 run_core_dca_sharded(&mem, &ranker, &objective, &core_cfg, None, true).unwrap();
             let two_shards = 2 * column_bytes(mem.shard(0).data());
             for budget in [0, two_shards, usize::MAX] {
-                let store = ShardStore::open_with_options(&path, budget, prefetch).unwrap();
+                let store = ShardStore::open_with_budget(&path, budget).unwrap();
                 store.fairness_centroid().unwrap();
                 let store_core =
                     run_core_dca_sharded(&store, &ranker, &objective, &core_cfg, None, true)
@@ -258,7 +255,7 @@ proptest! {
 /// The acceptance criterion: a cohort whose column data exceeds the cache
 /// budget evaluates every sharded metric and a Full-DCA trajectory
 /// identically to the in-memory path while the cache's peak resident bytes
-/// stay under the budget, with and without readahead.
+/// stay under the budget.
 #[test]
 fn paged_evaluation_stays_under_the_cache_budget() {
     let workers = std::thread::available_parallelism()
@@ -312,49 +309,46 @@ fn paged_evaluation_stays_under_the_cache_budget() {
     let mem_fpr = shmetrics::fpr_difference_at_k(&mem, &ranker, &bonus, k).unwrap();
     let mem_dca = run_full_dca_sharded(&mem, &ranker, &objective, &config, None, true).unwrap();
 
-    for prefetch in [0, DEFAULT_PREFETCH] {
-        let store = ShardStore::open_with_options(&path, budget, prefetch).unwrap();
-        let store_disp = shmetrics::disparity_at_k(&store, &ranker, &bonus, k).unwrap();
-        assert_eq!(bits(&mem_disp), bits(&store_disp), "disparity parity");
-        let store_ndcg = shmetrics::ndcg_at_k(&store, &ranker, &bonus, k).unwrap();
-        assert_eq!(mem_ndcg.to_bits(), store_ndcg.to_bits(), "ndcg parity");
-        assert_eq!(
-            bits(&mem_log),
-            bits(&shmetrics::log_discounted_disparity(&store, &ranker, &bonus, &log_cfg).unwrap()),
-            "log-discounted parity"
-        );
-        assert_eq!(
-            bits(&mem_fpr),
-            bits(&shmetrics::fpr_difference_at_k(&store, &ranker, &bonus, k).unwrap()),
-            "fpr parity"
-        );
-        let store_dca =
-            run_full_dca_sharded(&store, &ranker, &objective, &config, None, true).unwrap();
-        assert_eq!(bits(&mem_dca.bonus), bits(&store_dca.bonus), "DCA parity");
-        for (m, s) in mem_dca.trace.iter().zip(&store_dca.trace) {
-            assert_eq!(bits(&m.bonus), bits(&s.bonus), "DCA trace step {}", m.step);
-        }
-
-        let stats = store.cache_stats();
-        assert!(
-            stats.peak_bytes <= budget,
-            "peak resident bytes {} must stay under the budget {budget} (shard {shard_bytes} B, \
-             {num_shards} shards, {workers} workers, prefetch {prefetch})",
-            stats.peak_bytes
-        );
-        assert!(
-            stats.misses >= num_shards as u64,
-            "every shard must have been paged in at least once ({} misses)",
-            stats.misses
-        );
-        assert!(
-            stats.evictions > 0,
-            "a budget below the cohort size must evict ({stats:?})"
-        );
-        assert_eq!(stats.budget_bytes, budget);
-        assert_eq!(stats.pinned_shards, 0, "no pins survive the kernels");
-        assert!(stats.resident_bytes <= budget);
+    let store = ShardStore::open_with_budget(&path, budget).unwrap();
+    let store_disp = shmetrics::disparity_at_k(&store, &ranker, &bonus, k).unwrap();
+    assert_eq!(bits(&mem_disp), bits(&store_disp), "disparity parity");
+    let store_ndcg = shmetrics::ndcg_at_k(&store, &ranker, &bonus, k).unwrap();
+    assert_eq!(mem_ndcg.to_bits(), store_ndcg.to_bits(), "ndcg parity");
+    assert_eq!(
+        bits(&mem_log),
+        bits(&shmetrics::log_discounted_disparity(&store, &ranker, &bonus, &log_cfg).unwrap()),
+        "log-discounted parity"
+    );
+    assert_eq!(
+        bits(&mem_fpr),
+        bits(&shmetrics::fpr_difference_at_k(&store, &ranker, &bonus, k).unwrap()),
+        "fpr parity"
+    );
+    let store_dca = run_full_dca_sharded(&store, &ranker, &objective, &config, None, true).unwrap();
+    assert_eq!(bits(&mem_dca.bonus), bits(&store_dca.bonus), "DCA parity");
+    for (m, s) in mem_dca.trace.iter().zip(&store_dca.trace) {
+        assert_eq!(bits(&m.bonus), bits(&s.bonus), "DCA trace step {}", m.step);
     }
+
+    let stats = store.cache_stats();
+    assert!(
+        stats.peak_bytes <= budget,
+        "peak resident bytes {} must stay under the budget {budget} (shard {shard_bytes} B, \
+         {num_shards} shards, {workers} workers)",
+        stats.peak_bytes
+    );
+    assert!(
+        stats.misses >= num_shards as u64,
+        "every shard must have been paged in at least once ({} misses)",
+        stats.misses
+    );
+    assert!(
+        stats.evictions > 0,
+        "a budget below the cohort size must evict ({stats:?})"
+    );
+    assert_eq!(stats.budget_bytes, budget);
+    assert_eq!(stats.pinned_shards, 0, "no pins survive the kernels");
+    assert!(stats.resident_bytes <= budget);
 
     // Core DCA on a store opened fresh for it: no shard is resident, so
     // every step reads its rows' groups from the file and pages nothing in.
@@ -367,7 +361,7 @@ fn paged_evaluation_stays_under_the_cache_budget() {
         ..DcaConfig::default()
     };
     let mem_core = run_core_dca_sharded(&mem, &ranker, &objective, &core_cfg, None, true).unwrap();
-    let store = ShardStore::open_with_options(&path, budget, DEFAULT_PREFETCH).unwrap();
+    let store = ShardStore::open_with_budget(&path, budget).unwrap();
     let store_core =
         run_core_dca_sharded(&store, &ranker, &objective, &core_cfg, None, true).unwrap();
     assert_eq!(
@@ -435,59 +429,56 @@ fn concurrent_paged_reads_are_bit_identical_and_stay_under_budget() {
         })
         .collect();
 
-    for prefetch in [0, DEFAULT_PREFETCH] {
-        let store = ShardStore::open_with_options(&path, budget, prefetch).unwrap();
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let store = &store;
-                let reference = &reference;
-                scope.spawn(move || {
-                    // Each thread walks the shards with a different coprime
-                    // stride, so at any instant the threads are pinning
-                    // different shards and evicting each other's.
-                    let stride = [1, 3, 7, 9, 11, 13, 17, 19][t];
-                    for round in 0..ROUNDS {
-                        for j in 0..num_shards {
-                            let i = (j * stride + round + t) % num_shards;
-                            store.with_shard(i, |view| {
-                                let d = view.data();
-                                let (ref f, ref a, id_sum) = reference[i];
-                                assert_eq!(&bits(d.features_matrix()), f, "shard {i} features");
-                                assert_eq!(&bits(d.fairness_matrix()), a, "shard {i} fairness");
-                                assert_eq!(
-                                    d.ids().iter().map(|id| id.0).sum::<u64>(),
-                                    id_sum,
-                                    "shard {i} ids"
-                                );
-                            });
-                        }
+    let store = ShardStore::open_with_budget(&path, budget).unwrap();
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let store = &store;
+            let reference = &reference;
+            scope.spawn(move || {
+                // Each thread walks the shards with a different coprime
+                // stride, so at any instant the threads are pinning
+                // different shards and evicting each other's.
+                let stride = [1, 3, 7, 9, 11, 13, 17, 19][t];
+                for round in 0..ROUNDS {
+                    for j in 0..num_shards {
+                        let i = (j * stride + round + t) % num_shards;
+                        store.with_shard(i, |view| {
+                            let d = view.data();
+                            let (ref f, ref a, id_sum) = reference[i];
+                            assert_eq!(&bits(d.features_matrix()), f, "shard {i} features");
+                            assert_eq!(&bits(d.fairness_matrix()), a, "shard {i} fairness");
+                            assert_eq!(
+                                d.ids().iter().map(|id| id.0).sum::<u64>(),
+                                id_sum,
+                                "shard {i} ids"
+                            );
+                        });
                     }
-                });
-            }
-        });
+                }
+            });
+        }
+    });
 
-        let stats = store.cache_stats();
-        assert!(
-            stats.peak_bytes <= budget,
-            "concurrent pinning must never push the peak {} over the budget {budget} \
-             (prefetch {prefetch})",
-            stats.peak_bytes
-        );
-        assert!(
-            stats.evictions > 0,
-            "the hammer loop must continuously evict ({stats:?})"
-        );
-        assert!(
-            stats.misses >= num_shards as u64,
-            "every shard pages in at least once"
-        );
-        assert_eq!(stats.pinned_shards, 0, "no pins survive the threads");
-        assert_eq!(
-            stats.hits + stats.misses,
-            (THREADS * ROUNDS * num_shards) as u64,
-            "every access is either a hit or a miss"
-        );
-    }
+    let stats = store.cache_stats();
+    assert!(
+        stats.peak_bytes <= budget,
+        "concurrent pinning must never push the peak {} over the budget {budget}",
+        stats.peak_bytes
+    );
+    assert!(
+        stats.evictions > 0,
+        "the hammer loop must continuously evict ({stats:?})"
+    );
+    assert!(
+        stats.misses >= num_shards as u64,
+        "every shard pages in at least once"
+    );
+    assert_eq!(stats.pinned_shards, 0, "no pins survive the threads");
+    assert_eq!(
+        stats.hits + stats.misses,
+        (THREADS * ROUNDS * num_shards) as u64,
+        "every access is either a hit or a miss"
+    );
     std::fs::remove_file(path).ok();
 }
 
@@ -584,7 +575,7 @@ fn check_flips(mem: &ShardedDataset, path: &std::path::Path) {
         let mut bad = pristine.clone();
         bad[flip] ^= 0x20;
         std::fs::write(path, &bad).unwrap();
-        let store = match ShardStore::open_with_options(path, 0, 0) {
+        let store = match ShardStore::open_with_budget(path, 0) {
             // Header/schema/directory corruption: rejected at open.
             Err(e) => {
                 assert!(
@@ -669,7 +660,7 @@ fn version_1_files_open_verify_and_gather() {
     );
     let mem = ShardedDataset::from_dataset(&dataset_from_rows(&v1_fixture_rows()), 8).unwrap();
 
-    let store = ShardStore::open_with_options(&path, 0, 0).unwrap();
+    let store = ShardStore::open_with_budget(&path, 0).unwrap();
     assert_eq!(store.len(), 40);
     assert_eq!(store.shard_size(), 8);
     assert_eq!(store.num_shards(), 5);
