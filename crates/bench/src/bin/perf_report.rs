@@ -90,9 +90,22 @@
 //! timing all of one arm and then all of the other let drift in the host's
 //! speed decide the gate.
 //!
+//! Schema v13 adds the **store layer** (`store` in the JSON), measured on
+//! the `profile` measurement's store (1M rows in full mode): file bytes per
+//! row; `read_shard_mb_s`, the column bytes per µs of a cold
+//! `ShardStore::read_shard`, median over the shards, each read through a
+//! freshly opened store; `crc32_mb_s`, the block checksum over 64 MiB; and
+//! per step of the profiled paged run, the row groups its gathers read
+//! (`CacheStats::sparse_groups`) with its `page_in` and `decode` phase
+//! totals per group. It records `nproc` (the machine's parallelism) next to
+//! `threads` (the engine's worker count, which `FAIR_THREADS` can cap), and
+//! `--quick` now runs `paged_core` too, at 10k against 1k rows in the quick
+//! profile's shard count, reported but not gated.
+//!
 //! The summary lines check the headline claim directly: Core DCA's per-step
 //! time at the largest cohort must stay within 2x of the 10k per-step time
-//! in memory, and the paged per-step time at 1M within 2x of the 100k one.
+//! in memory, and (in full mode) the paged per-step time at 1M within 2x of
+//! the 100k one.
 
 use fair_bench::datasets::ExperimentScale;
 use fair_core::metrics::sharded::{self as shmetrics, MetricKind, MetricPlan};
@@ -103,7 +116,7 @@ use fair_data::{CompasConfig, CompasGenerator, SchoolConfig, SchoolGenerator};
 use fair_serve::{
     serve, AuditService, Client, FleetConfig, FleetCoordinator, MetricsRequest, ServerHandle,
 };
-use fair_store::{CacheStats, ShardStore};
+use fair_store::{column_bytes, format, CacheStats, ShardStore};
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -769,6 +782,24 @@ struct ProfileBench {
     overhead: f64,
     /// Per-phase `(name, total_us, count, max_us)` of one profiled run.
     phases: Vec<(&'static str, u64, u64, u64)>,
+    /// The store layer under the descent.
+    store: StoreBench,
+}
+
+/// The store layer of a paged descent's store.
+struct StoreBench {
+    /// File bytes ÷ rows.
+    bytes_per_row: f64,
+    /// Column bytes per µs of one cold `read_shard` (a freshly opened store
+    /// per shard), median over the shards.
+    read_shard_mb_s: f64,
+    /// Row groups the profiled run's gathers read, per step.
+    groups_per_step: f64,
+    /// The profiled run's `page_in` total per group read.
+    page_in_us_per_group: f64,
+    /// The profiled run's `decode` total (checksums and decode) per group
+    /// read.
+    decode_us_per_group: f64,
 }
 
 /// Run the paged Core DCA descent (on-disk store of `shard_size`-row shards,
@@ -811,6 +842,8 @@ fn measure_profile(rows: usize, shard_size: usize, reps: usize) -> ProfileBench 
         let _guard = profile::install(breakdown.clone());
         run()
     };
+    // The store was fresh, so every group the run read is its own.
+    let groups = store.cache_stats().sparse_groups as f64;
     let plain_outcome = run();
     assert_eq!(
         plain_outcome
@@ -832,9 +865,22 @@ fn measure_profile(rows: usize, shard_size: usize, reps: usize) -> ProfileBench 
         let _guard = profile::install(timing_profile.clone());
         run()
     });
+    let shards = store.num_shards();
     drop(store);
+    let read_shard_mb_s = median(
+        (0..shards)
+            .map(|i| {
+                let cold = ShardStore::open_with_budget(&store_path, usize::MAX)
+                    .expect("open profile store");
+                let start = Instant::now();
+                let shard = cold.read_shard(i).expect("read shard");
+                column_bytes(&shard) as f64 / (start.elapsed().as_secs_f64() * 1e6)
+            })
+            .collect(),
+    );
     std::fs::remove_file(&store_path).ok();
 
+    let phase_us = |phase: Phase| breakdown.stats()[phase as usize].total_us as f64;
     ProfileBench {
         rows,
         steps,
@@ -846,7 +892,23 @@ fn measure_profile(rows: usize, shard_size: usize, reps: usize) -> ProfileBench 
             .zip(breakdown.stats())
             .map(|(p, s)| (p.name(), s.total_us, s.count, s.max_us))
             .collect(),
+        store: StoreBench {
+            bytes_per_row: file_bytes as f64 / rows as f64,
+            read_shard_mb_s,
+            groups_per_step: groups / steps as f64,
+            page_in_us_per_group: phase_us(Phase::PageIn) / groups,
+            decode_us_per_group: phase_us(Phase::Decode) / groups,
+        },
     }
+}
+
+/// Throughput of the store's block checksum, `format::crc32`, over 64 MiB
+/// (median of `reps`), in MB/s.
+fn measure_crc32(reps: usize) -> f64 {
+    let bytes: Vec<u8> = (0..64_u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    bytes.len() as f64 / (time_median(reps, || format::crc32(&bytes)) * 1e3)
 }
 
 /// The §IV-D claim in paged mode: per-step cost of the paged descent at two
@@ -857,7 +919,7 @@ struct PagedScaling {
     small_per_step_us: f64,
     large_rows: usize,
     large_per_step_us: f64,
-    /// `large / small` — gated ≤ 2x in full mode.
+    /// `large / small` — gated ≤ 2x in full mode, reported in `--quick`.
     ratio: f64,
     /// The in-memory Core DCA per-step cost of the large cohort.
     memory_per_step_us: f64,
@@ -882,19 +944,21 @@ fn render_json(
     fleet: &FleetBench,
     obs: &ObsBench,
     profile: &ProfileBench,
-    paged: Option<&PagedScaling>,
+    crc32_mb_s: f64,
+    paged: &PagedScaling,
     ratio: Option<f64>,
 ) -> String {
-    let threads = std::thread::available_parallelism()
+    let nproc = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 12,");
+    let _ = writeln!(s, "  \"schema_version\": 13,");
     let _ = writeln!(s, "  \"generated_by\": \"perf_report\",");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
     let _ = writeln!(s, "  \"repeats\": {reps},");
-    let _ = writeln!(s, "  \"threads\": {threads},");
+    let _ = writeln!(s, "  \"threads\": {},", fair_core::max_workers());
+    let _ = writeln!(s, "  \"nproc\": {nproc},");
     let sample_size = reports.first().map_or(0, |r| r.sample_size);
     let _ = writeln!(s, "  \"core_sample_size\": {sample_size},");
     s.push_str("  \"cohorts\": [\n");
@@ -1051,23 +1115,30 @@ fn render_json(
         );
     }
     s.push_str("  } },\n");
-    match paged {
-        Some(p) => {
-            let _ = writeln!(
-                s,
-                "  \"paged_core\": {{ \"shards\": {}, \"small_rows\": {}, \"small_per_step_us\": {}, \"large_rows\": {}, \"large_per_step_us\": {}, \"ratio_large_vs_small\": {}, \"memory_per_step_us\": {}, \"paged_vs_memory\": {} }},",
-                p.shards,
-                p.small_rows,
-                json_number(p.small_per_step_us),
-                p.large_rows,
-                json_number(p.large_per_step_us),
-                json_number(p.ratio),
-                json_number(p.memory_per_step_us),
-                json_number(p.paged_vs_memory),
-            );
-        }
-        None => s.push_str("  \"paged_core\": null,\n"),
-    }
+    let st = &profile.store;
+    let _ = writeln!(
+        s,
+        "  \"store\": {{ \"rows\": {}, \"bytes_per_row\": {}, \"read_shard_mb_s\": {}, \"crc32_mb_s\": {}, \"groups_per_step\": {}, \"page_in_us_per_group\": {}, \"decode_us_per_group\": {} }},",
+        profile.rows,
+        json_number(st.bytes_per_row),
+        json_number(st.read_shard_mb_s),
+        json_number(crc32_mb_s),
+        json_number(st.groups_per_step),
+        json_number(st.page_in_us_per_group),
+        json_number(st.decode_us_per_group),
+    );
+    let _ = writeln!(
+        s,
+        "  \"paged_core\": {{ \"shards\": {}, \"small_rows\": {}, \"small_per_step_us\": {}, \"large_rows\": {}, \"large_per_step_us\": {}, \"ratio_large_vs_small\": {}, \"memory_per_step_us\": {}, \"paged_vs_memory\": {} }},",
+        paged.shards,
+        paged.small_rows,
+        json_number(paged.small_per_step_us),
+        paged.large_rows,
+        json_number(paged.large_per_step_us),
+        json_number(paged.ratio),
+        json_number(paged.memory_per_step_us),
+        json_number(paged.paged_vs_memory),
+    );
     match ratio {
         Some(v) => {
             let _ = writeln!(
@@ -1248,9 +1319,23 @@ fn main() {
         }
     }
 
-    // The same paged descent on a tenth of the 1M cohort, cut into the same
+    let st = &profile.store;
+    let crc32_mb_s = measure_crc32(reps);
+    println!(
+        "\nstore layer ({} rows): {:.2} bytes/row; cold read_shard {:.0} MB/s; crc32 {:.0} MB/s; \
+         {:.1} groups/step at {:.2}us page_in + {:.2}us decode per group",
+        profile.rows,
+        st.bytes_per_row,
+        st.read_shard_mb_s,
+        crc32_mb_s,
+        st.groups_per_step,
+        st.page_in_us_per_group,
+        st.decode_us_per_group,
+    );
+
+    // The same paged descent on a tenth of the cohort, cut into the same
     // number of shards, under the same quarter-cohort budget.
-    let paged = (!quick).then(|| {
+    let paged = {
         let shards = profile_rows.div_ceil(profile_shard_size);
         let small_rows = profile_rows / 10;
         let small = measure_profile(small_rows, small_rows.div_ceil(shards), reps);
@@ -1268,21 +1353,20 @@ fn main() {
             memory_per_step_us,
             paged_vs_memory: profile.plain_per_step_us / memory_per_step_us,
         }
-    });
-    if let Some(p) = &paged {
-        println!(
-            "\npaged Core DCA ({} shards, quarter-cohort budget): {:.2}us/step at {} rows vs \
-             {:.2}us at {} ({:.2}x, budget 2x); {:.1}x the in-memory step at {}",
-            p.shards,
-            p.large_per_step_us,
-            p.large_rows,
-            p.small_per_step_us,
-            p.small_rows,
-            p.ratio,
-            p.paged_vs_memory,
-            p.large_rows,
-        );
-    }
+    };
+    println!(
+        "\npaged Core DCA ({} shards, quarter-cohort budget): {:.2}us/step at {} rows vs \
+         {:.2}us at {} ({:.2}x, budget 2x{}); {:.1}x the in-memory step at {}",
+        paged.shards,
+        paged.large_per_step_us,
+        paged.large_rows,
+        paged.small_per_step_us,
+        paged.small_rows,
+        paged.ratio,
+        if quick { ", not gated in --quick" } else { "" },
+        paged.paged_vs_memory,
+        paged.large_rows,
+    );
 
     let ratio = (reports.len() > 1).then(|| {
         reports.last().unwrap().core_per_step_us / reports.first().unwrap().core_per_step_us
@@ -1304,7 +1388,8 @@ fn main() {
         &fleet,
         &obs,
         &profile,
-        paged.as_ref(),
+        crc32_mb_s,
+        &paged,
         ratio,
     );
     std::fs::write(&out_path, &json).expect("write BENCH_DCA.json");
@@ -1334,11 +1419,11 @@ fn main() {
             );
             std::process::exit(1);
         }
-        if let Some(p) = paged.as_ref().filter(|p| p.ratio > 2.0) {
+        if paged.ratio > 2.0 {
             eprintln!(
                 "ERROR: paged per-step ratio {:.2} ({} vs {} rows) exceeds the 2x \
                  sub-linearity budget",
-                p.ratio, p.large_rows, p.small_rows
+                paged.ratio, paged.large_rows, paged.small_rows
             );
             std::process::exit(1);
         }

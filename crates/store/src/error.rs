@@ -9,8 +9,8 @@ use std::io;
 /// Throughout the crate's fallible API (`open`, `read_shard`, `read_rows`,
 /// `verify`, the writer), every failure mode of a corrupted or truncated
 /// file surfaces as a structured [`StoreError::Corrupt`] value — never a
-/// panic, and never a silently mis-decoded shard (every row group is
-/// CRC-checked before a single byte of it is interpreted). Row gathers
+/// panic, and never a silently mis-decoded shard (every column slice of a
+/// row group is CRC-checked before a single byte of it is interpreted). Row gathers
 /// through `ShardSource::gather_rows` carry the same message as a
 /// `FairError::Storage`. The one infallible surface is the
 /// `ShardSource::with_shard` engine hook, which has no error channel and

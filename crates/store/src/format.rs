@@ -9,10 +9,9 @@
 //! ├──────────────────────────────────────────────────────────────────┤
 //! │ schema block: length-prefixed serialization + CRC                │
 //! ├──────────────────────────────────────────────────────────────────┤
-//! │ shard 0: rows ┆ ids      g0+CRC g1+CRC …  (G rows a group)       │
-//! │               ┆ features g0+CRC g1+CRC …                         │
-//! │               ┆ fairness g0+CRC g1+CRC …                         │
-//! │               ┆ labels   g0+CRC g1+CRC …  (the last may be short)│
+//! │ shard 0: rows ┆ g0: ids+CRC features+CRC fairness+CRC labels+CRC │
+//! │               ┆ g1: ids+CRC features+CRC fairness+CRC labels+CRC │
+//! │               ┆ …   (G rows a group; the last may be short)      │
 //! │ shard 1: …                                                       │
 //! │ ⋮   (appended as they are built — streaming writes)              │
 //! ├──────────────────────────────────────────────────────────────────┤
@@ -20,26 +19,38 @@
 //! └──────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Every multi-byte integer is little-endian. Each column block is cut into
-//! groups of `G` rows ([`GROUP_ROWS`] in the files the writer produces), and
-//! every group carries its own CRC32, so a flipped byte anywhere is caught
-//! before any value of its group is interpreted — and a reader that wants a
-//! few rows reads and verifies only the groups holding them. Columns are
-//! fixed-width, so a group's position is arithmetic on the directory entry
-//! ([`BlockLayout`]). The header additionally pins the schema by an FNV-1a
-//! hash so a file can never be decoded under the wrong column layout.
+//! Every multi-byte integer is little-endian. Each shard block is cut into
+//! row groups of `G` rows ([`GROUP_ROWS`] in the files the writer produces),
+//! stored **group-major** (format version 3, the PAX layout): a group holds
+//! its ids, features, fairness and labels slices back to back, and every
+//! slice carries its own CRC32. A flipped byte anywhere is caught before any
+//! value of its slice is interpreted, and a reader that wants a few rows
+//! reads one contiguous span per group holding them. Columns are
+//! fixed-width, so every slice's position is arithmetic on the directory
+//! entry ([`BlockLayout`]). The header additionally pins the schema by an
+//! FNV-1a hash so a file can never be decoded under the wrong column
+//! layout.
 //!
-//! Version 1 files (52-byte header, no `G`) checksum each column block
-//! whole. That is the case `G` = shard size — one group per column — so the
-//! same decoder reads both versions.
+//! Two older layouts stay readable through the same decoder:
+//!
+//! * version 2 stores the same slices **column-major** — each column's
+//!   groups back to back, then the next column's;
+//! * version 1 (52-byte header, no `G`) checksums each column block whole.
+//!   That is the case `G` = shard size: one group per block, whose layout
+//!   is the same in either order.
+//!
+//! Only [`BlockLayout`] knows the order: it is a second span formula, not a
+//! second decoder.
 
 use crate::error::{Result, StoreError};
 use fair_core::{FairnessAttribute, FairnessKind, Schema, SchemaRef};
 
 /// The four magic bytes opening every shard file.
 pub const MAGIC: [u8; 4] = *b"FSS1";
-/// Current format revision: column blocks in checksummed row groups.
-pub const VERSION: u16 = 2;
+/// Current format revision: checksummed row groups, stored group-major.
+pub const VERSION: u16 = 3;
+/// The second revision: checksummed row groups, stored column-major.
+pub const VERSION_2: u16 = 2;
 /// The first revision: one checksum per column block.
 pub const VERSION_1: u16 = 1;
 /// Byte length of the current file header.
@@ -86,9 +97,10 @@ fn crc_tables() -> &'static [[u32; 256]; 16] {
     })
 }
 
-/// CRC32 (IEEE) of `bytes` — the per-block integrity check. Processes 16
-/// bytes per iteration (slice-by-16): column blocks are megabytes, and the
-/// byte-at-a-time loop was the dominant cost of paging a shard in.
+/// CRC32 (IEEE) of `bytes` — the per-slice integrity check. Processes 16
+/// bytes per iteration (slice-by-16): a sweep checksums every byte of a
+/// shard, and the byte-at-a-time loop was the dominant cost of paging a
+/// shard in.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = crc_tables();
@@ -224,7 +236,7 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// The decoded fixed-size file header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Header {
-    /// Format revision ([`VERSION`] or [`VERSION_1`]).
+    /// Format revision ([`VERSION`], [`VERSION_2`] or [`VERSION_1`]).
     pub version: u16,
     /// FNV-1a hash of the schema block's serialization.
     pub schema_hash: u64,
@@ -236,8 +248,8 @@ pub struct Header {
     pub num_shards: u64,
     /// File offset of the shard directory.
     pub directory_offset: u64,
-    /// Rows per checksummed group of every column block. Version 1 files
-    /// decode with `group_rows = shard_size`: one group per column.
+    /// Rows per checksummed group of every shard block. Version 1 files
+    /// decode with `group_rows = shard_size`: one group per block.
     pub group_rows: u64,
 }
 
@@ -291,7 +303,7 @@ impl Header {
             });
         }
         let version = c.u16()?;
-        if version != VERSION && version != VERSION_1 {
+        if ![VERSION, VERSION_2, VERSION_1].contains(&version) {
             return Err(StoreError::UnsupportedVersion { found: version });
         }
         let _flags = c.u16()?;
@@ -481,13 +493,17 @@ pub fn decode_directory(bytes: &[u8], num_shards: usize, base: u64) -> Result<Ve
     Ok(entries)
 }
 
-/// The four column blocks of a shard block, in file order.
+/// The four columns of a shard block, in the order of a group's slices.
 pub const COLUMNS: [&str; 4] = ["ids", "features", "fairness", "labels"];
 
 /// Where everything sits inside one shard block: the row count (`u64`),
-/// then the four column blocks (ids, features, fairness, labels), each cut
-/// into `group_rows`-row groups that are each followed by their CRC32. Every
-/// group but a column's last holds `group_rows` rows.
+/// then `group_rows`-row groups (every group but the last holds
+/// `group_rows` rows), each group a slice of each of the four columns
+/// (ids, features, fairness, labels) followed by its CRC32. The file
+/// version fixes the order of the slices: group-major (version 3: group
+/// `g`'s four slices back to back) or column-major (version 2: column `c`'s
+/// slices back to back). A version-1 block is one group, the same bytes in
+/// either order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockLayout {
     rows: u64,
@@ -495,17 +511,23 @@ pub struct BlockLayout {
     /// Bytes per row of each column, in [`COLUMNS`] order.
     widths: [u64; 4],
     /// Offset of each column block from the start of the shard block, then
-    /// the length of the whole shard block.
+    /// the length of the whole shard block, under column-major order. Only
+    /// the last entry is used under group-major order.
     offsets: [u64; 5],
+    /// Group `g`'s four slices back to back (versions 1 and 3), rather than
+    /// column `c`'s groups (version 2).
+    group_major: bool,
 }
 
 impl BlockLayout {
-    /// The layout of a block of `rows` rows under a schema with
-    /// `num_features`/`num_fairness` columns. Checked arithmetic: `None` on
-    /// a zero group size or when any offset overflows (a crafted header), so
-    /// every offset of a layout that exists fits a `u64`.
+    /// The layout of a block of `rows` rows of a version-`version` file
+    /// under a schema with `num_features`/`num_fairness` columns. Checked
+    /// arithmetic: `None` on a zero group size or when any offset overflows
+    /// (a crafted header), so every offset of a layout that exists fits a
+    /// `u64`.
     #[must_use]
     pub fn new(
+        version: u16,
         rows: u64,
         group_rows: u64,
         num_features: usize,
@@ -528,6 +550,7 @@ impl BlockLayout {
             group_rows,
             widths,
             offsets,
+            group_major: version != VERSION_2,
         })
     }
 
@@ -537,26 +560,39 @@ impl BlockLayout {
         self.group_rows
     }
 
-    /// Groups per column.
+    /// Groups in the block.
     #[must_use]
     pub fn groups(&self) -> u64 {
         self.rows.div_ceil(self.group_rows)
     }
 
-    /// Byte length of the whole shard block.
+    /// Byte length of the whole shard block (the same in either order).
     #[must_use]
     pub fn block_len(&self) -> u64 {
         self.offsets[COLUMNS.len()]
     }
 
-    /// Group `g` (`< groups()`) of column `c`: its offset from the start of
-    /// the shard block and the byte length of its values. Its CRC32 follows
-    /// the values.
+    /// Column `c`'s slice of group `g` (`< groups()`): its offset from the
+    /// start of the shard block and the byte length of its values. Its CRC32
+    /// follows the values.
+    ///
+    /// No sum here overflows: the slice ends inside the block, whose length
+    /// [`BlockLayout::new`] computed with checked arithmetic. Group-major,
+    /// `g` full groups precede group `g`, and their `first_row` rows and
+    /// `4·g` CRCs per column are counted as such rather than as
+    /// `g · (group_rows · row bytes + 16)`, whose factor a version-1 file's
+    /// huge group size could overflow.
     #[must_use]
     pub fn group_span(&self, c: usize, g: u64) -> (u64, u64) {
         let first_row = g * self.group_rows;
         let rows = self.group_rows.min(self.rows - first_row);
-        let start = self.offsets[c] + first_row * self.widths[c] + g * 4;
+        let start = if self.group_major {
+            let row_bytes: u64 = self.widths.iter().sum();
+            let before: u64 = self.widths[..c].iter().map(|w| rows * w + 4).sum();
+            8 + first_row * row_bytes + g * 4 * COLUMNS.len() as u64 + before
+        } else {
+            self.offsets[c] + first_row * self.widths[c] + g * 4
+        };
         (start, rows * self.widths[c])
     }
 }
@@ -601,18 +637,21 @@ mod tests {
 
     #[test]
     fn header_round_trips() {
-        let h = Header {
-            version: VERSION,
-            schema_hash: 0xDEAD_BEEF_CAFE_F00D,
-            shard_size: 64 * 1024,
-            total_rows: 1_000_003,
-            num_shards: 16,
-            directory_offset: 123_456_789,
-            group_rows: GROUP_ROWS,
-        };
-        let bytes = h.encode();
-        assert_eq!(bytes.len(), HEADER_LEN);
-        assert_eq!(Header::decode(&bytes).unwrap(), h);
+        // Versions 2 and 3 share the 60-byte header.
+        for version in [VERSION, VERSION_2] {
+            let h = Header {
+                version,
+                schema_hash: 0xDEAD_BEEF_CAFE_F00D,
+                shard_size: 64 * 1024,
+                total_rows: 1_000_003,
+                num_shards: 16,
+                directory_offset: 123_456_789,
+                group_rows: GROUP_ROWS,
+            };
+            let bytes = h.encode();
+            assert_eq!(bytes.len(), HEADER_LEN);
+            assert_eq!(Header::decode(&bytes).unwrap(), h);
+        }
     }
 
     #[test]
@@ -722,26 +761,60 @@ mod tests {
 
     #[test]
     fn block_layout_counts_every_group_and_checksum() {
-        // 5 rows in groups of 2 (2 + 2 + 1): three CRCs per column.
+        // 5 rows in groups of 2 (2 + 2 + 1): three CRCs per column. Bytes
+        // per row: id 8 + feature 8 + fairness 16 + label 1 = 33.
         // 8 (rows) + ids (5*8+12) + features (5*8*1+12) + fairness
-        // (5*8*2+12) + labels (5+12)
-        let layout = BlockLayout::new(5, 2, 1, 2).unwrap();
+        // (5*8*2+12) + labels (5+12), in either order.
+        let layout = BlockLayout::new(VERSION, 5, 2, 1, 2).unwrap();
         assert_eq!(layout.groups(), 3);
         assert_eq!(layout.block_len(), 8 + 52 + 52 + 92 + 17);
-        // Groups sit back to back, each followed by its CRC; the last is
-        // short.
+        // Group-major: a full group is 2*33 values + 4 CRCs = 82 bytes, its
+        // slices ids 16+4, features 16+4, fairness 32+4, labels 2+4.
         assert_eq!(layout.group_span(0, 0), (8, 16));
-        assert_eq!(layout.group_span(0, 1), (8 + 20, 16));
-        assert_eq!(layout.group_span(0, 2), (8 + 40, 8));
-        assert_eq!(layout.group_span(2, 1), (8 + 52 + 52 + 36, 32));
-        assert_eq!(layout.group_span(3, 2), (8 + 52 + 52 + 92 + 12, 1));
-        // One group per column is the version-1 layout: a single CRC each.
-        let v1 = BlockLayout::new(2, 2, 1, 2).unwrap();
-        assert_eq!(v1.block_len(), 8 + 20 + 20 + 36 + 6);
+        assert_eq!(layout.group_span(1, 0), (8 + 20, 16));
+        assert_eq!(layout.group_span(2, 0), (8 + 40, 32));
+        assert_eq!(layout.group_span(3, 0), (8 + 76, 2));
+        assert_eq!(layout.group_span(0, 1), (8 + 82, 16));
+        assert_eq!(layout.group_span(2, 1), (8 + 82 + 40, 32));
+        // The short last group: ids 8+4, features 8+4, fairness 16+4, then
+        // its one label byte and CRC end the block.
+        assert_eq!(layout.group_span(0, 2), (8 + 164, 8));
+        assert_eq!(layout.group_span(3, 2), (8 + 164 + 44, 1));
+        assert_eq!(8 + 164 + 44 + 1 + 4, layout.block_len());
+
+        // Version 2, column-major: each column's groups sit back to back,
+        // each followed by its CRC.
+        let v2 = BlockLayout::new(VERSION_2, 5, 2, 1, 2).unwrap();
+        assert_eq!(v2.block_len(), layout.block_len());
+        assert_eq!(v2.group_span(0, 0), (8, 16));
+        assert_eq!(v2.group_span(0, 1), (8 + 20, 16));
+        assert_eq!(v2.group_span(0, 2), (8 + 40, 8));
+        assert_eq!(v2.group_span(2, 1), (8 + 52 + 52 + 36, 32));
+        assert_eq!(v2.group_span(3, 2), (8 + 52 + 52 + 92 + 12, 1));
+
+        // One group per block is the version-1 layout: a single CRC per
+        // column, and the same spans in either order.
+        let one = BlockLayout::new(VERSION_1, 2, 2, 1, 2).unwrap();
+        assert_eq!(one.block_len(), 8 + 20 + 20 + 36 + 6);
+        for version in [VERSION, VERSION_2] {
+            let other = BlockLayout::new(version, 2, 2, 1, 2).unwrap();
+            for c in 0..COLUMNS.len() {
+                assert_eq!(other.group_span(c, 0), one.group_span(c, 0), "column {c}");
+            }
+        }
+        assert_eq!(one.group_span(3, 0), (8 + 20 + 20 + 36, 2));
+
         // Crafted-header scale and a zero group size are rejected instead
         // of overflowing or dividing by zero.
-        assert_eq!(BlockLayout::new(u64::MAX / 2, 32, 1 << 30, 1 << 30), None);
-        assert_eq!(BlockLayout::new(u64::MAX / 8, 1, 1, 1), None);
-        assert_eq!(BlockLayout::new(4, 0, 1, 1), None);
+        assert_eq!(
+            BlockLayout::new(VERSION, u64::MAX / 2, 32, 1 << 30, 1 << 30),
+            None
+        );
+        assert_eq!(BlockLayout::new(VERSION, u64::MAX / 8, 1, 1, 1), None);
+        assert_eq!(BlockLayout::new(VERSION, 4, 0, 1, 1), None);
+        // A version-1 group as large as a crafted shard size: the spans of
+        // its one group do not multiply the group size out.
+        let huge = BlockLayout::new(VERSION_1, 3, 1 << 62, 1, 2).unwrap();
+        assert_eq!(huge.group_span(3, 0), (8 + 3 * 32 + 12, 3));
     }
 }

@@ -6,11 +6,12 @@
 //! the reproduction.
 //!
 //! * **FSS1 format** ([`format`](mod@format)): a binary columnar layout — file header
-//!   with a schema hash and a shard directory, then per-shard contiguous
-//!   column blocks (ids, features, fairness, labels), each cut into
-//!   [`format::GROUP_ROWS`]-row groups with their own CRC32 (version 2;
-//!   version-1 files, one CRC per column block, stay readable). Std-only;
-//!   no compression, no external dependencies.
+//!   with a schema hash and a shard directory, then per-shard blocks cut
+//!   into [`format::GROUP_ROWS`]-row groups, each group's column slices
+//!   (ids, features, fairness, labels) stored together, each slice with
+//!   its own CRC32 (version 3, group-major). Version-2 files (the same
+//!   slices column-major) and version-1 files (one CRC per column block)
+//!   stay readable. Std-only; no compression, no external dependencies.
 //! * **[`StoreWriter`]** ([`writer`]): streaming writes — shards are encoded
 //!   and appended as they are built ([`StoreWriter::push`] buffers single
 //!   rows, [`StoreWriter::append_shard`] takes whole blocks), and
@@ -25,8 +26,9 @@
 //!   sweep to the next. It pins shards while they are borrowed and counts
 //!   hits, misses, evictions and peak bytes. Row gathers
 //!   ([`ShardStore::read_rows`]) copy from resident shards and otherwise
-//!   read, verify and decode only the row groups they need, leaving the
-//!   cache untouched.
+//!   read, verify and decode only the row groups they need — one
+//!   positional read per run of adjacent groups — leaving the cache
+//!   untouched.
 //!
 //! `ShardStore` implements [`fair_core::ShardSource`], so evaluation code is
 //! storage-agnostic:

@@ -5,10 +5,12 @@
 //! schema hash), and the shard directory (checksum, offsets, block bounds
 //! with checked arithmetic, row counts) — so after a successful open, the
 //! only way a page-in can fail is genuine data corruption, which the
-//! per-group CRCs catch before any byte of the group is interpreted. Both
-//! format versions read through the same decoder (a version-1 file is one
-//! row group per column block). Shards decode on demand, on the thread that
-//! asks for them, through the cache:
+//! per-slice CRCs catch before any byte of the slice is interpreted. Every
+//! format version reads through the same decoder, which takes each slice's
+//! offset from [`BlockLayout`]: a version-3 block is stored group-major, a
+//! version-2 block column-major, and a version-1 block is one row group.
+//! Shards decode on demand, on the thread that asks for them, through the
+//! cache:
 //!
 //! * **byte budget** — fixed at open ([`DEFAULT_CACHE_BYTES`] unless the
 //!   caller passes one; `0` retains nothing), it bounds the resident column
@@ -45,12 +47,13 @@
 //! [`fair_core::ShardSource::gather_rows`]) take a second route. Per shard
 //! run, a **resident** shard is pinned and its rows copied (a cache hit);
 //! a shard that is **not resident** is never paged in: only the row groups
-//! holding the requested rows are read, verified and decoded, and nothing
-//! is admitted. A Core DCA step thus costs its sample, not its shards. This
-//! assumes the file's pages sit in the OS page cache — from a cold disk
-//! each group is a random read — and it means a Core DCA job on a cold
-//! store does not warm the shard cache (audits, stats and Full DCA sweeps
-//! do).
+//! holding the requested rows are read — one positional read per run of
+//! adjacent groups in a group-major file — verified and decoded, and
+//! nothing is admitted. A Core DCA step thus costs its sample, not its
+//! shards. This assumes the file's pages sit in the OS page cache — from a
+//! cold disk each group is a random read — and it means a Core DCA job on
+//! a cold store does not warm the shard cache (audits, stats and Full DCA
+//! sweeps do).
 
 use crate::error::{Result, StoreError};
 use crate::format::{
@@ -225,6 +228,8 @@ pub struct ShardStore {
     schema: SchemaRef,
     shard_size: usize,
     total_rows: usize,
+    /// The file's format version, which fixes its block layout.
+    version: u16,
     /// Rows per checksummed group (the shard size for version-1 files).
     group_rows: u64,
     directory: Vec<ShardEntry>,
@@ -477,6 +482,7 @@ impl ShardStore {
             // Checked: a crafted header can make the block length (or the
             // block's end) overflow, which must be a structured error.
             let block_end = BlockLayout::new(
+                header.version,
                 entry.rows,
                 header.group_rows,
                 schema.num_features(),
@@ -506,6 +512,7 @@ impl ShardStore {
             schema,
             shard_size,
             total_rows,
+            version: header.version,
             group_rows: header.group_rows,
             directory,
             budget,
@@ -582,7 +589,7 @@ impl ShardStore {
     ///   cached block, counting a cache hit;
     /// * a shard that is **not resident** is not paged in. Only the row
     ///   groups holding the requested rows are read (one positional read per
-    ///   column for each run of adjacent groups), verified and decoded;
+    ///   run of adjacent groups), verified and decoded;
     ///   nothing is admitted to the cache, so a gather never evicts a
     ///   sweep's shards and `peak_bytes <= budget` holds untouched.
     ///   [`CacheStats::sparse_groups`] counts the groups.
@@ -628,6 +635,7 @@ impl ShardStore {
     /// The byte layout of shard `index`'s block (validated at open).
     fn layout(&self, index: usize) -> BlockLayout {
         BlockLayout::new(
+            self.version,
             self.directory[index].rows,
             self.group_rows,
             self.schema.num_features(),
@@ -689,8 +697,9 @@ impl ShardStore {
         let mut features = Vec::with_capacity(rows * nf);
         let mut fairness = Vec::with_capacity(rows * na);
         let mut labels = Vec::with_capacity(rows);
-        // Every group of every column is verified before its values are.
-        let group = |c: usize, g: u64| {
+        // Group by group, each slice verified before its values are decoded:
+        // a group-major block decodes front to back.
+        let slice = |c: usize, g: u64| {
             let (at, len) = layout.group_span(c, g);
             checked_group(
                 &bytes,
@@ -703,16 +712,10 @@ impl ShardStore {
             )
         };
         for g in 0..layout.groups() {
-            ids.extend(group(0, g)?.chunks_exact(8).map(|b| ObjectId(le_u64(b))));
-        }
-        for g in 0..layout.groups() {
-            features.extend(group(1, g)?.chunks_exact(8).map(le_f64));
-        }
-        for g in 0..layout.groups() {
-            fairness.extend(group(2, g)?.chunks_exact(8).map(le_f64));
-        }
-        for g in 0..layout.groups() {
-            for &b in group(3, g)? {
+            ids.extend(slice(0, g)?.chunks_exact(8).map(|b| ObjectId(le_u64(b))));
+            features.extend(slice(1, g)?.chunks_exact(8).map(le_f64));
+            fairness.extend(slice(2, g)?.chunks_exact(8).map(le_f64));
+            for &b in slice(3, g)? {
                 labels.push(decode_label(b).ok_or_else(|| StoreError::Corrupt {
                     offset: entry.offset + layout.group_span(3, g).0,
                     what: format!("shard {index} labels group {g}"),
@@ -730,11 +733,13 @@ impl ShardStore {
     }
 
     /// Append the rows `run` (global indices, all in shard `index`) to
-    /// `out` in order, reading only the row groups that hold them: one
-    /// positional read per column for each run of adjacent groups, every
-    /// group's CRC verified before any of its values is decoded, and only
-    /// the requested rows decoded. Nothing is admitted to the cache.
-    /// Returns the number of groups read.
+    /// `out` in order, reading only the row groups that hold them. The
+    /// groups' slices are read in file order, one positional read for each
+    /// stretch of slices that touch: one per run of adjacent groups in a
+    /// group-major block, one per column of such a run in a column-major
+    /// one. Every slice's CRC is verified before any of its values is
+    /// decoded, and only the requested rows are decoded. Nothing is admitted
+    /// to the cache. Returns the number of groups read.
     fn read_groups(&self, index: usize, run: &[usize], out: &mut Dataset) -> Result<u64> {
         // The reads are `page_in`; the checksums and the decode `decode`.
         let _decode = fair_core::obs::profile::scope(fair_core::obs::Phase::Decode);
@@ -749,33 +754,30 @@ impl ShardStore {
             .collect();
         groups.sort_unstable();
         groups.dedup();
-        // Per column: the bytes read, and where each of `groups` starts in
-        // them.
-        let mut columns: [(Vec<u8>, Vec<usize>); 4] = Default::default();
+        let slices = slices(&layout, &groups);
+        // The bytes read, and where each slice (by `k * 4 + c`) starts in
+        // them. The reads cover exactly the slices and their CRCs.
+        let mut bytes = Vec::with_capacity(slices.iter().map(|s| s.len as usize + 4).sum());
+        let mut starts = vec![0; slices.len()];
         {
             let _io = fair_core::obs::profile::scope(fair_core::obs::Phase::PageIn);
-            for (c, (bytes, starts)) in columns.iter_mut().enumerate() {
-                for adjacent in groups.chunk_by(|a, b| a + 1 == *b) {
-                    let first = layout.group_span(c, adjacent[0]).0;
-                    let (last, len) = layout.group_span(c, adjacent[adjacent.len() - 1]);
-                    let at = bytes.len();
-                    bytes.resize(at + (last + len + 4 - first) as usize, 0);
-                    read_at(&self.file, &mut bytes[at..], entry.offset + first, || {
-                        format!("shard {index} {} groups", COLUMNS[c])
-                    })?;
-                    starts.extend(
-                        adjacent
-                            .iter()
-                            .map(|&g| at + (layout.group_span(c, g).0 - first) as usize),
-                    );
+            for span in slices.chunk_by(Slice::touches) {
+                let first = span[0].offset;
+                let last = span[span.len() - 1];
+                let at = bytes.len();
+                bytes.resize(at + (last.offset + last.len + 4 - first) as usize, 0);
+                read_at(&self.file, &mut bytes[at..], entry.offset + first, || {
+                    format!("shard {index} row groups")
+                })?;
+                for s in span {
+                    starts[s.k * COLUMNS.len() + s.c] = at + (s.offset - first) as usize;
                 }
             }
         }
-        for (c, (bytes, starts)) in columns.iter().enumerate() {
-            for (&g, &at) in groups.iter().zip(starts) {
-                let (offset, len) = layout.group_span(c, g);
-                checked_group(bytes, at, len as usize, entry.offset + offset, index, c, g)?;
-            }
+        for s in &slices {
+            let at = starts[s.k * COLUMNS.len() + s.c];
+            let (len, g) = (s.len as usize, groups[s.k]);
+            checked_group(&bytes, at, len, entry.offset + s.offset, index, s.c, g)?;
         }
         let nf = self.schema.num_features();
         let na = self.schema.num_fairness();
@@ -787,8 +789,7 @@ impl ShardStore {
                 .expect("the row's group was read");
             let row = (local % group_rows) as usize;
             let value = |c: usize, width: usize| {
-                let (bytes, starts) = &columns[c];
-                let at = starts[k] + row * width;
+                let at = starts[k * COLUMNS.len() + c] + row * width;
                 &bytes[at..at + width]
             };
             let id = ObjectId(le_u64(value(0, 8)));
@@ -930,6 +931,41 @@ fn evict_until(st: &mut CacheState, target: usize) {
     }
 }
 
+/// Column `c`'s slice of `groups[k]` in a gather: `len` value bytes at
+/// `offset` from the start of the shard block, then its CRC32.
+#[derive(Clone, Copy)]
+struct Slice {
+    offset: u64,
+    len: u64,
+    k: usize,
+    c: usize,
+}
+
+impl Slice {
+    /// Whether `next` starts where this slice's CRC ends, so one positional
+    /// read fetches both.
+    fn touches(&self, next: &Self) -> bool {
+        self.offset + self.len + 4 == next.offset
+    }
+}
+
+/// Every column slice of `groups` (ascending) in file order, as `layout`
+/// places them.
+fn slices(layout: &BlockLayout, groups: &[u64]) -> Vec<Slice> {
+    let mut slices: Vec<Slice> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(k, &g)| {
+            (0..COLUMNS.len()).map(move |c| {
+                let (offset, len) = layout.group_span(c, g);
+                Slice { offset, len, k, c }
+            })
+        })
+        .collect();
+    slices.sort_unstable_by_key(|s| s.offset);
+    slices
+}
+
 /// Fill `buf` from `offset`, mapping short reads to structured truncation
 /// errors about `what` (named only on failure).
 fn read_at(
@@ -959,9 +995,9 @@ fn read_block(file: &StoreFile, offset: u64, len: usize, what: &str) -> Result<V
     Ok(buf)
 }
 
-/// Group `g` of column `c` of shard `index`: its `len` value bytes at `at`
-/// in `bytes`, verified against the CRC32 that follows them. Errors name the
-/// group and its file offset `offset`.
+/// Column `c`'s slice of group `g` of shard `index`: its `len` value bytes
+/// at `at` in `bytes`, verified against the CRC32 that follows them. Errors
+/// name the column, the group and the slice's file offset `offset`.
 fn checked_group(
     bytes: &[u8],
     at: usize,
@@ -1210,6 +1246,29 @@ mod tests {
             Err(StoreError::InvalidConfig { .. })
         ));
         std::fs::remove_file(path).ok();
+    }
+
+    /// A gather reads each stretch of touching slices at once: one read per
+    /// run of adjacent groups of a group-major block, one per column of
+    /// such a run of a column-major block (plus the merges where a column's
+    /// last group touches the next column's first), and one of a version-1
+    /// block.
+    #[test]
+    fn a_gather_reads_one_span_per_run_of_adjacent_groups() {
+        use crate::format::{VERSION, VERSION_1, VERSION_2};
+        // 100 rows in groups of 32, 32, 32 and 4.
+        let reads = |version, groups: &[u64]| {
+            let layout = BlockLayout::new(version, 100, 32, 1, 2).unwrap();
+            slices(&layout, groups).chunk_by(Slice::touches).count()
+        };
+        assert_eq!(reads(VERSION, &[0, 1, 3]), 2);
+        assert_eq!(reads(VERSION, &[0, 1, 2, 3]), 1);
+        assert_eq!(reads(VERSION_2, &[1, 2]), 4);
+        // ids 0-1 · ids 3 + features 0-1 · features 3 + fairness 0-1 ·
+        // fairness 3 + labels 0-1 · labels 3.
+        assert_eq!(reads(VERSION_2, &[0, 1, 3]), 5);
+        let v1 = BlockLayout::new(VERSION_1, 8, 8, 1, 2).unwrap();
+        assert_eq!(slices(&v1, &[0]).chunk_by(Slice::touches).count(), 1);
     }
 
     /// Gathers that run while sweeps page shards in and out return the

@@ -1,6 +1,7 @@
 //! Streaming FSS1 writer: shards are appended to disk as they are built, so
 //! the cohort is never materialized — peak memory is one shard. It writes
-//! the current format version, with [`GROUP_ROWS`]-row checksummed groups.
+//! the current format version: [`GROUP_ROWS`]-row groups, stored
+//! group-major, with a CRC32 after every column slice.
 
 use crate::error::{Result, StoreError};
 use crate::format::{
@@ -10,8 +11,7 @@ use crate::format::{
 use fair_core::{DataObject, Dataset, SchemaRef};
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
-use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Summary of a finished store file, returned by [`StoreWriter::finalize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +35,10 @@ pub struct StoreSummary {
 /// writer can never masquerade as a valid store.
 pub struct StoreWriter {
     file: BufWriter<File>,
+    /// The directory holding the file, synced at finalize so the file's
+    /// entry survives a crash.
+    #[cfg_attr(not(unix), allow(dead_code))]
+    dir: PathBuf,
     schema: SchemaRef,
     shard_size: usize,
     /// Directory entries of the shards written so far.
@@ -73,6 +77,7 @@ impl StoreWriter {
                 reason: "shard size must be positive".into(),
             });
         }
+        let path = path.as_ref();
         let mut file = BufWriter::new(File::create(path)?);
         let schema_bytes = encode_schema(&schema);
         // Provisional header: directory offset 0 marks the file unfinalized.
@@ -99,6 +104,7 @@ impl StoreWriter {
         let buffer = Dataset::with_capacity(schema.clone(), shard_size.min(1 << 20));
         Ok(Self {
             file,
+            dir: parent_dir(path).to_path_buf(),
             schema,
             shard_size,
             entries: Vec::new(),
@@ -188,7 +194,7 @@ impl StoreWriter {
 
     /// Encode `shard` into the scratch buffer and write it at the current
     /// offset, recording the directory entry: the row count, then each
-    /// column cut into checksummed groups.
+    /// [`GROUP_ROWS`]-row group's four column slices, each checksummed.
     fn write_block(&mut self, shard: &Dataset) -> Result<()> {
         let rows = shard.len();
         let nf = self.schema.num_features();
@@ -196,28 +202,32 @@ impl StoreWriter {
         let out = &mut self.scratch;
         out.clear();
         put_u64(out, rows as u64);
-        put_groups(out, rows, |out, r| {
-            for id in &shard.ids()[r] {
-                put_u64(out, id.0);
-            }
-        });
-        put_groups(out, rows, |out, r| {
-            for v in &shard.features_matrix()[r.start * nf..r.end * nf] {
-                put_u64(out, v.to_bits());
-            }
-        });
-        put_groups(out, rows, |out, r| {
-            for v in &shard.fairness_matrix()[r.start * na..r.end * na] {
-                put_u64(out, v.to_bits());
-            }
-        });
-        put_groups(out, rows, |out, r| {
-            out.extend(shard.labels()[r].iter().map(|label| match label {
-                None => 0,
-                Some(false) => 1,
-                Some(true) => 2,
-            }));
-        });
+        let group = GROUP_ROWS as usize;
+        for lo in (0..rows).step_by(group) {
+            let r = lo..(lo + group).min(rows);
+            put_slice(out, |out| {
+                for id in &shard.ids()[r.clone()] {
+                    put_u64(out, id.0);
+                }
+            });
+            put_slice(out, |out| {
+                for v in &shard.features_matrix()[r.start * nf..r.end * nf] {
+                    put_u64(out, v.to_bits());
+                }
+            });
+            put_slice(out, |out| {
+                for v in &shard.fairness_matrix()[r.start * na..r.end * na] {
+                    put_u64(out, v.to_bits());
+                }
+            });
+            put_slice(out, |out| {
+                out.extend(shard.labels()[r.clone()].iter().map(|label| match label {
+                    None => 0,
+                    Some(false) => 1,
+                    Some(true) => 2,
+                }));
+            });
+        }
 
         self.file.write_all(out)?;
         self.entries.push(ShardEntry {
@@ -230,7 +240,8 @@ impl StoreWriter {
 
     /// Flush any buffered rows as a (possibly short) final shard, write the
     /// shard directory, patch the header with the final counts and the
-    /// directory offset, and sync the file.
+    /// directory offset, and sync the file and then its directory, so a
+    /// file whose `finalize` returned keeps its name after a crash.
     ///
     /// # Errors
     /// Returns an error on I/O failure.
@@ -258,6 +269,9 @@ impl StoreWriter {
         self.file.write_all(&header.encode())?;
         self.file.flush()?;
         self.file.get_ref().sync_all()?;
+        // Only Unix opens a directory as a file, to sync it.
+        #[cfg(unix)]
+        File::open(&self.dir)?.sync_all()?;
         Ok(StoreSummary {
             rows: total_rows,
             shards: self.entries.len() as u64,
@@ -266,15 +280,21 @@ impl StoreWriter {
     }
 }
 
-/// Append one column of a `rows`-row shard to `out` as [`GROUP_ROWS`]-row
-/// groups, each followed by its CRC32; `put` encodes the rows of one group.
-fn put_groups(out: &mut Vec<u8>, rows: usize, mut put: impl FnMut(&mut Vec<u8>, Range<usize>)) {
-    let group = GROUP_ROWS as usize;
-    for lo in (0..rows).step_by(group) {
-        let start = out.len();
-        put(out, lo..(lo + group).min(rows));
-        let crc = crc32(&out[start..]);
-        put_u32(out, crc);
+/// Append one column slice of a group to `out`, followed by its CRC32;
+/// `put` encodes the slice's values.
+fn put_slice(out: &mut Vec<u8>, put: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    put(out);
+    let crc = crc32(&out[start..]);
+    put_u32(out, crc);
+}
+
+/// The directory whose entry for the file at `path` `finalize` syncs. A
+/// bare file name's parent is `""`, the current directory.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
     }
 }
 
@@ -293,4 +313,18 @@ where
         source.with_shard(i, |shard| writer.append_shard(shard.data()))?;
     }
     writer.finalize()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parent_dir;
+    use std::path::Path;
+
+    #[test]
+    fn a_bare_file_name_syncs_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("cohort.fss")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("./cohort.fss")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("data/cohort.fss")), Path::new("data"));
+        assert_eq!(parent_dir(Path::new("/cohort.fss")), Path::new("/"));
+    }
 }

@@ -18,13 +18,15 @@
 //!    checksummed row groups from shards that are not resident, with the
 //!    same trajectory as in memory at every budget, and a flipped byte in
 //!    any group is reported at that group, never decoded.
-//! 6. **Version 1** — a file from the first format revision (one checksum
-//!    per column block) still opens, verifies and gathers.
+//! 6. **Older versions** — files from the first format revision (one
+//!    checksum per column block) and the second (checksummed row groups
+//!    stored column-major) still open, verify, sweep and gather, and the
+//!    second takes the same corruption checks as the current one.
 
 use fair_ranking::core::metrics::sharded as shmetrics;
 use fair_ranking::prelude::*;
 use fair_ranking::store::column_bytes;
-use fair_ranking::store::format::{GROUP_ROWS, HEADER_LEN};
+use fair_ranking::store::format::{GROUP_ROWS, HEADER_LEN, VERSION, VERSION_2};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::ops::Range;
@@ -517,7 +519,7 @@ fn corrupted_files_yield_structured_errors() {
     }
 
     std::fs::write(&path, &pristine).unwrap();
-    check_flips(&mem, &path);
+    check_flips(&mem, &path, Order::GroupMajor);
     // Shards that span several row groups and end in a short one.
     let flat = dataset_from_rows(
         &(0..150_u32)
@@ -526,15 +528,32 @@ fn corrupted_files_yield_structured_errors() {
     );
     let mem = ShardedDataset::from_dataset(&flat, 2 * GROUP_ROWS as usize + 5).unwrap();
     write_source(&mem, &path).unwrap();
-    check_flips(&mem, &path);
+    check_flips(&mem, &path, Order::GroupMajor);
+    // The same shape in the version-2 (column-major) fixture.
+    std::fs::copy(fixture("fss_v2_150x69.fss"), &path).unwrap();
+    check_flips(&v2_fixture_memory(), &path, Order::ColumnMajor);
     std::fs::remove_file(path).ok();
 }
 
-/// Every checksummed row group of the store file written from `mem`, from
-/// the layout `format.rs` documents (header, schema block, then per shard a
-/// row count and four columns of groups): the group's first byte, one past
-/// its CRC, and the global rows it holds.
-fn group_spans(file: &[u8], mem: &ShardedDataset) -> Vec<(usize, usize, Range<usize>)> {
+/// The order of a shard block's column slices: each group's four slices
+/// back to back (version 3), or each column's groups back to back
+/// (version 2).
+#[derive(Clone, Copy)]
+enum Order {
+    GroupMajor,
+    ColumnMajor,
+}
+
+/// Every checksummed column slice of the store file written from `mem`,
+/// from the layout `format.rs` documents (header, schema block, then per
+/// shard a row count and the slices of its `GROUP_ROWS`-row groups in
+/// `order`): the slice's first byte, one past its CRC, and the global rows
+/// it holds.
+fn group_spans(
+    file: &[u8],
+    mem: &ShardedDataset,
+    order: Order,
+) -> Vec<(usize, usize, Range<usize>)> {
     let schema_len = u32::from_le_bytes(file[HEADER_LEN..HEADER_LEN + 4].try_into().unwrap());
     let mut at = HEADER_LEN + 8 + schema_len as usize;
     let widths = [
@@ -547,26 +566,48 @@ fn group_spans(file: &[u8], mem: &ShardedDataset) -> Vec<(usize, usize, Range<us
     let mut spans = Vec::new();
     for shard in mem.shards() {
         at += 8;
-        for width in widths {
-            for lo in (0..shard.len()).step_by(group) {
-                let hi = (lo + group).min(shard.len());
-                let end = at + (hi - lo) * width + 4;
-                spans.push((at, end, shard.offset() + lo..shard.offset() + hi));
-                at = end;
-            }
+        let groups: Vec<Range<usize>> = (0..shard.len())
+            .step_by(group)
+            .map(|lo| lo..(lo + group).min(shard.len()))
+            .collect();
+        let slices: Vec<(usize, &Range<usize>)> = match order {
+            Order::GroupMajor => groups
+                .iter()
+                .flat_map(|rows| widths.iter().map(move |&w| (w, rows)))
+                .collect(),
+            Order::ColumnMajor => widths
+                .iter()
+                .flat_map(|&w| groups.iter().map(move |rows| (w, rows)))
+                .collect(),
+        };
+        for (width, rows) in slices {
+            let end = at + rows.len() * width + 4;
+            spans.push((
+                at,
+                end,
+                shard.offset() + rows.start..shard.offset() + rows.end,
+            ));
+            at = end;
         }
     }
     spans
 }
 
-/// Flip bytes through `path` (written from `mem`) at a stride. Each flip is
-/// rejected at open (header, schema, directory) or fails `verify()`; and a
-/// gather of one row per group through a store that retains nothing either
-/// names the group holding the flip or returns the in-memory bits — never a
-/// wrong value.
-fn check_flips(mem: &ShardedDataset, path: &std::path::Path) {
+/// Flip bytes through `path` (written from `mem`, its slices in `order`) at
+/// a stride. Each flip is rejected at open (header, schema, directory) or
+/// fails `verify()`; and a gather of one row per group through a store that
+/// retains nothing either names the slice holding the flip or returns the
+/// in-memory bits — never a wrong value.
+fn check_flips(mem: &ShardedDataset, path: &std::path::Path, order: Order) {
     let pristine = std::fs::read(path).unwrap();
-    let spans = group_spans(&pristine, mem);
+    let spans = group_spans(&pristine, mem, order);
+    assert_eq!(
+        spans
+            .last()
+            .map(|&(_, end, _)| end + 16 * mem.num_shards() + 4),
+        Some(pristine.len()),
+        "the spans cover the data region, then the directory"
+    );
     let mut probe: Vec<usize> = spans.iter().map(|(_, _, rows)| rows.start).collect();
     probe.sort_unstable();
     probe.dedup();
@@ -628,10 +669,12 @@ fn check_flips(mem: &ShardedDataset, path: &std::path::Path) {
     store.verify().unwrap();
 }
 
-/// The rows of `tests/fixtures/fss_v1_40x8.fss`, which the version-1 writer
-/// produced from `dataset_from_rows` of these rows at shard size 8.
-fn v1_fixture_rows() -> Vec<Row> {
-    (0..40_u32)
+/// The rows `0..n` of the committed fixtures: `fss_v1_40x8.fss`, which the
+/// version-1 writer produced from `dataset_from_rows(&fixture_rows(40))` at
+/// shard size 8, and `fss_v2_150x69.fss`, which the version-2 writer
+/// produced from `fixture_rows(150)` at shard size 69.
+fn fixture_rows(n: u32) -> Vec<Row> {
+    (0..n)
         .map(|i| {
             (
                 (i * 37) % 8192,
@@ -648,17 +691,14 @@ fn v1_fixture_rows() -> Vec<Row> {
 /// row group per shard, read by the same decoder.
 #[test]
 fn version_1_files_open_verify_and_gather() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join("fss_v1_40x8.fss");
+    let path = fixture("fss_v1_40x8.fss");
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(
         &bytes[..6],
         b"FSS1\x01\x00",
         "the fixture is a version-1 file"
     );
-    let mem = ShardedDataset::from_dataset(&dataset_from_rows(&v1_fixture_rows()), 8).unwrap();
+    let mem = ShardedDataset::from_dataset(&dataset_from_rows(&fixture_rows(40)), 8).unwrap();
 
     let store = ShardStore::open_with_budget(&path, 0).unwrap();
     assert_eq!(store.len(), 40);
@@ -680,6 +720,71 @@ fn version_1_files_open_verify_and_gather() {
         let rows: Vec<usize> = (i * 8..i * 8 + mem.shard(i).len()).collect();
         assert!(same_rows(&disk, &memory_rows(&mem, &rows)), "shard {i}");
     }
+}
+
+/// `tests/fixtures/<name>`.
+fn fixture(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join(name)
+}
+
+/// The in-memory cohort `fss_v2_150x69.fss` holds: full shards of 69 rows
+/// (groups of 32, 32 and 5) and a final shard of 12.
+fn v2_fixture_memory() -> ShardedDataset {
+    ShardedDataset::from_dataset(&dataset_from_rows(&fixture_rows(150)), 69).unwrap()
+}
+
+/// A version-2 file (row groups stored column-major) opens, verifies,
+/// sweeps and gathers bit for bit through the same decoder, which takes
+/// every slice's offset from the block layout.
+#[test]
+fn version_2_files_open_verify_and_gather() {
+    let path = fixture("fss_v2_150x69.fss");
+    let bytes = std::fs::read(&path).unwrap();
+    assert_eq!(
+        &bytes[..6],
+        &[b'F', b'S', b'S', b'1', VERSION_2 as u8, 0],
+        "the fixture is a version-2 file"
+    );
+    let mem = v2_fixture_memory();
+
+    let store = ShardStore::open_with_budget(&path, 0).unwrap();
+    assert_eq!(store.len(), 150);
+    assert_eq!(store.shard_size(), 69);
+    assert_eq!(store.num_shards(), 3);
+    assert_eq!(**store.schema(), **mem.schema());
+    store.verify().unwrap();
+    for i in 0..mem.num_shards() {
+        let disk = store.read_shard(i).unwrap();
+        let rows: Vec<usize> = (i * 69..i * 69 + mem.shard(i).len()).collect();
+        assert!(same_rows(&disk, &memory_rows(&mem, &rows)), "shard {i}");
+    }
+
+    // Across group, shard and short-group boundaries, then back into
+    // shard 0: groups 0-2 of shard 0, 0 and 2 of shard 1, 0 of the short
+    // final shard, and group 1 of shard 0 again.
+    let rows = [0, 31, 32, 64, 68, 69, 137, 138, 149, 40];
+    let store = ShardStore::open_with_budget(&path, 0).unwrap();
+    let mut out = Dataset::empty(mem.schema().clone());
+    store.gather_rows(&rows, &mut out).unwrap();
+    assert!(same_rows(&out, &memory_rows(&mem, &rows)));
+    let stats = store.cache_stats();
+    assert_eq!(stats.sparse_groups, 3 + 2 + 1 + 1);
+    assert_eq!(stats.misses, 0);
+
+    // The writer writes the current version, which reads back the same.
+    let copy = temp_path("v2_rewrite");
+    write_source(&store, &copy).unwrap();
+    let rewritten = std::fs::read(&copy).unwrap();
+    assert_eq!(rewritten[4..6], VERSION.to_le_bytes());
+    assert_eq!(rewritten.len(), bytes.len(), "the same bytes per row");
+    let store = ShardStore::open_with_budget(&copy, 0).unwrap();
+    out.clear();
+    store.gather_rows(&rows, &mut out).unwrap();
+    assert!(same_rows(&out, &memory_rows(&mem, &rows)));
+    std::fs::remove_file(copy).ok();
 }
 
 /// Zero shard sizes are structured errors at every layer (regression for the
