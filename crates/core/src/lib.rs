@@ -89,8 +89,8 @@ pub use fault::{FaultMode, FaultPlan};
 pub use object::{DataObject, ObjectId, ObjectView};
 pub use parallel::{max_workers, parallel_map};
 pub use shard::{
-    for_each_shard_run, sample_indices_range_into, shard_seed, ShardSource, ShardView,
-    ShardedDataset, DEFAULT_SHARD_SIZE,
+    sample_indices_range_into, shard_seed, ShardSource, ShardView, ShardedDataset,
+    DEFAULT_SHARD_SIZE,
 };
 
 /// Convenient glob import for applications and examples.

@@ -14,9 +14,13 @@
 //! 3. *measure* — the serial metrics' own measurement functions (disparity,
 //!    log-discounted accumulation, nDCG, the group tally behind FPR and
 //!    disparate impact), fed the rank-ordered fairness rows of the
-//!    selection and the population centroid folded from per-shard sums in
-//!    shard order (bit-for-bit for binary/dyadic fairness values,
-//!    reassociation-ulp-deterministic otherwise).
+//!    selection — read in place from the shard blocks the sweep kept
+//!    ([`crate::shard::ShardView::shared`]) — and the population centroid
+//!    folded from per-shard sums in shard order (bit-for-bit for
+//!    binary/dyadic fairness values, reassociation-ulp-deterministic
+//!    otherwise).
+//!    A plan over a paged source holds every swept block until it returns,
+//!    evicted ones included; the [`crate::shard`] docs size that memory.
 //!
 //! Unlike the serial metrics, which take a pre-built
 //! [`RankedSelection`](crate::ranking::RankedSelection), these functions are
@@ -24,6 +28,7 @@
 //! selection and measurement through the engine, because on large cohorts the
 //! full sort the serial callers pre-pay is precisely the cost being removed.
 
+use crate::dataset::Dataset;
 use crate::error::{FairError, Result};
 use crate::metrics::disparate_impact::scaled_disparate_impact;
 use crate::metrics::disparity::disparity_of_rows;
@@ -35,11 +40,11 @@ use crate::ranking::sharded::{score_shard_into, top_m};
 use crate::ranking::topk::selection_size;
 use crate::ranking::Ranker;
 use crate::shard::{fold_centroid, shard_fair_sums, ShardSource};
+use std::sync::Arc;
 
-/// Scratch buffers reused across plan evaluations (scores, the gathered
-/// ranked rows, and the paged-source column retention of [`MetricPlan`]),
-/// so repeated evaluation — the sharded full-DCA loop — avoids
-/// re-allocating cohort-sized vectors.
+/// Scratch buffers reused across plan evaluations (the score vectors of
+/// [`MetricPlan`]), so repeated evaluation — the sharded full-DCA loop —
+/// avoids re-allocating cohort-sized vectors.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedEvalScratch {
     /// Effective scores, global row order.
@@ -47,42 +52,6 @@ pub struct ShardedEvalScratch {
     /// Base (zero-bonus) scores, global row order — filled only when the
     /// plan includes nDCG.
     pub(crate) base: Vec<f64>,
-    /// `(shard, rank)` pairs of the ranked prefix, sorted by shard — the
-    /// shard-sequential gather plan.
-    pub(crate) order: Vec<(usize, usize)>,
-    /// Gathered fairness rows of the ranked prefix, in rank order.
-    pub(crate) gathered: Vec<f64>,
-    /// Gathered labels of the ranked prefix, in rank order.
-    pub(crate) gathered_labels: Vec<Option<bool>>,
-    /// Fairness rows of the whole cohort, retained **per shard** during a
-    /// paged-source sweep so measurement never re-pages a shard. The
-    /// per-shard buffers are moved out of the sweep results as-is — never
-    /// concatenated — and indexed through [`Retained`].
-    pub(crate) fairness: Vec<Vec<f64>>,
-    /// Labels retained per shard alongside `fairness`.
-    pub(crate) labels: Vec<Vec<Option<bool>>>,
-}
-
-/// Row lookup over the per-shard columns a paged-source sweep retained:
-/// global row `p` lives in shard `p / shard_size` at row `p % shard_size`.
-/// Avoiding the flat concatenation saves a second cohort-sized copy of the
-/// fairness matrix per evaluation.
-struct Retained<'a> {
-    fairness: &'a [Vec<f64>],
-    labels: &'a [Vec<Option<bool>>],
-    shard_size: usize,
-    dims: usize,
-}
-
-impl Retained<'_> {
-    fn row(&self, p: usize) -> &[f64] {
-        let off = (p % self.shard_size) * self.dims;
-        &self.fairness[p / self.shard_size][off..off + self.dims]
-    }
-
-    fn label(&self, p: usize) -> Option<bool> {
-        self.labels[p / self.shard_size][p % self.shard_size]
-    }
 }
 
 impl ShardedEvalScratch {
@@ -91,51 +60,6 @@ impl ShardedEvalScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Copy the fairness rows and labels at `positions` (global indices) into
-/// the dense rank-ordered buffers `rows` (`positions.len() × num_fairness`)
-/// and `labels`, **visiting each shard exactly once**
-/// ([`crate::shard::for_each_shard_run`]) — positions land in rank order,
-/// which hops shards arbitrarily, so a caching out-of-core source would
-/// otherwise re-page a shard per row. Only the copy is regrouped; the
-/// buffers are laid out in the given position order, so callers accumulate
-/// in exactly the serial order (bit-for-bit) while the storage layer sees a
-/// shard-sequential access pattern.
-fn gather_rows_into<S: ShardSource + ?Sized>(
-    data: &S,
-    positions: &[usize],
-    order: &mut Vec<(usize, usize)>,
-    rows: &mut Vec<f64>,
-    labels: &mut Vec<Option<bool>>,
-) {
-    let dims = data.schema().num_fairness();
-    rows.clear();
-    rows.resize(positions.len() * dims, 0.0);
-    labels.clear();
-    labels.resize(positions.len(), None);
-    // (shard, rank) pairs sorted by shard: one with_shard per distinct shard.
-    order.clear();
-    order.extend(
-        positions
-            .iter()
-            .enumerate()
-            .map(|(rank, &p)| (p / data.shard_size(), rank)),
-    );
-    order.sort_unstable();
-    crate::shard::for_each_shard_run(
-        data,
-        order,
-        |t| t.0,
-        |view, run| {
-            let d = view.data();
-            for &(_, rank) in run {
-                let local = positions[rank] - view.offset();
-                rows[rank * dims..(rank + 1) * dims].copy_from_slice(d.fairness_row(local));
-                labels[rank] = d.labels()[local];
-            }
-        },
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -198,26 +122,6 @@ pub enum MetricValue {
     Vector(Vec<f64>),
 }
 
-impl MetricValue {
-    /// The scalar payload, if this is a scalar metric.
-    #[must_use]
-    pub fn as_scalar(&self) -> Option<f64> {
-        match self {
-            Self::Scalar(v) => Some(*v),
-            Self::Vector(_) => None,
-        }
-    }
-
-    /// The vector payload, if this is a vector metric.
-    #[must_use]
-    pub fn as_vector(&self) -> Option<&[f64]> {
-        match self {
-            Self::Scalar(_) => None,
-            Self::Vector(v) => Some(v),
-        }
-    }
-}
-
 /// The result of one plan evaluation: `(kind, value)` pairs in plan order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricReport {
@@ -249,14 +153,13 @@ impl MetricReport {
 /// Evaluation runs **one** [`ShardSource::map_shards`] sweep for the whole
 /// request: the per-shard kernel computes every column-derived quantity any
 /// requested metric needs (base and effective scores, population fairness
-/// sums, population group tallies) and — on paged sources
-/// ([`ShardSource::paged`]) — retains the fairness/label columns, so the
-/// storage layer pages each shard exactly once no matter how many metrics
-/// are requested; in-memory sources instead gather the ranked rows they
-/// measure, shard by shard, after selection. Selection runs on the score
-/// vectors alone (pure layout arithmetic, nothing paged), and each metric's
-/// measurement reuses the shared selection and rows. Both storage strategies
-/// are bit-identical.
+/// sums, population group tallies) and, when a metric reads rows, keeps the
+/// shard's block ([`crate::shard::ShardView::shared`]), so the storage layer
+/// pages each shard exactly once no matter how many metrics are requested.
+/// Selection runs on the score vectors alone (pure layout arithmetic,
+/// nothing paged), and each metric's measurement reads the ranked rows in
+/// place — global row `p` is row `p % shard_size` of kept block
+/// `p / shard_size` — the same way for every source.
 #[derive(Debug, Clone)]
 pub struct MetricPlan {
     kinds: Vec<MetricKind>,
@@ -270,8 +173,8 @@ struct ShardSweep {
     base: Vec<f64>,
     fair_sums: Vec<f64>,
     tally: Option<GroupTally>,
-    fairness: Vec<f64>,
-    labels: Vec<Option<bool>>,
+    /// The shard's block, kept for measurement when a metric reads rows.
+    block: Option<Arc<Dataset>>,
 }
 
 impl MetricPlan {
@@ -397,11 +300,8 @@ impl MetricPlan {
 
         let dims = data.schema().num_fairness();
         // Measurement reads the fairness rows (and labels) of the ranked
-        // prefix. Paged sources retain those columns during the sweep so
-        // nothing below re-pages a shard; in-memory sources re-walk shards
-        // for free and skip the copies.
+        // prefix in place, from the blocks the sweep keeps.
         let need_rows = need_pop || need_counts;
-        let retain = data.paged() && need_rows;
 
         assert_eq!(bonus.len(), dims, "bonus vector dimensionality mismatch");
 
@@ -431,18 +331,7 @@ impl MetricPlan {
                 } else {
                     None
                 },
-                // The SoA columns are contiguous: one memcpy each retains
-                // the whole shard.
-                fairness: if retain {
-                    d.fairness_matrix().to_vec()
-                } else {
-                    Vec::new()
-                },
-                labels: if retain {
-                    d.labels().to_vec()
-                } else {
-                    Vec::new()
-                },
+                block: need_rows.then(|| shard.shared()),
             })
         });
 
@@ -451,9 +340,8 @@ impl MetricPlan {
         scratch.scores.clear();
         scratch.scores.reserve(data.len());
         scratch.base.clear();
-        scratch.fairness.clear();
-        scratch.labels.clear();
         let mut fair_sums = Vec::with_capacity(data.num_shards());
+        let mut blocks = Vec::with_capacity(data.num_shards());
         let mut population: Option<GroupTally> = None;
         for shard in per_shard {
             let shard = shard?;
@@ -466,10 +354,7 @@ impl MetricPlan {
                     None => population = Some(tally),
                 }
             }
-            if retain {
-                scratch.fairness.push(shard.fairness);
-                scratch.labels.push(shard.labels);
-            }
+            blocks.extend(shard.block);
         }
         let pop = fold_centroid(dims, data.len(), fair_sums.iter().map(Vec::as_slice));
 
@@ -481,36 +366,16 @@ impl MetricPlan {
         let ranked = top_m(data, &scratch.scores, count.max(log_last));
         let selected = &ranked[..count];
 
-        // --- Phase 3: per-metric measurement over the ranked prefix's rows.
-        if need_rows && !retain {
-            gather_rows_into(
-                data,
-                &ranked,
-                &mut scratch.order,
-                &mut scratch.gathered,
-                &mut scratch.gathered_labels,
-            );
-        }
-        let retained = Retained {
-            fairness: &scratch.fairness,
-            labels: &scratch.labels,
-            shard_size: data.shard_size(),
-            dims,
-        };
-        let (gathered, gathered_labels) = (&scratch.gathered, &scratch.gathered_labels);
+        // --- Phase 3: per-metric measurement over the ranked prefix's rows,
+        // read in place from the kept blocks.
+        let shard_size = data.shard_size();
         let row = |rank: usize| -> &[f64] {
-            if retain {
-                retained.row(ranked[rank])
-            } else {
-                &gathered[rank * dims..(rank + 1) * dims]
-            }
+            let p = ranked[rank];
+            blocks[p / shard_size].fairness_row(p % shard_size)
         };
         let label = |rank: usize| {
-            if retain {
-                retained.label(ranked[rank])
-            } else {
-                gathered_labels[rank]
-            }
+            let p = ranked[rank];
+            blocks[p / shard_size].labels()[p % shard_size]
         };
         let counts = match population {
             Some(population) => {

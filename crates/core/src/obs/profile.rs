@@ -21,10 +21,11 @@
 //! * Scopes nest: an inner scope's time is subtracted from its enclosing
 //!   scope on the same thread (self-time attribution), so a `score` scope
 //!   that pages a shard in-line does not double-count the `page_in` time.
-//!   Scopes on *different* threads are independent: phases recorded by pool
-//!   workers (cache misses under a `score` sweep) are concurrent with the
-//!   job thread and may sum past wall-clock on parallel paged runs — the
-//!   profile reports attributed time, not elapsed time.
+//! * The pool workers of a [`crate::parallel_map`] call run at once under
+//!   the caller's open scope, so each records `1/workers` of its scopes'
+//!   time, and the caller counts their total as nested time of that scope
+//!   once they join. A paged sweep under a `score` scope thus splits its
+//!   wall time between `page_in`, `decode` and `score`.
 //! * Wall-clock stays outside kernels: scopes wrap kernel *invocations*
 //!   (a whole gather, a whole shard-sweep evaluate, one decode) and the
 //!   clock value never feeds back into any computation, so DCA trajectories
@@ -214,13 +215,16 @@ impl JobProfile {
 struct OpenScope {
     phase: Phase,
     start: Instant,
-    /// Time consumed by nested scopes, excluded from this scope's self-time.
+    /// Recorded time of nested scopes and joined sections, excluded from
+    /// this scope's self-time.
     child_us: u64,
 }
 
 struct ProfileContext {
     profile: Option<Arc<JobProfile>>,
     stack: Vec<OpenScope>,
+    /// The `parallel_map` section this thread works in, on a pool worker.
+    section: Option<Arc<Section>>,
 }
 
 thread_local! {
@@ -229,6 +233,7 @@ thread_local! {
         // Scopes nest at most a few layers (score → page_in → decode);
         // pre-size so the hot path never reallocates.
         stack: Vec::with_capacity(8),
+        section: None,
     });
 }
 
@@ -244,9 +249,7 @@ pub fn install(profile: Arc<JobProfile>) -> InstallGuard {
     }
 }
 
-/// The currently installed profile handle, if any — what
-/// [`crate::parallel_map`] propagates into its pool workers so paging done
-/// on their threads still lands in the requesting job's profile.
+/// The currently installed profile handle, if any.
 #[must_use]
 pub fn current() -> Option<Arc<JobProfile>> {
     CURRENT.with(|c| c.borrow().profile.clone())
@@ -262,6 +265,55 @@ impl Drop for InstallGuard {
     fn drop(&mut self) {
         let previous = self.previous.take();
         CURRENT.with(|c| c.borrow_mut().profile = previous);
+    }
+}
+
+/// One [`crate::parallel_map`] call under an installed profile. Its workers
+/// run at once under the caller's open scope, so each records `1/workers`
+/// of its scopes' time (the divisor compounds for a section opened on a
+/// worker), and [`Section::close`] counts their total as nested time of the
+/// caller's innermost open scope once they join.
+pub(crate) struct Section {
+    profile: Arc<JobProfile>,
+    scale: u64,
+    recorded_us: AtomicU64,
+}
+
+impl Section {
+    /// A section of `workers` threads; `None` without an installed profile.
+    pub(crate) fn open(workers: usize) -> Option<Arc<Self>> {
+        CURRENT.with(|c| {
+            let ctx = c.borrow();
+            Some(Arc::new(Self {
+                profile: ctx.profile.clone()?,
+                scale: workers as u64 * ctx.section.as_ref().map_or(1, |s| s.scale),
+                recorded_us: AtomicU64::new(0),
+            }))
+        })
+    }
+
+    /// Make a freshly spawned pool worker record into the section; the
+    /// profile is installed until the guard drops, the section until the
+    /// thread exits.
+    pub(crate) fn enter(self: &Arc<Self>) -> InstallGuard {
+        CURRENT.with(|c| c.borrow_mut().section = Some(Arc::clone(self)));
+        install(Arc::clone(&self.profile))
+    }
+
+    /// On the opening thread, after the join: credit what the workers
+    /// recorded to this thread's innermost open scope, and to the section
+    /// this thread works in, if any.
+    pub(crate) fn close(&self) {
+        let us = self.recorded_us.load(Ordering::Relaxed);
+        CURRENT.with(|c| {
+            let mut ctx = c.borrow_mut();
+            if let Some(open) = ctx.stack.last_mut() {
+                open.child_us = open.child_us.saturating_add(us);
+            }
+            if let Some(section) = &ctx.section {
+                section.recorded_us.fetch_add(us, Ordering::Relaxed);
+            }
+        });
     }
 }
 
@@ -304,13 +356,18 @@ impl Drop for PhaseScope {
         CURRENT.with(|c| {
             let mut ctx = c.borrow_mut();
             let Some(open) = ctx.stack.pop() else { return };
-            let elapsed_us = u64::try_from(open.start.elapsed().as_micros()).unwrap_or(u64::MAX);
+            let scale = ctx.section.as_ref().map_or(1, |s| s.scale);
+            let elapsed_us =
+                u64::try_from(open.start.elapsed().as_micros()).unwrap_or(u64::MAX) / scale;
             let self_us = elapsed_us.saturating_sub(open.child_us);
             if let Some(parent) = ctx.stack.last_mut() {
                 parent.child_us = parent.child_us.saturating_add(elapsed_us);
             }
             if let Some(profile) = &ctx.profile {
                 profile.record(open.phase, self_us);
+            }
+            if let Some(section) = &ctx.section {
+                section.recorded_us.fetch_add(self_us, Ordering::Relaxed);
             }
         });
     }

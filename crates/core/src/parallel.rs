@@ -48,18 +48,16 @@ where
 
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    // Carry the caller's per-job profile handle (if any) into the pool: a
-    // shard paged in by a worker thread is still this job's page-in time.
-    // The inline path above runs on the calling thread, where the handle is
-    // already installed.
-    let profile = crate::obs::profile::current();
+    // Carry the caller's per-job profile (if any) into the pool: a shard
+    // paged in by a worker thread is still this job's page-in time. The
+    // inline path above runs on the calling thread, where it is installed.
+    let section = crate::obs::profile::Section::open(workers);
     std::thread::scope(|scope| {
-        let (next, slots, f) = (&next, &slots, &f);
+        let (next, slots, f, section) = (&next, &slots, &f, &section);
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let profile = profile.clone();
                 scope.spawn(move || {
-                    let _profile_guard = profile.map(crate::obs::profile::install);
+                    let _profile_guard = section.as_ref().map(crate::obs::profile::Section::enter);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
@@ -83,6 +81,9 @@ where
             std::panic::resume_unwind(payload);
         }
     });
+    if let Some(section) = section {
+        section.close();
+    }
     slots
         .into_iter()
         .map(|slot| {
@@ -253,6 +254,30 @@ mod tests {
             p.stats()[Phase::Decode as usize].count,
             64,
             "every worker-side scope lands in the caller's profile"
+        );
+    }
+
+    #[test]
+    fn a_parallel_section_adds_up_to_the_callers_wall_time() {
+        use crate::obs::profile::{self, Phase};
+        let p = crate::obs::JobProfile::new();
+        let _g = profile::install(p.clone());
+        let items: Vec<usize> = (0..8).collect();
+        let start = std::time::Instant::now();
+        {
+            let _score = profile::scope(Phase::Score);
+            let _ = parallel_map(&items, |_| {
+                let _s = profile::scope(Phase::Decode);
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            });
+        }
+        let wall_us = u64::try_from(start.elapsed().as_micros()).unwrap();
+        let decode = p.phase_total_us(Phase::Decode);
+        let total = decode + p.phase_total_us(Phase::Score);
+        assert!(decode > 0, "the workers' scopes are recorded");
+        assert!(
+            total <= wall_us && total >= wall_us * 9 / 10,
+            "attributed {total} us of {wall_us} us wall time (decode {decode} us)"
         );
     }
 

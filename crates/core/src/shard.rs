@@ -26,13 +26,23 @@
 //! ```
 //!
 //! The engine methods ([`ShardSource::map_shards`],
-//! [`ShardSource::reduce_shards`], [`ShardSource::for_each_shard`]) run one
-//! closure per shard on [`crate::parallel_map`]'s scoped worker pool and
+//! [`ShardSource::reduce_shards`]) run one closure per shard on
+//! [`crate::parallel_map`]'s scoped worker pool and
 //! always combine results **in shard order**, so evaluation is deterministic
 //! for a fixed shard size regardless of worker count, scheduling, or storage
 //! backend. Metrics written against this engine (see
 //! [`crate::metrics::sharded`]) are therefore parallel by construction —
 //! parallelism is a property of the engine, not of each metric.
+//!
+//! ## Shared blocks
+//!
+//! Both backends hold each shard's block behind an `Arc`, and
+//! [`ShardView::shared`] hands a kernel that handle to keep past
+//! [`ShardSource::with_shard`]. [`crate::metrics::sharded::MetricPlan`] keeps
+//! every swept shard's block until its measurement ends, for every source.
+//! A kept block is not a pin and is not counted in a cache's budget, so a
+//! plan over a paged store holds the whole cohort's decoded columns
+//! (65 bytes per row for COMPAS) until it returns, evicted shards included.
 //!
 //! ## Determinism and floating point
 //!
@@ -56,6 +66,7 @@ use crate::object::{DataObject, ObjectView};
 use crate::parallel::parallel_map;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// The production shard size (rows per shard): the layout the service, the
 /// benchmarks and the examples pass when they need no other.
@@ -67,7 +78,7 @@ pub const DEFAULT_SHARD_SIZE: usize = 64 * 1024;
 pub struct ShardView<'a> {
     index: usize,
     offset: usize,
-    data: &'a Dataset,
+    data: &'a Arc<Dataset>,
 }
 
 impl<'a> ShardView<'a> {
@@ -75,7 +86,7 @@ impl<'a> ShardView<'a> {
     /// backends ([`ShardSource::with_shard`] implementations) use to present
     /// a decoded block to the engine.
     #[must_use]
-    pub fn new(index: usize, offset: usize, data: &'a Dataset) -> Self {
+    pub fn new(index: usize, offset: usize, data: &'a Arc<Dataset>) -> Self {
         Self {
             index,
             offset,
@@ -101,6 +112,14 @@ impl<'a> ShardView<'a> {
         self.data
     }
 
+    /// The block as a handle that outlives the closure the view was lent to.
+    /// It is not a pin: a caching backend may still evict the shard, whose
+    /// memory is then freed, outside the cache's budget, with the last handle.
+    #[must_use]
+    pub fn shared(&self) -> Arc<Dataset> {
+        Arc::clone(self.data)
+    }
+
     /// Number of rows in this shard.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -111,12 +130,6 @@ impl<'a> ShardView<'a> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
-    }
-
-    /// Global row index of the shard-local row `local`.
-    #[must_use]
-    pub fn global_index(&self, local: usize) -> usize {
-        self.offset + local
     }
 }
 
@@ -159,17 +172,6 @@ pub trait ShardSource: Sync {
     /// fallible API (e.g. `ShardStore::read_shard`).
     fn with_shard<T>(&self, index: usize, f: impl FnOnce(ShardView<'_>) -> T) -> T;
 
-    /// Whether [`Self::with_shard`] may be expensive to repeat — an
-    /// out-of-core source that reads and decodes shards from storage (and may
-    /// evict them again under a cache budget). Metric plans consult this to
-    /// choose between re-walking shards, which is free for in-memory sources,
-    /// and retaining the few columns their measurement phase needs during the
-    /// scoring sweep so the storage layer pages each shard exactly once. The
-    /// choice never changes results — both strategies are bit-identical.
-    fn paged(&self) -> bool {
-        false
-    }
-
     /// Append the rows at the global indices `rows` to `out`, in the order
     /// given — the gather of every Core DCA step and of the fleet's
     /// `core_sample` route. `rows` come grouped by shard, as the sampler
@@ -186,17 +188,15 @@ pub trait ShardSource: Sync {
     /// Panics if an index is out of bounds, or if `out`'s schema dimensions
     /// differ from this source's.
     fn gather_rows(&self, rows: &[usize], out: &mut Dataset) -> Result<()> {
-        for_each_shard_run(
-            self,
-            rows,
-            |&g| g / self.shard_size(),
-            |view, run| {
+        let shard_of = |g: &usize| g / self.shard_size();
+        for run in rows.chunk_by(|a, b| shard_of(a) == shard_of(b)) {
+            self.with_shard(shard_of(&run[0]), |view| {
                 let d = view.data();
                 for &g in run {
                     out.push_row(d.row(g - view.offset()));
                 }
-            },
-        );
+            });
+        }
         Ok(())
     }
 
@@ -251,15 +251,6 @@ pub trait ShardSource: Sync {
         self.with_shard(shard, |s| f(s.data().row(local)))
     }
 
-    /// Lend the fairness row at `global` index to `f`.
-    ///
-    /// # Panics
-    /// Panics if `global` is out of bounds.
-    fn with_fairness_row<T>(&self, global: usize, f: impl FnOnce(&[f64]) -> T) -> T {
-        let (shard, local) = self.locate(global);
-        self.with_shard(shard, |s| f(s.data().fairness_row(local)))
-    }
-
     // ------------------------------------------------------------------
     // The shard-wise evaluation engine.
     // ------------------------------------------------------------------
@@ -273,14 +264,6 @@ pub trait ShardSource: Sync {
     {
         let indices: Vec<usize> = (0..self.num_shards()).collect();
         parallel_map(&indices, |&i| self.with_shard(i, &f))
-    }
-
-    /// Run `f` on every shard (parallel, no results collected).
-    fn for_each_shard<F>(&self, f: F)
-    where
-        F: Fn(ShardView<'_>) + Sync,
-    {
-        self.map_shards(&f);
     }
 
     /// Map every shard in parallel, then fold the per-shard results **in
@@ -380,7 +363,8 @@ pub trait ShardSource: Sync {
 
 /// Fairness column sums of one shard (empty for a fairness-free schema) —
 /// the per-shard half of the population centroid.
-pub(crate) fn shard_fair_sums(shard: &Dataset) -> Vec<f64> {
+#[must_use]
+pub fn shard_fair_sums(shard: &Dataset) -> Vec<f64> {
     let dims = shard.schema().num_fairness();
     let mut sums = Vec::new();
     if dims > 0 {
@@ -392,8 +376,10 @@ pub(crate) fn shard_fair_sums(shard: &Dataset) -> Vec<f64> {
 /// The population fairness centroid (`D_O` of Definition 3) from per-shard
 /// column sums: folded in ascending shard order, then divided once by the
 /// `rows` they cover. The one fold behind [`ShardSource::fairness_centroid`],
-/// the metric planner and the fleet combine, so the three agree bit for bit.
-pub(crate) fn fold_centroid<'a>(
+/// the metric planner, the fleet combine and `fair-serve`'s stats route, so
+/// all four agree bit for bit.
+#[must_use]
+pub fn fold_centroid<'a>(
     dims: usize,
     rows: usize,
     shard_sums: impl Iterator<Item = &'a [f64]>,
@@ -403,32 +389,6 @@ pub(crate) fn fold_centroid<'a>(
         crate::kernel::add_row(&mut acc, sums);
     }
     acc.iter().map(|s| s / rows as f64).collect()
-}
-
-/// Visit each shard that appears in `items` exactly once, handing `f` the
-/// shard view and the contiguous run of items that live in it. `items` must
-/// already be grouped by shard (`shard_of` constant within a run) — the
-/// natural order of sample indices and of position lists sorted by shard.
-/// This is the access pattern caching out-of-core sources want: one page-in
-/// per shard instead of one per item.
-pub fn for_each_shard_run<S, T>(
-    data: &S,
-    items: &[T],
-    shard_of: impl Fn(&T) -> usize,
-    mut f: impl FnMut(ShardView<'_>, &[T]),
-) where
-    S: ShardSource + ?Sized,
-{
-    let mut start = 0;
-    while start < items.len() {
-        let shard = shard_of(&items[start]);
-        let mut end = start + 1;
-        while end < items.len() && shard_of(&items[end]) == shard {
-            end += 1;
-        }
-        data.with_shard(shard, |view| f(view, &items[start..end]));
-        start = end;
-    }
 }
 
 /// Largest-remainder apportionment of `size` sample slots across shards,
@@ -547,11 +507,13 @@ pub fn sample_indices_range_into<S: ShardSource + ?Sized>(
 /// [`ShardedDataset::shard_size`] rows; the final shard holds the remainder.
 /// Global row order is shard order, so flattening the shards
 /// ([`ShardedDataset::to_dataset`]) reproduces the original insertion order.
+/// Shards are `Arc`-shared blocks: a clone shares them, and
+/// [`ShardedDataset::push`] copies a shared last block before it grows.
 #[derive(Debug, Clone)]
 pub struct ShardedDataset {
     schema: SchemaRef,
     shard_size: usize,
-    shards: Vec<Dataset>,
+    shards: Vec<Arc<Dataset>>,
     len: usize,
 }
 
@@ -608,7 +570,7 @@ impl ShardedDataset {
         while start < n {
             let end = (start + shard_size).min(n);
             let indices: Vec<usize> = (start..end).collect();
-            shards.push(dataset.subset(&indices));
+            shards.push(Arc::new(dataset.subset(&indices)));
             start = end;
         }
         Ok(Self {
@@ -655,30 +617,12 @@ impl ShardedDataset {
     /// Panics if `i` is out of bounds.
     #[must_use]
     pub fn shard(&self, i: usize) -> ShardView<'_> {
-        ShardView {
-            index: i,
-            offset: i * self.shard_size,
-            data: &self.shards[i],
-        }
+        ShardView::new(i, i * self.shard_size, &self.shards[i])
     }
 
     /// Iterate over all shards in order.
     pub fn shards(&self) -> impl Iterator<Item = ShardView<'_>> + '_ {
         (0..self.num_shards()).map(move |i| self.shard(i))
-    }
-
-    /// Split a global row index into `(shard index, shard-local row index)`.
-    ///
-    /// # Panics
-    /// Panics if `global` is out of bounds.
-    #[must_use]
-    pub fn locate(&self, global: usize) -> (usize, usize) {
-        assert!(
-            global < self.len,
-            "row {global} out of bounds ({})",
-            self.len
-        );
-        (global / self.shard_size, global % self.shard_size)
     }
 
     /// Zero-copy view of the row at `global` index (insertion order).
@@ -742,12 +686,14 @@ impl ShardedDataset {
         }
         let open = matches!(self.shards.last(), Some(last) if last.len() < self.shard_size);
         if !open {
-            self.shards.push(Dataset::with_capacity(
+            self.shards.push(Arc::new(Dataset::with_capacity(
                 self.schema.clone(),
                 self.shard_size.min(1 << 20),
-            ));
+            )));
         }
-        let shard = self.shards.last_mut().expect("a shard was just ensured");
+        // Copy-on-write: a block still shared with a clone of this dataset
+        // (or a handle a kernel kept) is copied before it grows.
+        let shard = Arc::make_mut(self.shards.last_mut().expect("a shard was just ensured"));
         shard.push(object)?;
         self.len += 1;
         Ok(())
@@ -829,7 +775,6 @@ mod tests {
         assert_eq!(d.shard(0).len(), 7);
         assert_eq!(d.shard(3).len(), 2, "non-divisible final shard");
         assert_eq!(d.shard(2).offset(), 14);
-        assert_eq!(d.shard(1).global_index(3), 10);
         assert!(!d.shard(0).is_empty());
         // Layout arithmetic agrees with the materialized shards.
         assert_eq!(d.shard_len(0), 7);
@@ -862,7 +807,6 @@ mod tests {
         }
         assert_eq!(sharded.feature_row(13), flat.feature_row(13));
         assert_eq!(sharded.fairness_row(13), flat.fairness_row(13));
-        sharded.with_fairness_row(13, |row| assert_eq!(row, flat.fairness_row(13)));
     }
 
     #[test]

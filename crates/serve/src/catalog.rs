@@ -87,15 +87,8 @@ impl ShardSource for CohortStore {
     }
 
     // Forward the storage policies as well as the shards: a disk store's
-    // metric plans retain columns instead of re-paging, its sweeps queue on
-    // the store's lock, and its gathers read only the rows' groups.
-    fn paged(&self) -> bool {
-        match self {
-            Self::Memory(d) => d.paged(),
-            Self::Disk(s) => s.paged(),
-        }
-    }
-
+    // gathers read only the rows' groups, and its sweeps queue on the
+    // store's lock.
     fn gather_rows(&self, rows: &[usize], out: &mut Dataset) -> fair_core::Result<()> {
         match self {
             Self::Memory(d) => d.gather_rows(rows, out),
@@ -427,14 +420,12 @@ mod tests {
         assert_eq!(store.schema().num_fairness(), 1);
         let first_id = store.with_shard(1, |view| view.data().row(0).id());
         assert_eq!(first_id.0, 8);
-        assert!(!store.paged());
         assert_eq!(store.map_shards(|view| view.len()), vec![8, 8, 4]);
 
         let path =
             std::env::temp_dir().join(format!("catalog_delegate_{}.fss", std::process::id()));
         fair_store::write_source(&cohort(20), &path).unwrap();
         let disk = CohortStore::Disk(Box::new(ShardStore::open_with_budget(&path, 0).unwrap()));
-        assert!(disk.paged(), "a disk store keeps the paged plan policy");
         // A gather reads the rows' groups without paging any shard in: a
         // dropped override would page through `with_shard` and miss.
         let rows = [3, 1, 9, 17, 16];

@@ -51,7 +51,7 @@ use fair_core::dca::{
 };
 use fair_core::obs;
 use fair_core::ranking::{selection_size, WeightedSumRanker};
-use fair_core::{DataObject, DcaConfig, FairError, Schema, SchemaRef};
+use fair_core::{DcaConfig, FairError, ObjectId, ObjectView, Schema, SchemaRef};
 use std::net::SocketAddr;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -455,12 +455,12 @@ impl FleetCoordinator {
                         });
                     }
                     for i in 0..rows.len() {
-                        gather.push(DataObject::new_unchecked(
-                            rows.ids[i],
-                            rows.features[i * nf..(i + 1) * nf].to_vec(),
-                            rows.fairness[i * na..(i + 1) * na].to_vec(),
+                        gather.push_row(ObjectView::new(
+                            ObjectId(rows.ids[i]),
+                            &rows.features[i * nf..(i + 1) * nf],
+                            &rows.fairness[i * na..(i + 1) * na],
                             rows.labels[i],
-                        ))?;
+                        ));
                     }
                 }
                 Ok(())

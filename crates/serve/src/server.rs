@@ -50,8 +50,9 @@ use crate::json::Json;
 use fair_core::dca::partial::disparity_partials;
 use fair_core::metrics::sharded as shmetrics;
 use fair_core::metrics::LogDiscountConfig;
-use fair_core::obs;
 use fair_core::ranking::WeightedSumRanker;
+use fair_core::shard::{fold_centroid, shard_fair_sums};
+use fair_core::{kernel, obs};
 use fair_core::{
     sample_indices_range_into, Dataset, DcaConfig, FaultMode, ShardSource, DEFAULT_SHARD_SIZE,
 };
@@ -353,53 +354,39 @@ impl AuditService {
         let entry = self.catalog.get(name)?;
         let store = &entry.store;
         let dims = store.schema().num_fairness();
+        // One sweep for the centroid sums, group counts and labels, where the
+        // trait helpers would each re-page the cohort. The sums fold as in
+        // `ShardSource::fairness_centroid`, so the two agree bit for bit.
+        let per_shard = store.map_shards(|shard| {
+            let d = shard.data();
+            let counts: Vec<usize> = (0..dims)
+                .map(|dim| kernel::count_ge_half(d.fairness_matrix(), dims, dim))
+                .collect();
+            (shard_fair_sums(d), counts, d.fully_labelled())
+        });
+        let fully_labelled = !store.is_empty() && per_shard.iter().all(|(_, _, all)| *all);
         let mut pairs = vec![
             ("name", Json::str(name)),
             ("kind", Json::str(store.kind())),
             ("rows", Json::num(store.len() as f64)),
             ("shards", Json::num(store.num_shards() as f64)),
             ("shard_size", Json::num(store.shard_size() as f64)),
-            ("fully_labelled", Json::Bool(store.fully_labelled())),
+            ("fully_labelled", Json::Bool(fully_labelled)),
         ];
         if store.is_empty() {
             pairs.push(("fairness_centroid", Json::Null));
             pairs.push(("group_frequencies", Json::Null));
         } else {
-            // One shard pass for centroid sums *and* per-dimension group
-            // counts: the trait helpers would each rescan (and, for a paged
-            // store, re-page) the whole cohort. Per-shard partials combine
-            // in shard order, so the centroid is bit-identical to
-            // `ShardSource::fairness_centroid`.
-            let (sums, counts) = store.reduce_shards(
-                (vec![0.0_f64; dims], vec![0_usize; dims]),
-                |shard| {
-                    let d = shard.data();
-                    let mut sums = vec![0.0_f64; dims];
-                    let mut counts = vec![0_usize; dims];
-                    for i in 0..d.len() {
-                        for ((s, c), v) in sums.iter_mut().zip(&mut counts).zip(d.fairness_row(i)) {
-                            *s += v;
-                            if *v >= 0.5 {
-                                *c += 1;
-                            }
-                        }
-                    }
-                    (sums, counts)
-                },
-                |(mut sums, mut counts), (ps, pc)| {
-                    for (s, p) in sums.iter_mut().zip(&ps) {
-                        *s += p;
-                    }
-                    for (c, p) in counts.iter_mut().zip(&pc) {
-                        *c += p;
-                    }
-                    (sums, counts)
-                },
+            let centroid = fold_centroid(
+                dims,
+                store.len(),
+                per_shard.iter().map(|(sums, _, _)| sums.as_slice()),
             );
-            let n = store.len() as f64;
-            let centroid: Vec<f64> = sums.into_iter().map(|s| s / n).collect();
             pairs.push(("fairness_centroid", Json::num_arr(&centroid)));
-            let freqs: Vec<f64> = counts.into_iter().map(|c| c as f64 / n).collect();
+            let n = store.len() as f64;
+            let freqs: Vec<f64> = (0..dims)
+                .map(|dim| per_shard.iter().map(|(_, c, _)| c[dim]).sum::<usize>() as f64 / n)
+                .collect();
             pairs.push(("group_frequencies", Json::num_arr(&freqs)));
         }
         if let Some(cache) = store.cache_stats() {
@@ -1238,6 +1225,34 @@ mod tests {
             let cache = stats.get("cache").unwrap();
             assert_eq!(cache.get("budget_bytes").unwrap().as_usize(), Some(budget));
         }
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn stats_are_one_sweep_with_the_engine_centroid() {
+        // A school cohort's `eni` attribute is continuous, so a centroid
+        // summed in any order but the engine's shard-order fold differs in
+        // the last bits.
+        let path = std::env::temp_dir().join(format!("serve_stats_{}.fss", std::process::id()));
+        let cohort = SchoolGenerator::new(SchoolConfig::small(1_000, 7)).generate_sharded(64);
+        fair_store::write_source(&cohort.unwrap().into_dataset(), &path).unwrap();
+        let service = AuditService::with_cache_bytes(0);
+        let entry = service.catalog.register_disk("disk", &path).unwrap();
+        let (status, stats) = service.route(&request("GET", "/stores/disk/stats", ""));
+        assert_eq!(status, 200, "{}", stats.render());
+        // A budget-0 cache keeps nothing: one sweep misses once per shard.
+        let cache = stats.get("cache").unwrap();
+        let misses = cache.get("misses").unwrap().as_usize();
+        assert_eq!(misses, Some(entry.store.num_shards()), "one sweep");
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let field = |name: &str| stats.get(name).unwrap().as_f64_vec().unwrap();
+        let centroid = entry.store.fairness_centroid().unwrap();
+        assert_eq!(bits(&field("fairness_centroid")), bits(&centroid));
+        let frequencies: Vec<f64> = (0..centroid.len())
+            .map(|dim| entry.store.group_frequency(dim))
+            .collect();
+        assert_eq!(bits(&field("group_frequencies")), bits(&frequencies));
         std::fs::remove_file(path).ok();
     }
 

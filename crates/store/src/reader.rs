@@ -18,7 +18,8 @@
 //!   decodes outside the lock, so a victim's buffers are freed before the
 //!   new shard's are allocated, and the resident set (shards being decoded
 //!   included) outgrows the budget only by the pinned and in-flight working
-//!   set;
+//!   set. Blocks a caller keeps past `with_shard` are outside it: a metric
+//!   plan holds every swept shard's block, evicted or not, until it returns;
 //! * **evict by shard index** — the victim is the highest-index unpinned
 //!   shard. Every whole-store sweep visits shards in ascending order, a
 //!   cyclic scan under which LRU never hits once the file outgrows the
@@ -1077,12 +1078,6 @@ impl ShardSource for ShardStore {
 
     fn num_shards(&self) -> usize {
         self.directory.len()
-    }
-
-    /// Shards live on disk behind the cache: metric plans retain their
-    /// measurement columns during the scoring sweep instead of re-paging.
-    fn paged(&self) -> bool {
-        true
     }
 
     /// Page the shard in (cache hit or disk read), pin it for the duration

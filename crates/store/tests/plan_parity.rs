@@ -169,3 +169,50 @@ proptest! {
         std::fs::remove_file(path).ok();
     }
 }
+
+/// A store wrapper that forwards only `ShardSource`'s required methods, as
+/// one that forgets the store's overrides would.
+struct RequiredOnly<'a>(&'a ShardStore);
+
+impl ShardSource for RequiredOnly<'_> {
+    fn schema(&self) -> &SchemaRef {
+        ShardSource::schema(self.0)
+    }
+
+    fn len(&self) -> usize {
+        ShardSource::len(self.0)
+    }
+
+    fn shard_size(&self) -> usize {
+        ShardSource::shard_size(self.0)
+    }
+
+    fn num_shards(&self) -> usize {
+        ShardSource::num_shards(self.0)
+    }
+
+    fn with_shard<T>(&self, index: usize, f: impl FnOnce(ShardView<'_>) -> T) -> T {
+        self.0.with_shard(index, f)
+    }
+}
+
+#[test]
+fn a_plan_through_a_required_only_wrapper_pages_each_shard_once() {
+    let sharded = ShardedDataset::from_objects(schema(), cohort(8 * 64, 11), 64).unwrap();
+    let path = temp_store_path("required_only");
+    write_source(&sharded, &path).unwrap();
+    // A budget-0 cache keeps nothing, so every shard access is a miss.
+    let store = ShardStore::open_with_budget(&path, 0).unwrap();
+    let ranker = WeightedSumRanker::new(vec![1.0, 0.7]).unwrap();
+    let bonus = [0.3, 0.1];
+    let plan = MetricPlan::new(&MetricKind::ALL, 0.2);
+
+    let wrapped = plan.evaluate(&RequiredOnly(&store), &ranker, &bonus);
+    assert_eq!(store.cache_stats().misses, 8, "one miss per shard");
+    assert_eq!(
+        wrapped.unwrap(),
+        plan.evaluate(&store, &ranker, &bonus).unwrap()
+    );
+    drop(store);
+    std::fs::remove_file(path).ok();
+}

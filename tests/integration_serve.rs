@@ -615,6 +615,62 @@ fn paged_core_job_profile_accounts_for_the_running_time() {
     std::fs::remove_file(path).ok();
 }
 
+/// A Full DCA job paging from disk through a cache smaller than the file:
+/// each step's sweep pages shards in on pool workers, under the job thread's
+/// `score` scope, and the workers' `page_in` and `decode` split the sweep's
+/// wall time with `score` instead of adding to it.
+#[test]
+fn paged_full_job_profile_accounts_for_the_running_time() {
+    let path = temp_store("paged_full_profile");
+    let generator = SchoolGenerator::new(SchoolConfig::small(60_000, 17));
+    let summary = fair_ranking::data::store::school_to_store(&generator, 4096, &path).unwrap();
+    let budget = usize::try_from(summary.file_bytes / 4).unwrap();
+    let server = serve(AuditService::with_cache_bytes(budget), "127.0.0.1:0", 2).unwrap();
+    let client = Client::new(server.addr());
+    client
+        .register_disk_store("paged", path.to_str().unwrap())
+        .unwrap();
+    let job = client
+        .submit_job(&JobRequest {
+            store: "paged".into(),
+            kind: JobKind::Full,
+            k: 0.05,
+            weights: Some(RUBRIC_WEIGHTS.to_vec()),
+            seed: 5,
+            sample_size: None,
+            learning_rates: Some(vec![8.0, 1.0]),
+            iterations_per_rate: Some(4),
+            workers: None,
+        })
+        .unwrap();
+    let done = client
+        .wait_for_job(&job.id, Duration::from_secs(120))
+        .unwrap();
+    assert_eq!(done.state, "completed", "error: {:?}", done.error);
+
+    let profile = client.job_profile(&job.id).unwrap();
+    let phases = profile.get("phases").unwrap();
+    let phase = |name: &str, field: &str| phases.get(name).unwrap().get(field).unwrap().as_f64();
+    let (page_ins, decodes) = (phase("page_in", "count"), phase("decode", "count"));
+    assert!(
+        page_ins > Some(0.0) && decodes > Some(0.0),
+        "a paged sweep reads and decodes"
+    );
+    let total_ms = ["page_in", "decode", "score", "sample", "combine", "wire"]
+        .iter()
+        .map(|name| phase(name, "total_us").unwrap())
+        .sum::<f64>()
+        / 1_000.0;
+    let running_ms = profile.get("running_ms").unwrap().as_f64().unwrap();
+    assert!(
+        (total_ms - running_ms).abs() <= 0.05 * running_ms + 4.0,
+        "attributed {total_ms:.1} ms vs wall-clock {running_ms:.1} ms: {}",
+        profile.render()
+    );
+    server.shutdown();
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn request_spans_carry_the_caller_supplied_trace_id() {
     let _guard = obs::capture();
