@@ -97,12 +97,24 @@ where
 /// The worker-pool ceiling every [`parallel_map`] call (and anything else
 /// sizing a pool off this crate, e.g. the `fair-serve` request workers)
 /// respects: the `FAIR_THREADS` environment variable when set to a positive
-/// integer, [`std::thread::available_parallelism`] otherwise. Service
-/// deployments use the override to pin CPU usage — e.g. `FAIR_THREADS=2` on
-/// a box shared with other tenants.
+/// integer, the hardware count otherwise. Service deployments use the
+/// override to pin CPU usage — e.g. `FAIR_THREADS=2` on a box shared with
+/// other tenants.
+///
+/// The variable is read on every call, so a process may change it between
+/// sweeps; the hardware count is read once per process, because
+/// [`std::thread::available_parallelism`] reads cgroup files on Linux and
+/// would otherwise cost every sweep (a sampled DCA step makes one or two)
+/// several microseconds.
 #[must_use]
 pub fn max_workers() -> usize {
-    thread_override(std::env::var("FAIR_THREADS").ok().as_deref()).unwrap_or_else(|| {
+    thread_override(std::env::var("FAIR_THREADS").ok().as_deref()).unwrap_or_else(hardware_threads)
+}
+
+/// [`std::thread::available_parallelism`], queried once per process.
+fn hardware_threads() -> usize {
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
