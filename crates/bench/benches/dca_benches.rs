@@ -8,10 +8,12 @@
 //!   (`dca_refined` vs `dca_core`);
 //! * Full DCA scales linearly with the dataset (`dca_full/*`);
 //! * the log-discounted objective costs an extra factor of the sample size
-//!   (`objective_eval/*`).
+//!   (`objective_eval/*`), every objective evaluated as DCA evaluates it:
+//!   its `MetricPlan` over a one-shard cohort.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fair_bench::datasets::ExperimentScale;
+use fair_core::metrics::sharded::ShardedEvalScratch;
 use fair_core::prelude::*;
 use fair_data::{SchoolConfig, SchoolGenerator};
 use std::hint::black_box;
@@ -94,12 +96,13 @@ fn full_dca_scaling(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(5));
     let rubric = SchoolGenerator::rubric();
     for &n in &[2_000usize, 8_000] {
-        let dataset = school(n, 42);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &dataset, |b, dataset| {
+        // A `Dataset` runs Full DCA as a one-shard cohort, built once.
+        let cohort = ShardedDataset::from_dataset(&school(n, 42), n).unwrap();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &cohort, |b, cohort| {
             b.iter(|| {
                 let config = bench_config(500, 10, false);
-                let out = run_full_dca(
-                    dataset,
+                let out = run_full_dca_sharded(
+                    cohort,
                     &rubric,
                     &TopKDisparity::new(0.05),
                     &config,
@@ -152,58 +155,51 @@ fn objective_eval(c: &mut Criterion) {
         .sample_size(20)
         .measurement_time(Duration::from_secs(5));
     let scale = ExperimentScale::tiny();
-    let dataset = school(scale.school_cohort_size, 42);
+    let n = scale.school_cohort_size;
+    let cohort = ShardedDataset::from_dataset(&school(n, 42), n).unwrap();
     let rubric = SchoolGenerator::rubric();
-    let view = dataset.full_view();
     let bonus = vec![1.0, 10.0, 12.0, 12.0];
     group.bench_function("topk_disparity", |b| {
-        b.iter(|| {
-            black_box(
-                TopKDisparity::new(0.05)
-                    .evaluate(&view, &rubric, &bonus)
-                    .unwrap(),
-            )
-        });
+        let plan = TopKDisparity::new(0.05).plan();
+        b.iter(|| black_box(plan.evaluate_vector(&cohort, &rubric, &bonus).unwrap()));
     });
     group.bench_function("log_discounted", |b| {
-        let objective = LogDiscountedObjective::new(LogDiscountConfig::default());
-        b.iter(|| black_box(objective.evaluate(&view, &rubric, &bonus).unwrap()));
+        let plan = LogDiscountedObjective::new(LogDiscountConfig::default()).plan();
+        b.iter(|| black_box(plan.evaluate_vector(&cohort, &rubric, &bonus).unwrap()));
     });
     group.finish();
 }
 
-/// One DCA-step objective evaluation, three ways: the old allocating
-/// full-sort path, the partial-selection path with fresh buffers, and the
-/// full hot-loop path (partial selection + reused scratch). The deltas are
-/// exactly what every one of the run's hundreds of steps saves.
+/// One objective evaluation over a 20k cohort, three ways: the serial
+/// metric over a freshly allocated full sort, the objective's plan with
+/// fresh buffers, and the plan with reused scratch — the path every DCA
+/// step takes, on its sample.
 fn objective_eval_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("objective_eval/paths");
     group
         .sample_size(30)
         .measurement_time(Duration::from_secs(5));
     let dataset = school(20_000, 42);
+    let cohort = ShardedDataset::from_dataset(&dataset, dataset.len()).unwrap();
     let rubric = SchoolGenerator::rubric();
     let view = dataset.full_view();
     let bonus = vec![1.0, 10.0, 12.0, 12.0];
-    let k = 0.05;
+    let plan = TopKDisparity::new(0.05).plan();
 
     group.bench_function("full_sort_alloc", |b| {
         b.iter(|| {
             let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &bonus));
-            black_box(disparity_at_k(&view, &ranking, k).unwrap())
+            black_box(disparity_at_k(&view, &ranking, 0.05).unwrap())
         });
     });
-    group.bench_function("partial_topk_alloc", |b| {
-        let objective = TopKDisparity::new(k);
-        b.iter(|| black_box(objective.evaluate(&view, &rubric, &bonus).unwrap()));
+    group.bench_function("plan_alloc", |b| {
+        b.iter(|| black_box(plan.evaluate_vector(&cohort, &rubric, &bonus).unwrap()));
     });
-    group.bench_function("partial_topk_scratch", |b| {
-        let objective = TopKDisparity::new(k);
-        let mut scratch = EvalScratch::new();
+    group.bench_function("plan_scratch", |b| {
+        let mut scratch = ShardedEvalScratch::new();
         let mut out = Vec::new();
         b.iter(|| {
-            objective
-                .evaluate_into(&view, &rubric, &bonus, &mut scratch, &mut out)
+            plan.evaluate_vector_into(&cohort, &rubric, &bonus, &mut scratch, &mut out)
                 .unwrap();
             black_box(out.first().copied())
         });

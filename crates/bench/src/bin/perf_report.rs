@@ -102,6 +102,13 @@
 //! `--quick` now runs `paged_core` too, at 10k against 1k rows in the quick
 //! profile's shard count, reported but not gated.
 //!
+//! Since the DCA layer evaluates every objective through its `MetricPlan`
+//! (schema unchanged), `core_dca` times `run_core_dca`, whose steps copy
+//! their sample into a reused block and evaluate the plan over it as one
+//! shard, and `full_dca` times `run_full_dca_sharded` over the cohort as
+//! one shard (`ShardedDataset::from_dataset(&dataset, n)`), built outside
+//! the timer.
+//!
 //! The summary lines check the headline claim directly: Core DCA's per-step
 //! time at the largest cohort must stay within 2x of the 10k per-step time
 //! in memory, and (in full mode) the paged per-step time at 1M within 2x of
@@ -285,10 +292,13 @@ fn measure_cohort(n: usize, reps: usize) -> CohortReport {
     let core_objects_scored = outcome.objects_scored;
 
     // Full DCA: 3 steps over the whole cohort (linear per step — kept short
-    // so the 1M cohort stays affordable).
+    // so the 1M cohort stays affordable), run as a `Dataset` runs it: over
+    // the cohort as one shard, built outside the timer.
     let fcfg = full_config();
-    let mut run_full =
-        || run_full_dca(&dataset, &rubric, &objective, &fcfg, None, false).expect("full DCA run");
+    let whole = ShardedDataset::from_dataset(&dataset, n).expect("positive shard size");
+    let mut run_full = || {
+        run_full_dca_sharded(&whole, &rubric, &objective, &fcfg, None, false).expect("full DCA run")
+    };
     let full_outcome = run_full();
     let full_total_ms = time_median(reps, &mut run_full);
     let full_steps = full_outcome.steps;

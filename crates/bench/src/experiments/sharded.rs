@@ -7,8 +7,9 @@
 //! measure on the contiguous dataset) and shard-wise, reports the maximum
 //! absolute deviation per metric (exactly 0 for binary attributes; at worst
 //! reassociation ulps on the continuous ENI dimension), and times both
-//! paths. It also runs sharded Full DCA against serial Full DCA as the
-//! centroid-accumulation parity check.
+//! paths. It also runs Full DCA over the sharded cohort against Full DCA
+//! over the flat cohort as one shard, the centroid-accumulation parity
+//! check.
 
 use crate::datasets::ExperimentScale;
 use crate::disparity_curve;
@@ -43,7 +44,8 @@ pub struct ShardedParityResult {
     /// Per-metric comparisons.
     pub rows: Vec<ShardedMetricRow>,
     /// Max absolute deviation of the sharded Full-DCA bonus trajectory from
-    /// the serial one (0 for the binary dimensions; ulps via ENI otherwise).
+    /// the one-shard one (0 for the binary dimensions; ulps via ENI
+    /// otherwise).
     pub full_dca_bonus_diff: f64,
     /// Norm of the disparity left after sharded-sampled Core DCA.
     pub core_sharded_residual: f64,
@@ -152,7 +154,7 @@ pub fn run_sharded_parity(scale: &ExperimentScale) -> Result<ShardedParityResult
         max_abs_diff: max_abs_diff(&serial_log, &sharded_log),
     });
 
-    // Full DCA: the sharded engine must walk the serial trajectory.
+    // Full DCA: the sharded cohort must walk the one-shard trajectory.
     let dca_config = DcaConfig {
         learning_rates: vec![1.0],
         iterations_per_rate: 3,
@@ -161,7 +163,8 @@ pub fn run_sharded_parity(scale: &ExperimentScale) -> Result<ShardedParityResult
         ..DcaConfig::default()
     };
     let objective = TopKDisparity::new(k);
-    let serial_full = run_full_dca(&flat, &rubric, &objective, &dca_config, None, false)?;
+    let whole = ShardedDataset::from_dataset(&flat, flat.len())?;
+    let serial_full = run_full_dca_sharded(&whole, &rubric, &objective, &dca_config, None, false)?;
     let sharded_full =
         run_full_dca_sharded(&sharded, &rubric, &objective, &dca_config, None, false)?;
     let full_dca_bonus_diff = max_abs_diff(&serial_full.bonus, &sharded_full.bonus);

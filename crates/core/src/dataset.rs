@@ -14,7 +14,6 @@ use crate::error::{FairError, Result};
 use crate::object::{DataObject, ObjectId, ObjectView};
 use rand::seq::index::{sample_into, IndexBuffer};
 use rand::Rng;
-use std::borrow::Cow;
 
 /// A collection of ranked objects sharing one [`crate::Schema`], stored
 /// column-wise.
@@ -246,6 +245,31 @@ impl Dataset {
         self.labels.push(view.label());
     }
 
+    /// Append the rows of `source` at `rows`, in order — the sample gather
+    /// of the serial DCA runners. Each column is copied in its own pass and
+    /// the two matrices through fixed-width row copies, so the random reads
+    /// of consecutive rows overlap instead of waiting behind a `memcpy` call
+    /// per row. With `with_ids` false the id column is not read and every
+    /// appended id is 0: a one-shard plan never reads ids, and a ranker that
+    /// scores from the feature row alone never sees one, so a step over such
+    /// a ranker skips one random read per sampled row.
+    ///
+    /// # Panics
+    /// Panics if the schemas' dimensions differ or an index is out of bounds.
+    pub(crate) fn extend_from_rows(&mut self, source: &Dataset, rows: &[usize], with_ids: bool) {
+        let (nf, na) = (self.schema.num_features(), self.schema.num_fairness());
+        assert_eq!(nf, source.schema.num_features());
+        assert_eq!(na, source.schema.num_fairness());
+        if with_ids {
+            self.ids.extend(rows.iter().map(|&i| source.ids[i]));
+        } else {
+            self.ids.resize(self.ids.len() + rows.len(), ObjectId(0));
+        }
+        gather_matrix_rows(&source.features, nf, rows, &mut self.features);
+        gather_matrix_rows(&source.fairness, na, rows, &mut self.fairness);
+        self.labels.extend(rows.iter().map(|&i| source.labels[i]));
+    }
+
     /// Look up an object by id (linear scan; datasets are typically iterated,
     /// not point-queried).
     #[must_use]
@@ -352,14 +376,14 @@ impl Dataset {
         self.sample_indices_into(rng, size, &mut buf)?;
         Ok(SampleView {
             dataset: self,
-            indices: Cow::Owned(buf.into_vec()),
+            indices: buf.into_vec(),
         })
     }
 
     /// Allocation-free variant of [`Dataset::sample`]: draw the sampled
-    /// indices into a reusable [`IndexBuffer`]. Combine with
-    /// [`Dataset::view_of`] to obtain a borrowed [`SampleView`]; this is the
-    /// DCA hot-loop path.
+    /// indices into a reusable [`IndexBuffer`] — the draw of every serial
+    /// Core DCA and refinement step, which then copies the rows into a
+    /// reused block.
     ///
     /// The index sequence is identical to [`Dataset::sample`] for the same RNG
     /// state, so sampled experiments are reproducible across both entry
@@ -396,22 +420,7 @@ impl Dataset {
     pub fn full_view(&self) -> SampleView<'_> {
         SampleView {
             dataset: self,
-            indices: Cow::Owned((0..self.len()).collect()),
-        }
-    }
-
-    /// Borrow a view over externally owned indices without copying them —
-    /// the allocation-free counterpart of [`SampleView::from_indices`].
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if any index is out of bounds; out-of-bounds
-    /// indices surface as row-access panics otherwise.
-    #[must_use]
-    pub fn view_of<'a>(&'a self, indices: &'a [usize]) -> SampleView<'a> {
-        debug_assert!(indices.iter().all(|&i| i < self.len()));
-        SampleView {
-            dataset: self,
-            indices: Cow::Borrowed(indices),
+            indices: (0..self.len()).collect(),
         }
     }
 
@@ -451,17 +460,11 @@ impl Dataset {
 }
 
 /// A borrowed view over a subset of a dataset's objects (a sample, a district,
-/// or the full dataset). All metrics and DCA steps operate on views so that
-/// sampled and full evaluation share one code path.
-///
-/// The index list is a [`Cow`]: experiment code owns its indices
-/// ([`SampleView::from_indices`], [`Dataset::sample`]) while the DCA hot loop
-/// borrows a reusable buffer ([`Dataset::view_of`]) so that no per-step
-/// allocation occurs.
+/// or the full dataset) — what the serial metrics measure.
 #[derive(Debug, Clone)]
 pub struct SampleView<'a> {
     dataset: &'a Dataset,
-    indices: Cow<'a, [usize]>,
+    indices: Vec<usize>,
 }
 
 impl<'a> SampleView<'a> {
@@ -478,10 +481,7 @@ impl<'a> SampleView<'a> {
                 dataset.len()
             );
         }
-        Self {
-            dataset,
-            indices: Cow::Owned(indices),
-        }
+        Self { dataset, indices }
     }
 
     /// The underlying dataset.
@@ -564,6 +564,36 @@ impl<'a> SampleView<'a> {
             &mut out,
         )?;
         Ok(out)
+    }
+}
+
+/// Append rows `rows` of a row-major matrix of `width` columns to `out`, in
+/// order. Common widths copy through fixed-size arrays.
+fn gather_matrix_rows(matrix: &[f64], width: usize, rows: &[usize], out: &mut Vec<f64>) {
+    let start = out.len();
+    out.resize(start + rows.len() * width, 0.0);
+    let dst = &mut out[start..];
+    macro_rules! fixed {
+        ($W:literal) => {
+            for (d, &i) in dst.chunks_exact_mut($W).zip(rows) {
+                let d: &mut [f64; $W] = d.try_into().expect("chunk of the fixed width");
+                *d = matrix[i * $W..(i + 1) * $W]
+                    .try_into()
+                    .expect("row of the fixed width");
+            }
+        };
+    }
+    match width {
+        0 => {}
+        1 => fixed!(1),
+        2 => fixed!(2),
+        3 => fixed!(3),
+        4 => fixed!(4),
+        _ => {
+            for (d, &i) in dst.chunks_exact_mut(width).zip(rows) {
+                d.copy_from_slice(&matrix[i * width..(i + 1) * width]);
+            }
+        }
     }
 }
 
@@ -672,6 +702,45 @@ mod tests {
     }
 
     #[test]
+    fn extend_from_rows_copies_rows_in_order_at_every_width() {
+        for (nf, na) in [(1, 1), (2, 3), (4, 5), (6, 2)] {
+            let features: Vec<String> = (0..nf).map(|j| format!("f{j}")).collect();
+            let fairness: Vec<String> = (0..na).map(|j| format!("a{j}")).collect();
+            let features: Vec<&str> = features.iter().map(String::as_str).collect();
+            let fairness: Vec<&str> = fairness.iter().map(String::as_str).collect();
+            let schema = Schema::from_names(&features, &fairness, &[]).unwrap();
+            let objects = (0..9_u64)
+                .map(|i| {
+                    let x = i as f64;
+                    DataObject::new_unchecked(
+                        100 + i,
+                        (0..nf).map(|j| x * 10.0 + j as f64).collect(),
+                        (0..na).map(|j| x + j as f64 / 8.0).collect(),
+                        (i % 3 != 0).then_some(i % 2 == 0),
+                    )
+                })
+                .collect();
+            let source = Dataset::new(schema.clone(), objects).unwrap();
+            let rows = [7, 0, 7, 3];
+            let mut block = Dataset::empty(schema);
+            block.extend_from_rows(&source, &rows[..1], true);
+            block.extend_from_rows(&source, &rows[1..], true);
+            assert_eq!(block.len(), rows.len());
+            for (r, &i) in rows.iter().enumerate() {
+                assert_eq!(block.row(r), source.row(i), "widths {nf}/{na}, row {r}");
+            }
+            block.clear();
+            block.extend_from_rows(&source, &rows, false);
+            assert!(block.ids().iter().all(|id| id.0 == 0), "ids left out");
+            for (r, &i) in rows.iter().enumerate() {
+                assert_eq!(block.feature_row(r), source.feature_row(i));
+                assert_eq!(block.fairness_row(r), source.fairness_row(i));
+                assert_eq!(block.labels()[r], source.labels()[i]);
+            }
+        }
+    }
+
+    #[test]
     fn sample_into_matches_owning_sample_for_equal_seeds() {
         let d = {
             let s = schema();
@@ -687,8 +756,6 @@ mod tests {
             let owned = d.sample(&mut rng_a, size).unwrap();
             d.sample_indices_into(&mut rng_b, size, &mut buf).unwrap();
             assert_eq!(owned.indices(), buf.as_slice(), "size {size}");
-            let borrowed = d.view_of(buf.as_slice());
-            assert_eq!(borrowed.len(), owned.len());
         }
     }
 

@@ -100,6 +100,20 @@ impl DcaConfig {
                 reason: "iterations per learning rate must be positive".into(),
             });
         }
+        if self
+            .learning_rates
+            .len()
+            .checked_mul(self.iterations_per_rate)
+            .is_none()
+        {
+            return Err(FairError::InvalidConfig {
+                reason: format!(
+                    "{} learning rates x {} iterations overflow the step count",
+                    self.learning_rates.len(),
+                    self.iterations_per_rate
+                ),
+            });
+        }
         if self.rolling_window == 0 {
             return Err(FairError::InvalidConfig {
                 reason: "rolling window must be positive".into(),
@@ -144,7 +158,8 @@ impl DcaConfig {
         Ok(needed.min(dataset.len()).max(CLT_MINIMUM))
     }
 
-    /// Total number of Core DCA steps implied by this configuration.
+    /// Total number of Core DCA steps implied by this configuration
+    /// ([`Self::validate`] rejects a ladder whose count overflows).
     #[must_use]
     pub fn core_steps(&self) -> usize {
         self.learning_rates.len() * self.iterations_per_rate
@@ -207,6 +222,30 @@ mod tests {
         };
         assert!(c.validate(2).is_err(), "cap dimensionality must match");
         assert!(c.validate(3).is_ok());
+    }
+
+    #[test]
+    fn a_step_count_that_overflows_is_rejected() {
+        // On a 64-bit target this is 2,048 rates x 2^53 iterations: 2^64
+        // steps, one past usize::MAX.
+        let iterations = usize::MAX / 2_048 + 1;
+        let c = DcaConfig {
+            learning_rates: vec![1.0; 2_048],
+            iterations_per_rate: iterations,
+            ..DcaConfig::default()
+        };
+        match c.validate(2) {
+            Err(FairError::InvalidConfig { reason }) => {
+                assert!(reason.contains("overflow"), "{reason}");
+            }
+            other => panic!("expected an overflow rejection, got {other:?}"),
+        }
+        let c = DcaConfig {
+            learning_rates: vec![1.0; 2_047],
+            iterations_per_rate: iterations,
+            ..DcaConfig::default()
+        };
+        assert!(c.validate(2).is_ok(), "one rate fewer still fits");
     }
 
     #[test]

@@ -19,9 +19,10 @@ use crate::dataset::Dataset;
 use crate::dca::config::{DcaConfig, CLT_MINIMUM};
 use crate::dca::control::RunControl;
 use crate::dca::objective::Objective;
-use crate::dca::scratch::EvalScratch;
 use crate::error::{FairError, Result};
+use crate::metrics::sharded::ShardedEvalScratch;
 use crate::ranking::Ranker;
+use crate::shard::OneShard;
 use rand::rngs::StdRng;
 use rand::seq::index::IndexBuffer;
 use rand::SeedableRng;
@@ -149,8 +150,10 @@ pub(crate) fn descend(
 /// * `trace` — record the per-step trajectory.
 ///
 /// Each step draws its sample through [`Dataset::sample_indices_into`] on
-/// one seeded RNG; the sample indices, ranking buffers and direction are
-/// allocated once per run.
+/// one seeded RNG, copies the sampled rows in draw order into a reused
+/// block, and evaluates the objective's [`Objective::plan`] over that block
+/// as a one-shard source; the indices, the block, the plan's score buffers
+/// and the direction are allocated once per run.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, or objective
@@ -167,9 +170,11 @@ where
     R: Ranker + ?Sized,
     O: Objective + ?Sized,
 {
+    let plan = objective.plan();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut indices = IndexBuffer::new();
-    let mut eval = EvalScratch::new();
+    let mut sample = OneShard::new(Dataset::empty(dataset.schema().clone()));
+    let mut scratch = ShardedEvalScratch::new();
     descend(
         dataset.schema().num_fairness(),
         dataset.len(),
@@ -180,11 +185,30 @@ where
         &RunControl::new(),
         |bonus, direction| {
             dataset.sample_indices_into(&mut rng, config.sample_size, &mut indices)?;
-            let sample = dataset.view_of(indices.as_slice());
-            objective.evaluate_into(&sample, ranker, bonus, &mut eval, direction)?;
-            Ok(sample.len())
+            sample.refill(|block| {
+                gather_sample(dataset, indices.as_slice(), ranker, block);
+                Ok(())
+            })?;
+            plan.evaluate_vector_into(&sample, ranker, bonus, &mut scratch, direction)?;
+            Ok(indices.len())
         },
     )
+}
+
+/// Copy the sampled rows of `dataset` into `block`, in draw order — the
+/// gather of a serial Core DCA or refinement step. A ranker that scores from
+/// the feature row alone (it answers [`Ranker::feature_score`], as every
+/// built-in ranker does) never reads an id, so its steps leave the ids out.
+pub(crate) fn gather_sample<R: Ranker + ?Sized>(
+    dataset: &Dataset,
+    indices: &[usize],
+    ranker: &R,
+    block: &mut Dataset,
+) {
+    let with_ids = indices
+        .first()
+        .is_some_and(|&i| ranker.feature_score(dataset.feature_row(i)).is_none());
+    block.extend_from_rows(dataset, indices, with_ids);
 }
 
 #[cfg(test)]
@@ -343,6 +367,49 @@ mod tests {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let objective = TopKDisparity::new(0.2);
         assert!(run_core_dca(&dataset, &ranker, &objective, &quick_config(), None, false).is_err());
+    }
+
+    /// A ranker that scores whole rows — here by its id, without answering
+    /// `feature_score` — sees each sampled row's own id: its run walks the
+    /// trajectory of a feature ranker over a copy of the ids.
+    #[test]
+    fn whole_row_rankers_see_the_sampled_rows_ids() {
+        struct ById;
+        impl Ranker for ById {
+            fn base_score(&self, object: crate::object::ObjectView<'_>) -> f64 {
+                object.id().0 as f64
+            }
+        }
+        let schema = Schema::from_names(&["id"], &["g"], &[]).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let objects = (0..2_000_u64)
+            .map(|i| {
+                let member = rng.gen::<f64>() < 0.3;
+                // Members hold the low ids, so the id ranking is biased.
+                let id = if member { i / 2 } else { 1_000 + i };
+                DataObject::new_unchecked(
+                    id,
+                    vec![id as f64],
+                    vec![f64::from(u8::from(member))],
+                    None,
+                )
+            })
+            .collect();
+        let dataset = Dataset::new(schema, objects).unwrap();
+        let objective = TopKDisparity::new(0.2);
+        let by_id = run_core_dca(&dataset, &ById, &objective, &quick_config(), None, true).unwrap();
+        let by_feature = WeightedSumRanker::new(vec![1.0]).unwrap();
+        let reference = run_core_dca(
+            &dataset,
+            &by_feature,
+            &objective,
+            &quick_config(),
+            None,
+            true,
+        )
+        .unwrap();
+        assert_eq!(by_id.trace, reference.trace);
+        assert!(by_id.bonus[0] > 0.0, "the id ranking is biased");
     }
 
     #[test]

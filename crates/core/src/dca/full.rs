@@ -7,57 +7,27 @@
 //! sampling noise; the paper uses it to prove that every step allocates more
 //! additional bonus points to an object whose inclusion would reduce
 //! disparity than to the object it would displace.
+//!
+//! [`run_full_descent`] is the loop; [`crate::dca::run_full_dca_sharded`]
+//! drives it with the objective's plan over any [`crate::ShardSource`], and
+//! the fleet coordinator with its distributed partials. A `Dataset` runs
+//! Full DCA as a one-shard cohort
+//! (`ShardedDataset::from_dataset(&dataset, dataset.len())`).
 
-use crate::dataset::Dataset;
 use crate::dca::config::DcaConfig;
 use crate::dca::control::RunControl;
 use crate::dca::core::{descend, CoreDcaOutcome};
-use crate::dca::objective::Objective;
-use crate::dca::scratch::EvalScratch;
 use crate::error::Result;
-use crate::ranking::Ranker;
-
-/// Run Full DCA: Algorithm 1 with the sample replaced by the whole dataset.
-/// The `sample_size` field of the configuration is ignored.
-///
-/// # Errors
-/// Returns an error for invalid configurations, empty datasets, or objective
-/// failures.
-pub fn run_full_dca<R, O>(
-    dataset: &Dataset,
-    ranker: &R,
-    objective: &O,
-    config: &DcaConfig,
-    initial: Option<Vec<f64>>,
-    trace: bool,
-) -> Result<CoreDcaOutcome>
-where
-    R: Ranker + ?Sized,
-    O: Objective + ?Sized,
-{
-    let view = dataset.full_view();
-    let mut eval = EvalScratch::new();
-    run_full_descent(
-        dataset.schema().num_fairness(),
-        dataset.len(),
-        config,
-        initial,
-        trace,
-        &RunControl::new(),
-        |bonus, out| objective.evaluate_into(&view, ranker, bonus, &mut eval, out),
-    )
-}
 
 /// Full DCA over a caller-supplied whole-cohort evaluation: the shared
 /// descent loop of [`crate::dca::core`] with every step scoring all
-/// `cohort_len` objects. The serial runner,
-/// [`crate::dca::run_full_dca_sharded`] and distributed coordinators (via
-/// [`crate::dca::partial`]) all run it, so their bonus trajectories can only
-/// differ through the `evaluate` callback itself — which is what the
-/// serial==sharded==distributed bit-for-bit guarantee rests on. `control` is
-/// consulted at every step boundary (cancellation) and notified after every
-/// completed step (progress); the default control adds one relaxed atomic
-/// load per step and nothing else.
+/// `cohort_len` objects. [`crate::dca::run_full_dca_sharded`] and
+/// distributed coordinators (via [`crate::dca::partial`]) both run it, so
+/// their bonus trajectories can only differ through the `evaluate` callback
+/// itself — which is what the local==distributed bit-for-bit guarantee
+/// rests on. `control` is consulted at every step boundary (cancellation)
+/// and notified after every completed step (progress); the default control
+/// adds one relaxed atomic load per step and nothing else.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty cohorts, evaluation
@@ -88,13 +58,18 @@ pub fn run_full_descent(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::attributes::Schema;
+    use crate::dataset::Dataset;
+    use crate::dca::config::DcaConfig;
+    use crate::dca::core::CoreDcaOutcome;
     use crate::dca::objective::{Objective, TopKDisparity};
+    use crate::dca::run_full_dca_sharded;
+    use crate::error::Result;
     use crate::metrics::{disparity_at_k, norm};
     use crate::object::DataObject;
     use crate::ranking::topk::RankedSelection;
     use crate::ranking::{effective_scores, WeightedSumRanker};
+    use crate::shard::OneShard;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -112,6 +87,18 @@ mod tests {
         Dataset::new(schema, objects).unwrap()
     }
 
+    /// Full DCA over `dataset` as one shard — how a `Dataset` runs it.
+    fn full_dca(
+        dataset: &Dataset,
+        ranker: &WeightedSumRanker,
+        objective: &TopKDisparity,
+        config: &DcaConfig,
+        trace: bool,
+    ) -> Result<CoreDcaOutcome> {
+        let cohort = OneShard::new(dataset.clone());
+        run_full_dca_sharded(&cohort, ranker, objective, config, None, trace)
+    }
+
     fn config() -> DcaConfig {
         DcaConfig {
             learning_rates: vec![10.0, 1.0],
@@ -126,7 +113,7 @@ mod tests {
         let dataset = biased_dataset(2000, 0.3, 20.0, 11);
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let objective = TopKDisparity::new(0.2);
-        let out = run_full_dca(&dataset, &ranker, &objective, &config(), None, false).unwrap();
+        let out = full_dca(&dataset, &ranker, &objective, &config(), false).unwrap();
         let view = dataset.full_view();
         let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &out.bonus));
         let after = norm(&disparity_at_k(&view, &ranking, 0.2).unwrap());
@@ -141,8 +128,8 @@ mod tests {
         let dataset = biased_dataset(1000, 0.3, 10.0, 5);
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let objective = TopKDisparity::new(0.2);
-        let a = run_full_dca(&dataset, &ranker, &objective, &config(), None, false).unwrap();
-        let b = run_full_dca(&dataset, &ranker, &objective, &config(), None, false).unwrap();
+        let a = full_dca(&dataset, &ranker, &objective, &config(), false).unwrap();
+        let b = full_dca(&dataset, &ranker, &objective, &config(), false).unwrap();
         assert_eq!(a.bonus, b.bonus);
     }
 
@@ -153,8 +140,8 @@ mod tests {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let objective = TopKDisparity::new(0.2);
         let cfg = config();
-        let a = run_full_dca(&small, &ranker, &objective, &cfg, None, false).unwrap();
-        let b = run_full_dca(&large, &ranker, &objective, &cfg, None, false).unwrap();
+        let a = full_dca(&small, &ranker, &objective, &cfg, false).unwrap();
+        let b = full_dca(&large, &ranker, &objective, &cfg, false).unwrap();
         assert_eq!(a.objects_scored, cfg.core_steps() * 500);
         assert_eq!(b.objects_scored, cfg.core_steps() * 2000);
     }
@@ -169,14 +156,18 @@ mod tests {
         let objective = TopKDisparity::new(0.2);
         let mut cfg = config();
         cfg.iterations_per_rate = 10;
-        let out = run_full_dca(&dataset, &ranker, &objective, &cfg, None, true).unwrap();
+        let out = full_dca(&dataset, &ranker, &objective, &cfg, true).unwrap();
         let view = dataset.full_view();
+        let cohort = OneShard::new(dataset.clone());
         let k = 0.2;
 
         let mut previous = vec![0.0; 1];
         for entry in &out.trace {
             // The direction used at this step was evaluated at `previous`.
-            let direction = objective.evaluate(&view, &ranker, &previous).unwrap();
+            let direction = objective
+                .plan()
+                .evaluate_vector(&cohort, &ranker, &previous)
+                .unwrap();
             let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &previous));
             let selected = ranking.selected(k).unwrap().to_vec();
             let unselected = ranking.unselected(k).unwrap().to_vec();
@@ -227,6 +218,6 @@ mod tests {
         let dataset = Dataset::empty(schema);
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let objective = TopKDisparity::new(0.2);
-        assert!(run_full_dca(&dataset, &ranker, &objective, &config(), None, false).is_err());
+        assert!(full_dca(&dataset, &ranker, &objective, &config(), false).is_err());
     }
 }

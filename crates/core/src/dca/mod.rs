@@ -5,20 +5,26 @@
 //!   learning-rate ladder.
 //! * [`run_refinement`] — Algorithm 2: Adam-driven refinement, iterate
 //!   averaging and granularity rounding.
-//! * [`run_full_dca`] — the non-sampled variant used in the accuracy analysis.
-//! * [`run_core_dca_sharded`] / [`run_full_dca_sharded`] (and their
-//!   `_controlled` forms) — the same descents over a [`crate::ShardSource`],
-//!   in memory or paged from disk; [`run_full_descent`] and
-//!   [`run_core_dca_gathered`] are the hooks a distributed coordinator drives
-//!   with its own evaluation or sample gather.
+//! * [`run_full_dca_sharded`] (and its `_controlled` form) — the
+//!   non-sampled variant used in the accuracy analysis, over any
+//!   [`crate::ShardSource`]; a `Dataset` runs it as a one-shard cohort.
+//! * [`run_core_dca_sharded`] (and its `_controlled` form) — Core DCA with
+//!   per-shard sampling, in memory or paged from disk; [`run_full_descent`]
+//!   and [`run_core_dca_gathered`] are the hooks a distributed coordinator
+//!   drives with its own evaluation or sample gather.
 //! * [`Dca`] — the user-facing facade that chains Core DCA and the refinement
 //!   step and returns a ready-to-publish [`crate::bonus::BonusVector`] plus a
 //!   [`DcaReport`] with evaluation and timing details.
 //!
 //! Every Core and Full runner executes one private descent loop
-//! ([`self::core`]'s driver): the runners differ only in how a step samples
-//! and evaluates, so serial, sharded, paged and fleet trajectories agree bit
-//! for bit because they run the same code. Algorithm 2's Adam loop stays
+//! ([`self::core`]'s driver), and every runner evaluates its objective the
+//! same way: the objective is a single-metric
+//! [`crate::metrics::sharded::MetricPlan`] ([`Objective::plan`]), built once
+//! per run with one score buffer and evaluated at every step — over the
+//! step's gathered sample as a one-shard source for Core DCA and the
+//! refinement, over the whole cohort for Full DCA. The runners differ only
+//! in how a step samples, so in-memory, paged and fleet trajectories agree
+//! bit for bit because they run the same code. Algorithm 2's Adam loop stays
 //! separate — a different update rule with no learning-rate ladder.
 //!
 //! ```
@@ -52,19 +58,17 @@ pub mod full;
 pub mod objective;
 pub mod partial;
 pub mod refine;
-pub mod scratch;
 pub mod sharded;
 
 pub use self::core::{run_core_dca, CoreDcaOutcome, CoreTraceEntry};
 pub use config::{DcaConfig, CLT_MINIMUM};
 pub use control::{step_duration_hook, DcaProgress, RunControl};
-pub use full::{run_full_dca, run_full_descent};
+pub use full::run_full_descent;
 pub use objective::{
     FprDifferenceObjective, LogDiscountedObjective, Objective, ScaledDisparateImpact, TopKDisparity,
 };
 pub use partial::{combine_disparity_partials, disparity_partials, DisparityPartial};
 pub use refine::{run_refinement, RefinementOutcome};
-pub use scratch::EvalScratch;
 pub use sharded::{
     run_core_dca_gathered, run_core_dca_sharded, run_core_dca_sharded_controlled,
     run_full_dca_sharded, run_full_dca_sharded_controlled,
@@ -75,6 +79,7 @@ use crate::dataset::Dataset;
 use crate::error::Result;
 use crate::metrics::disparity::DisparityVector;
 use crate::ranking::Ranker;
+use crate::shard::OneShard;
 use std::time::{Duration, Instant};
 
 /// Evaluation and timing summary of a DCA run.
@@ -135,7 +140,8 @@ impl Dca {
 
     /// Run DCA end to end on a dataset: Core DCA, then (unless
     /// `refinement_iterations == 0`) the Adam refinement, then evaluation of
-    /// the before/after objective on the full dataset.
+    /// the before/after objective on the full dataset — its plan over a
+    /// one-shard copy of `dataset`, made once per run.
     ///
     /// # Errors
     /// Returns an error for invalid configurations, empty datasets, or
@@ -151,17 +157,18 @@ impl Dca {
             .iter()
             .map(|s| (*s).to_string())
             .collect();
-        let full = dataset.full_view();
+        let plan = objective.plan();
+        let cohort = OneShard::new(dataset.clone());
 
         // Baseline objective (no bonus).
         let zero = vec![0.0; schema.num_fairness()];
-        let before = objective.evaluate(&full, ranker, &zero)?;
+        let before = plan.evaluate_vector(&cohort, ranker, &zero)?;
 
         // Phase 1: Core DCA.
         let core_start = Instant::now();
         let core = run_core_dca(dataset, ranker, objective, &self.config, None, false)?;
         let core_time = core_start.elapsed();
-        let core_eval = objective.evaluate(&full, ranker, &core.bonus)?;
+        let core_eval = plan.evaluate_vector(&cohort, ranker, &core.bonus)?;
         let core_bonus_rounded = match self.config.granularity {
             Some(g) => core.bonus.iter().map(|v| (v / g).round() * g).collect(),
             None => core.bonus.clone(),
@@ -177,7 +184,7 @@ impl Dca {
         };
         let refinement_time = refine_start.elapsed();
 
-        let after = objective.evaluate(&full, ranker, &final_values)?;
+        let after = plan.evaluate_vector(&cohort, ranker, &final_values)?;
         let bonus = BonusVector::new(schema, final_values, self.config.polarity)?;
 
         Ok(DcaResult {

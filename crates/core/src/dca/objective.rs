@@ -1,97 +1,32 @@
-//! Pluggable optimization objectives for DCA.
+//! The optimization objectives DCA descends against.
 //!
 //! DCA moves the bonus vector against a vector-valued unfairness measure. The
 //! paper's primary objective is the Disparity at a known selection fraction
 //! `k` (Definition 3); Section IV-E adds the logarithmically discounted
 //! variant for unknown `k`, and Section VI-C5 shows the same algorithm driven
 //! by a scaled Disparate Impact or by per-group false-positive-rate
-//! differences. Any metric satisfying the contract — one value per fairness
-//! attribute, bounded in `[-1, 1]`, 0 meaning fair, sign giving the direction
-//! of the imbalance — can drive DCA through the [`Objective`] trait.
+//! differences. Each measure returns one value per fairness attribute,
+//! bounded in `[-1, 1]`, 0 meaning fair, the sign giving the direction of the
+//! imbalance.
 //!
-//! The hot entry point is [`Objective::evaluate_into`], which reuses the
-//! buffers of an [`EvalScratch`] so a DCA step allocates nothing. Objectives
-//! whose selection boundary is fixed (`k` known up front) rank their sample
-//! through the partial-selection fast path
-//! ([`RankedSelection::from_scores_topk`]'s `O(s + m log m)` partition)
-//! instead of a full `O(s log s)` sort; the log-discounted objective, which
-//! reads many prefixes, keeps the full sort.
+//! An [`Objective`] is a single-metric [`MetricPlan`], and that plan is the
+//! only evaluator every DCA runner uses: Core and refinement steps evaluate
+//! it over their gathered sample as a one-shard source, Full DCA over the
+//! whole cohort, in memory or paged. Fixed-`k` objectives select their top
+//! `k·s` rows by partial selection; the log-discounted objective selects the
+//! prefix its last checkpoint reads.
 
-use crate::dataset::SampleView;
-use crate::dca::scratch::EvalScratch;
-use crate::error::Result;
 use crate::metrics::sharded::{MetricKind, MetricPlan};
-use crate::metrics::{
-    disparity_at_k_into, fpr_difference_at_k_into, log_discounted_disparity_into,
-    scaled_disparate_impact_at_k_into, LogDiscountConfig,
-};
-use crate::ranking::topk::{selection_size, RankedSelection};
-use crate::ranking::{effective_scores_into, Ranker};
+use crate::metrics::LogDiscountConfig;
 
 /// A vector-valued unfairness measure that DCA can minimize.
 pub trait Objective: Send + Sync {
-    /// Evaluate the measure on a (sampled or full) view under the given bonus
-    /// values, writing one entry per fairness attribute (each in `[-1, 1]`)
-    /// into `out` and reusing the buffers of `scratch` — the allocation-free
-    /// path every DCA step takes.
-    ///
-    /// # Errors
-    /// Returns an error on empty views, invalid configurations, or missing
-    /// labels (objective-dependent).
-    fn evaluate_into<R: Ranker + ?Sized>(
-        &self,
-        view: &SampleView<'_>,
-        ranker: &R,
-        bonus: &[f64],
-        scratch: &mut EvalScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()>;
-
-    /// Convenience wrapper around [`Objective::evaluate_into`] that allocates
-    /// fresh buffers and returns the objective vector.
-    ///
-    /// # Errors
-    /// Returns an error on empty views, invalid configurations, or missing
-    /// labels (objective-dependent).
-    fn evaluate<R: Ranker + ?Sized>(
-        &self,
-        view: &SampleView<'_>,
-        ranker: &R,
-        bonus: &[f64],
-    ) -> Result<Vec<f64>> {
-        let mut scratch = EvalScratch::new();
-        let mut out = Vec::new();
-        self.evaluate_into(view, ranker, bonus, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// The same measure over a whole cohort, as a single-metric
-    /// [`MetricPlan`] — what [`crate::dca::run_full_dca_sharded`] evaluates
-    /// at every step, in memory or paged from disk.
+    /// The measure as a single-metric [`MetricPlan`] — what every DCA runner
+    /// evaluates at every step, on a sample or on the whole cohort.
     fn plan(&self) -> MetricPlan;
 
     /// Short name used in reports.
     fn name(&self) -> &'static str;
-}
-
-/// Refill the scratch ranking with the view's effective scores. `topk` of
-/// `Some(k)` sorts only the top `selection_size(len, k)` positions (the
-/// partial-selection fast path for fixed-`k` objectives); `None` fully sorts.
-fn rank_view_into<'s, R: Ranker + ?Sized>(
-    view: &SampleView<'_>,
-    ranker: &R,
-    bonus: &[f64],
-    topk: Option<f64>,
-    scratch: &'s mut EvalScratch,
-) -> Result<&'s RankedSelection> {
-    let boundary = match topk {
-        Some(k) => Some(selection_size(view.len(), k)?),
-        None => None,
-    };
-    scratch.ranking.refill_with(boundary, |scores| {
-        effective_scores_into(view, ranker, bonus, scores);
-    });
-    Ok(&scratch.ranking)
 }
 
 /// The paper's primary objective: Disparity of the top-`k` selection.
@@ -110,18 +45,6 @@ impl TopKDisparity {
 }
 
 impl Objective for TopKDisparity {
-    fn evaluate_into<R: Ranker + ?Sized>(
-        &self,
-        view: &SampleView<'_>,
-        ranker: &R,
-        bonus: &[f64],
-        scratch: &mut EvalScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        rank_view_into(view, ranker, bonus, Some(self.k), scratch)?;
-        disparity_at_k_into(view, &scratch.ranking, self.k, out)
-    }
-
     fn plan(&self) -> MetricPlan {
         MetricPlan::new(&[MetricKind::Disparity], self.k)
     }
@@ -148,19 +71,6 @@ impl LogDiscountedObjective {
 }
 
 impl Objective for LogDiscountedObjective {
-    fn evaluate_into<R: Ranker + ?Sized>(
-        &self,
-        view: &SampleView<'_>,
-        ranker: &R,
-        bonus: &[f64],
-        scratch: &mut EvalScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        // Reads every checkpoint prefix, so the full sort is required.
-        rank_view_into(view, ranker, bonus, None, scratch)?;
-        log_discounted_disparity_into(view, &scratch.ranking, &self.config, out)
-    }
-
     fn plan(&self) -> MetricPlan {
         // The selection fraction is unused by the log-discounted metric.
         MetricPlan::new(&[MetricKind::LogDiscounted], 1.0).with_log_config(self.config)
@@ -188,18 +98,6 @@ impl ScaledDisparateImpact {
 }
 
 impl Objective for ScaledDisparateImpact {
-    fn evaluate_into<R: Ranker + ?Sized>(
-        &self,
-        view: &SampleView<'_>,
-        ranker: &R,
-        bonus: &[f64],
-        scratch: &mut EvalScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        rank_view_into(view, ranker, bonus, Some(self.k), scratch)?;
-        scaled_disparate_impact_at_k_into(view, &scratch.ranking, self.k, out)
-    }
-
     fn plan(&self) -> MetricPlan {
         MetricPlan::new(&[MetricKind::DisparateImpact], self.k)
     }
@@ -226,18 +124,6 @@ impl FprDifferenceObjective {
 }
 
 impl Objective for FprDifferenceObjective {
-    fn evaluate_into<R: Ranker + ?Sized>(
-        &self,
-        view: &SampleView<'_>,
-        ranker: &R,
-        bonus: &[f64],
-        scratch: &mut EvalScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<()> {
-        rank_view_into(view, ranker, bonus, Some(self.k), scratch)?;
-        fpr_difference_at_k_into(view, &scratch.ranking, self.k, out)
-    }
-
     fn plan(&self) -> MetricPlan {
         MetricPlan::new(&[MetricKind::FprDifference], self.k)
     }
@@ -254,8 +140,9 @@ mod tests {
     use crate::dataset::Dataset;
     use crate::object::DataObject;
     use crate::ranking::WeightedSumRanker;
+    use crate::shard::OneShard;
 
-    fn dataset() -> Dataset {
+    fn dataset() -> OneShard {
         let schema = Schema::from_names(&["s"], &["g"], &[]).unwrap();
         let objects = (0..20_u64)
             .map(|i| {
@@ -269,26 +156,28 @@ mod tests {
                 )
             })
             .collect();
-        Dataset::new(schema, objects).unwrap()
+        OneShard::new(Dataset::new(schema, objects).unwrap())
     }
 
     #[test]
     fn all_objectives_report_negative_direction_for_excluded_group() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let b = vec![0.0];
 
         let disp = TopKDisparity::new(0.25)
-            .evaluate(&view, &ranker, &b)
+            .plan()
+            .evaluate_vector(&d, &ranker, &b)
             .unwrap();
         assert!(disp[0] < 0.0);
         let logd = LogDiscountedObjective::default()
-            .evaluate(&view, &ranker, &b)
+            .plan()
+            .evaluate_vector(&d, &ranker, &b)
             .unwrap();
         assert!(logd[0] < 0.0);
         let di = ScaledDisparateImpact::new(0.25)
-            .evaluate(&view, &ranker, &b)
+            .plan()
+            .evaluate_vector(&d, &ranker, &b)
             .unwrap();
         assert!(di[0] < 0.0);
     }
@@ -310,10 +199,10 @@ mod tests {
     #[test]
     fn fpr_objective_requires_labels_and_works_when_present() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let fpr = FprDifferenceObjective::new(0.25)
-            .evaluate(&view, &ranker, &[0.0])
+            .plan()
+            .evaluate_vector(&d, &ranker, &[0.0])
             .unwrap();
         assert_eq!(fpr.len(), 1);
         assert!(fpr[0].abs() <= 1.0);
@@ -322,38 +211,10 @@ mod tests {
     #[test]
     fn bonus_changes_objective_value() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let obj = TopKDisparity::new(0.25);
-        let before = obj.evaluate(&view, &ranker, &[0.0]).unwrap()[0];
-        let after = obj.evaluate(&view, &ranker, &[1_000.0]).unwrap()[0];
+        let plan = TopKDisparity::new(0.25).plan();
+        let before = plan.evaluate_vector(&d, &ranker, &[0.0]).unwrap()[0];
+        let after = plan.evaluate_vector(&d, &ranker, &[1_000.0]).unwrap()[0];
         assert!(before < 0.0 && after > 0.0);
-    }
-
-    #[test]
-    fn evaluate_into_with_reused_scratch_matches_fresh_evaluation() {
-        let d = dataset();
-        let view = d.full_view();
-        let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let mut scratch = EvalScratch::new();
-        let mut out = Vec::new();
-        // Interleave objectives with different ranking modes (partial vs
-        // full) through the same scratch to prove refills are clean.
-        for bonus in [0.0, 5.0, 50.0, 0.0] {
-            for k in [0.1, 0.25, 0.5] {
-                let obj = TopKDisparity::new(k);
-                obj.evaluate_into(&view, &ranker, &[bonus], &mut scratch, &mut out)
-                    .unwrap();
-                assert_eq!(out, obj.evaluate(&view, &ranker, &[bonus]).unwrap());
-            }
-            let logd = LogDiscountedObjective::default();
-            logd.evaluate_into(&view, &ranker, &[bonus], &mut scratch, &mut out)
-                .unwrap();
-            assert_eq!(out, logd.evaluate(&view, &ranker, &[bonus]).unwrap());
-            let fpr = FprDifferenceObjective::new(0.25);
-            fpr.evaluate_into(&view, &ranker, &[bonus], &mut scratch, &mut out)
-                .unwrap();
-            assert_eq!(out, fpr.evaluate(&view, &ranker, &[bonus]).unwrap());
-        }
     }
 }

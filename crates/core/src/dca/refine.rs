@@ -18,11 +18,12 @@
 
 use crate::dataset::Dataset;
 use crate::dca::config::DcaConfig;
-use crate::dca::core::clamp_bonus;
+use crate::dca::core::{clamp_bonus, gather_sample};
 use crate::dca::objective::Objective;
-use crate::dca::scratch::EvalScratch;
 use crate::error::Result;
+use crate::metrics::sharded::ShardedEvalScratch;
 use crate::ranking::Ranker;
+use crate::shard::OneShard;
 use fair_opt::{Adam, RollingWindow};
 use rand::rngs::StdRng;
 use rand::seq::index::IndexBuffer;
@@ -42,9 +43,10 @@ pub struct RefinementOutcome {
 }
 
 /// Run the refinement step starting from `initial` (normally the Core DCA
-/// output). The sample indices, ranking buffers and direction are allocated
-/// once per run, so every Adam step is allocation-free (apart from the
-/// dims-sized rolling-window snapshots).
+/// output). Each step gathers its sample into a reused block and evaluates
+/// the objective's [`Objective::plan`] over it, as a Core DCA step does; the
+/// indices, the block, the plan's score buffers and the direction are
+/// allocated once per run.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, or objective
@@ -75,20 +77,25 @@ where
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x5EED_0001));
     let mut adam = Adam::new(dims, config.adam);
     let mut window = RollingWindow::new(dims, config.rolling_window);
+    let plan = objective.plan();
     let mut indices = IndexBuffer::new();
-    let mut eval = EvalScratch::new();
+    let mut sample = OneShard::new(Dataset::empty(dataset.schema().clone()));
+    let mut scratch = ShardedEvalScratch::new();
     let mut direction = Vec::new();
     let mut objects_scored = 0_usize;
     let mut steps = 0_usize;
 
     for _ in 0..config.refinement_iterations {
         dataset.sample_indices_into(&mut rng, config.sample_size, &mut indices)?;
-        let sample = dataset.view_of(indices.as_slice());
-        objective.evaluate_into(&sample, ranker, &bonus, &mut eval, &mut direction)?;
+        sample.refill(|block| {
+            gather_sample(dataset, indices.as_slice(), ranker, block);
+            Ok(())
+        })?;
+        plan.evaluate_vector_into(&sample, ranker, &bonus, &mut scratch, &mut direction)?;
         adam.step(&mut bonus, &direction);
         clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());
         window.push(bonus.clone());
-        objects_scored += sample.len();
+        objects_scored += indices.len();
         steps += 1;
     }
 

@@ -1,10 +1,10 @@
 //! DCA over the sharded column store — in memory or paged from disk.
 //!
-//! * [`run_full_dca_sharded`] — Full DCA whose per-step objective evaluation
-//!   (scoring, selection, centroid accumulation) runs through the shard-wise
-//!   parallel engine instead of one serial pass. For binary/dyadic fairness
-//!   values the bonus trajectory is bit-for-bit the serial
-//!   [`crate::dca::run_full_dca`] trajectory at every shard size (see the
+//! * [`run_full_dca_sharded`] — Full DCA: every step evaluates the
+//!   objective's [`Objective::plan`] over the whole cohort on the shard-wise
+//!   parallel engine. It is the one Full DCA runner; a `Dataset` runs it as
+//!   a one-shard cohort. For binary/dyadic fairness values the bonus
+//!   trajectory is bit-for-bit the same at every shard size (see the
 //!   determinism notes on [`crate::shard`]).
 //! * [`run_core_dca_sharded`] — Core DCA (Algorithm 1) drawing each step's
 //!   sample **per shard**: quotas are apportioned proportionally and every
@@ -12,7 +12,8 @@
 //!   off the step seed ([`crate::shard::shard_seed`]), so shards can sample
 //!   independently — the building block for distributed DCA, where no node
 //!   ever sees another node's rows. The sampled rows are gathered into a
-//!   reused scratch block and evaluated with the ordinary [`Objective`]s.
+//!   reused block and the objective's plan is evaluated over it as a
+//!   one-shard source, exactly as [`crate::dca::run_core_dca`] does.
 //!
 //! The sampled variant draws a *different* (but equally distributed,
 //! seed-deterministic) sample stream than the serial
@@ -25,19 +26,18 @@ use crate::dca::config::DcaConfig;
 use crate::dca::control::RunControl;
 use crate::dca::core::{descend, CoreDcaOutcome};
 use crate::dca::objective::Objective;
-use crate::dca::scratch::EvalScratch;
 use crate::error::Result;
 use crate::metrics::sharded::ShardedEvalScratch;
 use crate::ranking::Ranker;
-use crate::shard::ShardSource;
+use crate::shard::{OneShard, ShardSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Run Full DCA with every step's whole-cohort evaluation on the shard-wise
 /// engine: the objective's [`Objective::plan`] evaluated over `data`. The
-/// descent itself is [`crate::dca::run_full_descent`] — the exact loop the
-/// serial [`crate::dca::run_full_dca`] executes — so the two trajectories can
-/// only differ through the objective evaluation.
+/// descent itself is [`crate::dca::run_full_descent`] — the loop the fleet
+/// coordinator also drives — so the two trajectories can only differ
+/// through the evaluation.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, or objective
@@ -115,7 +115,7 @@ where
 /// Run Core DCA (Algorithm 1) with per-shard sampling: each step draws its
 /// sample shard by shard under a deterministically split seed stream, gathers
 /// the sampled rows into a reused contiguous block, and evaluates the
-/// ordinary sampled objective on it.
+/// objective's plan over it.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, or objective
@@ -194,8 +194,9 @@ where
 
 /// The one Core-DCA descent loop over a caller-supplied **gather step**: the
 /// master RNG emits one `step_seed` per step, `gather_step` fills the cleared
-/// scratch dataset with that step's sample rows, and the ordinary sampled
-/// [`Objective`] is evaluated on the gathered block. The local sharded runner
+/// block with that step's sample rows, and the objective's
+/// [`Objective::plan`] is evaluated over the block as a one-shard source,
+/// with the plan and its score buffers built once per run. The local sharded runner
 /// ([`run_core_dca_sharded`]) and distributed coordinators both execute
 /// exactly this driver, differing only in where the gather fetches rows —
 /// which is why a coordinator that concatenates each worker's
@@ -226,8 +227,9 @@ where
     // draws is independent of how many other shards exist on this node — or
     // of which node holds them.
     let mut master = StdRng::seed_from_u64(config.seed);
-    let mut gather = Dataset::empty(schema.clone());
-    let mut eval = EvalScratch::new();
+    let plan = objective.plan();
+    let mut sample = OneShard::new(Dataset::empty(schema.clone()));
+    let mut scratch = ShardedEvalScratch::new();
     descend(
         schema.num_fairness(),
         cohort_len,
@@ -238,11 +240,9 @@ where
         control,
         |bonus, direction| {
             let step_seed: u64 = master.gen();
-            gather.clear();
-            gather_step(step_seed, &mut gather)?;
-            let sample = gather.full_view();
+            sample.refill(|block| gather_step(step_seed, block))?;
             let _score = crate::obs::profile::scope(crate::obs::Phase::Score);
-            objective.evaluate_into(&sample, ranker, bonus, &mut eval, direction)?;
+            plan.evaluate_vector_into(&sample, ranker, bonus, &mut scratch, direction)?;
             Ok(sample.len())
         },
     )
@@ -252,12 +252,13 @@ where
 mod tests {
     use super::*;
     use crate::attributes::Schema;
-    use crate::dca::full::run_full_dca;
+    use crate::dca::full::run_full_descent;
     use crate::dca::objective::TopKDisparity;
     use crate::error::FairError;
-    use crate::metrics::{norm, sharded};
+    use crate::metrics::{disparity_at_k, norm, sharded};
     use crate::object::DataObject;
-    use crate::ranking::WeightedSumRanker;
+    use crate::ranking::topk::RankedSelection;
+    use crate::ranking::{effective_scores, WeightedSumRanker};
     use crate::shard::ShardedDataset;
 
     /// Biased cohort whose scores and fairness values all sit on a dyadic
@@ -294,7 +295,23 @@ mod tests {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let objective = TopKDisparity::new(0.2);
         let cfg = config();
-        let serial = run_full_dca(&flat, &ranker, &objective, &cfg, None, true).unwrap();
+        // Oracle: the same descent with every step's direction from the
+        // serial metric over a full sort of the whole cohort.
+        let view = flat.full_view();
+        let serial = run_full_descent(
+            1,
+            flat.len(),
+            &cfg,
+            None,
+            true,
+            &RunControl::new(),
+            |b, out| {
+                let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, b));
+                *out = disparity_at_k(&view, &ranking, objective.k)?;
+                Ok(())
+            },
+        )
+        .unwrap();
         for shard_size in [1, 7, 700, 65_536] {
             let data = ShardedDataset::from_dataset(&flat, shard_size).unwrap();
             let sharded =

@@ -51,25 +51,8 @@ pub fn scaled_disparate_impact_at_k(
     ranking: &RankedSelection,
     k: f64,
 ) -> Result<Vec<f64>> {
-    let mut out = Vec::new();
-    scaled_disparate_impact_at_k_into(view, ranking, k, &mut out)?;
-    Ok(out)
-}
-
-/// [`scaled_disparate_impact_at_k`] writing into a caller-provided buffer
-/// (the path the DCA inner loop uses).
-///
-/// # Errors
-/// Returns an error on an empty view or invalid `k`.
-pub fn scaled_disparate_impact_at_k_into(
-    view: &SampleView<'_>,
-    ranking: &RankedSelection,
-    k: f64,
-    out: &mut Vec<f64>,
-) -> Result<()> {
     let (population, selected) = tally_selection(view, ranking, k, false)?;
-    *out = scaled_disparate_impact(&population, &selected);
-    Ok(())
+    Ok(scaled_disparate_impact(&population, &selected))
 }
 
 /// Signed scaled disparate impact per dimension from the population and

@@ -75,27 +75,15 @@ impl fmt::Display for DisparityVector {
 /// # Errors
 /// Returns an error if the view or the selection is empty.
 pub fn disparity_of_selection(view: &SampleView<'_>, selected: &[usize]) -> Result<Vec<f64>> {
-    let mut out = Vec::new();
-    disparity_of_selection_into(view, selected, &mut out)?;
-    Ok(out)
-}
-
-/// [`disparity_of_selection`] writing into a caller-provided buffer.
-///
-/// # Errors
-/// Returns an error if the view or the selection is empty.
-pub fn disparity_of_selection_into(
-    view: &SampleView<'_>,
-    selected: &[usize],
-    out: &mut Vec<f64>,
-) -> Result<()> {
     let all = view.fairness_centroid()?;
     let (data, indices) = (view.dataset(), view.indices());
+    let mut out = Vec::new();
     disparity_of_rows(
         selected.iter().map(|&p| data.fairness_row(indices[p])),
         &all,
-        out,
-    )
+        &mut out,
+    )?;
+    Ok(out)
 }
 
 /// Disparity of a selection given as its fairness rows in rank order: their
@@ -129,21 +117,6 @@ pub fn disparity_at_k(
 ) -> Result<Vec<f64>> {
     let selected = ranking.selected(k)?;
     disparity_of_selection(view, selected)
-}
-
-/// [`disparity_at_k`] writing into a caller-provided buffer — the
-/// allocation-light path the DCA inner loop uses.
-///
-/// # Errors
-/// Returns an error for invalid `k` or empty views.
-pub fn disparity_at_k_into(
-    view: &SampleView<'_>,
-    ranking: &RankedSelection,
-    k: f64,
-    out: &mut Vec<f64>,
-) -> Result<()> {
-    let selected = ranking.selected(k)?;
-    disparity_of_selection_into(view, selected, out)
 }
 
 /// Convenience: compute a named [`DisparityVector`] for the top-`k` selection.

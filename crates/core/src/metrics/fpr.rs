@@ -74,25 +74,8 @@ pub fn fpr_difference_at_k(
     ranking: &RankedSelection,
     k: f64,
 ) -> Result<Vec<f64>> {
-    let mut out = Vec::new();
-    fpr_difference_at_k_into(view, ranking, k, &mut out)?;
-    Ok(out)
-}
-
-/// [`fpr_difference_at_k`] writing into a caller-provided buffer (the path
-/// the DCA inner loop uses).
-///
-/// # Errors
-/// Returns an error on empty views, invalid `k`, or missing labels.
-pub fn fpr_difference_at_k_into(
-    view: &SampleView<'_>,
-    ranking: &RankedSelection,
-    k: f64,
-    out: &mut Vec<f64>,
-) -> Result<()> {
     let (population, selected) = tally_selection(view, ranking, k, true)?;
-    *out = fpr_difference(&population, &selected);
-    Ok(())
+    Ok(fpr_difference(&population, &selected))
 }
 
 #[cfg(test)]

@@ -86,21 +86,6 @@ pub fn log_discounted_disparity(
     ranking: &RankedSelection,
     config: &LogDiscountConfig,
 ) -> Result<Vec<f64>> {
-    let mut out = Vec::new();
-    log_discounted_disparity_into(view, ranking, config, &mut out)?;
-    Ok(out)
-}
-
-/// [`log_discounted_disparity`] writing into a caller-provided buffer.
-///
-/// # Errors
-/// Returns an error on an empty view or invalid configuration.
-pub fn log_discounted_disparity_into(
-    view: &SampleView<'_>,
-    ranking: &RankedSelection,
-    config: &LogDiscountConfig,
-    out: &mut Vec<f64>,
-) -> Result<()> {
     config.validate()?;
     if view.is_empty() {
         return Err(FairError::EmptyDataset);
@@ -109,7 +94,9 @@ pub fn log_discounted_disparity_into(
     let all = view.fairness_centroid()?;
     let last = checkpoints.last().copied().unwrap_or(0);
     let ranked = ranking.top(last).iter().map(|&p| view.object(p).fairness());
-    log_discounted_of_rows(&checkpoints, &all, ranked, out)
+    let mut out = Vec::new();
+    log_discounted_of_rows(&checkpoints, &all, ranked, &mut out)?;
+    Ok(out)
 }
 
 /// The log-discounted disparity of a ranking given as its fairness rows in

@@ -25,18 +25,11 @@ pub mod log_discounted;
 pub mod ndcg;
 pub mod sharded;
 
-pub use disparate_impact::{
-    disparate_impact_at_k, scaled_disparate_impact_at_k, scaled_disparate_impact_at_k_into,
-};
-pub use disparity::{
-    disparity_at_k, disparity_at_k_into, disparity_of_selection, disparity_of_selection_into,
-    DisparityVector,
-};
+pub use disparate_impact::{disparate_impact_at_k, scaled_disparate_impact_at_k};
+pub use disparity::{disparity_at_k, disparity_of_selection, DisparityVector};
 pub use exposure::{ddp_for_binary_attributes, exposure_of_group, group_average_exposure};
-pub use fpr::{fpr_difference_at_k, fpr_difference_at_k_into, group_fpr_at_k};
-pub use log_discounted::{
-    log_discounted_disparity, log_discounted_disparity_into, LogDiscountConfig,
-};
+pub use fpr::{fpr_difference_at_k, group_fpr_at_k};
+pub use log_discounted::{log_discounted_disparity, LogDiscountConfig};
 pub use ndcg::{dcg, ndcg_at_k};
 
 use crate::dataset::SampleView;

@@ -27,6 +27,15 @@
 //! end-to-end: they take the ranker and bonus vector and perform scoring,
 //! selection and measurement through the engine, because on large cohorts the
 //! full sort the serial callers pre-pay is precisely the cost being removed.
+//!
+//! A plan is also the only evaluator of the DCA layer: every runner
+//! evaluates its objective's plan ([`crate::dca::Objective::plan`]) once per
+//! step — over the whole cohort for Full DCA, and over the step's gathered
+//! sample, presented as a one-shard source, for Core DCA and the
+//! refinement. A one-shard sweep and its selection run their
+//! [`crate::parallel_map`] calls inline on the calling thread, but each call
+//! still counts in `fair_parallel_sweeps_total`, so a sampled step adds one
+//! or two sweeps to that series.
 
 use crate::dataset::Dataset;
 use crate::error::{FairError, Result};
@@ -43,8 +52,8 @@ use crate::shard::{fold_centroid, shard_fair_sums, ShardSource};
 use std::sync::Arc;
 
 /// Scratch buffers reused across plan evaluations (the score vectors of
-/// [`MetricPlan`]), so repeated evaluation — the sharded full-DCA loop —
-/// avoids re-allocating cohort-sized vectors.
+/// [`MetricPlan`]), so repeated evaluation — every DCA runner's steps —
+/// avoids re-allocating cohort- or sample-sized vectors.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedEvalScratch {
     /// Effective scores, global row order.
@@ -227,9 +236,30 @@ impl MetricPlan {
         self.evaluate_with(data, ranker, bonus, &mut ShardedEvalScratch::new())
     }
 
+    /// Evaluate a plan of one vector metric with fresh scratch buffers.
+    ///
+    /// # Errors
+    /// As [`Self::evaluate_vector_into`].
+    pub fn evaluate_vector<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
+        &self,
+        data: &S,
+        ranker: &R,
+        bonus: &[f64],
+    ) -> Result<Vec<f64>> {
+        let mut out = Vec::new();
+        self.evaluate_vector_into(
+            data,
+            ranker,
+            bonus,
+            &mut ShardedEvalScratch::new(),
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
     /// Evaluate a plan of one vector metric into `out` — the per-step
-    /// evaluation of [`crate::dca::run_full_dca_sharded`], which plans each
-    /// objective's metric with [`crate::dca::Objective::plan`].
+    /// evaluation of every DCA runner, which plans its objective's metric
+    /// with [`crate::dca::Objective::plan`].
     ///
     /// # Errors
     /// As [`Self::evaluate`], plus [`FairError::InvalidConfig`] when the plan
@@ -418,24 +448,6 @@ impl MetricPlan {
     }
 }
 
-/// A single-metric vector plan evaluated with fresh scratch buffers.
-fn evaluate_vector<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
-    plan: &MetricPlan,
-    data: &S,
-    ranker: &R,
-    bonus: &[f64],
-) -> Result<Vec<f64>> {
-    let mut out = Vec::new();
-    plan.evaluate_vector_into(
-        data,
-        ranker,
-        bonus,
-        &mut ShardedEvalScratch::new(),
-        &mut out,
-    )?;
-    Ok(out)
-}
-
 /// Disparity of the top-`k` selection (Definition 3): selection centroid
 /// minus population centroid, the population side reduced shard-wise. A thin
 /// single-metric [`MetricPlan`].
@@ -448,12 +460,7 @@ pub fn disparity_at_k<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
     bonus: &[f64],
     k: f64,
 ) -> Result<Vec<f64>> {
-    evaluate_vector(
-        &MetricPlan::new(&[MetricKind::Disparity], k),
-        data,
-        ranker,
-        bonus,
-    )
+    MetricPlan::new(&[MetricKind::Disparity], k).evaluate_vector(data, ranker, bonus)
 }
 
 /// nDCG@k of the bonus-adjusted ranking against the original (zero-bonus)
@@ -489,12 +496,9 @@ pub fn log_discounted_disparity<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
     bonus: &[f64],
     config: &LogDiscountConfig,
 ) -> Result<Vec<f64>> {
-    evaluate_vector(
-        &MetricPlan::new(&[MetricKind::LogDiscounted], 1.0).with_log_config(*config),
-        data,
-        ranker,
-        bonus,
-    )
+    MetricPlan::new(&[MetricKind::LogDiscounted], 1.0)
+        .with_log_config(*config)
+        .evaluate_vector(data, ranker, bonus)
 }
 
 /// FPR-difference vector (`FPR_group − FPR_overall`) of the top-`k`
@@ -510,12 +514,7 @@ pub fn fpr_difference_at_k<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
     bonus: &[f64],
     k: f64,
 ) -> Result<Vec<f64>> {
-    evaluate_vector(
-        &MetricPlan::new(&[MetricKind::FprDifference], k),
-        data,
-        ranker,
-        bonus,
-    )
+    MetricPlan::new(&[MetricKind::FprDifference], k).evaluate_vector(data, ranker, bonus)
 }
 
 /// Signed, scaled disparate impact of the top-`k` selection — the sharded
@@ -530,12 +529,7 @@ pub fn scaled_disparate_impact_at_k<S: ShardSource + ?Sized, R: Ranker + ?Sized>
     bonus: &[f64],
     k: f64,
 ) -> Result<Vec<f64>> {
-    evaluate_vector(
-        &MetricPlan::new(&[MetricKind::DisparateImpact], k),
-        data,
-        ranker,
-        bonus,
-    )
+    MetricPlan::new(&[MetricKind::DisparateImpact], k).evaluate_vector(data, ranker, bonus)
 }
 
 #[cfg(test)]

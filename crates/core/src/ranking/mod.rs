@@ -123,8 +123,7 @@ pub fn effective_scores<R: Ranker + ?Sized>(
     out
 }
 
-/// [`effective_scores`] writing into a caller-provided buffer — the
-/// allocation-free path used by the DCA hot loop.
+/// [`effective_scores`] writing into a caller-provided buffer.
 ///
 /// # Panics
 /// Panics if `bonus.len()` differs from the view's fairness dimensionality.

@@ -103,16 +103,6 @@ impl RankedSelection {
         this
     }
 
-    /// Re-rank this selection in place from scores written by `fill` into the
-    /// reused internal buffer — the allocation-free construction path used by
-    /// the DCA hot loop. `topk` of `None` fully sorts; `Some(m)` sorts only
-    /// the top `m` positions.
-    pub fn refill_with(&mut self, topk: Option<usize>, fill: impl FnOnce(&mut Vec<f64>)) {
-        self.scores.clear();
-        fill(&mut self.scores);
-        self.rerank(topk);
-    }
-
     /// Rebuild `order` from the current `scores`.
     fn rerank(&mut self, topk: Option<usize>) {
         let n = self.scores.len();
@@ -394,16 +384,6 @@ mod tests {
     fn partial_ranking_rejects_oversized_selections() {
         let r = RankedSelection::from_scores_topk(vec![1.0, 2.0, 3.0, 4.0], 1);
         let _ = r.selected(1.0);
-    }
-
-    #[test]
-    fn refill_with_reuses_buffers_and_reranks() {
-        let mut r = RankedSelection::from_scores(vec![1.0, 2.0]);
-        r.refill_with(None, |scores| scores.extend([5.0, 1.0, 3.0]));
-        assert_eq!(r.order(), &[0, 2, 1]);
-        r.refill_with(Some(1), |scores| scores.extend([1.0, 9.0, 3.0]));
-        assert_eq!(r.top(1), &[1]);
-        assert_eq!(r.sorted_prefix(), 1);
     }
 
     #[test]

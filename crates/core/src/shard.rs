@@ -734,6 +734,51 @@ impl ShardSource for ShardedDataset {
     }
 }
 
+/// One block presented as a one-shard [`ShardSource`]: how the DCA runners
+/// evaluate their objective's [`crate::metrics::sharded::MetricPlan`] on a
+/// step's gathered sample, and how [`crate::dca::Dca::run`] evaluates it on
+/// the whole dataset.
+#[derive(Debug)]
+pub(crate) struct OneShard(Arc<Dataset>);
+
+impl OneShard {
+    pub(crate) fn new(block: Dataset) -> Self {
+        Self(Arc::new(block))
+    }
+
+    /// Empty the block and let `fill` append the next step's rows. A plan
+    /// holds the block only until it returns, so between steps this handle
+    /// is the only one and the block's buffers are reused in place.
+    pub(crate) fn refill(&mut self, fill: impl FnOnce(&mut Dataset) -> Result<()>) -> Result<()> {
+        let block = Arc::get_mut(&mut self.0).expect("no plan holds the block between steps");
+        block.clear();
+        fill(block)
+    }
+}
+
+impl ShardSource for OneShard {
+    fn schema(&self) -> &SchemaRef {
+        self.0.schema()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn shard_size(&self) -> usize {
+        self.0.len().max(1)
+    }
+
+    fn num_shards(&self) -> usize {
+        usize::from(!self.0.is_empty())
+    }
+
+    fn with_shard<T>(&self, index: usize, f: impl FnOnce(ShardView<'_>) -> T) -> T {
+        assert!(index < self.num_shards(), "shard {index} out of bounds");
+        f(ShardView::new(0, 0, &self.0))
+    }
+}
+
 /// Derive the RNG seed of shard `index` from the base `seed`: a
 /// SplitMix64-style mix so per-shard streams are decorrelated but fully
 /// determined by `(seed, index)`.

@@ -1,6 +1,7 @@
 //! Crate-level property tests for DCA and its supporting invariants, run on
 //! randomly generated biased populations.
 
+use fair_core::dca::run_full_descent;
 use fair_core::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,6 +19,13 @@ fn biased_dataset(n: usize, member_rate: f64, shift: f64, seed: u64) -> Dataset 
         })
         .collect();
     Dataset::new(schema, objects).unwrap()
+}
+
+/// Serial disparity at `k` over a full sort of `view` — an oracle that
+/// shares no evaluation code with the `MetricPlan` DCA steps run.
+fn serial_disparity(view: &SampleView<'_>, ranker: &dyn Ranker, bonus: &[f64], k: f64) -> Vec<f64> {
+    let ranking = RankedSelection::from_scores(effective_scores(view, ranker, bonus));
+    disparity_at_k(view, &ranking, k).unwrap()
 }
 
 fn quick_config(seed: u64) -> DcaConfig {
@@ -84,11 +92,15 @@ proptest! {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let sample = dataset.sample(&mut rng, 100).unwrap();
-        for objective_value in [
-            TopKDisparity::new(k).evaluate(&sample, &ranker, &[bonus]).unwrap(),
-            LogDiscountedObjective::default().evaluate(&sample, &ranker, &[bonus]).unwrap(),
-            ScaledDisparateImpact::new(k).evaluate(&sample, &ranker, &[bonus]).unwrap(),
+        // A DCA step evaluates its objective's plan over the gathered sample
+        // as one shard.
+        let sample = ShardedDataset::from_dataset(&dataset.subset(sample.indices()), 100).unwrap();
+        for plan in [
+            TopKDisparity::new(k).plan(),
+            LogDiscountedObjective::default().plan(),
+            ScaledDisparateImpact::new(k).plan(),
         ] {
+            let objective_value = plan.evaluate_vector(&sample, &ranker, &[bonus]).unwrap();
             prop_assert!(objective_value.iter().all(|v| (-1.0..=1.0).contains(v)));
         }
     }
@@ -101,16 +113,24 @@ proptest! {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let config = quick_config(seed);
         let objective = TopKDisparity::new(0.1);
-        let full = run_full_dca(&dataset, &ranker, &objective, &config, None, false).unwrap();
-        let core = run_core_dca(&dataset, &ranker, &objective, &config, None, false).unwrap();
         let view = dataset.full_view();
-        let eval = |bonus: &[f64]| {
-            norm(&objective.evaluate(&view, &ranker, bonus).unwrap())
-        };
+        // Reference: the Full DCA descent with every direction from the
+        // serial metric over the whole dataset.
+        let control = RunControl::new();
+        let full = run_full_descent(1, dataset.len(), &config, None, false, &control, |b, out| {
+            *out = serial_disparity(&view, &ranker, b, 0.1);
+            Ok(())
+        })
+        .unwrap();
+        let core = run_core_dca(&dataset, &ranker, &objective, &config, None, false).unwrap();
+        let eval = |bonus: &[f64]| norm(&serial_disparity(&view, &ranker, bonus, 0.1));
         prop_assert!(eval(&full.bonus) <= eval(&core.bonus) + 0.08,
             "full {} vs core {}", eval(&full.bonus), eval(&core.bonus));
-        // Determinism of the non-sampled variant.
-        let again = run_full_dca(&dataset, &ranker, &objective, &config, None, false).unwrap();
+        // Determinism of the non-sampled variant: the library's Full DCA,
+        // over the dataset as one shard, walks the reference trajectory.
+        let cohort = ShardedDataset::from_dataset(&dataset, dataset.len()).unwrap();
+        let again =
+            run_full_dca_sharded(&cohort, &ranker, &objective, &config, None, false).unwrap();
         prop_assert_eq!(full.bonus, again.bonus);
     }
 

@@ -29,11 +29,12 @@
 //! request every healthy node rejects is the caller's bug, not a fault.
 //!
 //! Every escalation is observable: the coordinator carries one trace id —
-//! the caller's, via [`FleetCoordinator::with_trace`], or one minted per
+//! the caller's, via [`FleetCoordinator::connect_traced`], or one minted per
 //! fan-out round when unset — and sends it to every worker via
 //! `x-fair-trace` (so a retried range's server-side spans correlate with
 //! the submitting request), mirrors its [`FleetReport`] counters into
-//! `fair_fleet_*` registry series, times each worker's requests into
+//! `fair_fleet_*` registry series, times each worker's requests — the
+//! connect-time `stores` and `schema` lookups included — into
 //! `fair_fleet_request_duration_us{worker}`, and emits `fleet.retry` /
 //! `fleet.redispatch` / `fleet.eject` / `fleet.readmit` events. When a
 //! per-job profile is installed on the dispatching thread, every fan-out
@@ -144,7 +145,7 @@ pub struct WorkerStatus {
 /// Cumulative coordinator counters (monotone since construction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetReport {
-    /// Partial-reduce / probe requests issued.
+    /// Requests issued: connect lookups, partial-reduce requests and probes.
     pub requests: u64,
     /// Same-worker retries after a transient failure.
     pub retries: u64,
@@ -172,9 +173,29 @@ pub struct FleetCoordinator {
     readmissions: AtomicU64,
     obs: FleetObs,
     /// Trace id stamped on every fan-out round and worker request. `None`
-    /// (the default) mints a fresh id per round; a coordinator driving a
-    /// traced job sets the job's id here so one id spans the whole descent.
+    /// mints a fresh id per round; a coordinator driving a traced job holds
+    /// the job's id here so one id spans the whole descent.
     trace: Option<String>,
+}
+
+/// Issue one request to a worker: counted in [`FleetReport::requests`] and
+/// `fair_fleet_requests_total`, and timed into the worker's
+/// `fair_fleet_request_duration_us{worker}` — the path every connect lookup
+/// and fan-out attempt takes.
+fn counted<T>(
+    requests: &AtomicU64,
+    fleet_obs: &FleetObs,
+    duration: &obs::Histogram,
+    op: impl FnOnce() -> Result<T>,
+) -> Result<T> {
+    requests.fetch_add(1, Ordering::Relaxed);
+    fleet_obs.requests.inc();
+    let start = Instant::now();
+    let outcome = op();
+    duration.record(
+        u64::try_from(start.elapsed().as_micros().min(u128::from(u64::MAX))).unwrap_or(u64::MAX),
+    );
+    outcome
 }
 
 impl FleetCoordinator {
@@ -189,27 +210,57 @@ impl FleetCoordinator {
     /// [`ServeError::Protocol`] when `addrs` is empty or no worker answers
     /// for `store`; schema/shape errors from the wire.
     pub fn connect(store: &str, addrs: &[SocketAddr], config: FleetConfig) -> Result<Self> {
+        Self::connect_traced(store, addrs, config, None)
+    }
+
+    /// [`connect`](Self::connect) under `trace`: the `stores` and `schema`
+    /// lookups carry it, and so do every later fan-out round and worker
+    /// request, so a traced job's submit request, its descent steps and
+    /// every worker-side handler span (retries and re-dispatches included)
+    /// correlate under one id. `None` mints one id for the lookups and a
+    /// fresh one per fan-out round.
+    ///
+    /// # Errors
+    /// As [`connect`](Self::connect).
+    pub fn connect_traced(
+        store: &str,
+        addrs: &[SocketAddr],
+        config: FleetConfig,
+        trace: Option<&str>,
+    ) -> Result<Self> {
         if addrs.is_empty() {
             return Err(ServeError::Protocol(
                 "a fleet needs at least one worker address".into(),
             ));
         }
-        let clients: Vec<Client> = addrs
+        let workers: Vec<WorkerState> = addrs
             .iter()
-            .map(|&a| {
-                Client::new(a)
+            .map(|&addr| WorkerState {
+                client: Client::new(addr)
                     .with_timeout(config.request_timeout)
-                    .with_connect_retries(config.connect_retries)
+                    .with_connect_retries(config.connect_retries),
+                duration: obs::histogram(
+                    "fair_fleet_request_duration_us",
+                    &[("worker", &addr.to_string())],
+                ),
+                addr,
+                healthy: true,
+                consecutive_failures: 0,
+                rounds_since_eject: 0,
             })
             .collect();
+        let requests = AtomicU64::new(0);
+        let fleet_obs = FleetObs::default();
+        let lookup_trace = trace.map_or_else(obs::next_trace_id, str::to_string);
         let mut resolved = None;
-        for client in &clients {
-            let info = client
-                .stores()
+        for w in &workers {
+            let client = w.client.clone().with_trace(&lookup_trace);
+            let info = counted(&requests, &fleet_obs, &w.duration, || client.stores())
                 .ok()
                 .and_then(|list| list.into_iter().find(|s| s.name == store));
             if let Some(info) = info {
-                if let Ok((features, fairness)) = client.schema(store) {
+                let schema = counted(&requests, &fleet_obs, &w.duration, || client.schema(store));
+                if let Ok((features, fairness)) = schema {
                     resolved = Some((info, features, fairness));
                     break;
                 }
@@ -224,22 +275,7 @@ impl FleetCoordinator {
         let fairness: Vec<&str> = fairness.iter().map(String::as_str).collect();
         let schema = Schema::from_names(&features, &fairness, &[])
             .map_err(|e| ServeError::Protocol(format!("worker reported invalid schema: {e}")))?;
-        let placement = PlacementMap::even(info.shards, clients.len());
-        let workers = clients
-            .into_iter()
-            .zip(addrs)
-            .map(|(client, &addr)| WorkerState {
-                duration: obs::histogram(
-                    "fair_fleet_request_duration_us",
-                    &[("worker", &addr.to_string())],
-                ),
-                addr,
-                client,
-                healthy: true,
-                consecutive_failures: 0,
-                rounds_since_eject: 0,
-            })
-            .collect();
+        let placement = PlacementMap::even(info.shards, workers.len());
         Ok(Self {
             store: store.to_string(),
             schema,
@@ -247,24 +283,14 @@ impl FleetCoordinator {
             placement,
             workers: Mutex::new(workers),
             config,
-            requests: AtomicU64::new(0),
+            requests,
             retries: AtomicU64::new(0),
             re_dispatches: AtomicU64::new(0),
             ejections: AtomicU64::new(0),
             readmissions: AtomicU64::new(0),
-            obs: FleetObs::default(),
-            trace: None,
+            obs: fleet_obs,
+            trace: trace.map(str::to_string),
         })
-    }
-
-    /// Stamp `trace` on every fan-out round and worker request instead of
-    /// minting a fresh id per round — so a traced job's submit request, its
-    /// descent steps, and every worker-side handler span (retries and
-    /// re-dispatches included) correlate under one id.
-    #[must_use]
-    pub fn with_trace(mut self, trace: &str) -> Self {
-        self.trace = Some(trace.to_string());
-        self
     }
 
     /// The cohort name the fleet evaluates.
@@ -486,7 +512,7 @@ impl FleetCoordinator {
     /// Dispatch `op` for every placement range concurrently, with
     /// retry/failover per range, returning results in ascending range
     /// order. The whole round shares one trace id — the coordinator's own
-    /// ([`with_trace`](Self::with_trace)) or a fresh mint — carried to
+    /// ([`connect_traced`](Self::connect_traced)) or a fresh mint — carried to
     /// every worker in the `x-fair-trace` header, so a retried range's
     /// handler spans line up with this round's `fleet.fan_out` span under
     /// one id. The dispatching thread's job profile (if any) records the
@@ -558,15 +584,7 @@ impl FleetCoordinator {
             };
             let mut backoff = Backoff::new(self.config.backoff_base, self.config.backoff_cap);
             for attempt in 0..self.config.max_attempts.max(1) {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                self.obs.requests.inc();
-                let start = Instant::now();
-                let outcome = op(&client);
-                duration.record(
-                    u64::try_from(start.elapsed().as_micros().min(u128::from(u64::MAX)))
-                        .unwrap_or(u64::MAX),
-                );
-                match outcome {
+                match counted(&self.requests, &self.obs, &duration, || op(&client)) {
                     Ok(value) => {
                         self.record_success(w);
                         if slot > 0 {

@@ -692,9 +692,9 @@ fn execute(job: &Arc<Job>, entry: &Arc<StoreEntry>) {
 }
 
 /// Run the job's descent through a [`FleetCoordinator`] over `addrs`,
-/// stamped with the job's trace id — so every fan-out round and worker-side
-/// handler span of the whole descent correlates with the submitting
-/// request. Wire failures surface as engine errors; a descent the control
+/// stamped with the job's trace id from the connect on — so the connect
+/// lookups, every fan-out round and every worker-side handler span of the
+/// whole descent correlate with the submitting request. Wire failures surface as engine errors; a descent the control
 /// flag stopped stays a cancellation rather than a failure.
 fn execute_fleet(job: &Arc<Job>, addrs: &[SocketAddr]) -> Result<CoreDcaOutcome, FairError> {
     let wire = |e: crate::error::ServeError| {
@@ -706,9 +706,13 @@ fn execute_fleet(job: &Arc<Job>, addrs: &[SocketAddr]) -> Result<CoreDcaOutcome,
             }
         }
     };
-    let fleet = FleetCoordinator::connect(&job.store, addrs, FleetConfig::default())
-        .map_err(wire)?
-        .with_trace(&job.trace);
+    let fleet = FleetCoordinator::connect_traced(
+        &job.store,
+        addrs,
+        FleetConfig::default(),
+        Some(&job.trace),
+    )
+    .map_err(wire)?;
     let run = match job.spec.kind {
         JobKind::Full => FleetCoordinator::run_full_dca_controlled,
         JobKind::Core => FleetCoordinator::run_core_dca_controlled,

@@ -54,7 +54,8 @@ use fair_core::ranking::WeightedSumRanker;
 use fair_core::shard::{fold_centroid, shard_fair_sums};
 use fair_core::{kernel, obs};
 use fair_core::{
-    sample_indices_range_into, Dataset, DcaConfig, FaultMode, ShardSource, DEFAULT_SHARD_SIZE,
+    sample_indices_range_into, Dataset, DcaConfig, FaultMode, Schema, ShardSource,
+    DEFAULT_SHARD_SIZE,
 };
 use fair_data::{CompasConfig, CompasGenerator, SchoolConfig, SchoolGenerator};
 use std::collections::HashMap;
@@ -413,42 +414,12 @@ impl AuditService {
         let entry = self.catalog.get(name)?;
         let store = &entry.store;
         let body = parse_body(req)?;
-        let dims = store.schema().num_fairness();
-        let num_features = store.schema().num_features();
 
         let k = body
             .get("k")
             .and_then(Json::as_f64)
             .ok_or_else(|| ApiError::bad_request("`k` (selection fraction) is required"))?;
-        let bonus = match body.get("bonus") {
-            None => vec![0.0; dims],
-            Some(v) => v
-                .as_f64_vec()
-                .ok_or_else(|| ApiError::bad_request("`bonus` must be a number array"))?,
-        };
-        if bonus.len() != dims {
-            return Err(ApiError::bad_request(format!(
-                "{} bonus values for a {dims}-attribute schema",
-                bonus.len()
-            )));
-        }
-        let weights = match body.get("weights") {
-            None => vec![1.0; num_features],
-            Some(v) => v
-                .as_f64_vec()
-                .ok_or_else(|| ApiError::bad_request("`weights` must be a number array"))?,
-        };
-        // The scoring kernel zips features with weights and would silently
-        // truncate a short vector — a wrong-length request must be a 400,
-        // not a 200 with wrong numbers.
-        if weights.len() != num_features {
-            return Err(ApiError::bad_request(format!(
-                "{} ranker weights for a {num_features}-feature schema",
-                weights.len()
-            )));
-        }
-        let ranker = WeightedSumRanker::new(weights)
-            .map_err(|e| ApiError::bad_request(format!("invalid ranker weights: {e}")))?;
+        let (bonus, ranker) = scoring_fields(&body, store.schema())?;
         let requested = match body.get("metrics") {
             None => vec!["disparity".to_string(), "ndcg".to_string()],
             Some(v) => v
@@ -526,36 +497,9 @@ impl AuditService {
                 )))
             }
         };
-        let dims = store.schema().num_fairness();
-        let num_features = store.schema().num_features();
         match kind {
             "disparity" => {
-                let bonus = match body.get("bonus") {
-                    None => vec![0.0; dims],
-                    Some(v) => v
-                        .as_f64_vec()
-                        .ok_or_else(|| ApiError::bad_request("`bonus` must be a number array"))?,
-                };
-                if bonus.len() != dims {
-                    return Err(ApiError::bad_request(format!(
-                        "{} bonus values for a {dims}-attribute schema",
-                        bonus.len()
-                    )));
-                }
-                let weights = match body.get("weights") {
-                    None => vec![1.0; num_features],
-                    Some(v) => v
-                        .as_f64_vec()
-                        .ok_or_else(|| ApiError::bad_request("`weights` must be a number array"))?,
-                };
-                if weights.len() != num_features {
-                    return Err(ApiError::bad_request(format!(
-                        "{} ranker weights for a {num_features}-feature schema",
-                        weights.len()
-                    )));
-                }
-                let ranker = WeightedSumRanker::new(weights)
-                    .map_err(|e| ApiError::bad_request(format!("invalid ranker weights: {e}")))?;
+                let (bonus, ranker) = scoring_fields(&body, store.schema())?;
                 let count = body.get("count").and_then(Json::as_usize).ok_or_else(|| {
                     ApiError::bad_request("`count` (global selection size) is required")
                 })?;
@@ -693,6 +637,48 @@ impl AuditService {
         )?;
         Ok((202, job_view(&job)))
     }
+}
+
+/// The scoring fields of a `metrics` or `partials` body: `bonus` (zeros when
+/// absent) and the linear ranker's `weights` (ones when absent), each
+/// checked against `schema`.
+///
+/// # Errors
+/// `400` for a field that is not a number array or has the wrong length,
+/// and for weights the ranker rejects.
+fn scoring_fields(body: &Json, schema: &Schema) -> Result<(Vec<f64>, WeightedSumRanker), ApiError> {
+    let dims = schema.num_fairness();
+    let num_features = schema.num_features();
+    let bonus = match body.get("bonus") {
+        None => vec![0.0; dims],
+        Some(v) => v
+            .as_f64_vec()
+            .ok_or_else(|| ApiError::bad_request("`bonus` must be a number array"))?,
+    };
+    if bonus.len() != dims {
+        return Err(ApiError::bad_request(format!(
+            "{} bonus values for a {dims}-attribute schema",
+            bonus.len()
+        )));
+    }
+    let weights = match body.get("weights") {
+        None => vec![1.0; num_features],
+        Some(v) => v
+            .as_f64_vec()
+            .ok_or_else(|| ApiError::bad_request("`weights` must be a number array"))?,
+    };
+    // The scoring kernel zips features with weights and would silently
+    // truncate a short vector — a wrong-length request must be a 400, not a
+    // 200 with wrong numbers.
+    if weights.len() != num_features {
+        return Err(ApiError::bad_request(format!(
+            "{} ranker weights for a {num_features}-feature schema",
+            weights.len()
+        )));
+    }
+    let ranker = WeightedSumRanker::new(weights)
+        .map_err(|e| ApiError::bad_request(format!("invalid ranker weights: {e}")))?;
+    Ok((bonus, ranker))
 }
 
 /// Build a [`DcaConfig`] from the optional wire `config` object. Refinement
@@ -1480,6 +1466,28 @@ mod tests {
                           "learning_rates":[1.0],"iterations_per_rate":1}}"#,
         ));
         assert_eq!(status, 202, "{}", body.render());
+        service.jobs.shutdown();
+    }
+
+    #[test]
+    fn a_ladder_whose_step_count_overflows_is_a_bad_request() {
+        let service = service_with_store(100);
+        // 2,048 rates x 2^53 iterations (the largest count the wire takes)
+        // is 2^64 steps, past usize::MAX on a 64-bit server.
+        let rates = vec!["1.0"; 2_048].join(",");
+        let (status, body) = service.route(&request(
+            "POST",
+            "/jobs",
+            &format!(
+                r#"{{"store":"cohort","kind":"core","k":0.2,
+                    "config":{{"sample_size":30,"learning_rates":[{rates}],
+                               "iterations_per_rate":9007199254740992}}}}"#
+            ),
+        ));
+        assert_eq!(status, 400, "{}", body.render());
+        let error = body.get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("overflow"), "{error}");
+        assert!(service.jobs.is_empty(), "no job was started");
         service.jobs.shutdown();
     }
 

@@ -564,3 +564,92 @@ fn a_500_burst_ejects_then_probes_readmit_the_worker() {
         h.shutdown();
     }
 }
+
+/// The `stores` and `schema` lookups a coordinator makes while connecting
+/// are requests like any fan-out attempt: counted in `FleetReport::requests`
+/// and `fair_fleet_requests_total`, timed into the worker's
+/// `fair_fleet_request_duration_us{worker}`, and sent under one trace id —
+/// a fleet job's own, so its descent is traced from the connect on.
+#[test]
+fn connect_lookups_are_traced_timed_and_counted() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _capture = obs::capture();
+    let base = obs::captured().len();
+    let (handles, addrs) = spawn_fleet(2, SHARD_SIZE);
+    let total = obs::counter("fair_fleet_requests_total", &[]);
+    let timed = obs::histogram(
+        "fair_fleet_request_duration_us",
+        &[("worker", &addrs[0].to_string())],
+    );
+    let (total_before, timed_before) = (total.get(), timed.count());
+
+    // The first worker answers both lookups.
+    let fleet = FleetCoordinator::connect("cohort", &addrs, FleetConfig::default()).unwrap();
+    assert_eq!(fleet.report().requests, 2, "{:?}", fleet.report());
+    assert_eq!(total.get() - total_before, 2, "registry series");
+    assert_eq!(timed.count() - timed_before, 2, "worker latency histogram");
+    let records = obs::captured().split_off(base);
+    let lookup_trace = |path: &str| {
+        records
+            .iter()
+            .find(|r| {
+                r.target == "serve.request"
+                    && r.field("method") == Some("GET")
+                    && r.field("path") == Some(path)
+            })
+            .and_then(|r| r.field("trace"))
+            .map(str::to_string)
+            .unwrap_or_else(|| panic!("no worker span for GET {path}"))
+    };
+    assert_eq!(
+        lookup_trace("/stores"),
+        lookup_trace("/stores/cohort/schema"),
+        "an untraced connect sends both lookups under one minted id"
+    );
+
+    // A fleet job connects under the submitting request's trace id.
+    let front = serve(AuditService::new(), "127.0.0.1:0", 2).unwrap();
+    let trace = obs::next_trace_id();
+    let client = Client::new(front.addr()).with_trace(&trace);
+    client
+        .register_synthetic("cohort", "school", ROWS, SEED, SHARD_SIZE)
+        .unwrap();
+    let config = quick_config(5);
+    let job = client
+        .submit_job(&JobRequest {
+            store: "cohort".into(),
+            kind: JobKind::Core,
+            k: 0.1,
+            weights: Some(RUBRIC_WEIGHTS.to_vec()),
+            seed: config.seed,
+            sample_size: Some(config.sample_size),
+            learning_rates: Some(config.learning_rates.clone()),
+            iterations_per_rate: Some(config.iterations_per_rate),
+            workers: Some(addrs.iter().map(SocketAddr::to_string).collect()),
+        })
+        .unwrap();
+    let done = client
+        .wait_for_job(&job.id, Duration::from_secs(60))
+        .unwrap();
+    assert_eq!(done.state, "completed", "error: {:?}", done.error);
+    let traced: Vec<String> = obs::captured()
+        .into_iter()
+        .filter(|r| {
+            r.target == "serve.request"
+                && r.field("method") == Some("GET")
+                && r.field("trace") == Some(&trace)
+        })
+        .filter_map(|r| r.field("path").map(str::to_string))
+        .collect();
+    for path in ["/stores", "/stores/cohort/schema"] {
+        assert!(
+            traced.iter().any(|p| p == path),
+            "the job's connect sends GET {path} under its trace id: {traced:?}"
+        );
+    }
+
+    front.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}

@@ -155,7 +155,17 @@ proptest! {
             refinement_iterations: 0,
             ..DcaConfig::default()
         };
-        let serial = run_full_dca(&flat, &ranker, &objective, &config, None, true).unwrap();
+        // Reference: the same descent with every step's direction from the
+        // serial metric over a full sort of the flat cohort.
+        let view = flat.full_view();
+        let serial = fair_ranking::core::dca::run_full_descent(
+            2, flat.len(), &config, None, true, &RunControl::new(), |b, out| {
+                let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, b));
+                *out = disparity_at_k(&view, &ranking, k)?;
+                Ok(())
+            },
+        )
+        .unwrap();
         for shard_size in SHARD_SIZES {
             let data = ShardedDataset::from_dataset(&flat, shard_size).unwrap();
             let sharded =

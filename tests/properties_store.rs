@@ -193,7 +193,16 @@ proptest! {
             refinement_iterations: 0,
             ..DcaConfig::default()
         };
-        let serial_dca = run_full_dca(&flat, &ranker, &objective, &config, None, true).unwrap();
+        // Reference: the same descent with every step's direction from the
+        // serial metric over a full sort of the flat cohort.
+        let serial_dca = fair_ranking::core::dca::run_full_descent(
+            2, flat.len(), &config, None, true, &RunControl::new(), |b, out| {
+                let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, b));
+                *out = disparity_at_k(&view, &ranking, objective.k)?;
+                Ok(())
+            },
+        )
+        .unwrap();
         let mem_dca = run_full_dca_sharded(&mem, &ranker, &objective, &config, None, true).unwrap();
         let store_dca =
             run_full_dca_sharded(&store, &ranker, &objective, &config, None, true).unwrap();
