@@ -22,10 +22,13 @@
 //! [`crate::metrics::sharded::MetricPlan`] ([`Objective::plan`]), built once
 //! per run with one score buffer and evaluated at every step — over the
 //! step's gathered sample as a one-shard source for Core DCA and the
-//! refinement, over the whole cohort for Full DCA. The runners differ only
-//! in how a step samples, so in-memory, paged and fleet trajectories agree
-//! bit for bit because they run the same code. Algorithm 2's Adam loop stays
-//! separate — a different update rule with no learning-rate ladder.
+//! refinement, over the whole cohort for Full DCA. A sampled step's
+//! one-shard sweep and selection run their [`crate::parallel_map`] calls
+//! inline, and each still counts in `fair_parallel_sweeps_total`. The
+//! runners differ only in how a step samples, so in-memory, paged and fleet
+//! trajectories agree bit for bit because they run the same code.
+//! Algorithm 2's Adam loop stays separate — a different update rule with no
+//! learning-rate ladder.
 //!
 //! ```
 //! use fair_core::prelude::*;
