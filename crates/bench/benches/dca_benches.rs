@@ -97,7 +97,7 @@ fn full_dca_scaling(c: &mut Criterion) {
     let rubric = SchoolGenerator::rubric();
     for &n in &[2_000usize, 8_000] {
         // A `Dataset` runs Full DCA as a one-shard cohort, built once.
-        let cohort = ShardedDataset::from_dataset(&school(n, 42), n).unwrap();
+        let cohort = ShardedDataset::from(school(n, 42));
         group.bench_with_input(BenchmarkId::from_parameter(n), &cohort, |b, cohort| {
             b.iter(|| {
                 let config = bench_config(500, 10, false);
@@ -156,7 +156,7 @@ fn objective_eval(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(5));
     let scale = ExperimentScale::tiny();
     let n = scale.school_cohort_size;
-    let cohort = ShardedDataset::from_dataset(&school(n, 42), n).unwrap();
+    let cohort = ShardedDataset::from(school(n, 42));
     let rubric = SchoolGenerator::rubric();
     let bonus = vec![1.0, 10.0, 12.0, 12.0];
     group.bench_function("topk_disparity", |b| {
@@ -180,7 +180,7 @@ fn objective_eval_paths(c: &mut Criterion) {
         .sample_size(30)
         .measurement_time(Duration::from_secs(5));
     let dataset = school(20_000, 42);
-    let cohort = ShardedDataset::from_dataset(&dataset, dataset.len()).unwrap();
+    let cohort = ShardedDataset::from(dataset.clone());
     let rubric = SchoolGenerator::rubric();
     let view = dataset.full_view();
     let bonus = vec![1.0, 10.0, 12.0, 12.0];

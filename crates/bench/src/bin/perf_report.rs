@@ -106,8 +106,8 @@
 //! (schema unchanged), `core_dca` times `run_core_dca`, whose steps copy
 //! their sample into a reused block and evaluate the plan over it as one
 //! shard, and `full_dca` times `run_full_dca_sharded` over the cohort as
-//! one shard (`ShardedDataset::from_dataset(&dataset, n)`), built outside
-//! the timer.
+//! one shard (`ShardedDataset::from(dataset.clone())`), built outside the
+//! timer.
 //!
 //! The summary lines check the headline claim directly: Core DCA's per-step
 //! time at the largest cohort must stay within 2x of the 10k per-step time
@@ -295,7 +295,7 @@ fn measure_cohort(n: usize, reps: usize) -> CohortReport {
     // so the 1M cohort stays affordable), run as a `Dataset` runs it: over
     // the cohort as one shard, built outside the timer.
     let fcfg = full_config();
-    let whole = ShardedDataset::from_dataset(&dataset, n).expect("positive shard size");
+    let whole = ShardedDataset::from(dataset.clone());
     let mut run_full = || {
         run_full_dca_sharded(&whole, &rubric, &objective, &fcfg, None, false).expect("full DCA run")
     };

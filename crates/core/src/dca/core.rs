@@ -152,8 +152,9 @@ pub(crate) fn descend(
 /// Each step draws its sample through [`Dataset::sample_indices_into`] on
 /// one seeded RNG, copies the sampled rows in draw order into a reused
 /// block, and evaluates the objective's [`Objective::plan`] over that block
-/// as a one-shard source; the indices, the block, the plan's score buffers
-/// and the direction are allocated once per run.
+/// as a one-shard source. The index buffer and the block are allocated once
+/// per run; each evaluation still allocates its sample-sized score and
+/// selection vectors and the direction it returns.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, or objective
@@ -196,19 +197,18 @@ where
 }
 
 /// Copy the sampled rows of `dataset` into `block`, in draw order — the
-/// gather of a serial Core DCA or refinement step. A ranker that scores from
-/// the feature row alone (it answers [`Ranker::feature_score`], as every
-/// built-in ranker does) never reads an id, so its steps leave the ids out.
+/// gather of a serial Core DCA or refinement step. A plain linear ranker
+/// ([`Ranker::linear_weights`]) scores every row by a dot product of its
+/// features and the plan never reads an id, so its steps leave the ids out;
+/// any other ranker may read whole rows and gets every id.
 pub(crate) fn gather_sample<R: Ranker + ?Sized>(
     dataset: &Dataset,
     indices: &[usize],
     ranker: &R,
     block: &mut Dataset,
 ) {
-    let with_ids = indices
-        .first()
-        .is_some_and(|&i| ranker.feature_score(dataset.feature_row(i)).is_none());
-    block.extend_from_rows(dataset, indices, with_ids);
+    let with_ids = ranker.linear_weights().is_none();
+    block.extend_from_rows(dataset, indices.iter().copied(), with_ids);
 }
 
 #[cfg(test)]
@@ -369,6 +369,26 @@ mod tests {
         assert!(run_core_dca(&dataset, &ranker, &objective, &quick_config(), None, false).is_err());
     }
 
+    /// A cohort whose feature equals the id, which `id_of(i, member)` gives
+    /// row `i`.
+    fn id_ranked_dataset(id_of: impl Fn(u64, bool) -> u64) -> Dataset {
+        let schema = Schema::from_names(&["id"], &["g"], &[]).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let objects = (0..2_000_u64)
+            .map(|i| {
+                let member = rng.gen::<f64>() < 0.3;
+                let id = id_of(i, member);
+                DataObject::new_unchecked(
+                    id,
+                    vec![id as f64],
+                    vec![f64::from(u8::from(member))],
+                    None,
+                )
+            })
+            .collect();
+        Dataset::new(schema, objects).unwrap()
+    }
+
     /// A ranker that scores whole rows — here by its id, without answering
     /// `feature_score` — sees each sampled row's own id: its run walks the
     /// trajectory of a feature ranker over a copy of the ids.
@@ -380,22 +400,8 @@ mod tests {
                 object.id().0 as f64
             }
         }
-        let schema = Schema::from_names(&["id"], &["g"], &[]).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let objects = (0..2_000_u64)
-            .map(|i| {
-                let member = rng.gen::<f64>() < 0.3;
-                // Members hold the low ids, so the id ranking is biased.
-                let id = if member { i / 2 } else { 1_000 + i };
-                DataObject::new_unchecked(
-                    id,
-                    vec![id as f64],
-                    vec![f64::from(u8::from(member))],
-                    None,
-                )
-            })
-            .collect();
-        let dataset = Dataset::new(schema, objects).unwrap();
+        // Members hold the low ids, so the id ranking is biased.
+        let dataset = id_ranked_dataset(|i, member| if member { i / 2 } else { 1_000 + i });
         let objective = TopKDisparity::new(0.2);
         let by_id = run_core_dca(&dataset, &ById, &objective, &quick_config(), None, true).unwrap();
         let by_feature = WeightedSumRanker::new(vec![1.0]).unwrap();
@@ -410,6 +416,40 @@ mod tests {
         .unwrap();
         assert_eq!(by_id.trace, reference.trace);
         assert!(by_id.bonus[0] > 0.0, "the id ranking is biased");
+    }
+
+    /// `Ranker::feature_score` answers per row: a ranker that answers for
+    /// the even ids only and scores every other row by its id through
+    /// `base_score` still sees each sampled row's id, in Core DCA and in the
+    /// refinement, so both walk the trajectory of a feature ranker.
+    #[test]
+    fn rankers_answering_feature_score_for_some_rows_see_every_id() {
+        struct EvenIdsByFeature;
+        impl Ranker for EvenIdsByFeature {
+            fn base_score(&self, object: crate::object::ObjectView<'_>) -> f64 {
+                object.id().0 as f64
+            }
+            fn feature_score(&self, features: &[f64]) -> Option<f64> {
+                (features[0] % 2.0 == 0.0).then_some(features[0])
+            }
+        }
+        // Members and non-members overlap in the top fifth, so which rows
+        // a step selects moves its direction.
+        let dataset = id_ranked_dataset(|i, member| if member { i } else { 200 + i });
+        let objective = TopKDisparity::new(0.2);
+        let by_feature = WeightedSumRanker::new(vec![1.0]).unwrap();
+        let mut config = quick_config();
+        config.refinement_iterations = 40;
+        config.rolling_window = 20;
+        let mixed =
+            run_core_dca(&dataset, &EvenIdsByFeature, &objective, &config, None, true).unwrap();
+        let reference =
+            run_core_dca(&dataset, &by_feature, &objective, &config, None, true).unwrap();
+        assert_eq!(mixed.trace, reference.trace);
+        let refined = |ranker: &dyn Ranker| {
+            crate::dca::run_refinement(&dataset, ranker, &objective, &config, vec![1.0]).unwrap()
+        };
+        assert_eq!(refined(&EvenIdsByFeature), refined(&by_feature));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! [`run_full_descent`] is the loop; [`crate::dca::run_full_dca_sharded`]
 //! drives it with the objective's plan over any [`crate::ShardSource`], and
 //! the fleet coordinator with its distributed partials. A `Dataset` runs
-//! Full DCA as a one-shard cohort
-//! (`ShardedDataset::from_dataset(&dataset, dataset.len())`).
+//! Full DCA as a one-shard cohort, moved into it without a copy
+//! (`ShardedDataset::from(dataset)`).
 
 use crate::dca::config::DcaConfig;
 use crate::dca::control::RunControl;

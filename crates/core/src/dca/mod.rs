@@ -20,9 +20,9 @@
 //! ([`self::core`]'s driver), and every runner evaluates its objective the
 //! same way: the objective is a single-metric
 //! [`crate::metrics::sharded::MetricPlan`] ([`Objective::plan`]), built once
-//! per run with one score buffer and evaluated at every step — over the
-//! step's gathered sample as a one-shard source for Core DCA and the
-//! refinement, over the whole cohort for Full DCA. A sampled step's
+//! per run and evaluated at every step — over the step's gathered sample as
+//! a one-shard source for Core DCA and the refinement, over the whole cohort
+//! for Full DCA. A sampled step's
 //! one-shard sweep and selection run their [`crate::parallel_map`] calls
 //! inline, and each still counts in `fair_parallel_sweeps_total`. The
 //! runners differ only in how a step samples, so in-memory, paged and fleet
@@ -82,7 +82,7 @@ use crate::dataset::Dataset;
 use crate::error::Result;
 use crate::metrics::disparity::DisparityVector;
 use crate::ranking::Ranker;
-use crate::shard::OneShard;
+use crate::shard::ShardedDataset;
 use std::time::{Duration, Instant};
 
 /// Evaluation and timing summary of a DCA run.
@@ -144,7 +144,9 @@ impl Dca {
     /// Run DCA end to end on a dataset: Core DCA, then (unless
     /// `refinement_iterations == 0`) the Adam refinement, then evaluation of
     /// the before/after objective on the full dataset — its plan over a
-    /// one-shard copy of `dataset`, made once per run.
+    /// one-shard copy of `dataset`, made once per run. The copy holds every
+    /// column for the whole run: 57 bytes per row for the school cohort,
+    /// 57 MB at 1M rows.
     ///
     /// # Errors
     /// Returns an error for invalid configurations, empty datasets, or
@@ -161,7 +163,7 @@ impl Dca {
             .map(|s| (*s).to_string())
             .collect();
         let plan = objective.plan();
-        let cohort = OneShard::new(dataset.clone());
+        let cohort = ShardedDataset::from(dataset.clone());
 
         // Baseline objective (no bonus).
         let zero = vec![0.0; schema.num_fairness()];

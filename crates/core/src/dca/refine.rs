@@ -44,9 +44,8 @@ pub struct RefinementOutcome {
 
 /// Run the refinement step starting from `initial` (normally the Core DCA
 /// output). Each step gathers its sample into a reused block and evaluates
-/// the objective's [`Objective::plan`] over it, as a Core DCA step does; the
-/// indices, the block, the plan's score buffers and the direction are
-/// allocated once per run.
+/// the objective's [`Objective::plan`] over it, with the allocations of a
+/// Core DCA step ([`crate::dca::run_core_dca`]).
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, or objective

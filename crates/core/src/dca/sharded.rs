@@ -196,12 +196,12 @@ where
 /// master RNG emits one `step_seed` per step, `gather_step` fills the cleared
 /// block with that step's sample rows, and the objective's
 /// [`Objective::plan`] is evaluated over the block as a one-shard source,
-/// with the plan and its score buffers built once per run. The local
-/// sharded runner ([`run_core_dca_sharded`]) and distributed coordinators
-/// both execute exactly this driver, differing only in where the gather
-/// fetches rows — which is why a coordinator that concatenates each worker's
-/// [`crate::shard::sample_indices_range_into`] slice in ascending shard order
-/// reproduces the local trajectory bit for bit.
+/// with the plan, the block and the plan's scratch built once per run. The
+/// local sharded runner ([`run_core_dca_sharded`]) and distributed
+/// coordinators both execute exactly this driver, differing only in where
+/// the gather fetches rows — which is why a coordinator that concatenates
+/// each worker's [`crate::shard::sample_indices_range_into`] slice in
+/// ascending shard order reproduces the local trajectory bit for bit.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty cohorts, gather or

@@ -51,9 +51,11 @@ use crate::ranking::Ranker;
 use crate::shard::{fold_centroid, shard_fair_sums, ShardSource};
 use std::sync::Arc;
 
-/// Scratch buffers reused across plan evaluations (the score vectors of
-/// [`MetricPlan`]), so repeated evaluation — every DCA runner's steps —
-/// avoids re-allocating cohort- or sample-sized vectors.
+/// The score vectors of [`MetricPlan`] in global row order, kept across
+/// evaluations so repeated evaluation — every DCA runner's steps — reuses
+/// their capacity. Each evaluation still allocates the per-shard score
+/// vectors its sweep copies in here and its selection's key and rank
+/// vectors.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedEvalScratch {
     /// Effective scores, global row order.

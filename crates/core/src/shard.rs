@@ -176,9 +176,10 @@ pub trait ShardSource: Sync {
     /// given — the gather of every Core DCA step and of the fleet's
     /// `core_sample` route. `rows` come grouped by shard, as the sampler
     /// emits them, so this visits each shard run once through
-    /// [`Self::with_shard`]. Out-of-core sources override it to read only the
-    /// rows asked for (see `fair_store::ShardStore::read_rows`); the gathered
-    /// bits are the same either way.
+    /// [`Self::with_shard`] and copies it with [`Dataset::extend_from_rows`].
+    /// Out-of-core sources override it to read only the rows asked for (see
+    /// `fair_store::ShardStore::read_rows`); the gathered bits are the same
+    /// either way.
     ///
     /// # Errors
     /// Storage backends return [`FairError::Storage`] when a row cannot be
@@ -191,10 +192,8 @@ pub trait ShardSource: Sync {
         let shard_of = |g: &usize| g / self.shard_size();
         for run in rows.chunk_by(|a, b| shard_of(a) == shard_of(b)) {
             self.with_shard(shard_of(&run[0]), |view| {
-                let d = view.data();
-                for &g in run {
-                    out.push_row(d.row(g - view.offset()));
-                }
+                let offset = view.offset();
+                out.extend_from_rows(view.data(), run.iter().map(|&g| g - offset), true);
             });
         }
         Ok(())
@@ -553,7 +552,9 @@ impl ShardedDataset {
         Ok(this)
     }
 
-    /// Re-shard an existing contiguous dataset (copies the rows).
+    /// Re-shard an existing contiguous dataset (copies the rows). A caller
+    /// that owns the dataset and wants it as one shard moves it instead,
+    /// with [`ShardedDataset::from`].
     ///
     /// # Errors
     /// Returns [`FairError::InvalidConfig`] if `shard_size == 0`.
@@ -569,8 +570,9 @@ impl ShardedDataset {
         let mut start = 0;
         while start < n {
             let end = (start + shard_size).min(n);
-            let indices: Vec<usize> = (start..end).collect();
-            shards.push(Arc::new(dataset.subset(&indices)));
+            let mut block = Dataset::with_capacity(schema.clone(), end - start);
+            block.extend_from_rows(dataset, start..end, true);
+            shards.push(Arc::new(block));
             start = end;
         }
         Ok(Self {
@@ -712,6 +714,25 @@ impl ShardedDataset {
     }
 }
 
+/// The whole dataset as one shard of `len` rows, moved without a copy — how
+/// a caller that owns a `Dataset` runs the shard-wise engine (Full DCA, a
+/// [`crate::metrics::sharded::MetricPlan`]) over it.
+impl From<Dataset> for ShardedDataset {
+    fn from(dataset: Dataset) -> Self {
+        let len = dataset.len();
+        Self {
+            schema: dataset.schema().clone(),
+            shard_size: len.max(1),
+            shards: if len == 0 {
+                Vec::new()
+            } else {
+                vec![Arc::new(dataset)]
+            },
+            len,
+        }
+    }
+}
+
 impl ShardSource for ShardedDataset {
     fn schema(&self) -> &SchemaRef {
         ShardedDataset::schema(self)
@@ -734,10 +755,9 @@ impl ShardSource for ShardedDataset {
     }
 }
 
-/// One block presented as a one-shard [`ShardSource`]: how the DCA runners
-/// evaluate their objective's [`crate::metrics::sharded::MetricPlan`] on a
-/// step's gathered sample, and how [`crate::dca::Dca::run`] evaluates it on
-/// the whole dataset.
+/// One refillable block presented as a one-shard [`ShardSource`]: how the
+/// sampled DCA runners evaluate their objective's
+/// [`crate::metrics::sharded::MetricPlan`] on each step's gathered sample.
 #[derive(Debug)]
 pub(crate) struct OneShard(Arc<Dataset>);
 

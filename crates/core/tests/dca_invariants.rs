@@ -128,7 +128,7 @@ proptest! {
             "full {} vs core {}", eval(&full.bonus), eval(&core.bonus));
         // Determinism of the non-sampled variant: the library's Full DCA,
         // over the dataset as one shard, walks the reference trajectory.
-        let cohort = ShardedDataset::from_dataset(&dataset, dataset.len()).unwrap();
+        let cohort = ShardedDataset::from(dataset.clone());
         let again =
             run_full_dca_sharded(&cohort, &ranker, &objective, &config, None, false).unwrap();
         prop_assert_eq!(full.bonus, again.bonus);

@@ -618,9 +618,8 @@ impl ShardStore {
                     index,
                     data,
                 };
-                for &g in run {
-                    out.push_row(guard.data.row(g - index * shard_size));
-                }
+                let offset = index * shard_size;
+                out.extend_from_rows(&guard.data, run.iter().map(|&g| g - offset), true);
             } else {
                 let groups = self.read_groups(index, run, out)?;
                 let mut st = self.cache.lock().expect("shard cache poisoned");

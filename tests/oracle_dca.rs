@@ -227,7 +227,7 @@ fn full_dca_walks_the_serial_oracle_bit_for_bit() {
         let mut config = config(case.polarity);
         config.iterations_per_rate = 4;
         // A `Dataset` runs Full DCA as one shard.
-        let cohort = ShardedDataset::from_dataset(&case.data, case.data.len()).unwrap();
+        let cohort = ShardedDataset::from(case.data.clone());
         let view = case.data.full_view();
         for (r, ranker) in case.rankers.iter().enumerate() {
             for &metric in &case.metrics {
@@ -385,7 +385,7 @@ fn fpr_on_unlabelled_data_fails_like_the_oracle() {
         run_refinement(&case.data, ranker, &*objective, &config, vec![0.0; 4]),
         Err(FairError::MissingLabels)
     ));
-    let cohort = ShardedDataset::from_dataset(&case.data, case.data.len()).unwrap();
+    let cohort = ShardedDataset::from(case.data.clone());
     assert!(matches!(
         run_full_dca_sharded(&cohort, ranker, &*objective, &config, None, false),
         Err(FairError::MissingLabels)
