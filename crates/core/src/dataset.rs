@@ -572,9 +572,9 @@ impl<'a> SampleView<'a> {
 }
 
 /// Append rows `rows` of a row-major matrix of `width` columns to `out`, in
-/// order. Widths 1-4 copy through fixed-size arrays: on 500 random rows of a
-/// 1M-row cohort this gather took 5.1 µs for the school matrices (2 and 4
-/// columns) against 12.1 µs with a `copy_from_slice` per row.
+/// order. Widths 1-4 copy through fixed-size arrays: on a 2-vCPU VM, 500
+/// random rows of a 1M-row cohort took 5.1 µs for the school matrices (2 and
+/// 4 columns) against 12.1 µs with a `copy_from_slice` per row.
 fn gather_matrix_rows(
     matrix: &[f64],
     width: usize,
