@@ -9,7 +9,7 @@
 //! * Full DCA scales linearly with the dataset (`dca_full/*`);
 //! * the log-discounted objective costs an extra factor of the sample size
 //!   (`objective_eval/*`), every objective evaluated as DCA evaluates it:
-//!   its `MetricPlan` over a one-shard cohort.
+//!   its `MetricPlan` over a `Dataset`, a one-shard source.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fair_bench::datasets::ExperimentScale;
@@ -96,8 +96,8 @@ fn full_dca_scaling(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(5));
     let rubric = SchoolGenerator::rubric();
     for &n in &[2_000usize, 8_000] {
-        // A `Dataset` runs Full DCA as a one-shard cohort, built once.
-        let cohort = ShardedDataset::from(school(n, 42));
+        // A `Dataset` runs Full DCA in place, as a one-shard source.
+        let cohort = school(n, 42);
         group.bench_with_input(BenchmarkId::from_parameter(n), &cohort, |b, cohort| {
             b.iter(|| {
                 let config = bench_config(500, 10, false);
@@ -156,7 +156,7 @@ fn objective_eval(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(5));
     let scale = ExperimentScale::tiny();
     let n = scale.school_cohort_size;
-    let cohort = ShardedDataset::from(school(n, 42));
+    let cohort = school(n, 42);
     let rubric = SchoolGenerator::rubric();
     let bonus = vec![1.0, 10.0, 12.0, 12.0];
     group.bench_function("topk_disparity", |b| {
@@ -180,7 +180,6 @@ fn objective_eval_paths(c: &mut Criterion) {
         .sample_size(30)
         .measurement_time(Duration::from_secs(5));
     let dataset = school(20_000, 42);
-    let cohort = ShardedDataset::from(dataset.clone());
     let rubric = SchoolGenerator::rubric();
     let view = dataset.full_view();
     let bonus = vec![1.0, 10.0, 12.0, 12.0];
@@ -193,13 +192,13 @@ fn objective_eval_paths(c: &mut Criterion) {
         });
     });
     group.bench_function("plan_alloc", |b| {
-        b.iter(|| black_box(plan.evaluate_vector(&cohort, &rubric, &bonus).unwrap()));
+        b.iter(|| black_box(plan.evaluate_vector(&dataset, &rubric, &bonus).unwrap()));
     });
     group.bench_function("plan_scratch", |b| {
         let mut scratch = ShardedEvalScratch::new();
         let mut out = Vec::new();
         b.iter(|| {
-            plan.evaluate_vector_into(&cohort, &rubric, &bonus, &mut scratch, &mut out)
+            plan.evaluate_vector_into(&dataset, &rubric, &bonus, &mut scratch, &mut out)
                 .unwrap();
             black_box(out.first().copied())
         });

@@ -8,6 +8,7 @@ use fair_core::metrics::{
     scaled_disparate_impact_at_k, LogDiscountConfig,
 };
 use fair_core::prelude::*;
+use fair_core::ranking::sharded::top_m;
 use fair_data::{SchoolConfig, SchoolGenerator};
 use std::hint::black_box;
 use std::time::Duration;
@@ -38,16 +39,16 @@ fn ranking_construction(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fixed-k fast path: `select_nth_unstable` partition + prefix sort
-/// (`O(s + m log m)`) against the full `O(s log s)` sort, at the paper's
-/// k = 5% selection boundary.
+/// The fixed-k fast path: `top_m`'s partition + prefix sort
+/// (`O(s + m log m)`) over the `Dataset` as one shard, against the full
+/// `O(s log s)` sort, at the paper's k = 5% selection boundary.
 fn partial_vs_full_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("ranking/partial_vs_full");
     group
         .sample_size(30)
         .measurement_time(Duration::from_secs(5));
     for &n in &[1_000usize, 10_000, 50_000] {
-        let (_, scores) = ranked(n);
+        let (dataset, scores) = ranked(n);
         let m = selection_size(n, 0.05).unwrap();
         group.bench_with_input(
             BenchmarkId::new("full_sort", n),
@@ -60,7 +61,7 @@ fn partial_vs_full_selection(c: &mut Criterion) {
             BenchmarkId::new("partial_topk", n),
             &scores,
             |b, scores: &Vec<f64>| {
-                b.iter(|| black_box(RankedSelection::from_scores_topk(scores.clone(), m)));
+                b.iter(|| black_box(top_m(&dataset, scores, m)));
             },
         );
     }

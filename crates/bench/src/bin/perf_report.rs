@@ -105,9 +105,8 @@
 //! Since the DCA layer evaluates every objective through its `MetricPlan`
 //! (schema unchanged), `core_dca` times `run_core_dca`, whose steps copy
 //! their sample into a reused block and evaluate the plan over it as one
-//! shard, and `full_dca` times `run_full_dca_sharded` over the cohort as
-//! one shard (`ShardedDataset::from(dataset.clone())`), built outside the
-//! timer.
+//! shard, and `full_dca` times `run_full_dca_sharded` over the cohort's
+//! `Dataset`, itself a one-shard source, with no copy.
 //!
 //! The summary lines check the headline claim directly: Core DCA's per-step
 //! time at the largest cohort must stay within 2x of the 10k per-step time
@@ -292,12 +291,12 @@ fn measure_cohort(n: usize, reps: usize) -> CohortReport {
     let core_objects_scored = outcome.objects_scored;
 
     // Full DCA: 3 steps over the whole cohort (linear per step — kept short
-    // so the 1M cohort stays affordable), run as a `Dataset` runs it: over
-    // the cohort as one shard, built outside the timer.
+    // so the 1M cohort stays affordable), over the `Dataset` in place as
+    // one shard.
     let fcfg = full_config();
-    let whole = ShardedDataset::from(dataset.clone());
     let mut run_full = || {
-        run_full_dca_sharded(&whole, &rubric, &objective, &fcfg, None, false).expect("full DCA run")
+        run_full_dca_sharded(&dataset, &rubric, &objective, &fcfg, None, false)
+            .expect("full DCA run")
     };
     let full_outcome = run_full();
     let full_total_ms = time_median(reps, &mut run_full);

@@ -163,8 +163,7 @@ pub fn run_sharded_parity(scale: &ExperimentScale) -> Result<ShardedParityResult
         ..DcaConfig::default()
     };
     let objective = TopKDisparity::new(k);
-    let whole = ShardedDataset::from(flat.clone());
-    let serial_full = run_full_dca_sharded(&whole, &rubric, &objective, &dca_config, None, false)?;
+    let serial_full = run_full_dca_sharded(&flat, &rubric, &objective, &dca_config, None, false)?;
     let sharded_full =
         run_full_dca_sharded(&sharded, &rubric, &objective, &dca_config, None, false)?;
     let full_dca_bonus_diff = max_abs_diff(&serial_full.bonus, &sharded_full.bonus);

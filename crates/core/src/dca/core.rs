@@ -22,7 +22,6 @@ use crate::dca::objective::Objective;
 use crate::error::{FairError, Result};
 use crate::metrics::sharded::ShardedEvalScratch;
 use crate::ranking::Ranker;
-use crate::shard::OneShard;
 use rand::rngs::StdRng;
 use rand::seq::index::IndexBuffer;
 use rand::SeedableRng;
@@ -151,8 +150,8 @@ pub(crate) fn descend(
 ///
 /// Each step draws its sample through [`Dataset::sample_indices_into`] on
 /// one seeded RNG, copies the sampled rows in draw order into a reused
-/// block, and evaluates the objective's [`Objective::plan`] over that block
-/// as a one-shard source. The index buffer and the block are allocated once
+/// block, and evaluates the objective's [`Objective::plan`] over that block,
+/// a one-shard source. The index buffer and the block are allocated once
 /// per run; each evaluation still allocates its sample-sized score and
 /// selection vectors and the direction it returns.
 ///
@@ -174,7 +173,7 @@ where
     let plan = objective.plan();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut indices = IndexBuffer::new();
-    let mut sample = OneShard::new(Dataset::empty(dataset.schema().clone()));
+    let mut sample = Dataset::empty(dataset.schema().clone());
     let mut scratch = ShardedEvalScratch::new();
     descend(
         dataset.schema().num_fairness(),
@@ -186,18 +185,15 @@ where
         &RunControl::new(),
         |bonus, direction| {
             dataset.sample_indices_into(&mut rng, config.sample_size, &mut indices)?;
-            sample.refill(|block| {
-                gather_sample(dataset, indices.as_slice(), ranker, block);
-                Ok(())
-            })?;
+            gather_sample(dataset, indices.as_slice(), ranker, &mut sample);
             plan.evaluate_vector_into(&sample, ranker, bonus, &mut scratch, direction)?;
             Ok(indices.len())
         },
     )
 }
 
-/// Copy the sampled rows of `dataset` into `block`, in draw order — the
-/// gather of a serial Core DCA or refinement step. A plain linear ranker
+/// Replace `block`'s rows with the sampled rows of `dataset`, in draw order
+/// — the gather of a serial Core DCA or refinement step. A plain linear ranker
 /// ([`Ranker::linear_weights`]) scores every row by a dot product of its
 /// features and the plan never reads an id, so its steps leave the ids out;
 /// any other ranker may read whole rows and gets every id.
@@ -208,6 +204,7 @@ pub(crate) fn gather_sample<R: Ranker + ?Sized>(
     block: &mut Dataset,
 ) {
     let with_ids = ranker.linear_weights().is_none();
+    block.clear();
     block.extend_from_rows(dataset, indices.iter().copied(), with_ids);
 }
 

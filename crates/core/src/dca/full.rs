@@ -10,9 +10,8 @@
 //!
 //! [`run_full_descent`] is the loop; [`crate::dca::run_full_dca_sharded`]
 //! drives it with the objective's plan over any [`crate::ShardSource`], and
-//! the fleet coordinator with its distributed partials. A `Dataset` runs
-//! Full DCA as a one-shard cohort, moved into it without a copy
-//! (`ShardedDataset::from(dataset)`).
+//! the fleet coordinator with its distributed partials. A `Dataset` is
+//! itself a one-shard source, so it runs Full DCA in place.
 
 use crate::dca::config::DcaConfig;
 use crate::dca::control::RunControl;
@@ -69,7 +68,6 @@ mod tests {
     use crate::object::DataObject;
     use crate::ranking::topk::RankedSelection;
     use crate::ranking::{effective_scores, WeightedSumRanker};
-    use crate::shard::OneShard;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -95,8 +93,7 @@ mod tests {
         config: &DcaConfig,
         trace: bool,
     ) -> Result<CoreDcaOutcome> {
-        let cohort = OneShard::new(dataset.clone());
-        run_full_dca_sharded(&cohort, ranker, objective, config, None, trace)
+        run_full_dca_sharded(dataset, ranker, objective, config, None, trace)
     }
 
     fn config() -> DcaConfig {
@@ -158,7 +155,6 @@ mod tests {
         cfg.iterations_per_rate = 10;
         let out = full_dca(&dataset, &ranker, &objective, &cfg, true).unwrap();
         let view = dataset.full_view();
-        let cohort = OneShard::new(dataset.clone());
         let k = 0.2;
 
         let mut previous = vec![0.0; 1];
@@ -166,7 +162,7 @@ mod tests {
             // The direction used at this step was evaluated at `previous`.
             let direction = objective
                 .plan()
-                .evaluate_vector(&cohort, &ranker, &previous)
+                .evaluate_vector(&dataset, &ranker, &previous)
                 .unwrap();
             let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &previous));
             let selected = ranking.selected(k).unwrap().to_vec();

@@ -7,7 +7,7 @@
 //!   averaging and granularity rounding.
 //! * [`run_full_dca_sharded`] (and its `_controlled` form) — the
 //!   non-sampled variant used in the accuracy analysis, over any
-//!   [`crate::ShardSource`]; a `Dataset` runs it as a one-shard cohort.
+//!   [`crate::ShardSource`], a plain `Dataset` (one shard) included.
 //! * [`run_core_dca_sharded`] (and its `_controlled` form) — Core DCA with
 //!   per-shard sampling, in memory or paged from disk; [`run_full_descent`]
 //!   and [`run_core_dca_gathered`] are the hooks a distributed coordinator
@@ -20,9 +20,9 @@
 //! ([`self::core`]'s driver), and every runner evaluates its objective the
 //! same way: the objective is a single-metric
 //! [`crate::metrics::sharded::MetricPlan`] ([`Objective::plan`]), built once
-//! per run and evaluated at every step — over the step's gathered sample as
-//! a one-shard source for Core DCA and the refinement, over the whole cohort
-//! for Full DCA. A sampled step's
+//! per run and evaluated at every step — over the step's gathered sample, a
+//! reused `Dataset` that is a one-shard source, for Core DCA and the
+//! refinement, over the whole cohort for Full DCA. A sampled step's
 //! one-shard sweep and selection run their [`crate::parallel_map`] calls
 //! inline, and each still counts in `fair_parallel_sweeps_total`. The
 //! runners differ only in how a step samples, so in-memory, paged and fleet
@@ -82,7 +82,6 @@ use crate::dataset::Dataset;
 use crate::error::Result;
 use crate::metrics::disparity::DisparityVector;
 use crate::ranking::Ranker;
-use crate::shard::ShardedDataset;
 use std::time::{Duration, Instant};
 
 /// Evaluation and timing summary of a DCA run.
@@ -143,10 +142,8 @@ impl Dca {
 
     /// Run DCA end to end on a dataset: Core DCA, then (unless
     /// `refinement_iterations == 0`) the Adam refinement, then evaluation of
-    /// the before/after objective on the full dataset — its plan over a
-    /// one-shard copy of `dataset`, made once per run. The copy holds every
-    /// column for the whole run: 57 bytes per row for the school cohort,
-    /// 57 MB at 1M rows.
+    /// the before/after objective on the full dataset — its plan over
+    /// `dataset` in place, a one-shard source.
     ///
     /// # Errors
     /// Returns an error for invalid configurations, empty datasets, or
@@ -163,17 +160,16 @@ impl Dca {
             .map(|s| (*s).to_string())
             .collect();
         let plan = objective.plan();
-        let cohort = ShardedDataset::from(dataset.clone());
 
         // Baseline objective (no bonus).
         let zero = vec![0.0; schema.num_fairness()];
-        let before = plan.evaluate_vector(&cohort, ranker, &zero)?;
+        let before = plan.evaluate_vector(dataset, ranker, &zero)?;
 
         // Phase 1: Core DCA.
         let core_start = Instant::now();
         let core = run_core_dca(dataset, ranker, objective, &self.config, None, false)?;
         let core_time = core_start.elapsed();
-        let core_eval = plan.evaluate_vector(&cohort, ranker, &core.bonus)?;
+        let core_eval = plan.evaluate_vector(dataset, ranker, &core.bonus)?;
         let core_bonus_rounded = match self.config.granularity {
             Some(g) => core.bonus.iter().map(|v| (v / g).round() * g).collect(),
             None => core.bonus.clone(),
@@ -189,7 +185,7 @@ impl Dca {
         };
         let refinement_time = refine_start.elapsed();
 
-        let after = plan.evaluate_vector(&cohort, ranker, &final_values)?;
+        let after = plan.evaluate_vector(dataset, ranker, &final_values)?;
         let bonus = BonusVector::new(schema, final_values, self.config.polarity)?;
 
         Ok(DcaResult {

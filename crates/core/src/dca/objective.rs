@@ -140,9 +140,8 @@ mod tests {
     use crate::dataset::Dataset;
     use crate::object::DataObject;
     use crate::ranking::WeightedSumRanker;
-    use crate::shard::OneShard;
 
-    fn dataset() -> OneShard {
+    fn dataset() -> Dataset {
         let schema = Schema::from_names(&["s"], &["g"], &[]).unwrap();
         let objects = (0..20_u64)
             .map(|i| {
@@ -156,7 +155,7 @@ mod tests {
                 )
             })
             .collect();
-        OneShard::new(Dataset::new(schema, objects).unwrap())
+        Dataset::new(schema, objects).unwrap()
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::dca::objective::Objective;
 use crate::error::Result;
 use crate::metrics::sharded::ShardedEvalScratch;
 use crate::ranking::Ranker;
-use crate::shard::OneShard;
 use fair_opt::{Adam, RollingWindow};
 use rand::rngs::StdRng;
 use rand::seq::index::IndexBuffer;
@@ -78,7 +77,7 @@ where
     let mut window = RollingWindow::new(dims, config.rolling_window);
     let plan = objective.plan();
     let mut indices = IndexBuffer::new();
-    let mut sample = OneShard::new(Dataset::empty(dataset.schema().clone()));
+    let mut sample = Dataset::empty(dataset.schema().clone());
     let mut scratch = ShardedEvalScratch::new();
     let mut direction = Vec::new();
     let mut objects_scored = 0_usize;
@@ -86,10 +85,7 @@ where
 
     for _ in 0..config.refinement_iterations {
         dataset.sample_indices_into(&mut rng, config.sample_size, &mut indices)?;
-        sample.refill(|block| {
-            gather_sample(dataset, indices.as_slice(), ranker, block);
-            Ok(())
-        })?;
+        gather_sample(dataset, indices.as_slice(), ranker, &mut sample);
         plan.evaluate_vector_into(&sample, ranker, &bonus, &mut scratch, &mut direction)?;
         adam.step(&mut bonus, &direction);
         clamp_bonus(&mut bonus, config.polarity, config.caps.as_ref());

@@ -29,7 +29,7 @@ use crate::dca::objective::Objective;
 use crate::error::Result;
 use crate::metrics::sharded::ShardedEvalScratch;
 use crate::ranking::Ranker;
-use crate::shard::{OneShard, ShardSource};
+use crate::shard::ShardSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -195,8 +195,9 @@ where
 /// The one Core-DCA descent loop over a caller-supplied **gather step**: the
 /// master RNG emits one `step_seed` per step, `gather_step` fills the cleared
 /// block with that step's sample rows, and the objective's
-/// [`Objective::plan`] is evaluated over the block as a one-shard source,
-/// with the plan, the block and the plan's scratch built once per run. The
+/// [`Objective::plan`] is evaluated over the block, a plain `Dataset` and
+/// so a one-shard source, with the plan, the block and the plan's scratch
+/// built once per run. The
 /// local sharded runner ([`run_core_dca_sharded`]) and distributed
 /// coordinators both execute exactly this driver, differing only in where
 /// the gather fetches rows — which is why a coordinator that concatenates
@@ -228,7 +229,7 @@ where
     // of which node holds them.
     let mut master = StdRng::seed_from_u64(config.seed);
     let plan = objective.plan();
-    let mut sample = OneShard::new(Dataset::empty(schema.clone()));
+    let mut sample = Dataset::empty(schema.clone());
     let mut scratch = ShardedEvalScratch::new();
     descend(
         schema.num_fairness(),
@@ -240,7 +241,8 @@ where
         control,
         |bonus, direction| {
             let step_seed: u64 = master.gen();
-            sample.refill(|block| gather_step(step_seed, block))?;
+            sample.clear();
+            gather_step(step_seed, &mut sample)?;
             let _score = crate::obs::profile::scope(crate::obs::Phase::Score);
             plan.evaluate_vector_into(&sample, ranker, bonus, &mut scratch, direction)?;
             Ok(sample.len())

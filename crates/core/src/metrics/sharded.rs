@@ -2,7 +2,8 @@
 //!
 //! Every metric here is the whole-cohort counterpart of a serial metric in
 //! this module's siblings, evaluated by one [`MetricPlan`] on the
-//! [`ShardSource`] engine — so the same code path serves the in-memory
+//! [`ShardSource`] engine — so the same code path serves a plain
+//! [`Dataset`](crate::dataset::Dataset) (one shard), the in-memory
 //! [`crate::shard::ShardedDataset`] and the out-of-core
 //! `fair_store::ShardStore`:
 //!
@@ -14,13 +15,13 @@
 //! 3. *measure* — the serial metrics' own measurement functions (disparity,
 //!    log-discounted accumulation, nDCG, the group tally behind FPR and
 //!    disparate impact), fed the rank-ordered fairness rows of the
-//!    selection — read in place from the shard blocks the sweep kept
-//!    ([`crate::shard::ShardView::shared`]) — and the population centroid
-//!    folded from per-shard sums in shard order (bit-for-bit for
-//!    binary/dyadic fairness values, reassociation-ulp-deterministic
-//!    otherwise).
-//!    A plan over a paged source holds every swept block until it returns,
-//!    evicted ones included; the [`crate::shard`] docs size that memory.
+//!    selection — read in place from the shard views the sweep kept — and
+//!    the population centroid folded from per-shard sums in shard order
+//!    (bit-for-bit for binary/dyadic fairness values,
+//!    reassociation-ulp-deterministic otherwise).
+//!    Over an in-memory source the kept views are borrows; a plan over a
+//!    paged source holds every swept block until it returns, evicted ones
+//!    included, and the [`crate::shard`] docs size that memory.
 //!
 //! Unlike the serial metrics, which take a pre-built
 //! [`RankedSelection`](crate::ranking::RankedSelection), these functions are
@@ -31,13 +32,12 @@
 //! A plan is also the only evaluator of the DCA layer: every runner
 //! evaluates its objective's plan ([`crate::dca::Objective::plan`]) once per
 //! step — over the whole cohort for Full DCA, and over the step's gathered
-//! sample, presented as a one-shard source, for Core DCA and the
-//! refinement. A one-shard sweep and its selection run their
+//! sample, a plain `Dataset`, for Core DCA and the refinement. A one-shard
+//! sweep and its selection run their
 //! [`crate::parallel_map`] calls inline on the calling thread, but each call
 //! still counts in `fair_parallel_sweeps_total`, so a sampled step adds one
 //! or two sweeps to that series.
 
-use crate::dataset::Dataset;
 use crate::error::{FairError, Result};
 use crate::metrics::disparate_impact::scaled_disparate_impact;
 use crate::metrics::disparity::disparity_of_rows;
@@ -48,8 +48,7 @@ use crate::metrics::{GroupTally, LogDiscountConfig};
 use crate::ranking::sharded::{score_shard_into, top_m};
 use crate::ranking::topk::selection_size;
 use crate::ranking::Ranker;
-use crate::shard::{fold_centroid, shard_fair_sums, ShardSource};
-use std::sync::Arc;
+use crate::shard::{fold_centroid, shard_fair_sums, ShardSource, ShardView};
 
 /// The score vectors of [`MetricPlan`] in global row order, kept across
 /// evaluations so repeated evaluation — every DCA runner's steps — reuses
@@ -165,8 +164,8 @@ impl MetricReport {
 /// request: the per-shard kernel computes every column-derived quantity any
 /// requested metric needs (base and effective scores, population fairness
 /// sums, population group tallies) and, when a metric reads rows, keeps the
-/// shard's block ([`crate::shard::ShardView::shared`]), so the storage layer
-/// pages each shard exactly once no matter how many metrics are requested.
+/// shard's view, so the storage layer pages each shard exactly once no
+/// matter how many metrics are requested.
 /// Selection runs on the score vectors alone (pure layout arithmetic,
 /// nothing paged), and each metric's measurement reads the ranked rows in
 /// place — global row `p` is row `p % shard_size` of kept block
@@ -179,13 +178,13 @@ pub struct MetricPlan {
 }
 
 /// Per-shard result of the combined scoring sweep.
-struct ShardSweep {
+struct ShardSweep<'s> {
     scores: Vec<f64>,
     base: Vec<f64>,
     fair_sums: Vec<f64>,
     tally: Option<GroupTally>,
-    /// The shard's block, kept for measurement when a metric reads rows.
-    block: Option<Arc<Dataset>>,
+    /// The shard's view, kept for measurement when a metric reads rows.
+    block: Option<ShardView<'s>>,
 }
 
 impl MetricPlan {
@@ -338,7 +337,7 @@ impl MetricPlan {
         assert_eq!(bonus.len(), dims, "bonus vector dimensionality mismatch");
 
         // --- Phase 1: the one combined sweep.
-        let per_shard = data.map_shards(|shard| -> Result<ShardSweep> {
+        let per_shard = data.map_shards(|shard| -> Result<ShardSweep<'_>> {
             let d = shard.data();
             let mut scores = Vec::new();
             let mut base = Vec::new();
@@ -349,21 +348,23 @@ impl MetricPlan {
                 want_ndcg.then_some(&mut base),
                 &mut scores,
             );
-            let rows = (0..d.len()).map(|i| (d.fairness_row(i), d.labels()[i]));
+            let fair_sums = if need_pop {
+                shard_fair_sums(d)
+            } else {
+                Vec::new()
+            };
+            let tally = if need_counts {
+                let rows = (0..d.len()).map(|i| (d.fairness_row(i), d.labels()[i]));
+                Some(GroupTally::of_rows(dims, rows, want_fpr)?)
+            } else {
+                None
+            };
             Ok(ShardSweep {
                 scores,
                 base,
-                fair_sums: if need_pop {
-                    shard_fair_sums(d)
-                } else {
-                    Vec::new()
-                },
-                tally: if need_counts {
-                    Some(GroupTally::of_rows(dims, rows, want_fpr)?)
-                } else {
-                    None
-                },
-                block: need_rows.then(|| shard.shared()),
+                fair_sums,
+                tally,
+                block: need_rows.then_some(shard),
             })
         });
 
@@ -403,11 +404,11 @@ impl MetricPlan {
         let shard_size = data.shard_size();
         let row = |rank: usize| -> &[f64] {
             let p = ranked[rank];
-            blocks[p / shard_size].fairness_row(p % shard_size)
+            blocks[p / shard_size].data().fairness_row(p % shard_size)
         };
         let label = |rank: usize| {
             let p = ranked[rank];
-            blocks[p / shard_size].labels()[p % shard_size]
+            blocks[p / shard_size].data().labels()[p % shard_size]
         };
         let counts = match population {
             Some(population) => {

@@ -4,24 +4,16 @@
 //! the highest f(o) values as its answer R_k". [`RankedSelection`] materializes
 //! a ranked order once and answers selection queries for any `k`, which is
 //! what the log-discounted disparity (Section IV-E), nDCG@k and exposure
-//! metrics need.
+//! metrics need. It fully sorts all `s` scores (`O(s log s)`); the
+//! partial selection of a fixed-`k` prefix (`O(s + m log m)`) lives in
+//! [`crate::ranking::sharded::top_m`], which runs over any
+//! [`crate::ShardSource`], a plain `Dataset` included.
 //!
-//! Two construction modes exist:
-//!
-//! * [`RankedSelection::from_scores`] fully sorts all `s` scores —
-//!   `O(s log s)` — and supports every query;
-//! * [`RankedSelection::from_scores_topk`] uses `select_nth_unstable` to
-//!   partition the top `m` positions and sorts only those —
-//!   `O(s + m log m)` — which is all the fixed-`k` DCA objectives need.
-//!   Queries that depend on the order of the *unselected* tail
-//!   ([`RankedSelection::order`], [`RankedSelection::unselected`],
-//!   [`RankedSelection::rank_of`]) panic on such a partial ranking.
-//!
-//! Both modes use the same strict total order (descending
-//! [`f64::total_cmp`], ties broken by ascending position), so the selected
-//! *set and order* are identical between them — including in the presence of
-//! NaN scores, which `total_cmp` orders deterministically instead of silently
-//! corrupting the comparator.
+//! Both use the same strict total order (descending [`f64::total_cmp`], ties
+//! broken by ascending position), so the selected *set and order* are
+//! identical between them — including in the presence of NaN scores, which
+//! `total_cmp` orders deterministically instead of silently corrupting the
+//! comparator.
 
 use crate::error::{FairError, Result};
 use std::cmp::Ordering;
@@ -61,15 +53,10 @@ pub(crate) fn rank_cmp(scores: &[f64], a: usize, b: usize) -> Ordering {
 /// order) cannot corrupt the order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedSelection {
-    /// View positions; the first [`RankedSelection::sorted_prefix`] entries
-    /// are ordered best-to-worst, the tail (if any) is an unordered set of
-    /// strictly worse positions.
+    /// View positions, best to worst.
     order: Vec<usize>,
     /// Effective score of each *view position* (index = view position).
     scores: Vec<f64>,
-    /// Length of the sorted prefix of `order`; equal to `order.len()` for a
-    /// fully sorted ranking.
-    sorted_prefix: usize,
 }
 
 impl RankedSelection {
@@ -77,53 +64,9 @@ impl RankedSelection {
     /// fully sorting it.
     #[must_use]
     pub fn from_scores(scores: Vec<f64>) -> Self {
-        let mut this = Self {
-            order: Vec::new(),
-            scores,
-            sorted_prefix: 0,
-        };
-        this.rerank(None);
-        this
-    }
-
-    /// Rank a score vector so that only the top `m` positions are sorted
-    /// (`O(s + m log m)` instead of `O(s log s)`).
-    ///
-    /// The resulting ranking answers every query whose selection boundary is
-    /// at most `m` objects; queries needing the full order panic. `m` is
-    /// clamped to the number of scores.
-    #[must_use]
-    pub fn from_scores_topk(scores: Vec<f64>, m: usize) -> Self {
-        let mut this = Self {
-            order: Vec::new(),
-            scores,
-            sorted_prefix: 0,
-        };
-        this.rerank(Some(m));
-        this
-    }
-
-    /// Rebuild `order` from the current `scores`.
-    fn rerank(&mut self, topk: Option<usize>) {
-        let n = self.scores.len();
-        self.order.clear();
-        self.order.extend(0..n);
-        let scores = &self.scores;
-        match topk {
-            Some(m) if m < n => {
-                // Partition so order[..m] holds the m best positions (the
-                // comparator is a strict total order, so the partition is
-                // exactly the full sort's prefix set), then sort the prefix.
-                self.order
-                    .select_nth_unstable_by(m, |&a, &b| rank_cmp(scores, a, b));
-                self.order[..m].sort_unstable_by(|&a, &b| rank_cmp(scores, a, b));
-                self.sorted_prefix = m;
-            }
-            _ => {
-                self.order.sort_unstable_by(|&a, &b| rank_cmp(scores, a, b));
-                self.sorted_prefix = n;
-            }
-        }
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_unstable_by(|&a, &b| rank_cmp(&scores, a, b));
+        Self { order, scores }
     }
 
     /// Number of ranked objects.
@@ -138,49 +81,9 @@ impl RankedSelection {
         self.order.is_empty()
     }
 
-    /// Length of the sorted prefix: `len()` for fully sorted rankings, the
-    /// `m` of [`RankedSelection::from_scores_topk`] otherwise.
-    #[must_use]
-    pub fn sorted_prefix(&self) -> usize {
-        self.sorted_prefix
-    }
-
-    /// Whether the whole order is sorted (constructed via
-    /// [`RankedSelection::from_scores`] or with `m >= len`).
-    #[must_use]
-    pub fn is_fully_sorted(&self) -> bool {
-        self.sorted_prefix == self.order.len()
-    }
-
-    #[track_caller]
-    fn require_full(&self, what: &str) {
-        assert!(
-            self.is_fully_sorted(),
-            "{what} requires a fully sorted ranking, but only the top {} of {} \
-             positions are ordered (use RankedSelection::from_scores)",
-            self.sorted_prefix,
-            self.order.len()
-        );
-    }
-
-    #[track_caller]
-    fn require_prefix(&self, m: usize, what: &str) {
-        assert!(
-            m <= self.sorted_prefix,
-            "{what} needs the top {m} positions but only the top {} of {} are \
-             ordered (construct with a larger top-k)",
-            self.sorted_prefix,
-            self.order.len()
-        );
-    }
-
     /// The full ranked order: view positions from best to worst.
-    ///
-    /// # Panics
-    /// Panics on a partially sorted ranking.
     #[must_use]
     pub fn order(&self) -> &[usize] {
-        self.require_full("order()");
         &self.order
     }
 
@@ -194,13 +97,8 @@ impl RankedSelection {
     ///
     /// # Errors
     /// Returns an error for `k` outside `(0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if the selection boundary exceeds the sorted prefix of a
-    /// partially sorted ranking.
     pub fn selected(&self, k: f64) -> Result<&[usize]> {
         let m = selection_size(self.order.len(), k)?;
-        self.require_prefix(m, "selected()");
         Ok(&self.order[..m])
     }
 
@@ -208,36 +106,21 @@ impl RankedSelection {
     ///
     /// # Errors
     /// Returns an error for `k` outside `(0, 1]`.
-    ///
-    /// # Panics
-    /// Panics on a partially sorted ranking (the tail order is unspecified
-    /// there).
     pub fn unselected(&self, k: f64) -> Result<&[usize]> {
         let m = selection_size(self.order.len(), k)?;
-        self.require_full("unselected()");
         Ok(&self.order[m..])
     }
 
     /// The top-`count` view positions (clamped to the ranking length).
-    ///
-    /// # Panics
-    /// Panics if `count` exceeds the sorted prefix of a partially sorted
-    /// ranking.
     #[must_use]
     pub fn top(&self, count: usize) -> &[usize] {
-        let count = count.min(self.order.len());
-        self.require_prefix(count, "top()");
-        &self.order[..count]
+        &self.order[..count.min(self.order.len())]
     }
 
     /// 0-based rank of a view position (0 = best), or `None` if the position
     /// does not exist.
-    ///
-    /// # Panics
-    /// Panics on a partially sorted ranking.
     #[must_use]
     pub fn rank_of(&self, position: usize) -> Option<usize> {
-        self.require_full("rank_of()");
         self.order.iter().position(|&p| p == position)
     }
 
@@ -292,7 +175,6 @@ mod tests {
         assert_eq!(r.order(), &[1, 2, 0]);
         assert_eq!(r.len(), 3);
         assert!(!r.is_empty());
-        assert!(r.is_fully_sorted());
     }
 
     #[test]
@@ -343,50 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_ranking_matches_full_sort_on_the_prefix() {
-        let scores = vec![3.0, 9.0, 9.0, 1.0, 7.0, 2.0, 9.0, 0.5];
-        let full = RankedSelection::from_scores(scores.clone());
-        for m in 1..=scores.len() {
-            let partial = RankedSelection::from_scores_topk(scores.clone(), m);
-            assert_eq!(partial.sorted_prefix(), m.min(scores.len()));
-            assert_eq!(partial.top(m), full.top(m), "prefix m = {m}");
-        }
-    }
-
-    #[test]
-    fn partial_ranking_answers_selection_queries_at_its_boundary() {
-        let scores: Vec<f64> = (0..40).map(|i| f64::from((i * 7) % 13)).collect();
-        let k = 0.25;
-        let m = selection_size(scores.len(), k).unwrap();
-        let full = RankedSelection::from_scores(scores.clone());
-        let partial = RankedSelection::from_scores_topk(scores, m);
-        assert_eq!(partial.selected(k).unwrap(), full.selected(k).unwrap());
-        assert_eq!(
-            partial.selection_mask(k).unwrap(),
-            full.selection_mask(k).unwrap()
-        );
-        assert_eq!(
-            partial.threshold_score(k).unwrap(),
-            full.threshold_score(k).unwrap()
-        );
-        assert!(!partial.is_fully_sorted());
-    }
-
-    #[test]
-    #[should_panic(expected = "fully sorted")]
-    fn partial_ranking_rejects_full_order_queries() {
-        let r = RankedSelection::from_scores_topk(vec![1.0, 2.0, 3.0, 4.0], 1);
-        let _ = r.order();
-    }
-
-    #[test]
-    #[should_panic(expected = "only the top")]
-    fn partial_ranking_rejects_oversized_selections() {
-        let r = RankedSelection::from_scores_topk(vec![1.0, 2.0, 3.0, 4.0], 1);
-        let _ = r.selected(1.0);
-    }
-
-    #[test]
     fn nan_scores_do_not_panic() {
         let r = RankedSelection::from_scores(vec![f64::NAN, 1.0, 2.0]);
         assert_eq!(r.len(), 3);
@@ -400,14 +238,9 @@ mod tests {
         // ranks above +inf in descending order, deterministically.
         let scores = vec![1.0, f64::NAN, f64::INFINITY, 3.0, f64::NAN, 2.0];
         let a = RankedSelection::from_scores(scores.clone());
-        let b = RankedSelection::from_scores(scores.clone());
+        let b = RankedSelection::from_scores(scores);
         assert_eq!(a.order(), b.order());
         assert_eq!(a.order(), &[1, 4, 2, 3, 5, 0], "NaNs first, then +inf");
-        // The partial fast path agrees with the full sort even with NaNs.
-        for m in 1..=scores.len() {
-            let partial = RankedSelection::from_scores_topk(scores.clone(), m);
-            assert_eq!(partial.top(m), a.top(m), "m = {m}");
-        }
     }
 
     #[test]

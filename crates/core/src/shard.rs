@@ -10,12 +10,16 @@
 //! * `fair_store::ShardStore` (the `fair-store` crate) pages shards in from
 //!   an on-disk columnar file through a byte-budgeted shard cache.
 //!
-//! Both implement the [`ShardSource`] trait, which carries the shard-wise
+//! A plain [`Dataset`] is a third source: the whole cohort as one shard, so
+//! a caller that holds one (a cohort, a DCA step's gathered sample) runs
+//! the engine over it in place.
+//!
+//! All three implement the [`ShardSource`] trait, which carries the shard-wise
 //! **evaluation engine**: every metric, ranking kernel and DCA driver written
 //! against `ShardSource` runs unchanged over in-RAM and out-of-core cohorts.
 //!
 //! ```text
-//!   ShardSource (ShardedDataset | fair_store::ShardStore)
+//!   ShardSource (Dataset | ShardedDataset | fair_store::ShardStore)
 //!   ├── shard 0   rows [0, S)        ──┐
 //!   ├── shard 1   rows [S, 2S)         │  map: per-shard kernel
 //!   ├── …                              │  (parallel_map workers)
@@ -34,15 +38,19 @@
 //! [`crate::metrics::sharded`]) are therefore parallel by construction —
 //! parallelism is a property of the engine, not of each metric.
 //!
-//! ## Shared blocks
+//! ## Kept blocks
 //!
-//! Both backends hold each shard's block behind an `Arc`, and
-//! [`ShardView::shared`] hands a kernel that handle to keep past
-//! [`ShardSource::with_shard`]. [`crate::metrics::sharded::MetricPlan`] keeps
-//! every swept shard's block until its measurement ends, for every source.
-//! A kept block is not a pin and is not counted in a cache's budget, so a
-//! plan over a paged store holds the whole cohort's decoded columns
-//! (65 bytes per row for COMPAS) until it returns, evicted shards included.
+//! A [`ShardView`] lends its block for as long as the source is borrowed:
+//! in-memory sources ([`ShardedDataset`], and a plain [`Dataset`], which is
+//! a one-shard source) lend a `&Dataset`, and a paged store lends the
+//! shard's `Arc` handle, pinned only for the [`ShardSource::with_shard`]
+//! call. A kernel may keep the view past that call.
+//! [`crate::metrics::sharded::MetricPlan`] keeps every swept shard's view
+//! until its measurement ends, for every source. A kept paged block is not
+//! a pin and is not counted in a cache's budget, so a plan over a paged
+//! store holds the whole cohort's decoded columns (65 bytes per row for
+//! COMPAS) until it returns, evicted shards included; over an in-memory
+//! source it holds only borrows.
 //!
 //! ## Determinism and floating point
 //!
@@ -72,25 +80,46 @@ use std::sync::Arc;
 /// benchmarks and the examples pass when they need no other.
 pub const DEFAULT_SHARD_SIZE: usize = 64 * 1024;
 
-/// A borrowed view of one shard: its index, the global row offset of its
-/// first row, and the underlying contiguous [`Dataset`] block.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardView<'a> {
+/// A view of one shard: its index, the global row offset of its first row,
+/// and the underlying contiguous [`Dataset`] block. The view may outlive the
+/// [`ShardSource::with_shard`] call that lent it, for as long as the source
+/// is borrowed (see the module docs on kept blocks).
+#[derive(Debug, Clone)]
+pub struct ShardView<'s> {
     index: usize,
     offset: usize,
-    data: &'a Arc<Dataset>,
+    block: Block<'s>,
 }
 
-impl<'a> ShardView<'a> {
-    /// Assemble a shard view from its parts — the constructor storage
-    /// backends ([`ShardSource::with_shard`] implementations) use to present
-    /// a decoded block to the engine.
+/// A shard's block: borrowed from an in-memory source, or a paged source's
+/// shared handle.
+#[derive(Debug, Clone)]
+enum Block<'s> {
+    Borrowed(&'s Dataset),
+    Shared(Arc<Dataset>),
+}
+
+impl<'s> ShardView<'s> {
+    /// A view of a block the source holds in memory.
     #[must_use]
-    pub fn new(index: usize, offset: usize, data: &'a Arc<Dataset>) -> Self {
+    pub fn new(index: usize, offset: usize, data: &'s Dataset) -> Self {
         Self {
             index,
             offset,
-            data,
+            block: Block::Borrowed(data),
+        }
+    }
+
+    /// A view holding a handle to a block the source may drop, such as a
+    /// cached shard. It is not a pin: a caching backend may still evict the
+    /// shard, whose memory is then freed, outside the cache's budget, with
+    /// the last handle.
+    #[must_use]
+    pub fn from_arc(index: usize, offset: usize, data: Arc<Dataset>) -> Self {
+        Self {
+            index,
+            offset,
+            block: Block::Shared(data),
         }
     }
 
@@ -108,28 +137,23 @@ impl<'a> ShardView<'a> {
 
     /// The shard's rows as a contiguous columnar [`Dataset`] block.
     #[must_use]
-    pub fn data(&self) -> &'a Dataset {
-        self.data
-    }
-
-    /// The block as a handle that outlives the closure the view was lent to.
-    /// It is not a pin: a caching backend may still evict the shard, whose
-    /// memory is then freed, outside the cache's budget, with the last handle.
-    #[must_use]
-    pub fn shared(&self) -> Arc<Dataset> {
-        Arc::clone(self.data)
+    pub fn data(&self) -> &Dataset {
+        match &self.block {
+            Block::Borrowed(data) => data,
+            Block::Shared(data) => data,
+        }
     }
 
     /// Number of rows in this shard.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data().len()
     }
 
     /// Whether the shard holds no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data().is_empty()
     }
 }
 
@@ -139,10 +163,10 @@ impl<'a> ShardView<'a> {
 /// A source describes a fixed shard layout (`len` rows cut into
 /// `num_shards` blocks of `shard_size`, the last possibly short) and lends
 /// out one decoded shard per [`ShardSource::with_shard`] call. In-memory
-/// sources ([`ShardedDataset`]) lend a borrow at zero cost; out-of-core
-/// sources (`fair_store::ShardStore`) page the shard in on a cache miss and
-/// **pin it for the duration of the closure**, so a kernel can never observe
-/// a shard being evicted under it.
+/// sources ([`Dataset`], [`ShardedDataset`]) lend a borrow at zero cost;
+/// out-of-core sources (`fair_store::ShardStore`) page the shard in on a
+/// cache miss and **pin it for the duration of the closure**, so a kernel
+/// can never observe a shard being evicted under it.
 ///
 /// Everything else — the parallel engine, whole-cohort statistics, and the
 /// per-shard stratified sampler — is provided on top of those five methods,
@@ -163,14 +187,15 @@ pub trait ShardSource: Sync {
     fn num_shards(&self) -> usize;
 
     /// Lend shard `index` to `f`, returning `f`'s result. The shard stays
-    /// valid (and, for caching backends, pinned) for the whole call.
+    /// pinned (for caching backends) for the whole call, and `f` may return
+    /// the view itself to keep the block for as long as `self` is borrowed.
     ///
     /// # Panics
     /// Panics if `index` is out of bounds. Storage backends also panic when
     /// the shard cannot be produced at all (I/O failure, corruption detected
     /// by a checksum); recoverable validation belongs to the backend's own
     /// fallible API (e.g. `ShardStore::read_shard`).
-    fn with_shard<T>(&self, index: usize, f: impl FnOnce(ShardView<'_>) -> T) -> T;
+    fn with_shard<'s, T>(&'s self, index: usize, f: impl FnOnce(ShardView<'s>) -> T) -> T;
 
     /// Append the rows at the global indices `rows` to `out`, in the order
     /// given — the gather of every Core DCA step and of the fleet's
@@ -256,10 +281,10 @@ pub trait ShardSource: Sync {
 
     /// Apply `f` to every shard on the scoped worker pool, returning the
     /// per-shard results **in shard order**.
-    fn map_shards<T, F>(&self, f: F) -> Vec<T>
+    fn map_shards<'s, T, F>(&'s self, f: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(ShardView<'_>) -> T + Sync,
+        F: Fn(ShardView<'s>) -> T + Sync,
     {
         let indices: Vec<usize> = (0..self.num_shards()).collect();
         parallel_map(&indices, |&i| self.with_shard(i, &f))
@@ -268,10 +293,10 @@ pub trait ShardSource: Sync {
     /// Map every shard in parallel, then fold the per-shard results **in
     /// shard order** — the deterministic reduction every sharded metric is
     /// built on.
-    fn reduce_shards<T, A, F, G>(&self, init: A, map: F, mut fold: G) -> A
+    fn reduce_shards<'s, T, A, F, G>(&'s self, init: A, map: F, mut fold: G) -> A
     where
         T: Send,
-        F: Fn(ShardView<'_>) -> T + Sync,
+        F: Fn(ShardView<'s>) -> T + Sync,
         G: FnMut(A, T) -> A,
     {
         self.map_shards(map).into_iter().fold(init, &mut fold)
@@ -506,13 +531,11 @@ pub fn sample_indices_range_into<S: ShardSource + ?Sized>(
 /// [`ShardedDataset::shard_size`] rows; the final shard holds the remainder.
 /// Global row order is shard order, so flattening the shards
 /// ([`ShardedDataset::to_dataset`]) reproduces the original insertion order.
-/// Shards are `Arc`-shared blocks: a clone shares them, and
-/// [`ShardedDataset::push`] copies a shared last block before it grows.
 #[derive(Debug, Clone)]
 pub struct ShardedDataset {
     schema: SchemaRef,
     shard_size: usize,
-    shards: Vec<Arc<Dataset>>,
+    shards: Vec<Dataset>,
     len: usize,
 }
 
@@ -552,9 +575,9 @@ impl ShardedDataset {
         Ok(this)
     }
 
-    /// Re-shard an existing contiguous dataset (copies the rows). A caller
-    /// that owns the dataset and wants it as one shard moves it instead,
-    /// with [`ShardedDataset::from`].
+    /// Re-shard an existing contiguous dataset (copies the rows). The
+    /// dataset is itself a one-shard [`ShardSource`], so the engine needs
+    /// no copy of it.
     ///
     /// # Errors
     /// Returns [`FairError::InvalidConfig`] if `shard_size == 0`.
@@ -572,7 +595,7 @@ impl ShardedDataset {
             let end = (start + shard_size).min(n);
             let mut block = Dataset::with_capacity(schema.clone(), end - start);
             block.extend_from_rows(dataset, start..end, true);
-            shards.push(Arc::new(block));
+            shards.push(block);
             start = end;
         }
         Ok(Self {
@@ -659,10 +682,7 @@ impl ShardedDataset {
 
     /// Iterate over all rows in global order.
     pub fn iter(&self) -> impl Iterator<Item = ObjectView<'_>> + '_ {
-        self.shards().flat_map(|s| {
-            let d = s.data();
-            (0..d.len()).map(move |i| d.row(i))
-        })
+        self.shards.iter().flat_map(Dataset::iter)
     }
 
     /// Append a row, opening a new shard when the last one is full.
@@ -688,14 +708,12 @@ impl ShardedDataset {
         }
         let open = matches!(self.shards.last(), Some(last) if last.len() < self.shard_size);
         if !open {
-            self.shards.push(Arc::new(Dataset::with_capacity(
+            self.shards.push(Dataset::with_capacity(
                 self.schema.clone(),
                 self.shard_size.min(1 << 20),
-            )));
+            ));
         }
-        // Copy-on-write: a block still shared with a clone of this dataset
-        // (or a handle a kernel kept) is copied before it grows.
-        let shard = Arc::make_mut(self.shards.last_mut().expect("a shard was just ensured"));
+        let shard = self.shards.last_mut().expect("a shard was just ensured");
         shard.push(object)?;
         self.len += 1;
         Ok(())
@@ -711,25 +729,6 @@ impl ShardedDataset {
                 .expect("rows of a sharded dataset match its schema");
         }
         out
-    }
-}
-
-/// The whole dataset as one shard of `len` rows, moved without a copy — how
-/// a caller that owns a `Dataset` runs the shard-wise engine (Full DCA, a
-/// [`crate::metrics::sharded::MetricPlan`]) over it.
-impl From<Dataset> for ShardedDataset {
-    fn from(dataset: Dataset) -> Self {
-        let len = dataset.len();
-        Self {
-            schema: dataset.schema().clone(),
-            shard_size: len.max(1),
-            shards: if len == 0 {
-                Vec::new()
-            } else {
-                vec![Arc::new(dataset)]
-            },
-            len,
-        }
     }
 }
 
@@ -750,52 +749,39 @@ impl ShardSource for ShardedDataset {
         ShardedDataset::num_shards(self)
     }
 
-    fn with_shard<T>(&self, index: usize, f: impl FnOnce(ShardView<'_>) -> T) -> T {
+    fn with_shard<'s, T>(&'s self, index: usize, f: impl FnOnce(ShardView<'s>) -> T) -> T {
         f(self.shard(index))
     }
 }
 
-/// One refillable block presented as a one-shard [`ShardSource`]: how the
-/// sampled DCA runners evaluate their objective's
-/// [`crate::metrics::sharded::MetricPlan`] on each step's gathered sample.
-#[derive(Debug)]
-pub(crate) struct OneShard(Arc<Dataset>);
-
-impl OneShard {
-    pub(crate) fn new(block: Dataset) -> Self {
-        Self(Arc::new(block))
-    }
-
-    /// Empty the block and let `fill` append the next step's rows. A plan
-    /// holds the block only until it returns, so between steps this handle
-    /// is the only one and the block's buffers are reused in place.
-    pub(crate) fn refill(&mut self, fill: impl FnOnce(&mut Dataset) -> Result<()>) -> Result<()> {
-        let block = Arc::get_mut(&mut self.0).expect("no plan holds the block between steps");
-        block.clear();
-        fill(block)
-    }
-}
-
-impl ShardSource for OneShard {
+/// The whole dataset as one shard of `len` rows, lent in place: how a
+/// caller that holds a `Dataset` runs the engine over it (Full DCA, a
+/// [`crate::metrics::sharded::MetricPlan`], a DCA step's gathered sample).
+/// An empty dataset has no shards.
+impl ShardSource for Dataset {
     fn schema(&self) -> &SchemaRef {
-        self.0.schema()
+        Dataset::schema(self)
     }
 
     fn len(&self) -> usize {
-        self.0.len()
+        Dataset::len(self)
     }
 
     fn shard_size(&self) -> usize {
-        self.0.len().max(1)
+        Dataset::len(self).max(1)
     }
 
     fn num_shards(&self) -> usize {
-        usize::from(!self.0.is_empty())
+        usize::from(!Dataset::is_empty(self))
     }
 
-    fn with_shard<T>(&self, index: usize, f: impl FnOnce(ShardView<'_>) -> T) -> T {
-        assert!(index < self.num_shards(), "shard {index} out of bounds");
-        f(ShardView::new(0, 0, &self.0))
+    fn with_shard<'s, T>(&'s self, index: usize, f: impl FnOnce(ShardView<'s>) -> T) -> T {
+        assert!(
+            index < ShardSource::num_shards(self),
+            "shard {index} out of bounds ({})",
+            ShardSource::num_shards(self)
+        );
+        f(ShardView::new(0, 0, self))
     }
 }
 
@@ -872,6 +858,26 @@ mod tests {
         }
         assert_eq!(sharded.feature_row(13), flat.feature_row(13));
         assert_eq!(sharded.fairness_row(13), flat.fairness_row(13));
+    }
+
+    #[test]
+    fn a_dataset_is_a_one_shard_source_lending_itself() {
+        let flat = Dataset::new(schema(), objects(23)).unwrap();
+        assert_eq!(ShardSource::num_shards(&flat), 1);
+        assert_eq!(ShardSource::shard_size(&flat), 23);
+        assert_eq!(flat.shard_len(0), 23);
+        // The view borrows the dataset itself and may outlive the call.
+        let kept = flat.with_shard(0, |view| view);
+        assert!(std::ptr::eq(kept.data(), &flat));
+        assert_eq!((kept.index(), kept.offset()), (0, 0));
+        assert_eq!(
+            ShardSource::fairness_centroid(&flat).unwrap(),
+            flat.fairness_centroid().unwrap()
+        );
+        let mut out = Dataset::empty(schema());
+        flat.gather_rows(&[4, 2, 19], &mut out).unwrap();
+        assert_eq!(out.row(1), flat.row(2));
+        assert_eq!(ShardSource::num_shards(&Dataset::empty(schema())), 0);
     }
 
     #[test]

@@ -92,9 +92,9 @@ proptest! {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let sample = dataset.sample(&mut rng, 100).unwrap();
-        // A DCA step evaluates its objective's plan over the gathered sample
-        // as one shard.
-        let sample = ShardedDataset::from_dataset(&dataset.subset(sample.indices()), 100).unwrap();
+        // A DCA step evaluates its objective's plan over the gathered sample,
+        // a plain `Dataset` and so one shard.
+        let sample = dataset.subset(sample.indices());
         for plan in [
             TopKDisparity::new(k).plan(),
             LogDiscountedObjective::default().plan(),
@@ -128,9 +128,8 @@ proptest! {
             "full {} vs core {}", eval(&full.bonus), eval(&core.bonus));
         // Determinism of the non-sampled variant: the library's Full DCA,
         // over the dataset as one shard, walks the reference trajectory.
-        let cohort = ShardedDataset::from(dataset.clone());
         let again =
-            run_full_dca_sharded(&cohort, &ranker, &objective, &config, None, false).unwrap();
+            run_full_dca_sharded(&dataset, &ranker, &objective, &config, None, false).unwrap();
         prop_assert_eq!(full.bonus, again.bonus);
     }
 

@@ -79,7 +79,7 @@ impl ShardSource for CohortStore {
         }
     }
 
-    fn with_shard<T>(&self, index: usize, f: impl FnOnce(ShardView<'_>) -> T) -> T {
+    fn with_shard<'s, T>(&'s self, index: usize, f: impl FnOnce(ShardView<'s>) -> T) -> T {
         match self {
             Self::Memory(d) => d.with_shard(index, f),
             Self::Disk(s) => s.with_shard(index, f),
@@ -96,10 +96,10 @@ impl ShardSource for CohortStore {
         }
     }
 
-    fn map_shards<T, F>(&self, f: F) -> Vec<T>
+    fn map_shards<'s, T, F>(&'s self, f: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(ShardView<'_>) -> T + Sync,
+        F: Fn(ShardView<'s>) -> T + Sync,
     {
         match self {
             Self::Memory(d) => d.map_shards(f),

@@ -180,8 +180,8 @@ pub struct FleetCoordinator {
 
 /// Issue one request to a worker: counted in [`FleetReport::requests`] and
 /// `fair_fleet_requests_total`, and timed into the worker's
-/// `fair_fleet_request_duration_us{worker}` — the path every connect lookup
-/// and fan-out attempt takes.
+/// `fair_fleet_request_duration_us{worker}` — the path every connect lookup,
+/// health probe and fan-out attempt takes.
 fn counted<T>(
     requests: &AtomicU64,
     fleet_obs: &FleetObs,
@@ -522,8 +522,8 @@ impl FleetCoordinator {
         &self,
         op: impl Fn(&Client, Range<usize>) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
-        self.probe_ejected();
         let trace = self.trace.clone().unwrap_or_else(obs::next_trace_id);
+        self.probe_ejected(&trace);
         let assignments = self.placement.assignments();
         let span = obs::Span::new("fleet.fan_out")
             .trace(&trace)
@@ -669,8 +669,9 @@ impl FleetCoordinator {
     }
 
     /// Health-probe ejected workers that are due, re-admitting responders.
-    fn probe_ejected(&self) {
-        let due: Vec<(usize, Client)> = {
+    /// Each probe is a request of the fan-out round `trace` names.
+    fn probe_ejected(&self, trace: &str) {
+        let due: Vec<(usize, Client, Arc<obs::Histogram>)> = {
             let mut workers = self.workers.lock().expect("fleet worker table poisoned");
             workers
                 .iter_mut()
@@ -678,15 +679,18 @@ impl FleetCoordinator {
                 .filter(|(_, state)| !state.healthy)
                 .filter_map(|(w, state)| {
                     state.rounds_since_eject += 1;
-                    (state.rounds_since_eject >= self.config.probe_every)
-                        .then(|| (w, state.client.clone()))
+                    (state.rounds_since_eject >= self.config.probe_every).then(|| {
+                        (
+                            w,
+                            state.client.clone().with_trace(trace),
+                            state.duration.clone(),
+                        )
+                    })
                 })
                 .collect()
         };
-        for (w, client) in due {
-            self.requests.fetch_add(1, Ordering::Relaxed);
-            self.obs.requests.inc();
-            if client.health().is_ok() {
+        for (w, client, duration) in due {
+            if counted(&self.requests, &self.obs, &duration, || client.health()).is_ok() {
                 self.record_success(w);
             } else {
                 self.workers.lock().expect("fleet worker table poisoned")[w].rounds_since_eject = 0;

@@ -613,13 +613,9 @@ impl ShardStore {
         for run in rows.chunk_by(|a, b| a / shard_size == b / shard_size) {
             let index = run[0] / shard_size;
             if let Some(data) = self.pin_resident(index) {
-                let guard = PinGuard {
-                    store: self,
-                    index,
-                    data,
-                };
+                let _pin = PinGuard { store: self, index };
                 let offset = index * shard_size;
-                out.extend_from_rows(&guard.data, run.iter().map(|&g| g - offset), true);
+                out.extend_from_rows(&data, run.iter().map(|&g| g - offset), true);
             } else {
                 let groups = self.read_groups(index, run, out)?;
                 let mut st = self.cache.lock().expect("shard cache poisoned");
@@ -1053,7 +1049,6 @@ fn relabel(e: StoreError, what: &str) -> StoreError {
 struct PinGuard<'a> {
     store: &'a ShardStore,
     index: usize,
-    data: Arc<Dataset>,
 }
 
 impl Drop for PinGuard<'_> {
@@ -1080,7 +1075,9 @@ impl ShardSource for ShardStore {
     }
 
     /// Page the shard in (cache hit or disk read), pin it for the duration
-    /// of `f`, and unpin on return — eviction can then reclaim it.
+    /// of `f`, and unpin on return — eviction can then reclaim it. The view
+    /// holds the shard's `Arc`, so a kernel that keeps it keeps the block
+    /// alive, unpinned, until it drops the view.
     ///
     /// # Panics
     /// Panics on an out-of-range index, and on I/O failure or block
@@ -1091,21 +1088,18 @@ impl ShardSource for ShardStore {
     /// infallible engine API leaves no error channel. Run
     /// [`ShardStore::verify`] first when the file is untrusted, or use
     /// [`ShardStore::read_shard`] for fallible access.
-    fn with_shard<T>(&self, index: usize, f: impl FnOnce(ShardView<'_>) -> T) -> T {
+    fn with_shard<'s, T>(&'s self, index: usize, f: impl FnOnce(ShardView<'s>) -> T) -> T {
         assert!(
             index < self.directory.len(),
             "shard {index} out of bounds ({})",
             self.directory.len()
         );
-        let guard = PinGuard {
-            store: self,
-            index,
-            data: match self.pin(index) {
-                Ok(data) => data,
-                Err(e) => panic!("fair-store: cannot page in shard {index}: {e}"),
-            },
+        let data = match self.pin(index) {
+            Ok(data) => data,
+            Err(e) => panic!("fair-store: cannot page in shard {index}: {e}"),
         };
-        f(ShardView::new(index, index * self.shard_size, &guard.data))
+        let _pin = PinGuard { store: self, index };
+        f(ShardView::from_arc(index, index * self.shard_size, data))
     }
 
     /// [`ShardStore::read_rows`]: resident shards are copied from the cache,
@@ -1127,10 +1121,10 @@ impl ShardSource for ShardStore {
     ///
     /// `f` must not start another sweep of this store: the inner sweep
     /// would wait for the outer one forever.
-    fn map_shards<T, F>(&self, f: F) -> Vec<T>
+    fn map_shards<'s, T, F>(&'s self, f: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(ShardView<'_>) -> T + Sync,
+        F: Fn(ShardView<'s>) -> T + Sync,
     {
         // The lock guards no data, so a sweep that panicked leaves nothing
         // to repair.

@@ -1,8 +1,9 @@
 //! Cross-crate property tests: the one-sweep [`MetricPlan`] evaluated over a
 //! paged [`ShardStore`] is bit-for-bit identical to the same plan over the
-//! in-memory [`ShardedDataset`], to the individual sharded kernels, and to
-//! the serial reference — across shard sizes (1, 7, 64k) and cache budgets
-//! (zero, forced-eviction quarter, unbounded).
+//! in-memory [`ShardedDataset`] and over a plain [`Dataset`] (one shard), to
+//! the individual sharded kernels, and to the serial reference — across
+//! shard sizes (1, 7, 64k) and cache budgets (zero, forced-eviction
+//! quarter, unbounded).
 //!
 //! This is the contract the audit service relies on: a multi-metric request
 //! answered by one paged sweep must return exactly the numbers five separate
@@ -93,16 +94,21 @@ proptest! {
         let bonus = [0.3, 0.1];
         let plan = MetricPlan::new(&MetricKind::ALL, k);
 
-        // One sweep over the paged store vs one sweep over the in-memory
-        // sharded cohort: the retention-based and gather-based measurement
-        // strategies must agree bit-for-bit.
+        // One sweep over the paged store vs one sweep over each in-memory
+        // source — the sharded cohort and the flat dataset as one shard:
+        // views holding the paged blocks' handles and views borrowing
+        // resident blocks must measure bit-for-bit alike.
         let from_store = plan.evaluate(&store, &ranker, &bonus).unwrap();
         let from_memory = plan.evaluate(&sharded, &ranker, &bonus).unwrap();
-        for ((sk, sv), (mk, mv)) in
-            from_store.values().iter().zip(from_memory.values())
-        {
-            prop_assert_eq!(sk, mk);
-            prop_assert_eq!(bits_of(sv), bits_of(mv), "{:?}", sk);
+        let from_dataset = plan.evaluate(&flat, &ranker, &bonus).unwrap();
+        for from_source in [&from_memory, &from_dataset] {
+            prop_assert_eq!(from_store.values().len(), from_source.values().len());
+            for ((sk, sv), (mk, mv)) in
+                from_store.values().iter().zip(from_source.values())
+            {
+                prop_assert_eq!(sk, mk);
+                prop_assert_eq!(bits_of(sv), bits_of(mv), "{:?}", sk);
+            }
         }
 
         // The plan vs the individual sharded kernels (each itself pinned
@@ -153,14 +159,20 @@ proptest! {
         // Single-metric plans answer exactly like the full plan's entries —
         // request order and multiplicity never change the numbers.
         for kind in MetricKind::ALL {
-            let single = MetricPlan::new(&[kind, kind], k)
-                .evaluate(&store, &ranker, &bonus)
-                .unwrap();
+            let single_plan = MetricPlan::new(&[kind, kind], k);
+            let single = single_plan.evaluate(&store, &ranker, &bonus).unwrap();
             prop_assert_eq!(single.values().len(), 1, "duplicates collapse");
             prop_assert_eq!(
                 bits_of(single.get(kind).unwrap()),
                 bits_of(from_store.get(kind).unwrap()),
                 "{:?}",
+                kind
+            );
+            let single_flat = single_plan.evaluate(&flat, &ranker, &bonus).unwrap();
+            prop_assert_eq!(
+                bits_of(single_flat.get(kind).unwrap()),
+                bits_of(single.get(kind).unwrap()),
+                "{:?} over the dataset",
                 kind
             );
         }
@@ -191,7 +203,7 @@ impl ShardSource for RequiredOnly<'_> {
         ShardSource::num_shards(self.0)
     }
 
-    fn with_shard<T>(&self, index: usize, f: impl FnOnce(ShardView<'_>) -> T) -> T {
+    fn with_shard<'s, T>(&'s self, index: usize, f: impl FnOnce(ShardView<'s>) -> T) -> T {
         self.0.with_shard(index, f)
     }
 }

@@ -510,6 +510,16 @@ fn a_fleet_job_profile_counts_each_round_once() {
 fn a_500_burst_ejects_then_probes_readmit_the_worker() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (handles, addrs) = spawn_fleet(3, SHARD_SIZE);
+    let timed: Vec<_> = addrs
+        .iter()
+        .map(|addr| {
+            obs::histogram(
+                "fair_fleet_request_duration_us",
+                &[("worker", &addr.to_string())],
+            )
+        })
+        .collect();
+    let timed_before: Vec<u64> = timed.iter().map(|h| h.count()).collect();
     let fleet = FleetCoordinator::connect(
         "cohort",
         &addrs,
@@ -560,6 +570,15 @@ fn a_500_burst_ejects_then_probes_readmit_the_worker() {
         "probes must re-admit once the burst passes: {:?}",
         fleet.workers()
     );
+    // Every request the coordinator counted — connect lookups, fan-out
+    // attempts and the health probes that re-admitted the worker — is timed
+    // into its worker's latency histogram.
+    let timed_requests: u64 = timed
+        .iter()
+        .zip(&timed_before)
+        .map(|(h, before)| h.count() - before)
+        .sum();
+    assert_eq!(timed_requests, report.requests, "{report:?}");
     for h in handles {
         h.shutdown();
     }

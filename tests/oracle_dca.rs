@@ -226,15 +226,15 @@ fn full_dca_walks_the_serial_oracle_bit_for_bit() {
     for case in cases() {
         let mut config = config(case.polarity);
         config.iterations_per_rate = 4;
-        // A `Dataset` runs Full DCA as one shard.
-        let cohort = ShardedDataset::from(case.data.clone());
+        // A `Dataset` runs Full DCA in place, as one shard.
         let view = case.data.full_view();
         for (r, ranker) in case.rankers.iter().enumerate() {
             for &metric in &case.metrics {
                 let what = format!("{} ranker {r} {metric:?}", case.name);
                 let objective = metric.objective();
-                let lib = run_full_dca_sharded(&cohort, ranker, &*objective, &config, None, true)
-                    .unwrap();
+                let lib =
+                    run_full_dca_sharded(&case.data, ranker, &*objective, &config, None, true)
+                        .unwrap();
                 let oracle = descent(&case.data, &config, |bonus, out| {
                     *out = metric.serial(&view, ranker, bonus)?;
                     Ok(())
@@ -385,9 +385,8 @@ fn fpr_on_unlabelled_data_fails_like_the_oracle() {
         run_refinement(&case.data, ranker, &*objective, &config, vec![0.0; 4]),
         Err(FairError::MissingLabels)
     ));
-    let cohort = ShardedDataset::from(case.data.clone());
     assert!(matches!(
-        run_full_dca_sharded(&cohort, ranker, &*objective, &config, None, false),
+        run_full_dca_sharded(&case.data, ranker, &*objective, &config, None, false),
         Err(FairError::MissingLabels)
     ));
 }

@@ -1,7 +1,6 @@
-//! Property tests guarding the data-plane performance work: the partial
-//! top-k selection fast path must be indistinguishable from the full sort,
-//! and the columnar (structure-of-arrays) dataset must reproduce the
-//! pre-refactor array-of-structs arithmetic bit-for-bit.
+//! Property tests guarding the data-plane performance work: the columnar
+//! (structure-of-arrays) dataset must reproduce the pre-refactor
+//! array-of-structs arithmetic bit-for-bit.
 
 use fair_ranking::prelude::*;
 use proptest::collection::vec as pvec;
@@ -9,44 +8,6 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// `from_scores_topk` must select exactly what the full sort selects —
-    /// same positions, same order, same mask, same threshold — for random
-    /// continuous scores and any selection fraction.
-    #[test]
-    fn partial_topk_selection_matches_full_sort(
-        scores in pvec(-1.0e3_f64..1.0e3, 1..400),
-        k in 0.005_f64..1.0,
-    ) {
-        let m = selection_size(scores.len(), k).unwrap();
-        let full = RankedSelection::from_scores(scores.clone());
-        let partial = RankedSelection::from_scores_topk(scores, m);
-        prop_assert_eq!(partial.selected(k).unwrap(), full.selected(k).unwrap());
-        prop_assert_eq!(
-            partial.selection_mask(k).unwrap(),
-            full.selection_mask(k).unwrap()
-        );
-        prop_assert_eq!(
-            partial.threshold_score(k).unwrap(),
-            full.threshold_score(k).unwrap()
-        );
-    }
-
-    /// Heavily tied scores exercise the deterministic position tie-break:
-    /// the partial partition must cut the tie group at exactly the same
-    /// positions as the full sort.
-    #[test]
-    fn partial_topk_breaks_ties_like_the_full_sort(
-        raw in pvec(0_u8..4, 2..300),
-        k in 0.005_f64..1.0,
-    ) {
-        let scores: Vec<f64> = raw.iter().map(|&v| f64::from(v)).collect();
-        let m = selection_size(scores.len(), k).unwrap();
-        let full = RankedSelection::from_scores(scores.clone());
-        let partial = RankedSelection::from_scores_topk(scores, m);
-        prop_assert_eq!(partial.selected(k).unwrap(), full.selected(k).unwrap());
-        prop_assert_eq!(partial.top(m), full.top(m));
-    }
 
     /// The columnar dataset must reproduce the array-of-structs arithmetic
     /// bit-for-bit: centroids, effective scores, and the disparity metric all

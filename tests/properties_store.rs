@@ -431,7 +431,8 @@ fn concurrent_paged_reads_are_bit_identical_and_stay_under_budget() {
     // Serial reference: per-shard bit patterns off the in-memory source.
     let reference: Vec<(Vec<u64>, Vec<u64>, u64)> = (0..num_shards)
         .map(|i| {
-            let d = mem.shard(i).data();
+            let view = mem.shard(i);
+            let d = view.data();
             (
                 bits(d.features_matrix()),
                 bits(d.fairness_matrix()),
