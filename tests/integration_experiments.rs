@@ -1,8 +1,8 @@
 //! Smoke tests over the experiment harness: the headline experiments run at
 //! the tiny scale and reproduce the qualitative shape the paper reports.
 //!
-//! Three of them are also pinned as goldens: the rendered table and the bit
-//! pattern of every `f64` the result carries. Seeded outputs are meant to be
+//! Seven of them are also pinned as goldens: the rendered table (where it
+//! holds no timing) and the bit pattern of every `f64` the result carries. Seeded outputs are meant to be
 //! byte-stable across refactors, so a golden that moves is a behaviour change
 //! to explain, not a number to re-record.
 
@@ -100,6 +100,68 @@ fn figure_10c_matches_its_golden() {
         values.extend(&row.bonus);
     }
     assert_eq!(bits(&values), FIG10C_BITS);
+}
+
+#[test]
+fn figure_6_quota_matches_its_golden() {
+    let result = baselines_cmp::run_quota(&ExperimentScale::tiny(), 0.7).unwrap();
+    assert_eq!(result.render(), FIG6_TEXT);
+    let mut values = vec![result.reserve_fraction];
+    for ((k, disparity, norm), (base_k, base_norm)) in
+        result.points.iter().zip(&result.baseline_norms)
+    {
+        values.push(*k);
+        values.extend(disparity);
+        values.push(*norm);
+        values.push(*base_k);
+        values.push(*base_norm);
+    }
+    assert_eq!(bits(&values), FIG6_BITS);
+}
+
+/// Figure 7's render prints wall-clock timings, so only its `f64` fields
+/// are pinned.
+#[test]
+fn figure_7_delta2_matches_its_golden() {
+    let result = baselines_cmp::run_delta2_comparison(&ExperimentScale::tiny()).unwrap();
+    let mut values = Vec::new();
+    for p in &result.points {
+        values.extend([
+            p.proportion,
+            p.dca_norm,
+            p.dca_ndcg,
+            p.delta2_norm,
+            p.delta2_ndcg,
+        ]);
+    }
+    assert_eq!(bits(&values), FIG7_BITS);
+}
+
+/// At this scale the FA*IR row equals the baseline row: the golden pins the
+/// FA*IR path (subgroup search, mtables, re-rank, disparity) but not a
+/// re-ranking that moves anyone.
+#[test]
+fn table_two_fastar_matches_its_golden() {
+    let result =
+        baselines_cmp::run_fastar_comparison(&ExperimentScale::tiny(), &[16, 17, 18, 19], 0.05)
+            .unwrap();
+    assert_eq!(result.render(), TABLE2_TEXT);
+    let mut values = vec![result.k];
+    values.extend(&result.dca_bonus);
+    for row in &result.rows {
+        values.extend(&row.disparity);
+        values.push(row.norm);
+    }
+    assert_eq!(bits(&values), TABLE2_BITS);
+}
+
+#[test]
+fn exposure_ddp_matches_its_golden() {
+    let result = baselines_cmp::run_exposure(&ExperimentScale::tiny()).unwrap();
+    assert_eq!(result.render(), EXPOSURE_TEXT);
+    let mut values = vec![result.ddp_before, result.ddp_after];
+    values.extend(&result.bonus);
+    assert_eq!(bits(&values), EXPOSURE_BITS);
 }
 
 const TABLE1_TEXT: &str = r#"== Table I — school disparity before/after bonus points (k = 5%) ==
@@ -231,4 +293,87 @@ const FIG10C_BITS: [u64; 190] = [
     0xbf8a9fbe76c8b438, 0xbf900aec33e1f672, 0xbf55d867c3ece2a4, 0x3f50624dd2f1a9fe,
     0xbff8000000000000, 0x8000000000000000, 0xbfe0000000000000, 0xbfe0000000000000,
     0x0000000000000000, 0x8000000000000000,
+];
+
+const FIG6_TEXT: &str = r#"== Figure 6 — single quota (70% of seats reserved for any protected group) ==
+k     Baseline norm  Quota norm  low_income  ell     special_ed  eni   
+-----------------------------------------------------------------------
+0.05  0.410          0.167       -0.050      -0.050  -0.139      -0.062
+0.10  0.319          0.160       -0.053      -0.060  -0.126      -0.059
+0.15  0.294          0.158       -0.054      -0.048  -0.130      -0.053
+0.20  0.267          0.159       -0.051      -0.048  -0.134      -0.050
+0.25  0.250          0.154       -0.051      -0.050  -0.130      -0.045
+0.30  0.223          0.150       -0.049      -0.050  -0.126      -0.042
+0.35  0.209          0.141       -0.052      -0.049  -0.115      -0.040
+0.40  0.194          0.132       -0.054      -0.046  -0.105      -0.038
+0.45  0.178          0.128       -0.056      -0.042  -0.101      -0.034
+0.50  0.162          0.124       -0.059      -0.041  -0.095      -0.035
+"#;
+
+#[rustfmt::skip]
+const FIG6_BITS: [u64; 81] = [
+    0x3fe6666666666666, 0x3fa999999999999a, 0xbfa9ba5e353f7cf0, 0xbfa95810624dd2f2,
+    0xbfc1ba5e353f7cee, 0xbfaff653dd87bd30, 0x3fc5707a5cdc4135, 0x3fa999999999999a,
+    0x3fda3ce94538efc6, 0x3fb999999999999a, 0xbfab020c49ba5e40, 0xbfae76c8b4395811,
+    0xbfc020c49ba5e354, 0xbfae6e8773482460, 0x3fc48855efe732b9, 0x3fb999999999999a,
+    0x3fd46b0e6fb8b3b8, 0x3fc3333333333334, 0xbfab6f46508dfea0, 0xbfa87d9c54a69218,
+    0xbfc0a94d242e6bdd, 0xbfab288ff84d4330, 0x3fc43462dad94341, 0x3fc3333333333334,
+    0x3fd2ccfc2b02a94b, 0x3fc999999999999a, 0xbfaa5e353f7ced90, 0xbfa8b4395810624f,
+    0xbfc116872b020c4a, 0xbfa95988b59bba10, 0x3fc45752352f5054, 0x3fc999999999999a,
+    0x3fd11cc8028cb02f, 0x3fd0000000000000, 0xbfaa3d70a3d70a40, 0xbfa95810624dd2f2,
+    0xbfc09374bc6a7efa, 0xbfa6fb590930bb20, 0x3fc3c5c3de81d255, 0x3fd0000000000000,
+    0x3fd005efce5ca1c9, 0x3fd3333333333334, 0xbfa8dfea27983c10, 0xbfa9c54a69217360,
+    0xbfc020c49ba5e354, 0xbfa5963c3d4e09e0, 0x3fc3386007e4b188, 0x3fd3333333333334,
+    0x3fcc93a457dd1156, 0x3fd6666666666667, 0xbfaad33c8ff1f4e0, 0xbfa8fa70eebd004c,
+    0xbfbd6bf577a9661c, 0xbfa473874ebac600, 0x3fc211e12cd04772, 0x3fd6666666666667,
+    0x3fcabd1b828760b2, 0x3fd999999999999a, 0xbfaba5e353f7cee0, 0xbfa76c8b43958107,
+    0xbfbaf9db22d0e561, 0xbfa34385ecd611f0, 0x3fc0f255a5667daa, 0x3fd999999999999a,
+    0x3fc8ce262dc6c195, 0x3fdccccccccccccd, 0xbfacdb5d11fa1560, 0xbfa5a56ed1ce6495,
+    0xbfb9ed57275dfaff, 0xbfa188d8e5d88c80, 0x3fc06396e0420a3b, 0x3fdccccccccccccd,
+    0x3fc6be8ed10bdc91, 0x3fe0000000000000, 0xbfae147ae147ae20, 0xbfa4bc6a7ef9db24,
+    0xbfb851eb851eb853, 0xbfa1d69a01078420, 0x3fbfb279b1bec118, 0x3fe0000000000000,
+    0x3fc4b26842ddf610,
+];
+
+#[rustfmt::skip]
+const FIG7_BITS: [u64; 25] = [
+    0x3fc999999999999a, 0x3fd55e94e9db9893, 0x3feff86f23723068, 0x3fd9681c5166a033,
+    0x3ff0000000000000, 0x3fd999999999999a, 0x3fd2a0d870deef5d, 0x3fefe73cb7d1f2d3,
+    0x3fd78d8f91ff3030, 0x3feffef2351fa1ed, 0x3fe3333333333333, 0x3fcbb64d6fc5e1f1,
+    0x3fefb567551b07bb, 0x3fd38b40dd8d1f11, 0x3feff38c9b2d9517, 0x3fe999999999999a,
+    0x3fc4d940bc5ecf7e, 0x3fef7d30ec2f2128, 0x3fd1366ca7fadd61, 0x3fefe4b8b454e005,
+    0x3ff0000000000000, 0x3fbaeb85900cdeb8, 0x3fef1c85bda8b75e, 0x3fc91a37fcd2f137,
+    0x3fefac59302f4eb8,
+];
+
+const TABLE2_TEXT: &str = r#"== Table II — DCA vs Multinomial FA*IR on districts [16, 17, 18, 19] (526 students, k = 5%) ==
+Setting      low_income  ell     special_ed  Norm 
+--------------------------------------------------
+Baseline     -0.243      -0.082  -0.142      0.293
+DCA          +0.026      -0.043  +0.012      0.052
+Mult. FA*IR  -0.243      -0.082  -0.142      0.293
+FA*IR protected subgroups: low_income=1,ell=0,special_ed=0 | low_income=1,ell=0,special_ed=1 | low_income=1,ell=1,special_ed=0
+"#;
+
+#[rustfmt::skip]
+const TABLE2_BITS: [u64; 17] = [
+    0x3fa999999999999a, 0x4020000000000000, 0x4020000000000000, 0x4022000000000000,
+    0x4018000000000000, 0xbfcf25f644230ab4, 0xbfb4ed8175c78b32, 0xbfc231de01a5b32d,
+    0x3fd2c7b08342e118, 0x3f9a8188f298e580, 0xbfa629c7d7dddb50, 0x3f87f5d120b87e70,
+    0x3faa8251ee5fc41b, 0xbfcf25f644230ab4, 0xbfb4ed8175c78b32, 0xbfc231de01a5b32d,
+    0x3fd2c7b08342e118,
+];
+
+const EXPOSURE_TEXT: &str = r#"== Section VI-C4 — exposure / demographic disparity (DDP) ==
+Setting               DDP    
+-----------------------------
+Baseline              0.02100
+DCA (log-discounted)  0.00480
+Improvement factor: 4.4x
+"#;
+
+#[rustfmt::skip]
+const EXPOSURE_BITS: [u64; 6] = [
+    0x3f95822f935e6ed8, 0x3f73ab826cdc2990, 0x4021000000000000, 0x401c000000000000,
+    0x4023000000000000, 0x401c000000000000,
 ];
