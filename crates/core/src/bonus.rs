@@ -34,12 +34,20 @@ pub enum BonusPolarity {
 }
 
 impl BonusPolarity {
-    /// Clamp a single value to this polarity.
+    /// Clamp a single value to this polarity: the value itself, either zero
+    /// included, unless it lies on the wrong side of zero or is NaN, which
+    /// both give `0.0`. (`f64::max` and `f64::min` leave the sign of a zero
+    /// result unspecified, and optimized builds pick another one.)
     #[must_use]
     pub fn clamp(self, value: f64) -> f64 {
-        match self {
-            Self::NonNegative => value.max(0.0),
-            Self::NonPositive => value.min(0.0),
+        let allowed = match self {
+            Self::NonNegative => value >= 0.0,
+            Self::NonPositive => value <= 0.0,
+        };
+        if allowed {
+            value
+        } else {
+            0.0
         }
     }
 }
@@ -386,6 +394,22 @@ mod tests {
         assert_eq!(BonusPolarity::NonNegative.clamp(2.0), 2.0);
         assert_eq!(BonusPolarity::NonPositive.clamp(2.0), 0.0);
         assert_eq!(BonusPolarity::NonPositive.clamp(-2.0), -2.0);
+    }
+
+    #[test]
+    fn polarity_clamp_keeps_either_zero_in_every_build_profile() {
+        for polarity in [BonusPolarity::NonNegative, BonusPolarity::NonPositive] {
+            for zero in [0.0_f64, -0.0] {
+                assert_eq!(
+                    polarity.clamp(zero).to_bits(),
+                    zero.to_bits(),
+                    "{polarity:?} of {zero:?}"
+                );
+            }
+            assert_eq!(polarity.clamp(f64::NAN).to_bits(), 0.0_f64.to_bits());
+        }
+        assert_eq!(BonusPolarity::NonNegative.clamp(-2.0).to_bits(), 0);
+        assert_eq!(BonusPolarity::NonPositive.clamp(2.0).to_bits(), 0);
     }
 
     #[test]
