@@ -19,7 +19,7 @@ use fair_core::prelude::*;
 pub struct CelisConstraint {
     /// Human-readable name (used in reports).
     pub name: String,
-    /// Membership mask over view positions.
+    /// Membership mask over the dataset's rows.
     pub mask: Vec<bool>,
     /// Maximum number of matching items allowed in the output.
     pub max_count: usize,
@@ -29,14 +29,14 @@ impl CelisConstraint {
     /// Cap the members of the (binary) fairness dimension `dim` at
     /// `max_count` items.
     #[must_use]
-    pub fn for_group(view: &SampleView<'_>, dim: usize, max_count: usize) -> Self {
+    pub fn for_group(data: &Dataset, dim: usize, max_count: usize) -> Self {
         Self {
-            name: view
+            name: data
                 .schema()
                 .fairness()
                 .get(dim)
                 .map_or_else(|| format!("dim{dim}"), |a| a.name().to_string()),
-            mask: view.iter().map(|o| o.in_group(dim)).collect(),
+            mask: data.iter().map(|o| o.in_group(dim)).collect(),
             max_count,
         }
     }
@@ -45,14 +45,14 @@ impl CelisConstraint {
     /// items — the usual way to force an under-represented group into the
     /// selection.
     #[must_use]
-    pub fn for_complement(view: &SampleView<'_>, dim: usize, max_count: usize) -> Self {
+    pub fn for_complement(data: &Dataset, dim: usize, max_count: usize) -> Self {
         Self {
-            name: view
+            name: data
                 .schema()
                 .fairness()
                 .get(dim)
                 .map_or_else(|| format!("not-dim{dim}"), |a| format!("not-{}", a.name())),
-            mask: view.iter().map(|o| !o.in_group(dim)).collect(),
+            mask: data.iter().map(|o| !o.in_group(dim)).collect(),
             max_count,
         }
     }
@@ -65,17 +65,17 @@ impl CelisConstraint {
 /// to (Δ+2) as its input constraint.
 ///
 /// # Errors
-/// Returns an error on an empty view or out-of-range dimensions.
+/// Returns an error on an empty dataset or out-of-range dimensions.
 pub fn caps_excluding_group(
-    view: &SampleView<'_>,
+    data: &Dataset,
     dims: &[usize],
     selection_size: usize,
     slack: f64,
 ) -> Result<Vec<CelisConstraint>> {
-    if view.is_empty() {
+    if data.is_empty() {
         return Err(FairError::EmptyDataset);
     }
-    let num_fairness = view.schema().num_fairness();
+    let num_fairness = data.schema().num_fairness();
     let mut constraints = Vec::with_capacity(dims.len());
     for &dim in dims {
         if dim >= num_fairness {
@@ -84,13 +84,13 @@ pub fn caps_excluding_group(
             });
         }
         let member_share =
-            view.iter().filter(|o| o.in_group(dim)).count() as f64 / view.len() as f64;
+            data.iter().filter(|o| o.in_group(dim)).count() as f64 / data.len() as f64;
         let complement_share = 1.0 - member_share;
         let cap = ((complement_share + slack) * selection_size as f64)
             .round()
             .max(0.0) as usize;
         constraints.push(CelisConstraint::for_complement(
-            view,
+            data,
             dim,
             cap.min(selection_size),
         ));
@@ -105,18 +105,18 @@ pub fn caps_excluding_group(
 /// blocked items fill the remaining seats so the output always has
 /// `selection_size` entries.
 ///
-/// Returns the selected view positions in output order.
+/// Returns the selected rows in output order.
 ///
 /// # Errors
-/// Returns an error on an empty view, a zero selection size, or masks whose
-/// length does not match the view.
+/// Returns an error on an empty dataset, a zero selection size, or masks
+/// whose length does not match the dataset.
 pub fn celis_rerank<R: Ranker + ?Sized>(
-    view: &SampleView<'_>,
+    data: &Dataset,
     ranker: &R,
     selection_size: usize,
     constraints: &[CelisConstraint],
 ) -> Result<Vec<usize>> {
-    if view.is_empty() {
+    if data.is_empty() {
         return Err(FairError::EmptyDataset);
     }
     if selection_size == 0 {
@@ -125,19 +125,19 @@ pub fn celis_rerank<R: Ranker + ?Sized>(
         });
     }
     for c in constraints {
-        if c.mask.len() != view.len() {
+        if c.mask.len() != data.len() {
             return Err(FairError::DimensionMismatch {
                 what: "constraint mask",
-                expected: view.len(),
+                expected: data.len(),
                 actual: c.mask.len(),
             });
         }
     }
-    let selection_size = selection_size.min(view.len());
+    let selection_size = selection_size.min(data.len());
 
-    let ranking = RankedSelection::from_scores(base_scores(view, ranker));
+    let ranking = RankedSelection::from_scores(base_scores(data, ranker));
     let mut counts = vec![0_usize; constraints.len()];
-    let mut taken = vec![false; view.len()];
+    let mut taken = vec![false; data.len()];
     let mut output = Vec::with_capacity(selection_size);
 
     // Greedy pass respecting the caps.
@@ -196,78 +196,67 @@ mod tests {
     #[test]
     fn caps_are_respected() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         // At most 4 non-members in an 8-item selection.
-        let constraints = vec![CelisConstraint::for_complement(&view, 0, 4)];
-        let selected = celis_rerank(&view, &ranker, 8, &constraints).unwrap();
+        let constraints = vec![CelisConstraint::for_complement(&d, 0, 4)];
+        let selected = celis_rerank(&d, &ranker, 8, &constraints).unwrap();
         assert_eq!(selected.len(), 8);
-        let non_members = selected
-            .iter()
-            .filter(|&&p| !view.object(p).in_group(0))
-            .count();
+        let non_members = selected.iter().filter(|&&p| !d.row(p).in_group(0)).count();
         assert_eq!(non_members, 4);
-        let members = selected
-            .iter()
-            .filter(|&&p| view.object(p).in_group(0))
-            .count();
+        let members = selected.iter().filter(|&&p| d.row(p).in_group(0)).count();
         assert_eq!(members, 4);
     }
 
     #[test]
     fn constrained_selection_reduces_disparity_with_modest_utility_loss() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let plain = RankedSelection::from_scores(base_scores(&view, &ranker));
-        let before = norm(&disparity_of_selection(&view, plain.selected(0.4).unwrap()).unwrap());
-        let constraints = caps_excluding_group(&view, &[0], 8, 0.0).unwrap();
-        let selected = celis_rerank(&view, &ranker, 8, &constraints).unwrap();
-        let after = norm(&disparity_of_selection(&view, &selected).unwrap());
+        let plain = RankedSelection::from_scores(base_scores(&d, &ranker));
+        let before = norm(&disparity_of_selection(&d, plain.selected(0.4).unwrap()).unwrap());
+        let constraints = caps_excluding_group(&d, &[0], 8, 0.0).unwrap();
+        let selected = celis_rerank(&d, &ranker, 8, &constraints).unwrap();
+        let after = norm(&disparity_of_selection(&d, &selected).unwrap());
         assert!(
             after < before,
             "(Δ+2) should reduce disparity: {after} vs {before}"
         );
         // Utility of the constrained selection stays reasonable.
-        let mut fake_ranking_scores = vec![f64::MIN; view.len()];
+        let mut fake_ranking_scores = vec![f64::MIN; d.len()];
         for (rank, &pos) in selected.iter().enumerate() {
-            fake_ranking_scores[pos] = (view.len() - rank) as f64;
+            fake_ranking_scores[pos] = (d.len() - rank) as f64;
         }
         let constrained = RankedSelection::from_scores(fake_ranking_scores);
-        let u = ndcg_at_k(&view, &ranker, &constrained, 0.4).unwrap();
+        let u = ndcg_at_k(&d, &ranker, &constrained, 0.4).unwrap();
         assert!(u > 0.3, "utility {u}");
     }
 
     #[test]
     fn without_constraints_the_selection_is_score_order() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let selected = celis_rerank(&view, &ranker, 5, &[]).unwrap();
-        let plain = RankedSelection::from_scores(base_scores(&view, &ranker));
+        let selected = celis_rerank(&d, &ranker, 5, &[]).unwrap();
+        let plain = RankedSelection::from_scores(base_scores(&d, &ranker));
         assert_eq!(selected.as_slice(), plain.top(5));
     }
 
     #[test]
     fn infeasible_caps_still_fill_every_seat() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         // Nobody allowed: cap of zero on both the group and its complement.
         let constraints = vec![
-            CelisConstraint::for_group(&view, 0, 0),
-            CelisConstraint::for_complement(&view, 0, 0),
+            CelisConstraint::for_group(&d, 0, 0),
+            CelisConstraint::for_complement(&d, 0, 0),
         ];
-        let selected = celis_rerank(&view, &ranker, 6, &constraints).unwrap();
+        let selected = celis_rerank(&d, &ranker, 6, &constraints).unwrap();
         assert_eq!(selected.len(), 6);
     }
 
     #[test]
     fn caps_from_slack_scale_with_the_target() {
         let d = dataset();
-        let view = d.full_view();
-        let tight = caps_excluding_group(&view, &[0], 10, 0.0).unwrap();
-        let loose = caps_excluding_group(&view, &[0], 10, 0.2).unwrap();
+        let tight = caps_excluding_group(&d, &[0], 10, 0.0).unwrap();
+        let loose = caps_excluding_group(&d, &[0], 10, 0.2).unwrap();
         assert_eq!(tight.len(), 1);
         assert!(tight[0].max_count <= loose[0].max_count);
         // Population is 70% non-members -> proportional cap of 7 in 10 seats.
@@ -277,35 +266,32 @@ mod tests {
     #[test]
     fn constraint_helpers_use_attribute_names() {
         let d = dataset();
-        let view = d.full_view();
-        assert_eq!(CelisConstraint::for_group(&view, 0, 3).name, "g");
-        assert_eq!(CelisConstraint::for_complement(&view, 0, 3).name, "not-g");
+        assert_eq!(CelisConstraint::for_group(&d, 0, 3).name, "g");
+        assert_eq!(CelisConstraint::for_complement(&d, 0, 3).name, "not-g");
     }
 
     #[test]
     fn validation_errors() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        assert!(celis_rerank(&view, &ranker, 0, &[]).is_err());
+        assert!(celis_rerank(&d, &ranker, 0, &[]).is_err());
         let bad_mask = CelisConstraint {
             name: "bad".into(),
             mask: vec![true],
             max_count: 1,
         };
-        assert!(celis_rerank(&view, &ranker, 5, &[bad_mask]).is_err());
-        assert!(caps_excluding_group(&view, &[9], 5, 0.0).is_err());
+        assert!(celis_rerank(&d, &ranker, 5, &[bad_mask]).is_err());
+        assert!(caps_excluding_group(&d, &[9], 5, 0.0).is_err());
         let empty = Dataset::empty(Schema::from_names(&["s"], &["g"], &[]).unwrap());
-        assert!(celis_rerank(&empty.full_view(), &ranker, 5, &[]).is_err());
-        assert!(caps_excluding_group(&empty.full_view(), &[0], 5, 0.0).is_err());
+        assert!(celis_rerank(&empty, &ranker, 5, &[]).is_err());
+        assert!(caps_excluding_group(&empty, &[0], 5, 0.0).is_err());
     }
 
     #[test]
-    fn selection_size_is_clamped_to_view_size() {
+    fn selection_size_is_clamped_to_the_dataset_size() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let selected = celis_rerank(&view, &ranker, 100, &[]).unwrap();
+        let selected = celis_rerank(&d, &ranker, 100, &[]).unwrap();
         assert_eq!(selected.len(), d.len());
     }
 }

@@ -66,13 +66,13 @@ pub fn binomial_mtable(n: usize, p: f64, alpha: f64) -> Vec<usize> {
     table
 }
 
-/// One protected group handed to FA\*IR: a membership mask over view
-/// positions and a target (minimum) proportion.
+/// One protected group handed to FA\*IR: a membership mask over dataset
+/// rows and a target (minimum) proportion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtectedGroup {
     /// Human-readable name (used in reports).
     pub name: String,
-    /// Membership mask over view positions.
+    /// Membership mask over the dataset's rows.
     pub members: Vec<bool>,
     /// Target minimum proportion of the group at every prefix (usually its
     /// population share).
@@ -83,10 +83,10 @@ impl ProtectedGroup {
     /// Build a protected group from a Cartesian-product [`Subgroup`], using
     /// the subgroup's population share as the target proportion.
     #[must_use]
-    pub fn from_subgroup(view: &SampleView<'_>, subgroup: &Subgroup) -> Self {
-        let members: Vec<bool> = view.iter().map(|o| subgroup.contains(o)).collect();
+    pub fn from_subgroup(data: &Dataset, subgroup: &Subgroup) -> Self {
+        let members: Vec<bool> = data.iter().map(|o| subgroup.contains(o)).collect();
         Self {
-            name: subgroup.label(view.schema()),
+            name: subgroup.label(data.schema()),
             members,
             target_proportion: subgroup.population_share,
         }
@@ -177,18 +177,14 @@ impl FaStarRanker {
         &self.groups
     }
 
-    /// Re-rank a view: returns the top `output_size` view positions in the
+    /// Re-rank a dataset: returns the top `output_size` rows in the
     /// fair order.
     ///
     /// # Errors
-    /// Returns an error if the view size does not match the group masks or the
-    /// requested output exceeds the view size.
-    pub fn rerank<R: Ranker + ?Sized>(
-        &self,
-        view: &SampleView<'_>,
-        ranker: &R,
-    ) -> Result<Vec<usize>> {
-        let n = view.len();
+    /// Returns an error if the dataset size does not match the group masks or
+    /// the requested output exceeds the dataset size.
+    pub fn rerank<R: Ranker + ?Sized>(&self, data: &Dataset, ranker: &R) -> Result<Vec<usize>> {
+        let n = data.len();
         if n == 0 {
             return Err(FairError::EmptyDataset);
         }
@@ -211,7 +207,7 @@ impl FaStarRanker {
 
         // Per-group candidate queues ordered by score (best first), plus the
         // global queue.
-        let scores = base_scores(view, ranker);
+        let scores = base_scores(data, ranker);
         let global = RankedSelection::from_scores(scores);
         let group_of = |pos: usize| self.groups.iter().position(|g| g.members[pos]);
 
@@ -351,10 +347,10 @@ mod tests {
         Dataset::new(schema, objects).unwrap()
     }
 
-    fn group_a(view: &SampleView<'_>) -> ProtectedGroup {
+    fn group_a(data: &Dataset) -> ProtectedGroup {
         ProtectedGroup {
             name: "a".into(),
-            members: view.iter().map(|o| o.in_group(0)).collect(),
+            members: data.iter().map(|o| o.in_group(0)).collect(),
             target_proportion: 0.25,
         }
     }
@@ -362,16 +358,15 @@ mod tests {
     #[test]
     fn rerank_meets_the_mtable_at_every_prefix() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let config = FaStarConfig::new(0.1, 20).unwrap();
-        let fastar = FaStarRanker::new(config, vec![group_a(&view)]).unwrap();
-        let order = fastar.rerank(&view, &ranker).unwrap();
+        let fastar = FaStarRanker::new(config, vec![group_a(&d)]).unwrap();
+        let order = fastar.rerank(&d, &ranker).unwrap();
         assert_eq!(order.len(), 20);
         let mtable = binomial_mtable(20, 0.25, 0.1);
         let mut count = 0;
         for (i, &pos) in order.iter().enumerate() {
-            if view.object(pos).in_group(0) {
+            if d.row(pos).in_group(0) {
                 count += 1;
             }
             assert!(
@@ -385,14 +380,13 @@ mod tests {
     #[test]
     fn rerank_reduces_disparity_of_the_selection() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let plain = RankedSelection::from_scores(base_scores(&view, &ranker));
-        let before = norm(&disparity_of_selection(&view, plain.selected(0.5).unwrap()).unwrap());
+        let plain = RankedSelection::from_scores(base_scores(&d, &ranker));
+        let before = norm(&disparity_of_selection(&d, plain.selected(0.5).unwrap()).unwrap());
         let config = FaStarConfig::new(0.1, 20).unwrap();
-        let fastar = FaStarRanker::new(config, vec![group_a(&view)]).unwrap();
-        let order = fastar.rerank(&view, &ranker).unwrap();
-        let after = norm(&disparity_of_selection(&view, &order).unwrap());
+        let fastar = FaStarRanker::new(config, vec![group_a(&d)]).unwrap();
+        let order = fastar.rerank(&d, &ranker).unwrap();
+        let after = norm(&disparity_of_selection(&d, &order).unwrap());
         assert!(
             after < before,
             "FA*IR should reduce disparity: {after} vs {before}"
@@ -402,17 +396,16 @@ mod tests {
     #[test]
     fn without_binding_constraints_the_order_is_score_order() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         // Zero target proportion -> no constraint ever binds.
         let group = ProtectedGroup {
             target_proportion: 0.0,
-            ..group_a(&view)
+            ..group_a(&d)
         };
         let config = FaStarConfig::new(0.1, 10).unwrap();
         let fastar = FaStarRanker::new(config, vec![group]).unwrap();
-        let order = fastar.rerank(&view, &ranker).unwrap();
-        let plain = RankedSelection::from_scores(base_scores(&view, &ranker));
+        let order = fastar.rerank(&d, &ranker).unwrap();
+        let plain = RankedSelection::from_scores(base_scores(&d, &ranker));
         assert_eq!(order.as_slice(), plain.top(10));
     }
 
@@ -446,22 +439,21 @@ mod tests {
             id += 1;
         }
         let d = Dataset::new(schema, objects).unwrap();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let groups: Vec<ProtectedGroup> = (0..3)
             .map(|dim| ProtectedGroup {
                 name: format!("g{dim}"),
-                members: view.iter().map(|o| o.in_group(dim)).collect(),
+                members: d.iter().map(|o| o.in_group(dim)).collect(),
                 target_proportion: 1.0 / 6.0,
             })
             .collect();
         let config = FaStarConfig::new(0.1, 30).unwrap();
         let fastar = FaStarRanker::new(config, groups).unwrap();
-        let order = fastar.rerank(&view, &ranker).unwrap();
+        let order = fastar.rerank(&d, &ranker).unwrap();
         // Every protected group must appear in the output.
         for dim in 0..3 {
             assert!(
-                order.iter().any(|&p| view.object(p).in_group(dim)),
+                order.iter().any(|&p| d.row(p).in_group(dim)),
                 "group {dim} missing from the fair output"
             );
         }
@@ -470,8 +462,7 @@ mod tests {
     #[test]
     fn overlapping_groups_are_rejected() {
         let d = dataset();
-        let view = d.full_view();
-        let a = group_a(&view);
+        let a = group_a(&d);
         let overlapping = ProtectedGroup {
             name: "copy".into(),
             ..a.clone()
@@ -486,12 +477,11 @@ mod tests {
         assert!(FaStarConfig::new(1.0, 10).is_err());
         assert!(FaStarConfig::new(0.1, 0).is_err());
         let d = dataset();
-        let view = d.full_view();
         let config = FaStarConfig::new(0.1, 10).unwrap();
         assert!(FaStarRanker::new(config.clone(), vec![]).is_err());
         let bad_prop = ProtectedGroup {
             target_proportion: 1.5,
-            ..group_a(&view)
+            ..group_a(&d)
         };
         assert!(FaStarRanker::new(config, vec![bad_prop]).is_err());
     }

@@ -46,45 +46,45 @@ impl QuotaConfig {
     }
 }
 
-/// Select the top-`k` fraction of a view under a set-aside quota.
+/// Select the top-`k` fraction of a dataset under a set-aside quota.
 ///
-/// Returns the selected view positions (reserved seats first, then general
+/// Returns the selected rows (reserved seats first, then general
 /// seats, each in score order).
 ///
 /// # Errors
-/// Returns an error on an empty view, an invalid `k`, or out-of-range
+/// Returns an error on an empty dataset, an invalid `k`, or out-of-range
 /// protected dimensions.
 pub fn quota_select<R: Ranker + ?Sized>(
-    view: &SampleView<'_>,
+    data: &Dataset,
     ranker: &R,
     k: f64,
     config: &QuotaConfig,
 ) -> Result<Vec<usize>> {
-    if view.is_empty() {
+    if data.is_empty() {
         return Err(FairError::EmptyDataset);
     }
-    let dims = view.schema().num_fairness();
+    let dims = data.schema().num_fairness();
     if let Some(&bad) = config.protected_dims.iter().find(|d| **d >= dims) {
         return Err(FairError::InvalidConfig {
             reason: format!("protected dimension {bad} out of range (schema has {dims})"),
         });
     }
-    let total_seats = selection_size(view.len(), k)?;
+    let total_seats = selection_size(data.len(), k)?;
     let reserved_seats = ((total_seats as f64) * config.reserve_fraction).round() as usize;
 
-    let scores = base_scores(view, ranker);
+    let scores = base_scores(data, ranker);
     let ranking = RankedSelection::from_scores(scores);
 
     let is_protected = |pos: usize| {
         config
             .protected_dims
             .iter()
-            .any(|&d| view.object(pos).in_group(d))
+            .any(|&d| data.row(pos).in_group(d))
     };
 
     // Fill the reserved seats with the best-ranked protected applicants.
     let mut selected = Vec::with_capacity(total_seats);
-    let mut taken = vec![false; view.len()];
+    let mut taken = vec![false; data.len()];
     let mut filled_reserved = 0_usize;
     for &pos in ranking.order() {
         if filled_reserved >= reserved_seats {
@@ -131,29 +131,24 @@ mod tests {
     #[test]
     fn quota_reserves_the_requested_share() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let config = QuotaConfig::new(0.5, vec![0]).unwrap();
         // Top 40% = 8 seats; 4 reserved for protected applicants.
-        let selected = quota_select(&view, &ranker, 0.4, &config).unwrap();
+        let selected = quota_select(&d, &ranker, 0.4, &config).unwrap();
         assert_eq!(selected.len(), 8);
-        let protected = selected
-            .iter()
-            .filter(|&&p| view.object(p).in_group(0))
-            .count();
+        let protected = selected.iter().filter(|&&p| d.row(p).in_group(0)).count();
         assert_eq!(protected, 4);
     }
 
     #[test]
     fn quota_reduces_disparity_relative_to_no_intervention() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let plain = RankedSelection::from_scores(base_scores(&view, &ranker));
-        let before = norm(&disparity_of_selection(&view, plain.selected(0.4).unwrap()).unwrap());
+        let plain = RankedSelection::from_scores(base_scores(&d, &ranker));
+        let before = norm(&disparity_of_selection(&d, plain.selected(0.4).unwrap()).unwrap());
         let config = QuotaConfig::new(0.3, vec![0]).unwrap();
-        let selected = quota_select(&view, &ranker, 0.4, &config).unwrap();
-        let after = norm(&disparity_of_selection(&view, &selected).unwrap());
+        let selected = quota_select(&d, &ranker, 0.4, &config).unwrap();
+        let after = norm(&disparity_of_selection(&d, &selected).unwrap());
         assert!(
             after < before,
             "quota should reduce disparity: {after} vs {before}"
@@ -163,11 +158,10 @@ mod tests {
     #[test]
     fn zero_reserve_reproduces_the_unconstrained_selection() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let config = QuotaConfig::new(0.0, vec![0]).unwrap();
-        let selected = quota_select(&view, &ranker, 0.25, &config).unwrap();
-        let plain = RankedSelection::from_scores(base_scores(&view, &ranker));
+        let selected = quota_select(&d, &ranker, 0.25, &config).unwrap();
+        let plain = RankedSelection::from_scores(base_scores(&d, &ranker));
         let mut expected = plain.selected(0.25).unwrap().to_vec();
         let mut got = selected.clone();
         expected.sort_unstable();
@@ -190,10 +184,9 @@ mod tests {
             })
             .collect();
         let d = Dataset::new(schema, objects).unwrap();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let config = QuotaConfig::new(0.5, vec![0]).unwrap();
-        let selected = quota_select(&view, &ranker, 0.6, &config).unwrap();
+        let selected = quota_select(&d, &ranker, 0.6, &config).unwrap();
         assert_eq!(
             selected.len(),
             6,
@@ -204,12 +197,11 @@ mod tests {
     #[test]
     fn reserved_seats_go_to_the_best_protected_applicants() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let config = QuotaConfig::new(1.0, vec![0]).unwrap();
-        let selected = quota_select(&view, &ranker, 0.2, &config).unwrap();
+        let selected = quota_select(&d, &ranker, 0.2, &config).unwrap();
         // 4 seats, all reserved: the four best-scoring protected objects are 5,4,3,2.
-        let ids: Vec<u64> = selected.iter().map(|&p| view.object(p).id().0).collect();
+        let ids: Vec<u64> = selected.iter().map(|&p| d.row(p).id().0).collect();
         assert_eq!(ids, vec![5, 4, 3, 2]);
     }
 
@@ -223,11 +215,10 @@ mod tests {
             DataObject::new_unchecked(3, vec![2.0], vec![0.0, 0.0], None),
         ];
         let d = Dataset::new(schema, objects).unwrap();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let config = QuotaConfig::new(1.0, vec![0, 1]).unwrap();
-        let selected = quota_select(&view, &ranker, 0.5, &config).unwrap();
-        let ids: Vec<u64> = selected.iter().map(|&p| view.object(p).id().0).collect();
+        let selected = quota_select(&d, &ranker, 0.5, &config).unwrap();
+        let ids: Vec<u64> = selected.iter().map(|&p| d.row(p).id().0).collect();
         assert_eq!(ids, vec![1, 2], "both protected dimensions are honoured");
     }
 
@@ -237,11 +228,10 @@ mod tests {
         assert!(QuotaConfig::new(-0.1, vec![0]).is_err());
         assert!(QuotaConfig::new(0.5, vec![]).is_err());
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let config = QuotaConfig::new(0.5, vec![9]).unwrap();
-        assert!(quota_select(&view, &ranker, 0.5, &config).is_err());
+        assert!(quota_select(&d, &ranker, 0.5, &config).is_err());
         let config = QuotaConfig::new(0.5, vec![0]).unwrap();
-        assert!(quota_select(&view, &ranker, 0.0, &config).is_err());
+        assert!(quota_select(&d, &ranker, 0.0, &config).is_err());
     }
 }

@@ -48,22 +48,22 @@ impl Subgroup {
 }
 
 /// Enumerate every Cartesian-product subgroup over the given binary fairness
-/// dimensions (2^|dims| patterns), with sizes measured on `view`. Subgroups
+/// dimensions (2^|dims| patterns), with sizes measured on `data`. Subgroups
 /// with no members are omitted.
 ///
 /// # Errors
 /// Returns an error if `dims` is empty, contains duplicates, is out of range,
-/// or if the view is empty.
-pub fn cartesian_subgroups(view: &SampleView<'_>, dims: &[usize]) -> Result<Vec<Subgroup>> {
+/// or if the dataset is empty.
+pub fn cartesian_subgroups(data: &Dataset, dims: &[usize]) -> Result<Vec<Subgroup>> {
     if dims.is_empty() {
         return Err(FairError::InvalidConfig {
             reason: "subgroup construction requires at least one dimension".into(),
         });
     }
-    if view.is_empty() {
+    if data.is_empty() {
         return Err(FairError::EmptyDataset);
     }
-    let max_dim = view.schema().num_fairness();
+    let max_dim = data.schema().num_fairness();
     let mut seen = std::collections::HashSet::new();
     for &d in dims {
         if d >= max_dim {
@@ -80,7 +80,7 @@ pub fn cartesian_subgroups(view: &SampleView<'_>, dims: &[usize]) -> Result<Vec<
 
     let n_patterns = 1_usize << dims.len();
     let mut counts = vec![0_usize; n_patterns];
-    for object in view.iter() {
+    for object in data.iter() {
         let mut code = 0_usize;
         for (bit, &d) in dims.iter().enumerate() {
             if object.in_group(d) {
@@ -90,7 +90,7 @@ pub fn cartesian_subgroups(view: &SampleView<'_>, dims: &[usize]) -> Result<Vec<
         counts[code] += 1;
     }
 
-    let total = view.len() as f64;
+    let total = data.len() as f64;
     let mut out = Vec::new();
     for (code, &count) in counts.iter().enumerate() {
         if count == 0 {
@@ -112,29 +112,29 @@ pub fn cartesian_subgroups(view: &SampleView<'_>, dims: &[usize]) -> Result<Vec<
 ///
 /// "Disadvantage" is measured as `selected_share − population_share` (the
 /// subgroup's own disparity term); the most negative values come first.
-/// Subgroups that contain every object of the view are skipped.
+/// Subgroups that contain every object of the dataset are skipped.
 ///
 /// # Errors
-/// Returns an error for invalid dimensions, empty views, or an invalid `k`.
+/// Returns an error for invalid dimensions, an empty dataset, or an invalid `k`.
 pub fn most_disadvantaged_subgroups<R: Ranker + ?Sized>(
-    view: &SampleView<'_>,
+    data: &Dataset,
     ranker: &R,
     dims: &[usize],
     k: f64,
     count: usize,
 ) -> Result<Vec<(Subgroup, f64)>> {
-    let subgroups = cartesian_subgroups(view, dims)?;
-    let ranking = RankedSelection::from_scores(base_scores(view, ranker));
+    let subgroups = cartesian_subgroups(data, dims)?;
+    let ranking = RankedSelection::from_scores(base_scores(data, ranker));
     let selected = ranking.selected(k)?;
     let selected_count = selected.len() as f64;
 
     let mut scored: Vec<(Subgroup, f64)> = subgroups
         .into_iter()
-        .filter(|g| g.size < view.len())
+        .filter(|g| g.size < data.len())
         .map(|g| {
             let in_selection = selected
                 .iter()
-                .filter(|&&pos| g.contains(view.object(pos)))
+                .filter(|&&pos| g.contains(data.row(pos)))
                 .count() as f64;
             let disparity = in_selection / selected_count - g.population_share;
             (g, disparity)
@@ -199,8 +199,7 @@ mod tests {
     #[test]
     fn cartesian_enumeration_counts_every_pattern() {
         let d = dataset();
-        let view = d.full_view();
-        let groups = cartesian_subgroups(&view, &[0, 1]).unwrap();
+        let groups = cartesian_subgroups(&d, &[0, 1]).unwrap();
         assert_eq!(groups.len(), 4);
         let total: usize = groups.iter().map(|g| g.size).sum();
         assert_eq!(total, d.len());
@@ -215,23 +214,21 @@ mod tests {
     #[test]
     fn subgroup_membership_and_labels() {
         let d = dataset();
-        let view = d.full_view();
-        let groups = cartesian_subgroups(&view, &[0, 1]).unwrap();
+        let groups = cartesian_subgroups(&d, &[0, 1]).unwrap();
         let both = groups
             .iter()
             .find(|g| g.pattern == vec![true, true])
             .unwrap();
-        assert!(both.contains(view.object(d.len() - 1)));
-        assert!(!both.contains(view.object(0)));
-        assert_eq!(both.label(view.schema()), "a=1,b=1");
+        assert!(both.contains(d.row(d.len() - 1)));
+        assert!(!both.contains(d.row(0)));
+        assert_eq!(both.label(d.schema()), "a=1,b=1");
     }
 
     #[test]
     fn intersectional_subgroup_is_the_most_disadvantaged() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let worst = most_disadvantaged_subgroups(&view, &ranker, &[0, 1], 0.4, 3).unwrap();
+        let worst = most_disadvantaged_subgroups(&d, &ranker, &[0, 1], 0.4, 3).unwrap();
         assert_eq!(worst.len(), 3);
         // The (a=1, b=1) intersection never appears in the top 40%.
         assert_eq!(worst[0].0.pattern, vec![true, true]);
@@ -255,8 +252,7 @@ mod tests {
             })
             .collect();
         let d = Dataset::new(schema, objects).unwrap();
-        let view = d.full_view();
-        let groups = cartesian_subgroups(&view, &[0, 1]).unwrap();
+        let groups = cartesian_subgroups(&d, &[0, 1]).unwrap();
         assert_eq!(groups.len(), 2);
         assert!(groups.iter().all(|g| !g.pattern[1]));
     }
@@ -264,11 +260,10 @@ mod tests {
     #[test]
     fn validation_errors() {
         let d = dataset();
-        let view = d.full_view();
-        assert!(cartesian_subgroups(&view, &[]).is_err());
-        assert!(cartesian_subgroups(&view, &[0, 0]).is_err());
-        assert!(cartesian_subgroups(&view, &[7]).is_err());
+        assert!(cartesian_subgroups(&d, &[]).is_err());
+        assert!(cartesian_subgroups(&d, &[0, 0]).is_err());
+        assert!(cartesian_subgroups(&d, &[7]).is_err());
         let empty = Dataset::empty(Schema::from_names(&["s"], &["a"], &[]).unwrap());
-        assert!(cartesian_subgroups(&empty.full_view(), &[0]).is_err());
+        assert!(cartesian_subgroups(&empty, &[0]).is_err());
     }
 }

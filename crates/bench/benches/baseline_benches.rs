@@ -25,12 +25,11 @@ fn quota_bench(c: &mut Criterion) {
         .sample_size(20)
         .measurement_time(Duration::from_secs(5));
     let dataset = school(20_000);
-    let view = dataset.full_view();
     let rubric = SchoolGenerator::rubric();
     let config = QuotaConfig::new(0.7, vec![0, 1, 2]).unwrap();
     for &k in &[0.05_f64, 0.3] {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            b.iter(|| black_box(quota_select(&view, &rubric, k, &config).unwrap()));
+            b.iter(|| black_box(quota_select(&dataset, &rubric, k, &config).unwrap()));
         });
     }
     group.finish();
@@ -43,12 +42,11 @@ fn fastar_bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(5));
     // FA*IR is run on a district-sized population, as in the paper.
     let dataset = school(2_500);
-    let view = dataset.full_view();
     let rubric = SchoolGenerator::rubric();
-    let worst = most_disadvantaged_subgroups(&view, &rubric, &[0, 1, 2], 0.05, 3).unwrap();
+    let worst = most_disadvantaged_subgroups(&dataset, &rubric, &[0, 1, 2], 0.05, 3).unwrap();
     let groups: Vec<ProtectedGroup> = worst
         .iter()
-        .map(|(g, _)| ProtectedGroup::from_subgroup(&view, g))
+        .map(|(g, _)| ProtectedGroup::from_subgroup(&dataset, g))
         .collect();
     for &k in &[0.05_f64, 0.3] {
         let output = selection_size(dataset.len(), k).unwrap();
@@ -57,7 +55,7 @@ fn fastar_bench(c: &mut Criterion) {
                 let ranker =
                     FaStarRanker::new(FaStarConfig::new(0.1, output).unwrap(), groups.clone())
                         .unwrap();
-                black_box(ranker.rerank(&view, &rubric).unwrap())
+                black_box(ranker.rerank(&dataset, &rubric).unwrap())
             });
         });
     }
@@ -70,13 +68,12 @@ fn celis_bench(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(5));
     let dataset = school(20_000);
-    let view = dataset.full_view();
     let rubric = SchoolGenerator::rubric();
     for &k in &[0.05_f64, 0.3] {
         let output = selection_size(dataset.len(), k).unwrap();
-        let constraints = caps_excluding_group(&view, &[0, 1, 2], output, 0.02).unwrap();
+        let constraints = caps_excluding_group(&dataset, &[0, 1, 2], output, 0.02).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-            b.iter(|| black_box(celis_rerank(&view, &rubric, output, &constraints).unwrap()));
+            b.iter(|| black_box(celis_rerank(&dataset, &rubric, output, &constraints).unwrap()));
         });
     }
     group.finish();

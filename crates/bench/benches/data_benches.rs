@@ -42,13 +42,11 @@ fn scoring(c: &mut Criterion) {
     let rubric = SchoolGenerator::rubric();
     let bonus = vec![1.0, 11.5, 12.0, 12.0];
     group.bench_function("effective_scores_40k", |b| {
-        let view = dataset.full_view();
-        b.iter(|| black_box(effective_scores(&view, &rubric, &bonus)));
+        b.iter(|| black_box(effective_scores(&dataset, &rubric, &bonus)));
     });
     group.bench_function("score_and_rank_40k", |b| {
-        let view = dataset.full_view();
         b.iter(|| {
-            let scores = effective_scores(&view, &rubric, &bonus);
+            let scores = effective_scores(&dataset, &rubric, &bonus);
             black_box(RankedSelection::from_scores(scores))
         });
     });

@@ -181,14 +181,13 @@ fn objective_eval_paths(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(5));
     let dataset = school(20_000, 42);
     let rubric = SchoolGenerator::rubric();
-    let view = dataset.full_view();
     let bonus = vec![1.0, 10.0, 12.0, 12.0];
     let plan = TopKDisparity::new(0.05).plan();
 
     group.bench_function("full_sort_alloc", |b| {
         b.iter(|| {
-            let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &bonus));
-            black_box(disparity_at_k(&view, &ranking, 0.05).unwrap())
+            let ranking = RankedSelection::from_scores(effective_scores(&dataset, &rubric, &bonus));
+            black_box(disparity_at_k(&dataset, &ranking, 0.05).unwrap())
         });
     });
     group.bench_function("plan_alloc", |b| {

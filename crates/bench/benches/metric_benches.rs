@@ -18,10 +18,7 @@ fn ranked(n: usize) -> (Dataset, Vec<f64>) {
         .generate()
         .into_dataset();
     let rubric = SchoolGenerator::rubric();
-    let scores = {
-        let view = dataset.full_view();
-        effective_scores(&view, &rubric, &[0.0; 4])
-    };
+    let scores = { effective_scores(&dataset, &rubric, &[0.0; 4]) };
     (dataset, scores)
 }
 
@@ -77,7 +74,6 @@ fn aos_vs_soa_scoring(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(5));
     let (dataset, _) = ranked(50_000);
     let rubric = SchoolGenerator::rubric();
-    let view = dataset.full_view();
     let bonus = [1.0, 10.0, 12.0, 12.0];
     // Materialize the pre-refactor layout: one owned object (two Vec
     // allocations) per row.
@@ -86,7 +82,7 @@ fn aos_vs_soa_scoring(c: &mut Criterion) {
     group.bench_function("soa_stream", |b| {
         let mut out = Vec::new();
         b.iter(|| {
-            effective_scores_into(&view, &rubric, &bonus, &mut out);
+            effective_scores_into(&dataset, &rubric, &bonus, &mut out);
             black_box(out.last().copied())
         });
     });
@@ -111,25 +107,24 @@ fn disparity_metrics(c: &mut Criterion) {
         .sample_size(30)
         .measurement_time(Duration::from_secs(5));
     let (dataset, scores) = ranked(20_000);
-    let view = dataset.full_view();
     let ranking = RankedSelection::from_scores(scores);
     let rubric = SchoolGenerator::rubric();
 
     group.bench_function("disparity_at_k", |b| {
-        b.iter(|| black_box(disparity_at_k(&view, &ranking, 0.05).unwrap()));
+        b.iter(|| black_box(disparity_at_k(&dataset, &ranking, 0.05).unwrap()));
     });
     group.bench_function("log_discounted_disparity", |b| {
         let cfg = LogDiscountConfig::default();
-        b.iter(|| black_box(log_discounted_disparity(&view, &ranking, &cfg).unwrap()));
+        b.iter(|| black_box(log_discounted_disparity(&dataset, &ranking, &cfg).unwrap()));
     });
     group.bench_function("scaled_disparate_impact", |b| {
-        b.iter(|| black_box(scaled_disparate_impact_at_k(&view, &ranking, 0.05).unwrap()));
+        b.iter(|| black_box(scaled_disparate_impact_at_k(&dataset, &ranking, 0.05).unwrap()));
     });
     group.bench_function("ndcg_at_k", |b| {
-        b.iter(|| black_box(ndcg_at_k(&view, &rubric, &ranking, 0.05).unwrap()));
+        b.iter(|| black_box(ndcg_at_k(&dataset, &rubric, &ranking, 0.05).unwrap()));
     });
     group.bench_function("ddp_exposure", |b| {
-        b.iter(|| black_box(ddp_for_binary_attributes(&view, &ranking).unwrap()));
+        b.iter(|| black_box(ddp_for_binary_attributes(&dataset, &ranking).unwrap()));
     });
     group.finish();
 }
@@ -142,11 +137,14 @@ fn sampling(c: &mut Criterion) {
     let (dataset, _) = ranked(50_000);
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     use rand::SeedableRng;
+    let mut drawn = rand::seq::index::IndexBuffer::new();
     for &size in &[500usize, 2_000] {
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
             b.iter(|| {
-                let view = dataset.sample(&mut rng, size).unwrap();
-                black_box(view.fairness_centroid().unwrap())
+                dataset
+                    .draw_indices_into(&mut rng, size, &mut drawn)
+                    .unwrap();
+                black_box(dataset.fairness_centroid_of(drawn.as_slice()).unwrap())
             });
         });
     }

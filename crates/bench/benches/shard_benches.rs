@@ -32,13 +32,12 @@ fn serial_vs_sharded_metrics(c: &mut Criterion) {
     let n = 50_000;
     let (flat, sharded) = cohorts(n);
     let rubric = SchoolGenerator::rubric();
-    let view = flat.full_view();
     let log_cfg = LogDiscountConfig::default();
 
     group.bench_function(BenchmarkId::new("serial", "ndcg_at_k"), |b| {
         b.iter(|| {
-            let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &BONUS));
-            black_box(ndcg_at_k(&view, &rubric, &ranking, 0.05).unwrap())
+            let ranking = RankedSelection::from_scores(effective_scores(&flat, &rubric, &BONUS));
+            black_box(ndcg_at_k(&flat, &rubric, &ranking, 0.05).unwrap())
         });
     });
     group.bench_function(BenchmarkId::new("sharded", "ndcg_at_k"), |b| {
@@ -46,8 +45,8 @@ fn serial_vs_sharded_metrics(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("serial", "disparity_at_k"), |b| {
         b.iter(|| {
-            let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &BONUS));
-            black_box(disparity_at_k(&view, &ranking, 0.05).unwrap())
+            let ranking = RankedSelection::from_scores(effective_scores(&flat, &rubric, &BONUS));
+            black_box(disparity_at_k(&flat, &ranking, 0.05).unwrap())
         });
     });
     group.bench_function(BenchmarkId::new("sharded", "disparity_at_k"), |b| {
@@ -55,8 +54,8 @@ fn serial_vs_sharded_metrics(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("serial", "log_discounted"), |b| {
         b.iter(|| {
-            let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &BONUS));
-            black_box(log_discounted_disparity(&view, &ranking, &log_cfg).unwrap())
+            let ranking = RankedSelection::from_scores(effective_scores(&flat, &rubric, &BONUS));
+            black_box(log_discounted_disparity(&flat, &ranking, &log_cfg).unwrap())
         });
     });
     group.bench_function(BenchmarkId::new("sharded", "log_discounted"), |b| {
@@ -107,7 +106,7 @@ fn shard_sampling(c: &mut Criterion) {
     group.bench_function("serial_floyd", |b| {
         let mut buf = rand::seq::index::IndexBuffer::new();
         b.iter(|| {
-            flat.sample_indices_into(&mut rng, 500, &mut buf).unwrap();
+            flat.draw_indices_into(&mut rng, 500, &mut buf).unwrap();
             black_box(buf.len())
         });
     });

@@ -303,16 +303,17 @@ fn measure_cohort(n: usize, reps: usize) -> CohortReport {
     let full_steps = full_outcome.steps;
 
     // Single-metric evaluations on the full cohort.
-    let view = dataset.full_view();
     let bonus = vec![1.0, 10.0, 12.0, 12.0];
-    let scores = effective_scores(&view, &rubric, &bonus);
+    let scores = effective_scores(&dataset, &rubric, &bonus);
     let ranking = RankedSelection::from_scores(scores);
-    let disparity_ms = time_median(reps, || disparity_at_k(&view, &ranking, 0.05).unwrap());
+    let disparity_ms = time_median(reps, || disparity_at_k(&dataset, &ranking, 0.05).unwrap());
     let log_cfg = LogDiscountConfig::default();
     let log_discounted_ms = time_median(reps, || {
-        log_discounted_disparity(&view, &ranking, &log_cfg).unwrap()
+        log_discounted_disparity(&dataset, &ranking, &log_cfg).unwrap()
     });
-    let ndcg_ms = time_median(reps, || ndcg_at_k(&view, &rubric, &ranking, 0.05).unwrap());
+    let ndcg_ms = time_median(reps, || {
+        ndcg_at_k(&dataset, &rubric, &ranking, 0.05).unwrap()
+    });
 
     // Serial vs shard-wise end-to-end metric evaluation (score → rank →
     // measure). The serial side is the pre-refactor whole-cohort path: a
@@ -321,16 +322,16 @@ fn measure_cohort(n: usize, reps: usize) -> CohortReport {
     // selection + ordered combine).
     let serial_e2e = MetricTriple {
         disparity_ms: time_median(reps, || {
-            let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &bonus));
-            disparity_at_k(&view, &ranking, 0.05).unwrap()
+            let ranking = RankedSelection::from_scores(effective_scores(&dataset, &rubric, &bonus));
+            disparity_at_k(&dataset, &ranking, 0.05).unwrap()
         }),
         log_discounted_ms: time_median(reps, || {
-            let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &bonus));
-            log_discounted_disparity(&view, &ranking, &log_cfg).unwrap()
+            let ranking = RankedSelection::from_scores(effective_scores(&dataset, &rubric, &bonus));
+            log_discounted_disparity(&dataset, &ranking, &log_cfg).unwrap()
         }),
         ndcg_ms: time_median(reps, || {
-            let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &bonus));
-            ndcg_at_k(&view, &rubric, &ranking, 0.05).unwrap()
+            let ranking = RankedSelection::from_scores(effective_scores(&dataset, &rubric, &bonus));
+            ndcg_at_k(&dataset, &rubric, &ranking, 0.05).unwrap()
         }),
     };
     let shard_size = fair_core::DEFAULT_SHARD_SIZE;

@@ -83,12 +83,12 @@ pub fn run_disparate_impact_comparison(
     let ks = ks.unwrap_or_else(|| vec![0.05, 0.1, 0.2, 0.3, 0.4, 0.5]);
     let (train, test) = standard_school_pair(scale);
     let rubric = SchoolGenerator::rubric();
-    let test_view = test.dataset().full_view();
+    let test_data = test.dataset();
 
     let evaluate = |bonus: &[f64], k: f64| -> Result<(f64, f64)> {
-        let ranking = RankedSelection::from_scores(effective_scores(&test_view, &rubric, bonus));
-        let disp = disparity_at_k(&test_view, &ranking, k)?;
-        let di = scaled_disparate_impact_at_k(&test_view, &ranking, k)?;
+        let ranking = RankedSelection::from_scores(effective_scores(test_data, &rubric, bonus));
+        let disp = disparity_at_k(test_data, &ranking, k)?;
+        let di = scaled_disparate_impact_at_k(test_data, &ranking, k)?;
         Ok((norm(&disp), norm(&di)))
     };
 

@@ -82,12 +82,11 @@ pub fn run_quota(scale: &ExperimentScale, reserve_fraction: f64) -> Result<Quota
         .collect();
     let config = QuotaConfig::new(reserve_fraction, binary_dims)?;
 
-    let view = dataset.full_view();
     let mut points = Vec::new();
     let mut baseline_norms = Vec::new();
     for k in k_grid() {
-        let selected = quota_select(&view, &rubric, k, &config)?;
-        let disparity = disparity_of_selection(&view, &selected)?;
+        let selected = quota_select(dataset, &rubric, k, &config)?;
+        let disparity = disparity_of_selection(dataset, &selected)?;
         points.push((k, disparity.clone(), norm(&disparity)));
         let base = eval_disparity(dataset, &rubric, &zero, k)?;
         baseline_norms.push((k, norm(&base)));
@@ -172,7 +171,6 @@ pub fn run_delta2_comparison(scale: &ExperimentScale) -> Result<Fig7Result> {
     let (train, _) = standard_school_pair(scale);
     let rubric = SchoolGenerator::rubric();
     let dataset = train.dataset();
-    let view = dataset.full_view();
     let binary_dims: Vec<usize> = dataset
         .schema()
         .fairness()
@@ -199,19 +197,19 @@ pub fn run_delta2_comparison(scale: &ExperimentScale) -> Result<Fig7Result> {
 
         // Hand (Δ+2) the disparity DCA achieved as its constraint slack.
         let slack = norm(&dca_disp);
-        let constraints = caps_excluding_group(&view, &binary_dims, selection, slack)?;
+        let constraints = caps_excluding_group(dataset, &binary_dims, selection, slack)?;
         let t = Instant::now();
-        let selected = celis_rerank(&view, &rubric, selection, &constraints)?;
+        let selected = celis_rerank(dataset, &rubric, selection, &constraints)?;
         delta2_time += t.elapsed();
-        let delta2_disp = disparity_of_selection(&view, &selected)?;
+        let delta2_disp = disparity_of_selection(dataset, &selected)?;
         // nDCG of the constrained selection: rebuild a ranking that puts the
         // selected items first, in their greedy order.
-        let mut scores = vec![f64::MIN; view.len()];
+        let mut scores = vec![f64::MIN; dataset.len()];
         for (rank, &pos) in selected.iter().enumerate() {
-            scores[pos] = (view.len() - rank) as f64;
+            scores[pos] = (dataset.len() - rank) as f64;
         }
         let constrained = RankedSelection::from_scores(scores);
-        let delta2_ndcg = ndcg_at_k(&view, &rubric, &constrained, k)?;
+        let delta2_ndcg = ndcg_at_k(dataset, &rubric, &constrained, k)?;
 
         points.push(Fig7Point {
             proportion,
@@ -346,17 +344,16 @@ pub fn run_fastar_comparison(
     let dca_disp = project(&dca_full);
 
     // Multinomial FA*IR on the 3 most-disadvantaged Cartesian subgroups.
-    let view = dataset.full_view();
-    let worst = most_disadvantaged_subgroups(&view, &rubric, &binary_dims, k, 3)?;
+    let worst = most_disadvantaged_subgroups(&dataset, &rubric, &binary_dims, k, 3)?;
     let groups: Vec<ProtectedGroup> = worst
         .iter()
-        .map(|(g, _)| ProtectedGroup::from_subgroup(&view, g))
+        .map(|(g, _)| ProtectedGroup::from_subgroup(&dataset, g))
         .collect();
     let group_labels: Vec<String> = worst.iter().map(|(g, _)| g.label(&schema)).collect();
     let selection = selection_size(dataset.len(), k)?;
     let fastar = FaStarRanker::new(FaStarConfig::new(0.1, selection)?, groups)?;
-    let order = fastar.rerank(&view, &rubric)?;
-    let fastar_full = disparity_of_selection(&view, &order)?;
+    let order = fastar.rerank(&dataset, &rubric)?;
+    let fastar_full = disparity_of_selection(&dataset, &order)?;
     let fastar_disp = project(&fastar_full);
 
     let rows = vec![
@@ -443,15 +440,15 @@ pub fn run_exposure(scale: &ExperimentScale) -> Result<ExposureResult> {
     });
     let dca = Dca::new(config).run(train.dataset(), &rubric, &objective)?;
 
-    let view = test.dataset().full_view();
-    let dims = view.schema().num_fairness();
+    let data = test.dataset();
+    let dims = data.schema().num_fairness();
     let before_ranking =
-        RankedSelection::from_scores(effective_scores(&view, &rubric, &vec![0.0; dims]));
+        RankedSelection::from_scores(effective_scores(data, &rubric, &vec![0.0; dims]));
     let after_ranking =
-        RankedSelection::from_scores(effective_scores(&view, &rubric, dca.bonus.values()));
+        RankedSelection::from_scores(effective_scores(data, &rubric, dca.bonus.values()));
     Ok(ExposureResult {
-        ddp_before: ddp_for_binary_attributes(&view, &before_ranking)?,
-        ddp_after: ddp_for_binary_attributes(&view, &after_ranking)?,
+        ddp_before: ddp_for_binary_attributes(data, &before_ranking)?,
+        ddp_after: ddp_for_binary_attributes(data, &after_ranking)?,
         bonus: dca.bonus.values().to_vec(),
     })
 }

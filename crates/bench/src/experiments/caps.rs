@@ -84,10 +84,12 @@ pub fn run_caps(scale: &ExperimentScale, cap_levels: Option<Vec<f64>>) -> Result
         config.caps = Some(BonusCaps::uniform(dims, max_bonus)?);
         let dca = Dca::new(config).run(train.dataset(), &rubric, &objective)?;
         // Evaluate the log-discounted disparity on the test cohort.
-        let view = test.dataset().full_view();
-        let ranking =
-            RankedSelection::from_scores(effective_scores(&view, &rubric, dca.bonus.values()));
-        let disparity = log_discounted_disparity(&view, &ranking, &discount)?;
+        let ranking = RankedSelection::from_scores(effective_scores(
+            test.dataset(),
+            &rubric,
+            dca.bonus.values(),
+        ));
+        let disparity = log_discounted_disparity(test.dataset(), &ranking, &discount)?;
         points.push(CapPoint {
             max_bonus,
             bonus: dca.bonus.values().to_vec(),

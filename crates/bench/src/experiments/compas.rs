@@ -127,11 +127,10 @@ pub fn run_fig10b(scale: &ExperimentScale) -> Result<CompasResult> {
         .collect();
     let dims = names.len();
     let zero = vec![0.0; dims];
-    let view = dataset.full_view();
 
     let fpr_diff = |bonus: &[f64], k: f64| -> Result<Vec<f64>> {
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, bonus));
-        let (per_group, overall) = group_fpr_at_k(&view, &ranking, k)?;
+        let ranking = RankedSelection::from_scores(effective_scores(&dataset, &ranker, bonus));
+        let (per_group, overall) = group_fpr_at_k(&dataset, &ranking, k)?;
         Ok(per_group.into_iter().map(|f| f - overall).collect())
     };
 

@@ -141,9 +141,8 @@ pub fn run_sharded_parity(scale: &ExperimentScale) -> Result<ShardedParityResult
     // Log-discounted disparity.
     let log_cfg = LogDiscountConfig::default();
     let start = Instant::now();
-    let view = flat.full_view();
-    let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &bonus));
-    let serial_log = log_discounted_disparity(&view, &ranking, &log_cfg)?;
+    let ranking = RankedSelection::from_scores(effective_scores(&flat, &rubric, &bonus));
+    let serial_log = log_discounted_disparity(&flat, &ranking, &log_cfg)?;
     let serial_ms = start.elapsed().as_secs_f64() * 1e3;
     let start = Instant::now();
     let sharded_log = shmetrics::log_discounted_disparity(&sharded, &rubric, &bonus, &log_cfg)?;

@@ -52,12 +52,11 @@ pub fn disparity_curve<R: Ranker + ?Sized>(
     bonus: &[f64],
     ks: &[f64],
 ) -> Result<Vec<CurvePoint>> {
-    let view = dataset.full_view();
-    let ranking = RankedSelection::from_scores(effective_scores(&view, ranker, bonus));
+    let ranking = RankedSelection::from_scores(effective_scores(dataset, ranker, bonus));
     let mut points = Vec::with_capacity(ks.len());
     for &k in ks {
-        let disparity = disparity_at_k(&view, &ranking, k)?;
-        let ndcg = ndcg_at_k(&view, ranker, &ranking, k)?;
+        let disparity = disparity_at_k(dataset, &ranking, k)?;
+        let ndcg = ndcg_at_k(dataset, ranker, &ranking, k)?;
         points.push(CurvePoint {
             k,
             norm: norm(&disparity),
@@ -78,9 +77,8 @@ pub fn eval_disparity<R: Ranker + ?Sized>(
     bonus: &[f64],
     k: f64,
 ) -> Result<Vec<f64>> {
-    let view = dataset.full_view();
-    let ranking = RankedSelection::from_scores(effective_scores(&view, ranker, bonus));
-    disparity_at_k(&view, &ranking, k)
+    let ranking = RankedSelection::from_scores(effective_scores(dataset, ranker, bonus));
+    disparity_at_k(dataset, &ranking, k)
 }
 
 /// nDCG@k of a bonus-adjusted ranking on a full dataset.
@@ -93,9 +91,8 @@ pub fn eval_ndcg<R: Ranker + ?Sized>(
     bonus: &[f64],
     k: f64,
 ) -> Result<f64> {
-    let view = dataset.full_view();
-    let ranking = RankedSelection::from_scores(effective_scores(&view, ranker, bonus));
-    ndcg_at_k(&view, ranker, &ranking, k)
+    let ranking = RankedSelection::from_scores(effective_scores(dataset, ranker, bonus));
+    ndcg_at_k(dataset, ranker, &ranking, k)
 }
 
 /// The default selection-fraction grid used by the paper's per-k figures

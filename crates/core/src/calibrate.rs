@@ -8,14 +8,17 @@
 //!
 //! [`calibrate_proportion`] implements exactly that binary search over the
 //! scaling proportion of a recommended bonus vector, against either a minimum
-//! acceptable utility or a maximum acceptable disparity norm.
+//! acceptable utility or a maximum acceptable disparity norm. Each candidate
+//! proportion is measured by one `[Disparity, Ndcg]`
+//! [`MetricPlan`] over the dataset, which selects the top `k` without
+//! sorting the cohort.
 
 use crate::bonus::BonusVector;
 use crate::dataset::Dataset;
 use crate::error::{FairError, Result};
-use crate::metrics::{disparity_at_k, ndcg_at_k, norm};
-use crate::ranking::topk::RankedSelection;
-use crate::ranking::{effective_scores, Ranker};
+use crate::metrics::norm;
+use crate::metrics::sharded::{MetricKind, MetricPlan, MetricValue};
+use crate::ranking::Ranker;
 
 /// What the calibration should achieve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,11 +61,17 @@ fn evaluate<R: Ranker + ?Sized>(
         Some(g) => full_bonus.scaled(proportion)?.rounded_to(g)?,
         None => full_bonus.scaled(proportion)?,
     };
-    let view = dataset.full_view();
-    let ranking = RankedSelection::from_scores(effective_scores(&view, ranker, scaled.values()));
-    let disparity = disparity_at_k(&view, &ranking, k)?;
-    let utility = ndcg_at_k(&view, ranker, &ranking, k)?;
-    Ok((norm(&disparity), utility, scaled))
+    let report = MetricPlan::new(&[MetricKind::Disparity, MetricKind::Ndcg], k).evaluate(
+        dataset,
+        ranker,
+        scaled.values(),
+    )?;
+    match report.values() {
+        [(_, MetricValue::Vector(disparity)), (_, MetricValue::Scalar(ndcg))] => {
+            Ok((norm(disparity), *ndcg, scaled))
+        }
+        _ => unreachable!("a plan reports its metrics in plan order"),
+    }
 }
 
 /// Binary-search the proportion of `full_bonus` to apply so that `target` is

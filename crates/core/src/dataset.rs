@@ -8,6 +8,12 @@
 //! what makes the per-step cost truly sample-bounded in practice
 //! (Section IV-D). Rows are exposed through the zero-copy [`ObjectView`];
 //! the owned [`DataObject`] remains the construction-time input type.
+//!
+//! A `Dataset` is the cohort every serial metric, baseline and explanation
+//! measures, and a ranking position is a row index. It is also a one-shard
+//! [`crate::ShardSource`], so it is scored by the engine's kernel and its
+//! whole-cohort statistics (the centroid `D_O`, group frequencies, labels)
+//! are the trait's, computed the same way for every source.
 
 use crate::attributes::SchemaRef;
 use crate::error::{FairError, Result};
@@ -18,9 +24,9 @@ use rand::Rng;
 /// A collection of ranked objects sharing one [`crate::Schema`], stored
 /// column-wise.
 ///
-/// The dataset is the paper's set `O`. It offers the primitives every metric
-/// and algorithm needs: fairness centroids (the `D_O` term of Definition 3),
-/// uniform random samples (the `S` of Algorithm 1), and subset views.
+/// The dataset is the paper's set `O`. Besides its rows it offers the
+/// centroid of a selection (the `D_k` term of Definition 3), the uniform
+/// random draw of Algorithm 1's sample `S`, and subsets.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     schema: SchemaRef,
@@ -294,42 +300,11 @@ impl Dataset {
         self.labels[i] = label;
     }
 
-    /// Centroid of the fairness attributes over the whole dataset — the
-    /// `D_O` term of Definition 3.
-    ///
-    /// # Errors
-    /// Returns [`FairError::EmptyDataset`] on an empty dataset.
-    pub fn fairness_centroid(&self) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.fairness_centroid_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// [`Dataset::fairness_centroid`] writing into a caller-provided buffer.
-    ///
-    /// # Errors
-    /// Returns [`FairError::EmptyDataset`] on an empty dataset.
-    pub fn fairness_centroid_into(&self, out: &mut Vec<f64>) -> Result<()> {
-        if self.is_empty() {
-            return Err(FairError::EmptyDataset);
-        }
-        let dims = self.schema.num_fairness();
-        if dims == 0 {
-            out.clear();
-            return Ok(());
-        }
-        // One dense pass over the fairness matrix; the kernel's row order is
-        // the same as a gathered walk over 0..len, so views agree bit-wise.
-        crate::kernel::col_sums_into(&self.fairness, dims, out);
-        let n = self.len() as f64;
-        for a in out.iter_mut() {
-            *a /= n;
-        }
-        Ok(())
-    }
-
     /// Centroid of the fairness attributes over a subset of object indices —
     /// the `D_k` term of Definition 3 when the indices are a top-k selection.
+    /// The whole-dataset centroid `D_O` is
+    /// [`crate::ShardSource::fairness_centroid`], a `Dataset` being a
+    /// one-shard source.
     ///
     /// # Errors
     /// Returns [`FairError::EmptyDataset`] when `indices` is empty.
@@ -346,59 +321,18 @@ impl Dataset {
         Ok(out)
     }
 
-    /// Fraction of objects belonging to the (binary) group at fairness index
-    /// `dim`, i.e. with value `>= 0.5`.
-    #[must_use]
-    pub fn group_frequency(&self, dim: usize) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let w = self.schema.num_fairness();
-        if dim >= w {
-            return 0.0;
-        }
-        let count = crate::kernel::count_ge_half(&self.fairness, w, dim);
-        count as f64 / self.len() as f64
-    }
-
-    /// Frequency of the *rarest* fairness group — the `r` of the paper's
-    /// sample-size rule `O(max(1/k, 1/r))` (Section IV-D).
-    #[must_use]
-    pub fn rarest_group_frequency(&self) -> f64 {
-        (0..self.schema.num_fairness())
-            .map(|d| self.group_frequency(d))
-            .filter(|f| *f > 0.0)
-            .fold(1.0_f64, f64::min)
-    }
-
-    /// Draw a uniform random sample (without replacement) of `size` objects.
-    /// When `size >= len()` the whole dataset is returned (in index order).
-    ///
-    /// # Errors
-    /// Returns [`FairError::EmptyDataset`] on an empty dataset and
-    /// [`FairError::InvalidConfig`] when `size == 0`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, size: usize) -> Result<SampleView<'_>> {
-        let mut buf = IndexBuffer::new();
-        self.sample_indices_into(rng, size, &mut buf)?;
-        Ok(SampleView {
-            dataset: self,
-            indices: buf.into_vec(),
-        })
-    }
-
-    /// Allocation-free variant of [`Dataset::sample`]: draw the sampled
+    /// Draw a uniform random sample (without replacement) of `size` row
     /// indices into a reusable [`IndexBuffer`] — the draw of every serial
     /// Core DCA and refinement step, which then copies the rows into a
-    /// reused block.
-    ///
-    /// The index sequence is identical to [`Dataset::sample`] for the same RNG
-    /// state, so sampled experiments are reproducible across both entry
-    /// points.
+    /// reused block. When `size >= len()` every row is drawn, in index
+    /// order. The seeded per-shard draw of the sharded runners is
+    /// [`crate::ShardSource::sample_indices_into`]; the two draw different
+    /// samples.
     ///
     /// # Errors
     /// Returns [`FairError::EmptyDataset`] on an empty dataset and
     /// [`FairError::InvalidConfig`] when `size == 0`.
-    pub fn sample_indices_into<R: Rng + ?Sized>(
+    pub fn draw_indices_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         size: usize,
@@ -418,16 +352,6 @@ impl Dataset {
             sample_into(rng, self.len(), size, buf);
         }
         Ok(())
-    }
-
-    /// Borrow the whole dataset as a [`SampleView`] (used by Full DCA, which
-    /// never samples).
-    #[must_use]
-    pub fn full_view(&self) -> SampleView<'_> {
-        SampleView {
-            dataset: self,
-            indices: (0..self.len()).collect(),
-        }
     }
 
     /// Build a new dataset containing only the objects selected by `predicate`
@@ -454,120 +378,6 @@ impl Dataset {
         let mut out = Self::with_capacity(self.schema.clone(), indices.len());
         out.extend_from_rows(self, indices.iter().copied(), true);
         out
-    }
-
-    /// Whether every object carries a ground-truth outcome label.
-    #[must_use]
-    pub fn fully_labelled(&self) -> bool {
-        !self.is_empty() && self.labels.iter().all(Option::is_some)
-    }
-}
-
-/// A borrowed view over a subset of a dataset's objects (a sample, a district,
-/// or the full dataset) — what the serial metrics measure.
-#[derive(Debug, Clone)]
-pub struct SampleView<'a> {
-    dataset: &'a Dataset,
-    indices: Vec<usize>,
-}
-
-impl<'a> SampleView<'a> {
-    /// Construct a view from explicit indices into `dataset`.
-    ///
-    /// # Panics
-    /// Panics if any index is out of bounds.
-    #[must_use]
-    pub fn from_indices(dataset: &'a Dataset, indices: Vec<usize>) -> Self {
-        for &i in &indices {
-            assert!(
-                i < dataset.len(),
-                "index {i} out of bounds for dataset of {}",
-                dataset.len()
-            );
-        }
-        Self { dataset, indices }
-    }
-
-    /// The underlying dataset.
-    #[must_use]
-    pub fn dataset(&self) -> &'a Dataset {
-        self.dataset
-    }
-
-    /// The schema of the underlying dataset.
-    #[must_use]
-    pub fn schema(&self) -> &'a SchemaRef {
-        self.dataset.schema()
-    }
-
-    /// Indices (into the dataset) of the viewed objects.
-    #[must_use]
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
-
-    /// Number of objects in the view.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Whether the view is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
-    /// Iterate over the viewed objects.
-    pub fn iter(&self) -> impl Iterator<Item = ObjectView<'a>> + '_ {
-        self.indices.iter().map(move |&i| self.dataset.row(i))
-    }
-
-    /// The `i`-th object of the view.
-    #[must_use]
-    pub fn object(&self, i: usize) -> ObjectView<'a> {
-        self.dataset.row(self.indices[i])
-    }
-
-    /// Fairness centroid over the whole view (`D_O` computed on a sample —
-    /// Lemma 4.2's estimator).
-    ///
-    /// # Errors
-    /// Returns [`FairError::EmptyDataset`] on an empty view.
-    pub fn fairness_centroid(&self) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.fairness_centroid_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// [`SampleView::fairness_centroid`] writing into a caller-provided
-    /// buffer.
-    ///
-    /// # Errors
-    /// Returns [`FairError::EmptyDataset`] on an empty view.
-    pub fn fairness_centroid_into(&self, out: &mut Vec<f64>) -> Result<()> {
-        centroid_rows_into(
-            self.dataset.schema().num_fairness(),
-            self.indices.iter().map(|&i| self.dataset.fairness_row(i)),
-            out,
-        )
-    }
-
-    /// Fairness centroid over a subset of *view positions* (not dataset
-    /// indices) — used for the selected top-k of a sample (Lemma 4.4).
-    ///
-    /// # Errors
-    /// Returns [`FairError::EmptyDataset`] when `positions` is empty.
-    pub fn fairness_centroid_of(&self, positions: &[usize]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        centroid_rows_into(
-            self.dataset.schema().num_fairness(),
-            positions
-                .iter()
-                .map(|&p| self.dataset.fairness_row(self.indices[p])),
-            &mut out,
-        )?;
-        Ok(out)
     }
 }
 
@@ -639,6 +449,7 @@ pub(crate) fn centroid_rows_into<'a>(
 mod tests {
     use super::*;
     use crate::attributes::Schema;
+    use crate::shard::ShardSource;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -705,12 +516,13 @@ mod tests {
     }
 
     #[test]
-    fn sample_without_replacement_has_unique_indices() {
+    fn draw_without_replacement_has_unique_indices() {
         let d = make_dataset();
         let mut rng = StdRng::seed_from_u64(42);
-        let view = d.sample(&mut rng, 3).unwrap();
-        assert_eq!(view.len(), 3);
-        let mut idx = view.indices().to_vec();
+        let mut buf = IndexBuffer::new();
+        d.draw_indices_into(&mut rng, 3, &mut buf).unwrap();
+        assert_eq!(buf.len(), 3);
+        let mut idx = buf.as_slice().to_vec();
         idx.sort_unstable();
         idx.dedup();
         assert_eq!(idx.len(), 3, "indices must be unique");
@@ -756,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn sample_into_matches_owning_sample_for_equal_seeds() {
+    fn draw_is_reproducible_for_equal_seeds() {
         let d = {
             let s = schema();
             let objects = (0..200_u64)
@@ -766,58 +578,40 @@ mod tests {
         };
         let mut rng_a = StdRng::seed_from_u64(7);
         let mut rng_b = StdRng::seed_from_u64(7);
-        let mut buf = IndexBuffer::new();
+        let (mut a, mut b) = (IndexBuffer::new(), IndexBuffer::new());
         for size in [3, 20, 150, 500] {
-            let owned = d.sample(&mut rng_a, size).unwrap();
-            d.sample_indices_into(&mut rng_b, size, &mut buf).unwrap();
-            assert_eq!(owned.indices(), buf.as_slice(), "size {size}");
+            d.draw_indices_into(&mut rng_a, size, &mut a).unwrap();
+            d.draw_indices_into(&mut rng_b, size, &mut b).unwrap();
+            assert_eq!(a.as_slice(), b.as_slice(), "size {size}");
         }
     }
 
     #[test]
-    fn oversized_sample_returns_whole_dataset() {
+    fn oversized_draw_returns_every_row_in_order() {
         let d = make_dataset();
         let mut rng = StdRng::seed_from_u64(1);
-        let view = d.sample(&mut rng, 100).unwrap();
-        assert_eq!(view.len(), d.len());
+        let mut buf = IndexBuffer::new();
+        d.draw_indices_into(&mut rng, 100, &mut buf).unwrap();
+        assert_eq!(buf.as_slice(), &[0, 1, 2, 3]);
     }
 
     #[test]
-    fn zero_sample_size_is_error() {
+    fn zero_draw_size_is_error() {
         let d = make_dataset();
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(d.sample(&mut rng, 0).is_err());
+        assert!(d
+            .draw_indices_into(&mut rng, 0, &mut IndexBuffer::new())
+            .is_err());
     }
 
     #[test]
-    fn sample_from_empty_dataset_is_error() {
+    fn draw_from_empty_dataset_is_error() {
         let d = Dataset::empty(schema());
         let mut rng = StdRng::seed_from_u64(1);
         assert!(matches!(
-            d.sample(&mut rng, 5),
+            d.draw_indices_into(&mut rng, 5, &mut IndexBuffer::new()),
             Err(FairError::EmptyDataset)
         ));
-    }
-
-    #[test]
-    fn view_centroid_matches_dataset_for_full_view() {
-        let d = make_dataset();
-        let v = d.full_view();
-        assert_eq!(
-            v.fairness_centroid().unwrap(),
-            d.fairness_centroid().unwrap()
-        );
-        assert_eq!(v.len(), d.len());
-    }
-
-    #[test]
-    fn view_positions_are_view_relative() {
-        let d = make_dataset();
-        let v = SampleView::from_indices(&d, vec![3, 0]);
-        // Position 0 of the view is dataset object 3.
-        assert_eq!(v.object(0).id(), ObjectId(3));
-        let c = v.fairness_centroid_of(&[0]).unwrap();
-        assert_eq!(c, vec![0.0, 0.0]);
     }
 
     #[test]
@@ -872,12 +666,5 @@ mod tests {
         let s = schema();
         let bad = vec![DataObject::new_unchecked(0, vec![1.0], vec![1.0], None)];
         assert!(Dataset::new(s, bad).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn view_from_bad_indices_panics() {
-        let d = make_dataset();
-        let _ = SampleView::from_indices(&d, vec![99]);
     }
 }

@@ -3,6 +3,7 @@
 use crate::bonus::{BonusCaps, BonusPolarity};
 use crate::dataset::Dataset;
 use crate::error::{FairError, Result};
+use crate::shard::ShardSource;
 use fair_opt::AdamConfig;
 
 /// Minimum sample size for the Central Limit Theorem to apply — the paper uses

@@ -148,7 +148,7 @@ pub(crate) fn descend(
 /// * `initial` — starting bonus values (`None` starts from zero),
 /// * `trace` — record the per-step trajectory.
 ///
-/// Each step draws its sample through [`Dataset::sample_indices_into`] on
+/// Each step draws its sample through [`Dataset::draw_indices_into`] on
 /// one seeded RNG, copies the sampled rows in draw order into a reused
 /// block, and evaluates the objective's [`Objective::plan`] over that block,
 /// a one-shard source. The index buffer and the block are allocated once
@@ -184,7 +184,7 @@ where
         trace,
         &RunControl::new(),
         |bonus, direction| {
-            dataset.sample_indices_into(&mut rng, config.sample_size, &mut indices)?;
+            dataset.draw_indices_into(&mut rng, config.sample_size, &mut indices)?;
             gather_sample(dataset, indices.as_slice(), ranker, &mut sample);
             plan.evaluate_vector_into(&sample, ranker, bonus, &mut scratch, direction)?;
             Ok(indices.len())
@@ -236,10 +236,9 @@ mod tests {
     }
 
     fn disparity_with_bonus(dataset: &Dataset, bonus: &[f64], k: f64) -> f64 {
-        let view = dataset.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, bonus));
-        norm(&disparity_at_k(&view, &ranking, k).unwrap())
+        let ranking = RankedSelection::from_scores(effective_scores(dataset, &ranker, bonus));
+        norm(&disparity_at_k(dataset, &ranking, k).unwrap())
     }
 
     fn quick_config() -> DcaConfig {

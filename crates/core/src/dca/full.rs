@@ -68,6 +68,7 @@ mod tests {
     use crate::object::DataObject;
     use crate::ranking::topk::RankedSelection;
     use crate::ranking::{effective_scores, WeightedSumRanker};
+    use crate::shard::ShardSource;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -111,9 +112,8 @@ mod tests {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let objective = TopKDisparity::new(0.2);
         let out = full_dca(&dataset, &ranker, &objective, &config(), false).unwrap();
-        let view = dataset.full_view();
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &out.bonus));
-        let after = norm(&disparity_at_k(&view, &ranking, 0.2).unwrap());
+        let ranking = RankedSelection::from_scores(effective_scores(&dataset, &ranker, &out.bonus));
+        let after = norm(&disparity_at_k(&dataset, &ranking, 0.2).unwrap());
         assert!(
             after < 0.05,
             "Full DCA should essentially eliminate disparity: {after}"
@@ -154,7 +154,6 @@ mod tests {
         let mut cfg = config();
         cfg.iterations_per_rate = 10;
         let out = full_dca(&dataset, &ranker, &objective, &cfg, true).unwrap();
-        let view = dataset.full_view();
         let k = 0.2;
 
         let mut previous = vec![0.0; 1];
@@ -164,18 +163,19 @@ mod tests {
                 .plan()
                 .evaluate_vector(&dataset, &ranker, &previous)
                 .unwrap();
-            let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &previous));
+            let ranking =
+                RankedSelection::from_scores(effective_scores(&dataset, &ranker, &previous));
             let selected = ranking.selected(k).unwrap().to_vec();
             let unselected = ranking.unselected(k).unwrap().to_vec();
-            let centroid_all = view.fairness_centroid().unwrap();
-            let centroid_sel = view.fairness_centroid_of(&selected).unwrap();
+            let centroid_all = dataset.fairness_centroid().unwrap();
+            let centroid_sel = dataset.fairness_centroid_of(&selected).unwrap();
             let s = selected.len() as f64;
 
             // Check a handful of (p outside, q inside) pairs.
             for &p in unselected.iter().take(5) {
                 for &q in selected.iter().take(5) {
-                    let fp = view.object(p).fairness();
-                    let fq = view.object(q).fairness();
+                    let fp = dataset.row(p).fairness();
+                    let fq = dataset.row(q).fairness();
                     // Disparity after swapping p in and q out.
                     let swapped: Vec<f64> = centroid_sel
                         .iter()

@@ -84,7 +84,7 @@ where
     let mut steps = 0_usize;
 
     for _ in 0..config.refinement_iterations {
-        dataset.sample_indices_into(&mut rng, config.sample_size, &mut indices)?;
+        dataset.draw_indices_into(&mut rng, config.sample_size, &mut indices)?;
         gather_sample(dataset, indices.as_slice(), ranker, &mut sample);
         plan.evaluate_vector_into(&sample, ranker, &bonus, &mut scratch, &mut direction)?;
         adam.step(&mut bonus, &direction);
@@ -137,10 +137,9 @@ mod tests {
     }
 
     fn disparity_with_bonus(dataset: &Dataset, bonus: &[f64], k: f64) -> f64 {
-        let view = dataset.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, bonus));
-        norm(&disparity_at_k(&view, &ranking, k).unwrap())
+        let ranking = RankedSelection::from_scores(effective_scores(dataset, &ranker, bonus));
+        norm(&disparity_at_k(dataset, &ranking, k).unwrap())
     }
 
     fn config() -> DcaConfig {

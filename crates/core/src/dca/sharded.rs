@@ -299,7 +299,6 @@ mod tests {
         let cfg = config();
         // Oracle: the same descent with every step's direction from the
         // serial metric over a full sort of the whole cohort.
-        let view = flat.full_view();
         let serial = run_full_descent(
             1,
             flat.len(),
@@ -308,8 +307,8 @@ mod tests {
             true,
             &RunControl::new(),
             |b, out| {
-                let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, b));
-                *out = disparity_at_k(&view, &ranking, objective.k)?;
+                let ranking = RankedSelection::from_scores(effective_scores(&flat, &ranker, b));
+                *out = disparity_at_k(&flat, &ranking, objective.k)?;
                 Ok(())
             },
         )

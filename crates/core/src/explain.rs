@@ -11,15 +11,17 @@
 //!   per-feature contributions plus per-fairness-attribute bonus
 //!   contributions;
 //! * [`selection_outcome`] reports an object's rank, the selection threshold
-//!   at a given `k`, and the score margin to that threshold.
+//!   at a given `k`, and the score margin to that threshold, over any
+//!   [`crate::ShardSource`] — a `Dataset`, a sharded cohort or a store —
+//!   without sorting the cohort.
 
 use crate::bonus::BonusVector;
-use crate::dataset::SampleView;
 use crate::error::{FairError, Result};
 use crate::object::{ObjectId, ObjectView};
 use crate::ranking::score::WeightedSumRanker;
-use crate::ranking::topk::RankedSelection;
+use crate::ranking::sharded::{rank_of, selected_at_k};
 use crate::ranking::{effective_scores, Ranker};
+use crate::shard::ShardSource;
 use std::fmt;
 
 /// A decomposed score: base rubric contributions plus bonus contributions.
@@ -163,91 +165,43 @@ impl fmt::Display for OutcomeExplanation {
     }
 }
 
-/// Explain the selection outcome of the object at `view_position` under the
-/// given ranker, bonus vector and selection fraction.
-///
-/// # Errors
-/// Returns an error on an empty view, an invalid `k`, or an out-of-range
-/// position.
-pub fn selection_outcome<R: Ranker + ?Sized>(
-    view: &SampleView<'_>,
-    ranker: &R,
-    bonus: &BonusVector,
-    k: f64,
-    view_position: usize,
-) -> Result<OutcomeExplanation> {
-    if view.is_empty() {
-        return Err(FairError::EmptyDataset);
-    }
-    if view_position >= view.len() {
-        return Err(FairError::InvalidConfig {
-            reason: format!(
-                "view position {view_position} out of range ({} objects)",
-                view.len()
-            ),
-        });
-    }
-    let ranking = RankedSelection::from_scores(effective_scores(view, ranker, bonus.values()));
-    let selected_positions = ranking.selected(k)?;
-    let selection_count = selected_positions.len();
-    let rank = ranking
-        .rank_of(view_position)
-        .expect("position exists in its own ranking");
-    let threshold = ranking
-        .threshold_score(k)?
-        .expect("non-empty view has a threshold");
-    let effective_score = ranking.score_of(view_position);
-    Ok(OutcomeExplanation {
-        object_id: view.object(view_position).id(),
-        rank,
-        selection_count,
-        selected: rank < selection_count,
-        effective_score,
-        threshold,
-        margin: effective_score - threshold,
-    })
-}
-
-/// Explain the selection outcome of the row at `global_position` of a
-/// sharded cohort — the shard-wise counterpart of [`selection_outcome`].
+/// Explain the selection outcome of the row at `position` of `data` under
+/// the given ranker, bonus vector and selection fraction.
 ///
 /// Scoring runs per shard, the rank is an exact per-shard count of
-/// better-ordered rows, and the threshold comes from the merged top-`k`
-/// selection, so every reported number is bit-for-bit what the serial path
-/// reports on the flattened cohort.
+/// better-ordered rows, and the threshold comes from the partial top-`k`
+/// selection, so every reported number is bit-for-bit what a full sort of
+/// the cohort's scores reports, at every shard size.
 ///
 /// # Errors
 /// Returns an error on an empty dataset, an invalid `k`, or an out-of-range
 /// position.
-pub fn selection_outcome_sharded<S: crate::shard::ShardSource + ?Sized, R: Ranker + ?Sized>(
+pub fn selection_outcome<S: ShardSource + ?Sized, R: Ranker + ?Sized>(
     data: &S,
     ranker: &R,
     bonus: &BonusVector,
     k: f64,
-    global_position: usize,
+    position: usize,
 ) -> Result<OutcomeExplanation> {
     if data.is_empty() {
         return Err(FairError::EmptyDataset);
     }
-    if global_position >= data.len() {
+    if position >= data.len() {
         return Err(FairError::InvalidConfig {
-            reason: format!(
-                "row {global_position} out of range ({} objects)",
-                data.len()
-            ),
+            reason: format!("row {position} out of range ({} objects)", data.len()),
         });
     }
-    let scores = crate::ranking::sharded::effective_scores(data, ranker, bonus.values());
-    let selected = crate::ranking::sharded::selected_at_k(data, &scores, k)?;
+    let scores = effective_scores(data, ranker, bonus.values());
+    let selected = selected_at_k(data, &scores, k)?;
     let selection_count = selected.len();
-    let rank = crate::ranking::sharded::rank_of(data, &scores, global_position);
+    let rank = rank_of(data, &scores, position);
     let threshold = selected
         .last()
         .map(|&p| scores[p])
         .expect("non-empty selection has a threshold");
-    let effective_score = scores[global_position];
+    let effective_score = scores[position];
     Ok(OutcomeExplanation {
-        object_id: data.with_row(global_position, |r| r.id()),
+        object_id: data.with_row(position, |r| r.id()),
         rank,
         selection_count,
         selected: rank < selection_count,
@@ -264,6 +218,7 @@ mod tests {
     use crate::bonus::BonusPolarity;
     use crate::dataset::Dataset;
     use crate::object::DataObject;
+    use crate::ranking::topk::RankedSelection;
     use crate::shard::ShardedDataset;
 
     fn setup() -> (Dataset, WeightedSumRanker, BonusVector) {
@@ -314,11 +269,10 @@ mod tests {
     #[test]
     fn outcome_explanations_report_threshold_margins() {
         let (dataset, rubric, bonus) = setup();
-        let view = dataset.full_view();
         // Select the top half (2 of 4).
-        let out0 = selection_outcome(&view, &rubric, &bonus, 0.5, 0).unwrap();
-        let out1 = selection_outcome(&view, &rubric, &bonus, 0.5, 1).unwrap();
-        let out3 = selection_outcome(&view, &rubric, &bonus, 0.5, 3).unwrap();
+        let out0 = selection_outcome(&dataset, &rubric, &bonus, 0.5, 0).unwrap();
+        let out1 = selection_outcome(&dataset, &rubric, &bonus, 0.5, 1).unwrap();
+        let out3 = selection_outcome(&dataset, &rubric, &bonus, 0.5, 3).unwrap();
         assert!(out0.selected);
         assert!(
             out1.selected,
@@ -337,23 +291,40 @@ mod tests {
     fn zero_bonus_outcome_matches_the_raw_rubric_order() {
         let (dataset, rubric, _) = setup();
         let zero = BonusVector::zeros(dataset.schema().clone());
-        let view = dataset.full_view();
-        let out2 = selection_outcome(&view, &rubric, &zero, 0.5, 2).unwrap();
+        let out2 = selection_outcome(&dataset, &rubric, &zero, 0.5, 2).unwrap();
         assert!(out2.selected, "object 2 has the second-best raw score");
-        let out1 = selection_outcome(&view, &rubric, &zero, 0.5, 1).unwrap();
+        let out1 = selection_outcome(&dataset, &rubric, &zero, 0.5, 1).unwrap();
         assert!(!out1.selected);
     }
 
     #[test]
-    fn sharded_outcome_matches_serial_bitwise() {
+    fn outcome_matches_a_full_sort_bitwise_at_every_shard_size() {
         let (dataset, rubric, bonus) = setup();
-        let view = dataset.full_view();
-        for shard_size in [1, 3, 4, 100] {
-            let data = ShardedDataset::from_dataset(&dataset, shard_size).unwrap();
-            for pos in 0..dataset.len() {
-                let serial = selection_outcome(&view, &rubric, &bonus, 0.5, pos).unwrap();
-                let sharded = selection_outcome_sharded(&data, &rubric, &bonus, 0.5, pos).unwrap();
-                assert_eq!(serial, sharded, "shard {shard_size} pos {pos}");
+        let k = 0.5;
+        let sorted =
+            RankedSelection::from_scores(effective_scores(&dataset, &rubric, bonus.values()));
+        let threshold = sorted.threshold_score(k).unwrap().unwrap();
+        let selection_count = sorted.selected(k).unwrap().len();
+        for pos in 0..dataset.len() {
+            let rank = sorted.rank_of(pos).unwrap();
+            let effective_score = sorted.score_of(pos);
+            let expected = OutcomeExplanation {
+                object_id: dataset.row(pos).id(),
+                rank,
+                selection_count,
+                selected: rank < selection_count,
+                effective_score,
+                threshold,
+                margin: effective_score - threshold,
+            };
+            let flat = selection_outcome(&dataset, &rubric, &bonus, k, pos).unwrap();
+            assert_eq!(flat, expected, "pos {pos}");
+            assert_eq!(flat.margin.to_bits(), expected.margin.to_bits());
+            for shard_size in [1, 3, 4, 100] {
+                let data = ShardedDataset::from_dataset(&dataset, shard_size).unwrap();
+                let sharded = selection_outcome(&data, &rubric, &bonus, k, pos).unwrap();
+                assert_eq!(sharded, expected, "shard {shard_size} pos {pos}");
+                assert_eq!(sharded.margin.to_bits(), expected.margin.to_bits());
             }
         }
     }
@@ -362,10 +333,10 @@ mod tests {
     fn sharded_outcome_rejects_bad_inputs() {
         let (dataset, rubric, bonus) = setup();
         let data = ShardedDataset::from_dataset(&dataset, 2).unwrap();
-        assert!(selection_outcome_sharded(&data, &rubric, &bonus, 0.5, 99).is_err());
-        assert!(selection_outcome_sharded(&data, &rubric, &bonus, 0.0, 0).is_err());
+        assert!(selection_outcome(&data, &rubric, &bonus, 0.5, 99).is_err());
+        assert!(selection_outcome(&data, &rubric, &bonus, 0.0, 0).is_err());
         let empty = ShardedDataset::with_shard_size(dataset.schema().clone(), 2).unwrap();
-        assert!(selection_outcome_sharded(&empty, &rubric, &bonus, 0.5, 0).is_err());
+        assert!(selection_outcome(&empty, &rubric, &bonus, 0.5, 0).is_err());
     }
 
     #[test]
@@ -376,8 +347,7 @@ mod tests {
         assert!(score_breakdown(dataset.schema(), &rubric, &wrong_bonus, dataset.row(0)).is_err());
         let wrong_rubric = WeightedSumRanker::new(vec![1.0]).unwrap();
         assert!(score_breakdown(dataset.schema(), &wrong_rubric, &bonus, dataset.row(0)).is_err());
-        let view = dataset.full_view();
-        assert!(selection_outcome(&view, &rubric, &bonus, 0.5, 99).is_err());
-        assert!(selection_outcome(&view, &rubric, &bonus, 0.0, 0).is_err());
+        assert!(selection_outcome(&dataset, &rubric, &bonus, 0.5, 99).is_err());
+        assert!(selection_outcome(&dataset, &rubric, &bonus, 0.0, 0).is_err());
     }
 }

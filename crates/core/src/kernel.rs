@@ -14,11 +14,12 @@
 //!
 //! For `n < 4` no complete block exists, so the order degenerates to the
 //! plain sequential left-to-right sum, bit for bit.
-//! Every production path — serial [`crate::dataset::Dataset`], the sharded
-//! engine, paged stores, the [`crate::metrics::sharded::MetricPlan`] fused
-//! sweep, and the fleet [`crate::dca::disparity_partials`] kernel — routes
-//! through these functions, so the cross-path bit-parity suites hold by
-//! construction: identical inputs meet identical operation sequences.
+//! Every production path — a plain [`crate::dataset::Dataset`], the
+//! sharded engine, paged stores, the
+//! [`crate::metrics::sharded::MetricPlan`] fused sweep, and the fleet
+//! [`crate::dca::disparity_partials`] kernel — routes through these
+//! functions, so the cross-path bit-parity suites hold by construction:
+//! identical inputs meet identical operation sequences.
 //!
 //! Element-wise accumulations ([`add_row`]) and integer counts
 //! ([`count_ge_half`]) have no reassociation to speak of: each output
@@ -165,10 +166,13 @@ pub fn add_dot_rows_into(matrix: &[f64], dims: usize, weights: &[f64], out: &mut
 }
 
 /// `out[r] = dot(features[idx_r], fw) + dot(fairness[idx_r], aw)` for a
-/// gathered index list — the sampled (Core DCA) scoring path. Four
-/// independent row gathers per block keep the memory system busy on large
-/// cohorts; per-row arithmetic is exactly [`dot`] + [`dot`] + one add, so
-/// the result is bit-for-bit the dense/per-row paths' on the same rows.
+/// gathered index list. Four independent row gathers per block keep the
+/// memory system busy on large cohorts; per-row arithmetic is exactly
+/// [`dot`] + [`dot`] + one add, so the result is bit-for-bit the
+/// dense/per-row paths' on the same rows. No library path calls it: every
+/// scorer runs [`dot_rows_into`] over a dense block, a DCA step's gathered
+/// sample included. It stays public for the end-to-end benchmark's kernel
+/// probe.
 ///
 /// # Panics
 /// Panics if `nf == 0`, a weight length disagrees with its width, or an

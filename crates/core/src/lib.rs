@@ -17,7 +17,7 @@
 //! | Module | Contents |
 //! |--------|----------|
 //! | [`attributes`] | schemas: ranking features + binary/continuous fairness attributes |
-//! | [`object`], [`dataset`] | the ranked objects, datasets, centroids, sampling |
+//! | [`object`], [`dataset`] | the ranked objects, datasets, selection centroids, sampling |
 //! | [`shard`] | sharded column store + the shard-wise parallel evaluation engine |
 //! | [`ranking`] | score-based ranking functions and top-k% selection |
 //! | [`bonus`] | bonus vectors: polarity, caps, granularity rounding, scaling |
@@ -82,7 +82,7 @@ pub mod shard;
 pub use attributes::{FairnessAttribute, FairnessKind, Schema, SchemaRef};
 pub use bonus::{BonusCaps, BonusPolarity, BonusVector};
 pub use calibrate::{calibrate_proportion, CalibrationResult, CalibrationTarget};
-pub use dataset::{Dataset, SampleView};
+pub use dataset::Dataset;
 pub use dca::{Dca, DcaConfig, DcaReport, DcaResult};
 pub use error::{FairError, Result};
 pub use fault::{FaultMode, FaultPlan};
@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::attributes::{FairnessAttribute, FairnessKind, Schema, SchemaRef};
     pub use crate::bonus::{BonusCaps, BonusPolarity, BonusVector};
     pub use crate::calibrate::{calibrate_proportion, CalibrationResult, CalibrationTarget};
-    pub use crate::dataset::{Dataset, SampleView};
+    pub use crate::dataset::Dataset;
     pub use crate::dca::{
         run_core_dca, run_core_dca_sharded, run_core_dca_sharded_controlled, run_full_dca_sharded,
         run_full_dca_sharded_controlled, run_refinement, step_duration_hook, Dca, DcaConfig,
@@ -107,8 +107,7 @@ pub mod prelude {
     };
     pub use crate::error::{FairError, Result};
     pub use crate::explain::{
-        score_breakdown, selection_outcome, selection_outcome_sharded, OutcomeExplanation,
-        ScoreBreakdown,
+        score_breakdown, selection_outcome, OutcomeExplanation, ScoreBreakdown,
     };
     pub use crate::metrics::{
         ddp_for_binary_attributes, disparate_impact_at_k, disparity_at_k, exposure_of_group,

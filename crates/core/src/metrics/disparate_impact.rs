@@ -15,7 +15,7 @@
 //! bonus) and positive when it is over-selected — the same sign convention as
 //! the Disparity metric.
 
-use crate::dataset::SampleView;
+use crate::dataset::Dataset;
 use crate::error::Result;
 use crate::metrics::{tally_selection, GroupTally};
 use crate::ranking::topk::RankedSelection;
@@ -28,13 +28,13 @@ use crate::ranking::topk::RankedSelection;
 /// comparison possible, treated as fair).
 ///
 /// # Errors
-/// Returns an error on an empty view or invalid `k`.
+/// Returns an error on an empty dataset or invalid `k`.
 pub fn disparate_impact_at_k(
-    view: &SampleView<'_>,
+    data: &Dataset,
     ranking: &RankedSelection,
     k: f64,
 ) -> Result<Vec<f64>> {
-    let (population, selected) = tally_selection(view, ranking, k, false)?;
+    let (population, selected) = tally_selection(data, ranking, k, false)?;
     Ok(selection_rates(&population, &selected)
         .into_iter()
         .map(|(p1, p0)| disparate_impact(p1, p0))
@@ -45,13 +45,13 @@ pub fn disparate_impact_at_k(
 /// (0 = fair; negative = protected group under-selected).
 ///
 /// # Errors
-/// Returns an error on an empty view or invalid `k`.
+/// Returns an error on an empty dataset or invalid `k`.
 pub fn scaled_disparate_impact_at_k(
-    view: &SampleView<'_>,
+    data: &Dataset,
     ranking: &RankedSelection,
     k: f64,
 ) -> Result<Vec<f64>> {
-    let (population, selected) = tally_selection(view, ranking, k, false)?;
+    let (population, selected) = tally_selection(data, ranking, k, false)?;
     Ok(scaled_disparate_impact(&population, &selected))
 }
 
@@ -126,21 +126,19 @@ mod tests {
         Dataset::new(schema, objects).unwrap()
     }
 
-    fn rank(d: &Dataset, bonus: f64) -> (crate::dataset::SampleView<'_>, RankedSelection) {
-        let view = d.full_view();
+    fn rank(d: &Dataset, bonus: f64) -> RankedSelection {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let scores = effective_scores(&view, &ranker, &[bonus]);
-        (view.clone(), RankedSelection::from_scores(scores))
+        RankedSelection::from_scores(effective_scores(d, &ranker, &[bonus]))
     }
 
     #[test]
     fn zero_members_selected_gives_di_zero_and_signed_minus_one() {
         let d = dataset();
-        let (view, ranking) = rank(&d, 0.0);
+        let ranking = rank(&d, 0.0);
         // Top 50% = 5 objects, all non-members.
-        let di = disparate_impact_at_k(&view, &ranking, 0.5).unwrap();
+        let di = disparate_impact_at_k(&d, &ranking, 0.5).unwrap();
         assert_eq!(di, vec![0.0]);
-        let signed = scaled_disparate_impact_at_k(&view, &ranking, 0.5).unwrap();
+        let signed = scaled_disparate_impact_at_k(&d, &ranking, 0.5).unwrap();
         assert_eq!(signed, vec![-1.0]);
     }
 
@@ -159,19 +157,19 @@ mod tests {
             DataObject::new_unchecked(7, vec![0.2], vec![0.0], None),
         ];
         let d = Dataset::new(schema, objects).unwrap();
-        let (view, ranking) = rank(&d, 0.0);
-        let di = disparate_impact_at_k(&view, &ranking, 0.5).unwrap();
+        let ranking = rank(&d, 0.0);
+        let di = disparate_impact_at_k(&d, &ranking, 0.5).unwrap();
         assert!((di[0] - 1.0).abs() < 1e-12);
-        let signed = scaled_disparate_impact_at_k(&view, &ranking, 0.5).unwrap();
+        let signed = scaled_disparate_impact_at_k(&d, &ranking, 0.5).unwrap();
         assert!(signed[0].abs() < 1e-12);
     }
 
     #[test]
     fn signed_di_turns_positive_when_group_dominates() {
         let d = dataset();
-        let (view, ranking) = rank(&d, 1_000.0);
+        let ranking = rank(&d, 1_000.0);
         // With a huge bonus the 4 members occupy the whole top-40%.
-        let signed = scaled_disparate_impact_at_k(&view, &ranking, 0.4).unwrap();
+        let signed = scaled_disparate_impact_at_k(&d, &ranking, 0.4).unwrap();
         assert!(signed[0] > 0.9, "got {}", signed[0]);
     }
 
@@ -180,10 +178,10 @@ mod tests {
         let d = dataset();
         for bonus in [0.0, 10.0, 200.0, 10_000.0] {
             for k in [0.1, 0.3, 0.5, 1.0] {
-                let (view, ranking) = rank(&d, bonus);
-                let di = disparate_impact_at_k(&view, &ranking, k).unwrap();
+                let ranking = rank(&d, bonus);
+                let di = disparate_impact_at_k(&d, &ranking, k).unwrap();
                 assert!(di.iter().all(|v| (0.0..=1.0).contains(v)));
-                let signed = scaled_disparate_impact_at_k(&view, &ranking, k).unwrap();
+                let signed = scaled_disparate_impact_at_k(&d, &ranking, k).unwrap();
                 assert!(signed.iter().all(|v| (-1.0..=1.0).contains(v)));
             }
         }
@@ -196,23 +194,19 @@ mod tests {
             .map(|i| DataObject::new_unchecked(i, vec![i as f64], vec![0.0], None))
             .collect();
         let d = Dataset::new(schema, objects).unwrap();
-        let (view, ranking) = rank(&d, 0.0);
+        let ranking = rank(&d, 0.0);
+        assert_eq!(disparate_impact_at_k(&d, &ranking, 0.4).unwrap(), vec![1.0]);
         assert_eq!(
-            disparate_impact_at_k(&view, &ranking, 0.4).unwrap(),
-            vec![1.0]
-        );
-        assert_eq!(
-            scaled_disparate_impact_at_k(&view, &ranking, 0.4).unwrap(),
+            scaled_disparate_impact_at_k(&d, &ranking, 0.4).unwrap(),
             vec![0.0]
         );
     }
 
     #[test]
-    fn empty_view_is_error() {
+    fn empty_dataset_is_error() {
         let schema = Schema::from_names(&["s"], &["g"], &[]).unwrap();
         let d = Dataset::empty(schema);
-        let view = d.full_view();
         let ranking = RankedSelection::from_scores(vec![]);
-        assert!(disparate_impact_at_k(&view, &ranking, 0.5).is_err());
+        assert!(disparate_impact_at_k(&d, &ranking, 0.5).is_err());
     }
 }

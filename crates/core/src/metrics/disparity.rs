@@ -6,9 +6,10 @@
 //! top-k% and `D_O` the fairness centroid of the whole population. Each
 //! dimension lies in `[-1, 1]`; `0` is statistical parity.
 
-use crate::dataset::SampleView;
+use crate::dataset::Dataset;
 use crate::error::Result;
 use crate::ranking::topk::RankedSelection;
+use crate::shard::ShardSource;
 use std::fmt;
 
 /// A disparity vector together with the fairness-attribute names it refers to.
@@ -69,17 +70,16 @@ impl fmt::Display for DisparityVector {
     }
 }
 
-/// Disparity of an explicit selection (given as view positions):
-/// `centroid(selected) − centroid(view)`.
+/// Disparity of an explicit selection (given as rows of `data`):
+/// `centroid(selected) − centroid(data)`.
 ///
 /// # Errors
-/// Returns an error if the view or the selection is empty.
-pub fn disparity_of_selection(view: &SampleView<'_>, selected: &[usize]) -> Result<Vec<f64>> {
-    let all = view.fairness_centroid()?;
-    let (data, indices) = (view.dataset(), view.indices());
+/// Returns an error if the dataset or the selection is empty.
+pub fn disparity_of_selection(data: &Dataset, selected: &[usize]) -> Result<Vec<f64>> {
+    let all = data.fairness_centroid()?;
     let mut out = Vec::new();
     disparity_of_rows(
-        selected.iter().map(|&p| data.fairness_row(indices[p])),
+        selected.iter().map(|&p| data.fairness_row(p)),
         &all,
         &mut out,
     )?;
@@ -106,30 +106,26 @@ pub(crate) fn disparity_of_rows<'a>(
     Ok(())
 }
 
-/// Disparity of the top-`k` fraction of a ranking over a view.
+/// Disparity of the top-`k` fraction of a ranking over `data`.
 ///
 /// # Errors
-/// Returns an error for invalid `k` or empty views.
-pub fn disparity_at_k(
-    view: &SampleView<'_>,
-    ranking: &RankedSelection,
-    k: f64,
-) -> Result<Vec<f64>> {
+/// Returns an error for invalid `k` or an empty dataset.
+pub fn disparity_at_k(data: &Dataset, ranking: &RankedSelection, k: f64) -> Result<Vec<f64>> {
     let selected = ranking.selected(k)?;
-    disparity_of_selection(view, selected)
+    disparity_of_selection(data, selected)
 }
 
 /// Convenience: compute a named [`DisparityVector`] for the top-`k` selection.
 ///
 /// # Errors
-/// Returns an error for invalid `k` or empty views.
+/// Returns an error for invalid `k` or an empty dataset.
 pub fn named_disparity_at_k(
-    view: &SampleView<'_>,
+    data: &Dataset,
     ranking: &RankedSelection,
     k: f64,
 ) -> Result<DisparityVector> {
-    let values = disparity_at_k(view, ranking, k)?;
-    let names = view
+    let values = disparity_at_k(data, ranking, k)?;
+    let names = data
         .schema()
         .fairness_names()
         .iter()
@@ -182,21 +178,19 @@ mod tests {
             ));
         }
         let d = Dataset::new(schema, objects).unwrap();
-        let view = d.full_view();
         // Select 5 objects, exactly 1 of them low-income => 20% selected share.
         let selected = vec![0, 3, 4, 5, 6];
-        let disp = disparity_of_selection(&view, &selected).unwrap();
+        let disp = disparity_of_selection(&d, &selected).unwrap();
         assert!((disp[0] - (0.2 - 0.3)).abs() < 1e-12);
     }
 
     #[test]
     fn uncorrected_selection_underrepresents_the_group() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let scores = effective_scores(&view, &ranker, &[0.0]);
+        let scores = effective_scores(&d, &ranker, &[0.0]);
         let ranking = RankedSelection::from_scores(scores);
-        let disp = disparity_at_k(&view, &ranking, 0.2).unwrap();
+        let disp = disparity_at_k(&d, &ranking, 0.2).unwrap();
         // Selection has 0% members vs 30% in the population.
         assert!(
             (disp[0] + 0.3).abs() < 1e-12,
@@ -208,12 +202,11 @@ mod tests {
     #[test]
     fn bonus_points_move_disparity_toward_zero() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         // A 100-point bonus puts members on top.
-        let scores = effective_scores(&view, &ranker, &[100.0]);
+        let scores = effective_scores(&d, &ranker, &[100.0]);
         let ranking = RankedSelection::from_scores(scores);
-        let disp = disparity_at_k(&view, &ranking, 0.2).unwrap();
+        let disp = disparity_at_k(&d, &ranking, 0.2).unwrap();
         // Now the selection is 100% members vs 30% population: +0.7.
         assert!((disp[0] - 0.7).abs() < 1e-12);
     }
@@ -221,23 +214,21 @@ mod tests {
     #[test]
     fn full_selection_has_zero_disparity() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let scores = effective_scores(&view, &ranker, &[0.0]);
+        let scores = effective_scores(&d, &ranker, &[0.0]);
         let ranking = RankedSelection::from_scores(scores);
-        let disp = disparity_at_k(&view, &ranking, 1.0).unwrap();
+        let disp = disparity_at_k(&d, &ranking, 1.0).unwrap();
         assert!(disp.iter().all(|v| v.abs() < 1e-12));
     }
 
     #[test]
     fn disparity_values_bounded_in_unit_interval() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         for k in [0.1, 0.3, 0.5, 0.9] {
-            let scores = effective_scores(&view, &ranker, &[0.0]);
+            let scores = effective_scores(&d, &ranker, &[0.0]);
             let ranking = RankedSelection::from_scores(scores);
-            let disp = disparity_at_k(&view, &ranking, k).unwrap();
+            let disp = disparity_at_k(&d, &ranking, k).unwrap();
             assert!(disp.iter().all(|v| (-1.0..=1.0).contains(v)));
         }
     }
@@ -245,11 +236,10 @@ mod tests {
     #[test]
     fn named_vector_reports_norm_and_lookup() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let scores = effective_scores(&view, &ranker, &[0.0]);
+        let scores = effective_scores(&d, &ranker, &[0.0]);
         let ranking = RankedSelection::from_scores(scores);
-        let dv = named_disparity_at_k(&view, &ranking, 0.2).unwrap();
+        let dv = named_disparity_at_k(&d, &ranking, 0.2).unwrap();
         assert_eq!(dv.names(), &["g".to_string()]);
         assert!((dv.get("g").unwrap() + 0.3).abs() < 1e-12);
         assert!(dv.get("missing").is_none());
@@ -262,8 +252,7 @@ mod tests {
     #[test]
     fn empty_selection_is_error() {
         let d = dataset();
-        let view = d.full_view();
-        assert!(disparity_of_selection(&view, &[]).is_err());
+        assert!(disparity_of_selection(&d, &[]).is_err());
     }
 
     #[test]

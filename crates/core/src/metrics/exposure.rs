@@ -12,11 +12,11 @@
 //! difference of *per-capita* exposure between groups; 0 means every group is
 //! equally visible per member.
 
-use crate::dataset::SampleView;
+use crate::dataset::Dataset;
 use crate::error::{FairError, Result};
 use crate::ranking::topk::RankedSelection;
 
-/// Exposure of a group given as a membership mask over view positions.
+/// Exposure of a group given as a membership mask over ranked positions.
 ///
 /// # Panics
 /// Panics if the mask length differs from the ranking length.
@@ -48,7 +48,7 @@ pub fn group_average_exposure(ranking: &RankedSelection, members: &[bool]) -> f6
 }
 
 /// DDP over the groups defined by the *binary* fairness attributes of the
-/// view's schema: each binary attribute's member set forms one group, plus one
+/// dataset's schema: each binary attribute's member set forms one group, plus one
 /// group for objects belonging to none of them. Continuous attributes are
 /// skipped, as in the paper ("DDP does not handle non-binary fairness
 /// attributes").
@@ -57,12 +57,12 @@ pub fn group_average_exposure(ranking: &RankedSelection, members: &[bool]) -> f6
 /// non-empty groups (0 when fewer than two groups are non-empty).
 ///
 /// # Errors
-/// Returns an error on an empty view.
-pub fn ddp_for_binary_attributes(view: &SampleView<'_>, ranking: &RankedSelection) -> Result<f64> {
-    if view.is_empty() {
+/// Returns an error on an empty dataset.
+pub fn ddp_for_binary_attributes(data: &Dataset, ranking: &RankedSelection) -> Result<f64> {
+    if data.is_empty() {
         return Err(FairError::EmptyDataset);
     }
-    let schema = view.schema();
+    let schema = data.schema();
     let binary_dims: Vec<usize> = schema
         .fairness()
         .iter()
@@ -71,10 +71,10 @@ pub fn ddp_for_binary_attributes(view: &SampleView<'_>, ranking: &RankedSelectio
         .map(|(i, _)| i)
         .collect();
 
-    let n = view.len();
+    let n = data.len();
     let mut groups: Vec<Vec<bool>> = Vec::with_capacity(binary_dims.len() + 1);
     for &dim in &binary_dims {
-        let mask: Vec<bool> = view.iter().map(|o| o.in_group(dim)).collect();
+        let mask: Vec<bool> = data.iter().map(|o| o.in_group(dim)).collect();
         groups.push(mask);
     }
     // The "unprotected" group: objects in none of the binary groups.
@@ -122,18 +122,16 @@ mod tests {
         Dataset::new(schema, objects).unwrap()
     }
 
-    fn rank(d: &Dataset, bonus: f64) -> (crate::dataset::SampleView<'_>, RankedSelection) {
-        let view = d.full_view();
+    fn rank(d: &Dataset, bonus: f64) -> RankedSelection {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let scores = effective_scores(&view, &ranker, &[bonus]);
-        (view.clone(), RankedSelection::from_scores(scores))
+        RankedSelection::from_scores(effective_scores(d, &ranker, &[bonus]))
     }
 
     #[test]
     fn exposure_matches_hand_computation() {
         // Ranking order by score: positions 1 (score 9), 0 (score 5), 2 (score 1).
         let d = dataset(vec![5.0, 9.0, 1.0], vec![1.0, 0.0, 1.0]);
-        let (_, ranking) = rank(&d, 0.0);
+        let ranking = rank(&d, 0.0);
         // Members are positions 0 and 2, at ranks 2 and 3.
         let members = vec![true, false, true];
         let expected = 1.0 / 3f64.log2() + 1.0 / 4f64.log2();
@@ -143,7 +141,7 @@ mod tests {
     #[test]
     fn top_rank_has_unit_exposure() {
         let d = dataset(vec![1.0, 9.0], vec![0.0, 1.0]);
-        let (_, ranking) = rank(&d, 0.0);
+        let ranking = rank(&d, 0.0);
         let members = vec![false, true];
         assert!((exposure_of_group(&ranking, &members) - 1.0).abs() < 1e-12);
     }
@@ -151,7 +149,7 @@ mod tests {
     #[test]
     fn average_exposure_of_empty_group_is_zero() {
         let d = dataset(vec![1.0, 2.0], vec![0.0, 0.0]);
-        let (_, ranking) = rank(&d, 0.0);
+        let ranking = rank(&d, 0.0);
         assert_eq!(group_average_exposure(&ranking, &[false, false]), 0.0);
     }
 
@@ -162,10 +160,10 @@ mod tests {
         // strictly smaller exposure gap.
         let interleaved = dataset(vec![8.0, 7.0, 6.0, 5.0], vec![1.0, 0.0, 0.0, 1.0]);
         let segregated = dataset(vec![8.0, 7.0, 6.0, 5.0], vec![0.0, 0.0, 1.0, 1.0]);
-        let (vi, ri) = rank(&interleaved, 0.0);
-        let (vs, rs) = rank(&segregated, 0.0);
-        let ddp_i = ddp_for_binary_attributes(&vi, &ri).unwrap();
-        let ddp_s = ddp_for_binary_attributes(&vs, &rs).unwrap();
+        let ri = rank(&interleaved, 0.0);
+        let rs = rank(&segregated, 0.0);
+        let ddp_i = ddp_for_binary_attributes(&interleaved, &ri).unwrap();
+        let ddp_s = ddp_for_binary_attributes(&segregated, &rs).unwrap();
         assert!(ddp_i < ddp_s, "interleaved {ddp_i} vs segregated {ddp_s}");
     }
 
@@ -175,10 +173,10 @@ mod tests {
         let scores = vec![10.0, 9.0, 8.0, 7.0, 1.0, 0.9, 0.8, 0.7];
         let membership = vec![0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0];
         let d = dataset(scores, membership);
-        let (view, base_ranking) = rank(&d, 0.0);
-        let ddp_before = ddp_for_binary_attributes(&view, &base_ranking).unwrap();
-        let (view2, boosted) = rank(&d, 8.5);
-        let ddp_after = ddp_for_binary_attributes(&view2, &boosted).unwrap();
+        let base_ranking = rank(&d, 0.0);
+        let ddp_before = ddp_for_binary_attributes(&d, &base_ranking).unwrap();
+        let boosted = rank(&d, 8.5);
+        let ddp_after = ddp_for_binary_attributes(&d, &boosted).unwrap();
         assert!(
             ddp_after < ddp_before,
             "bonus should reduce exposure disparity: {ddp_after} vs {ddp_before}"
@@ -193,28 +191,26 @@ mod tests {
             DataObject::new_unchecked(1, vec![1.0], vec![0.0, 0.1], None),
         ];
         let d = Dataset::new(schema, objects).unwrap();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &[0.0, 0.0]));
+        let ranking = RankedSelection::from_scores(effective_scores(&d, &ranker, &[0.0, 0.0]));
         // Only the binary attribute and the "none" group are compared.
-        let ddp = ddp_for_binary_attributes(&view, &ranking).unwrap();
+        let ddp = ddp_for_binary_attributes(&d, &ranking).unwrap();
         assert!((ddp - (1.0 - 1.0 / 3f64.log2())).abs() < 1e-12);
     }
 
     #[test]
-    fn empty_view_is_error() {
+    fn empty_dataset_is_error() {
         let schema = Schema::from_names(&["s"], &["g"], &[]).unwrap();
         let d = Dataset::empty(schema);
-        let view = d.full_view();
         let ranking = RankedSelection::from_scores(vec![]);
-        assert!(ddp_for_binary_attributes(&view, &ranking).is_err());
+        assert!(ddp_for_binary_attributes(&d, &ranking).is_err());
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn exposure_rejects_wrong_mask_length() {
         let d = dataset(vec![1.0, 2.0], vec![0.0, 1.0]);
-        let (_, ranking) = rank(&d, 0.0);
+        let ranking = rank(&d, 0.0);
         let _ = exposure_of_group(&ranking, &[true]);
     }
 }

@@ -12,7 +12,7 @@
 //! the ground-truth outcome (`true` = the event occurred). A false positive is
 //! therefore a selected object whose label is `false`.
 
-use crate::dataset::SampleView;
+use crate::dataset::Dataset;
 use crate::error::Result;
 use crate::metrics::{tally_selection, GroupTally};
 use crate::ranking::topk::RankedSelection;
@@ -23,13 +23,13 @@ use crate::ranking::topk::RankedSelection;
 /// Groups with no true-negative members report an FPR of 0.
 ///
 /// # Errors
-/// Returns an error on empty views, invalid `k`, or missing labels.
+/// Returns an error on an empty dataset, invalid `k`, or missing labels.
 pub fn group_fpr_at_k(
-    view: &SampleView<'_>,
+    data: &Dataset,
     ranking: &RankedSelection,
     k: f64,
 ) -> Result<(Vec<f64>, f64)> {
-    let (population, selected) = tally_selection(view, ranking, k, true)?;
+    let (population, selected) = tally_selection(data, ranking, k, true)?;
     Ok(fpr_rates(&population, &selected))
 }
 
@@ -68,13 +68,9 @@ pub(crate) fn fpr_difference(population: &GroupTally, selected: &GroupTally) -> 
 /// bonus vector, DCA then decreases that group's effective risk score.
 ///
 /// # Errors
-/// Returns an error on empty views, invalid `k`, or missing labels.
-pub fn fpr_difference_at_k(
-    view: &SampleView<'_>,
-    ranking: &RankedSelection,
-    k: f64,
-) -> Result<Vec<f64>> {
-    let (population, selected) = tally_selection(view, ranking, k, true)?;
+/// Returns an error on an empty dataset, invalid `k`, or missing labels.
+pub fn fpr_difference_at_k(data: &Dataset, ranking: &RankedSelection, k: f64) -> Result<Vec<f64>> {
+    let (population, selected) = tally_selection(data, ranking, k, true)?;
     Ok(fpr_difference(&population, &selected))
 }
 
@@ -114,21 +110,16 @@ mod tests {
         Dataset::new(schema, objects).unwrap()
     }
 
-    fn rank<'a>(
-        d: &'a Dataset,
-        bonus: &[f64],
-    ) -> (crate::dataset::SampleView<'a>, RankedSelection) {
-        let view = d.full_view();
+    fn rank(d: &Dataset, bonus: &[f64]) -> RankedSelection {
         let ranker = SingleFeatureRanker::new(0);
-        let scores = effective_scores(&view, &ranker, bonus);
-        (view.clone(), RankedSelection::from_scores(scores))
+        RankedSelection::from_scores(effective_scores(d, &ranker, bonus))
     }
 
     #[test]
     fn group_fpr_matches_hand_computation() {
         let d = dataset();
-        let (view, ranking) = rank(&d, &[0.0, 0.0]);
-        let (per_group, overall) = group_fpr_at_k(&view, &ranking, 0.5).unwrap();
+        let ranking = rank(&d, &[0.0, 0.0]);
+        let (per_group, overall) = group_fpr_at_k(&d, &ranking, 0.5).unwrap();
         // Group a: 2 true negatives, both selected -> FPR 1.0.
         // Group b: 2 true negatives, none selected -> FPR 0.0.
         // Overall: 4 true negatives, 2 selected -> 0.5.
@@ -139,8 +130,8 @@ mod tests {
     #[test]
     fn fpr_difference_signs_reflect_over_and_under_flagging() {
         let d = dataset();
-        let (view, ranking) = rank(&d, &[0.0, 0.0]);
-        let diff = fpr_difference_at_k(&view, &ranking, 0.5).unwrap();
+        let ranking = rank(&d, &[0.0, 0.0]);
+        let diff = fpr_difference_at_k(&d, &ranking, 0.5).unwrap();
         assert!((diff[0] - 0.5).abs() < 1e-12, "group a over-flagged");
         assert!((diff[1] + 0.5).abs() < 1e-12, "group b under-flagged");
         assert!(diff.iter().all(|v| (-1.0..=1.0).contains(v)));
@@ -150,8 +141,8 @@ mod tests {
     fn negative_bonus_on_over_flagged_group_reduces_its_fpr() {
         let d = dataset();
         // A non-positive bonus of -200 on group a pushes it out of the flagged set.
-        let (view, ranking) = rank(&d, &[-200.0, 0.0]);
-        let (per_group, _) = group_fpr_at_k(&view, &ranking, 0.5).unwrap();
+        let ranking = rank(&d, &[-200.0, 0.0]);
+        let (per_group, _) = group_fpr_at_k(&d, &ranking, 0.5).unwrap();
         assert_eq!(per_group[0], 0.0);
     }
 
@@ -160,9 +151,9 @@ mod tests {
         let schema = Schema::from_names(&["risk"], &["a"], &[]).unwrap();
         let objects = vec![DataObject::new_unchecked(0, vec![1.0], vec![1.0], None)];
         let d = Dataset::new(schema, objects).unwrap();
-        let (view, ranking) = rank(&d, &[0.0]);
+        let ranking = rank(&d, &[0.0]);
         assert!(matches!(
-            fpr_difference_at_k(&view, &ranking, 1.0),
+            fpr_difference_at_k(&d, &ranking, 1.0),
             Err(FairError::MissingLabels)
         ));
     }
@@ -178,8 +169,8 @@ mod tests {
             DataObject::new_unchecked(3, vec![0.5], vec![0.0, 1.0], Some(false)),
         ];
         let d = Dataset::new(schema, objects).unwrap();
-        let (view, ranking) = rank(&d, &[0.0, 0.0]);
-        let (per_group, _) = group_fpr_at_k(&view, &ranking, 0.5).unwrap();
+        let ranking = rank(&d, &[0.0, 0.0]);
+        let (per_group, _) = group_fpr_at_k(&d, &ranking, 0.5).unwrap();
         assert_eq!(per_group[0], 0.0);
     }
 
@@ -190,18 +181,17 @@ mod tests {
             .map(|i| DataObject::new_unchecked(i, vec![i as f64], vec![1.0], Some(true)))
             .collect();
         let d = Dataset::new(schema, objects).unwrap();
-        let (view, ranking) = rank(&d, &[0.0]);
-        let (per_group, overall) = group_fpr_at_k(&view, &ranking, 0.5).unwrap();
+        let ranking = rank(&d, &[0.0]);
+        let (per_group, overall) = group_fpr_at_k(&d, &ranking, 0.5).unwrap();
         assert_eq!(overall, 0.0);
         assert_eq!(per_group, vec![0.0]);
     }
 
     #[test]
-    fn empty_view_is_error() {
+    fn empty_dataset_is_error() {
         let schema = Schema::from_names(&["risk"], &["a"], &[]).unwrap();
         let d = Dataset::empty(schema);
-        let view = d.full_view();
         let ranking = RankedSelection::from_scores(vec![]);
-        assert!(group_fpr_at_k(&view, &ranking, 0.5).is_err());
+        assert!(group_fpr_at_k(&d, &ranking, 0.5).is_err());
     }
 }

@@ -13,10 +13,10 @@
 //! possible value (the sum of the weights), so that each dimension of the
 //! result stays within `[-1, 1]`.
 
-use crate::dataset::SampleView;
+use crate::dataset::Dataset;
 use crate::error::{FairError, Result};
-
 use crate::ranking::topk::RankedSelection;
+use crate::shard::ShardSource;
 
 /// Configuration of the log-discounted disparity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,20 +80,20 @@ impl LogDiscountConfig {
 /// Compute the logarithmically discounted disparity vector of a ranking.
 ///
 /// # Errors
-/// Returns an error on an empty view or invalid configuration.
+/// Returns an error on an empty dataset or invalid configuration.
 pub fn log_discounted_disparity(
-    view: &SampleView<'_>,
+    data: &Dataset,
     ranking: &RankedSelection,
     config: &LogDiscountConfig,
 ) -> Result<Vec<f64>> {
     config.validate()?;
-    if view.is_empty() {
+    if data.is_empty() {
         return Err(FairError::EmptyDataset);
     }
     let checkpoints = config.checkpoints(ranking.len());
-    let all = view.fairness_centroid()?;
+    let all = data.fairness_centroid()?;
     let last = checkpoints.last().copied().unwrap_or(0);
-    let ranked = ranking.top(last).iter().map(|&p| view.object(p).fairness());
+    let ranked = ranking.top(last).iter().map(|&p| data.fairness_row(p));
     let mut out = Vec::new();
     log_discounted_of_rows(&checkpoints, &all, ranked, &mut out)?;
     Ok(out)
@@ -167,11 +167,9 @@ mod tests {
         Dataset::new(schema, objects).unwrap()
     }
 
-    fn rank(d: &Dataset, bonus: f64) -> (crate::dataset::SampleView<'_>, RankedSelection) {
-        let view = d.full_view();
+    fn rank(d: &Dataset, bonus: f64) -> RankedSelection {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let scores = effective_scores(&view, &ranker, &[bonus]);
-        (view.clone(), RankedSelection::from_scores(scores))
+        RankedSelection::from_scores(effective_scores(d, &ranker, &[bonus]))
     }
 
     #[test]
@@ -213,9 +211,8 @@ mod tests {
     #[test]
     fn discounted_disparity_is_negative_when_group_ranks_last() {
         let d = dataset(200, 4); // 25% members, all at the bottom
-        let (view, ranking) = rank(&d, 0.0);
-        let disp =
-            log_discounted_disparity(&view, &ranking, &LogDiscountConfig::default()).unwrap();
+        let ranking = rank(&d, 0.0);
+        let disp = log_discounted_disparity(&d, &ranking, &LogDiscountConfig::default()).unwrap();
         assert!(
             disp[0] < -0.1,
             "members are absent from every prefix: {}",
@@ -228,9 +225,9 @@ mod tests {
     fn discounted_disparity_bounded_in_unit_interval() {
         let d = dataset(200, 4);
         for bonus in [0.0, 500.0, 5000.0] {
-            let (view, ranking) = rank(&d, bonus);
+            let ranking = rank(&d, bonus);
             let disp =
-                log_discounted_disparity(&view, &ranking, &LogDiscountConfig::default()).unwrap();
+                log_discounted_disparity(&d, &ranking, &LogDiscountConfig::default()).unwrap();
             assert!(
                 disp.iter().all(|v| (-1.0..=1.0).contains(v)),
                 "bonus {bonus}: {disp:?}"
@@ -241,9 +238,8 @@ mod tests {
     #[test]
     fn large_bonus_flips_the_sign() {
         let d = dataset(200, 4);
-        let (view, ranking) = rank(&d, 10_000.0);
-        let disp =
-            log_discounted_disparity(&view, &ranking, &LogDiscountConfig::default()).unwrap();
+        let ranking = rank(&d, 10_000.0);
+        let disp = log_discounted_disparity(&d, &ranking, &LogDiscountConfig::default()).unwrap();
         assert!(
             disp[0] > 0.1,
             "members now dominate every prefix: {}",
@@ -257,20 +253,19 @@ mod tests {
         // different disparity at the first checkpoint must differ, and the one
         // that is unfair early must be worse (more negative).
         let d = dataset(40, 2); // 50% members
-        let view = d.full_view();
-        // Ranking A: members at the very end.
+                                // Ranking A: members at the very end.
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let scores_a = effective_scores(&view, &ranker, &[0.0]);
+        let scores_a = effective_scores(&d, &ranker, &[0.0]);
         let ranking_a = RankedSelection::from_scores(scores_a);
         // Ranking B: members at the very top (huge bonus).
-        let scores_b = effective_scores(&view, &ranker, &[100_000.0]);
+        let scores_b = effective_scores(&d, &ranker, &[100_000.0]);
         let ranking_b = RankedSelection::from_scores(scores_b);
         let cfg = LogDiscountConfig {
             step: 5,
             max_fraction: 1.0,
         };
-        let a = log_discounted_disparity(&view, &ranking_a, &cfg).unwrap()[0];
-        let b = log_discounted_disparity(&view, &ranking_b, &cfg).unwrap()[0];
+        let a = log_discounted_disparity(&d, &ranking_a, &cfg).unwrap()[0];
+        let b = log_discounted_disparity(&d, &ranking_b, &cfg).unwrap()[0];
         assert!(a < 0.0 && b > 0.0);
         // Both evaluate to 0 at the full-selection checkpoint, so the
         // magnitude comes from the discounted earlier checkpoints.
@@ -285,7 +280,7 @@ mod tests {
         use crate::metrics::disparity::disparity_of_selection;
         let d = dataset(317, 3);
         for bonus in [0.0, 42.0, 5_000.0] {
-            let (view, ranking) = rank(&d, bonus);
+            let ranking = rank(&d, bonus);
             for cfg in [
                 LogDiscountConfig::default(),
                 LogDiscountConfig {
@@ -297,14 +292,14 @@ mod tests {
                     max_fraction: 0.3,
                 },
             ] {
-                let fast = log_discounted_disparity(&view, &ranking, &cfg).unwrap();
+                let fast = log_discounted_disparity(&d, &ranking, &cfg).unwrap();
                 // Naive reference: re-sum every prefix from scratch.
-                let dims = view.schema().num_fairness();
+                let dims = d.schema().num_fairness();
                 let mut acc = vec![0.0; dims];
                 let mut z = 0.0;
                 for count in cfg.checkpoints(ranking.len()) {
                     let weight = 1.0 / ((count as f64) + 1.0).log2();
-                    let disp = disparity_of_selection(&view, ranking.top(count)).unwrap();
+                    let disp = disparity_of_selection(&d, ranking.top(count)).unwrap();
                     for (a, v) in acc.iter_mut().zip(&disp) {
                         *a += weight * v;
                     }
@@ -321,11 +316,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_view_is_error() {
+    fn empty_dataset_is_error() {
         let schema = Schema::from_names(&["s"], &["g"], &[]).unwrap();
         let d = Dataset::empty(schema);
-        let view = d.full_view();
         let ranking = RankedSelection::from_scores(vec![]);
-        assert!(log_discounted_disparity(&view, &ranking, &LogDiscountConfig::default()).is_err());
+        assert!(log_discounted_disparity(&d, &ranking, &LogDiscountConfig::default()).is_err());
     }
 }

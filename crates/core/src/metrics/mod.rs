@@ -8,6 +8,12 @@
 //! minimization metric must be represented as the norm of a vector, and it
 //! must provide bounds between -1, 1").
 //!
+//! The serial metrics measure a [`Dataset`] ranked by a full-sort
+//! [`RankedSelection`], whose positions are the dataset's rows — the form
+//! the baselines' re-rankings and the test oracles hand them. Whole-cohort
+//! audits and every DCA step evaluate a [`sharded::MetricPlan`] instead,
+//! which runs the same measurement functions on the shard engine.
+//!
 //! | Module | Paper reference |
 //! |--------|-----------------|
 //! | [`disparity`] | Definition 3, the primary metric |
@@ -32,7 +38,7 @@ pub use fpr::{fpr_difference_at_k, group_fpr_at_k};
 pub use log_discounted::{log_discounted_disparity, LogDiscountConfig};
 pub use ndcg::{dcg, ndcg_at_k};
 
-use crate::dataset::SampleView;
+use crate::dataset::Dataset;
 use crate::error::{FairError, Result};
 use crate::ranking::topk::RankedSelection;
 
@@ -110,35 +116,26 @@ impl GroupTally {
     }
 }
 
-/// Population and selected-set tallies of a view's top-`k` selection.
+/// Population and selected-set tallies of the top-`k` selection of a ranking
+/// over `data`.
 ///
 /// # Errors
-/// Returns an error on empty views, invalid `k`, or (with `need_labels`)
-/// missing labels.
+/// Returns an error on an empty dataset, invalid `k`, or (with
+/// `need_labels`) missing labels.
 pub(crate) fn tally_selection(
-    view: &SampleView<'_>,
+    data: &Dataset,
     ranking: &RankedSelection,
     k: f64,
     need_labels: bool,
 ) -> Result<(GroupTally, GroupTally)> {
-    if view.is_empty() {
+    if data.is_empty() {
         return Err(FairError::EmptyDataset);
     }
     let selected = ranking.selected(k)?;
-    let dims = view.schema().num_fairness();
-    let population = GroupTally::of_rows(
-        dims,
-        view.iter().map(|o| (o.fairness(), o.label())),
-        need_labels,
-    )?;
-    let chosen = GroupTally::of_rows(
-        dims,
-        selected.iter().map(|&p| {
-            let o = view.object(p);
-            (o.fairness(), o.label())
-        }),
-        false,
-    )?;
+    let dims = data.schema().num_fairness();
+    let row = |p: usize| (data.fairness_row(p), data.labels()[p]);
+    let population = GroupTally::of_rows(dims, (0..data.len()).map(row), need_labels)?;
+    let chosen = GroupTally::of_rows(dims, selected.iter().map(|&p| row(p)), false)?;
     Ok((population, chosen))
 }
 

@@ -6,7 +6,7 @@
 //! ideal DCG is the DCG of the original ranking, so an unchanged ranking
 //! scores exactly 1.
 
-use crate::dataset::SampleView;
+use crate::dataset::Dataset;
 use crate::error::{FairError, Result};
 use crate::ranking::topk::{selection_size, RankedSelection};
 use crate::ranking::{base_scores, Ranker};
@@ -24,7 +24,7 @@ pub fn dcg(weights: &[f64]) -> f64 {
 
 /// nDCG@k of a bonus-adjusted ranking relative to the original ranking.
 ///
-/// * `view` — the population being ranked,
+/// * `data` — the population being ranked,
 /// * `ranker` — the original score-based ranking function (provides the
 ///   relevance weights),
 /// * `adjusted` — the ranking obtained after applying bonus points,
@@ -33,18 +33,18 @@ pub fn dcg(weights: &[f64]) -> f64 {
 /// Returns a value in `[0, 1]`; `1.0` means the top-k is unchanged in order.
 ///
 /// # Errors
-/// Returns an error on an empty view or an invalid `k`.
+/// Returns an error on an empty dataset or an invalid `k`.
 pub fn ndcg_at_k<R: Ranker + ?Sized>(
-    view: &SampleView<'_>,
+    data: &Dataset,
     ranker: &R,
     adjusted: &RankedSelection,
     k: f64,
 ) -> Result<f64> {
-    if view.is_empty() {
+    if data.is_empty() {
         return Err(FairError::EmptyDataset);
     }
-    let count = selection_size(view.len(), k)?;
-    let base = base_scores(view, ranker);
+    let count = selection_size(data.len(), k)?;
+    let base = base_scores(data, ranker);
     let original = RankedSelection::from_scores(base.clone());
     Ok(ndcg_of_orders(
         &base,
@@ -107,23 +107,21 @@ mod tests {
     #[test]
     fn unchanged_ranking_has_ndcg_one() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let scores = effective_scores(&view, &ranker, &[0.0]);
+        let scores = effective_scores(&d, &ranker, &[0.0]);
         let ranking = RankedSelection::from_scores(scores);
-        let u = ndcg_at_k(&view, &ranker, &ranking, 0.25).unwrap();
+        let u = ndcg_at_k(&d, &ranker, &ranking, 0.25).unwrap();
         assert!((u - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn bonus_adjustment_reduces_but_keeps_high_utility() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         // Moderate bonus pushes a group member into the top-25%.
-        let scores = effective_scores(&view, &ranker, &[12.0]);
+        let scores = effective_scores(&d, &ranker, &[12.0]);
         let ranking = RankedSelection::from_scores(scores);
-        let u = ndcg_at_k(&view, &ranker, &ranking, 0.25).unwrap();
+        let u = ndcg_at_k(&d, &ranker, &ranking, 0.25).unwrap();
         assert!(u < 1.0, "ranking changed so utility must drop: {u}");
         assert!(u > 0.5, "utility should remain substantial: {u}");
     }
@@ -131,12 +129,11 @@ mod tests {
     #[test]
     fn utility_is_monotone_in_bonus_distortion() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let utility = |bonus: f64| {
-            let scores = effective_scores(&view, &ranker, &[bonus]);
+            let scores = effective_scores(&d, &ranker, &[bonus]);
             let ranking = RankedSelection::from_scores(scores);
-            ndcg_at_k(&view, &ranker, &ranking, 0.25).unwrap()
+            ndcg_at_k(&d, &ranker, &ranking, 0.25).unwrap()
         };
         let small = utility(5.0);
         let large = utility(50.0);
@@ -149,13 +146,12 @@ mod tests {
     #[test]
     fn ndcg_bounded_in_unit_interval() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         for bonus in [0.0, 1.0, 10.0, 1000.0] {
             for k in [0.05, 0.25, 0.5, 1.0] {
-                let scores = effective_scores(&view, &ranker, &[bonus]);
+                let scores = effective_scores(&d, &ranker, &[bonus]);
                 let ranking = RankedSelection::from_scores(scores);
-                let u = ndcg_at_k(&view, &ranker, &ranking, k).unwrap();
+                let u = ndcg_at_k(&d, &ranker, &ranking, k).unwrap();
                 assert!((0.0..=1.0).contains(&u), "bonus {bonus}, k {k}: {u}");
             }
         }
@@ -168,29 +164,26 @@ mod tests {
             .map(|i| DataObject::new_unchecked(i, vec![-(i as f64)], vec![0.0], None))
             .collect();
         let d = Dataset::new(schema, objects).unwrap();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &[0.0]));
-        let u = ndcg_at_k(&view, &ranker, &ranking, 0.5).unwrap();
+        let ranking = RankedSelection::from_scores(effective_scores(&d, &ranker, &[0.0]));
+        let u = ndcg_at_k(&d, &ranker, &ranking, 0.5).unwrap();
         assert!((u - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn empty_view_is_error() {
+    fn empty_dataset_is_error() {
         let schema = Schema::from_names(&["s"], &["g"], &[]).unwrap();
         let d = Dataset::empty(schema);
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let ranking = RankedSelection::from_scores(vec![]);
-        assert!(ndcg_at_k(&view, &ranker, &ranking, 0.5).is_err());
+        assert!(ndcg_at_k(&d, &ranker, &ranking, 0.5).is_err());
     }
 
     #[test]
     fn invalid_k_is_error() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &[0.0]));
-        assert!(ndcg_at_k(&view, &ranker, &ranking, 0.0).is_err());
+        let ranking = RankedSelection::from_scores(effective_scores(&d, &ranker, &[0.0]));
+        assert!(ndcg_at_k(&d, &ranker, &ranking, 0.0).is_err());
     }
 }

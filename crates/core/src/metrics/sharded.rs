@@ -573,17 +573,16 @@ mod tests {
     #[test]
     fn sharded_disparity_matches_serial_bitwise() {
         let flat = cohort(61);
-        let view = flat.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let ranking = RankedSelection::from_scores(crate::ranking::effective_scores(
-            &view,
+            &flat,
             &ranker,
             &[2.5, 0.5],
         ));
         for shard_size in [1, 7, 61, 4096] {
             let data = ShardedDataset::from_dataset(&flat, shard_size).unwrap();
             for k in [0.05, 0.2, 0.5, 1.0] {
-                let serial = crate::metrics::disparity_at_k(&view, &ranking, k).unwrap();
+                let serial = crate::metrics::disparity_at_k(&flat, &ranking, k).unwrap();
                 let sharded = disparity_at_k(&data, &ranker, &[2.5, 0.5], k).unwrap();
                 assert_eq!(bits(&serial), bits(&sharded), "shard {shard_size} k {k}");
             }
@@ -593,16 +592,15 @@ mod tests {
     #[test]
     fn sharded_ndcg_matches_serial_bitwise() {
         let flat = cohort(61);
-        let view = flat.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         for shard_size in [1, 7, 61, 4096] {
             let data = ShardedDataset::from_dataset(&flat, shard_size).unwrap();
             for bonus in [[0.0, 0.0], [3.0, 1.5]] {
                 for k in [0.1, 0.3, 1.0] {
                     let ranking = RankedSelection::from_scores(crate::ranking::effective_scores(
-                        &view, &ranker, &bonus,
+                        &flat, &ranker, &bonus,
                     ));
-                    let serial = crate::metrics::ndcg_at_k(&view, &ranker, &ranking, k).unwrap();
+                    let serial = crate::metrics::ndcg_at_k(&flat, &ranker, &ranking, k).unwrap();
                     let sharded = ndcg_at_k(&data, &ranker, &bonus, k).unwrap();
                     assert_eq!(
                         serial.to_bits(),
@@ -617,7 +615,6 @@ mod tests {
     #[test]
     fn sharded_log_discounted_matches_serial_bitwise() {
         let flat = cohort(83);
-        let view = flat.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let cfg = LogDiscountConfig {
             step: 7,
@@ -626,11 +623,11 @@ mod tests {
         for shard_size in [1, 7, 83, 4096] {
             let data = ShardedDataset::from_dataset(&flat, shard_size).unwrap();
             let ranking = RankedSelection::from_scores(crate::ranking::effective_scores(
-                &view,
+                &flat,
                 &ranker,
                 &[1.0, 0.0],
             ));
-            let serial = crate::metrics::log_discounted_disparity(&view, &ranking, &cfg).unwrap();
+            let serial = crate::metrics::log_discounted_disparity(&flat, &ranking, &cfg).unwrap();
             let sharded = log_discounted_disparity(&data, &ranker, &[1.0, 0.0], &cfg).unwrap();
             assert_eq!(bits(&serial), bits(&sharded), "shard {shard_size}");
         }
@@ -639,21 +636,20 @@ mod tests {
     #[test]
     fn sharded_fpr_and_di_match_serial_bitwise() {
         let flat = cohort(59);
-        let view = flat.full_view();
         let ranker = SingleFeatureRanker::new(0);
         for shard_size in [1, 7, 59] {
             let data = ShardedDataset::from_dataset(&flat, shard_size).unwrap();
             for k in [0.2, 0.5] {
                 let ranking = RankedSelection::from_scores(crate::ranking::effective_scores(
-                    &view,
+                    &flat,
                     &ranker,
                     &[0.0, -1.0],
                 ));
-                let serial_fpr = crate::metrics::fpr_difference_at_k(&view, &ranking, k).unwrap();
+                let serial_fpr = crate::metrics::fpr_difference_at_k(&flat, &ranking, k).unwrap();
                 let sharded_fpr = fpr_difference_at_k(&data, &ranker, &[0.0, -1.0], k).unwrap();
                 assert_eq!(bits(&serial_fpr), bits(&sharded_fpr), "fpr {shard_size}");
                 let serial_di =
-                    crate::metrics::scaled_disparate_impact_at_k(&view, &ranking, k).unwrap();
+                    crate::metrics::scaled_disparate_impact_at_k(&flat, &ranking, k).unwrap();
                 let sharded_di =
                     scaled_disparate_impact_at_k(&data, &ranker, &[0.0, -1.0], k).unwrap();
                 assert_eq!(bits(&serial_di), bits(&sharded_di), "di {shard_size}");

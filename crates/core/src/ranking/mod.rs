@@ -2,9 +2,12 @@
 //!
 //! A [`Ranker`] maps an object's *ranking features* to a base score `f(o)`.
 //! Bonus points enter only through [`crate::bonus::BonusVector`]: the effective
-//! score is `f_b(o) = f(o) + A_f · B` (Definition 2). The [`topk`] module turns
-//! effective scores into ranked orders and top-k% selections, which is what
-//! every fairness metric consumes.
+//! score is `f_b(o) = f(o) + A_f · B` (Definition 2). Scoring has one
+//! implementation, the engine's per-shard kernel: [`effective_scores`] and
+//! [`base_scores`] run it over any [`ShardSource`], a plain [`Dataset`] being
+//! one shard. The [`topk`] module turns scores into ranked orders and top-k%
+//! selections, which is what the serial metrics consume; [`sharded`] holds the
+//! kernel and the partial selections the engine runs.
 
 pub mod score;
 pub mod sharded;
@@ -13,8 +16,9 @@ pub mod topk;
 pub use score::{NormalizedWeightedSum, SingleFeatureRanker, WeightedSumRanker};
 pub use topk::{selection_size, RankedSelection};
 
-use crate::dataset::{Dataset, SampleView};
+use crate::dataset::Dataset;
 use crate::object::ObjectView;
+use crate::shard::ShardSource;
 
 /// A score-based ranking function `f` over an object's ranking features.
 ///
@@ -37,11 +41,9 @@ pub trait Ranker: Send + Sync {
     /// does). Returning `None` — the default — routes scoring through
     /// [`Ranker::base_score`] with the full object view.
     ///
-    /// This is the columnar fast path: when a ranker answers here,
-    /// [`effective_scores_into`] scores a view by streaming only the feature
-    /// and fairness matrices, skipping the random-access gathers of the id
-    /// and label columns that sampled scoring would otherwise pay on large
-    /// datasets. Implementations must compute exactly the same value as
+    /// This is the columnar fast path: when a ranker answers here, the
+    /// scoring kernel reads a row's features alone, never its id and label.
+    /// Implementations must compute exactly the same value as
     /// [`Ranker::base_score`].
     fn feature_score(&self, features: &[f64]) -> Option<f64> {
         let _ = features;
@@ -107,86 +109,97 @@ impl<T: Ranker + ?Sized> Ranker for Box<T> {
     }
 }
 
-/// Compute the effective (bonus-adjusted) scores of every object in a view:
-/// `f_b(o) = f(o) + A_f · B` for each object, in view order.
+/// The effective (bonus-adjusted) score `f_b(o) = f(o) + A_f · B` of every
+/// row of `data`, in global row order.
 ///
 /// # Panics
-/// Panics if `bonus.len()` differs from the view's fairness dimensionality.
+/// Panics if `bonus.len()` differs from the schema's fairness dimensionality.
 #[must_use]
-pub fn effective_scores<R: Ranker + ?Sized>(
-    view: &SampleView<'_>,
-    ranker: &R,
-    bonus: &[f64],
-) -> Vec<f64> {
+pub fn effective_scores<S, R>(data: &S, ranker: &R, bonus: &[f64]) -> Vec<f64>
+where
+    S: ShardSource + ?Sized,
+    R: Ranker + ?Sized,
+{
     let mut out = Vec::new();
-    effective_scores_into(view, ranker, bonus, &mut out);
+    effective_scores_into(data, ranker, bonus, &mut out);
     out
 }
 
 /// [`effective_scores`] writing into a caller-provided buffer.
 ///
 /// # Panics
-/// Panics if `bonus.len()` differs from the view's fairness dimensionality.
-pub fn effective_scores_into<R: Ranker + ?Sized>(
-    view: &SampleView<'_>,
-    ranker: &R,
-    bonus: &[f64],
-    out: &mut Vec<f64>,
-) {
+/// Panics if `bonus.len()` differs from the schema's fairness dimensionality.
+pub fn effective_scores_into<S, R>(data: &S, ranker: &R, bonus: &[f64], out: &mut Vec<f64>)
+where
+    S: ShardSource + ?Sized,
+    R: Ranker + ?Sized,
+{
     assert_eq!(
         bonus.len(),
-        view.schema().num_fairness(),
+        data.schema().num_fairness(),
         "bonus vector dimensionality mismatch"
     );
-    let dataset = view.dataset();
-    if let Some(weights) = ranker.linear_weights().filter(|w| !w.is_empty()) {
-        // Plain linear ranker: one blocked gather over the feature and
-        // fairness matrices. Per-row arithmetic is the same kernel::dot
-        // pair as the fallback below, so the value is bit-identical.
-        crate::kernel::gathered_linear_scores_into(
-            dataset.features_matrix(),
-            view.schema().num_features(),
-            weights,
-            dataset.fairness_matrix(),
-            bonus.len(),
-            bonus,
-            view.indices(),
-            out,
-        );
-        return;
-    }
-    out.clear();
-    out.reserve(view.len());
-    out.extend(view.indices().iter().map(|&i| {
-        // Feature-only rankers skip the id/label gathers entirely; sampled
-        // scoring then touches just two cache lines per row.
-        let base = ranker.row_score(dataset, i);
-        let increment = crate::kernel::dot(dataset.fairness_row(i), bonus);
-        base + increment
-    }));
+    score_rows_into(
+        data,
+        |shard, scores| sharded::score_shard_into(shard, ranker, bonus, None, scores),
+        out,
+    );
 }
 
-/// Compute base (unadjusted) scores of every object in a view, in view order.
+/// The base (unadjusted) score `f(o)` of every row of `data`, in global row
+/// order.
 #[must_use]
-pub fn base_scores<R: Ranker + ?Sized>(view: &SampleView<'_>, ranker: &R) -> Vec<f64> {
+pub fn base_scores<S, R>(data: &S, ranker: &R) -> Vec<f64>
+where
+    S: ShardSource + ?Sized,
+    R: Ranker + ?Sized,
+{
     let mut out = Vec::new();
-    base_scores_into(view, ranker, &mut out);
+    base_scores_into(data, ranker, &mut out);
     out
 }
 
 /// [`base_scores`] writing into a caller-provided buffer.
-pub fn base_scores_into<R: Ranker + ?Sized>(view: &SampleView<'_>, ranker: &R, out: &mut Vec<f64>) {
+pub fn base_scores_into<S, R>(data: &S, ranker: &R, out: &mut Vec<f64>)
+where
+    S: ShardSource + ?Sized,
+    R: Ranker + ?Sized,
+{
+    score_rows_into(
+        data,
+        |shard, scores| sharded::base_shard_into(shard, ranker, scores),
+        out,
+    );
+}
+
+/// Run a per-shard scoring kernel over every shard of `data` and concatenate
+/// its rows in shard order into `out`. A one-shard source is scored straight
+/// into `out`.
+fn score_rows_into<S, K>(data: &S, kernel: K, out: &mut Vec<f64>)
+where
+    S: ShardSource + ?Sized,
+    K: Fn(&Dataset, &mut Vec<f64>) + Sync,
+{
+    if data.num_shards() == 1 {
+        data.with_shard(0, |shard| kernel(shard.data(), out));
+        return;
+    }
+    let per_shard = data.map_shards(|shard| {
+        let mut scores = Vec::new();
+        kernel(shard.data(), &mut scores);
+        scores
+    });
     out.clear();
-    out.reserve(view.len());
-    let dataset = view.dataset();
-    out.extend(view.indices().iter().map(|&i| ranker.row_score(dataset, i)));
+    out.reserve(data.len());
+    for scores in per_shard {
+        out.extend_from_slice(&scores);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attributes::Schema;
-    use crate::dataset::Dataset;
     use crate::object::DataObject;
 
     fn dataset() -> Dataset {
@@ -201,32 +214,29 @@ mod tests {
     #[test]
     fn effective_scores_add_bonus_for_members() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let scores = effective_scores(&view, &ranker, &[5.0]);
+        let scores = effective_scores(&d, &ranker, &[5.0]);
         assert_eq!(scores, vec![6.0, 2.0]);
-        let base = base_scores(&view, &ranker);
+        let base = base_scores(&d, &ranker);
         assert_eq!(base, vec![1.0, 2.0]);
     }
 
     #[test]
     fn ranker_is_object_safe_and_usable_behind_references() {
         let d = dataset();
-        let view = d.full_view();
         let ranker: Box<dyn Ranker> = Box::new(WeightedSumRanker::new(vec![2.0]).unwrap());
-        let scores = effective_scores(&view, &ranker, &[0.0]);
+        let scores = effective_scores(&d, &ranker, &[0.0]);
         assert_eq!(scores, vec![2.0, 4.0]);
         assert!(ranker.describe().contains("weighted"));
         let by_ref: &dyn Ranker = &*ranker;
-        assert_eq!(by_ref.base_score(view.object(1)), 4.0);
+        assert_eq!(by_ref.base_score(d.row(1)), 4.0);
     }
 
     #[test]
     #[should_panic(expected = "dimensionality mismatch")]
     fn wrong_bonus_length_panics() {
         let d = dataset();
-        let view = d.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let _ = effective_scores(&view, &ranker, &[1.0, 2.0]);
+        let _ = effective_scores(&d, &ranker, &[1.0, 2.0]);
     }
 }

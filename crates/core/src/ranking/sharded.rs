@@ -2,12 +2,13 @@
 //! parallel evaluation engine.
 //!
 //! Every function is generic over [`ShardSource`], so the same kernels drive
-//! the in-memory [`crate::shard::ShardedDataset`] and the out-of-core
-//! `fair_store::ShardStore` unchanged. Scoring is embarrassingly parallel
-//! (one kernel per shard, concatenated in shard order — bit-for-bit the
-//! serial scores). Selection runs a per-shard partial top-`m`
-//! (`select_nth_unstable`) and merges the candidate sets
-//! under the same strict total order the serial
+//! a plain [`Dataset`] (one shard), the in-memory
+//! [`crate::shard::ShardedDataset`] and the out-of-core
+//! `fair_store::ShardStore` unchanged. Scoring is one per-shard kernel,
+//! `score_shard_into`, behind [`crate::ranking::effective_scores`], the
+//! metric planner and the fleet partials. Selection runs a per-shard partial
+//! top-`m` (`select_nth_unstable`) and merges the candidate sets
+//! under the same strict total order the full sort of
 //! [`RankedSelection`](crate::ranking::topk::RankedSelection) uses
 //! (descending [`f64::total_cmp`], ties by ascending global position), so the
 //! selected positions — set *and* order — are identical to a full sort for
@@ -21,57 +22,13 @@ use crate::ranking::topk::{rank_cmp, selection_size};
 use crate::ranking::Ranker;
 use crate::shard::ShardSource;
 
-/// Effective (bonus-adjusted) scores of every row, in global row order —
-/// per-shard scoring kernels concatenated in shard order.
-///
-/// # Panics
-/// Panics if `bonus.len()` differs from the schema's fairness dimensionality.
-#[must_use]
-pub fn effective_scores<S, R>(data: &S, ranker: &R, bonus: &[f64]) -> Vec<f64>
-where
-    S: ShardSource + ?Sized,
-    R: Ranker + ?Sized,
-{
-    let mut out = Vec::new();
-    effective_scores_into(data, ranker, bonus, &mut out);
-    out
-}
-
-/// [`effective_scores`] writing into a caller-provided buffer.
-///
-/// # Panics
-/// Panics if `bonus.len()` differs from the schema's fairness dimensionality.
-pub fn effective_scores_into<S, R>(data: &S, ranker: &R, bonus: &[f64], out: &mut Vec<f64>)
-where
-    S: ShardSource + ?Sized,
-    R: Ranker + ?Sized,
-{
-    assert_eq!(
-        bonus.len(),
-        data.schema().num_fairness(),
-        "bonus vector dimensionality mismatch"
-    );
-    let per_shard = data.map_shards(|shard| {
-        let mut scores = Vec::new();
-        score_shard_into(shard.data(), ranker, bonus, None, &mut scores);
-        scores
-    });
-    out.clear();
-    out.reserve(data.len());
-    for scores in per_shard {
-        out.extend_from_slice(&scores);
-    }
-}
-
 /// The one per-shard scoring kernel: `scores[i] = f(row i) + fairness_row(i)
 /// · bonus` over a shard's rows, with the base term `f(row i)` also copied
-/// into `base` when asked. Plain linear rankers score the feature matrix as
-/// one blocked [`crate::kernel::dot_rows_into`] pass, other rankers row by
-/// row through [`Ranker::row_score`]; the bonus increment is one blocked
-/// [`crate::kernel::add_dot_rows_into`] pass either way. Every per-row value
-/// is the canonical [`crate::kernel::dot`] arithmetic, so the sharded
-/// evaluator, the metric planner and the fleet partials all score a row
-/// bit-for-bit as the serial [`crate::ranking::effective_scores`] does.
+/// into `base` when asked. The base term is [`base_shard_into`]'s; the bonus
+/// increment is one blocked [`crate::kernel::add_dot_rows_into`] pass. Every
+/// per-row value is the canonical [`crate::kernel::dot`] arithmetic, so
+/// [`crate::ranking::effective_scores`], the metric planner and the fleet
+/// partials score a row bit-for-bit alike at every shard size.
 pub(crate) fn score_shard_into<R: Ranker + ?Sized>(
     shard: &Dataset,
     ranker: &R,
@@ -79,21 +36,29 @@ pub(crate) fn score_shard_into<R: Ranker + ?Sized>(
     base: Option<&mut Vec<f64>>,
     scores: &mut Vec<f64>,
 ) {
+    base_shard_into(shard, ranker, scores);
+    if let Some(base) = base {
+        base.clone_from(scores);
+    }
+    crate::kernel::add_dot_rows_into(shard.fairness_matrix(), bonus.len(), bonus, scores);
+}
+
+/// The base scores `f(row i)` of a shard's rows, written into `out`. Plain
+/// linear rankers score the feature matrix as one blocked
+/// [`crate::kernel::dot_rows_into`] pass, other rankers row by row through
+/// [`Ranker::row_score`].
+pub(crate) fn base_shard_into<R: Ranker + ?Sized>(shard: &Dataset, ranker: &R, out: &mut Vec<f64>) {
     let nf = shard.schema().num_features();
     match ranker
         .linear_weights()
         .filter(|w| !w.is_empty() && w.len() == nf)
     {
-        Some(w) => crate::kernel::dot_rows_into(shard.features_matrix(), nf, w, scores),
+        Some(w) => crate::kernel::dot_rows_into(shard.features_matrix(), nf, w, out),
         None => {
-            scores.clear();
-            scores.extend((0..shard.len()).map(|i| ranker.row_score(shard, i)));
+            out.clear();
+            out.extend((0..shard.len()).map(|i| ranker.row_score(shard, i)));
         }
     }
-    if let Some(base) = base {
-        base.clone_from(scores);
-    }
-    crate::kernel::add_dot_rows_into(shard.fairness_matrix(), bonus.len(), bonus, scores);
 }
 
 /// Keep the `m` least keys of `keys` — the `m` best rows under the canonical
@@ -225,7 +190,7 @@ mod tests {
     use crate::attributes::Schema;
     use crate::object::DataObject;
     use crate::ranking::topk::RankedSelection;
-    use crate::ranking::WeightedSumRanker;
+    use crate::ranking::{effective_scores, WeightedSumRanker};
     use crate::shard::ShardedDataset;
 
     fn sharded(n: u64, shard_size: usize) -> ShardedDataset {
@@ -246,14 +211,26 @@ mod tests {
     }
 
     #[test]
-    fn sharded_scores_match_serial_bitwise() {
-        let data = sharded(53, 7);
-        let flat = data.to_dataset();
+    fn scores_are_per_row_dots_at_every_shard_size() {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let view = flat.full_view();
-        let serial = crate::ranking::effective_scores(&view, &ranker, &[2.5]);
-        let shardwise = effective_scores(&data, &ranker, &[2.5]);
-        assert_eq!(serial, shardwise);
+        let flat = sharded(53, 7).to_dataset();
+        let per_row: Vec<u64> = (0..flat.len())
+            .map(|i| {
+                let score =
+                    ranker.row_score(&flat, i) + crate::kernel::dot(flat.fairness_row(i), &[2.5]);
+                score.to_bits()
+            })
+            .collect();
+        let bits = |scores: Vec<f64>| -> Vec<u64> { scores.iter().map(|s| s.to_bits()).collect() };
+        assert_eq!(bits(effective_scores(&flat, &ranker, &[2.5])), per_row);
+        for shard_size in [1, 7, 53, 1000] {
+            let data = sharded(53, shard_size);
+            assert_eq!(
+                bits(effective_scores(&data, &ranker, &[2.5])),
+                per_row,
+                "shard {shard_size}"
+            );
+        }
     }
 
     #[test]

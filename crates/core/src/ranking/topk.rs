@@ -4,10 +4,13 @@
 //! the highest f(o) values as its answer R_k". [`RankedSelection`] materializes
 //! a ranked order once and answers selection queries for any `k`, which is
 //! what the log-discounted disparity (Section IV-E), nDCG@k and exposure
-//! metrics need. It fully sorts all `s` scores (`O(s log s)`); the
-//! partial selection of a fixed-`k` prefix (`O(s + m log m)`) lives in
+//! metrics need. It fully sorts all `s` scores (`O(s log s)`) and is what
+//! the serial metrics, the baselines and the test oracles rank with; its
+//! positions are the rows of the `Dataset` that was scored. The partial
+//! selection of a fixed-`k` prefix (`O(s + m log m)`) lives in
 //! [`crate::ranking::sharded::top_m`], which runs over any
-//! [`crate::ShardSource`], a plain `Dataset` included.
+//! [`crate::ShardSource`], a plain `Dataset` included, and is what the
+//! metric planner, the explainer and calibration select with.
 //!
 //! Both use the same strict total order (descending [`f64::total_cmp`], ties
 //! broken by ascending position), so the selected *set and order* are
@@ -43,8 +46,8 @@ pub(crate) fn rank_cmp(scores: &[f64], a: usize, b: usize) -> Ordering {
     scores[b].total_cmp(&scores[a]).then_with(|| a.cmp(&b))
 }
 
-/// A descending-score ranking of a set of objects (identified by their
-/// positions in the originating [`crate::dataset::SampleView`]).
+/// A descending-score ranking of a set of objects, identified by their
+/// positions — the rows of the [`crate::Dataset`] the scores came from.
 ///
 /// Ties are broken by the original position so that rankings are deterministic
 /// and stable across runs — important both for reproducible experiments and
@@ -53,14 +56,14 @@ pub(crate) fn rank_cmp(scores: &[f64], a: usize, b: usize) -> Ordering {
 /// order) cannot corrupt the order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedSelection {
-    /// View positions, best to worst.
+    /// Positions, best to worst.
     order: Vec<usize>,
-    /// Effective score of each *view position* (index = view position).
+    /// Effective score of each *position* (index = position).
     scores: Vec<f64>,
 }
 
 impl RankedSelection {
-    /// Rank a score vector (one score per view position) in descending order,
+    /// Rank a score vector (one score per position) in descending order,
     /// fully sorting it.
     #[must_use]
     pub fn from_scores(scores: Vec<f64>) -> Self {
@@ -81,19 +84,19 @@ impl RankedSelection {
         self.order.is_empty()
     }
 
-    /// The full ranked order: view positions from best to worst.
+    /// The full ranked order: positions from best to worst.
     #[must_use]
     pub fn order(&self) -> &[usize] {
         &self.order
     }
 
-    /// Effective score of a view position.
+    /// Effective score of a position.
     #[must_use]
     pub fn score_of(&self, position: usize) -> f64 {
         self.scores[position]
     }
 
-    /// The view positions of the top-`k`-fraction selection, best first.
+    /// The positions of the top-`k`-fraction selection, best first.
     ///
     /// # Errors
     /// Returns an error for `k` outside `(0, 1]`.
@@ -102,7 +105,7 @@ impl RankedSelection {
         Ok(&self.order[..m])
     }
 
-    /// The view positions *not* selected at fraction `k`.
+    /// The positions *not* selected at fraction `k`.
     ///
     /// # Errors
     /// Returns an error for `k` outside `(0, 1]`.
@@ -111,20 +114,20 @@ impl RankedSelection {
         Ok(&self.order[m..])
     }
 
-    /// The top-`count` view positions (clamped to the ranking length).
+    /// The top-`count` positions (clamped to the ranking length).
     #[must_use]
     pub fn top(&self, count: usize) -> &[usize] {
         &self.order[..count.min(self.order.len())]
     }
 
-    /// 0-based rank of a view position (0 = best), or `None` if the position
+    /// 0-based rank of a position (0 = best), or `None` if the position
     /// does not exist.
     #[must_use]
     pub fn rank_of(&self, position: usize) -> Option<usize> {
         self.order.iter().position(|&p| p == position)
     }
 
-    /// Boolean membership mask over view positions for the top-`k` selection.
+    /// Boolean membership mask over positions for the top-`k` selection.
     ///
     /// # Errors
     /// Returns an error for `k` outside `(0, 1]`.

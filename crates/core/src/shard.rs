@@ -353,7 +353,7 @@ pub trait ShardSource: Sync {
         !self.is_empty()
             && self.reduce_shards(
                 true,
-                |shard| shard.data().fully_labelled(),
+                |shard| shard.data().labels().iter().all(Option::is_some),
                 |acc, ok| acc && ok,
             )
     }
@@ -870,9 +870,10 @@ mod tests {
         let kept = flat.with_shard(0, |view| view);
         assert!(std::ptr::eq(kept.data(), &flat));
         assert_eq!((kept.index(), kept.offset()), (0, 0));
+        let resharded = ShardedDataset::from_dataset(&flat, 5).unwrap();
         assert_eq!(
-            ShardSource::fairness_centroid(&flat).unwrap(),
-            flat.fairness_centroid().unwrap()
+            flat.fairness_centroid().unwrap(),
+            resharded.fairness_centroid().unwrap()
         );
         let mut out = Dataset::empty(schema());
         flat.gather_rows(&[4, 2, 19], &mut out).unwrap();

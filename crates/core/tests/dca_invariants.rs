@@ -21,11 +21,11 @@ fn biased_dataset(n: usize, member_rate: f64, shift: f64, seed: u64) -> Dataset 
     Dataset::new(schema, objects).unwrap()
 }
 
-/// Serial disparity at `k` over a full sort of `view` — an oracle that
-/// shares no evaluation code with the `MetricPlan` DCA steps run.
-fn serial_disparity(view: &SampleView<'_>, ranker: &dyn Ranker, bonus: &[f64], k: f64) -> Vec<f64> {
-    let ranking = RankedSelection::from_scores(effective_scores(view, ranker, bonus));
-    disparity_at_k(view, &ranking, k).unwrap()
+/// Serial disparity at `k` over a full sort of `data` — an oracle that
+/// shares no selection code with the `MetricPlan` DCA steps run.
+fn serial_disparity(data: &Dataset, ranker: &dyn Ranker, bonus: &[f64], k: f64) -> Vec<f64> {
+    let ranking = RankedSelection::from_scores(effective_scores(data, ranker, bonus));
+    disparity_at_k(data, &ranking, k).unwrap()
 }
 
 fn quick_config(seed: u64) -> DcaConfig {
@@ -91,10 +91,14 @@ proptest! {
         let dataset = biased_dataset(800, 0.3, 20.0, seed);
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let sample = dataset.sample(&mut rng, 100).unwrap();
+        let mut drawn = rand::seq::index::IndexBuffer::new();
+        dataset.draw_indices_into(&mut rng, 100, &mut drawn).unwrap();
         // A DCA step evaluates its objective's plan over the gathered sample,
-        // a plain `Dataset` and so one shard.
-        let sample = dataset.subset(sample.indices());
+        // a plain `Dataset` and so one shard; here it is copied row by row.
+        let mut sample = Dataset::empty(dataset.schema().clone());
+        for &i in drawn.as_slice() {
+            sample.push_row(dataset.row(i));
+        }
         for plan in [
             TopKDisparity::new(k).plan(),
             LogDiscountedObjective::default().plan(),
@@ -113,17 +117,16 @@ proptest! {
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let config = quick_config(seed);
         let objective = TopKDisparity::new(0.1);
-        let view = dataset.full_view();
         // Reference: the Full DCA descent with every direction from the
         // serial metric over the whole dataset.
         let control = RunControl::new();
         let full = run_full_descent(1, dataset.len(), &config, None, false, &control, |b, out| {
-            *out = serial_disparity(&view, &ranker, b, 0.1);
+            *out = serial_disparity(&dataset, &ranker, b, 0.1);
             Ok(())
         })
         .unwrap();
         let core = run_core_dca(&dataset, &ranker, &objective, &config, None, false).unwrap();
-        let eval = |bonus: &[f64]| norm(&serial_disparity(&view, &ranker, bonus, 0.1));
+        let eval = |bonus: &[f64]| norm(&serial_disparity(&dataset, &ranker, bonus, 0.1));
         prop_assert!(eval(&full.bonus) <= eval(&core.bonus) + 0.08,
             "full {} vs core {}", eval(&full.bonus), eval(&core.bonus));
         // Determinism of the non-sampled variant: the library's Full DCA,
@@ -159,10 +162,9 @@ proptest! {
             prop_assert!(result.ndcg >= target_utility - 1e-9);
         }
         // Re-evaluate the returned bonus: it must reproduce the reported values.
-        let view = dataset.full_view();
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, result.bonus.values()));
-        let disparity = norm(&disparity_at_k(&view, &ranking, 0.1).unwrap());
-        let utility = ndcg_at_k(&view, &ranker, &ranking, 0.1).unwrap();
+        let ranking = RankedSelection::from_scores(effective_scores(&dataset, &ranker, result.bonus.values()));
+        let disparity = norm(&disparity_at_k(&dataset, &ranking, 0.1).unwrap());
+        let utility = ndcg_at_k(&dataset, &ranker, &ranking, 0.1).unwrap();
         prop_assert!((disparity - result.disparity_norm).abs() < 1e-9);
         prop_assert!((utility - result.ndcg).abs() < 1e-9);
     }
@@ -177,20 +179,19 @@ fn theorem_4_1_inequality_on_random_instances() {
     for seed in 0..20_u64 {
         let dataset = biased_dataset(200, 0.3, 15.0, seed);
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let view = dataset.full_view();
         let k = 0.2;
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &[0.0]));
+        let ranking = RankedSelection::from_scores(effective_scores(&dataset, &ranker, &[0.0]));
         let selected = ranking.selected(k).unwrap();
         let unselected = ranking.unselected(k).unwrap();
-        let disparity = disparity_at_k(&view, &ranking, k).unwrap();
-        let centroid_all = view.fairness_centroid().unwrap();
-        let centroid_sel = view.fairness_centroid_of(selected).unwrap();
+        let disparity = disparity_at_k(&dataset, &ranking, k).unwrap();
+        let centroid_all = dataset.fairness_centroid().unwrap();
+        let centroid_sel = dataset.fairness_centroid_of(selected).unwrap();
         let s = selected.len() as f64;
 
         for &p in unselected.iter().take(10) {
             for &q in selected.iter().take(10) {
-                let fp = view.object(p).fairness()[0];
-                let fq = view.object(q).fairness()[0];
+                let fp = dataset.row(p).fairness()[0];
+                let fq = dataset.row(q).fairness()[0];
                 let swapped = centroid_sel[0] + (fp - fq) / s - centroid_all[0];
                 let current = centroid_sel[0] - centroid_all[0];
                 if swapped.abs() < current.abs() - 1e-12 {

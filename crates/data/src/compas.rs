@@ -273,14 +273,10 @@ mod tests {
     #[test]
     fn flagged_set_overrepresents_black_defendants() {
         let d = generate(20_000, 4);
-        let view = d.full_view();
         let ranker = CompasGenerator::decile_ranker();
-        let ranking = RankedSelection::from_scores(effective_scores(
-            &view,
-            &ranker,
-            &[0.0; RACE_GROUPS.len()],
-        ));
-        let disp = disparity_at_k(&view, &ranking, 0.2).unwrap();
+        let ranking =
+            RankedSelection::from_scores(effective_scores(&d, &ranker, &[0.0; RACE_GROUPS.len()]));
+        let disp = disparity_at_k(&d, &ranking, 0.2).unwrap();
         // Dimension 0 = african_american (over-flagged, positive disparity);
         // dimension 1 = caucasian (under-flagged, negative disparity).
         assert!(disp[0] > 0.05, "african_american disparity {:?}", disp);
@@ -290,14 +286,10 @@ mod tests {
     #[test]
     fn false_positive_rate_is_higher_for_black_defendants() {
         let d = generate(20_000, 5);
-        let view = d.full_view();
         let ranker = CompasGenerator::decile_ranker();
-        let ranking = RankedSelection::from_scores(effective_scores(
-            &view,
-            &ranker,
-            &[0.0; RACE_GROUPS.len()],
-        ));
-        let (per_group, overall) = group_fpr_at_k(&view, &ranking, 0.3).unwrap();
+        let ranking =
+            RankedSelection::from_scores(effective_scores(&d, &ranker, &[0.0; RACE_GROUPS.len()]));
+        let (per_group, overall) = group_fpr_at_k(&d, &ranking, 0.3).unwrap();
         assert!(
             per_group[0] > overall,
             "AA FPR {} vs overall {overall}",

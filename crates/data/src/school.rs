@@ -408,10 +408,9 @@ mod tests {
     fn baseline_disparity_shape_matches_table_one() {
         let cohort = small_cohort(40_000, 3);
         let d = cohort.dataset();
-        let view = d.full_view();
         let rubric = SchoolGenerator::rubric();
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &[0.0; 4]));
-        let disp = disparity_at_k(&view, &ranking, 0.05).unwrap();
+        let ranking = RankedSelection::from_scores(effective_scores(d, &rubric, &[0.0; 4]));
+        let disp = disparity_at_k(d, &ranking, 0.05).unwrap();
         // Every disadvantaged dimension must be clearly under-represented.
         assert!(disp.iter().all(|v| *v < -0.03), "{disp:?}");
         // The overall norm should be in the vicinity of the paper's 0.37.

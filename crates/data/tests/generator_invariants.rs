@@ -32,10 +32,9 @@ proptest! {
     #[test]
     fn school_bias_direction_is_stable(seed in 0_u64..10_000) {
         let cohort = SchoolGenerator::new(SchoolConfig::small(12_000, seed)).generate();
-        let view = cohort.dataset().full_view();
         let rubric = SchoolGenerator::rubric();
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &[0.0; 4]));
-        let disparity = disparity_at_k(&view, &ranking, 0.05).unwrap();
+        let ranking = RankedSelection::from_scores(effective_scores(cohort.dataset(), &rubric, &[0.0; 4]));
+        let disparity = disparity_at_k(cohort.dataset(), &ranking, 0.05).unwrap();
         prop_assert!(disparity.iter().all(|v| *v < 0.0), "{disparity:?}");
         prop_assert!(norm(&disparity) > 0.15);
     }
@@ -52,10 +51,9 @@ proptest! {
             let decile = o.features()[0];
             prop_assert!((1.0..=10.0).contains(&decile) && decile.fract() == 0.0);
         }
-        let view = dataset.full_view();
         let ranker = CompasGenerator::decile_ranker();
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &[0.0; 6]));
-        let disparity = disparity_at_k(&view, &ranking, 0.3).unwrap();
+        let ranking = RankedSelection::from_scores(effective_scores(&dataset, &ranker, &[0.0; 6]));
+        let disparity = disparity_at_k(&dataset, &ranking, 0.3).unwrap();
         prop_assert!(disparity[0] > 0.0, "african_american over-flagged: {disparity:?}");
         prop_assert!(disparity[1] < 0.0, "caucasian under-flagged: {disparity:?}");
     }

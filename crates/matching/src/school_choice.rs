@@ -150,8 +150,7 @@ impl SchoolChoiceSimulator {
             None => &zero,
         };
 
-        let view = dataset.full_view();
-        let scores = effective_scores(&view, rubric, bonus_values);
+        let scores = effective_scores(dataset, rubric, bonus_values);
         let n = dataset.len();
         let c = &self.config;
 
@@ -333,8 +332,7 @@ mod tests {
         let sim = SchoolChoiceSimulator::new(config()).unwrap();
         let outcome = sim.run(&dataset, &rubric, None).unwrap();
         // Rebuild the inputs to verify stability of the produced matching.
-        let view = dataset.full_view();
-        let scores = effective_scores(&view, &rubric, &[0.0]);
+        let scores = effective_scores(&dataset, &rubric, &[0.0]);
         let schools: Vec<SchoolRanking> = outcome
             .capacities
             .iter()

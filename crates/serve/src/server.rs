@@ -363,7 +363,11 @@ impl AuditService {
             let counts: Vec<usize> = (0..dims)
                 .map(|dim| kernel::count_ge_half(d.fairness_matrix(), dims, dim))
                 .collect();
-            (shard_fair_sums(d), counts, d.fully_labelled())
+            (
+                shard_fair_sums(d),
+                counts,
+                d.labels().iter().all(Option::is_some),
+            )
         });
         let fully_labelled = !store.is_empty() && per_shard.iter().all(|(_, _, all)| *all);
         let mut pairs = vec![

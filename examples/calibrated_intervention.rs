@@ -25,13 +25,12 @@ fn main() -> Result<()> {
         "Full intervention: disparity norm {:.3}, nDCG {:.4}\n",
         result.report.disparity_after.norm(),
         {
-            let view = dataset.full_view();
             let ranking = RankedSelection::from_scores(effective_scores(
-                &view,
+                dataset,
                 &rubric,
                 result.bonus.values(),
             ));
-            ndcg_at_k(&view, &rubric, &ranking, k)?
+            ndcg_at_k(dataset, &rubric, &ranking, k)?
         }
     );
 
@@ -74,7 +73,6 @@ fn main() -> Result<()> {
 
     // 3. What a family sees: the full score breakdown and the distance to the
     //    published threshold, for the first low-income ELL applicant.
-    let view = dataset.full_view();
     let position = dataset
         .iter()
         .position(|o| o.in_group(0) && o.in_group(1))
@@ -86,7 +84,7 @@ fn main() -> Result<()> {
         dataset.row(position),
     )?;
     println!("{breakdown}\n");
-    let outcome = selection_outcome(&view, &rubric, &fairness_ceiling.bonus, k, position)?;
+    let outcome = selection_outcome(dataset, &rubric, &fairness_ceiling.bonus, k, position)?;
     println!("{outcome}");
     Ok(())
 }

@@ -23,10 +23,9 @@ fn main() -> Result<()> {
     let rubric = SchoolGenerator::rubric();
 
     // 3. How disparate is the uncorrected top-5% selection?
-    let view = dataset.full_view();
     let baseline_ranking =
-        RankedSelection::from_scores(effective_scores(&view, &rubric, &[0.0; 4]));
-    let baseline = disparity_at_k(&view, &baseline_ranking, 0.05)?;
+        RankedSelection::from_scores(effective_scores(dataset, &rubric, &[0.0; 4]));
+    let baseline = disparity_at_k(dataset, &baseline_ranking, 0.05)?;
     println!("Baseline disparity at k = 5%:");
     for (name, value) in dataset.schema().fairness_names().iter().zip(&baseline) {
         println!("  {name:<12} {value:+.3}");
@@ -71,7 +70,7 @@ fn main() -> Result<()> {
     //    ...and the selection phase itself never needs a full sort for a
     //    fixed k: the partial top-k partition (`top_m`, over the dataset as
     //    one shard) does the same selection in a fraction of the time.
-    let scores = effective_scores(&view, &rubric, result.bonus.values());
+    let scores = effective_scores(dataset, &rubric, result.bonus.values());
     let m = selection_size(scores.len(), 0.05)?;
     // Clone outside the timed regions so both paths are charged for ranking
     // only, not for copying the score vector.

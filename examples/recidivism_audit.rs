@@ -23,13 +23,12 @@ fn main() -> Result<()> {
         k * 100.0
     );
 
-    let view = dataset.full_view();
     let zero = vec![0.0; names.len()];
-    let baseline = RankedSelection::from_scores(effective_scores(&view, &ranker, &zero));
+    let baseline = RankedSelection::from_scores(effective_scores(&dataset, &ranker, &zero));
 
     println!("Audit of the uncorrected decile score:");
-    let disparity = disparity_at_k(&view, &baseline, k)?;
-    let (fpr, overall_fpr) = group_fpr_at_k(&view, &baseline, k)?;
+    let disparity = disparity_at_k(&dataset, &baseline, k)?;
+    let (fpr, overall_fpr) = group_fpr_at_k(&dataset, &baseline, k)?;
     println!("  {:<18} {:>10} {:>10}", "group", "disparity", "FPR");
     for ((name, d), f) in names.iter().zip(&disparity).zip(&fpr) {
         println!("  {name:<18} {d:>+10.3} {f:>10.3}");
@@ -56,9 +55,12 @@ fn main() -> Result<()> {
 
     // Alternatively, equalize false-positive rates directly.
     let fpr_result = Dca::new(config).run(&dataset, &ranker, &FprDifferenceObjective::new(k))?;
-    let adjusted =
-        RankedSelection::from_scores(effective_scores(&view, &ranker, fpr_result.bonus.values()));
-    let (fpr_after, overall_after) = group_fpr_at_k(&view, &adjusted, k)?;
+    let adjusted = RankedSelection::from_scores(effective_scores(
+        &dataset,
+        &ranker,
+        fpr_result.bonus.values(),
+    ));
+    let (fpr_after, overall_after) = group_fpr_at_k(&dataset, &adjusted, k)?;
     println!("FPR-driven adjustment:");
     println!("  {:<18} {:>10} {:>10}", "group", "FPR before", "FPR after");
     for ((name, before), after) in names.iter().zip(&fpr).zip(&fpr_after) {

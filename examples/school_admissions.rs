@@ -33,13 +33,15 @@ fn main() -> Result<()> {
     println!("{}\n", result.bonus.explain());
 
     // Evaluate on the following year.
-    let view = test.dataset().full_view();
-    let before = RankedSelection::from_scores(effective_scores(&view, &rubric, &[0.0; 4]));
-    let after =
-        RankedSelection::from_scores(effective_scores(&view, &rubric, result.bonus.values()));
-    let disparity_before = disparity_at_k(&view, &before, k)?;
-    let disparity_after = disparity_at_k(&view, &after, k)?;
-    let utility = ndcg_at_k(&view, &rubric, &after, k)?;
+    let before = RankedSelection::from_scores(effective_scores(test.dataset(), &rubric, &[0.0; 4]));
+    let after = RankedSelection::from_scores(effective_scores(
+        test.dataset(),
+        &rubric,
+        result.bonus.values(),
+    ));
+    let disparity_before = disparity_at_k(test.dataset(), &before, k)?;
+    let disparity_after = disparity_at_k(test.dataset(), &after, k)?;
+    let utility = ndcg_at_k(test.dataset(), &rubric, &after, k)?;
     println!(
         "Test-year disparity norm: {:.3} -> {:.3}",
         norm(&disparity_before),

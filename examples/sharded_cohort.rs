@@ -69,7 +69,7 @@ fn main() -> Result<()> {
         outcome.bonus.clone(),
         BonusPolarity::NonNegative,
     )?;
-    let explanation = selection_outcome_sharded(data, &rubric, &bonus, k, data.len() / 2)?;
+    let explanation = selection_outcome(data, &rubric, &bonus, k, data.len() / 2)?;
     println!("\n{explanation}");
 
     // 5. Round-trip through the streaming CSV path: write the cohort, then

@@ -22,8 +22,7 @@ fn dca_config() -> DcaConfig {
 }
 
 fn selection_disparity(dataset: &Dataset, selected: &[usize]) -> f64 {
-    let view = dataset.full_view();
-    norm(&fair_ranking::core::metrics::disparity_of_selection(&view, selected).unwrap())
+    norm(&fair_ranking::core::metrics::disparity_of_selection(dataset, selected).unwrap())
 }
 
 #[test]
@@ -31,11 +30,10 @@ fn dca_beats_a_single_quota_on_multidimensional_disparity() {
     let dataset = cohort();
     let rubric = SchoolGenerator::rubric();
     let k = 0.1;
-    let view = dataset.full_view();
 
     // Quota: 70% of seats reserved for students in any binary protected group.
     let quota = QuotaConfig::new(0.7, vec![0, 1, 2]).unwrap();
-    let quota_selected = quota_select(&view, &rubric, k, &quota).unwrap();
+    let quota_selected = quota_select(&dataset, &rubric, k, &quota).unwrap();
     let quota_norm = selection_disparity(&dataset, &quota_selected);
 
     // DCA.
@@ -43,12 +41,12 @@ fn dca_beats_a_single_quota_on_multidimensional_disparity() {
         .run(&dataset, &rubric, &TopKDisparity::new(k))
         .unwrap();
     let ranking =
-        RankedSelection::from_scores(effective_scores(&view, &rubric, dca.bonus.values()));
-    let dca_norm = norm(&disparity_at_k(&view, &ranking, k).unwrap());
+        RankedSelection::from_scores(effective_scores(&dataset, &rubric, dca.bonus.values()));
+    let dca_norm = norm(&disparity_at_k(&dataset, &ranking, k).unwrap());
 
     // Baseline for context.
-    let base_ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &[0.0; 4]));
-    let base_norm = norm(&disparity_at_k(&view, &base_ranking, k).unwrap());
+    let base_ranking = RankedSelection::from_scores(effective_scores(&dataset, &rubric, &[0.0; 4]));
+    let base_norm = norm(&disparity_at_k(&dataset, &base_ranking, k).unwrap());
 
     assert!(
         quota_norm < base_norm,
@@ -65,22 +63,21 @@ fn delta2_with_dca_derived_constraints_matches_dca_quality() {
     let dataset = cohort();
     let rubric = SchoolGenerator::rubric();
     let k = 0.05;
-    let view = dataset.full_view();
     let m = selection_size(dataset.len(), k).unwrap();
 
     let dca = Dca::new(dca_config())
         .run(&dataset, &rubric, &TopKDisparity::new(k))
         .unwrap();
     let ranking =
-        RankedSelection::from_scores(effective_scores(&view, &rubric, dca.bonus.values()));
-    let dca_norm = norm(&disparity_at_k(&view, &ranking, k).unwrap());
+        RankedSelection::from_scores(effective_scores(&dataset, &rubric, dca.bonus.values()));
+    let dca_norm = norm(&disparity_at_k(&dataset, &ranking, k).unwrap());
 
-    let constraints = caps_excluding_group(&view, &[0, 1, 2], m, dca_norm).unwrap();
-    let selected = celis_rerank(&view, &rubric, m, &constraints).unwrap();
+    let constraints = caps_excluding_group(&dataset, &[0, 1, 2], m, dca_norm).unwrap();
+    let selected = celis_rerank(&dataset, &rubric, m, &constraints).unwrap();
     let delta2_norm = selection_disparity(&dataset, &selected);
 
-    let base_ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, &[0.0; 4]));
-    let base_norm = norm(&disparity_at_k(&view, &base_ranking, k).unwrap());
+    let base_ranking = RankedSelection::from_scores(effective_scores(&dataset, &rubric, &[0.0; 4]));
+    let base_norm = norm(&disparity_at_k(&dataset, &base_ranking, k).unwrap());
     assert!(dca_norm < base_norm * 0.6);
     assert!(delta2_norm < base_norm, "(Δ+2) improves over the baseline");
     // The two post-hoc methods land in the same quality neighbourhood.
@@ -96,18 +93,17 @@ fn fastar_respects_its_mtables_on_a_district_sized_population() {
         .generate()
         .into_dataset();
     let rubric = SchoolGenerator::rubric();
-    let view = dataset.full_view();
     let k = 0.1;
     let m = selection_size(dataset.len(), k).unwrap();
 
-    let worst = most_disadvantaged_subgroups(&view, &rubric, &[0, 1, 2], k, 3).unwrap();
+    let worst = most_disadvantaged_subgroups(&dataset, &rubric, &[0, 1, 2], k, 3).unwrap();
     let groups: Vec<ProtectedGroup> = worst
         .iter()
-        .map(|(g, _)| ProtectedGroup::from_subgroup(&view, g))
+        .map(|(g, _)| ProtectedGroup::from_subgroup(&dataset, g))
         .collect();
     let shares: Vec<f64> = groups.iter().map(|g| g.target_proportion).collect();
     let ranker = FaStarRanker::new(FaStarConfig::new(0.1, m).unwrap(), groups).unwrap();
-    let order = ranker.rerank(&view, &rubric).unwrap();
+    let order = ranker.rerank(&dataset, &rubric).unwrap();
     assert_eq!(order.len(), m);
 
     // Verify the ranked-group-fairness condition prefix by prefix with an
@@ -146,7 +142,6 @@ fn fastar_respects_its_mtables_on_a_district_sized_population() {
 fn exposure_ddp_improves_after_dca() {
     let dataset = cohort();
     let rubric = SchoolGenerator::rubric();
-    let view = dataset.full_view();
     let dca = Dca::new(dca_config())
         .run(
             &dataset,
@@ -157,9 +152,10 @@ fn exposure_ddp_improves_after_dca() {
             }),
         )
         .unwrap();
-    let before = RankedSelection::from_scores(effective_scores(&view, &rubric, &[0.0; 4]));
-    let after = RankedSelection::from_scores(effective_scores(&view, &rubric, dca.bonus.values()));
-    let ddp_before = ddp_for_binary_attributes(&view, &before).unwrap();
-    let ddp_after = ddp_for_binary_attributes(&view, &after).unwrap();
+    let before = RankedSelection::from_scores(effective_scores(&dataset, &rubric, &[0.0; 4]));
+    let after =
+        RankedSelection::from_scores(effective_scores(&dataset, &rubric, dca.bonus.values()));
+    let ddp_before = ddp_for_binary_attributes(&dataset, &before).unwrap();
+    let ddp_after = ddp_for_binary_attributes(&dataset, &after).unwrap();
     assert!(ddp_after < ddp_before, "{ddp_after} vs {ddp_before}");
 }

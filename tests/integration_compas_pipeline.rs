@@ -46,14 +46,13 @@ fn fpr_objective_narrows_false_positive_gaps() {
     let dataset = CompasGenerator::new(CompasConfig::small(5_000, 7)).generate();
     let ranker = CompasGenerator::decile_ranker();
     let k = 0.3;
-    let view = dataset.full_view();
     let dims = dataset.schema().num_fairness();
 
     // Per-group FPR minus the overall FPR; dimension 0 is african_american,
     // the group the original ProPublica analysis found over-flagged.
     let gaps = |bonus: &[f64]| -> Vec<f64> {
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, bonus));
-        let (per_group, overall) = group_fpr_at_k(&view, &ranking, k).unwrap();
+        let ranking = RankedSelection::from_scores(effective_scores(&dataset, &ranker, bonus));
+        let (per_group, overall) = group_fpr_at_k(&dataset, &ranking, k).unwrap();
         per_group.iter().map(|f| f - overall).collect()
     };
 
@@ -94,12 +93,11 @@ fn decile_scores_are_coarse_but_log_discounted_mode_still_helps() {
         )
         .expect("log-discounted DCA run");
 
-    let view = dataset.full_view();
     let ks: Vec<f64> = (1..=10).map(|i| i as f64 * 0.05).collect();
     let avg = |bonus: &[f64]| -> f64 {
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, bonus));
+        let ranking = RankedSelection::from_scores(effective_scores(&dataset, &ranker, bonus));
         ks.iter()
-            .map(|&k| norm(&disparity_at_k(&view, &ranking, k).unwrap()))
+            .map(|&k| norm(&disparity_at_k(&dataset, &ranking, k).unwrap()))
             .sum::<f64>()
             / ks.len() as f64
     };

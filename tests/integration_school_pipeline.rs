@@ -33,19 +33,22 @@ fn table_one_pipeline_generalizes_to_the_test_year() {
     assert!(after < before * 0.5, "training norm {after} vs {before}");
 
     // Test-year improvement with the same published bonus vector.
-    let view = test.dataset().full_view();
-    let corrected =
-        RankedSelection::from_scores(effective_scores(&view, &rubric, result.bonus.values()));
-    let uncorrected = RankedSelection::from_scores(effective_scores(&view, &rubric, &[0.0; 4]));
-    let test_before = norm(&disparity_at_k(&view, &uncorrected, k).unwrap());
-    let test_after = norm(&disparity_at_k(&view, &corrected, k).unwrap());
+    let corrected = RankedSelection::from_scores(effective_scores(
+        test.dataset(),
+        &rubric,
+        result.bonus.values(),
+    ));
+    let uncorrected =
+        RankedSelection::from_scores(effective_scores(test.dataset(), &rubric, &[0.0; 4]));
+    let test_before = norm(&disparity_at_k(test.dataset(), &uncorrected, k).unwrap());
+    let test_after = norm(&disparity_at_k(test.dataset(), &corrected, k).unwrap());
     assert!(
         test_after < test_before * 0.6,
         "test norm {test_after} vs {test_before}"
     );
 
     // Utility stays high (paper: ≈ 0.957 at 5%).
-    let utility = ndcg_at_k(&view, &rubric, &corrected, k).unwrap();
+    let utility = ndcg_at_k(test.dataset(), &rubric, &corrected, k).unwrap();
     assert!(utility > 0.85, "nDCG {utility}");
 
     // The published vector is explainable: non-negative, 0.5-point grid, and
@@ -76,12 +79,12 @@ fn log_discounted_mode_handles_unknown_selection_sizes() {
         .expect("log-discounted DCA run");
 
     // One bonus vector must improve the average disparity across many k.
-    let view = cohort.dataset().full_view();
     let ks: Vec<f64> = (1..=10).map(|i| i as f64 * 0.05).collect();
     let avg = |bonus: &[f64]| -> f64 {
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &rubric, bonus));
+        let ranking =
+            RankedSelection::from_scores(effective_scores(cohort.dataset(), &rubric, bonus));
         ks.iter()
-            .map(|&k| norm(&disparity_at_k(&view, &ranking, k).unwrap()))
+            .map(|&k| norm(&disparity_at_k(cohort.dataset(), &ranking, k).unwrap()))
             .sum::<f64>()
             / ks.len() as f64
     };
@@ -99,12 +102,14 @@ fn scaled_interventions_trade_fairness_for_utility() {
         .run(cohort.dataset(), &rubric, &TopKDisparity::new(k))
         .expect("DCA run");
 
-    let view = cohort.dataset().full_view();
     let evaluate = |bonus: &BonusVector| {
-        let ranking =
-            RankedSelection::from_scores(effective_scores(&view, &rubric, bonus.values()));
-        let disparity = norm(&disparity_at_k(&view, &ranking, k).unwrap());
-        let utility = ndcg_at_k(&view, &rubric, &ranking, k).unwrap();
+        let ranking = RankedSelection::from_scores(effective_scores(
+            cohort.dataset(),
+            &rubric,
+            bonus.values(),
+        ));
+        let disparity = norm(&disparity_at_k(cohort.dataset(), &ranking, k).unwrap());
+        let utility = ndcg_at_k(cohort.dataset(), &rubric, &ranking, k).unwrap();
         (disparity, utility)
     };
     let (full_disparity, full_utility) = evaluate(&result.bonus);

@@ -4,8 +4,11 @@
 //! gathered sample, as a one-shard source, for Core DCA and the refinement,
 //! and over the cohort for Full DCA. The loops here evaluate each step with
 //! the public serial metrics instead — the objective's metric over a full
-//! sort (`RankedSelection::from_scores`) of a `SampleView` — on samples drawn
-//! through the public samplers from the same seeds. Algorithm 1 and Full DCA
+//! sort (`RankedSelection::from_scores`) of the sampled `Dataset` — on
+//! samples drawn through the public samplers from the same seeds. Each
+//! sample is built row by row with `Dataset::push_row` in draw order, not
+//! through `extend_from_rows` or `subset`, the gather the runners use.
+//! Algorithm 1 and Full DCA
 //! reuse the library's descent loop, `run_full_descent`, whose ladder,
 //! update and clamp are the same for every runner; Algorithm 2's Adam loop
 //! is written out.
@@ -19,6 +22,7 @@ use fair_ranking::core::dca::{run_full_descent, CoreDcaOutcome};
 use fair_ranking::core::metrics::scaled_disparate_impact_at_k;
 use fair_ranking::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::index::IndexBuffer;
 use rand::{Rng, SeedableRng};
 
 /// The four DCA objectives, by the serial metric that evaluates each.
@@ -43,18 +47,35 @@ impl Metric {
         }
     }
 
-    /// The oracle: the serial metric over a full sort of `view`.
-    fn serial(self, view: &SampleView<'_>, ranker: &dyn Ranker, bonus: &[f64]) -> Result<Vec<f64>> {
-        let ranking = RankedSelection::from_scores(effective_scores(view, ranker, bonus));
+    /// The oracle: the serial metric over a full sort of `data`.
+    fn serial(self, data: &Dataset, ranker: &dyn Ranker, bonus: &[f64]) -> Result<Vec<f64>> {
+        let ranking = RankedSelection::from_scores(effective_scores(data, ranker, bonus));
         match self {
-            Self::Disparity => disparity_at_k(view, &ranking, K),
+            Self::Disparity => disparity_at_k(data, &ranking, K),
             Self::LogDiscounted => {
-                log_discounted_disparity(view, &ranking, &LogDiscountConfig::default())
+                log_discounted_disparity(data, &ranking, &LogDiscountConfig::default())
             }
-            Self::DisparateImpact => scaled_disparate_impact_at_k(view, &ranking, K),
-            Self::FprDifference => fpr_difference_at_k(view, &ranking, K),
+            Self::DisparateImpact => scaled_disparate_impact_at_k(data, &ranking, K),
+            Self::FprDifference => fpr_difference_at_k(data, &ranking, K),
         }
     }
+}
+
+/// The rows of `data` at `indices`, in draw order, copied one
+/// `Dataset::push_row` at a time.
+fn sample_of(data: &Dataset, indices: &[usize]) -> Dataset {
+    let mut sample = Dataset::empty(data.schema().clone());
+    for &i in indices {
+        sample.push_row(data.row(i));
+    }
+    sample
+}
+
+/// The next serial draw of `size` rows from `rng`, as a sample.
+fn draw(data: &Dataset, rng: &mut StdRng, size: usize) -> Result<Dataset> {
+    let mut indices = IndexBuffer::new();
+    data.draw_indices_into(rng, size, &mut indices)?;
+    Ok(sample_of(data, indices.as_slice()))
 }
 
 /// A cohort with its rankers, the metrics it supports and a bonus polarity
@@ -177,10 +198,10 @@ fn core_dca_walks_the_serial_oracle_bit_for_bit() {
                 let lib =
                     run_core_dca(&case.data, ranker, &*objective, &config, None, true).unwrap();
                 // `run_core_dca` draws each step's indices from one seeded
-                // RNG, as `Dataset::sample` does.
+                // RNG through `Dataset::draw_indices_into`.
                 let mut rng = StdRng::seed_from_u64(config.seed);
                 let oracle = descent(&case.data, &config, |bonus, out| {
-                    let sample = case.data.sample(&mut rng, config.sample_size)?;
+                    let sample = draw(&case.data, &mut rng, config.sample_size)?;
                     *out = metric.serial(&sample, ranker, bonus)?;
                     Ok(())
                 })
@@ -210,8 +231,7 @@ fn sharded_core_dca_walks_the_serial_oracle_bit_for_bit() {
                 let mut indices = Vec::new();
                 let oracle = descent(&case.data, &config, |bonus, out| {
                     data.sample_indices_into(master.gen(), config.sample_size, &mut indices)?;
-                    let sample = SampleView::from_indices(&case.data, indices.clone());
-                    *out = metric.serial(&sample, ranker, bonus)?;
+                    *out = metric.serial(&sample_of(&case.data, &indices), ranker, bonus)?;
                     Ok(())
                 })
                 .unwrap();
@@ -227,7 +247,6 @@ fn full_dca_walks_the_serial_oracle_bit_for_bit() {
         let mut config = config(case.polarity);
         config.iterations_per_rate = 4;
         // A `Dataset` runs Full DCA in place, as one shard.
-        let view = case.data.full_view();
         for (r, ranker) in case.rankers.iter().enumerate() {
             for &metric in &case.metrics {
                 let what = format!("{} ranker {r} {metric:?}", case.name);
@@ -236,7 +255,7 @@ fn full_dca_walks_the_serial_oracle_bit_for_bit() {
                     run_full_dca_sharded(&case.data, ranker, &*objective, &config, None, true)
                         .unwrap();
                 let oracle = descent(&case.data, &config, |bonus, out| {
-                    *out = metric.serial(&view, ranker, bonus)?;
+                    *out = metric.serial(&case.data, ranker, bonus)?;
                     Ok(())
                 })
                 .unwrap();
@@ -273,7 +292,7 @@ fn refinement_oracle(
     let mut adam = Adam::new(dims, config.adam);
     let mut window = RollingWindow::new(dims, config.rolling_window);
     for _ in 0..config.refinement_iterations {
-        let sample = data.sample(&mut rng, config.sample_size)?;
+        let sample = draw(data, &mut rng, config.sample_size)?;
         let direction = metric.serial(&sample, ranker, &bonus)?;
         adam.step(&mut bonus, &direction);
         clamp(&mut bonus);
@@ -322,7 +341,6 @@ fn refinement_walks_the_serial_oracle_bit_for_bit() {
 fn dca_reports_the_serial_metric_of_the_whole_dataset() {
     for case in cases() {
         let config = config(case.polarity);
-        let view = case.data.full_view();
         let ranker = &case.rankers[0];
         for &metric in &case.metrics {
             let what = format!("{} {metric:?}", case.name);
@@ -331,7 +349,7 @@ fn dca_reports_the_serial_metric_of_the_whole_dataset() {
                 .unwrap();
             let report = &result.report;
             let zero = vec![0.0; case.data.schema().num_fairness()];
-            let serial = |bonus: &[f64]| bits(&metric.serial(&view, ranker, bonus).unwrap());
+            let serial = |bonus: &[f64]| bits(&metric.serial(&case.data, ranker, bonus).unwrap());
             assert_eq!(
                 bits(report.disparity_before.values()),
                 serial(&zero),
@@ -369,10 +387,12 @@ fn fpr_on_unlabelled_data_fails_like_the_oracle() {
     let config = config(case.polarity);
     let ranker = &case.rankers[0];
     let objective = Metric::FprDifference.objective();
-    let sample = case
-        .data
-        .sample(&mut StdRng::seed_from_u64(config.seed), config.sample_size)
-        .unwrap();
+    let sample = draw(
+        &case.data,
+        &mut StdRng::seed_from_u64(config.seed),
+        config.sample_size,
+    )
+    .unwrap();
     assert!(matches!(
         Metric::FprDifference.serial(&sample, ranker, &[0.0; 4]),
         Err(FairError::MissingLabels)

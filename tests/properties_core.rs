@@ -42,12 +42,11 @@ proptest! {
         bonus in 0.0_f64..50.0,
     ) {
         let dataset = build_dataset(&pop);
-        let view = dataset.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &[bonus]));
-        let disparity = disparity_at_k(&view, &ranking, k).unwrap();
+        let ranking = RankedSelection::from_scores(effective_scores(&dataset, &ranker, &[bonus]));
+        let disparity = disparity_at_k(&dataset, &ranking, k).unwrap();
         prop_assert!(disparity.iter().all(|d| (-1.0..=1.0).contains(d)));
-        let full = disparity_at_k(&view, &ranking, 1.0).unwrap();
+        let full = disparity_at_k(&dataset, &ranking, 1.0).unwrap();
         prop_assert!(full.iter().all(|d| d.abs() < 1e-9));
     }
 
@@ -65,12 +64,11 @@ proptest! {
     #[test]
     fn ndcg_bounds(pop in population(), k in 0.01_f64..1.0, bonus in 0.0_f64..50.0) {
         let dataset = build_dataset(&pop);
-        let view = dataset.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let unchanged = RankedSelection::from_scores(effective_scores(&view, &ranker, &[0.0]));
-        prop_assert!((ndcg_at_k(&view, &ranker, &unchanged, k).unwrap() - 1.0).abs() < 1e-9);
-        let adjusted = RankedSelection::from_scores(effective_scores(&view, &ranker, &[bonus]));
-        let u = ndcg_at_k(&view, &ranker, &adjusted, k).unwrap();
+        let unchanged = RankedSelection::from_scores(effective_scores(&dataset, &ranker, &[0.0]));
+        prop_assert!((ndcg_at_k(&dataset, &ranker, &unchanged, k).unwrap() - 1.0).abs() < 1e-9);
+        let adjusted = RankedSelection::from_scores(effective_scores(&dataset, &ranker, &[bonus]));
+        let u = ndcg_at_k(&dataset, &ranker, &adjusted, k).unwrap();
         prop_assert!((0.0..=1.0).contains(&u));
     }
 
@@ -115,10 +113,9 @@ proptest! {
     #[test]
     fn quota_feasibility(pop in population(), k in 0.05_f64..1.0, reserve in 0.0_f64..1.0) {
         let dataset = build_dataset(&pop);
-        let view = dataset.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let config = QuotaConfig::new(reserve, vec![0]).unwrap();
-        let selected = quota_select(&view, &ranker, k, &config).unwrap();
+        let selected = quota_select(&dataset, &ranker, k, &config).unwrap();
         let expected = selection_size(dataset.len(), k).unwrap();
         prop_assert_eq!(selected.len(), expected);
         // No duplicates.
@@ -127,8 +124,8 @@ proptest! {
         sorted.dedup();
         prop_assert_eq!(sorted.len(), expected);
         // At least as many protected members as the unconstrained top-k.
-        let plain = RankedSelection::from_scores(effective_scores(&view, &ranker, &[0.0]));
-        let count = |positions: &[usize]| positions.iter().filter(|&&p| view.object(p).in_group(0)).count();
+        let plain = RankedSelection::from_scores(effective_scores(&dataset, &ranker, &[0.0]));
+        let count = |positions: &[usize]| positions.iter().filter(|&&p| dataset.row(p).in_group(0)).count();
         prop_assert!(count(&selected) >= count(plain.selected(k).unwrap()));
     }
 
@@ -180,9 +177,14 @@ proptest! {
         let samples = 60;
         let size = (dataset.len() / 2).max(5);
         let mut total = 0.0;
+        let mut drawn = rand::seq::index::IndexBuffer::new();
         for _ in 0..samples {
-            let view = dataset.sample(&mut rng, size).unwrap();
-            total += view.fairness_centroid().unwrap()[0];
+            dataset.draw_indices_into(&mut rng, size, &mut drawn).unwrap();
+            let mut sample = Dataset::empty(dataset.schema().clone());
+            for &i in drawn.as_slice() {
+                sample.push_row(dataset.row(i));
+            }
+            total += sample.fairness_centroid().unwrap()[0];
         }
         let mean = total / samples as f64;
         prop_assert!((mean - truth).abs() < 0.15, "mean {mean} vs truth {truth}");

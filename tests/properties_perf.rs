@@ -57,8 +57,7 @@ proptest! {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&centroid), bits(&acc));
 
-        let view = dataset.full_view();
-        let soa_scores = effective_scores(&view, &ranker, &bonus);
+        let soa_scores = effective_scores(&dataset, &ranker, &bonus);
         prop_assert_eq!(bits(&soa_scores), bits(&aos_scores));
 
         // Disparity over the AoS-scored ranking vs the SoA-scored ranking:
@@ -66,8 +65,8 @@ proptest! {
         // identical disparity bits.
         let aos_ranking = RankedSelection::from_scores(aos_scores);
         let soa_ranking = RankedSelection::from_scores(soa_scores);
-        let aos_disp = disparity_at_k(&view, &aos_ranking, k).unwrap();
-        let soa_disp = disparity_at_k(&view, &soa_ranking, k).unwrap();
+        let aos_disp = disparity_at_k(&dataset, &aos_ranking, k).unwrap();
+        let soa_disp = disparity_at_k(&dataset, &soa_ranking, k).unwrap();
         prop_assert_eq!(bits(&soa_disp), bits(&aos_disp));
     }
 

@@ -64,21 +64,20 @@ proptest! {
         k in 0.02_f64..1.0,
     ) {
         let flat = dataset_from_rows(&rows);
-        let view = flat.full_view();
         let linear = WeightedSumRanker::new(vec![1.0]).unwrap();
         let normalized = NormalizedWeightedSum::new(vec![1.0], vec![0.0], vec![96.0]).unwrap();
         let rankers: [&dyn Ranker; 2] = [&linear, &normalized];
         let bonus = [2.5_f64, 0.25];
         for ranker in rankers {
-            let ranking = RankedSelection::from_scores(effective_scores(&view, ranker, &bonus));
+            let ranking = RankedSelection::from_scores(effective_scores(&flat, ranker, &bonus));
 
-            let serial_disp = disparity_at_k(&view, &ranking, k).unwrap();
-            let serial_ndcg = ndcg_at_k(&view, ranker, &ranking, k).unwrap();
+            let serial_disp = disparity_at_k(&flat, &ranking, k).unwrap();
+            let serial_ndcg = ndcg_at_k(&flat, ranker, &ranking, k).unwrap();
             let log_cfg = LogDiscountConfig { step: 5, max_fraction: 0.5 };
-            let serial_log = log_discounted_disparity(&view, &ranking, &log_cfg).unwrap();
-            let serial_fpr = fpr_difference_at_k(&view, &ranking, k).unwrap();
+            let serial_log = log_discounted_disparity(&flat, &ranking, &log_cfg).unwrap();
+            let serial_fpr = fpr_difference_at_k(&flat, &ranking, k).unwrap();
             let serial_di =
-                fair_ranking::core::metrics::scaled_disparate_impact_at_k(&view, &ranking, k)
+                fair_ranking::core::metrics::scaled_disparate_impact_at_k(&flat, &ranking, k)
                     .unwrap();
 
             for shard_size in SHARD_SIZES {
@@ -118,16 +117,15 @@ proptest! {
         k in 0.02_f64..1.0,
     ) {
         let flat = dataset_from_rows(&rows);
-        let view = flat.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let bonus = [1.5_f64, 0.5];
-        let serial_scores = effective_scores(&view, &ranker, &bonus);
+        let serial_scores = effective_scores(&flat, &ranker, &bonus);
         let ranking = RankedSelection::from_scores(serial_scores.clone());
         let m = selection_size(flat.len(), k).unwrap();
 
         for shard_size in SHARD_SIZES {
             let data = ShardedDataset::from_dataset(&flat, shard_size).unwrap();
-            let scores = shranking::effective_scores(&data, &ranker, &bonus);
+            let scores = effective_scores(&data, &ranker, &bonus);
             prop_assert_eq!(bits(&serial_scores), bits(&scores),
                 "scores, shard size {}", shard_size);
             prop_assert_eq!(shranking::top_m(&data, &scores, m), ranking.top(m).to_vec(),
@@ -157,11 +155,10 @@ proptest! {
         };
         // Reference: the same descent with every step's direction from the
         // serial metric over a full sort of the flat cohort.
-        let view = flat.full_view();
         let serial = fair_ranking::core::dca::run_full_descent(
             2, flat.len(), &config, None, true, &RunControl::new(), |b, out| {
-                let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, b));
-                *out = disparity_at_k(&view, &ranking, k)?;
+                let ranking = RankedSelection::from_scores(effective_scores(&flat, &ranker, b));
+                *out = disparity_at_k(&flat, &ranking, k)?;
                 Ok(())
             },
         )
@@ -199,18 +196,17 @@ fn short_final_shard_is_bitwise_equivalent() {
         })
         .collect();
     let flat = dataset_from_rows(&rows);
-    let view = flat.full_view();
     let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
     let bonus = [2.5_f64, 0.25];
-    let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &bonus));
+    let ranking = RankedSelection::from_scores(effective_scores(&flat, &ranker, &bonus));
     let data = ShardedDataset::from_dataset(&flat, 7).unwrap();
     assert_eq!(data.num_shards(), 4);
     assert_eq!(data.shard(3).len(), 2);
     for k in [0.05, 0.3, 1.0] {
-        let serial = disparity_at_k(&view, &ranking, k).unwrap();
+        let serial = disparity_at_k(&flat, &ranking, k).unwrap();
         let sharded = shmetrics::disparity_at_k(&data, &ranker, &bonus, k).unwrap();
         assert_eq!(bits(&serial), bits(&sharded), "k {k}");
-        let serial_ndcg = ndcg_at_k(&view, &ranker, &ranking, k).unwrap();
+        let serial_ndcg = ndcg_at_k(&flat, &ranker, &ranking, k).unwrap();
         let sharded_ndcg = shmetrics::ndcg_at_k(&data, &ranker, &bonus, k).unwrap();
         assert_eq!(serial_ndcg.to_bits(), sharded_ndcg.to_bits(), "ndcg k {k}");
     }

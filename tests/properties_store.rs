@@ -139,18 +139,17 @@ proptest! {
         k in 0.02_f64..1.0,
     ) {
         let flat = dataset_from_rows(&rows);
-        let view = flat.full_view();
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
         let bonus = [2.5_f64, 0.25];
-        let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, &bonus));
+        let ranking = RankedSelection::from_scores(effective_scores(&flat, &ranker, &bonus));
         let log_cfg = LogDiscountConfig { step: 5, max_fraction: 0.5 };
 
-        let serial_disp = disparity_at_k(&view, &ranking, k).unwrap();
-        let serial_ndcg = ndcg_at_k(&view, &ranker, &ranking, k).unwrap();
-        let serial_log = log_discounted_disparity(&view, &ranking, &log_cfg).unwrap();
-        let serial_fpr = fpr_difference_at_k(&view, &ranking, k).unwrap();
+        let serial_disp = disparity_at_k(&flat, &ranking, k).unwrap();
+        let serial_ndcg = ndcg_at_k(&flat, &ranker, &ranking, k).unwrap();
+        let serial_log = log_discounted_disparity(&flat, &ranking, &log_cfg).unwrap();
+        let serial_fpr = fpr_difference_at_k(&flat, &ranking, k).unwrap();
         let serial_di =
-            fair_ranking::core::metrics::scaled_disparate_impact_at_k(&view, &ranking, k).unwrap();
+            fair_ranking::core::metrics::scaled_disparate_impact_at_k(&flat, &ranking, k).unwrap();
 
         let path = temp_path("parity");
         let mem = ShardedDataset::from_dataset(&flat, 7).unwrap();
@@ -197,8 +196,8 @@ proptest! {
         // serial metric over a full sort of the flat cohort.
         let serial_dca = fair_ranking::core::dca::run_full_descent(
             2, flat.len(), &config, None, true, &RunControl::new(), |b, out| {
-                let ranking = RankedSelection::from_scores(effective_scores(&view, &ranker, b));
-                *out = disparity_at_k(&view, &ranking, objective.k)?;
+                let ranking = RankedSelection::from_scores(effective_scores(&flat, &ranker, b));
+                *out = disparity_at_k(&flat, &ranking, objective.k)?;
                 Ok(())
             },
         )
