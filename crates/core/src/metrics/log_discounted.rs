@@ -253,8 +253,8 @@ mod tests {
         // different disparity at the first checkpoint must differ, and the one
         // that is unfair early must be worse (more negative).
         let d = dataset(40, 2); // 50% members
-                                // Ranking A: members at the very end.
         let ranker = WeightedSumRanker::new(vec![1.0]).unwrap();
+        // Ranking A: members at the very end.
         let scores_a = effective_scores(&d, &ranker, &[0.0]);
         let ranking_a = RankedSelection::from_scores(scores_a);
         // Ranking B: members at the very top (huge bonus).

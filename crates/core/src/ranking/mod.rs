@@ -173,17 +173,12 @@ where
 }
 
 /// Run a per-shard scoring kernel over every shard of `data` and concatenate
-/// its rows in shard order into `out`. A one-shard source is scored straight
-/// into `out`.
+/// its rows in shard order into `out`.
 fn score_rows_into<S, K>(data: &S, kernel: K, out: &mut Vec<f64>)
 where
     S: ShardSource + ?Sized,
     K: Fn(&Dataset, &mut Vec<f64>) + Sync,
 {
-    if data.num_shards() == 1 {
-        data.with_shard(0, |shard| kernel(shard.data(), out));
-        return;
-    }
     let per_shard = data.map_shards(|shard| {
         let mut scores = Vec::new();
         kernel(shard.data(), &mut scores);
