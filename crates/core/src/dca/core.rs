@@ -13,14 +13,19 @@
 //! The entire dataset is never scanned: every step touches only the sample, so
 //! the cost per step is `O(sample_size · log(sample_size))` regardless of
 //! dataset size (Section IV-D).
+//!
+//! This module holds the descent loop every Core and Full runner shares and
+//! the serial runner, [`run_core_dca`]: the gathered driver
+//! ([`crate::dca::run_core_dca_gathered`]) over a serial draw of the
+//! in-memory dataset.
 
 use crate::bonus::{BonusCaps, BonusPolarity};
 use crate::dataset::Dataset;
 use crate::dca::config::{DcaConfig, CLT_MINIMUM};
 use crate::dca::control::RunControl;
 use crate::dca::objective::Objective;
+use crate::dca::sharded::run_core_dca_gathered;
 use crate::error::{FairError, Result};
-use crate::metrics::sharded::ShardedEvalScratch;
 use crate::ranking::Ranker;
 use rand::rngs::StdRng;
 use rand::seq::index::IndexBuffer;
@@ -148,12 +153,12 @@ pub(crate) fn descend(
 /// * `initial` — starting bonus values (`None` starts from zero),
 /// * `trace` — record the per-step trajectory.
 ///
-/// Each step draws its sample through [`Dataset::draw_indices_into`] on
-/// one seeded RNG, copies the sampled rows in draw order into a reused
-/// block, and evaluates the objective's [`Objective::plan`] over that block,
-/// a one-shard source. The index buffer and the block are allocated once
-/// per run; each evaluation still allocates its sample-sized score and
-/// selection vectors and the direction it returns.
+/// The run is the one gathered driver, [`run_core_dca_gathered`], with the
+/// serial draw as its gather step: each step draws its sample through
+/// [`Dataset::draw_indices_into`] on one RNG seeded with `config.seed` (a
+/// stream of its own; the driver's step seeds go unused) and copies the
+/// sampled rows in draw order into the driver's reused block, over which
+/// the objective's [`Objective::plan`] is evaluated as a one-shard source.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty datasets, or objective
@@ -170,24 +175,21 @@ where
     R: Ranker + ?Sized,
     O: Objective + ?Sized,
 {
-    let plan = objective.plan();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut indices = IndexBuffer::new();
-    let mut sample = Dataset::empty(dataset.schema().clone());
-    let mut scratch = ShardedEvalScratch::new();
-    descend(
-        dataset.schema().num_fairness(),
+    run_core_dca_gathered(
+        dataset.schema(),
         dataset.len(),
-        true,
+        ranker,
+        objective,
         config,
         initial,
         trace,
         &RunControl::new(),
-        |bonus, direction| {
+        |_step_seed, block| {
             dataset.draw_indices_into(&mut rng, config.sample_size, &mut indices)?;
-            gather_sample(dataset, indices.as_slice(), ranker, &mut sample);
-            plan.evaluate_vector_into(&sample, ranker, bonus, &mut scratch, direction)?;
-            Ok(indices.len())
+            gather_sample(dataset, indices.as_slice(), ranker, block);
+            Ok(())
         },
     )
 }
@@ -385,8 +387,8 @@ mod tests {
         Dataset::new(schema, objects).unwrap()
     }
 
-    /// A ranker that scores whole rows — here by its id, without answering
-    /// `feature_score` — sees each sampled row's own id: its run walks the
+    /// A ranker that scores whole rows — here by its id, without
+    /// `linear_weights` — sees each sampled row's own id: its run walks the
     /// trajectory of a feature ranker over a copy of the ids.
     #[test]
     fn whole_row_rankers_see_the_sampled_rows_ids() {
@@ -412,40 +414,6 @@ mod tests {
         .unwrap();
         assert_eq!(by_id.trace, reference.trace);
         assert!(by_id.bonus[0] > 0.0, "the id ranking is biased");
-    }
-
-    /// `Ranker::feature_score` answers per row: a ranker that answers for
-    /// the even ids only and scores every other row by its id through
-    /// `base_score` still sees each sampled row's id, in Core DCA and in the
-    /// refinement, so both walk the trajectory of a feature ranker.
-    #[test]
-    fn rankers_answering_feature_score_for_some_rows_see_every_id() {
-        struct EvenIdsByFeature;
-        impl Ranker for EvenIdsByFeature {
-            fn base_score(&self, object: crate::object::ObjectView<'_>) -> f64 {
-                object.id().0 as f64
-            }
-            fn feature_score(&self, features: &[f64]) -> Option<f64> {
-                (features[0] % 2.0 == 0.0).then_some(features[0])
-            }
-        }
-        // Members and non-members overlap in the top fifth, so which rows
-        // a step selects moves its direction.
-        let dataset = id_ranked_dataset(|i, member| if member { i } else { 200 + i });
-        let objective = TopKDisparity::new(0.2);
-        let by_feature = WeightedSumRanker::new(vec![1.0]).unwrap();
-        let mut config = quick_config();
-        config.refinement_iterations = 40;
-        config.rolling_window = 20;
-        let mixed =
-            run_core_dca(&dataset, &EvenIdsByFeature, &objective, &config, None, true).unwrap();
-        let reference =
-            run_core_dca(&dataset, &by_feature, &objective, &config, None, true).unwrap();
-        assert_eq!(mixed.trace, reference.trace);
-        let refined = |ranker: &dyn Ranker| {
-            crate::dca::run_refinement(&dataset, ranker, &objective, &config, vec![1.0]).unwrap()
-        };
-        assert_eq!(refined(&EvenIdsByFeature), refined(&by_feature));
     }
 
     #[test]

@@ -371,7 +371,7 @@ mod tests {
     fn combined_partials_match_local_disparity_bitwise() {
         let data = cohort(500, 7, 48);
         let linear = WeightedSumRanker::new(vec![1.0, 0.25]).unwrap();
-        // A non-linear ranker takes the kernel's per-row `row_score` branch.
+        // A non-linear ranker takes the kernel's per-row `base_score` branch.
         let normalized =
             NormalizedWeightedSum::new(vec![1.0, 0.25], vec![-20.0, 0.0], vec![100.0, 10.0])
                 .unwrap();

@@ -197,10 +197,10 @@ where
 /// block with that step's sample rows, and the objective's
 /// [`Objective::plan`] is evaluated over the block, a plain `Dataset` and
 /// so a one-shard source, with the plan, the block and the plan's scratch
-/// built once per run. The
+/// built once per run. The serial runner ([`crate::dca::run_core_dca`]), the
 /// local sharded runner ([`run_core_dca_sharded`]) and distributed
-/// coordinators both execute exactly this driver, differing only in where
-/// the gather fetches rows — which is why a coordinator that concatenates
+/// coordinators all execute exactly this driver, differing only in how the
+/// gather draws and fetches rows — which is why a coordinator that concatenates
 /// each worker's [`crate::shard::sample_indices_range_into`] slice in
 /// ascending shard order reproduces the local trajectory bit for bit.
 ///

@@ -11,6 +11,10 @@
 //!   once and updated lock-free, so instrumentation costs one relaxed
 //!   atomic op per event — cheap enough to leave on everywhere (the bench
 //!   suite tracks the Core-DCA per-step overhead; it must stay under 5%).
+//!   An instance with numbers of its own (a shard store, a fleet
+//!   coordinator, a request in flight) holds per-instance children of its
+//!   series ([`Counter::child`], [`Gauge::child`]): each signal is stored
+//!   once, read exactly per instance and summed per process in the series.
 //! * **Logs** ([`log`]): [`Span`]s (one stderr line per close with target,
 //!   `duration_us`, fields) and point [`Event`]s, formatted per
 //!   `FAIR_LOG=off|text|json`. Trace ids minted by [`next_trace_id`] ride

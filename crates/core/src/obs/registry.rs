@@ -9,6 +9,14 @@
 //! store open, coordinator construction, route dispatch) and never touches
 //! the registry lock per event.
 //!
+//! An instance that reports its own exact numbers (a shard store's cache
+//! counters, a fleet coordinator's request counts) holds per-instance
+//! children of its series ([`Counter::child`], [`Gauge::child`]) as their
+//! only storage: a child reads back its own events and passes each one on
+//! to the series, and a dropped gauge child takes its value back out. A
+//! child is not registered, so the rendered text shows the series alone,
+//! the sum over every instance.
+//!
 //! Histograms bucket by powers of two (`le ∈ {1, 2, 4, …, 2^30, +Inf}`,
 //! conventionally microseconds) and keep an exact `sum` and `count`
 //! alongside the buckets, so averages are exact. Quantiles come from a
@@ -40,51 +48,102 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 }
 
 /// A monotone event counter.
+///
+/// A registry series has no parent. A [`Counter::child`] is one instance's
+/// share of a series: it counts its own events and adds each one to its
+/// parent, so the instance reads its exact count while the series keeps the
+/// process total.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter {
+    value: AtomicU64,
+    parent: Option<Arc<Counter>>,
+}
 
 impl Counter {
+    /// A per-instance counter whose every event also counts in `parent`.
+    #[must_use]
+    pub fn child(parent: Arc<Counter>) -> Self {
+        Self {
+            value: AtomicU64::new(0),
+            parent: Some(parent),
+        }
+    }
+
     /// Add one.
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
+        if let Some(parent) = &self.parent {
+            parent.add(n);
+        }
     }
 
-    /// Current value.
+    /// Current value: this counter's own events.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
 /// A signed instantaneous value (in-flight requests, resident bytes, …).
+///
+/// A [`Gauge::child`] is one instance's share of a series: every change
+/// moves its parent by the same amount, and dropping the child takes its
+/// value back out of the parent, so the series sums the live instances.
 #[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
+pub struct Gauge {
+    value: AtomicI64,
+    parent: Option<Arc<Gauge>>,
+}
 
 impl Gauge {
+    /// A per-instance gauge whose every change also moves `parent`, and
+    /// whose value leaves `parent` when it is dropped.
+    #[must_use]
+    pub fn child(parent: Arc<Gauge>) -> Self {
+        Self {
+            value: AtomicI64::new(0),
+            parent: Some(parent),
+        }
+    }
+
     /// Overwrite the value.
     pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
+        let old = self.value.swap(v, Ordering::Relaxed);
+        if let Some(parent) = &self.parent {
+            parent.add(v.wrapping_sub(old));
+        }
     }
 
     /// Add `d` (may be negative via [`Gauge::sub`]).
     pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
+        self.value.fetch_add(d, Ordering::Relaxed);
+        if let Some(parent) = &self.parent {
+            parent.add(d);
+        }
     }
 
     /// Subtract `d`.
     pub fn sub(&self, d: i64) {
-        self.0.fetch_sub(d, Ordering::Relaxed);
+        self.add(d.wrapping_neg());
     }
 
-    /// Current value.
+    /// Current value: this gauge's own share.
     #[must_use]
     pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
+    }
+}
+
+impl Drop for Gauge {
+    fn drop(&mut self) {
+        if let Some(parent) = &self.parent {
+            parent.sub(*self.value.get_mut());
+        }
     }
 }
 
@@ -446,6 +505,73 @@ mod tests {
         assert_eq!(g.get(), 2);
         g.set(-7);
         assert_eq!(g.get(), -7);
+    }
+
+    #[test]
+    fn a_child_counter_counts_its_own_events_into_its_parent() {
+        let reg = Registry::new();
+        let parent = reg.counter("events_total", &[]);
+        parent.add(10);
+        let child = Counter::child(Arc::clone(&parent));
+        child.inc();
+        child.add(4);
+        assert_eq!(child.get(), 5, "the child reads its own events only");
+        assert_eq!(parent.get(), 15, "the parent grows by the same amount");
+    }
+
+    #[test]
+    fn two_children_of_one_parent_add_up_in_the_parent() {
+        let reg = Registry::new();
+        let parent = reg.counter("events_total", &[]);
+        let a = Counter::child(Arc::clone(&parent));
+        let b = Counter::child(Arc::clone(&parent));
+        a.add(3);
+        b.add(7);
+        a.inc();
+        assert_eq!((a.get(), b.get()), (4, 7));
+        assert_eq!(parent.get(), 11);
+        // A counter child's events stay counted after it is dropped.
+        drop(a);
+        assert_eq!(parent.get(), 11);
+    }
+
+    #[test]
+    fn a_child_gauge_moves_its_parent_and_leaves_it_when_dropped() {
+        let reg = Registry::new();
+        let parent = reg.gauge("resident", &[]);
+        parent.set(100);
+        let child = Gauge::child(Arc::clone(&parent));
+        child.add(30);
+        child.sub(5);
+        assert_eq!((child.get(), parent.get()), (25, 125));
+        child.set(40);
+        assert_eq!((child.get(), parent.get()), (40, 140));
+        let other = Gauge::child(Arc::clone(&parent));
+        other.add(2);
+        assert_eq!(parent.get(), 142);
+        drop(child);
+        assert_eq!(parent.get(), 102, "the dropped child's value leaves");
+        drop(other);
+        assert_eq!(parent.get(), 100, "the parent's own value is restored");
+    }
+
+    #[test]
+    fn children_leave_the_rendered_text_unchanged() {
+        let direct = Registry::new();
+        direct
+            .counter("req_total", &[("route", "GET /health")])
+            .add(3);
+        direct.gauge("inflight", &[]).add(2);
+        let reg = Registry::new();
+        let c = Counter::child(reg.counter("req_total", &[("route", "GET /health")]));
+        let g = Gauge::child(reg.gauge("inflight", &[]));
+        c.add(3);
+        g.add(2);
+        assert_eq!(
+            reg.render_prometheus(),
+            direct.render_prometheus(),
+            "children render as their series alone"
+        );
     }
 
     #[test]

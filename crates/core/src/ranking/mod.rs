@@ -5,9 +5,12 @@
 //! score is `f_b(o) = f(o) + A_f · B` (Definition 2). Scoring has one
 //! implementation, the engine's per-shard kernel: [`effective_scores`] and
 //! [`base_scores`] run it over any [`ShardSource`], a plain [`Dataset`] being
-//! one shard. The [`topk`] module turns scores into ranked orders and top-k%
-//! selections, which is what the serial metrics consume; [`sharded`] holds the
-//! kernel and the partial selections the engine runs.
+//! one shard. The kernel scores a plain linear ranker
+//! ([`Ranker::linear_weights`]) as one blocked pass over a shard's feature
+//! matrix and any other ranker row by row through [`Ranker::base_score`],
+//! the one per-row hook. The [`topk`] module turns scores into ranked orders
+//! and top-k% selections, which is what the serial metrics consume;
+//! [`sharded`] holds the kernel and the partial selections the engine runs.
 
 pub mod score;
 pub mod sharded;
@@ -33,22 +36,10 @@ use crate::shard::ShardSource;
 /// [`crate::object::DataObject`] is scored via
 /// [`crate::object::DataObject::as_view`].
 pub trait Ranker: Send + Sync {
-    /// Base score `f(o)` of an object, before any bonus points.
+    /// Base score `f(o)` of an object, before any bonus points — the one
+    /// per-row hook every scoring path (serial, sharded, paged, planner,
+    /// fleet) calls for a ranker without [`Ranker::linear_weights`].
     fn base_score(&self, object: ObjectView<'_>) -> f64;
-
-    /// Score an object directly from its ranking-feature row, for ranking
-    /// functions that depend on the features alone (every built-in ranker
-    /// does). Returning `None` — the default — routes scoring through
-    /// [`Ranker::base_score`] with the full object view.
-    ///
-    /// This is the columnar fast path: when a ranker answers here, the
-    /// scoring kernel reads a row's features alone, never its id and label.
-    /// Implementations must compute exactly the same value as
-    /// [`Ranker::base_score`].
-    fn feature_score(&self, features: &[f64]) -> Option<f64> {
-        let _ = features;
-        None
-    }
 
     /// The weight vector of a *plain linear* ranker — one whose base score
     /// is exactly `dot(features, weights)` with no normalization or other
@@ -59,17 +50,6 @@ pub trait Ranker: Send + Sync {
     /// kernel either way, so the fast path is bit-for-bit the slow one.
     fn linear_weights(&self) -> Option<&[f64]> {
         None
-    }
-
-    /// Base score of row `i` of `data`: [`Ranker::feature_score`] on the
-    /// feature row when the ranker answers there, [`Ranker::base_score`] on
-    /// the full row otherwise — the one per-row fallback every scoring path
-    /// (serial, sharded, paged, planner, fleet) takes.
-    fn row_score(&self, data: &Dataset, i: usize) -> f64 {
-        match self.feature_score(data.feature_row(i)) {
-            Some(score) => score,
-            None => self.base_score(data.row(i)),
-        }
     }
 
     /// A short human-readable description of the ranking function, used in
@@ -83,9 +63,6 @@ impl<T: Ranker + ?Sized> Ranker for &T {
     fn base_score(&self, object: ObjectView<'_>) -> f64 {
         (**self).base_score(object)
     }
-    fn feature_score(&self, features: &[f64]) -> Option<f64> {
-        (**self).feature_score(features)
-    }
     fn linear_weights(&self) -> Option<&[f64]> {
         (**self).linear_weights()
     }
@@ -97,9 +74,6 @@ impl<T: Ranker + ?Sized> Ranker for &T {
 impl<T: Ranker + ?Sized> Ranker for Box<T> {
     fn base_score(&self, object: ObjectView<'_>) -> f64 {
         (**self).base_score(object)
-    }
-    fn feature_score(&self, features: &[f64]) -> Option<f64> {
-        (**self).feature_score(features)
     }
     fn linear_weights(&self) -> Option<&[f64]> {
         (**self).linear_weights()

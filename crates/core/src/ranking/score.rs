@@ -60,12 +60,7 @@ impl Ranker for WeightedSumRanker {
             self.weights.len(),
             "feature dimensionality mismatch"
         );
-        self.feature_score(object.features())
-            .expect("weighted sum scores any feature row")
-    }
-
-    fn feature_score(&self, features: &[f64]) -> Option<f64> {
-        Some(crate::kernel::dot(features, &self.weights))
+        crate::kernel::dot(object.features(), &self.weights)
     }
 
     fn linear_weights(&self) -> Option<&[f64]> {
@@ -133,18 +128,12 @@ impl NormalizedWeightedSum {
 impl Ranker for NormalizedWeightedSum {
     fn base_score(&self, object: ObjectView<'_>) -> f64 {
         debug_assert_eq!(object.features().len(), self.weights.len());
-        self.feature_score(object.features())
-            .expect("normalized weighted sum scores any feature row")
-    }
-
-    fn feature_score(&self, features: &[f64]) -> Option<f64> {
-        Some(
-            features
-                .iter()
-                .enumerate()
-                .map(|(i, &a)| self.weights[i] * self.rescale(i, a))
-                .sum(),
-        )
+        object
+            .features()
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| self.weights[i] * self.rescale(i, a))
+            .sum()
     }
 
     fn describe(&self) -> String {
@@ -196,16 +185,16 @@ impl SingleFeatureRanker {
 
 impl Ranker for SingleFeatureRanker {
     fn base_score(&self, object: ObjectView<'_>) -> f64 {
-        self.feature_score(object.features())
-            .expect("single-feature ranker scores any feature row")
-    }
-
-    fn feature_score(&self, features: &[f64]) -> Option<f64> {
-        let v = features
+        let v = object
+            .features()
             .get(self.feature_index)
             .copied()
             .unwrap_or(f64::NEG_INFINITY);
-        Some(if self.negate { -v } else { v })
+        if self.negate {
+            -v
+        } else {
+            v
+        }
     }
 
     fn describe(&self) -> String {

@@ -46,7 +46,7 @@ pub(crate) fn score_shard_into<R: Ranker + ?Sized>(
 /// The base scores `f(row i)` of a shard's rows, written into `out`. Plain
 /// linear rankers score the feature matrix as one blocked
 /// [`crate::kernel::dot_rows_into`] pass, other rankers row by row through
-/// [`Ranker::row_score`].
+/// [`Ranker::base_score`].
 pub(crate) fn base_shard_into<R: Ranker + ?Sized>(shard: &Dataset, ranker: &R, out: &mut Vec<f64>) {
     let nf = shard.schema().num_features();
     match ranker
@@ -56,7 +56,7 @@ pub(crate) fn base_shard_into<R: Ranker + ?Sized>(shard: &Dataset, ranker: &R, o
         Some(w) => crate::kernel::dot_rows_into(shard.features_matrix(), nf, w, out),
         None => {
             out.clear();
-            out.extend((0..shard.len()).map(|i| ranker.row_score(shard, i)));
+            out.extend((0..shard.len()).map(|i| ranker.base_score(shard.row(i))));
         }
     }
 }
@@ -216,8 +216,8 @@ mod tests {
         let flat = sharded(53, 7).to_dataset();
         let per_row: Vec<u64> = (0..flat.len())
             .map(|i| {
-                let score =
-                    ranker.row_score(&flat, i) + crate::kernel::dot(flat.fairness_row(i), &[2.5]);
+                let score = ranker.base_score(flat.row(i))
+                    + crate::kernel::dot(flat.fairness_row(i), &[2.5]);
                 score.to_bits()
             })
             .collect();

@@ -32,9 +32,11 @@
 //! the caller's, via [`FleetCoordinator::connect_traced`], or one minted per
 //! fan-out round when unset — and sends it to every worker via
 //! `x-fair-trace` (so a retried range's server-side spans correlate with
-//! the submitting request), mirrors its [`FleetReport`] counters into
-//! `fair_fleet_*` registry series, times each worker's requests — the
-//! connect-time `stores` and `schema` lookups included — into
+//! the submitting request), counts each [`FleetReport`] counter once, as
+//! its own child of a process-wide `fair_fleet_*` registry series (the
+//! report reads the coordinator's counts, `/metrics` their sum over every
+//! coordinator), times each worker's requests — the connect-time `stores`
+//! and `schema` lookups included — into
 //! `fair_fleet_request_duration_us{worker}`, and emits `fleet.retry` /
 //! `fleet.redispatch` / `fleet.eject` / `fleet.readmit` events. When a
 //! per-job profile is installed on the dispatching thread, every fan-out
@@ -55,7 +57,6 @@ use fair_core::ranking::{selection_size, WeightedSumRanker};
 use fair_core::{DcaConfig, FairError, ObjectId, ObjectView, Schema, SchemaRef};
 use std::net::SocketAddr;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -106,31 +107,6 @@ struct WorkerState {
     duration: Arc<obs::Histogram>,
 }
 
-/// Registry handles for the coordinator's counters, resolved once at
-/// connect. The [`FleetReport`] atomics stay the per-coordinator exact view;
-/// these are the process-total series `/metrics` exposes (several
-/// coordinators in one process sum here).
-#[derive(Debug)]
-struct FleetObs {
-    requests: Arc<obs::Counter>,
-    retries: Arc<obs::Counter>,
-    re_dispatches: Arc<obs::Counter>,
-    ejections: Arc<obs::Counter>,
-    readmissions: Arc<obs::Counter>,
-}
-
-impl Default for FleetObs {
-    fn default() -> Self {
-        Self {
-            requests: obs::counter("fair_fleet_requests_total", &[]),
-            retries: obs::counter("fair_fleet_retries_total", &[]),
-            re_dispatches: obs::counter("fair_fleet_re_dispatches_total", &[]),
-            ejections: obs::counter("fair_fleet_ejections_total", &[]),
-            readmissions: obs::counter("fair_fleet_readmissions_total", &[]),
-        }
-    }
-}
-
 /// A public snapshot of one worker's health.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerStatus {
@@ -166,12 +142,13 @@ pub struct FleetCoordinator {
     placement: PlacementMap,
     workers: Mutex<Vec<WorkerState>>,
     config: FleetConfig,
-    requests: AtomicU64,
-    retries: AtomicU64,
-    re_dispatches: AtomicU64,
-    ejections: AtomicU64,
-    readmissions: AtomicU64,
-    obs: FleetObs,
+    /// The [`FleetReport`] counters: this coordinator's children of the
+    /// `fair_fleet_*` series.
+    requests: obs::Counter,
+    retries: obs::Counter,
+    re_dispatches: obs::Counter,
+    ejections: obs::Counter,
+    readmissions: obs::Counter,
     /// Trace id stamped on every fan-out round and worker request. `None`
     /// mints a fresh id per round; a coordinator driving a traced job holds
     /// the job's id here so one id spans the whole descent.
@@ -179,17 +156,15 @@ pub struct FleetCoordinator {
 }
 
 /// Issue one request to a worker: counted in [`FleetReport::requests`] and
-/// `fair_fleet_requests_total`, and timed into the worker's
+/// so in `fair_fleet_requests_total`, and timed into the worker's
 /// `fair_fleet_request_duration_us{worker}` — the path every connect lookup,
 /// health probe and fan-out attempt takes.
 fn counted<T>(
-    requests: &AtomicU64,
-    fleet_obs: &FleetObs,
+    requests: &obs::Counter,
     duration: &obs::Histogram,
     op: impl FnOnce() -> Result<T>,
 ) -> Result<T> {
-    requests.fetch_add(1, Ordering::Relaxed);
-    fleet_obs.requests.inc();
+    requests.inc();
     let start = Instant::now();
     let outcome = op();
     duration.record(
@@ -249,17 +224,17 @@ impl FleetCoordinator {
                 rounds_since_eject: 0,
             })
             .collect();
-        let requests = AtomicU64::new(0);
-        let fleet_obs = FleetObs::default();
+        let counter = |name| obs::Counter::child(obs::counter(name, &[]));
+        let requests = counter("fair_fleet_requests_total");
         let lookup_trace = trace.map_or_else(obs::next_trace_id, str::to_string);
         let mut resolved = None;
         for w in &workers {
             let client = w.client.clone().with_trace(&lookup_trace);
-            let info = counted(&requests, &fleet_obs, &w.duration, || client.stores())
+            let info = counted(&requests, &w.duration, || client.stores())
                 .ok()
                 .and_then(|list| list.into_iter().find(|s| s.name == store));
             if let Some(info) = info {
-                let schema = counted(&requests, &fleet_obs, &w.duration, || client.schema(store));
+                let schema = counted(&requests, &w.duration, || client.schema(store));
                 if let Ok((features, fairness)) = schema {
                     resolved = Some((info, features, fairness));
                     break;
@@ -284,11 +259,10 @@ impl FleetCoordinator {
             workers: Mutex::new(workers),
             config,
             requests,
-            retries: AtomicU64::new(0),
-            re_dispatches: AtomicU64::new(0),
-            ejections: AtomicU64::new(0),
-            readmissions: AtomicU64::new(0),
-            obs: fleet_obs,
+            retries: counter("fair_fleet_retries_total"),
+            re_dispatches: counter("fair_fleet_re_dispatches_total"),
+            ejections: counter("fair_fleet_ejections_total"),
+            readmissions: counter("fair_fleet_readmissions_total"),
             trace: trace.map(str::to_string),
         })
     }
@@ -330,11 +304,11 @@ impl FleetCoordinator {
     #[must_use]
     pub fn report(&self) -> FleetReport {
         FleetReport {
-            requests: self.requests.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            re_dispatches: self.re_dispatches.load(Ordering::Relaxed),
-            ejections: self.ejections.load(Ordering::Relaxed),
-            readmissions: self.readmissions.load(Ordering::Relaxed),
+            requests: self.requests.get(),
+            retries: self.retries.get(),
+            re_dispatches: self.re_dispatches.get(),
+            ejections: self.ejections.get(),
+            readmissions: self.readmissions.get(),
         }
     }
 
@@ -584,12 +558,11 @@ impl FleetCoordinator {
             };
             let mut backoff = Backoff::new(self.config.backoff_base, self.config.backoff_cap);
             for attempt in 0..self.config.max_attempts.max(1) {
-                match counted(&self.requests, &self.obs, &duration, || op(&client)) {
+                match counted(&self.requests, &duration, || op(&client)) {
                     Ok(value) => {
                         self.record_success(w);
                         if slot > 0 {
-                            self.re_dispatches.fetch_add(1, Ordering::Relaxed);
-                            self.obs.re_dispatches.inc();
+                            self.re_dispatches.inc();
                             obs::Event::new("fleet.redispatch")
                                 .trace(trace)
                                 .field("worker", addr)
@@ -607,8 +580,7 @@ impl FleetCoordinator {
                         self.record_failure(w);
                         last_error = Some(e);
                         if attempt + 1 < self.config.max_attempts.max(1) {
-                            self.retries.fetch_add(1, Ordering::Relaxed);
-                            self.obs.retries.inc();
+                            self.retries.inc();
                             obs::Event::new("fleet.retry")
                                 .trace(trace)
                                 .field("worker", addr)
@@ -644,8 +616,7 @@ impl FleetCoordinator {
         state.consecutive_failures = 0;
         if !state.healthy {
             state.healthy = true;
-            self.readmissions.fetch_add(1, Ordering::Relaxed);
-            self.obs.readmissions.inc();
+            self.readmissions.inc();
             obs::Event::new("fleet.readmit")
                 .field("worker", state.addr)
                 .emit();
@@ -659,8 +630,7 @@ impl FleetCoordinator {
         if state.healthy && state.consecutive_failures >= self.config.eject_after {
             state.healthy = false;
             state.rounds_since_eject = 0;
-            self.ejections.fetch_add(1, Ordering::Relaxed);
-            self.obs.ejections.inc();
+            self.ejections.inc();
             obs::Event::new("fleet.eject")
                 .field("worker", state.addr)
                 .field("consecutive_failures", state.consecutive_failures)
@@ -690,7 +660,7 @@ impl FleetCoordinator {
                 .collect()
         };
         for (w, client, duration) in due {
-            if counted(&self.requests, &self.obs, &duration, || client.health()).is_ok() {
+            if counted(&self.requests, &duration, || client.health()).is_ok() {
                 self.record_success(w);
             } else {
                 self.workers.lock().expect("fleet worker table poisoned")[w].rounds_since_eject = 0;

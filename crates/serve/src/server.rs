@@ -122,23 +122,6 @@ fn route_template(method: &str, segments: &[&str]) -> &'static str {
     }
 }
 
-/// Decrements the in-flight gauge however the handler exits (early returns
-/// on dropped connections included).
-struct InFlightGuard(Arc<obs::Gauge>);
-
-impl InFlightGuard {
-    fn enter(gauge: &Arc<obs::Gauge>) -> Self {
-        gauge.add(1);
-        Self(gauge.clone())
-    }
-}
-
-impl Drop for InFlightGuard {
-    fn drop(&mut self) {
-        self.0.sub(1);
-    }
-}
-
 /// The service state shared by every request worker: the store catalog and
 /// the background-job manager.
 #[derive(Debug)]
@@ -1057,7 +1040,10 @@ fn handle_connection(service: &AuditService, conn: &TcpStream, stop: &AtomicBool
     let _ = conn.set_nodelay(true);
     match read_request(conn) {
         Ok(mut req) => {
-            let _in_flight = InFlightGuard::enter(&service.obs.in_flight);
+            // This connection's share of the in-flight gauge, taken back
+            // out however the handler exits (dropped connections included).
+            let in_flight = obs::Gauge::child(Arc::clone(&service.obs.in_flight));
+            in_flight.add(1);
             // A caller-supplied trace id (the fleet coordinator's, a traced
             // client's) wins, so a retried round's worker spans line up
             // under one id; a bare request gets a fresh id minted here at

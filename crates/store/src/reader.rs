@@ -39,10 +39,11 @@
 //! * **observability** — hit/miss/eviction counters and a peak-resident-bytes
 //!   high-water mark ([`ShardStore::cache_stats`]) make the out-of-core
 //!   claim testable: evaluating a cohort larger than the budget must leave
-//!   `peak_bytes <= budget`. The counters are homed in the process-wide
-//!   [`fair_core::obs`] registry (`fair_store_*` series, summed across every
-//!   open store, scraped at `GET /metrics`); [`CacheStats`] stays as the
-//!   exact per-store view.
+//!   `peak_bytes <= budget`. Each counter, and the resident bytes, is
+//!   stored once, as this store's child of a process-wide `fair_store_*`
+//!   series in the [`fair_core::obs`] registry: [`CacheStats`] reads the
+//!   store's own counts, and `GET /metrics` scrapes their sum over every
+//!   store the process has opened (the resident bytes over the open ones).
 //!
 //! Row gathers ([`ShardStore::read_rows`], behind
 //! [`fair_core::ShardSource::gather_rows`]) take a second route. Per shard
@@ -122,66 +123,55 @@ struct CacheEntry {
     pins: usize,
 }
 
-/// Handles into the process-wide [`fair_core::obs`] registry, resolved once
-/// per store open. Every open store shares the same `fair_store_*` series
-/// (the registry deduplicates by name), so `/metrics` reports process totals
-/// while [`CacheStats`] keeps the exact per-store view.
-struct CacheObs {
-    hits: Arc<obs::Counter>,
-    misses: Arc<obs::Counter>,
-    evictions: Arc<obs::Counter>,
-    sparse_groups: Arc<obs::Counter>,
-    resident_bytes: Arc<obs::Gauge>,
-}
-
-impl Default for CacheObs {
-    fn default() -> Self {
-        Self {
-            hits: obs::counter("fair_store_cache_hits_total", &[]),
-            misses: obs::counter("fair_store_cache_misses_total", &[]),
-            evictions: obs::counter("fair_store_cache_evictions_total", &[]),
-            sparse_groups: obs::counter("fair_store_sparse_groups_total", &[]),
-            resident_bytes: obs::gauge("fair_store_resident_bytes", &[]),
-        }
-    }
-}
-
-#[derive(Default)]
+/// The cache and its counters. The counters and the resident bytes are this
+/// store's children of the `fair_store_*` series, their only storage.
 struct CacheState {
-    obs: CacheObs,
     /// Resident shards by index; eviction takes the highest unpinned one.
     entries: BTreeMap<usize, CacheEntry>,
     /// Column bytes of the resident shards plus the reservations of the
-    /// shards being decoded.
-    resident: usize,
+    /// shards being decoded. Dropping the store takes them out of the series.
+    resident: obs::Gauge,
     peak: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+    hits: obs::Counter,
+    misses: obs::Counter,
+    evictions: obs::Counter,
     /// Shards currently being decoded. An access to an in-flight shard
     /// waits on the condvar instead of decoding the same block a second
     /// time.
     inflight: HashSet<usize>,
     /// Row groups the sparse gather path has read.
-    sparse_groups: u64,
+    sparse_groups: obs::Counter,
 }
 
 impl CacheState {
+    fn new() -> Self {
+        let counter = |name| obs::Counter::child(obs::counter(name, &[]));
+        Self {
+            entries: BTreeMap::new(),
+            resident: obs::Gauge::child(obs::gauge("fair_store_resident_bytes", &[])),
+            peak: 0,
+            hits: counter("fair_store_cache_hits_total"),
+            misses: counter("fair_store_cache_misses_total"),
+            evictions: counter("fair_store_cache_evictions_total"),
+            inflight: HashSet::new(),
+            sparse_groups: counter("fair_store_sparse_groups_total"),
+        }
+    }
+
+    /// Column bytes resident, shards being decoded included.
+    fn resident(&self) -> usize {
+        usize::try_from(self.resident.get()).unwrap_or(0)
+    }
+
     /// Count `bytes` more column bytes resident.
     fn reserve(&mut self, bytes: usize) {
-        self.resident += bytes;
-        self.peak = self.peak.max(self.resident);
-        self.obs
-            .resident_bytes
-            .add(i64::try_from(bytes).unwrap_or(i64::MAX));
+        self.resident.add(i64::try_from(bytes).unwrap_or(i64::MAX));
+        self.peak = self.peak.max(self.resident());
     }
 
     /// Count `bytes` fewer column bytes resident.
     fn release(&mut self, bytes: usize) {
-        self.resident -= bytes;
-        self.obs
-            .resident_bytes
-            .sub(i64::try_from(bytes).unwrap_or(i64::MAX));
+        self.resident.sub(i64::try_from(bytes).unwrap_or(i64::MAX));
     }
 }
 
@@ -251,20 +241,6 @@ impl std::fmt::Debug for ShardStore {
             .field("shard_size", &self.shard_size)
             .field("budget_bytes", &self.budget)
             .finish()
-    }
-}
-
-impl Drop for ShardStore {
-    fn drop(&mut self) {
-        // The registry outlives the store: return this store's resident
-        // bytes so the process-wide gauge keeps summing only open stores.
-        let st = match self.cache.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        st.obs
-            .resident_bytes
-            .sub(i64::try_from(st.resident).unwrap_or(i64::MAX));
     }
 }
 
@@ -517,7 +493,7 @@ impl ShardStore {
             group_rows: header.group_rows,
             directory,
             budget,
-            cache: Mutex::new(CacheState::default()),
+            cache: Mutex::new(CacheState::new()),
             cond: Condvar::new(),
             sweep: Mutex::new(()),
         })
@@ -537,14 +513,14 @@ impl ShardStore {
     pub fn cache_stats(&self) -> CacheStats {
         let st = self.cache.lock().expect("shard cache poisoned");
         CacheStats {
-            hits: st.hits,
-            misses: st.misses,
-            evictions: st.evictions,
-            resident_bytes: st.resident,
+            hits: st.hits.get(),
+            misses: st.misses.get(),
+            evictions: st.evictions.get(),
+            resident_bytes: st.resident(),
             peak_bytes: st.peak,
             pinned_shards: st.entries.values().filter(|e| e.pins > 0).count(),
             budget_bytes: self.budget,
-            sparse_groups: st.sparse_groups,
+            sparse_groups: st.sparse_groups.get(),
         }
     }
 
@@ -618,9 +594,8 @@ impl ShardStore {
                 out.extend_from_rows(&data, run.iter().map(|&g| g - offset), true);
             } else {
                 let groups = self.read_groups(index, run, out)?;
-                let mut st = self.cache.lock().expect("shard cache poisoned");
-                st.sparse_groups += groups;
-                st.obs.sparse_groups.add(groups);
+                let st = self.cache.lock().expect("shard cache poisoned");
+                st.sparse_groups.add(groups);
             }
         }
         Ok(())
@@ -828,8 +803,7 @@ impl ShardStore {
                 let _wait = fair_core::obs::profile::scope(fair_core::obs::Phase::PageIn);
                 st = self.cond.wait(st).expect("shard cache poisoned");
             }
-            st.misses += 1;
-            st.obs.misses.inc();
+            st.misses.inc();
             st.inflight.insert(index);
             // Make room and reserve the shard's bytes *before* decoding, so
             // the victims' buffers are freed before the new ones are
@@ -900,8 +874,7 @@ fn pin_hit(st: &mut CacheState, index: usize) -> Option<Arc<Dataset>> {
     let e = st.entries.get_mut(&index)?;
     e.pins += 1;
     let data = Arc::clone(&e.data);
-    st.hits += 1;
-    st.obs.hits.inc();
+    st.hits.inc();
     Some(data)
 }
 
@@ -910,7 +883,7 @@ fn pin_hit(st: &mut CacheState, index: usize) -> Option<Arc<Dataset>> {
 /// shards in ascending order, so the low shards this spares are the next
 /// sweep's first hits, where LRU would evict each shard before its next use.
 fn evict_until(st: &mut CacheState, target: usize) {
-    while st.resident > target {
+    while st.resident() > target {
         let Some(victim) = st
             .entries
             .iter()
@@ -922,8 +895,7 @@ fn evict_until(st: &mut CacheState, target: usize) {
         };
         let e = st.entries.remove(&victim).expect("victim exists");
         st.release(e.bytes);
-        st.evictions += 1;
-        st.obs.evictions.inc();
+        st.evictions.inc();
     }
 }
 

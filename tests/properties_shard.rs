@@ -57,7 +57,7 @@ proptest! {
     /// Every whole-cohort metric evaluated through the sharded engine equals
     /// the serial evaluation bit-for-bit, at every shard size — for a plain
     /// linear ranker (the blocked kernel passes) and a normalized one (the
-    /// per-row `row_score` branch).
+    /// per-row `base_score` branch).
     #[test]
     fn sharded_metrics_match_serial_bit_for_bit(
         rows in row_strategy(),
