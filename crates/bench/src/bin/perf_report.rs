@@ -103,10 +103,14 @@
 //! profile's shard count, reported but not gated.
 //!
 //! Since the DCA layer evaluates every objective through its `MetricPlan`
-//! (schema unchanged), `core_dca` times `run_core_dca`, whose steps copy
-//! their sample into a reused block and evaluate the plan over it as one
-//! shard, and `full_dca` times `run_full_dca_sharded` over the cohort's
-//! `Dataset`, itself a one-shard source, with no copy.
+//! (schema unchanged), `core_dca` times `run_core_dca`, the gathered Core
+//! driver (`run_core_dca_gathered`) over a serial draw, whose steps copy
+//! their sample into the driver's reused block and evaluate the plan over it
+//! as one shard, and `full_dca` times `run_full_dca_sharded` over the
+//! cohort's `Dataset`, itself a one-shard source, with no copy. The cache
+//! counters of the paged sections (`CacheStats`) and the request counts of
+//! the fleet section (`FleetReport`) are each store's and coordinator's own
+//! children of the `fair_store_*` and `fair_fleet_*` registry series.
 //!
 //! The summary lines check the headline claim directly: Core DCA's per-step
 //! time at the largest cohort must stay within 2x of the 10k per-step time
