@@ -367,26 +367,6 @@ mod tests {
         assert!(run_core_dca(&dataset, &ranker, &objective, &quick_config(), None, false).is_err());
     }
 
-    /// A cohort whose feature equals the id, which `id_of(i, member)` gives
-    /// row `i`.
-    fn id_ranked_dataset(id_of: impl Fn(u64, bool) -> u64) -> Dataset {
-        let schema = Schema::from_names(&["id"], &["g"], &[]).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let objects = (0..2_000_u64)
-            .map(|i| {
-                let member = rng.gen::<f64>() < 0.3;
-                let id = id_of(i, member);
-                DataObject::new_unchecked(
-                    id,
-                    vec![id as f64],
-                    vec![f64::from(u8::from(member))],
-                    None,
-                )
-            })
-            .collect();
-        Dataset::new(schema, objects).unwrap()
-    }
-
     /// A ranker that scores whole rows — here by its id, without
     /// `linear_weights` — sees each sampled row's own id: its run walks the
     /// trajectory of a feature ranker over a copy of the ids.
@@ -398,8 +378,23 @@ mod tests {
                 object.id().0 as f64
             }
         }
-        // Members hold the low ids, so the id ranking is biased.
-        let dataset = id_ranked_dataset(|i, member| if member { i / 2 } else { 1_000 + i });
+        // A cohort whose feature equals the id. Members hold the low ids,
+        // so the id ranking is biased.
+        let schema = Schema::from_names(&["id"], &["g"], &[]).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let objects = (0..2_000_u64)
+            .map(|i| {
+                let member = rng.gen::<f64>() < 0.3;
+                let id = if member { i / 2 } else { 1_000 + i };
+                DataObject::new_unchecked(
+                    id,
+                    vec![id as f64],
+                    vec![f64::from(u8::from(member))],
+                    None,
+                )
+            })
+            .collect();
+        let dataset = Dataset::new(schema, objects).unwrap();
         let objective = TopKDisparity::new(0.2);
         let by_id = run_core_dca(&dataset, &ById, &objective, &quick_config(), None, true).unwrap();
         let by_feature = WeightedSumRanker::new(vec![1.0]).unwrap();

@@ -19,7 +19,8 @@
 //! Every Core and Full runner executes one private descent loop
 //! ([`self::core`]'s driver), every Core runner — serial, sharded, paged and
 //! fleet — runs it through [`run_core_dca_gathered`] with its own gather
-//! step, and every runner evaluates its objective the same way: the objective is a single-metric
+//! step, and every runner evaluates its objective the same way: the
+//! objective is a single-metric
 //! [`crate::metrics::sharded::MetricPlan`] ([`Objective::plan`]), built once
 //! per run and evaluated at every step — over the step's gathered sample, a
 //! reused `Dataset` that is a one-shard source, for Core DCA and the

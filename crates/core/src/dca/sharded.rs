@@ -200,9 +200,10 @@ where
 /// built once per run. The serial runner ([`crate::dca::run_core_dca`]), the
 /// local sharded runner ([`run_core_dca_sharded`]) and distributed
 /// coordinators all execute exactly this driver, differing only in how the
-/// gather draws and fetches rows — which is why a coordinator that concatenates
-/// each worker's [`crate::shard::sample_indices_range_into`] slice in
-/// ascending shard order reproduces the local trajectory bit for bit.
+/// gather draws and fetches rows — which is why a coordinator that
+/// concatenates each worker's [`crate::shard::sample_indices_range_into`]
+/// slice in ascending shard order reproduces the local trajectory bit for
+/// bit.
 ///
 /// # Errors
 /// Returns an error for invalid configurations, empty cohorts, gather or

@@ -47,12 +47,8 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A monotone event counter.
-///
-/// A registry series has no parent. A [`Counter::child`] is one instance's
-/// share of a series: it counts its own events and adds each one to its
-/// parent, so the instance reads its exact count while the series keeps the
-/// process total.
+/// A monotone event counter: a registry series, or one instance's
+/// [`Counter::child`] of a series.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
@@ -89,11 +85,8 @@ impl Counter {
     }
 }
 
-/// A signed instantaneous value (in-flight requests, resident bytes, …).
-///
-/// A [`Gauge::child`] is one instance's share of a series: every change
-/// moves its parent by the same amount, and dropping the child takes its
-/// value back out of the parent, so the series sums the live instances.
+/// A signed instantaneous value (in-flight requests, resident bytes, …): a
+/// registry series, or one instance's [`Gauge::child`] share of a series.
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicI64,
