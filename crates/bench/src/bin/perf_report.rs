@@ -102,6 +102,14 @@
 //! `--quick` now runs `paged_core` too, at 10k against 1k rows in the quick
 //! profile's shard count, reported but not gated.
 //!
+//! Schema v14 times a **fleet Core DCA step** (`fleet.local_core_step_us`
+//! and `fleet.three_worker_core_step_us`): the 3-worker fleet's
+//! `run_core_dca_controlled`, the runner a fleet job drives, against
+//! `run_core_dca_sharded` on the same cohort and shard layout, as
+//! interleaved arms, after a one-off check that their bonuses are
+//! bit-identical. Both are reported, not gated: a fleet step makes two
+//! `core_sample` round trips, so it costs the wire, not the sample.
+//!
 //! Since the DCA layer evaluates every objective through its `MetricPlan`
 //! (schema unchanged), `core_dca` times `run_core_dca`, the gathered Core
 //! driver (`run_core_dca_gathered`) over a serial draw, whose steps copy
@@ -553,6 +561,10 @@ struct FleetBench {
     single_full_step_ms: f64,
     /// Distributed per-step time with three workers, ms.
     fleet3_full_step_ms: f64,
+    /// Local `run_core_dca_sharded` per-step time, µs.
+    local_core_step_us: f64,
+    /// The 3-worker fleet's `run_core_dca_controlled` per-step time, µs.
+    fleet3_core_step_us: f64,
     /// `single / local`: what the coordinator + wire round trip costs.
     coordinator_overhead: f64,
     /// `single / fleet3`: what two extra workers buy.
@@ -564,11 +576,13 @@ struct FleetBench {
 }
 
 /// Time the fleet layer on a `rows`-row school cohort: local sharded runner
-/// vs 1-worker fleet vs 3-worker fleet, plus distributed disparity sweeps.
+/// vs 1-worker fleet vs 3-worker fleet, plus distributed disparity sweeps
+/// and the 3-worker Core DCA step against the local sharded one.
 /// The shard layout is explicit (`rows / 16`-row shards) so the placement
 /// genuinely spreads work across three workers regardless of cohort size,
 /// and the reference runner shards identically.
 fn measure_fleet(rows: usize, reps: usize) -> FleetBench {
+    use fair_core::dca::RunControl;
     let k = 0.01; // small k keeps per-range partial responses compact
     let shard_size = (rows / 16).max(1024);
     let data = SchoolGenerator::new(SchoolConfig::small(rows, 42))
@@ -654,6 +668,33 @@ fn measure_fleet(rows: usize, reps: usize) -> FleetBench {
                 .expect("fleet disparity");
         }
     });
+
+    let core = core_config(ExperimentScale::default_scale().dca_sample_size);
+    let local_core = || {
+        run_core_dca_sharded(&data, &ranker, &objective, &core, None, false)
+            .expect("local Core DCA")
+    };
+    let fleet3_core = || {
+        fleet3
+            .run_core_dca_controlled(k, Some(&weights), &core, None, false, &RunControl::new())
+            .expect("3-worker Core DCA")
+    };
+    let (local_core_outcome, fleet3_core_outcome) = (local_core(), fleet3_core());
+    assert_eq!(
+        fleet3_core_outcome
+            .bonus
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>(),
+        local_core_outcome
+            .bonus
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>(),
+        "the fleet Core trajectory must match the local runner bit for bit"
+    );
+    let core_steps = local_core_outcome.steps as f64;
+    let (local_core_ms, fleet3_core_ms) = time_interleaved(reps, local_core, fleet3_core);
     requests += fleet3.report().requests;
     let num_shards = fleet3.placement().num_shards();
     for h in handles3 {
@@ -668,6 +709,8 @@ fn measure_fleet(rows: usize, reps: usize) -> FleetBench {
         local_full_step_ms: local_full_ms / steps,
         single_full_step_ms: single_full_ms / steps,
         fleet3_full_step_ms: fleet3_full_ms / steps,
+        local_core_step_us: local_core_ms * 1e3 / core_steps,
+        fleet3_core_step_us: fleet3_core_ms * 1e3 / core_steps,
         coordinator_overhead: single_full_ms / local_full_ms,
         speedup_3_vs_1: single_full_ms / fleet3_full_ms,
         disparity_sweeps_per_sec: sweeps as f64 / (sweep_burst_ms / 1e3),
@@ -967,7 +1010,7 @@ fn render_json(
         .unwrap_or(1);
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 13,");
+    let _ = writeln!(s, "  \"schema_version\": 14,");
     let _ = writeln!(s, "  \"generated_by\": \"perf_report\",");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
     let _ = writeln!(s, "  \"repeats\": {reps},");
@@ -1089,7 +1132,7 @@ fn render_json(
     s.push_str("  ] },\n");
     let _ = writeln!(
         s,
-        "  \"fleet\": {{ \"rows\": {}, \"shard_size\": {}, \"num_shards\": {}, \"k\": {}, \"local_full_step_ms\": {}, \"single_worker_full_step_ms\": {}, \"three_worker_full_step_ms\": {}, \"coordinator_overhead\": {}, \"speedup_3_vs_1\": {}, \"disparity_sweeps_per_sec\": {}, \"requests\": {} }},",
+        "  \"fleet\": {{ \"rows\": {}, \"shard_size\": {}, \"num_shards\": {}, \"k\": {}, \"local_full_step_ms\": {}, \"single_worker_full_step_ms\": {}, \"three_worker_full_step_ms\": {}, \"coordinator_overhead\": {}, \"speedup_3_vs_1\": {}, \"disparity_sweeps_per_sec\": {}, \"local_core_step_us\": {}, \"three_worker_core_step_us\": {}, \"requests\": {} }},",
         fleet.rows,
         fleet.shard_size,
         fleet.num_shards,
@@ -1100,6 +1143,8 @@ fn render_json(
         json_number(fleet.coordinator_overhead),
         json_number(fleet.speedup_3_vs_1),
         json_number(fleet.disparity_sweeps_per_sec),
+        json_number(fleet.local_core_step_us),
+        json_number(fleet.fleet3_core_step_us),
         fleet.requests,
     );
     let _ = writeln!(
@@ -1289,6 +1334,10 @@ fn main() {
         fleet.coordinator_overhead,
         fleet.fleet3_full_step_ms,
         fleet.speedup_3_vs_1,
+    );
+    println!(
+        "  core-DCA per step: local {:.2}us, 3 workers {:.2}us (reported, not gated)",
+        fleet.local_core_step_us, fleet.fleet3_core_step_us,
     );
     println!(
         "  distributed disparity sweeps: {:.0}/sec on 3 workers ({} partial-reduce requests total)",

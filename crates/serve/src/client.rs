@@ -149,32 +149,18 @@ pub struct JobResult {
     pub objects_scored: usize,
 }
 
-/// The gathered sample rows of a `core_sample` partial-reduce response:
-/// plain columns, range-ordered, ready to append to a gather dataset.
+/// The gathered sample rows of a `core_sample` partial-reduce response: the
+/// two columns a fleet Core DCA step reads, range-ordered, ready to append
+/// to a gather dataset. The step's linear ranker scores features only and
+/// its disparity plan tallies fairness only, so ids and labels stay home.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SampleRows {
-    /// Object ids, in deterministic sample order.
-    pub ids: Vec<u64>,
+    /// Number of sampled rows.
+    pub rows: usize,
     /// Row-major feature matrix.
     pub features: Vec<f64>,
     /// Row-major fairness matrix.
     pub fairness: Vec<f64>,
-    /// Per-row outcome labels.
-    pub labels: Vec<Option<bool>>,
-}
-
-impl SampleRows {
-    /// Number of sampled rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the sample is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
 }
 
 /// A client bound to one service address. Cheap to clone; each request opens
@@ -491,7 +477,8 @@ impl Client {
 
     /// `POST /stores/{name}/partials` with `kind: "core_sample"`: the
     /// deterministic `(seed, sample_size)` Bernoulli sample rows restricted
-    /// to the shard range, as plain columns.
+    /// to the shard range, as their row count and their feature and fairness
+    /// columns (see [`SampleRows`]).
     ///
     /// # Errors
     /// I/O, protocol, or API errors.
@@ -650,38 +637,18 @@ fn parse_disparity_partial(v: &Json) -> Result<DisparityPartial> {
 }
 
 fn parse_sample_rows(v: &Json) -> Result<SampleRows> {
-    let ids = v
-        .get("ids")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ServeError::Protocol("sample missing `ids`".into()))?
-        .iter()
-        .map(|p| {
-            p.as_u64()
-                .ok_or_else(|| ServeError::Protocol("`ids` must be u64".into()))
-        })
-        .collect::<Result<Vec<u64>>>()?;
     let nums = |key: &str| -> Result<Vec<f64>> {
         v.get(key)
             .and_then(Json::as_f64_vec)
             .ok_or_else(|| ServeError::Protocol(format!("sample missing `{key}`")))
     };
-    let labels = v
-        .get("labels")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ServeError::Protocol("sample missing `labels`".into()))?
-        .iter()
-        .map(|p| match p.as_f64() {
-            Some(0.0) => Ok(None),
-            Some(1.0) => Ok(Some(false)),
-            Some(2.0) => Ok(Some(true)),
-            _ => Err(ServeError::Protocol("`labels` must be 0, 1, or 2".into())),
-        })
-        .collect::<Result<Vec<Option<bool>>>>()?;
     Ok(SampleRows {
-        ids,
+        rows: v
+            .get("count")
+            .and_then(Json::as_usize)
+            .ok_or_else(|| ServeError::Protocol("sample missing `count`".into()))?,
         features: nums("features")?,
         fairness: nums("fairness")?,
-        labels,
     })
 }
 

@@ -317,10 +317,18 @@ impl FleetCoordinator {
     /// one-sweep evaluation.
     ///
     /// # Errors
-    /// Wire errors once every worker is exhausted; engine validation errors.
-    pub fn disparity(&self, k: f64, bonus: &[f64], weights: Option<&[f64]>) -> Result<Vec<f64>> {
-        let count = selection_size(self.rows, k).map_err(engine_error)?;
-        let partials = self.collect_partials(bonus, weights, count)?;
+    /// Engine validation errors, and a wire failure once every worker is
+    /// exhausted (see [`FleetCoordinator::run_full_dca`]).
+    pub fn disparity(
+        &self,
+        k: f64,
+        bonus: &[f64],
+        weights: Option<&[f64]>,
+    ) -> fair_core::Result<Vec<f64>> {
+        let count = selection_size(self.rows, k)?;
+        let partials = self
+            .collect_partials(bonus, weights, count)
+            .map_err(wire_to_engine)?;
         let mut out = Vec::new();
         let _combine = fair_core::obs::profile::scope(obs::Phase::Combine);
         combine_disparity_partials(
@@ -329,8 +337,7 @@ impl FleetCoordinator {
             count,
             &partials,
             &mut out,
-        )
-        .map_err(engine_error)?;
+        )?;
         Ok(out)
     }
 
@@ -340,7 +347,10 @@ impl FleetCoordinator {
     /// arguments.
     ///
     /// # Errors
-    /// Wire errors once every worker is exhausted; engine validation errors.
+    /// The engine's own errors, as the local runner returns them. A range
+    /// that every worker failed, after the retries and re-dispatches of the
+    /// module docs, ends the descent with one [`FairError::InvalidConfig`]
+    /// whose reason carries the wire error.
     pub fn run_full_dca(
         &self,
         k: f64,
@@ -348,7 +358,7 @@ impl FleetCoordinator {
         config: &DcaConfig,
         initial: Option<Vec<f64>>,
         trace: bool,
-    ) -> Result<CoreDcaOutcome> {
+    ) -> fair_core::Result<CoreDcaOutcome> {
         self.run_full_dca_controlled(k, weights, config, initial, trace, &RunControl::new())
     }
 
@@ -358,7 +368,7 @@ impl FleetCoordinator {
     /// a local one.
     ///
     /// # Errors
-    /// Wire errors once every worker is exhausted; engine validation errors.
+    /// As [`run_full_dca`](Self::run_full_dca).
     pub fn run_full_dca_controlled(
         &self,
         k: f64,
@@ -367,9 +377,9 @@ impl FleetCoordinator {
         initial: Option<Vec<f64>>,
         trace: bool,
         control: &RunControl,
-    ) -> Result<CoreDcaOutcome> {
+    ) -> fair_core::Result<CoreDcaOutcome> {
         let dims = self.schema.num_fairness();
-        let count = selection_size(self.rows, k).map_err(engine_error)?;
+        let count = selection_size(self.rows, k)?;
         run_full_descent(
             dims,
             self.rows,
@@ -388,7 +398,6 @@ impl FleetCoordinator {
                 combine_disparity_partials(self.rows, dims, count, &partials, out)
             },
         )
-        .map_err(engine_error)
     }
 
     /// Run Core DCA across the fleet: every step's deterministic Bernoulli
@@ -397,7 +406,7 @@ impl FleetCoordinator {
     /// arguments.
     ///
     /// # Errors
-    /// Wire errors once every worker is exhausted; engine validation errors.
+    /// As [`run_full_dca`](Self::run_full_dca).
     pub fn run_core_dca(
         &self,
         k: f64,
@@ -405,7 +414,7 @@ impl FleetCoordinator {
         config: &DcaConfig,
         initial: Option<Vec<f64>>,
         trace: bool,
-    ) -> Result<CoreDcaOutcome> {
+    ) -> fair_core::Result<CoreDcaOutcome> {
         self.run_core_dca_controlled(k, weights, config, initial, trace, &RunControl::new())
     }
 
@@ -413,7 +422,7 @@ impl FleetCoordinator {
     /// cancellation and progress reporting.
     ///
     /// # Errors
-    /// Wire errors once every worker is exhausted; engine validation errors.
+    /// As [`run_full_dca`](Self::run_full_dca).
     pub fn run_core_dca_controlled(
         &self,
         k: f64,
@@ -422,11 +431,11 @@ impl FleetCoordinator {
         initial: Option<Vec<f64>>,
         trace: bool,
         control: &RunControl,
-    ) -> Result<CoreDcaOutcome> {
+    ) -> fair_core::Result<CoreDcaOutcome> {
         let nf = self.schema.num_features();
         let na = self.schema.num_fairness();
-        let ranker = WeightedSumRanker::new(weights.map_or_else(|| vec![1.0; nf], <[f64]>::to_vec))
-            .map_err(engine_error)?;
+        let ranker =
+            WeightedSumRanker::new(weights.map_or_else(|| vec![1.0; nf], <[f64]>::to_vec))?;
         let objective = TopKDisparity::new(k);
         run_core_dca_gathered(
             &self.schema,
@@ -444,29 +453,30 @@ impl FleetCoordinator {
                     })
                     .map_err(wire_to_engine)?;
                 // Ranges arrive in ascending order, so appending them in
-                // sequence reproduces the local gather exactly.
-                for rows in &samples {
-                    if rows.features.len() != rows.len() * nf
-                        || rows.fairness.len() != rows.len() * na
-                        || rows.labels.len() != rows.len()
+                // sequence reproduces the local gather exactly. The linear
+                // ranker and the disparity plan read neither ids nor
+                // labels, so every row gets id 0 and no label, as in a
+                // serial step's gather.
+                for sample in &samples {
+                    if sample.rows.checked_mul(nf) != Some(sample.features.len())
+                        || sample.rows.checked_mul(na) != Some(sample.fairness.len())
                     {
                         return Err(FairError::InvalidConfig {
                             reason: "fleet: worker returned malformed sample columns".into(),
                         });
                     }
-                    for i in 0..rows.len() {
+                    for i in 0..sample.rows {
                         gather.push_row(ObjectView::new(
-                            ObjectId(rows.ids[i]),
-                            &rows.features[i * nf..(i + 1) * nf],
-                            &rows.fairness[i * na..(i + 1) * na],
-                            rows.labels[i],
+                            ObjectId(0),
+                            &sample.features[i * nf..(i + 1) * nf],
+                            &sample.fairness[i * na..(i + 1) * na],
+                            None,
                         ));
                     }
                 }
                 Ok(())
             },
         )
-        .map_err(engine_error)
     }
 
     /// One fan-out round of disparity partials, flattened in ascending
@@ -669,19 +679,12 @@ impl FleetCoordinator {
     }
 }
 
-/// Engine-side failures surface like the server's own `422` answers.
-fn engine_error(e: FairError) -> ServeError {
-    ServeError::Api {
-        status: 422,
-        message: e.to_string(),
-    }
-}
-
-/// Wire failures crossing *into* an engine callback keep their story in the
-/// message; the engine wraps them in its config-error variant.
-fn wire_to_engine(e: ServeError) -> FairError {
+/// A wire failure as the engine reports it: the fleet's descents and sweeps
+/// return the engine's own errors, and a round every worker failed becomes
+/// one config error that keeps the wire story in its reason.
+pub(crate) fn wire_to_engine(e: ServeError) -> FairError {
     FairError::InvalidConfig {
-        reason: format!("fleet partial-reduce failed: {e}"),
+        reason: format!("fleet request failed: {e}"),
     }
 }
 

@@ -17,7 +17,7 @@
 
 use crate::catalog::StoreEntry;
 use crate::error::ApiError;
-use crate::fleet::{FleetConfig, FleetCoordinator};
+use crate::fleet::{wire_to_engine, FleetConfig, FleetCoordinator};
 use fair_core::dca::{
     run_core_dca_sharded_controlled, run_full_dca_sharded_controlled, step_duration_hook,
     CoreDcaOutcome, RunControl, TopKDisparity,
@@ -120,31 +120,11 @@ pub struct JobSpec {
     pub workers: Option<Vec<SocketAddr>>,
 }
 
-/// The successful outcome of a job.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobOutcome {
-    /// Final (unrounded) bonus values.
-    pub bonus: Vec<f64>,
-    /// Descent steps executed.
-    pub steps: usize,
-    /// Objects scored across all steps.
-    pub objects_scored: usize,
-}
-
-impl From<CoreDcaOutcome> for JobOutcome {
-    fn from(o: CoreDcaOutcome) -> Self {
-        Self {
-            bonus: o.bonus,
-            steps: o.steps,
-            objects_scored: o.objects_scored,
-        }
-    }
-}
-
 #[derive(Debug)]
 struct JobState {
     phase: JobPhase,
-    result: Option<JobOutcome>,
+    /// What the job's runner returned, once completed.
+    result: Option<CoreDcaOutcome>,
     error: Option<String>,
     /// When the submission was accepted.
     submitted: Instant,
@@ -218,12 +198,12 @@ impl Job {
         &self.profile
     }
 
-    /// The outcome, once [`JobPhase::Completed`].
+    /// The runner's outcome, once [`JobPhase::Completed`].
     ///
     /// # Panics
     /// Panics if the state lock is poisoned.
     #[must_use]
-    pub fn result(&self) -> Option<JobOutcome> {
+    pub fn result(&self) -> Option<CoreDcaOutcome> {
         self.state
             .lock()
             .expect("job state poisoned")
@@ -248,7 +228,7 @@ impl Job {
     /// # Panics
     /// Panics if the state lock is poisoned.
     #[must_use]
-    pub fn snapshot(&self) -> (JobPhase, Option<JobOutcome>, Option<String>) {
+    pub fn snapshot(&self) -> (JobPhase, Option<CoreDcaOutcome>, Option<String>) {
         let st = self.state.lock().expect("job state poisoned");
         (st.phase, st.result.clone(), st.error.clone())
     }
@@ -663,8 +643,7 @@ fn execute(job: &Arc<Job>, entry: &Arc<StoreEntry>) {
             false,
             &job.control,
         )
-    }))
-    .map(|run| run.map(JobOutcome::from));
+    }));
 
     let phase = {
         let mut st = job.state.lock().expect("job state poisoned");
@@ -694,39 +673,40 @@ fn execute(job: &Arc<Job>, entry: &Arc<StoreEntry>) {
 /// Run the job's descent through a [`FleetCoordinator`] over `addrs`,
 /// stamped with the job's trace id from the connect on — so the connect
 /// lookups, every fan-out round and every worker-side handler span of the
-/// whole descent correlate with the submitting request. Wire failures surface as engine errors; a descent the control
-/// flag stopped stays a cancellation rather than a failure.
+/// whole descent correlate with the submitting request. The descent returns
+/// the engine's own result, a failed connect is wrapped like a failed round
+/// ([`wire_to_engine`]), and a descent the control flag stopped stays a
+/// cancellation rather than a failure.
 fn execute_fleet(job: &Arc<Job>, addrs: &[SocketAddr]) -> Result<CoreDcaOutcome, FairError> {
-    let wire = |e: crate::error::ServeError| {
+    let descend = || {
+        let fleet = FleetCoordinator::connect_traced(
+            &job.store,
+            addrs,
+            FleetConfig::default(),
+            Some(&job.trace),
+        )
+        .map_err(wire_to_engine)?;
+        let run = match job.spec.kind {
+            JobKind::Full => FleetCoordinator::run_full_dca_controlled,
+            JobKind::Core => FleetCoordinator::run_core_dca_controlled,
+        };
+        run(
+            &fleet,
+            job.spec.k,
+            job.spec.weights.as_deref(),
+            &job.spec.config,
+            None,
+            false,
+            &job.control,
+        )
+    };
+    descend().map_err(|e| {
         if job.control.is_cancelled() {
             FairError::Cancelled
         } else {
-            FairError::InvalidConfig {
-                reason: format!("fleet descent failed: {e}"),
-            }
+            e
         }
-    };
-    let fleet = FleetCoordinator::connect_traced(
-        &job.store,
-        addrs,
-        FleetConfig::default(),
-        Some(&job.trace),
-    )
-    .map_err(wire)?;
-    let run = match job.spec.kind {
-        JobKind::Full => FleetCoordinator::run_full_dca_controlled,
-        JobKind::Core => FleetCoordinator::run_core_dca_controlled,
-    };
-    run(
-        &fleet,
-        job.spec.k,
-        job.spec.weights.as_deref(),
-        &job.spec.config,
-        None,
-        false,
-        &job.control,
-    )
-    .map_err(wire)
+    })
 }
 
 /// Bump the terminal-state counter, flush the job's phase totals into the

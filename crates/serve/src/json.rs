@@ -14,6 +14,7 @@
 //! NaN/Inf).
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// One JSON value. Objects preserve insertion order (rendering is
 /// deterministic) and are looked up linearly — wire payloads here have a
@@ -411,9 +412,9 @@ fn render_into(value: &Json, out: &mut String) {
         Json::Bool(false) => out.push_str("false"),
         Json::Num(v) => {
             if v.is_finite() {
-                // Rust's shortest round-trip formatting: parsing the token
-                // back recovers the identical bits.
-                out.push_str(&format!("{v}"));
+                // Rust's shortest round-trip formatting, written in place:
+                // parsing the token back recovers the identical bits.
+                let _ = write!(out, "{v}");
             } else {
                 out.push_str("null");
             }
@@ -454,7 +455,7 @@ fn render_string(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

@@ -77,6 +77,6 @@ pub use client::{
 };
 pub use error::{ApiError, Result, ServeError};
 pub use fleet::{FleetConfig, FleetCoordinator, FleetReport, WorkerStatus};
-pub use jobs::{Job, JobKind, JobManager, JobOutcome, JobPhase, JobSpec};
+pub use jobs::{Job, JobKind, JobManager, JobPhase, JobSpec};
 pub use json::{Json, JsonError};
 pub use server::{serve, AuditService, ServerHandle, DRAIN_DEADLINE};

@@ -464,7 +464,9 @@ impl AuditService {
     ///   candidates (see [`fair_core::dca::partial`]); combined in shard
     ///   order the result is bit-identical to a local evaluation.
     /// - `core_sample`: the deterministic `(seed, sample_size)` Bernoulli
-    ///   sample rows restricted to the range — the Core-DCA gather columns.
+    ///   sample rows restricted to the range — their count and the feature
+    ///   and fairness columns a fleet Core DCA step gathers (its linear
+    ///   ranker and disparity plan read no id and no label).
     fn partials(&self, name: &str, req: &Request) -> Result<(u16, Json), ApiError> {
         let entry = self.catalog.get(name)?;
         let store = &entry.store;
@@ -535,27 +537,10 @@ impl AuditService {
                 store
                     .gather_rows(&indices, &mut gathered)
                     .map_err(|e| ApiError::unprocessable(e.to_string()))?;
-                // Labels ride as a tiny enum: 0 = unlabelled, 1 = false,
-                // 2 = true.
-                let labels = gathered
-                    .labels()
-                    .iter()
-                    .map(|label| {
-                        Json::num(match label {
-                            None => 0.0,
-                            Some(false) => 1.0,
-                            Some(true) => 2.0,
-                        })
-                    })
-                    .collect();
                 let rows = Json::obj(vec![
-                    (
-                        "ids",
-                        Json::Arr(gathered.ids().iter().map(|id| Json::u64(id.0)).collect()),
-                    ),
+                    ("count", Json::num(indices.len() as f64)),
                     ("features", Json::num_arr(gathered.features_matrix())),
                     ("fairness", Json::num_arr(gathered.fairness_matrix())),
-                    ("labels", Json::Arr(labels)),
                 ]);
                 Ok((
                     200,
@@ -1608,31 +1593,32 @@ mod tests {
     fn core_sample_route_returns_the_deterministic_range_sample() {
         let service = service_with_store(300); // 5 shards of 64
         let entry = service.catalog.get("cohort").unwrap();
-        let (status, resp) = service.route(&request(
-            "POST",
-            "/stores/cohort/partials",
-            r#"{"kind":"core_sample","shards":[1,4],"seed":77,"sample_size":120}"#,
-        ));
+        let body = r#"{"kind":"core_sample","shards":[1,4],"seed":77,"sample_size":120}"#;
+        let (status, resp) = service.route(&request("POST", "/stores/cohort/partials", body));
         assert_eq!(status, 200, "{}", resp.render());
         let rows = resp.get("rows").unwrap();
-        let ids = rows.get("ids").unwrap().as_arr().unwrap();
+        // Only what a fleet Core step reads: no `ids`, no `labels`.
+        let Json::Obj(pairs) = rows else {
+            panic!("`rows` must be an object: {}", rows.render());
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, ["count", "features", "fairness"]);
+
         let mut indices = Vec::new();
-        fair_core::sample_indices_range_into(&entry.store, 77, 120, 1..4, &mut indices).unwrap();
-        assert_eq!(ids.len(), indices.len());
-        let nf = entry.store.schema().num_features();
-        let features = rows.get("features").unwrap().as_f64_vec().unwrap();
-        assert_eq!(features.len(), indices.len() * nf);
+        sample_indices_range_into(&entry.store, 77, 120, 1..4, &mut indices).unwrap();
+        assert!(!indices.is_empty());
+        assert_eq!(rows.get("count").unwrap().as_usize(), Some(indices.len()));
+        let mut local = Dataset::empty(entry.store.schema().clone());
+        entry.store.gather_rows(&indices, &mut local).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let column = |key| bits(&rows.get(key).unwrap().as_f64_vec().unwrap());
+        assert_eq!(column("features"), bits(local.features_matrix()));
+        assert_eq!(column("fairness"), bits(local.fairness_matrix()));
+
         // Identical request → identical row bytes (purity is what makes
         // coordinator retries safe).
-        let (_, again) = service.route(&request(
-            "POST",
-            "/stores/cohort/partials",
-            r#"{"kind":"core_sample","shards":[1,4],"seed":77,"sample_size":120}"#,
-        ));
-        assert_eq!(
-            resp.get("rows").unwrap().render(),
-            again.get("rows").unwrap().render()
-        );
+        let (_, again) = service.route(&request("POST", "/stores/cohort/partials", body));
+        assert_eq!(rows.render(), again.get("rows").unwrap().render());
     }
 
     /// The fault plan is process-global: tests that install one must not

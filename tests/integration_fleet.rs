@@ -13,7 +13,10 @@
 //! 4. a 500-burst ejects a worker, and health probes re-admit it once the
 //!    burst passes;
 //! 5. a fleet job's phase profile counts each fan-out round's wire time
-//!    once, however many ranges run in it.
+//!    once, however many ranges run in it;
+//! 6. a fleet job stops at a step boundary when cancelled, and a fleet job
+//!    whose every worker fails reports the wire error once, as the engine
+//!    error its descent returned.
 
 use fair_ranking::core::metrics::sharded as shmetrics;
 use fair_ranking::core::obs;
@@ -24,7 +27,7 @@ use fair_ranking::serve::{
 };
 use std::net::SocketAddr;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const ROWS: usize = 2_000;
 const SEED: u64 = 4242;
@@ -76,6 +79,32 @@ fn quick_config(seed: u64) -> DcaConfig {
         seed,
         ..DcaConfig::default()
     }
+}
+
+/// A Core DCA job under `config` whose descent fans out to `workers`.
+fn fleet_core_job(workers: &[SocketAddr], config: &DcaConfig) -> JobRequest {
+    JobRequest {
+        store: "cohort".into(),
+        kind: JobKind::Core,
+        k: 0.1,
+        weights: Some(RUBRIC_WEIGHTS.to_vec()),
+        seed: config.seed,
+        sample_size: Some(config.sample_size),
+        learning_rates: Some(config.learning_rates.clone()),
+        iterations_per_rate: Some(config.iterations_per_rate),
+        workers: Some(workers.iter().map(SocketAddr::to_string).collect()),
+    }
+}
+
+/// A node fronting the fleet: it holds the same cohort, so it accepts jobs
+/// on `cohort` and runs their descents on the workers.
+fn spawn_front() -> (ServerHandle, Client) {
+    let front = serve(AuditService::new(), "127.0.0.1:0", 2).unwrap();
+    let client = Client::new(front.addr());
+    client
+        .register_synthetic("cohort", "school", ROWS, SEED, SHARD_SIZE)
+        .unwrap();
+    (front, client)
 }
 
 #[test]
@@ -364,19 +393,7 @@ fn a_traced_job_pins_one_id_from_submit_to_worker_spans_under_faults() {
         fair_ranking::core::fault::FaultPlan::parse("serve@partials:500:2").unwrap(),
     );
     let config = quick_config(97);
-    let job = client
-        .submit_job(&JobRequest {
-            store: "cohort".into(),
-            kind: JobKind::Core,
-            k: 0.1,
-            weights: Some(RUBRIC_WEIGHTS.to_vec()),
-            seed: config.seed,
-            sample_size: Some(config.sample_size),
-            learning_rates: Some(config.learning_rates.clone()),
-            iterations_per_rate: Some(config.iterations_per_rate),
-            workers: Some(addrs.iter().map(SocketAddr::to_string).collect()),
-        })
-        .unwrap();
+    let job = client.submit_job(&fleet_core_job(&addrs, &config)).unwrap();
     assert_eq!(job.trace, trace, "the job adopts the submitter's trace id");
     let done = client
         .wait_for_job(&job.id, Duration::from_secs(60))
@@ -454,25 +471,9 @@ fn a_traced_job_pins_one_id_from_submit_to_worker_spans_under_faults() {
 fn a_fleet_job_profile_counts_each_round_once() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (handles, addrs) = spawn_fleet(3, SHARD_SIZE);
-    let front = serve(AuditService::new(), "127.0.0.1:0", 2).unwrap();
-    let client = Client::new(front.addr());
-    client
-        .register_synthetic("cohort", "school", ROWS, SEED, SHARD_SIZE)
-        .unwrap();
+    let (front, client) = spawn_front();
     let config = quick_config(31);
-    let job = client
-        .submit_job(&JobRequest {
-            store: "cohort".into(),
-            kind: JobKind::Core,
-            k: 0.1,
-            weights: Some(RUBRIC_WEIGHTS.to_vec()),
-            seed: config.seed,
-            sample_size: Some(config.sample_size),
-            learning_rates: Some(config.learning_rates.clone()),
-            iterations_per_rate: Some(config.iterations_per_rate),
-            workers: Some(addrs.iter().map(SocketAddr::to_string).collect()),
-        })
-        .unwrap();
+    let job = client.submit_job(&fleet_core_job(&addrs, &config)).unwrap();
     let done = client
         .wait_for_job(&job.id, Duration::from_secs(60))
         .unwrap();
@@ -634,19 +635,7 @@ fn connect_lookups_are_traced_timed_and_counted() {
         .register_synthetic("cohort", "school", ROWS, SEED, SHARD_SIZE)
         .unwrap();
     let config = quick_config(5);
-    let job = client
-        .submit_job(&JobRequest {
-            store: "cohort".into(),
-            kind: JobKind::Core,
-            k: 0.1,
-            weights: Some(RUBRIC_WEIGHTS.to_vec()),
-            seed: config.seed,
-            sample_size: Some(config.sample_size),
-            learning_rates: Some(config.learning_rates.clone()),
-            iterations_per_rate: Some(config.iterations_per_rate),
-            workers: Some(addrs.iter().map(SocketAddr::to_string).collect()),
-        })
-        .unwrap();
+    let job = client.submit_job(&fleet_core_job(&addrs, &config)).unwrap();
     let done = client
         .wait_for_job(&job.id, Duration::from_secs(60))
         .unwrap();
@@ -667,6 +656,80 @@ fn connect_lookups_are_traced_timed_and_counted() {
         );
     }
 
+    front.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// Cancelling a fleet job stops its descent at the next step boundary, as
+/// for a local job: it ends `cancelled`, with no result, short of its last
+/// step.
+#[test]
+fn a_cancelled_fleet_core_job_stops_mid_descent() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (handles, addrs) = spawn_fleet(3, SHARD_SIZE);
+    let (front, client) = spawn_front();
+    // 10,000 steps: enough that the cancellation lands mid-descent.
+    let config = DcaConfig {
+        iterations_per_rate: 5_000,
+        ..quick_config(13)
+    };
+    let job = client.submit_job(&fleet_core_job(&addrs, &config)).unwrap();
+    let start = Instant::now();
+    loop {
+        let view = client.job(&job.id).unwrap();
+        assert!(!view.is_terminal(), "ended before the cancel: {view:?}");
+        if view.step > 2 {
+            break;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "the job never started stepping"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    client.cancel_job(&job.id).unwrap();
+    let done = client
+        .wait_for_job(&job.id, Duration::from_secs(60))
+        .unwrap();
+    assert_eq!(done.state, "cancelled", "error: {:?}", done.error);
+    assert!(done.result.is_none(), "{done:?}");
+    assert!(
+        done.step < done.total_steps,
+        "stopped at step {} of {}",
+        done.step,
+        done.total_steps
+    );
+    front.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// When every worker fails a range, the job reports the wire error once:
+/// the descent returns the engine error that wraps it, and no status that no
+/// server answered appears in the message.
+#[test]
+fn a_fleet_job_whose_every_worker_fails_reports_the_wire_error() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (handles, addrs) = spawn_fleet(3, SHARD_SIZE);
+    let (front, client) = spawn_front();
+    // Every partial-reduce request answers 500, so the first step's ranges
+    // exhaust every worker.
+    fair_ranking::core::fault::install(
+        fair_ranking::core::fault::FaultPlan::parse("serve@partials:500:1000").unwrap(),
+    );
+    let done = client
+        .submit_job(&fleet_core_job(&addrs, &quick_config(17)))
+        .and_then(|job| client.wait_for_job(&job.id, Duration::from_secs(60)));
+    fair_ranking::core::fault::install(fair_ranking::core::fault::FaultPlan::none());
+    let done = done.unwrap();
+    assert_eq!(done.state, "failed", "{done:?}");
+    assert!(done.result.is_none(), "{done:?}");
+    let error = done.error.unwrap();
+    assert!(error.contains("every worker failed"), "{error}");
+    assert!(!error.contains("returned 422"), "{error}");
     front.shutdown();
     for h in handles {
         h.shutdown();
