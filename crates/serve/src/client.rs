@@ -152,7 +152,8 @@ pub struct JobResult {
 /// The gathered sample rows of a `core_sample` partial-reduce response: the
 /// two columns a fleet Core DCA step reads, range-ordered, ready to append
 /// to a gather dataset. The step's linear ranker scores features only and
-/// its disparity plan tallies fairness only, so ids and labels stay home.
+/// its disparity plan tallies fairness only, so the reply carries neither
+/// ids nor labels.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SampleRows {
     /// Number of sampled rows.

@@ -9,6 +9,11 @@
 //! [`run_full_dca_sharded`](fair_core::dca::run_full_dca_sharded) /
 //! [`run_core_dca_sharded`](fair_core::dca::run_core_dca_sharded)
 //! trajectory for the same seed, worker count and failures included.
+//! A Core step gathers only the feature and fairness columns of its sample
+//! (its linear ranker and disparity plan read no id and no label), and
+//! every sweep and descent returns the engine's own [`fair_core::Result`]:
+//! a range that exhausts the ladder below is one engine error that carries
+//! the wire error.
 //!
 //! Robustness model, in order of escalation:
 //!
@@ -317,8 +322,7 @@ impl FleetCoordinator {
     /// one-sweep evaluation.
     ///
     /// # Errors
-    /// Engine validation errors, and a wire failure once every worker is
-    /// exhausted (see [`FleetCoordinator::run_full_dca`]).
+    /// As [`run_full_dca`](Self::run_full_dca).
     pub fn disparity(
         &self,
         k: f64,
@@ -347,10 +351,9 @@ impl FleetCoordinator {
     /// arguments.
     ///
     /// # Errors
-    /// The engine's own errors, as the local runner returns them. A range
-    /// that every worker failed, after the retries and re-dispatches of the
-    /// module docs, ends the descent with one [`FairError::InvalidConfig`]
-    /// whose reason carries the wire error.
+    /// The engine's errors, as the local runner returns them; a range that
+    /// every worker failed is one [`FairError::InvalidConfig`] that carries
+    /// the wire error.
     pub fn run_full_dca(
         &self,
         k: f64,
@@ -453,10 +456,8 @@ impl FleetCoordinator {
                     })
                     .map_err(wire_to_engine)?;
                 // Ranges arrive in ascending order, so appending them in
-                // sequence reproduces the local gather exactly. The linear
-                // ranker and the disparity plan read neither ids nor
-                // labels, so every row gets id 0 and no label, as in a
-                // serial step's gather.
+                // sequence reproduces the local gather exactly. No step
+                // reads an id or a label (see `SampleRows`).
                 for sample in &samples {
                     if sample.rows.checked_mul(nf) != Some(sample.features.len())
                         || sample.rows.checked_mul(na) != Some(sample.fairness.len())
@@ -679,9 +680,8 @@ impl FleetCoordinator {
     }
 }
 
-/// A wire failure as the engine reports it: the fleet's descents and sweeps
-/// return the engine's own errors, and a round every worker failed becomes
-/// one config error that keeps the wire story in its reason.
+/// A wire failure as the engine reports it, the wire story kept in its
+/// reason.
 pub(crate) fn wire_to_engine(e: ServeError) -> FairError {
     FairError::InvalidConfig {
         reason: format!("fleet request failed: {e}"),

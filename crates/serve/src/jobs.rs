@@ -13,7 +13,9 @@
 //! uncancelled job produces the bit-identical trajectory of the
 //! corresponding library call ([`fair_core::dca::run_full_dca_sharded`] /
 //! [`fair_core::dca::run_core_dca_sharded`] with the same seed and config),
-//! because the controlled runners execute the same loop.
+//! because the controlled runners execute the same loop. A job keeps the
+//! [`CoreDcaOutcome`] its runner returned, local or fleet, and a failed
+//! job reports the runner's own error.
 
 use crate::catalog::StoreEntry;
 use crate::error::ApiError;
@@ -123,7 +125,6 @@ pub struct JobSpec {
 #[derive(Debug)]
 struct JobState {
     phase: JobPhase,
-    /// What the job's runner returned, once completed.
     result: Option<CoreDcaOutcome>,
     error: Option<String>,
     /// When the submission was accepted.
@@ -673,40 +674,35 @@ fn execute(job: &Arc<Job>, entry: &Arc<StoreEntry>) {
 /// Run the job's descent through a [`FleetCoordinator`] over `addrs`,
 /// stamped with the job's trace id from the connect on — so the connect
 /// lookups, every fan-out round and every worker-side handler span of the
-/// whole descent correlate with the submitting request. The descent returns
-/// the engine's own result, a failed connect is wrapped like a failed round
-/// ([`wire_to_engine`]), and a descent the control flag stopped stays a
+/// whole descent correlate with the submitting request. A failed connect is
+/// wrapped like a failed round; a descent the control flag stopped stays a
 /// cancellation rather than a failure.
 fn execute_fleet(job: &Arc<Job>, addrs: &[SocketAddr]) -> Result<CoreDcaOutcome, FairError> {
-    let descend = || {
-        let fleet = FleetCoordinator::connect_traced(
-            &job.store,
-            addrs,
-            FleetConfig::default(),
-            Some(&job.trace),
-        )
-        .map_err(wire_to_engine)?;
-        let run = match job.spec.kind {
-            JobKind::Full => FleetCoordinator::run_full_dca_controlled,
-            JobKind::Core => FleetCoordinator::run_core_dca_controlled,
-        };
-        run(
-            &fleet,
-            job.spec.k,
-            job.spec.weights.as_deref(),
-            &job.spec.config,
-            None,
-            false,
-            &job.control,
-        )
+    let run = match job.spec.kind {
+        JobKind::Full => FleetCoordinator::run_full_dca_controlled,
+        JobKind::Core => FleetCoordinator::run_core_dca_controlled,
     };
-    descend().map_err(|e| {
-        if job.control.is_cancelled() {
-            FairError::Cancelled
-        } else {
-            e
-        }
-    })
+    let trace = Some(job.trace.as_str());
+    FleetCoordinator::connect_traced(&job.store, addrs, FleetConfig::default(), trace)
+        .map_err(wire_to_engine)
+        .and_then(|fleet| {
+            run(
+                &fleet,
+                job.spec.k,
+                job.spec.weights.as_deref(),
+                &job.spec.config,
+                None,
+                false,
+                &job.control,
+            )
+        })
+        .map_err(|e| {
+            if job.control.is_cancelled() {
+                FairError::Cancelled
+            } else {
+                e
+            }
+        })
 }
 
 /// Bump the terminal-state counter, flush the job's phase totals into the
