@@ -107,8 +107,9 @@
 //! `run_core_dca_controlled`, the runner a fleet job drives, against
 //! `run_core_dca_sharded` on the same cohort and shard layout, as
 //! interleaved arms, after a one-off check that their bonuses are
-//! bit-identical. Both are reported, not gated: a fleet step makes two
-//! `core_sample` round trips, so it costs the wire, not the sample.
+//! bit-identical. Both are reported, not gated: a fleet step fans one
+//! `core_sample` request out per worker's range, so it costs the wire, not
+//! the sample.
 //!
 //! Since the DCA layer evaluates every objective through its `MetricPlan`
 //! (schema unchanged), `core_dca` times `run_core_dca`, the gathered Core
