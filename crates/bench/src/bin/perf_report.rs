@@ -111,6 +111,14 @@
 //! `core_sample` request out per worker's range, so it costs the wire, not
 //! the sample.
 //!
+//! Schema v15 adds `store.group_rows`, the row-group size recorded in the
+//! header of the store the paged sections wrote, and runs the paged
+//! sections (`profile` at both cohort sizes, `store` and `crc32_mb_s`) in a
+//! fresh perf_report process that the report starts itself and reads their
+//! numbers back from, so what the in-memory sections allocated and freed
+//! before them can no longer move them. The in-memory sections keep their
+//! order and run in the first process.
+//!
 //! Since the DCA layer evaluates every objective through its `MetricPlan`
 //! (schema unchanged), `core_dca` times `run_core_dca`, the gathered Core
 //! driver (`run_core_dca_gathered`) over a serial draw, whose steps copy
@@ -846,6 +854,8 @@ struct ProfileBench {
 
 /// The store layer of a paged descent's store.
 struct StoreBench {
+    /// Rows per checksummed group, from the store file's header.
+    group_rows: u64,
     /// File bytes ÷ rows.
     bytes_per_row: f64,
     /// Column bytes per µs of one cold `read_shard` (a freshly opened store
@@ -880,6 +890,16 @@ fn measure_profile(rows: usize, shard_size: usize, reps: usize) -> ProfileBench 
     let file_bytes = std::fs::metadata(&store_path)
         .expect("store metadata")
         .len() as usize;
+    let group_rows = {
+        use std::io::Read as _;
+        let mut header = [0; format::HEADER_LEN];
+        std::fs::File::open(&store_path)
+            .and_then(|mut f| f.read_exact(&mut header))
+            .expect("read store header");
+        format::Header::decode(&header)
+            .expect("store header")
+            .group_rows
+    };
     let workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -951,6 +971,7 @@ fn measure_profile(rows: usize, shard_size: usize, reps: usize) -> ProfileBench 
             .map(|(p, s)| (p.name(), s.total_us, s.count, s.max_us))
             .collect(),
         store: StoreBench {
+            group_rows,
             bytes_per_row: file_bytes as f64 / rows as f64,
             read_shard_mb_s,
             groups_per_step: groups / steps as f64,
@@ -967,6 +988,143 @@ fn measure_crc32(reps: usize) -> f64 {
         .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
         .collect();
     bytes.len() as f64 / (time_median(reps, || format::crc32(&bytes)) * 1e3)
+}
+
+/// The cohort rows and shard size of the large paged descent: 1M rows in
+/// 64k-row shards, or 10k in 1k-row shards in `--quick` mode. The small
+/// descent runs a tenth of the rows in as many shards.
+fn paged_layout(quick: bool) -> (usize, usize) {
+    if quick {
+        (10_000, 1024)
+    } else {
+        (1_000_000, fair_core::DEFAULT_SHARD_SIZE)
+    }
+}
+
+/// The argument on which perf_report runs only its paged sections and
+/// prints their [`PagedSections::words`]: the report starts itself with it
+/// to run them in a fresh process, not a mode for users.
+const PAGED_SECTIONS_ARG: &str = "--paged-sections-process";
+
+/// What the paged sections measure, in the order they run.
+struct PagedSections {
+    large: ProfileBench,
+    crc32_mb_s: f64,
+    small: ProfileBench,
+}
+
+impl PagedSections {
+    fn measure(quick: bool, reps: usize) -> Self {
+        let (rows, shard_size) = paged_layout(quick);
+        let large = measure_profile(rows, shard_size, reps);
+        let crc32_mb_s = measure_crc32(reps);
+        let small_rows = rows / 10;
+        let small = measure_profile(
+            small_rows,
+            small_rows.div_ceil(rows.div_ceil(shard_size)),
+            reps,
+        );
+        Self {
+            large,
+            crc32_mb_s,
+            small,
+        }
+    }
+
+    /// Every number as whitespace-separated text: `f64`'s `Display`
+    /// round-trips its bits, so the parent process reads back exactly what
+    /// the child measured.
+    fn words(&self) -> String {
+        let mut s = String::new();
+        for p in [&self.large, &self.small] {
+            let st = &p.store;
+            let _ = write!(
+                s,
+                "{} {} {} {} {} {} {} {} {} {} {} ",
+                p.rows,
+                p.steps,
+                p.plain_per_step_us,
+                p.profiled_per_step_us,
+                p.overhead,
+                st.group_rows,
+                st.bytes_per_row,
+                st.read_shard_mb_s,
+                st.groups_per_step,
+                st.page_in_us_per_group,
+                st.decode_us_per_group,
+            );
+            for (_, total_us, count, max_us) in &p.phases {
+                let _ = write!(s, "{total_us} {count} {max_us} ");
+            }
+        }
+        let _ = write!(s, "{}", self.crc32_mb_s);
+        s
+    }
+
+    /// The inverse of [`PagedSections::words`].
+    fn parse(words: &str) -> Self {
+        let mut words = words.split_whitespace();
+        let mut next = || words.next().expect("paged sections: too few numbers");
+        let mut profile = || {
+            let (rows, steps) = (num(next()), num(next()));
+            let (plain_per_step_us, profiled_per_step_us, overhead) =
+                (num(next()), num(next()), num(next()));
+            let store = StoreBench {
+                group_rows: num(next()),
+                bytes_per_row: num(next()),
+                read_shard_mb_s: num(next()),
+                groups_per_step: num(next()),
+                page_in_us_per_group: num(next()),
+                decode_us_per_group: num(next()),
+            };
+            let phases = fair_core::obs::Phase::ALL
+                .iter()
+                .map(|p| (p.name(), num(next()), num(next()), num(next())))
+                .collect();
+            ProfileBench {
+                rows,
+                steps,
+                plain_per_step_us,
+                profiled_per_step_us,
+                overhead,
+                phases,
+                store,
+            }
+        };
+        let (large, small) = (profile(), profile());
+        Self {
+            large,
+            small,
+            crc32_mb_s: num(next()),
+        }
+    }
+
+    /// Run the paged sections in a fresh perf_report process and read its
+    /// numbers back.
+    fn measure_in_child(quick: bool, reps: usize) -> Self {
+        let exe = std::env::current_exe().expect("perf_report's own path");
+        let mut child = std::process::Command::new(exe);
+        child.args([PAGED_SECTIONS_ARG, "--repeats", &reps.to_string()]);
+        if quick {
+            child.arg("--quick");
+        }
+        let output = child
+            .stderr(std::process::Stdio::inherit())
+            .output()
+            .expect("start the paged sections' process");
+        assert!(
+            output.status.success(),
+            "the paged sections' process failed: {}",
+            output.status
+        );
+        Self::parse(std::str::from_utf8(&output.stdout).expect("UTF-8 numbers"))
+    }
+}
+
+/// One number the paged sections' process printed.
+fn num<T: std::str::FromStr>(word: &str) -> T {
+    word.parse()
+        .unwrap_or_else(|_| panic!("paged sections: {word:?} is not a number"))
 }
 
 /// The §IV-D claim in paged mode: per-step cost of the paged descent at two
@@ -1011,7 +1169,7 @@ fn render_json(
         .unwrap_or(1);
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 14,");
+    let _ = writeln!(s, "  \"schema_version\": 15,");
     let _ = writeln!(s, "  \"generated_by\": \"perf_report\",");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
     let _ = writeln!(s, "  \"repeats\": {reps},");
@@ -1178,8 +1336,9 @@ fn render_json(
     let st = &profile.store;
     let _ = writeln!(
         s,
-        "  \"store\": {{ \"rows\": {}, \"bytes_per_row\": {}, \"read_shard_mb_s\": {}, \"crc32_mb_s\": {}, \"groups_per_step\": {}, \"page_in_us_per_group\": {}, \"decode_us_per_group\": {} }},",
+        "  \"store\": {{ \"rows\": {}, \"group_rows\": {}, \"bytes_per_row\": {}, \"read_shard_mb_s\": {}, \"crc32_mb_s\": {}, \"groups_per_step\": {}, \"page_in_us_per_group\": {}, \"decode_us_per_group\": {} }},",
         profile.rows,
+        st.group_rows,
         json_number(st.bytes_per_row),
         json_number(st.read_shard_mb_s),
         json_number(crc32_mb_s),
@@ -1233,6 +1392,10 @@ fn main() {
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&v| v > 0)
         .unwrap_or(3);
+    if args.iter().any(|a| a == PAGED_SECTIONS_ARG) {
+        println!("{}", PagedSections::measure(quick, reps).words());
+        return;
+    }
     let out_path = args
         .iter()
         .position(|a| a == "--out")
@@ -1358,12 +1521,13 @@ fn main() {
         obs.scrape_bytes,
     );
 
-    let (profile_rows, profile_shard_size) = if quick {
-        (10_000, 1024)
-    } else {
-        (1_000_000, fair_core::DEFAULT_SHARD_SIZE)
-    };
-    let profile = measure_profile(profile_rows, profile_shard_size, reps);
+    // The paged sections run in a fresh process: in this one, what the
+    // sections above allocated and freed would move their timings.
+    let PagedSections {
+        large: profile,
+        crc32_mb_s,
+        small,
+    } = PagedSections::measure_in_child(quick, reps);
     println!(
         "\nphase profiler ({} rows, paged Core DCA, {} steps): {:.2}us/step plain vs {:.2}us \
          profiled ({:.3}x, budget 1.05x); where the profiled run's time went:",
@@ -1384,11 +1548,11 @@ fn main() {
     }
 
     let st = &profile.store;
-    let crc32_mb_s = measure_crc32(reps);
     println!(
-        "\nstore layer ({} rows): {:.2} bytes/row; cold read_shard {:.0} MB/s; crc32 {:.0} MB/s; \
-         {:.1} groups/step at {:.2}us page_in + {:.2}us decode per group",
+        "\nstore layer ({} rows, {}-row groups): {:.2} bytes/row; cold read_shard {:.0} MB/s; \
+         crc32 {:.0} MB/s; {:.1} groups/step at {:.2}us page_in + {:.2}us decode per group",
         profile.rows,
+        st.group_rows,
         st.bytes_per_row,
         st.read_shard_mb_s,
         crc32_mb_s,
@@ -1400,16 +1564,14 @@ fn main() {
     // The same paged descent on a tenth of the cohort, cut into the same
     // number of shards, under the same quarter-cohort budget.
     let paged = {
-        let shards = profile_rows.div_ceil(profile_shard_size);
-        let small_rows = profile_rows / 10;
-        let small = measure_profile(small_rows, small_rows.div_ceil(shards), reps);
+        let (profile_rows, profile_shard_size) = paged_layout(quick);
         let memory_per_step_us = reports
             .iter()
             .find(|r| r.n == profile_rows)
             .map_or(f64::NAN, |r| r.core_per_step_us);
         PagedScaling {
-            shards,
-            small_rows,
+            shards: profile_rows.div_ceil(profile_shard_size),
+            small_rows: small.rows,
             small_per_step_us: small.plain_per_step_us,
             large_rows: profile_rows,
             large_per_step_us: profile.plain_per_step_us,

@@ -31,7 +31,10 @@
 //!    [`FleetConfig::probe_every`] fan-out rounds and rejoin on success.
 //!
 //! Deterministic 4xx rejections are *not* retried or re-dispatched — a
-//! request every healthy node rejects is the caller's bug, not a fault.
+//! request every healthy node rejects is the caller's bug, not a fault. Nor
+//! is a fleet whose workers list the store in different shapes (rows,
+//! shards, shard size): connecting refuses it, since a range sampled on
+//! such a worker would draw other rows.
 //!
 //! Every escalation is observable: the coordinator carries one trace id —
 //! the caller's, via [`FleetCoordinator::connect_traced`], or one minted per
@@ -51,7 +54,7 @@
 
 use crate::backoff::Backoff;
 use crate::catalog::PlacementMap;
-use crate::client::Client;
+use crate::client::{Client, StoreInfo};
 use crate::error::{Result, ServeError};
 use fair_core::dca::partial::{combine_disparity_partials, DisparityPartial};
 use fair_core::dca::{
@@ -179,16 +182,20 @@ fn counted<T>(
 }
 
 impl FleetCoordinator {
-    /// Connect to `addrs`, resolve `store`'s shape from the first reachable
-    /// worker, and split its shards evenly across the fleet.
+    /// Connect to `addrs`, resolve `store`'s shape and schema from the first
+    /// reachable worker, and split its shards evenly across the fleet.
     ///
     /// Every worker must serve the full store under the same name; the
     /// placement splits *work*, not data, which is what makes re-dispatch
-    /// after a worker death possible.
+    /// after a worker death possible. Every worker is asked for its stores
+    /// (`GET /stores`), and one that lists `store` with other rows, shards
+    /// or shard size is refused; a worker that does not answer is left to
+    /// the fan-out's retries, as before.
     ///
     /// # Errors
-    /// [`ServeError::Protocol`] when `addrs` is empty or no worker answers
-    /// for `store`; schema/shape errors from the wire.
+    /// [`ServeError::Protocol`] when `addrs` is empty, no worker answers
+    /// for `store`, or two workers list `store` in different shapes;
+    /// schema/shape errors from the wire.
     pub fn connect(store: &str, addrs: &[SocketAddr], config: FleetConfig) -> Result<Self> {
         Self::connect_traced(store, addrs, config, None)
     }
@@ -232,25 +239,42 @@ impl FleetCoordinator {
         let counter = |name| obs::Counter::child(obs::counter(name, &[]));
         let requests = counter("fair_fleet_requests_total");
         let lookup_trace = trace.map_or_else(obs::next_trace_id, str::to_string);
+        // Every worker is asked for its stores; the first that lists `store`
+        // and answers for its schema sets the shape.
+        let mut listed = Vec::with_capacity(workers.len());
         let mut resolved = None;
         for w in &workers {
             let client = w.client.clone().with_trace(&lookup_trace);
             let info = counted(&requests, &w.duration, || client.stores())
                 .ok()
                 .and_then(|list| list.into_iter().find(|s| s.name == store));
-            if let Some(info) = info {
+            let Some(info) = info else { continue };
+            if resolved.is_none() {
                 let schema = counted(&requests, &w.duration, || client.schema(store));
                 if let Ok((features, fairness)) = schema {
-                    resolved = Some((info, features, fairness));
-                    break;
+                    resolved = Some((w.addr, info.clone(), features, fairness));
                 }
             }
+            listed.push((w.addr, info));
         }
-        let Some((info, features, fairness)) = resolved else {
+        let Some((first, info, features, fairness)) = resolved else {
             return Err(ServeError::Protocol(format!(
                 "no reachable worker serves a store named `{store}`"
             )));
         };
+        // A worker sampling a differently shaped cohort would answer for the
+        // wrong rows, silently.
+        let shape = |s: &StoreInfo| (s.rows, s.shards, s.shard_size);
+        if let Some((addr, other)) = listed.iter().find(|(_, s)| shape(s) != shape(&info)) {
+            let show = |s: &StoreInfo| {
+                format!("{} rows in {} shards of {}", s.rows, s.shards, s.shard_size)
+            };
+            return Err(ServeError::Protocol(format!(
+                "workers disagree on the shape of `{store}`: {first} serves {}, {addr} serves {}",
+                show(&info),
+                show(other)
+            )));
+        }
         let features: Vec<&str> = features.iter().map(String::as_str).collect();
         let fairness: Vec<&str> = fairness.iter().map(String::as_str).collect();
         let schema = Schema::from_names(&features, &fairness, &[])

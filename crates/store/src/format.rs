@@ -58,9 +58,14 @@ pub const HEADER_LEN: usize = 60;
 /// Byte length of a version-1 file header, which has no group size.
 pub const HEADER_LEN_V1: usize = 52;
 /// Rows per checksummed group in the files [`crate::StoreWriter`] writes.
-/// At the benchmark's 65 bytes per row a group's four CRCs add half a byte
-/// per row, and a sampled row costs reading about 2 KB.
-pub const GROUP_ROWS: u64 = 32;
+/// A sampled row is read and checksummed as its whole group: at the
+/// benchmark's 65 bytes per row, 8-row groups cost ~0.5 KB per sampled row
+/// and two CRC bytes per row on disk. Against 32-row groups (~2 KB, half a
+/// CRC byte) that halved the paged Core DCA step; 4-row groups would double
+/// the CRC bytes again for a gain the end-to-end step did not resolve.
+/// Readers take `G` from each file's header, so files written at another
+/// size read unchanged.
+pub const GROUP_ROWS: u64 = 8;
 /// Byte length of one shard-directory entry (`offset u64`, `rows u64`).
 pub const DIR_ENTRY_LEN: usize = 16;
 

@@ -9,9 +9,13 @@
 //!   with a schema hash and a shard directory, then per-shard blocks cut
 //!   into [`format::GROUP_ROWS`]-row groups, each group's column slices
 //!   (ids, features, fairness, labels) stored together, each slice with
-//!   its own CRC32 (version 3, group-major). Version-2 files (the same
-//!   slices column-major) and version-1 files (one CRC per column block)
-//!   stay readable. Std-only; no compression, no external dependencies.
+//!   its own CRC32 (version 3, group-major). A sampled row costs reading
+//!   and verifying its 8-row group, about half a kilobyte of a COMPAS or
+//!   school store, for two CRC bytes per row. Every file records its own
+//!   group size, so files written with 32-row groups, version-2 files (the
+//!   same slices column-major) and version-1 files (one CRC per column
+//!   block) stay readable. Std-only; no compression, no external
+//!   dependencies.
 //! * **[`StoreWriter`]** ([`writer`]): streaming writes — shards are encoded
 //!   and appended as they are built ([`StoreWriter::push`] buffers single
 //!   rows, [`StoreWriter::append_shard`] takes whole blocks), and

@@ -1176,18 +1176,32 @@ mod tests {
 
     #[test]
     fn gathers_copy_resident_shards_and_read_only_the_groups_of_the_rest() {
-        // Two 100-row shards: groups of 32, 32, 32 and a short one of 4.
+        // Two 100-row shards of `GROUP_ROWS`-row groups, the last one short.
         let data = ShardedDataset::from_objects(schema(), objects(200), 100).unwrap();
         let path = temp_path("gather_groups");
         write_source(&data, &path).unwrap();
         let store = ShardStore::open_with_budget(&path, usize::MAX).unwrap();
-        // Shard 0 needs groups 0, 2 and 3; shard 1 groups 1 and 0.
-        let rows = [5, 70, 99, 3, 150, 131, 101];
+        // Rows of shard 0, then of shard 1, by their local indices.
+        let (shard0, shard1) = ([5, 70, 99, 3], [50, 31, 1]);
+        let groups = |local: &[usize]| {
+            let mut groups: Vec<u64> = local
+                .iter()
+                .map(|&r| r as u64 / crate::format::GROUP_ROWS)
+                .collect();
+            groups.sort_unstable();
+            groups.dedup();
+            groups.len() as u64
+        };
+        let rows: Vec<usize> = shard0
+            .iter()
+            .copied()
+            .chain(shard1.iter().map(|r| 100 + r))
+            .collect();
         let mut out = Dataset::empty(schema());
         store.read_rows(&rows, &mut out).unwrap();
         assert_same_rows(&out, &memory_rows(&data, &rows));
         let stats = store.cache_stats();
-        assert_eq!(stats.sparse_groups, 5);
+        assert_eq!(stats.sparse_groups, groups(&shard0) + groups(&shard1));
         assert_eq!((stats.hits, stats.misses), (0, 0), "no shard paged in");
         assert_eq!(stats.peak_bytes, 0, "nothing admitted");
 
@@ -1197,7 +1211,11 @@ mod tests {
         store.read_rows(&rows, &mut out).unwrap();
         assert_same_rows(&out, &memory_rows(&data, &rows));
         let stats = store.cache_stats();
-        assert_eq!(stats.sparse_groups, 8);
+        assert_eq!(
+            stats.sparse_groups,
+            2 * groups(&shard0) + groups(&shard1),
+            "only shard 0's groups are read again"
+        );
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.pinned_shards, 0);
 

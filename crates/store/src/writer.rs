@@ -1,7 +1,9 @@
 //! Streaming FSS1 writer: shards are appended to disk as they are built, so
 //! the cohort is never materialized — peak memory is one shard. It writes
 //! the current format version: [`GROUP_ROWS`]-row groups, stored
-//! group-major, with a CRC32 after every column slice.
+//! group-major, with a CRC32 after every column slice. Small groups keep a
+//! sampled read small (a Core DCA gather reads and verifies each sampled
+//! row's whole group) for two CRC bytes per row on disk.
 
 use crate::error::{Result, StoreError};
 use crate::format::{

@@ -16,7 +16,9 @@
 //!    once, however many ranges run in it;
 //! 6. a fleet job stops at a step boundary when cancelled, and a fleet job
 //!    whose every worker fails reports the wire error once, as the engine
-//!    error its descent returned.
+//!    error its descent returned;
+//! 7. workers that list the store in different shapes are refused at
+//!    connect.
 
 use fair_ranking::core::metrics::sharded as shmetrics;
 use fair_ranking::core::obs;
@@ -597,17 +599,25 @@ fn connect_lookups_are_traced_timed_and_counted() {
     let base = obs::captured().len();
     let (handles, addrs) = spawn_fleet(2, SHARD_SIZE);
     let total = obs::counter("fair_fleet_requests_total", &[]);
-    let timed = obs::histogram(
-        "fair_fleet_request_duration_us",
-        &[("worker", &addrs[0].to_string())],
-    );
-    let (total_before, timed_before) = (total.get(), timed.count());
+    let timed = |w: usize| {
+        obs::histogram(
+            "fair_fleet_request_duration_us",
+            &[("worker", &addrs[w].to_string())],
+        )
+    };
+    let (total_before, timed_before) = (total.get(), [timed(0).count(), timed(1).count()]);
 
-    // The first worker answers both lookups.
+    // The first worker answers both lookups; the second is asked for its
+    // stores, to check that it lists the cohort in the same shape.
     let fleet = FleetCoordinator::connect("cohort", &addrs, FleetConfig::default()).unwrap();
-    assert_eq!(fleet.report().requests, 2, "{:?}", fleet.report());
-    assert_eq!(total.get() - total_before, 2, "registry series");
-    assert_eq!(timed.count() - timed_before, 2, "worker latency histogram");
+    assert_eq!(fleet.report().requests, 3, "{:?}", fleet.report());
+    assert_eq!(total.get() - total_before, 3, "registry series");
+    assert_eq!(
+        timed(0).count() - timed_before[0],
+        2,
+        "worker latency histogram"
+    );
+    assert_eq!(timed(1).count() - timed_before[1], 1, "the second worker's");
     let records = obs::captured().split_off(base);
     let lookup_trace = |path: &str| {
         records
@@ -665,6 +675,38 @@ fn connect_lookups_are_traced_timed_and_counted() {
 /// Cancelling a fleet job stops its descent at the next step boundary, as
 /// for a local job: it ends `cancelled`, with no result, short of its last
 /// step.
+/// Workers that list the store under the same name in different shapes
+/// are refused at connect: sampling a range on the second would draw other
+/// rows than the placement assumes.
+#[test]
+fn workers_serving_differently_shaped_stores_are_refused() {
+    let workers: Vec<ServerHandle> = [ROWS, ROWS / 2]
+        .into_iter()
+        .map(|rows| {
+            let server = serve(AuditService::new(), "127.0.0.1:0", 2).unwrap();
+            Client::new(server.addr())
+                .register_synthetic("cohort", "school", rows, SEED, SHARD_SIZE)
+                .unwrap();
+            server
+        })
+        .collect();
+    let addrs: Vec<SocketAddr> = workers.iter().map(ServerHandle::addr).collect();
+    let err = FleetCoordinator::connect("cohort", &addrs, FleetConfig::default()).unwrap_err();
+    let message = err.to_string();
+    for expected in [
+        addrs[0].to_string(),
+        addrs[1].to_string(),
+        format!("{ROWS} rows in 8 shards of {SHARD_SIZE}"),
+        format!("{} rows in 4 shards of {SHARD_SIZE}", ROWS / 2),
+    ] {
+        assert!(message.contains(&expected), "{expected:?} in {message}");
+    }
+    assert!(matches!(err, fair_ranking::serve::ServeError::Protocol(_)));
+    for w in workers {
+        w.shutdown();
+    }
+}
+
 #[test]
 fn a_cancelled_fleet_core_job_stops_mid_descent() {
     let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -19,9 +19,10 @@
 //!    same trajectory as in memory at every budget, and a flipped byte in
 //!    any group is reported at that group, never decoded.
 //! 6. **Older versions** — files from the first format revision (one
-//!    checksum per column block) and the second (checksummed row groups
-//!    stored column-major) still open, verify, sweep and gather, and the
-//!    second takes the same corruption checks as the current one.
+//!    checksum per column block), the second (checksummed row groups
+//!    stored column-major) and the current one written with 32-row groups
+//!    still open, verify, sweep and gather, and the last two take the same
+//!    corruption checks as a freshly written file.
 
 use fair_ranking::core::metrics::sharded as shmetrics;
 use fair_ranking::prelude::*;
@@ -538,9 +539,12 @@ fn corrupted_files_yield_structured_errors() {
     let mem = ShardedDataset::from_dataset(&flat, 2 * GROUP_ROWS as usize + 5).unwrap();
     write_source(&mem, &path).unwrap();
     check_flips(&mem, &path, Order::GroupMajor);
-    // The same shape in the version-2 (column-major) fixture.
+    // The same shape in the version-2 (column-major) fixture, and in the
+    // current version's fixture with 32-row groups.
     std::fs::copy(fixture("fss_v2_150x69.fss"), &path).unwrap();
-    check_flips(&v2_fixture_memory(), &path, Order::ColumnMajor);
+    check_flips(&fixture_150x69_memory(), &path, Order::ColumnMajor);
+    std::fs::copy(fixture("fss_v3_g32_150x69.fss"), &path).unwrap();
+    check_flips(&fixture_150x69_memory(), &path, Order::GroupMajor);
     std::fs::remove_file(path).ok();
 }
 
@@ -555,9 +559,9 @@ enum Order {
 
 /// Every checksummed column slice of the store file written from `mem`,
 /// from the layout `format.rs` documents (header, schema block, then per
-/// shard a row count and the slices of its `GROUP_ROWS`-row groups in
-/// `order`): the slice's first byte, one past its CRC, and the global rows
-/// it holds.
+/// shard a row count and the slices of its `G`-row groups in `order`, `G`
+/// read from bytes 48..56 of the file's own header): the slice's first
+/// byte, one past its CRC, and the global rows it holds.
 fn group_spans(
     file: &[u8],
     mem: &ShardedDataset,
@@ -571,7 +575,7 @@ fn group_spans(
         8 * mem.schema().num_fairness(),
         1,
     ];
-    let group = GROUP_ROWS as usize;
+    let group = usize::try_from(u64::from_le_bytes(file[48..56].try_into().unwrap())).unwrap();
     let mut spans = Vec::new();
     for shard in mem.shards() {
         at += 8;
@@ -680,7 +684,8 @@ fn check_flips(mem: &ShardedDataset, path: &std::path::Path, order: Order) {
 
 /// The rows `0..n` of the committed fixtures: `fss_v1_40x8.fss`, which the
 /// version-1 writer produced from `dataset_from_rows(&fixture_rows(40))` at
-/// shard size 8, and `fss_v2_150x69.fss`, which the version-2 writer
+/// shard size 8, and `fss_v2_150x69.fss` and `fss_v3_g32_150x69.fss`, which
+/// the version-2 writer and the version-3 writer with 32-row groups
 /// produced from `fixture_rows(150)` at shard size 69.
 fn fixture_rows(n: u32) -> Vec<Row> {
     (0..n)
@@ -739,25 +744,33 @@ fn fixture(name: &str) -> std::path::PathBuf {
         .join(name)
 }
 
-/// The in-memory cohort `fss_v2_150x69.fss` holds: full shards of 69 rows
-/// (groups of 32, 32 and 5) and a final shard of 12.
-fn v2_fixture_memory() -> ShardedDataset {
+/// The in-memory cohort `fss_v2_150x69.fss` and `fss_v3_g32_150x69.fss`
+/// hold: full shards of 69 rows (groups of 32, 32 and 5) and a final shard
+/// of 12.
+fn fixture_150x69_memory() -> ShardedDataset {
     ShardedDataset::from_dataset(&dataset_from_rows(&fixture_rows(150)), 69).unwrap()
 }
 
-/// A version-2 file (row groups stored column-major) opens, verifies,
-/// sweeps and gathers bit for bit through the same decoder, which takes
-/// every slice's offset from the block layout.
-#[test]
-fn version_2_files_open_verify_and_gather() {
-    let path = fixture("fss_v2_150x69.fss");
+/// The committed 150 x 69 fixture `name`, a version-`version` file in
+/// 32-row groups, opens, verifies, sweeps and gathers bit for bit through
+/// the one decoder, which takes the group size from the file's header and
+/// every slice's offset from the block layout. Rewritten by the writer, it
+/// becomes a current-version file in `GROUP_ROWS`-row groups that gathers
+/// the same rows.
+fn check_150x69_fixture(name: &str, version: u16) {
+    let path = fixture(name);
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(
         &bytes[..6],
-        &[b'F', b'S', b'S', b'1', VERSION_2 as u8, 0],
-        "the fixture is a version-2 file"
+        &[b'F', b'S', b'S', b'1', version as u8, 0],
+        "{name} is a version-{version} file"
     );
-    let mem = v2_fixture_memory();
+    assert_eq!(
+        bytes[48..56],
+        32_u64.to_le_bytes(),
+        "{name} has 32-row groups"
+    );
+    let mem = fixture_150x69_memory();
 
     let store = ShardStore::open_with_budget(&path, 0).unwrap();
     assert_eq!(store.len(), 150);
@@ -783,17 +796,41 @@ fn version_2_files_open_verify_and_gather() {
     assert_eq!(stats.sparse_groups, 3 + 2 + 1 + 1);
     assert_eq!(stats.misses, 0);
 
-    // The writer writes the current version, which reads back the same.
-    let copy = temp_path("v2_rewrite");
+    // The writer writes the current version in its own group size, which
+    // reads back the same.
+    let copy = temp_path(&format!("v{version}_rewrite"));
     write_source(&store, &copy).unwrap();
     let rewritten = std::fs::read(&copy).unwrap();
     assert_eq!(rewritten[4..6], VERSION.to_le_bytes());
-    assert_eq!(rewritten.len(), bytes.len(), "the same bytes per row");
+    assert_eq!(rewritten[48..56], GROUP_ROWS.to_le_bytes());
+    let directory = u64::from_le_bytes(rewritten[40..48].try_into().unwrap());
+    assert_eq!(
+        group_spans(&rewritten, &mem, Order::GroupMajor)
+            .last()
+            .map(|&(_, end, _)| end as u64),
+        Some(directory),
+        "the rewritten groups end where the directory starts"
+    );
     let store = ShardStore::open_with_budget(&copy, 0).unwrap();
+    store.verify().unwrap();
     out.clear();
     store.gather_rows(&rows, &mut out).unwrap();
     assert!(same_rows(&out, &memory_rows(&mem, &rows)));
     std::fs::remove_file(copy).ok();
+}
+
+/// A version-2 file (row groups stored column-major) reads through the
+/// same decoder.
+#[test]
+fn version_2_files_open_verify_and_gather() {
+    check_150x69_fixture("fss_v2_150x69.fss", VERSION_2);
+}
+
+/// A current-version file written with 32-row groups, as every store was
+/// before the writer's groups shrank, reads through the same decoder.
+#[test]
+fn version_3_files_with_32_row_groups_open_verify_and_gather() {
+    check_150x69_fixture("fss_v3_g32_150x69.fss", VERSION);
 }
 
 /// Zero shard sizes are structured errors at every layer (regression for the
