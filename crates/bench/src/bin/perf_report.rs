@@ -1018,6 +1018,8 @@ impl PagedSections {
         let (rows, shard_size) = paged_layout(quick);
         let large = measure_profile(rows, shard_size, reps);
         let crc32_mb_s = measure_crc32(reps);
+        // The same paged descent on a tenth of the cohort, cut into the same
+        // number of shards, under the same quarter-cohort budget.
         let small_rows = rows / 10;
         let small = measure_profile(
             small_rows,
@@ -1561,8 +1563,6 @@ fn main() {
         st.decode_us_per_group,
     );
 
-    // The same paged descent on a tenth of the cohort, cut into the same
-    // number of shards, under the same quarter-cohort budget.
     let paged = {
         let (profile_rows, profile_shard_size) = paged_layout(quick);
         let memory_per_step_us = reports

@@ -264,15 +264,13 @@ impl FleetCoordinator {
         };
         // A worker sampling a differently shaped cohort would answer for the
         // wrong rows, silently.
-        let shape = |s: &StoreInfo| (s.rows, s.shards, s.shard_size);
+        let shape =
+            |s: &StoreInfo| format!("{} rows in {} shards of {}", s.rows, s.shards, s.shard_size);
         if let Some((addr, other)) = listed.iter().find(|(_, s)| shape(s) != shape(&info)) {
-            let show = |s: &StoreInfo| {
-                format!("{} rows in {} shards of {}", s.rows, s.shards, s.shard_size)
-            };
             return Err(ServeError::Protocol(format!(
                 "workers disagree on the shape of `{store}`: {first} serves {}, {addr} serves {}",
-                show(&info),
-                show(other)
+                shape(&info),
+                shape(other)
             )));
         }
         let features: Vec<&str> = features.iter().map(String::as_str).collect();
